@@ -74,7 +74,6 @@ from .generalized import (
     THEOREM_IDS,
     FaceFactor,
     VerificationReport,
-    face_modularity_check,
     gamma_cone_2d_direct,
     gamma_cone_2d_factorized,
     gamma_cone_3d_direct,
@@ -155,7 +154,6 @@ __all__ = [
     "THEOREM_IDS",
     "FaceFactor",
     "VerificationReport",
-    "face_modularity_check",
     "gamma_cone_2d_direct",
     "gamma_cone_2d_factorized",
     "gamma_cone_3d_direct",

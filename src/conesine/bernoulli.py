@@ -12,16 +12,14 @@ alongside for verification.
 from __future__ import annotations
 
 from math import comb, factorial
+from typing import Sequence
 
 from .errors import DomainError
 from .lattice_cones import (
     Cone,
     WedgeSubdivision,
-    cone_chain_2d,
-    det2,
+    cone_plan,
     edge_rays,
-    gorenstein_frame,
-    lattice_points,
 )
 
 MAX_ORDER = 8
@@ -109,13 +107,30 @@ def _require_damping_phase(rays: list[tuple[int, ...]], omegas: tuple[complex, .
 # cone-restricted polynomials
 
 
-def _chain_pairs(chain: WedgeSubdivision):
-    lines = chain.lines
-    return [(lines[j], lines[j + 1]) for j in range(len(lines) - 1)]
+def _as_period_tuple(omegas: Sequence[complex], dim: int) -> tuple[complex, ...]:
+    out = tuple(complex(w) for w in omegas)
+    if len(out) != dim:
+        raise DomainError(f"a {dim}d cone takes {dim} periods, got {len(out)}")
+    return out
 
 
-def _omega_cross(omegas, u) -> complex:
-    return omegas[0] * u[1] - omegas[1] * u[0]
+def _cone_sum(
+    cone: Cone,
+    z: complex,
+    omegas: tuple[complex, ...],
+    n: int,
+    chain: WedgeSubdivision | None = None,
+) -> complex:
+    """The sum of plain degree-n polynomials over the wedges of the cone's
+    decomposition, plus the straightened axis term in 3d.  The caller checks
+    the damping phase."""
+    axis, wedges = cone_plan(cone).wedges(z, omegas, chain)
+    total = 0j
+    for arg, periods in wedges:
+        total += bernoulli_multiple(arg, periods, n)
+    if axis is not None and n >= 2:
+        total += n * (n - 1) * bernoulli_multiple(z, (axis,), n - 2)
+    return total
 
 
 def bernoulli_cone_2d(
@@ -136,21 +151,9 @@ def bernoulli_cone_2d(
     """
     if cone.dim != 2:
         raise DomainError("bernoulli_cone_2d needs a 2d cone")
-    omegas = tuple(complex(w) for w in omegas)
-    if len(omegas) != 2:
-        raise DomainError("a 2d cone takes two periods")
-    _require_damping_phase(list(edge_rays(cone)), omegas)
-    if chain is None:
-        chain = cone_chain_2d(cone)
-    pairs = _chain_pairs(chain)
-    total = 0j
-    for u, up in pairs[:-1]:
-        a = _omega_cross(omegas, u)
-        b = _omega_cross(omegas, up)
-        total += bernoulli_multiple(z + a, (a, b), n)
-    u, up = pairs[-1]
-    total += bernoulli_multiple(z, (_omega_cross(omegas, u), _omega_cross(omegas, up)), n)
-    return total
+    omegas = _as_period_tuple(omegas, 2)
+    _require_damping_phase(cone_plan(cone).rays, omegas)
+    return _cone_sum(cone, z, omegas, n, chain)
 
 
 def bernoulli_cone_22(cone: Cone, z: complex, omegas: tuple[complex, ...]) -> complex:
@@ -169,22 +172,9 @@ def bernoulli_cone_3d(cone: Cone, z: complex, omegas: tuple[complex, ...], n: in
     """
     if cone.dim != 3:
         raise DomainError("bernoulli_cone_3d needs a 3d cone")
-    omegas = tuple(complex(w) for w in omegas)
-    if len(omegas) != 3:
-        raise DomainError("a 3d cone takes three periods")
-    _require_damping_phase(list(edge_rays(cone)), omegas)
-    frame = gorenstein_frame(cone)
-    w1 = frame.transformed_omegas(omegas)[0]
-    per_facet = frame.facet_omegas(omegas)
-    total = 0j
-    for fo, chain in zip(per_facet, frame.chains):
-        for u, up in _chain_pairs(chain):
-            a = _omega_cross(fo, u)
-            b = _omega_cross(fo, up)
-            total += bernoulli_multiple(z + a, (w1, a, b), n)
-    if n >= 2:
-        total += n * (n - 1) * bernoulli_multiple(z, (w1,), n - 2)
-    return total
+    omegas = _as_period_tuple(omegas, 3)
+    _require_damping_phase(cone_plan(cone).rays, omegas)
+    return _cone_sum(cone, z, omegas, n)
 
 
 def bernoulli_cone_33(cone: Cone, z: complex, omegas: tuple[complex, ...]) -> complex:
@@ -209,14 +199,16 @@ def bernoulli_cone_lifted(cone: Cone, z: complex, omegas: tuple[complex, ...], e
     eta = complex(eta)
     if eta == 0:
         raise DomainError("lift parameter must be nonzero")
-    omegas = tuple(complex(w) for w in omegas)
-    lifted_rays = [tuple(r) + (0,) for r in edge_rays(cone)]
+    omegas = _as_period_tuple(omegas, cone.dim)
+    lifted_rays = [tuple(r) + (0,) for r in cone_plan(cone).rays]
     lifted_rays.append((0,) * cone.dim + (1,))
+    # the lifted rays contain the base rays, so this one check covers the
+    # base polynomials as well
     _require_damping_phase(lifted_rays, omegas + (eta,))
     m = cone.dim + 1
     total = 0j
     for k in range(m + 1):
-        base = bernoulli_cone(cone, z, omegas, k)
+        base = _cone_sum(cone, z, omegas, k)
         axis = bernoulli_multiple(0, (eta,), m - k)
         total += comb(m, k) * base * axis
     return total

@@ -67,7 +67,6 @@ EXIT_DOMAIN = 2
 EXIT_FAIL = 3
 
 CONFIG_ENV_VAR = "CONESINE_CONFIG"
-_CONFIG_FIELDS = ("tail_tol", "comparison_tol", "max_terms", "oracle_radius")
 
 
 # ---------------------------------------------------------------------------
@@ -120,10 +119,6 @@ def _vec_str(v: Sequence[int]) -> str:
     return "(" + ",".join(str(c) for c in v) + ")"
 
 
-def _config_dict(cfg: EvalConfig) -> dict:
-    return {name: getattr(cfg, name) for name in _CONFIG_FIELDS}
-
-
 def _cone_digest(cone: Cone) -> str:
     canonical = json.dumps(cone.to_json_dict(), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
@@ -143,7 +138,7 @@ def build_config(args: argparse.Namespace) -> EvalConfig:
             raise ParseError(f"{CONFIG_ENV_VAR}={path!r}: not valid JSON ({exc})") from exc
         if not isinstance(data, dict):
             raise ParseError(f"{CONFIG_ENV_VAR}={path!r}: expected a JSON object")
-        unknown = sorted(set(data) - set(_CONFIG_FIELDS))
+        unknown = sorted(set(data) - set(DEFAULT_CONFIG.to_json_dict()))
         if unknown:
             raise ParseError(
                 f"{CONFIG_ENV_VAR}={path!r}: unknown config keys {', '.join(unknown)}"
@@ -201,7 +196,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.tol is not None:
         cfg = dataclasses.replace(cfg, comparison_tol=args.tol)
     target = args.target.lower()
-    record: dict = {"schema": 1, "target": target, "config": _config_dict(cfg)}
+    record: dict = {"schema": 1, "target": target, "config": cfg.to_json_dict()}
     cone = None
     route = None
 
@@ -348,7 +343,7 @@ def _report_document(args: argparse.Namespace, cfg: EvalConfig) -> dict:
         "version": __version__,
         "seed": args.seed,
         "samples": args.samples,
-        "config": _config_dict(cfg),
+        "config": cfg.to_json_dict(),
         "cones": [
             {"name": name, "dim": cone.dim, "digest": _cone_digest(cone)}
             for name, cone in cones

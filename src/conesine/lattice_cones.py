@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import DomainError, ParseError
 
@@ -806,6 +806,112 @@ def gorenstein_frame(cone: Cone) -> GorensteinFrame:
         raise DomainError("facet apex vectors do not wind once counterclockwise")
     chains = tuple(subdivide_wedge(t[i - 1], t[i]) for i in range(n))
     return GorensteinFrame(cone=cone, xi=xi, basis=a, ell=ell, chains=chains)
+
+
+# ---------------------------------------------------------------------------
+# cone plan: the per-cone data every evaluation route reads
+
+
+def _omega_cross(omegas: Sequence[complex], u: Sequence[int]) -> complex:
+    return omegas[0] * u[1] - omegas[1] * u[0]
+
+
+def _s_composed_faces(cone: Cone) -> dict[str, tuple[tuple[str, IntMatrix], ...]]:
+    """(face_id, block) per face with the embedded face matrix composed with
+    S ("primary") and with S^-1 ("alternative")."""
+    faces = face_matrices(cone)
+    s = s_matrix(cone.dim + 1)
+    return {
+        variant: tuple((ft.face_id, mat_mul(g, ft.embedded)) for ft in faces)
+        for variant, g in (("primary", s), ("alternative", unimodular_inverse(s)))
+    }
+
+
+class ConePlan:
+    """What the evaluation routes need from one cone, built once per ``Cone``.
+
+    ``rays`` are the edge rays.  The other pieces are built on first use and
+    kept: the chain sweeping a 2d cone, the Gorenstein frame of a 3d cone
+    (which holds one chain per facet wedge) and the face blocks composed
+    with S and S^-1.  A DomainError met while building a piece is kept as
+    well and raised again, with the same message, whenever that piece is
+    read.  Get a cone's plan with :func:`cone_plan`.
+    """
+
+    def __init__(self, cone: Cone):
+        self.cone = cone
+        self.rays = edge_rays(cone)
+        self._pieces: dict[str, tuple] = {}
+
+    def _piece(self, name: str, build: Callable[[Cone], object]):
+        if name not in self._pieces:
+            try:
+                self._pieces[name] = (build(self.cone), None)
+            except DomainError as exc:
+                self._pieces[name] = (None, str(exc))
+        value, error = self._pieces[name]
+        if error is not None:
+            raise DomainError(error)
+        return value
+
+    @property
+    def frame(self) -> GorensteinFrame:
+        return self._piece("frame", gorenstein_frame)
+
+    def wedges(
+        self,
+        z: complex,
+        omegas: Sequence[complex],
+        chain: WedgeSubdivision | None = None,
+    ) -> tuple[complex | None, list[tuple[complex, tuple[complex, ...]]]]:
+        """The unimodular decomposition of the cone at (z | omegas).
+
+        Returns ``(axis, wedges)``, ``wedges`` listing each wedge's shifted
+        argument and periods in chain order.  In 2d ``axis`` is None and
+        every wedge but the last is shifted by its opening period; ``chain``
+        may replace the default chain by a unimodular refinement of it.  In
+        3d ``axis`` is the period w1 of the straightened axis, and every
+        facet wedge is shifted and has periods (w1, a, b).
+        """
+        if self.cone.dim == 2:
+            axis = None
+            walks = [(omegas, self._piece("chain", cone_chain_2d) if chain is None else chain)]
+        else:
+            frame = self.frame
+            axis = frame.transformed_omegas(omegas)[0]
+            walks = zip(frame.facet_omegas(omegas), frame.chains)
+        wedges = []
+        for fo, walk in walks:
+            for u, up in zip(walk.lines, walk.lines[1:]):
+                a = _omega_cross(fo, u)
+                b = _omega_cross(fo, up)
+                wedges.append((z + a, (a, b) if axis is None else (axis, a, b)))
+        if axis is None:
+            wedges[-1] = (z, wedges[-1][1])
+        return axis, wedges
+
+    def faces(self, z: complex, omegas: Sequence[complex], variant: str = "primary"):
+        """Yield ``(face_id, params, z / scale, params[:-1] / scale)`` per face.
+
+        ``params`` is the image of (periods, 1) under the face block composed
+        with S (``variant="primary"``) or S^-1 (``"alternative"``), and
+        ``scale`` is its last entry; a vanishing scale raises DomainError.
+        """
+        for face_id, g in self._piece("faces", _s_composed_faces)[variant]:
+            params = mat_vec(g, tuple(omegas) + (1,))
+            scale = params[-1]
+            if abs(scale) < 1e-12:
+                raise DomainError(f"face {face_id}: transformed scale vanishes")
+            yield face_id, params, z / scale, tuple(p / scale for p in params[:-1])
+
+
+def cone_plan(cone: Cone) -> ConePlan:
+    """The cone's plan, built on first use and kept on the cone."""
+    plan = getattr(cone, "_plan", None)
+    if plan is None:
+        plan = ConePlan(cone)
+        object.__setattr__(cone, "_plan", plan)
+    return plan
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .bernoulli import bernoulli_multiple
 from .errors import BudgetError, DomainError
@@ -51,6 +51,10 @@ class EvalConfig:
             raise DomainError("max_terms is too small to evaluate anything")
         if self.oracle_radius < 1:
             raise DomainError("oracle_radius must be positive")
+
+    def to_json_dict(self) -> dict:
+        """The four settings by name, as reports and CLI records show them."""
+        return asdict(self)
 
 
 DEFAULT_CONFIG = EvalConfig()

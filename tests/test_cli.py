@@ -152,6 +152,18 @@ def test_verify_fail_exit_code(capsys):
     assert "status           FAIL" in out
 
 
+def test_verify_nan_residual_is_failure(capsys):
+    # sample 8 of this replay has a nan right-hand side; max() alone would
+    # skip it and report PASS
+    rc, out, _ = run(capsys, "verify", "g1c-factorization", "--cone", "standard-2",
+                     "--samples", "10", "--seed", "100002")
+    assert rc == EXIT_FAIL
+    assert "status           FAIL" in out
+    doc = json.loads(out[out.index("{"):])
+    assert math.isnan(doc["residuals"][8])
+    assert math.isnan(doc["max_residual"])
+
+
 def test_verify_unknown_theorem_is_usage_error(capsys):
     rc, _, err = run(capsys, "verify", "nonsense", "--cone", "wedge21")
     assert rc == EXIT_USAGE

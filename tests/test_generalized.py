@@ -3,15 +3,19 @@ to the classical functions, face locality, and the verification reports."""
 from __future__ import annotations
 
 import cmath
+import sys
+from collections import Counter
 
 import pytest
 
 from conesine import (
+    DEFAULT_CONFIG,
     DomainError,
     EvalConfig,
+    FIXTURE_NAMES,
     THEOREM_IDS,
+    bernoulli_cone_lifted,
     elliptic_gamma,
-    face_modularity_check,
     fixture_cone,
     gamma_cone_2d_direct,
     gamma_cone_2d_factorized,
@@ -28,6 +32,8 @@ from conesine import (
     verify_theorem,
     wedge_product_check,
 )
+from conesine import bernoulli, lattice_cones
+from conesine.generalized import THEOREMS
 from conesine.lattice_cones import Cone, WedgeSubdivision, cone_chain_2d
 
 from params import GAMMA_OMEGAS, SINE_OMEGAS, Z_GENERIC, rel
@@ -270,12 +276,15 @@ def test_wedge_chain_requires_unit_determinants():
 # face and parameter modularity of the 3d gamma
 
 
+def _face_modularity_residual(cone, z, omegas):
+    thm = THEOREMS["face-modularity"]
+    return rel(thm.lhs(cone, z, omegas, DEFAULT_CONFIG), thm.rhs(cone, z, omegas, DEFAULT_CONFIG))
+
+
 def test_face_modularity_passes_on_fixtures(std3, square):
     for cone in (std3, square):
         name = "standard-3" if cone is std3 else "cone-over-square"
-        rep = face_modularity_check(cone, Z_GENERIC, GAMMA_OMEGAS[name])
-        assert rep.passed and not rep.skipped
-        assert rep.max_residual < 1e-7
+        assert _face_modularity_residual(cone, Z_GENERIC, GAMMA_OMEGAS[name]) < 1e-7
 
 
 def test_face_modularity_unit_shift_invariance(square):
@@ -283,9 +292,7 @@ def test_face_modularity_unit_shift_invariance(square):
     om = GAMMA_OMEGAS["cone-over-square"]
     z1 = -0.69 + 0.12j
     for z in (z1, z1 + 1):
-        rep = face_modularity_check(square, z, om)
-        assert rep.passed
-        assert rep.max_residual < 1e-7
+        assert _face_modularity_residual(square, z, om) < 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +358,36 @@ def test_verify_theorem_fails_at_impossible_tolerance(w21):
     rep = verify_theorem("s2c-factorization", w21, samples=2, seed=3, tolerance=1e-300)
     assert rep.status == "FAIL"
     assert not rep.passed and not rep.skipped
+
+
+def test_cone_geometry_is_built_once_per_cone(monkeypatch):
+    builds = Counter()
+    for name in ("gorenstein_frame", "face_matrices", "cone_chain_2d"):
+        original = getattr(lattice_cones, name)
+
+        def counted(cone, *args, _name=name, _original=original, **kwargs):
+            builds[_name, id(cone)] += 1
+            return _original(cone, *args, **kwargs)
+
+        # rebind every import site, so that no caller escapes the count
+        for modname, module in list(sys.modules.items()):
+            if modname.startswith("conesine") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    cones = [fixture_cone(name) for name in FIXTURE_NAMES]  # fresh instances
+    for cone in cones:
+        for tid in THEOREM_IDS:
+            verify_theorem(tid, cone, samples=5, seed=0)
+    assert builds and max(builds.values()) == 1
+
+    scans = []
+    original_scan = bernoulli._exists_damping_phase
+    monkeypatch.setattr(
+        bernoulli, "_exists_damping_phase", lambda *args: scans.append(args) or original_scan(*args)
+    )
+    for name in ("wedge21", "cone-over-square"):
+        scans.clear()
+        bernoulli_cone_lifted(fixture_cone(name), Z_GENERIC, GAMMA_OMEGAS[name], -1.0)
+        assert len(scans) == 1
 
 
 def test_verify_theorem_is_deterministic(square):

@@ -290,11 +290,8 @@ def wedge_pairs(draw):
     if det2(v1, v2) < 0:
         v1, v2 = v2, v1
     if det2(v1, v2) == 0:
-        v2 = primitive_part((v2[0] + 1, v2[1] + 2))
-        if det2(v1, v2) < 0:
-            v1, v2 = v2, v1
-        if det2(v1, v2) == 0:
-            v1, v2 = (0, 1), (-2, 1)
+        # v1 rotated by a quarter turn: primitive, and det2(v1, v2) = |v1|^2 > 0
+        v2 = (-v1[1], v1[0])
     return v1, v2
 
 

@@ -84,15 +84,26 @@ def bernoulli_multiple(z: complex, omegas: tuple[complex, ...], n: int, max_orde
 
 
 def _exists_damping_phase(rays: list[tuple[int, ...]], omegas: tuple[complex, ...]) -> bool:
-    """True if some phase c = e^{i theta} has Re(c omega) positive on all rays."""
-    import cmath
+    """True if some phase c = e^{i theta} has Re(c omega) positive on all rays.
 
+    That holds exactly when no pairing omega . ray is zero and the widest
+    cyclic gap between their arguments exceeds pi, i.e. when some pairing p
+    has every pairing at an angle in [0, pi) counterclockwise from it.  The
+    test reads signs of cross and dot products, not rounded arguments, so
+    exactly opposite pairings (a gap of exactly pi) are always rejected.
+    """
     pairings = [sum(r[k] * omegas[k] for k in range(len(omegas))) for r in rays]
-    for step in range(360):
-        c = cmath.exp(1j * cmath.pi * step / 180.0)
-        if all((c * p).real > 0 for p in pairings):
-            return True
-    return False
+    if any(p == 0 for p in pairings):
+        return False
+
+    def starts_arc(p: complex) -> bool:
+        for q in pairings:
+            cross = p.real * q.imag - p.imag * q.real
+            if cross < 0 or (cross == 0 and p.real * q.real + p.imag * q.imag < 0):
+                return False
+        return True
+
+    return any(starts_arc(p) for p in pairings)
 
 
 def _require_damping_phase(rays: list[tuple[int, ...]], omegas: tuple[complex, ...]) -> None:
@@ -218,14 +229,19 @@ def bernoulli_cone_lifted(cone: Cone, z: complex, omegas: tuple[complex, ...], e
 # independent oracle: direct lattice sum + Chebyshev fit
 
 
-def _interior_lattice_sum(cone: Cone, omegas: tuple[complex, ...], t: complex, radius: int) -> complex:
-    """sum over interior lattice points of e^{-(omega . m) t}, summing each
-    fiber along the last axis as an exact geometric series.
+def _fiber_exponents(cone: Cone, omegas: tuple[complex, ...], radius: int) -> tuple:
+    """The t-independent part of the oracle's lattice sum over the open cone.
 
-    Only the transverse coordinates are truncated (at sup-norm ``radius``), so
-    the truncation tail decays one dimension lower than a raw box sum.  Fibers
-    that are infinite require the corresponding geometric ratio to damp;
-    otherwise the sum diverges and a DomainError is raised.
+    The sum runs over the transverse coordinates, truncated at sup-norm
+    ``radius``, and sums each fiber along the last axis as an exact geometric
+    series, so the truncation tail decays one dimension lower than a raw box
+    sum.  Returns ``(w, bounded, starts, stops)``: the fiber period ``w``
+    (the last period); which fiber end the cone bounds (``"both"``,
+    ``"lower"`` or ``"upper"``); the exponent ``omega . m`` at each nonempty
+    fiber's bounded end (its lowest point unless only the upper end is
+    bounded); and, for two-sided fibers, the exponent one step past the top
+    (``None`` otherwise).  The grid, the dot products and the bounds are
+    dropped on return.
     """
     import numpy as np
 
@@ -256,27 +272,45 @@ def _interior_lattice_sum(cone: Cone, omegas: tuple[complex, ...], t: complex, r
     om = np.asarray(omegas, dtype=complex)
     w_fiber = om[-1]
     pair_base = base @ om[:-1]
-    q = np.exp(-w_fiber * t)
     if lower is not None and upper is not None:
         mask = alive & (lower <= upper)
-        lo = lower[mask]
-        hi = upper[mask]
-        head = np.exp(-(pair_base[mask] + lo * w_fiber) * t)
-        tail = np.exp(-(pair_base[mask] + (hi + 1) * w_fiber) * t)
-        terms = (head - tail) / (1 - q)
-    elif lower is not None:
+        return (
+            w_fiber,
+            "both",
+            pair_base[mask] + lower[mask] * w_fiber,
+            pair_base[mask] + (upper[mask] + 1) * w_fiber,
+        )
+    if lower is not None:
+        return w_fiber, "lower", pair_base[alive] + lower[alive] * w_fiber, None
+    if upper is not None:
+        return w_fiber, "upper", pair_base[alive] + upper[alive] * w_fiber, None
+    # unreachable for a strictly convex cone
+    raise DomainError("cone imposes no constraint along the fiber axis")
+
+
+def _fiber_sum(fibers: tuple, t: complex) -> complex:
+    """sum over interior lattice points of e^{-(omega . m) t}, from the
+    exponents of ``_fiber_exponents``.
+
+    Fibers that are infinite require the corresponding geometric ratio to
+    damp; otherwise the sum diverges and a DomainError is raised.
+    """
+    import numpy as np
+
+    w_fiber, bounded, starts, stops = fibers
+    if bounded == "both":
+        q = np.exp(-w_fiber * t)
+        terms = (np.exp(-starts * t) - np.exp(-stops * t)) / (1 - q)
+    elif bounded == "lower":
+        q = np.exp(-w_fiber * t)
         if not abs(q) < 1:
             raise DomainError("fiber sums diverge upward: Re(omega_last * t) must be positive")
-        mask = alive
-        terms = np.exp(-(pair_base[mask] + lower[mask] * w_fiber) * t) / (1 - q)
-    elif upper is not None:
+        terms = np.exp(-starts * t) / (1 - q)
+    else:
         qinv = np.exp(w_fiber * t)
         if not abs(qinv) < 1:
             raise DomainError("fiber sums diverge downward: Re(omega_last * t) must be negative")
-        mask = alive
-        terms = np.exp(-(pair_base[mask] + upper[mask] * w_fiber) * t) / (1 - qinv)
-    else:  # unreachable for a strictly convex cone
-        raise DomainError("cone imposes no constraint along the fiber axis")
+        terms = np.exp(-starts * t) / (1 - qinv)
     return complex(terms.sum())
 
 
@@ -301,7 +335,9 @@ def bernoulli_cone_oracle(
     polynomial in s of the given degree and reads off the power coefficient.
     ``ray`` must make Re(ray * omega . m) positive on the cone; with ``eta``
     set, the cylinder lift is summed instead, its extra coordinate handled by
-    one more exact geometric factor.
+    one more exact geometric factor.  It needs 0 <= n <= degree < samples,
+    radius >= 1 and a window of two distinct positive ends, in either order;
+    other arguments raise DomainError.
 
     Inputs are rescaled internally so the slowest lattice direction damps at a
     fixed rate (the coefficients are homogeneous of degree n - r under joint
@@ -316,6 +352,15 @@ def bernoulli_cone_oracle(
         radius = 2400 if cone.dim == 2 else 700
     if t_window is None:
         t_window = (0.1, 1.0)
+    lo, hi = t_window
+    if not 0 <= n <= degree:
+        raise DomainError(f"order {n} outside [0, {degree}], the fitted degree")
+    if samples <= degree:
+        raise DomainError(f"{samples} samples cannot fit a degree-{degree} polynomial")
+    if radius < 1:
+        raise DomainError(f"radius must be at least 1, got {radius}")
+    if not (lo > 0 and hi > 0 and lo != hi):
+        raise DomainError(f"sample window {t_window} needs two distinct positive ends")
     r = cone.dim + (0 if eta is None else 1)
 
     pairings = [sum(w * c for w, c in zip(omegas, ray_vec)) for ray_vec in edge_rays(cone)]
@@ -333,13 +378,13 @@ def bernoulli_cone_oracle(
     if eta is not None:
         eta = complex(eta) * kappa
 
-    lo, hi = t_window
+    fibers = _fiber_exponents(cone, omegas, radius)
     s_vals = np.cos(np.pi * (np.arange(samples) + 0.5) / samples)  # Chebyshev nodes
     s_vals = lo + (hi - lo) * (s_vals + 1) / 2
     f_vals = np.empty(samples, dtype=complex)
     for idx, s in enumerate(s_vals):
         t = complex(ray) * s
-        total = _interior_lattice_sum(cone, omegas, t, radius)
+        total = _fiber_sum(fibers, t)
         if eta is not None:
             qe = complex(np.exp(-complex(eta) * t))
             if not abs(qe) < 1:

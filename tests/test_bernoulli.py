@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -20,7 +22,9 @@ from conesine import (
     bernoulli_multiple,
     cone_chain_2d,
     edge_rays,
+    fixture_cone,
 )
+from conesine.bernoulli import _exists_damping_phase, _fiber_exponents, _fiber_sum
 from conesine.lattice_cones import det3
 
 from params import (
@@ -284,3 +288,129 @@ def test_exponential_parity_chain(square):
     lhs = cmath.exp(1j * math.pi / 12 * lifted_sum)
     rhs = cmath.exp(-1j * math.pi / 3 * bernoulli_cone_33(square, z, om))
     assert abs(lhs - rhs) / abs(rhs) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# damping phase
+
+
+def test_damping_phase_accepts_narrow_arc():
+    # the pairings 1 and e^{i 179.5 deg} leave an admissible arc of 0.5 deg,
+    # which a scan over whole degrees misses
+    rays = [(1, 0), (0, 1)]
+    assert _exists_damping_phase(rays, (1.0 + 0j, cmath.exp(1j * math.radians(179.5))))
+
+
+@pytest.mark.parametrize("p", [1.0 + 0j, 1.0 + 2.0j, -0.3 + 0.7j, 2.9 - 1.3j])
+def test_damping_phase_rejects_opposite_pairings(p):
+    # a gap of exactly pi leaves no open half-plane; the rounded arguments of
+    # p and -p can differ by slightly more than pi, the test must not
+    assert not _exists_damping_phase([(1, 0), (0, 1)], (p, -p))
+
+
+def test_damping_phase_rejects_zero_pairing():
+    assert not _exists_damping_phase([(1, 0), (1, 1)], (1.0 + 0j, -1.0 + 0j))
+
+
+def test_damping_phase_accepts_parallel_pairings():
+    assert _exists_damping_phase([(1, 0), (2, 0)], (0.3 - 0.4j, 0.7j))
+
+
+# ---------------------------------------------------------------------------
+# lattice oracle
+
+
+def _reference_lattice_sum(cone: Cone, omegas: tuple, t: complex, radius: int) -> complex:
+    """sum of e^{-(omega . m) t} over the interior lattice points m of the
+    cone whose leading coordinates lie within sup-norm ``radius``, one fiber
+    along the last axis at a time, each summed as a closed geometric series."""
+    w = omegas[-1]
+    total = 0j
+    for base in itertools.product(range(-radius, radius + 1), repeat=cone.dim - 1):
+        lows, highs = [], []  # bounds on the last coordinate s
+        feasible = True
+        for normal in cone.normals:
+            # normal . (base, s) >= 1
+            need = 1 - sum(x * y for x, y in zip(normal, base))
+            a = normal[-1]
+            if a > 0:
+                lows.append(math.ceil(Fraction(need, a)))
+            elif a < 0:
+                highs.append(math.floor(Fraction(need, a)))
+            elif need > 0:
+                feasible = False
+        lo = max(lows) if lows else None
+        hi = min(highs) if highs else None
+        if not feasible or (lows and highs and lo > hi):
+            continue
+        pairing = sum(x * o for x, o in zip(base, omegas))
+        if hi is None:
+            total += cmath.exp(-(pairing + lo * w) * t) / (1 - cmath.exp(-w * t))
+        elif lo is None:
+            total += cmath.exp(-(pairing + hi * w) * t) / (1 - cmath.exp(w * t))
+        else:
+            count = hi - lo + 1
+            total += cmath.exp(-(pairing + lo * w) * t) * (1 - cmath.exp(-count * w * t)) / (
+                1 - cmath.exp(-w * t)
+            )
+    return total
+
+
+TWO_SIDED_2D = Cone(2, ((0, 1), (1, -1)))
+TWO_SIDED_3D = Cone(3, ((1, 0, 1), (0, 1, 1), (1, 1, -1)))
+TWO_SIDED_OMEGAS_2D = (0.3 + 0.02j, 0.15 - 0.01j)
+
+
+@pytest.mark.parametrize(
+    "cone, omegas, bounded",
+    [
+        ("wedge21", BERNOULLI_OMEGAS["wedge21"], "lower"),
+        ("standard-3", (0.9 + 0.08j, 0.75 - 0.11j, 1.05 + 0.05j), "lower"),
+        ("cone-over-square", BERNOULLI_OMEGAS["cone-over-square"], "upper"),
+        (TWO_SIDED_2D, TWO_SIDED_OMEGAS_2D, "both"),
+        (TWO_SIDED_3D, (0.5 + 0.01j, 0.4 - 0.02j, 0.1 + 0.015j), "both"),
+    ],
+)
+@pytest.mark.parametrize("radius", [2, 5, 12])
+def test_oracle_lattice_sum_matches_reference(cone, omegas, bounded, radius):
+    cone = fixture_cone(cone) if isinstance(cone, str) else cone
+    fibers = _fiber_exponents(cone, omegas, radius)
+    assert fibers[1] == bounded
+    for t in (0.3, 0.9 - 0.05j):
+        ref = _reference_lattice_sum(cone, omegas, t, radius)
+        assert ref != 0
+        assert abs(_fiber_sum(fibers, t) - ref) < 1e-12 * abs(ref)
+
+
+def test_oracle_matches_cone_polynomial_on_two_sided_cone():
+    z = 0.27 - 0.11j
+    val = bernoulli_cone_2d(TWO_SIDED_2D, z, TWO_SIDED_OMEGAS_2D, 2)
+    oracle = bernoulli_cone_oracle(TWO_SIDED_2D, z, TWO_SIDED_OMEGAS_2D, 2)
+    assert abs(val - oracle) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"samples": 5},  # fewer samples than the degree needs
+        {"degree": 14, "samples": 14},
+        {"radius": -3},
+        {"radius": 0},
+        {"t_window": (0.0, 1.0)},
+        {"t_window": (-0.5, 1.0)},
+        {"t_window": (0.4, 0.4)},
+        {"n": 2, "degree": 1},
+        {"n": -1},
+    ],
+)
+def test_oracle_rejects_bad_arguments(w21, kwargs):
+    kwargs = {"n": 2, **kwargs}
+    n = kwargs.pop("n")
+    with pytest.raises(DomainError):
+        bernoulli_cone_oracle(w21, Z_BERNOULLI_2D, BERNOULLI_OMEGAS["wedge21"], n, **kwargs)
+
+
+def test_oracle_accepts_reversed_window(w21):
+    om = BERNOULLI_OMEGAS["wedge21"]
+    reverse = bernoulli_cone_oracle(w21, Z_BERNOULLI_2D, om, 2, t_window=(1.0, 0.1))
+    assert abs(reverse - bernoulli_cone_22(w21, Z_BERNOULLI_2D, om)) < 1e-8

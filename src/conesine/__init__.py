@@ -38,8 +38,6 @@ from .lattice_cones import (
     mat_vec,
     primitive_part,
     s_matrix,
-    smith_normal_form,
-    solve_integer_system,
     subdivide_wedge,
     unimodular_inverse,
     unimodular_with_first_column,
@@ -121,8 +119,6 @@ __all__ = [
     "mat_vec",
     "primitive_part",
     "s_matrix",
-    "smith_normal_form",
-    "solve_integer_system",
     "subdivide_wedge",
     "unimodular_inverse",
     "unimodular_with_first_column",

@@ -340,7 +340,7 @@ def gamma_cone_lattice_oracle(
         radius = cfg.oracle_radius if cone.dim == 2 else 40
     om = np.asarray(omegas)
     closed = lattice_points(cone, radius, interior=False)
-    opened = lattice_points(cone, radius, interior=True)
+    opened = closed[(closed @ np.asarray(cone.normals).T >= 1).all(axis=1)]
     phase_closed = closed @ om
     phase_open = opened @ om
     two_pi_i = 2j * np.pi

@@ -159,119 +159,6 @@ def unimodular_inverse(m: IntMatrix) -> IntMatrix:
     return tuple(tuple(-e for e in row) for row in adj)
 
 
-# ---------------------------------------------------------------------------
-# Smith normal form (small exact matrices)
-
-
-def smith_normal_form(
-    rows: Sequence[Sequence[int]],
-) -> tuple[tuple[int, ...], IntMatrix, IntMatrix]:
-    """Smith normal form of an integer matrix.
-
-    Returns ``(d, U, V)`` where ``U M V`` is diagonal with non-negative
-    entries ``d`` satisfying the divisibility chain ``d[0] | d[1] | ...`` and
-    ``U``, ``V`` unimodular.  Intended for the small matrices that appear in
-    cone bookkeeping; the algorithm is the classical pivot-and-reduce loop.
-    """
-    m = [list(int(e) for e in row) for row in rows]
-    nr = len(m)
-    nc = len(m[0])
-    u = [list(r) for r in identity_matrix(nr)]
-    v = [list(r) for r in identity_matrix(nc)]
-
-    def swap_rows(i, j):
-        m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, k):
-        m[dst] = [a + k * b for a, b in zip(m[dst], m[src])]
-        u[dst] = [a + k * b for a, b in zip(u[dst], u[src])]
-
-    def add_col(dst, src, k):
-        for row in m:
-            row[dst] += k * row[src]
-        for row in v:
-            row[dst] += k * row[src]
-
-    t = 0
-    while t < min(nr, nc):
-        # locate a pivot of minimal absolute value in the trailing block
-        pivot = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                if m[i][j] != 0 and (pivot is None or abs(m[i][j]) < abs(m[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        while True:
-            # clear column t, restarting if a division leaves a remainder
-            dirty = False
-            for i in range(t + 1, nr):
-                if m[i][t] != 0:
-                    q = m[i][t] // m[t][t]
-                    add_row(i, t, -q)
-                    if m[i][t] != 0:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, nc):
-                if m[t][j] != 0:
-                    q = m[t][j] // m[t][t]
-                    add_col(j, t, -q)
-                    if m[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-            if not dirty and all(m[i][t] == 0 for i in range(t + 1, nr)) and all(
-                m[t][j] == 0 for j in range(t + 1, nc)
-            ):
-                break
-        # enforce divisibility of the trailing block by the pivot
-        bad = None
-        for i in range(t + 1, nr):
-            for j in range(t + 1, nc):
-                if m[i][j] % m[t][t] != 0:
-                    bad = i
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            add_row(t, bad, 1)
-            continue
-        if m[t][t] < 0:
-            m[t] = [-e for e in m[t]]
-            u[t] = [-e for e in u[t]]
-        t += 1
-
-    diag = tuple(m[i][i] for i in range(min(nr, nc)))
-    return diag, tuple(tuple(r) for r in u), tuple(tuple(r) for r in v)
-
-
-def solve_integer_system(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> IntVector | None:
-    """One integer solution x of (rows) x = rhs, or None if none exists."""
-    diag, u, v = smith_normal_form(rows)
-    nr = len(rows)
-    nc = len(rows[0])
-    ub = mat_vec(u, tuple(int(b) for b in rhs))
-    y = [0] * nc
-    for i in range(nr):
-        d = diag[i] if i < len(diag) else 0
-        if d == 0:
-            if ub[i] != 0:
-                return None
-        else:
-            if ub[i] % d != 0:
-                return None
-            y[i] = ub[i] // d
-    return mat_vec(v, tuple(y))
-
-
 def unimodular_with_first_column(xi: Sequence[int]) -> IntMatrix:
     """A determinant +1 integer matrix whose first column is the primitive xi."""
     col = _as_ivec(xi, "xi")
@@ -472,31 +359,35 @@ def is_good(cone: Cone) -> bool:
     Checked at faces of codimension below the dimension (the apex does not
     count).  For facets this is primitivity of the single normal, guaranteed
     at construction, so in 2d every valid cone qualifies.  In 3d each edge's
-    pair of adjacent normals must have Smith invariants all equal to one.
+    pair of adjacent normals must span a saturated lattice, which holds
+    exactly when the pair's 2x2 minors (the entries of their cross product)
+    are coprime.
     """
     if cone.dim == 2:
         return True
     n = len(cone.normals)
-    for i in range(n):
-        pair = (cone.normals[i], cone.normals[(i + 1) % n])
-        diag, _, _ = smith_normal_form(pair)
-        if any(d != 1 for d in diag):
-            return False
-    return True
+    return all(
+        vec_gcd(cross3(cone.normals[i], cone.normals[(i + 1) % n])) == 1 for i in range(n)
+    )
 
 
 def gorenstein_vector(cone: Cone) -> IntVector | None:
     """The integer vector pairing to 1 with every normal, if one exists.
 
-    Such a vector is automatically primitive.  Returns None when the system
-    has no integer solution.
+    Such a vector is automatically primitive.  It is the one rational
+    solution of the system on the first ``dim`` normals; returns None when
+    that solution is not integral or misses a remaining normal.
     """
-    rhs = tuple(1 for _ in cone.normals)
-    sol = solve_integer_system(cone.normals, rhs)
-    if sol is None:
+    # d != 0: 2d normals are not parallel; no three extreme rays of a pointed cone are coplanar
+    basis = cone.normals[: cone.dim]
+    d = int_det(basis)
+    sums = tuple(sum(row) for row in _adjugate(basis))
+    if any(s % d for s in sums):
         return None
-    assert vec_gcd(sol) == 1
-    return sol
+    xi = tuple(s // d for s in sums)
+    if any(sum(a * b for a, b in zip(xi, v)) != 1 for v in cone.normals[cone.dim :]):
+        return None
+    return xi
 
 
 # ---------------------------------------------------------------------------

@@ -125,9 +125,11 @@ def qfactorial_xq(x: complex, qs: tuple[complex, ...], cfg: EvalConfig = DEFAULT
 
     ``qs`` may mix moduli above and below 1 but none may sit on (or within
     the resonance floor of) the unit circle.  Factors whose q underflowed to
-    exactly zero contribute their exact limit and are dropped.
+    exactly zero contribute their exact limit and are dropped.  A value that
+    overflows or is not finite raises DomainError.
     """
     x = complex(x)
+    ax = abs(x)
     clean: list[complex] = []
     invert: list[complex] = []
     for q in qs:
@@ -147,11 +149,20 @@ def qfactorial_xq(x: complex, qs: tuple[complex, ...], cfg: EvalConfig = DEFAULT
     for q in invert:
         x = x / q
     budget = _Budget(cfg.max_terms)
-    val = _qfac_small(x, tuple(clean) + tuple(1.0 / q for q in invert), cfg, budget)
+    try:
+        val = _qfac_small(x, tuple(clean) + tuple(1.0 / q for q in invert), cfg, budget)
+    except OverflowError:  # cmath.exp of the log series
+        val = complex(math.nan)
     if len(invert) % 2 == 1:
         if val == 0:
             raise DomainError("evaluation point is a pole of the inverted product")
-        return 1.0 / val
+        val = 1.0 / val
+    if not cmath.isfinite(val):
+        gap = min((abs(1.0 - abs(q)) for q in clean + invert), default=math.inf)
+        raise DomainError(
+            f"q-factorial is not finite at |x| = {ax:.6g} with min |1 - |q|| = {gap:.6g}: "
+            "the product overflows double precision this close to the unit circle"
+        )
     return val
 
 

@@ -1,6 +1,7 @@
 """Command-line driver: verbs, exit codes, report formats, config overrides."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -8,6 +9,7 @@ import pytest
 
 from conesine import fixture_cone
 from conesine.cli import EXIT_DOMAIN, EXIT_FAIL, EXIT_OK, EXIT_USAGE, main, parse_complex
+from conesine.generalized import THEOREMS
 
 
 def run(capsys, *argv):
@@ -115,6 +117,18 @@ def test_eval_wrong_cone_dimension_is_domain_error(capsys):
     assert "2d cone" in err
 
 
+@pytest.mark.parametrize("z, omegas", [
+    ("0.31-0.17i", ("0.2+0.001i", "0.3+0.0013i")),
+    ("0.5", ("0.001i", "0.0013i")),
+])
+def test_eval_qfac_non_finite_is_domain_error(capsys, z, omegas):
+    rc, out, err = run(capsys, "eval", "qfac", "--z", z,
+                       "--omega", omegas[0], "--omega", omegas[1])
+    assert rc == EXIT_DOMAIN
+    assert "not finite" in err
+    assert "NaN" not in out
+
+
 def test_eval_qfac_needs_periods(capsys):
     rc, _, err = run(capsys, "eval", "qfac", "--z", "0.3+0.2i")
     assert rc == EXIT_USAGE
@@ -152,16 +166,36 @@ def test_verify_fail_exit_code(capsys):
     assert "status           FAIL" in out
 
 
-def test_verify_nan_residual_is_failure(capsys):
-    # sample 8 of this replay has a nan right-hand side; max() alone would
-    # skip it and report PASS
-    rc, out, _ = run(capsys, "verify", "g1c-factorization", "--cone", "standard-2",
-                     "--samples", "10", "--seed", "100002")
+def test_verify_nan_residual_is_failure(capsys, monkeypatch):
+    # a nan right-hand side at sample 2 only: max() alone would skip it and
+    # report PASS
+    thm = THEOREMS["s2c-factorization"]
+    calls = []
+
+    def rhs(*args):
+        calls.append(None)
+        return complex(math.nan) if len(calls) == 3 else thm.rhs(*args)
+
+    monkeypatch.setitem(THEOREMS, "s2c-factorization", dataclasses.replace(thm, rhs=rhs))
+    rc, out, _ = run(capsys, "verify", "s2c-factorization", "--cone", "wedge21",
+                     "--samples", "4")
     assert rc == EXIT_FAIL
     assert "status           FAIL" in out
     doc = json.loads(out[out.index("{"):])
-    assert math.isnan(doc["residuals"][8])
+    assert math.isnan(doc["residuals"][2])
     assert math.isnan(doc["max_residual"])
+
+
+def test_verify_redraws_non_finite_q_factorial_sample(capsys):
+    # sample 8 of this replay drew periods whose q-factorial overflowed to nan;
+    # it now raises DomainError and the sample is drawn again
+    rc, out, _ = run(capsys, "verify", "g1c-factorization", "--cone", "standard-2",
+                     "--samples", "10", "--seed", "100002")
+    assert rc == EXIT_OK
+    assert "status           PASS" in out
+    doc = json.loads(out[out.index("{"):])
+    assert len(doc["residuals"]) == 10
+    assert all(math.isfinite(r) for r in doc["residuals"])
 
 
 def test_verify_unknown_theorem_is_usage_error(capsys):

@@ -3,10 +3,12 @@ from __future__ import annotations
 
 import json
 import math
+from fractions import Fraction
 from random import Random
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from conesine import (
@@ -27,14 +29,13 @@ from conesine import (
     subdivide_wedge,
 )
 from conesine.lattice_cones import (
+    cross3,
     det2,
     identity_matrix,
     int_det,
     mat_mul,
     mat_vec,
     primitive_part,
-    smith_normal_form,
-    solve_integer_system,
     unimodular_inverse,
     unimodular_with_first_column,
 )
@@ -147,6 +148,77 @@ def test_gorenstein_vector_pairs_to_one_on_every_normal(square, std3, w21):
         xi = gorenstein_vector(cone)
         for v in cone.normals:
             assert sum(a * b for a, b in zip(xi, v)) == 1
+
+
+def _pair_is_saturated(a, b) -> bool:
+    """Whether every lattice point of a box in span(a, b) lies in Z a + Z b.
+
+    A lattice point of the span outside Z a + Z b has a representative
+    s a + t b with 0 <= s, t < 1, whose entries are below |a| + |b| in sup
+    norm, so the box of that half-width finds one if any exists.
+    """
+    w = np.array(cross3(a, b))
+    half = max(map(abs, a)) + max(map(abs, b))
+    r = np.arange(-half, half + 1)
+    box = np.stack(np.meshgrid(r, r, r, indexing="ij"), axis=-1).reshape(-1, 3)
+    plane = box[box @ w == 0]
+    # p = s a + t b gives (p x b) . w = s |w|^2 and (a x p) . w = t |w|^2
+    ww = int(w @ w)
+    s = np.cross(plane, b) @ w
+    t = np.cross(a, plane) @ w
+    return bool((s % ww == 0).all() and (t % ww == 0).all())
+
+
+def _gorenstein_by_elimination(normals):
+    """The integer solution of N x = 1 over all normals, by exact Gauss-Jordan
+    elimination in rationals, or None."""
+    rows = [[Fraction(c) for c in v] + [Fraction(1)] for v in normals]
+    for col in range(3):
+        pivot = next(i for i in range(col, len(rows)) if rows[i][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [e / rows[col][col] for e in rows[col]]
+        for i, row in enumerate(rows):
+            if i != col:
+                rows[i] = [e - row[col] * p for e, p in zip(row, rows[col])]
+    if any(row[3] != 0 for row in rows[3:]):
+        return None  # inconsistent: no rational solution
+    x = [rows[i][3] for i in range(3)]
+    if any(c.denominator != 1 for c in x):
+        return None
+    return tuple(int(c) for c in x)
+
+
+@st.composite
+def normal_sets_3d(draw):
+    """3 to 6 primitive vectors with entries in [-4, 4], turned to the side of
+    the first one and listed by angle around their sum, so that a fair share
+    are valid cyclic normal lists."""
+    raw = [tuple(draw(st.integers(-4, 4)) for _ in range(3)) for _ in range(draw(st.integers(3, 6)))]
+    assume(all(any(v) for v in raw))
+    vs = [primitive_part(v) for v in raw]
+    vs = [v if np.dot(v, vs[0]) >= 0 else tuple(-c for c in v) for v in vs]
+    s = tuple(sum(v[k] for v in vs) for k in range(3))
+    e1 = cross3(s, (1, 0, 0) if abs(s[0]) <= max(abs(s[1]), abs(s[2])) else (0, 1, 0))
+    e2 = cross3(s, e1)
+    return tuple(sorted(vs, key=lambda v: math.atan2(np.dot(v, e2), np.dot(v, e1))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(normal_sets_3d())
+@example(((1, 0, 0), (1, -1, 0), (1, -1, -1), (1, 0, -1)))  # cone over the square
+@example(((1, 0, 0), (1, 2, 0), (0, 0, 1)))  # an edge lattice of index 2
+def test_property_closed_form_predicates_match_definitions(normals):
+    try:
+        cone = Cone(3, normals)
+    except DomainError:
+        assume(False)
+    n = len(normals)
+    pairs = [(normals[i], normals[(i + 1) % n]) for i in range(n)]
+    good = all(_pair_is_saturated(a, b) for a, b in pairs)
+    xi = _gorenstein_by_elimination(normals)
+    event(f"{n} normals, {'good' if good else 'not good'}, {'no ' if xi is None else ''}xi")
+    assert is_good(cone) == good
+    assert gorenstein_vector(cone) == xi
 
 
 # ---------------------------------------------------------------------------
@@ -470,17 +542,6 @@ def test_unimodular_completion_of_a_column():
     m = unimodular_with_first_column((2, 1))
     assert (m[0][0], m[1][0]) == (2, 1)
     assert abs(int_det(m)) == 1
-
-
-def test_smith_normal_form_diagonal():
-    diag, _, _ = smith_normal_form(((2, 4), (6, 8)))
-    assert diag == (2, 4)  # invariant factors of [[2,4],[6,8]]
-
-
-def test_solve_integer_system():
-    sol = solve_integer_system(((1, 0, 0), (1, -1, 0), (1, 0, -1)), (1, 1, 1))
-    assert sol == (1, 0, 0)
-    assert solve_integer_system(((0, 1), (-5, 3)), (1, 1)) is None
 
 
 # ---------------------------------------------------------------------------

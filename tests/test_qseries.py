@@ -64,6 +64,15 @@ def test_budget_cap_is_enforced():
         qfactorial(0.3 + 0.001j, (0.25 + 1e-5j,), EvalConfig(max_terms=1000))
 
 
+@pytest.mark.parametrize("z, omegas", [
+    (0.31 - 0.17j, (0.2 + 0.001j, 0.3 + 0.0013j)),  # the log series overflows to nan
+    (0.5, (0.001j, 0.0013j)),  # cmath.exp of the log series raises OverflowError
+])
+def test_non_finite_qfactorial_raises_domain_error(z, omegas):
+    with pytest.raises(DomainError, match=r"\|x\| = .* min \|1 - \|q\|\| = 0\.0062"):
+        qfactorial(z, omegas)
+
+
 def test_vanishing_x_gives_empty_product():
     assert qfactorial_xq(0.0, (0.3 + 0.1j, 0.2 - 0.05j)) == 1.0
 

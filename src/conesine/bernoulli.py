@@ -240,77 +240,92 @@ def _fiber_exponents(cone: Cone, omegas: tuple[complex, ...], radius: int) -> tu
     ``"lower"`` or ``"upper"``); the exponent ``omega . m`` at each nonempty
     fiber's bounded end (its lowest point unless only the upper end is
     bounded); and, for two-sided fibers, the exponent one step past the top
-    (``None`` otherwise).  The grid, the dot products and the bounds are
-    dropped on return.
+    (``None`` otherwise).
+
+    The transverse grid is walked one row at a time (one row in 2d, one
+    value of the first coordinate in 3d), in row-major order.  A row's
+    points, dot products, fiber bounds and mask are dropped once its nonempty
+    fibers' exponents are kept, so only the returned arrays outlive a row.
     """
     import numpy as np
 
     normals = np.asarray(cone.normals, dtype=np.int64)
-    dim = cone.dim
-    a = normals[:, -1]
+    a = normals[:, -1].tolist()
     base_n = normals[:, :-1]
-    rng = np.arange(-radius, radius + 1, dtype=np.int64)
-    if dim == 2:
-        base = rng.reshape(-1, 1)
-    else:
-        base = np.stack(np.meshgrid(rng, rng, indexing="ij"), axis=-1).reshape(-1, 2)
-    dots = base @ base_n.T  # (count, n_normals)
-    alive = np.ones(len(base), dtype=bool)
-    lower = None
-    upper = None
-    for i in range(len(cone.normals)):
-        ai = int(a[i])
-        need = 1 - dots[:, i]  # constraint ai * s >= need
-        if ai == 0:
-            alive &= need <= 0
-        elif ai > 0:
-            lo_i = -((-need) // ai)  # ceil division
-            lower = lo_i if lower is None else np.maximum(lower, lo_i)
-        else:
-            hi_i = need // ai  # floor of need/ai with ai < 0
-            upper = hi_i if upper is None else np.minimum(upper, hi_i)
+    has_lower = any(ai > 0 for ai in a)
+    has_upper = any(ai < 0 for ai in a)
+    if not (has_lower or has_upper):
+        # unreachable for a strictly convex cone
+        raise DomainError("cone imposes no constraint along the fiber axis")
+    bounded = "both" if has_lower and has_upper else "lower" if has_lower else "upper"
     om = np.asarray(omegas, dtype=complex)
     w_fiber = om[-1]
-    pair_base = base @ om[:-1]
-    if lower is not None and upper is not None:
-        mask = alive & (lower <= upper)
-        return (
-            w_fiber,
-            "both",
-            pair_base[mask] + lower[mask] * w_fiber,
-            pair_base[mask] + (upper[mask] + 1) * w_fiber,
-        )
-    if lower is not None:
-        return w_fiber, "lower", pair_base[alive] + lower[alive] * w_fiber, None
-    if upper is not None:
-        return w_fiber, "upper", pair_base[alive] + upper[alive] * w_fiber, None
-    # unreachable for a strictly convex cone
-    raise DomainError("cone imposes no constraint along the fiber axis")
+    rng = np.arange(-radius, radius + 1, dtype=np.int64)
+    if cone.dim == 2:
+        rows = [rng.reshape(-1, 1)]
+    else:
+        rows = (np.stack((np.full_like(rng, x), rng), axis=-1) for x in rng)
+    starts = []
+    stops = []
+    for base in rows:
+        dots = base @ base_n.T  # (row length, n_normals)
+        alive = np.ones(len(base), dtype=bool)
+        lower = None
+        upper = None
+        for i, ai in enumerate(a):
+            need = 1 - dots[:, i]  # constraint ai * s >= need
+            if ai == 0:
+                alive &= need <= 0
+            elif ai > 0:
+                lo_i = -((-need) // ai)  # ceil division
+                lower = lo_i if lower is None else np.maximum(lower, lo_i)
+            else:
+                hi_i = need // ai  # floor of need/ai with ai < 0
+                upper = hi_i if upper is None else np.minimum(upper, hi_i)
+        pair_base = base @ om[:-1]
+        if bounded == "both":
+            mask = alive & (lower <= upper)
+            starts.append(pair_base[mask] + lower[mask] * w_fiber)
+            stops.append(pair_base[mask] + (upper[mask] + 1) * w_fiber)
+        elif bounded == "lower":
+            starts.append(pair_base[alive] + lower[alive] * w_fiber)
+        else:
+            starts.append(pair_base[alive] + upper[alive] * w_fiber)
+    return w_fiber, bounded, np.concatenate(starts), np.concatenate(stops) if stops else None
 
 
 def _fiber_sum(fibers: tuple, t: complex) -> complex:
     """sum over interior lattice points of e^{-(omega . m) t}, from the
     exponents of ``_fiber_exponents``.
 
-    Fibers that are infinite require the corresponding geometric ratio to
-    damp; otherwise the sum diverges and a DomainError is raised.
+    Each term is built in one working buffer (two for two-sided fibers), so
+    a sample holds no more than one array per kept exponent array.  Fibers
+    that are infinite require the corresponding geometric ratio to damp;
+    otherwise the sum diverges and a DomainError is raised.
     """
     import numpy as np
 
     w_fiber, bounded, starts, stops = fibers
-    if bounded == "both":
-        q = np.exp(-w_fiber * t)
-        terms = (np.exp(-starts * t) - np.exp(-stops * t)) / (1 - q)
-    elif bounded == "lower":
-        q = np.exp(-w_fiber * t)
-        if not abs(q) < 1:
-            raise DomainError("fiber sums diverge upward: Re(omega_last * t) must be positive")
-        terms = np.exp(-starts * t) / (1 - q)
-    else:
+    if bounded == "upper":
         qinv = np.exp(w_fiber * t)
         if not abs(qinv) < 1:
             raise DomainError("fiber sums diverge downward: Re(omega_last * t) must be negative")
-        terms = np.exp(-starts * t) / (1 - qinv)
+        denom = 1 - qinv
+    else:
+        q = np.exp(-w_fiber * t)
+        if bounded == "lower" and not abs(q) < 1:
+            raise DomainError("fiber sums diverge upward: Re(omega_last * t) must be positive")
+        denom = 1 - q
+    # terms = (e^{-starts t} [- e^{-stops t}]) / denom, in place
+    terms = np.negative(starts, out=np.empty_like(starts))
+    np.multiply(terms, t, out=terms)
+    np.exp(terms, out=terms)
+    if stops is not None:
+        tops = np.negative(stops, out=np.empty_like(stops))
+        np.multiply(tops, t, out=tops)
+        np.exp(tops, out=tops)
+        np.subtract(terms, tops, out=terms)
+    np.true_divide(terms, denom, out=terms)
     return complex(terms.sum())
 
 

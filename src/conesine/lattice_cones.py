@@ -681,7 +681,8 @@ def gorenstein_frame(cone: Cone) -> GorensteinFrame:
         out = []
         for v in normals:
             vp = mat_vec(at, v)
-            assert vp[0] == 1
+            if vp[0] != 1:
+                raise DomainError(f"normal {tuple(v)} does not pair to 1 with the Gorenstein vector {xi}")
             out.append((-vp[1], -vp[2]))
         return tuple(out)
 

@@ -233,16 +233,34 @@ def multiple_sine(
     if form not in (1, 2):
         raise DomainError("form must be 1 or 2")
     if r == 1:
-        return 2.0 * cmath.sin(math.pi * z / omegas[0])
+        try:
+            return 2.0 * cmath.sin(math.pi * z / omegas[0])
+        except OverflowError:
+            raise DomainError(f"single sine overflows at z / omega = {z / omegas[0]:.6g}") from None
     sign = 1 if (r % 2 == 0) == (form == 1) else -1
     b = bernoulli_multiple(z, omegas, r)
-    val = cmath.exp(sign * 1j * math.pi / math.factorial(r) * b)
+    try:
+        val = cmath.exp(sign * 1j * math.pi / math.factorial(r) * b)
+    except OverflowError:
+        raise DomainError(
+            f"multiple sine prefactor e^(i pi B_rr / r!) overflows at B_rr = {b:.6g}"
+        ) from None
     flip = 1 if form == 1 else -1
     for k in range(r):
         wk = omegas[k]
-        x = e2(flip * z / wk)
-        qs = tuple(e2(flip * omegas[j] / wk) for j in range(r) if j != k)
+        try:
+            x = e2(flip * z / wk)
+            qs = tuple(e2(flip * omegas[j] / wk) for j in range(r) if j != k)
+        except OverflowError:
+            log_ax = -2 * math.pi * (flip * z / wk).imag
+            ratios = ", ".join(f"{omegas[j] / wk:.6g}" for j in range(r) if j != k)
+            raise DomainError(
+                f"multiple sine overflows at |x| = exp({log_ax:.6g}) with period ratios "
+                f"omega_j / omega_{k} = ({ratios}): e^(2 pi i z / omega_{k}) exceeds double precision"
+            ) from None
         val *= qfactorial_xq(x, qs, cfg)
+    if not cmath.isfinite(val):
+        raise DomainError(f"multiple sine is not finite at z = {z:.6g}: its factors overflow double precision")
     return val
 
 

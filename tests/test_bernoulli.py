@@ -4,9 +4,11 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 from random import Random
 
+import numpy as np
 import pytest
 
 from conesine import (
@@ -380,6 +382,58 @@ def test_oracle_lattice_sum_matches_reference(cone, omegas, bounded, radius):
         ref = _reference_lattice_sum(cone, omegas, t, radius)
         assert ref != 0
         assert abs(_fiber_sum(fibers, t) - ref) < 1e-12 * abs(ref)
+
+
+def _traced_peak(fn):
+    """``fn()`` and the peak bytes it allocated on top of what was live.
+
+    numpy reports its array buffers to tracemalloc, so the figure counts the
+    same bytes on every machine.
+    """
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        live = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - live
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+ONE_AND_TWO_SIDED_3D = [
+    ("cone-over-square", BERNOULLI_OMEGAS["cone-over-square"]),
+    (TWO_SIDED_3D, (0.5 + 0.01j, 0.4 - 0.02j, 0.1 + 0.015j)),
+]
+
+
+@pytest.mark.parametrize("cone, omegas", ONE_AND_TWO_SIDED_3D, ids=["one-sided", "two-sided"])
+def test_oracle_fiber_memory_stays_near_its_output(cone, omegas):
+    # building the 3d grid whole held 10-20x the returned bytes, and one
+    # sample held two temporaries per kept array
+    cone = fixture_cone(cone) if isinstance(cone, str) else cone
+    fibers, build_peak = _traced_peak(lambda: _fiber_exponents(cone, omegas, 200))
+    kept = [arr for arr in fibers[2:] if arr is not None]
+    kept_bytes = sum(arr.nbytes for arr in kept)
+    assert kept_bytes > 5 * 10**5  # large enough that fixed overheads do not count
+    assert build_peak < 4 * kept_bytes
+    # one working buffer per kept array, plus half an array of slack
+    _, sum_peak = _traced_peak(lambda: _fiber_sum(fibers, 0.3))
+    assert sum_peak < (len(kept) + 0.5) * kept[0].nbytes
+
+
+@pytest.mark.parametrize("cone, omegas", ONE_AND_TWO_SIDED_3D, ids=["one-sided", "two-sided"])
+def test_oracle_fiber_sum_leaves_exponents_intact(cone, omegas):
+    cone = fixture_cone(cone) if isinstance(cone, str) else cone
+    fibers = _fiber_exponents(cone, omegas, 12)
+    kept = [None if arr is None else arr.copy() for arr in fibers[2:]]
+    first = _fiber_sum(fibers, 0.3)
+    _fiber_sum(fibers, 0.9 - 0.05j)
+    assert _fiber_sum(fibers, 0.3) == first
+    for arr, copy in zip(fibers[2:], kept):
+        assert (arr is None and copy is None) or np.array_equal(arr, copy)
 
 
 def test_oracle_matches_cone_polynomial_on_two_sided_cone():

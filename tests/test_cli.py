@@ -71,6 +71,16 @@ def test_eval_theta_vanishes_at_origin(capsys):
     assert abs(complex(*value)) < 1e-14
 
 
+def test_eval_sine_overflow_is_domain_error(capsys):
+    # one wedge factor's e^{2 pi i z / omega_k} overflows double precision
+    rc, out, err = run(capsys, "eval", "s3c", "--z", "0.1787-0.7960i",
+                       "--omega", "-0.9429-0.000937i", "--omega", "0.9457-0.001022i",
+                       "--omega", "0.3323-0.000873i", "--cone", "cone-over-square")
+    assert rc == EXIT_DOMAIN
+    assert out == ""
+    assert "multiple sine overflows at |x| = exp(" in err
+
+
 def test_eval_negative_complex_values(capsys):
     rc, out, _ = run(capsys, "eval", "s2", "--z", "-0.3+0.1i",
                      "--omega", "-0.9+0.12i", "--omega", "1.1+0.07i")

@@ -335,3 +335,25 @@ def test_sine_rescaling_invariance(count):
 def test_sine_rejects_real_period_ratio():
     with pytest.raises(DomainError):
         multiple_sine(0.3 + 0.1j, (1.0 + 0.2j, 2.0 + 0.4j))
+
+
+@pytest.mark.parametrize("z, omegas, match", [
+    # the third wedge factor of `eval s3c --z 0.1787-0.7960i --omega -0.9429-0.000937i
+    # --omega 0.9457-0.001022i --omega 0.3323-0.000873i --cone cone-over-square`:
+    # e^{2 pi i z / omega_2} overflows
+    (-0.1536 - 0.795127j, (-0.9429 - 0.000937j, -0.3323 + 0.000873j, 0.0028 - 0.001959j),
+     r"\|x\| = exp\(1359\.79\) with period ratios omega_j / omega_2 = \(-225\.9"),
+    # e^{i pi B_33 / 3!} overflows
+    (-1.4525728589968356 + 2.250679391172347j,
+     (0.04186824526320021 + 0.27451426589314987j, -0.5191850476022506 - 0.000471176563210366j,
+      0.00424457189228411 - 0.0012234823485826425j),
+     r"prefactor .* overflows at B_rr"),
+    # every factor is finite but their product is nan
+    (-1.3183025410484737 - 0.8324830209262348j,
+     (-0.0551227672295207 + 0.001482701347745538j, 0.38110594175219337 + 0.035433311886875284j),
+     r"not finite at z = -1\.3183"),
+    (0.5 + 300j, (1.0,), r"single sine overflows at z / omega = 0\.5\+300j"),
+], ids=["x-overflow", "prefactor-overflow", "nan-product", "single-sine"])
+def test_sine_overflow_raises_domain_error(z, omegas, match):
+    with pytest.raises(DomainError, match=match):
+        multiple_sine(z, omegas)

@@ -8,8 +8,12 @@ subdivide   print the unimodular chain subdividing a 2d wedge
 check-cone  print structural diagnostics and face transforms for a cone
 report      run identities over cones and emit a JSON or CSV report
 
-Exit codes: 0 success (including PASS and SKIP), 1 usage or parse error,
-2 domain or precondition error, 3 verification failure.
+The table ``_TARGETS`` gives each eval target's periods, cone dimension, routes
+and flags; ``--cone`` and ``--route`` are refused for a target without a cone.
+
+Exit codes: 0 success (including PASS and SKIP), 1 usage or parse error
+(including a flag the target does not take), 2 domain or precondition error
+(including a value that overflows double precision), 3 verification failure.
 
 Complex parameters are written ``re+imi`` (for example ``0.5-0.25i`` or
 ``1.3i``); complex values inside JSON documents are ``[re, im]`` pairs.
@@ -57,7 +61,6 @@ from .qseries import (
     EvalConfig,
     elliptic_gamma,
     multiple_sine,
-    q_theta,
     qfactorial,
 )
 
@@ -155,40 +158,23 @@ def build_config(args: argparse.Namespace) -> EvalConfig:
 # eval verb
 
 
-def _require_z(args: argparse.Namespace) -> complex:
-    if args.z is None:
-        raise ParseError("this target requires --z")
-    return args.z
-
-
-def _require_omegas(args: argparse.Namespace, count: int) -> tuple[complex, ...]:
-    omegas = tuple(args.omega or ())
-    if args.tau is not None:
-        omegas = omegas + (args.tau,)
-    if len(omegas) != count:
-        raise ParseError(
-            f"target {args.target!r} needs exactly {count} period(s) "
-            f"(--omega, or --tau for a single one); got {len(omegas)}"
-        )
-    return omegas
-
-
-def _require_cone(args: argparse.Namespace, dim: int) -> Cone:
-    if args.cone is None:
-        raise ParseError(f"target {args.target!r} requires --cone")
-    cone = load_cone(args.cone)
-    if cone.dim != dim:
-        raise DomainError(f"target {args.target!r} needs a {dim}d cone, got {cone.dim}d")
-    return cone
-
-
-def _route(args: argparse.Namespace, allowed: tuple[str, ...]) -> str:
-    route = args.route or allowed[0]
-    if route not in allowed:
-        raise ParseError(
-            f"target {args.target!r} supports --route {{{','.join(allowed)}}}, got {route!r}"
-        )
-    return route
+# target -> (period count, None for one or more; cone dimension, None for no
+# cone; {route: (function, the argparse fields passed to it and recorded)})
+# with the default route first.  Cone targets call function(cone, z, ...).
+_TARGETS = {
+    **{f"s{r}": (r, None, {None: (multiple_sine, ("form",))}) for r in (1, 2, 3)},
+    **{f"g{r}": (r + 1, None, {None: (elliptic_gamma, ())}) for r in (0, 1, 2)},
+    "theta0": (1, None, {None: (elliptic_gamma, ())}),
+    "qfac": (None, None, {None: (qfactorial, ())}),
+    "s2c": (2, 2, {"decomposed": (sine_cone_2d_decomposed, ()),
+                   "factorized": (sine_cone_2d_factorized, ())}),
+    "s3c": (3, 3, {"decomposed": (sine_cone_3d_decomposed, ()),
+                   "factorized": (sine_cone_3d_factorized, ())}),
+    "g1c": (2, 2, {"direct": (gamma_cone_2d_direct, ()),
+                   "factorized": (gamma_cone_2d_factorized, ())}),
+    "g2c": (3, 3, {"direct": (gamma_cone_3d_direct, ()),
+                   "factorized": (gamma_cone_3d_factorized, ("variant",))}),
+}
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -196,79 +182,46 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.tol is not None:
         cfg = dataclasses.replace(cfg, comparison_tol=args.tol)
     target = args.target.lower()
-    record: dict = {"schema": 1, "target": target, "config": cfg.to_json_dict()}
-    cone = None
-    route = None
-
-    if target in ("s1", "s2", "s3"):
-        r = int(target[1])
-        z = _require_z(args)
-        omegas = _require_omegas(args, r)
-        value = multiple_sine(z, omegas, cfg, form=args.form)
-        record.update(form=args.form)
-    elif target in ("g0", "g1", "g2"):
-        r = int(target[1])
-        z = _require_z(args)
-        omegas = _require_omegas(args, r + 1)
-        value = elliptic_gamma(z, omegas, cfg)
-    elif target == "theta0":
-        z = _require_z(args)
-        omegas = _require_omegas(args, 1)
-        value = q_theta(z, omegas[0], cfg)
-    elif target == "qfac":
-        z = _require_z(args)
-        omegas = tuple(args.omega or ())
-        if args.tau is not None:
-            omegas = omegas + (args.tau,)
-        if not omegas:
-            raise ParseError("target 'qfac' needs at least one period (--omega)")
-        value = qfactorial(z, omegas, cfg)
-    elif target == "s2c":
-        z = _require_z(args)
-        omegas = _require_omegas(args, 2)
-        cone = _require_cone(args, 2)
-        route = _route(args, ("decomposed", "factorized"))
-        fn = sine_cone_2d_decomposed if route == "decomposed" else sine_cone_2d_factorized
-        value = fn(cone, z, omegas, cfg)
-    elif target == "s3c":
-        z = _require_z(args)
-        omegas = _require_omegas(args, 3)
-        cone = _require_cone(args, 3)
-        route = _route(args, ("decomposed", "factorized"))
-        fn = sine_cone_3d_decomposed if route == "decomposed" else sine_cone_3d_factorized
-        value = fn(cone, z, omegas, cfg)
-    elif target == "g1c":
-        z = _require_z(args)
-        omegas = _require_omegas(args, 2)
-        cone = _require_cone(args, 2)
-        route = _route(args, ("direct", "factorized"))
-        fn = gamma_cone_2d_direct if route == "direct" else gamma_cone_2d_factorized
-        value = fn(cone, z, omegas, cfg)
-    elif target == "g2c":
-        z = _require_z(args)
-        omegas = _require_omegas(args, 3)
-        cone = _require_cone(args, 3)
-        route = _route(args, ("direct", "factorized"))
-        if route == "direct":
-            value = gamma_cone_3d_direct(cone, z, omegas, cfg)
-        else:
-            value = gamma_cone_3d_factorized(cone, z, omegas, cfg, variant=args.variant)
-            record.update(variant=args.variant)
-    else:
+    if target not in _TARGETS:
+        raise ParseError(f"unknown eval target {args.target!r}; known: {' '.join(_TARGETS)}")
+    count, dim, routes = _TARGETS[target]
+    if args.z is None:
+        raise ParseError("this target requires --z")
+    omegas = tuple(args.omega or ()) + (() if args.tau is None else (args.tau,))
+    if count is None and not omegas:
+        raise ParseError(f"target {target!r} needs at least one period (--omega)")
+    if count is not None and len(omegas) != count:
         raise ParseError(
-            f"unknown eval target {args.target!r}; known: "
-            "s1 s2 s3 g0 g1 g2 theta0 qfac s2c s3c g1c g2c"
+            f"target {args.target!r} needs exactly {count} period(s) "
+            f"(--omega, or --tau for a single one); got {len(omegas)}"
         )
-
-    record.update(
-        value=[value.real, value.imag],
-        z=[z.real, z.imag],
-        omegas=[[w.real, w.imag] for w in omegas],
-    )
-    if cone is not None:
-        record.update(cone=cone.to_json_dict())
-    if route is not None:
-        record.update(route=route)
+    record: dict = {
+        "schema": 1,
+        "target": target,
+        "config": cfg.to_json_dict(),
+        "z": [args.z.real, args.z.imag],
+        "omegas": [[w.real, w.imag] for w in omegas],
+    }
+    cone = ()  # (cone,) for a cone target, whose functions take it first
+    route = args.route or next(iter(routes))
+    if dim is None:
+        if args.cone is not None or args.route is not None:
+            raise ParseError(f"target {args.target!r} takes no --cone or --route: it has no cone")
+    else:
+        if args.cone is None:
+            raise ParseError(f"target {args.target!r} requires --cone")
+        cone = (load_cone(args.cone),)
+        if cone[0].dim != dim:
+            raise DomainError(f"target {args.target!r} needs a {dim}d cone, got {cone[0].dim}d")
+        if route not in routes:
+            raise ParseError(
+                f"target {args.target!r} supports --route {{{','.join(routes)}}}, got {route!r}"
+            )
+        record.update(cone=cone[0].to_json_dict(), route=route)
+    fn, flags = routes[route]
+    flag_values = {flag: getattr(args, flag) for flag in flags}
+    value = fn(*cone, args.z, omegas, cfg, **flag_values)
+    record.update(flag_values, value=[value.real, value.imag])
     print(f"{target} = {format_complex(value)}")
     print(json.dumps(record, sort_keys=True))
     return EXIT_OK
@@ -293,11 +246,14 @@ def _print_report_summary(name: str, report) -> None:
         print(f"median residual  {statistics.median(report.residuals):.3e}")
 
 
+def _check_theorem_ids(theorem_ids: Sequence[str]) -> None:
+    for tid in theorem_ids:
+        if tid not in THEOREM_IDS:
+            raise ParseError(f"unknown theorem id {tid!r}; known: {', '.join(THEOREM_IDS)}")
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.theorem not in THEOREM_IDS:
-        raise ParseError(
-            f"unknown theorem id {args.theorem!r}; known: {', '.join(THEOREM_IDS)}"
-        )
+    _check_theorem_ids([args.theorem])
     cfg = build_config(args)
     cone = load_cone(args.cone)
     report = verify_theorem(
@@ -322,9 +278,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def _report_document(args: argparse.Namespace, cfg: EvalConfig) -> dict:
     cone_names = list(args.cone or FIXTURE_NAMES)
     theorem_ids = list(args.theorem or THEOREM_IDS)
-    for tid in theorem_ids:
-        if tid not in THEOREM_IDS:
-            raise ParseError(f"unknown theorem id {tid!r}; known: {', '.join(THEOREM_IDS)}")
+    _check_theorem_ids(theorem_ids)
     cones = [(name, load_cone(name)) for name in cone_names]
     items = []
     counts = {"PASS": 0, "SKIP": 0, "FAIL": 0}
@@ -464,8 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True, metavar="verb")
 
     p_eval = sub.add_parser("eval", help="evaluate one function at given parameters")
-    p_eval.add_argument("target",
-                        help="s1 s2 s3 | g0 g1 g2 | theta0 | qfac | s2c s3c g1c g2c")
+    p_eval.add_argument("target", help=f"one of: {' '.join(_TARGETS)}")
     p_eval.add_argument("--z", type=_complex_arg, default=None, help="argument, re+imi")
     p_eval.add_argument("--omega", type=_complex_arg, action="append", default=None,
                         metavar="W", help="period, repeatable")
@@ -473,11 +426,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="single period (alias for one --omega)")
     p_eval.add_argument("--cone", default=None, help="fixture name or cone JSON path")
     p_eval.add_argument("--form", type=int, choices=(1, 2), default=1,
-                        help="boundary factorization form for s1/s2/s3")
-    p_eval.add_argument("--route", default=None,
-                        help="cone targets: decomposed|factorized (sine), direct|factorized (gamma)")
+                        help="boundary factorization form of the multiple sine")
+    p_eval.add_argument("--route", default=None, help="cone targets only, default first: " + ", ".join(
+        f"{t} {'|'.join(routes)}" for t, (_, dim, routes) in _TARGETS.items() if dim))
     p_eval.add_argument("--variant", choices=("primary", "alternative"), default="primary",
-                        help="prefactor variant for g2c --route factorized")
+                        help="prefactor variant of the factorized cone elliptic gamma")
     _add_config_flags(p_eval)
     p_eval.set_defaults(func=cmd_eval)
 

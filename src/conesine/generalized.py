@@ -14,7 +14,6 @@ seeded random parameter samples and returns a serializable report.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from random import Random
@@ -39,6 +38,7 @@ from .lattice_cones import (
 from .qseries import (
     DEFAULT_CONFIG,
     EvalConfig,
+    _exp,
     _rel_residual,
     e2,
     elliptic_gamma,
@@ -222,7 +222,7 @@ def sine_cone_2d_factorized(
     if cone.dim != 2:
         raise DomainError("sine_cone_2d_factorized needs a 2d cone")
     omegas = _as_period_tuple(omegas, 2)
-    total = cmath.exp(0.5j * math.pi * bernoulli_cone_22(cone, z, omegas))
+    total = _exp(0.5j * math.pi * bernoulli_cone_22(cone, z, omegas))
     for factor in sine_face_factors(cone, z, omegas, cfg):
         total *= factor.value
     return total
@@ -239,7 +239,7 @@ def sine_cone_3d_factorized(
     if cone.dim != 3:
         raise DomainError("sine_cone_3d_factorized needs a 3d cone")
     omegas = _as_period_tuple(omegas, 3)
-    total = cmath.exp(-1j * math.pi / 6.0 * bernoulli_cone_33(cone, z, omegas))
+    total = _exp(-1j * math.pi / 6.0 * bernoulli_cone_33(cone, z, omegas))
     for factor in sine_face_factors(cone, z, omegas, cfg):
         total *= factor.value
     return total
@@ -278,7 +278,7 @@ def gamma_cone_2d_factorized(
         raise DomainError("gamma_cone_2d_factorized needs a 2d cone")
     omegas = _as_period_tuple(omegas, 2)
     _require_gamma_domain(cone, omegas)
-    total = cmath.exp(1j * math.pi / 3.0 * bernoulli_cone_lifted(cone, z, omegas, -1.0))
+    total = _exp(1j * math.pi / 3.0 * bernoulli_cone_lifted(cone, z, omegas, -1.0))
     for factor in gamma_face_factors(cone, z, omegas, cfg, variant="primary"):
         total *= factor.value
     return total
@@ -308,7 +308,7 @@ def gamma_cone_3d_factorized(
         eta, sign = 1.0, -1.0
     else:
         raise DomainError(f"unknown variant {variant!r}: use 'primary' or 'alternative'")
-    total = cmath.exp(sign * 1j * math.pi / 12.0 * bernoulli_cone_lifted(cone, z, omegas, eta))
+    total = _exp(sign * 1j * math.pi / 12.0 * bernoulli_cone_lifted(cone, z, omegas, eta))
     for factor in gamma_face_factors(cone, z, omegas, cfg, variant=variant):
         total *= factor.value
     return total
@@ -552,9 +552,7 @@ THEOREMS: dict[str, _Theorem] = {
         dim=3,
         tolerance=1e-7,
         sampler=_sample_gamma_params,
-        lhs=lambda cone, z, om, cfg: cmath.exp(
-            -1j * math.pi / 3.0 * bernoulli_cone_33(cone, z, om)
-        ),
+        lhs=lambda cone, z, om, cfg: _exp(-1j * math.pi / 3.0 * bernoulli_cone_33(cone, z, om)),
         rhs=_face_product_reduced,
         gorenstein=True,
     ),

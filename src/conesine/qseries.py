@@ -60,9 +60,17 @@ class EvalConfig:
 DEFAULT_CONFIG = EvalConfig()
 
 
+def _exp(w: complex) -> complex:
+    """cmath.exp(w), raising DomainError where the value overflows double precision."""
+    try:
+        return cmath.exp(w)
+    except OverflowError:
+        raise DomainError(f"exp overflows double precision at exponent real part {w.real:.6g}") from None
+
+
 def e2(w: complex) -> complex:
-    """exp(2 pi i w)."""
-    return cmath.exp(TWO_PI_I * w)
+    """exp(2 pi i w); DomainError where that overflows double precision."""
+    return _exp(TWO_PI_I * w)
 
 
 class _Budget:
@@ -251,7 +259,7 @@ def multiple_sine(
         try:
             x = e2(flip * z / wk)
             qs = tuple(e2(flip * omegas[j] / wk) for j in range(r) if j != k)
-        except OverflowError:
+        except DomainError:
             log_ax = -2 * math.pi * (flip * z / wk).imag
             ratios = ", ".join(f"{omegas[j] / wk:.6g}" for j in range(r) if j != k)
             raise DomainError(

@@ -1,15 +1,41 @@
 """Command-line driver: verbs, exit codes, report formats, config overrides."""
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import json
 import math
 
 import pytest
 
-from conesine import fixture_cone
-from conesine.cli import EXIT_DOMAIN, EXIT_FAIL, EXIT_OK, EXIT_USAGE, main, parse_complex
+from conesine import (
+    DEFAULT_CONFIG,
+    elliptic_gamma,
+    fixture_cone,
+    gamma_cone_2d_direct,
+    gamma_cone_2d_factorized,
+    gamma_cone_3d_direct,
+    gamma_cone_3d_factorized,
+    multiple_sine,
+    qfactorial,
+    sine_cone_2d_decomposed,
+    sine_cone_2d_factorized,
+    sine_cone_3d_decomposed,
+    sine_cone_3d_factorized,
+)
+from conesine.cli import (
+    EXIT_DOMAIN,
+    EXIT_FAIL,
+    EXIT_OK,
+    EXIT_USAGE,
+    _TARGETS,
+    format_complex,
+    main,
+    parse_complex,
+)
 from conesine.generalized import THEOREMS
+
+from params import GAMMA_OMEGAS, SINE_OMEGAS, Z_GENERIC
 
 
 def run(capsys, *argv):
@@ -143,6 +169,159 @@ def test_eval_qfac_needs_periods(capsys):
     rc, _, err = run(capsys, "eval", "qfac", "--z", "0.3+0.2i")
     assert rc == EXIT_USAGE
     assert "period" in err
+
+
+# periods and cone fixture each eval target is called with below
+EVAL_ARGS = {
+    "s1": (SINE_OMEGAS["standard-2"][:1], None),
+    "s2": (SINE_OMEGAS["standard-2"], None),
+    "s3": (SINE_OMEGAS["standard-3"], None),
+    "g0": (GAMMA_OMEGAS["standard-2"][:1], None),
+    "g1": (GAMMA_OMEGAS["standard-2"], None),
+    "g2": (GAMMA_OMEGAS["standard-3"], None),
+    "theta0": (GAMMA_OMEGAS["standard-2"][:1], None),
+    "qfac": (GAMMA_OMEGAS["standard-2"], None),
+    "s2c": (SINE_OMEGAS["wedge21"], "wedge21"),
+    "s3c": (SINE_OMEGAS["cone-over-square"], "cone-over-square"),
+    "g1c": (GAMMA_OMEGAS["wedge21"], "wedge21"),
+    "g2c": (GAMMA_OMEGAS["cone-over-square"], "cone-over-square"),
+}
+
+# (target, route, recorded flags, library function); a cone target's first
+# route is its default
+EVAL_ROUTES = [
+    *[(f"s{r}", None, {"form": form}, multiple_sine) for r in (1, 2, 3) for form in (1, 2)],
+    *[(target, None, {}, elliptic_gamma) for target in ("g0", "g1", "g2", "theta0")],
+    ("qfac", None, {}, qfactorial),
+    ("s2c", "decomposed", {}, sine_cone_2d_decomposed),
+    ("s2c", "factorized", {}, sine_cone_2d_factorized),
+    ("s3c", "decomposed", {}, sine_cone_3d_decomposed),
+    ("s3c", "factorized", {}, sine_cone_3d_factorized),
+    ("g1c", "direct", {}, gamma_cone_2d_direct),
+    ("g1c", "factorized", {}, gamma_cone_2d_factorized),
+    ("g2c", "direct", {}, gamma_cone_3d_direct),
+    *[("g2c", "factorized", {"variant": v}, gamma_cone_3d_factorized)
+      for v in ("primary", "alternative")],
+]
+FLAG_DEFAULTS = {"form": 1, "variant": "primary"}
+
+
+def eval_argv(target, z, route=None, flags=()):
+    """``eval`` arguments for ``target`` at z with its EVAL_ARGS periods and
+    cone; a route or flag at its default is left for the CLI to fill in."""
+    omegas, cone_name = EVAL_ARGS[target]
+    argv = ["eval", target, f"--z={z}", *[f"--omega={format_complex(w)}" for w in omegas]]
+    if cone_name is not None:
+        argv.append(f"--cone={cone_name}")
+    defaults = [r for t, r, *_ in EVAL_ROUTES if t == target][:1]
+    if route not in defaults:
+        argv.append(f"--route={route}")
+    return argv + [f"--{k}={v}" for k, v in dict(flags).items() if FLAG_DEFAULTS[k] != v]
+
+
+@pytest.mark.parametrize(
+    "target, route, flags, fn", EVAL_ROUTES,
+    ids=[f"{t}-{r or ''}-{'-'.join(map(str, f.values()))}" for t, r, f, _ in EVAL_ROUTES],
+)
+def test_eval_record_matches_library_call(capsys, target, route, flags, fn):
+    omegas, cone_name = EVAL_ARGS[target]
+    cone = () if cone_name is None else (fixture_cone(cone_name),)
+    value = fn(*cone, Z_GENERIC, omegas, **flags)
+    expected = {
+        "schema": 1,
+        "target": target,
+        "config": DEFAULT_CONFIG.to_json_dict(),
+        "value": [value.real, value.imag],
+        "z": [Z_GENERIC.real, Z_GENERIC.imag],
+        "omegas": [[w.real, w.imag] for w in omegas],
+        **flags,
+    }
+    if cone:
+        expected.update(cone=cone[0].to_json_dict(), route=route)
+    rc, out, err = run(capsys, *eval_argv(target, format_complex(Z_GENERIC), route, flags))
+    assert (rc, err) == (EXIT_OK, "")
+    assert out == f"{target} = {format_complex(value)}\n{json.dumps(expected, sort_keys=True)}\n"
+    keys = set(eval_record(out)) - {"schema", "target", "config", "value", "z", "omegas"}
+    assert keys == (
+        ({"form"} if target in ("s1", "s2", "s3") else set())
+        | ({"variant"} if (target, route) == ("g2c", "factorized") else set())
+        | ({"cone", "route"} if cone else set())
+    )
+
+
+def test_eval_wrong_period_count_message(capsys):
+    rc, out, err = run(capsys, "eval", "s2", "--z", "0.3", "--omega", "1+0.1i")
+    assert (rc, out) == (EXIT_USAGE, "")
+    assert err == (
+        "conesine: error: target 's2' needs exactly 2 period(s) "
+        "(--omega, or --tau for a single one); got 1\n"
+    )
+
+
+def test_eval_unknown_route_message(capsys):
+    argv = eval_argv("g1c", "0.3", "decomposed")
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (EXIT_USAGE, "")
+    assert err == (
+        "conesine: error: target 'g1c' supports --route {direct,factorized}, "
+        "got 'decomposed'\n"
+    )
+
+
+def test_eval_cone_target_without_cone_message(capsys):
+    rc, out, err = run(capsys, "eval", "s2c", "--z", "0.3",
+                       "--omega", "1+0.1i", "--omega", "1-0.1i")
+    assert (rc, out) == (EXIT_USAGE, "")
+    assert err == "conesine: error: target 's2c' requires --cone\n"
+
+
+def test_eval_cases_cover_target_table():
+    # every (target, route) of the table is pinned above, default route first
+    assert list(EVAL_ARGS) == list(_TARGETS)
+    pinned = {}
+    for target, route, *_ in EVAL_ROUTES:
+        pinned.setdefault(target, []).append(route)
+    assert {t: list(dict.fromkeys(r)) for t, r in pinned.items()} == {
+        t: list(routes) for t, (_, _, routes) in _TARGETS.items()
+    }
+    for target, (count, dim, _) in _TARGETS.items():
+        omegas, cone_name = EVAL_ARGS[target]
+        assert count in (None, len(omegas))
+        assert dim == (None if cone_name is None else fixture_cone(cone_name).dim)
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "s2", "--z", "0.3", "--omega", "1+0.1i", "--omega", "1-0.1i", "--cone", "wedge21"],
+    ["eval", "s1", "--z", "0.3", "--omega", "1", "--route", "factorized"],
+], ids=["s2-cone", "s1-route"])
+def test_eval_refuses_cone_flags_on_plain_target(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (EXIT_USAGE, "")
+    assert err == f"conesine: error: target {argv[1]!r} takes no --cone or --route: it has no cone\n"
+
+
+@pytest.mark.parametrize("target, route", [
+    (target, route) for target, (_, _, routes) in _TARGETS.items() for route in routes
+])
+def test_eval_far_from_real_axis_never_escapes(capsys, target, route):
+    # e^{2 pi i z} and the Bernoulli prefactors overflow at Im z = -200: a
+    # route either refuses with DomainError or returns a finite value
+    rc, out, err = run(capsys, *eval_argv(target, "0.3-200i", route))
+    if rc == EXIT_DOMAIN:
+        assert out == "" and err.startswith("conesine: error: ")
+    else:
+        assert (rc, err) == (EXIT_OK, "")
+        assert cmath.isfinite(complex(*eval_record(out)["value"]))
+
+
+@pytest.mark.parametrize("argv", [
+    "eval theta0 --z 0.3-200i --tau i",
+    "eval g1 --z 0.3-200i --omega 0.2+0.5i --omega 0.1+0.7i",
+])
+def test_eval_exp_overflow_is_domain_error(capsys, argv):
+    rc, out, err = run(capsys, *argv.split())
+    assert (rc, out) == (EXIT_DOMAIN, "")
+    assert "exp overflows double precision at exponent real part 1256.64" in err
 
 
 # ---------------------------------------------------------------------------

@@ -357,3 +357,14 @@ def test_sine_rejects_real_period_ratio():
 def test_sine_overflow_raises_domain_error(z, omegas, match):
     with pytest.raises(DomainError, match=match):
         multiple_sine(z, omegas)
+
+
+@pytest.mark.parametrize("fn, omegas", [
+    (qfactorial, (0.2 + 0.5j,)),
+    (elliptic_gamma, (1j,)),
+    (elliptic_gamma, (0.2 + 0.5j, 0.1 + 0.7j)),
+], ids=["qfactorial", "theta", "gamma-1"])
+def test_exp_overflow_raises_domain_error(fn, omegas):
+    # e^{2 pi i z} overflows double precision before any product is formed
+    with pytest.raises(DomainError, match=r"exponent real part 1256\.64"):
+        fn(0.3 - 200j, omegas)

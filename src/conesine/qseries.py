@@ -80,51 +80,79 @@ class _Budget:
         self.left = max_terms
 
     def spend(self, k: int = 1):
-        self.left -= k
-        if self.left < 0:
+        """Charge k terms; BudgetError, with nothing charged, if fewer are left."""
+        if k > self.left:
             raise BudgetError("evaluation exceeded the configured max_terms budget")
+        self.left -= k
 
 
-def _qfac_small(x: complex, qs: tuple[complex, ...], cfg: EvalConfig, budget: _Budget) -> complex:
-    """(x | qs) with every |q| < 1, via the shift identity and a log series."""
+def _qfac_small(x: complex, qs: tuple[complex, ...], cfg: EvalConfig, budget: _Budget, absq=None) -> complex:
+    """(x | qs) with every |q| < 1 and x finite, via the shift identity and a log series.
+
+    ``absq`` holds the moduli of ``qs``: the top-level call computes them and
+    passes each recursive call its share.
+    """
     if not qs:
         return 1.0 - x
+    if absq is None:
+        absq = tuple(abs(q) for q in qs)
     prefactor = 1.0 + 0j
-    absq = [abs(q) for q in qs]
-    jmin = absq.index(min(absq))
-    while abs(x) >= X_REDUCTION_THRESHOLD:
-        budget.spend()
-        reduced = qs[:jmin] + qs[jmin + 1 :]
-        prefactor *= _qfac_small(x, reduced, cfg, budget)
-        x = x * qs[jmin]
-    # log form: -sum_{n>=1} x^n / (n prod_j (1 - q_j^n)), tail bounded by
-    # |x|^{n+1} / ((n+1)(1-|x|)) * prod_j (1 - |q_j|^{n+1})^{-1}
     ax = abs(x)
+    if ax >= X_REDUCTION_THRESHOLD:
+        # shift identity (x | qs) = (x | qs without q) (x q | qs) on the smallest |q|; the
+        # step count is closed-form, so the budget is checked before any step is taken
+        jmin = absq.index(min(absq))
+        q = qs[jmin]
+        steps = math.ceil(math.log(X_REDUCTION_THRESHOLD / ax) / math.log(absq[jmin]))
+        budget.spend(steps)
+        reduced, reduced_abs = qs[:jmin] + qs[jmin + 1 :], absq[:jmin] + absq[jmin + 1 :]
+        for _ in range(steps):
+            prefactor *= _qfac_small(x, reduced, cfg, budget, reduced_abs) if reduced else 1.0 - x
+            x *= q
+        ax = abs(x)
     if ax == 0:
         return prefactor
-    acc = 0j
-    xn = x
-    axn = ax
-    qn = list(qs)
-    aqn = list(absq)
-    n = 1
-    while True:
-        budget.spend()
-        denom = 1.0 + 0j
-        for q in qn:
-            denom *= 1.0 - q
-        acc += xn / (n * denom)
-        bound = axn * ax / ((n + 1) * (1.0 - ax))
-        for a in aqn:
-            bound /= 1.0 - a * a ** n
-        if bound < cfg.tail_tol:
-            break
-        xn *= x
-        axn *= ax
-        for j in range(len(qn)):
-            qn[j] *= qs[j]
-            aqn[j] *= absq[j]
-        n += 1
+    # log form: -sum_{n>=1} x^n / (n prod_j (1 - q_j^n)).  After term n the tail is at most
+    # |x|^{n+1} / ((n+1)(1-|x|) prod_j (1 - |q_j|^{n+1})); the loop stops once that is below
+    # tail_tol.  The running products hold q_j^n and |q_j|^{n+1}.
+    c, tol = ax / (1.0 - ax), cfg.tail_tol
+    acc, xn, axn, n = 0j, x, ax, 1
+    if len(qs) == 1:
+        (q,), (a,) = qs, absq
+        qn, an = q, a * a
+        while True:
+            acc += xn / (n * (1.0 - qn))
+            if axn * c < tol * (n + 1) * (1.0 - an):
+                break
+            xn, axn, n = xn * x, axn * ax, n + 1
+            qn, an = qn * q, an * a
+    elif len(qs) == 2:
+        (q0, q1), (a0, a1) = qs, absq
+        q0n, q1n, a0n, a1n = q0, q1, a0 * a0, a1 * a1
+        while True:
+            acc += xn / (n * ((1.0 - q0n) * (1.0 - q1n)))
+            if axn * c < tol * (n + 1) * ((1.0 - a0n) * (1.0 - a1n)):
+                break
+            xn, axn, n = xn * x, axn * ax, n + 1
+            q0n, q1n = q0n * q0, q1n * q1
+            a0n, a1n = a0n * a0, a1n * a1
+    else:
+        qn, an = list(qs), [a * a for a in absq]
+        while True:
+            denom = 1.0 + 0j
+            for u in qn:
+                denom *= 1.0 - u
+            acc += xn / (n * denom)
+            rhs = tol * (n + 1)
+            for u in an:
+                rhs *= 1.0 - u
+            if axn * c < rhs:
+                break
+            xn, axn, n = xn * x, axn * ax, n + 1
+            for j in range(len(qn)):
+                qn[j] *= qs[j]
+                an[j] *= absq[j]
+    budget.spend(n)
     return prefactor * cmath.exp(-acc)
 
 
@@ -137,6 +165,8 @@ def qfactorial_xq(x: complex, qs: tuple[complex, ...], cfg: EvalConfig = DEFAULT
     overflows or is not finite raises DomainError.
     """
     x = complex(x)
+    if not (cmath.isfinite(x) and all(cmath.isfinite(q) for q in qs)):
+        raise DomainError("the q-factorial needs a finite argument and finite periods")
     ax = abs(x)
     clean: list[complex] = []
     invert: list[complex] = []

@@ -1,0 +1,130 @@
+"""Print the 40-digit reference values held in ``test_qseries_reference.py``.
+
+Runs the ``fresh-cones`` benchmark workload (``perfbench/workloads.py``) at
+the given seed with every ``qfactorial_xq`` call recorded, keeps the
+two-period calls whose larger reduced modulus is at least 0.99 and that spend
+more than 2,000 terms, and prints the ``count`` costliest as Python literals:
+the arguments, the value computed in mpmath at 40 digits, and the relative
+error of the ``qfactorial_xq`` imported from ``--src``, rounded up to three
+significant digits.  With ``--src`` a checkout's ``src`` directory, that
+checkout is the one recorded and checked::
+
+    python3 tests/make_qseries_reference.py --seed 301 --count 8 --src <checkout>/src
+
+The reference shares no code with ``conesine.qseries``: it inverts every
+|q| > 1, shifts on the smallest |q| until |x| < 1/2 (not 3/4) and sums the
+log series until its tail bound is below 1e-36.  It takes a few minutes.
+"""
+from __future__ import annotations
+
+import argparse
+import math
+import os
+import sys
+import tempfile
+
+import mpmath
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def mp_qfac(x, qs, dps: int = 40):
+    """(x | qs) at ``dps`` digits, for moduli off the unit circle."""
+    with mpmath.workdps(dps):
+        x = mpmath.mpc(x)
+        small, flips = [], 0
+        for q in qs:
+            q = mpmath.mpc(q)
+            if abs(q) > 1:
+                x, q, flips = x / q, 1 / q, flips + 1
+            small.append(q)
+        val = _mp_small(x, small)
+        return 1 / val if flips % 2 else val
+
+
+def _mp_small(x, qs):
+    if not qs:
+        return 1 - x
+    mods = [abs(q) for q in qs]
+    j = mods.index(min(mods))
+    prefactor = mpmath.mpc(1)
+    while abs(x) >= 0.5:
+        prefactor *= _mp_small(x, qs[:j] + qs[j + 1:])
+        x *= qs[j]
+    ax = abs(x)
+    acc, xn, qn, n = mpmath.mpc(0), x, list(qs), 1
+    while True:
+        denom = mpmath.mpc(1)
+        for u in qn:
+            denom *= 1 - u
+        acc += xn / (n * denom)
+        tail = abs(xn) * ax / ((n + 1) * (1 - ax))
+        for a in mods:
+            tail /= 1 - a ** (n + 1)
+        if tail < mpmath.mpf("1e-36"):
+            return prefactor * mpmath.exp(-acc)
+        xn, qn, n = xn * x, [u * q for u, q in zip(qn, qs)], n + 1
+
+
+def record_calls(seed: int):
+    """(x, qs, terms spent) of every ``qfactorial_xq`` call that returns in one fresh-cones run."""
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    from conesine import generalized, qseries
+    from run import unit_count
+    from workloads import FreshCones
+
+    budgets, calls = [], []
+
+    class Recorded(qseries._Budget):
+        def __init__(self, max_terms):
+            super().__init__(max_terms)
+            budgets.append(self)
+
+    original = qseries.qfactorial_xq
+
+    def recorded(x, qs, cfg=qseries.DEFAULT_CONFIG):
+        budgets.clear()
+        value = original(x, qs, cfg)  # a call that raises has no reference value and is not kept
+        calls.append((complex(x), tuple(complex(q) for q in qs), cfg.max_terms - budgets[0].left))
+        return value
+
+    qseries._Budget = Recorded
+    qseries.qfactorial_xq = generalized.qfactorial_xq = recorded
+    try:
+        with tempfile.TemporaryDirectory() as outdir:
+            work = FreshCones(seed, outdir)
+            work.setup()
+            for i in range(unit_count(work, 15)):
+                work.unit(i)[0]()
+    finally:
+        qseries._Budget = Recorded.__bases__[0]
+        qseries.qfactorial_xq = generalized.qfactorial_xq = original
+    return calls
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=301)
+    parser.add_argument("--count", type=int, default=8)
+    parser.add_argument("--src", default=os.path.join(ROOT, "src"), help="the conesine sources to record and check")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, args.src)
+    from conesine import qfactorial_xq
+
+    chosen = {}
+    for x, qs, terms in record_calls(args.seed):
+        near = max(min(abs(q), 1 / abs(q)) for q in qs) if qs else 0.0
+        if len(qs) == 2 and near >= 0.99 and terms > 2000:
+            chosen[(x, qs)] = terms
+    for (x, qs), terms in sorted(chosen.items(), key=lambda kv: -kv[1])[: args.count]:
+        want = mp_qfac(x, qs)
+        with mpmath.workdps(40):
+            err = float(abs(mpmath.mpc(qfactorial_xq(x, qs)) - want) / abs(want))
+            scale = 10.0 ** (math.floor(math.log10(err)) - 2)
+            print(f"    ({x!r}, {qs!r},\n     \"{mpmath.nstr(want.real, 40)}\", \"{mpmath.nstr(want.imag, 40)}\","
+                  f" {math.ceil(err / scale) * scale:.3g}),  # {terms} terms")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import time
 from random import Random
 
 import pytest
@@ -24,6 +25,7 @@ from conesine import (
     qfactorial_gluing_check,
     qfactorial_xq,
 )
+from conesine.qseries import DEFAULT_CONFIG, X_REDUCTION_THRESHOLD, _Budget, _qfac_small
 
 from params import rel
 
@@ -147,6 +149,115 @@ def test_truncation_policy_is_self_consistent():
     g_loose = elliptic_gamma(z, om, EvalConfig(tail_tol=1e-8, comparison_tol=1e-4))
     g_tight = elliptic_gamma(z, om, EvalConfig(tail_tol=5e-9, comparison_tol=1e-4))
     assert abs(g_loose - g_tight) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# the scalar q-factorial core
+
+
+def _qfac_reference(x: complex, qs: tuple[complex, ...], cfg: EvalConfig, budget: _Budget) -> complex:
+    """The q-factorial core without specialisation: one recursive call per shift
+    step, one budget charge per term, and the tail bound over |q_j|^{n+1}."""
+    if not qs:
+        return 1.0 - x
+    prefactor = 1.0 + 0j
+    absq = [abs(q) for q in qs]
+    jmin = absq.index(min(absq))
+    while abs(x) >= X_REDUCTION_THRESHOLD:
+        budget.spend()
+        prefactor *= _qfac_reference(x, qs[:jmin] + qs[jmin + 1 :], cfg, budget)
+        x = x * qs[jmin]
+    ax = abs(x)
+    if ax == 0:
+        return prefactor
+    acc = 0j
+    xn, axn, qn, aqn, n = x, ax, list(qs), list(absq), 1
+    while True:
+        budget.spend()
+        denom = 1.0 + 0j
+        for q in qn:
+            denom *= 1.0 - q
+        acc += xn / (n * denom)
+        bound = axn * ax / ((n + 1) * (1.0 - ax))
+        for a, a1 in zip(aqn, absq):
+            bound /= 1.0 - a * a1
+        if bound < cfg.tail_tol:
+            break
+        xn *= x
+        axn *= ax
+        for j in range(len(qn)):
+            qn[j] *= qs[j]
+            aqn[j] *= absq[j]
+        n += 1
+    return prefactor * cmath.exp(-acc)
+
+
+def _draw_modulus(rng: Random) -> float:
+    return 1.0 - 10.0 ** -rng.uniform(0.3, 3.0)  # 0.5 up to 0.999
+
+
+@pytest.mark.parametrize("r, x_max", [(1, 1.6), (2, 1.3), (3, 1.1)])
+def test_qfac_core_matches_reference_loop(r, x_max):
+    rng = Random(17 + r)
+    for trial in range(40):
+        # |x| alternately below and above the shift threshold 0.75
+        ax = rng.uniform(0.05, 0.75) if trial % 2 else rng.uniform(0.75, x_max)
+        x = cmath.rect(ax, rng.uniform(-math.pi, math.pi))
+        mods = [_draw_modulus(rng) for _ in range(r)]
+        if r == 3:
+            mods[rng.randrange(3)] = rng.uniform(0.05, 0.6)  # one fast period keeps the loop short
+        qs = tuple(cmath.rect(m, rng.uniform(-math.pi, math.pi)) for m in mods)
+        fast, slow = _Budget(DEFAULT_CONFIG.max_terms), _Budget(DEFAULT_CONFIG.max_terms)
+        got = _qfac_small(x, qs, DEFAULT_CONFIG, fast)
+        want = _qfac_reference(x, qs, DEFAULT_CONFIG, slow)
+        assert rel(got, want) <= 1e-13, (x, qs)
+        assert abs(fast.left - slow.left) <= 1, (x, qs)
+
+
+def test_tail_bound_uses_the_next_power_of_q():
+    # |x| = 0.986 sits above the shift threshold, |q| = 0.9975 and 0.981; a tail
+    # bound over |q|^{n(n+1)} in place of |q|^{n+1} stopped the series early (1.1e-13)
+    mpmath = pytest.importorskip("mpmath")
+    x = 0.44552165212294337 + 0.8793663015557731j
+    qs = (0.20154052799057817 + 0.9769418748019446j, 0.26635148089514654 + 0.9437500624711211j)
+    with mpmath.workdps(40):
+        mx, mq = mpmath.mpc(x), [mpmath.mpc(q) for q in qs]
+        ax, aq = abs(mx), [abs(q) for q in mq]
+        acc, n, xn, qn, an = mpmath.mpc(0), 1, mx, list(mq), [a * a for a in aq]
+        while True:
+            acc += xn / (n * (1 - qn[0]) * (1 - qn[1]))
+            tail = abs(xn) * ax / ((n + 1) * (1 - ax) * (1 - an[0]) * (1 - an[1]))
+            if tail < mpmath.mpf("1e-32"):
+                break
+            xn, n = xn * mx, n + 1
+            qn, an = [u * q for u, q in zip(qn, mq)], [u * a for u, a in zip(an, aq)]
+        want = mpmath.exp(-acc)
+        err = abs(mpmath.mpc(qfactorial_xq(x, qs)) - want) / abs(want)
+    assert err < 2e-14
+
+
+def test_budget_checked_before_the_shift_loop():
+    # |x| = e^10 with |q| = e^{-2e-6} needs 5.1M shift steps, more than max_terms
+    x = cmath.rect(math.exp(10.0), 0.3)
+    q = cmath.rect(math.exp(-2e-6), 1.1)
+    start = time.perf_counter()
+    with pytest.raises(BudgetError):
+        qfactorial_xq(x, (q,))
+    assert time.perf_counter() - start < 1.0
+    budget = _Budget(DEFAULT_CONFIG.max_terms)
+    with pytest.raises(BudgetError):
+        _qfac_small(x, (q,), DEFAULT_CONFIG, budget)
+    assert budget.left == DEFAULT_CONFIG.max_terms
+
+
+@pytest.mark.parametrize("x, qs", [
+    (complex("nan"), (0.3 + 0.1j,)),
+    (complex("inf"), (0.3 + 0.1j,)),
+    (0.5, (complex("nan"), 0.2j)),
+])
+def test_non_finite_input_raises_domain_error(x, qs):
+    with pytest.raises(DomainError, match="finite argument and finite periods"):
+        qfactorial_xq(x, qs)
 
 
 # ---------------------------------------------------------------------------

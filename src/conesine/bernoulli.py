@@ -1,16 +1,19 @@
 """Generalized Bernoulli polynomials, plain and cone-restricted.
 
-``bernoulli_multiple`` expands ``t^r e^{zt} / prod_i (e^{omega_i t} - 1)`` as
-a power series in ``t`` and reads off ``n!`` times the ``t^n`` coefficient.
-The cone-restricted variants sum such polynomials over a unimodular wedge
-decomposition of the cone so that the total is the degree-``n`` coefficient
-of the lattice generating function over the open cone interior; an
-independent numeric oracle (direct lattice sum plus a Chebyshev fit) ships
-alongside for verification.
+``bernoulli_multiple`` is ``n!`` times the ``t^n`` coefficient of
+``t^r e^{zt} / prod_i (e^{omega_i t} - 1) = e^{zt} prod_i sum_k B_k
+omega_i^{k-1} t^k / k!`` (Barnes), one product of truncated series in the
+Bernoulli numbers ``B_k``.  The cone-restricted variants sum such polynomials,
+every degree from one walk, over a unimodular wedge decomposition of the cone
+so that the total is the degree-``n`` coefficient of the lattice generating
+function over the open cone interior; an independent numeric oracle (direct
+lattice sum plus a Chebyshev fit) ships alongside for verification.
 """
 
 from __future__ import annotations
 
+import cmath
+import operator
 from math import comb, factorial
 from typing import Sequence
 
@@ -26,57 +29,57 @@ MAX_ORDER = 8
 
 
 # ---------------------------------------------------------------------------
-# truncated power series in t (lists of complex coefficients)
+# plain polynomials, from Bernoulli numbers
+
+# B_k / k! for k = 0..MAX_ORDER: the coefficients of t / (e^t - 1)
+_BERNOULLI_OVER_FACTORIAL = (1.0, -1 / 2, 1 / 12, 0.0, -1 / 720, 0.0, 1 / 30240, 0.0, -1 / 1209600)
 
 
-def _series_mul(a: list[complex], b: list[complex], n: int) -> list[complex]:
-    out = [0j] * n
-    for i, ai in enumerate(a[:n]):
-        if ai == 0:
-            continue
-        top = min(n - i, len(b))
-        for j in range(top):
-            out[i + j] += ai * b[j]
-    return out
+def _bernoulli_upto(z: complex, omegas: tuple[complex, ...], n: int, max_order: int = MAX_ORDER) -> list[complex]:
+    """[B_{r,k}(z | omegas) for k = 0..n], with r = len(omegas).
 
-
-def _series_recip(a: list[complex], n: int) -> list[complex]:
-    """Newton iteration for 1/a mod t^n; requires a[0] != 0."""
-    if a[0] == 0:
-        raise DomainError("series has no reciprocal: constant term vanishes")
-    r = [1.0 / a[0]]
-    m = 1
-    while m < n:
-        m = min(2 * m, n)
-        ar = _series_mul(a[:m], r, m)
-        corr = [-c for c in ar]
-        corr[0] += 2.0
-        r = _series_mul(r, corr, m)
-    return r
+    The coefficients of e^{zt} and the powers of each omega are running
+    products; z, the periods and the result must be finite.
+    """
+    if not omegas:
+        raise DomainError("at least one period is required")
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise DomainError(f"order must be an integer, got {n!r}") from None
+    if not (0 <= n <= min(max_order, MAX_ORDER)):
+        raise DomainError(f"order {n} outside [0, {min(max_order, MAX_ORDER)}]")
+    z = complex(z)
+    if 0 in omegas:
+        raise DomainError("periods must be nonzero")
+    if cmath.isfinite(z) and all(map(cmath.isfinite, omegas)):
+        acc = [1 + 0j]
+        for k in range(1, n + 1):
+            acc.append(acc[-1] * z / k)
+        for w in omegas:
+            # acc times sum_k (B_k / k!) omega^{k-1} t^k, skipping B_k = 0
+            new, power = [a / w for a in acc], 1 + 0j
+            for k in range(1, n + 1):
+                if _BERNOULLI_OVER_FACTORIAL[k]:
+                    c = _BERNOULLI_OVER_FACTORIAL[k] * power
+                    new[k:] = [x + c * a for x, a in zip(new[k:], acc)]
+                power *= w
+            acc = new
+        out = [c * factorial(k) for k, c in enumerate(acc)]
+        if all(map(cmath.isfinite, out)):
+            return out
+    biggest = max(abs(w) for w in omegas)
+    raise DomainError(f"order-{n} Bernoulli polynomial is not finite at z = {z:.6g}, largest |omega| = {biggest:.3g}")
 
 
 def bernoulli_multiple(z: complex, omegas: tuple[complex, ...], n: int, max_order: int = MAX_ORDER) -> complex:
     """Degree-n generalized Bernoulli polynomial with r = len(omegas) periods.
 
     Coefficient of t^n/n! in t^r e^{zt} / prod_i (e^{omega_i t} - 1).  The
-    periods must be nonzero; n must lie in [0, max_order].
+    periods must be nonzero; n must be an integer in [0, max_order], and
+    max_order is capped at MAX_ORDER.
     """
-    omegas = tuple(complex(w) for w in omegas)
-    if not omegas:
-        raise DomainError("at least one period is required")
-    if any(w == 0 for w in omegas):
-        raise DomainError("periods must be nonzero")
-    if not (0 <= n <= max_order):
-        raise DomainError(f"order {n} outside [0, {max_order}]")
-    terms = n + 2
-    den = [1.0 + 0j]
-    for w in omegas:
-        fac = [w ** (k + 1) / factorial(k + 1) for k in range(terms)]
-        den = _series_mul(den, fac, terms)
-    inv = _series_recip(den, terms)
-    ez = [complex(z) ** k / factorial(k) for k in range(terms)]
-    coeffs = _series_mul(inv, ez, terms)
-    return coeffs[n] * factorial(n)
+    return _bernoulli_upto(z, tuple(map(complex, omegas)), n, max_order)[n]
 
 
 # ---------------------------------------------------------------------------
@@ -131,16 +134,15 @@ def _cone_sum(
     omegas: tuple[complex, ...],
     n: int,
     chain: WedgeSubdivision | None = None,
-) -> complex:
-    """The sum of plain degree-n polynomials over the wedges of the cone's
-    decomposition, plus the straightened axis term in 3d.  The caller checks
-    the damping phase."""
+) -> list[complex]:
+    """The cone polynomials of degrees 0..n from one walk of the wedges: the
+    sums of the wedges' plain polynomials, plus the straightened axis term in
+    3d.  The caller checks the damping phase."""
     axis, wedges = cone_plan(cone).wedges(z, omegas, chain)
-    total = 0j
-    for arg, periods in wedges:
-        total += bernoulli_multiple(arg, periods, n)
+    total = [sum(col) for col in zip(*(_bernoulli_upto(arg, periods, n) for arg, periods in wedges))]
     if axis is not None and n >= 2:
-        total += n * (n - 1) * bernoulli_multiple(z, (axis,), n - 2)
+        for k, b in enumerate(_bernoulli_upto(z, (axis,), n - 2), start=2):
+            total[k] += k * (k - 1) * b
     return total
 
 
@@ -164,7 +166,7 @@ def bernoulli_cone_2d(
         raise DomainError("bernoulli_cone_2d needs a 2d cone")
     omegas = _as_period_tuple(omegas, 2)
     _require_damping_phase(cone_plan(cone).rays, omegas)
-    return _cone_sum(cone, z, omegas, n, chain)
+    return _cone_sum(cone, z, omegas, n, chain)[n]
 
 
 def bernoulli_cone_22(cone: Cone, z: complex, omegas: tuple[complex, ...]) -> complex:
@@ -185,7 +187,7 @@ def bernoulli_cone_3d(cone: Cone, z: complex, omegas: tuple[complex, ...], n: in
         raise DomainError("bernoulli_cone_3d needs a 3d cone")
     omegas = _as_period_tuple(omegas, 3)
     _require_damping_phase(cone_plan(cone).rays, omegas)
-    return _cone_sum(cone, z, omegas, n)
+    return _cone_sum(cone, z, omegas, n)[n]
 
 
 def bernoulli_cone_33(cone: Cone, z: complex, omegas: tuple[complex, ...]) -> complex:
@@ -217,12 +219,9 @@ def bernoulli_cone_lifted(cone: Cone, z: complex, omegas: tuple[complex, ...], e
     # base polynomials as well
     _require_damping_phase(lifted_rays, omegas + (eta,))
     m = cone.dim + 1
-    total = 0j
-    for k in range(m + 1):
-        base = _cone_sum(cone, z, omegas, k)
-        axis = bernoulli_multiple(0, (eta,), m - k)
-        total += comb(m, k) * base * axis
-    return total
+    base = _cone_sum(cone, z, omegas, m)
+    axis = _bernoulli_upto(0, (eta,), m)
+    return sum(comb(m, k) * base[k] * axis[m - k] for k in range(m + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,18 @@ from conesine import (
     cone_chain_2d,
     edge_rays,
     fixture_cone,
+    is_good,
 )
-from conesine.bernoulli import _exists_damping_phase, _fiber_exponents, _fiber_sum
-from conesine.lattice_cones import det3
+from conesine.bernoulli import (
+    _BERNOULLI_OVER_FACTORIAL,
+    MAX_ORDER,
+    _cone_sum,
+    _exists_damping_phase,
+    _fiber_exponents,
+    _fiber_sum,
+)
+from conesine.generalized import _sample_gamma_params
+from conesine.lattice_cones import cone_plan, det3
 
 from params import (
     BERNOULLI_OMEGAS,
@@ -36,6 +45,7 @@ from params import (
     Z_BERNOULLI_2D,
     Z_BERNOULLI_3D,
     Z_LIFTED,
+    rel,
 )
 
 
@@ -139,6 +149,108 @@ def test_zero_period_is_rejected():
 def test_order_cap_is_enforced():
     with pytest.raises(DomainError):
         bernoulli_multiple(0.3, (1.0 + 0.2j,), 9)
+
+
+@pytest.mark.parametrize("n", [2.0, 2.5, "2", None])
+def test_order_must_be_an_integer(n):
+    with pytest.raises(DomainError, match="order must be an integer"):
+        bernoulli_multiple(0.3, (1.0,), n)
+
+
+@pytest.mark.parametrize("z, omegas, n", [
+    (complex("nan"), (1.0,), 2),
+    (0.3, (1.0, float("inf")), 0),
+    (complex(0.3, float("-inf")), (1.0,), 1),
+    (0.3, (1e200 + 1e199j,), 4),  # omega^3 overflows
+    (0.3, (1e-200, 1e-200), 2),  # 1 / (omega_1 omega_2) overflows
+    (1e300, (1.0,), 2),  # z^2 overflows
+])
+def test_non_finite_input_or_value_is_domain_error(z, omegas, n):
+    with pytest.raises(DomainError, match=f"order-{n} Bernoulli polynomial is not finite at z = ") as info:
+        bernoulli_multiple(z, omegas, n)
+    assert f"largest |omega| = {max(abs(w) for w in omegas):.3g}" in str(info.value)
+
+
+# ---------------------------------------------------------------------------
+# exact and independent references
+
+
+def _bernoulli_numbers(count: int) -> list[Fraction]:
+    """B_0..B_{count-1} from sum_{j<k+1} C(k+1, j) B_j = 0, with B_1 = -1/2."""
+    b = [Fraction(1)]
+    for k in range(1, count):
+        b.append(-sum(math.comb(k + 1, j) * b[j] for j in range(k)) / (k + 1))
+    return b
+
+
+def _exact_bernoulli(z: Fraction, omegas: tuple, n: int) -> tuple[Fraction, Fraction]:
+    """B_{r,n}(z | omegas) in rationals, n! [t^n] of
+    e^{zt} prod_i sum_k B_k omega_i^{k-1} t^k / k!, and the same with every
+    series coefficient replaced by its absolute value: the size of the
+    terms that cancel, which scales the rounding error of any evaluation."""
+    bk = _bernoulli_numbers(n + 1)
+    acc = [z ** k / math.factorial(k) for k in range(n + 1)]
+    mag = [abs(c) for c in acc]
+    for w in omegas:
+        fac = [bk[k] * w ** (k - 1) / math.factorial(k) for k in range(n + 1)]
+        acc = [sum(fac[k] * acc[j - k] for k in range(j + 1)) for j in range(n + 1)]
+        mag = [sum(abs(fac[k]) * mag[j - k] for k in range(j + 1)) for j in range(n + 1)]
+    return acc[n] * math.factorial(n), mag[n] * math.factorial(n)
+
+
+def test_bernoulli_number_table_is_exact():
+    b = _bernoulli_numbers(MAX_ORDER + 1)
+    assert b[:3] == [1, Fraction(-1, 2), Fraction(1, 6)]
+    assert _BERNOULLI_OVER_FACTORIAL == tuple(
+        float(bk / math.factorial(k)) for k, bk in enumerate(b)
+    )
+
+
+def test_plain_polynomial_matches_exact_rationals():
+    rng = Random(7)
+    for r in range(1, 5):
+        for n in range(MAX_ORDER + 1):
+            for _ in range(3):
+                z = Fraction(rng.randint(-40, 40), rng.randint(1, 9))
+                om = tuple(
+                    Fraction(rng.choice((-1, 1)) * rng.randint(1, 30), rng.randint(1, 9))
+                    for _ in range(r)
+                )
+                exact, size = _exact_bernoulli(z, om, n)
+                value = bernoulli_multiple(float(z), tuple(map(float, om)), n)
+                # relative to the cancelling terms, not to the value, which
+                # vanishes at the polynomial's zeros
+                assert abs(value - float(exact)) <= 1e-13 * float(size), (z, om, n)
+
+
+def _mp_bernoulli(mp, z: complex, omegas: tuple, n: int):
+    """n! [t^n] of e^{zt} / prod_i ((e^{omega_i t} - 1) / t) in mpmath, the
+    reciprocal series by its term recurrence."""
+    den = [mp.mpf(1)] + [mp.mpf(0)] * n
+    for w in omegas:
+        w = mp.mpc(w)
+        fac = [w ** (k + 1) / mp.factorial(k + 1) for k in range(n + 1)]
+        den = [mp.fsum(den[i] * fac[j - i] for i in range(j + 1)) for j in range(n + 1)]
+    inv = [1 / den[0]]
+    for j in range(1, n + 1):
+        inv.append(-mp.fsum(den[i] * inv[j - i] for i in range(1, j + 1)) / den[0])
+    z = mp.mpc(z)
+    return mp.factorial(n) * mp.fsum(inv[j] * z ** (n - j) / mp.factorial(n - j) for j in range(n + 1))
+
+
+def test_plain_polynomial_matches_60_digit_reference():
+    mpmath = pytest.importorskip("mpmath")
+    rng = Random(5)
+    worst = 0.0
+    with mpmath.workdps(60):
+        for _ in range(1000):
+            r, n = rng.randint(1, 4), rng.randint(0, MAX_ORDER)
+            z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+            om = tuple(complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)) for _ in range(r))
+            ref = _mp_bernoulli(mpmath, z, om, n)
+            err = abs(mpmath.mpc(bernoulli_multiple(z, om, n)) - ref) / max(abs(ref), 1)
+            worst = max(worst, float(err))
+    assert worst <= 5e-13
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +390,101 @@ def test_lifted_matches_lattice_oracle(w21):
         val = bernoulli_cone_lifted(w21, Z_LIFTED, om, eta)
         oracle = bernoulli_cone_oracle(w21, Z_LIFTED, om, 3, ray=LIFT_RAY[eta], eta=eta)
         assert abs(val - oracle) < 1e-6
+
+
+def _cross2(o, a, b) -> int:
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _hull(points) -> list:
+    """Vertices of the convex hull of lattice points, counterclockwise."""
+    pts = sorted(set(points))
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and _cross2(out[-2], out[-1], p) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    return chain(pts) + chain(reversed(pts))
+
+
+def _random_good_cones(seed: int, count: int) -> list:
+    """Seeded good cones, alternately 2d (primitive normals, |det| <= 30) and
+    3d Gorenstein (over a convex lattice polygon with primitive edges, with
+    normals (1, -x, -y) at its vertices)."""
+    rng = Random(seed)
+    cones = []
+    while len(cones) < count:
+        if len(cones) % 2 == 0:
+            a, b = [(rng.randint(-6, 6), rng.randint(-6, 6)) for _ in range(2)]
+            if math.gcd(*a) != 1 or math.gcd(*b) != 1 or not 1 <= abs(_cross2((0, 0), a, b)) <= 30:
+                continue
+            normals, dim = (a, b), 2
+        else:
+            hull = _hull([(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(rng.randint(3, 6))])
+            edges = [(q[0] - p[0], q[1] - p[1]) for p, q in zip(hull, hull[1:] + hull[:1])]
+            if len(hull) < 3 or any(math.gcd(*e) != 1 for e in edges):
+                continue
+            normals, dim = tuple((1, -x, -y) for x, y in hull), 3
+        try:
+            cone = Cone(dim, normals)
+            if dim == 3 and not is_good(cone):
+                continue
+        except DomainError:
+            continue
+        cones.append(cone)
+    return cones
+
+
+def _lifted_by_degree(cone, z, om, eta) -> complex:
+    m = cone.dim + 1
+    return sum(
+        math.comb(m, k) * bernoulli_cone(cone, z, om, k) * bernoulli_multiple(0, (eta,), m - k)
+        for k in range(m + 1)
+    )
+
+
+def _lifted_cases():
+    """(cone, z, periods) on the fixtures and on seeded random good cones,
+    with periods for which the lift by either eta = +-1 has a damping phase."""
+    fixtures = ("standard-2", "wedge21", "wedge53", "standard-3", "cone-over-square")
+    cases = [(fixture_cone(name), Z_LIFTED, GAMMA_OMEGAS[name]) for name in fixtures]
+    rng = Random(11)
+    for cone in _random_good_cones(12, 16):
+        rays = [tuple(r) + (0,) for r in edge_rays(cone)] + [(0,) * cone.dim + (1,)]
+        while True:
+            z, om = _sample_gamma_params(cone, rng)
+            if all(_exists_damping_phase(rays, om + (eta,)) for eta in (-1.0, 1.0)):
+                break
+        cases.append((cone, z, om))
+    return cases
+
+
+def test_lifted_is_binomial_convolution_of_degrees():
+    # the one-walk lift against the per-degree formula it replaces
+    for cone, z, om in _lifted_cases():
+        for eta in (-1.0, 1.0):
+            lifted = bernoulli_cone_lifted(cone, z, om, eta)
+            assert rel(lifted, _lifted_by_degree(cone, z, om, eta)) < 1e-12, (cone, eta)
+
+
+def test_cone_sum_lists_every_degree():
+    # one walk gives every degree; each matches its own polynomial and the
+    # sum of the public plain polynomials over the same wedges
+    for cone, z, om in _lifted_cases():
+        axis, wedges = cone_plan(cone).wedges(z, om)
+        n = cone.dim + 1
+        every = _cone_sum(cone, z, om, n)
+        assert len(every) == n + 1
+        for k in range(n + 1):
+            by_wedge = sum(bernoulli_multiple(arg, periods, k) for arg, periods in wedges)
+            if axis is not None and k >= 2:
+                by_wedge += k * (k - 1) * bernoulli_multiple(z, (axis,), k - 2)
+            assert every[k] == bernoulli_cone(cone, z, om, k)
+            assert rel(every[k], by_wedge) < 1e-12, (cone, k)
 
 
 def test_exponential_parity_chain(square):

@@ -300,13 +300,30 @@ def test_eval_refuses_cone_flags_on_plain_target(capsys, argv):
     assert err == f"conesine: error: target {argv[1]!r} takes no --cone or --route: it has no cone\n"
 
 
-@pytest.mark.parametrize("target, route", [
-    (target, route) for target, (_, _, routes) in _TARGETS.items() for route in routes
-])
+ALL_ROUTES = [(target, route) for target, (_, _, routes) in _TARGETS.items() for route in routes]
+
+
+@pytest.mark.parametrize("target, route", ALL_ROUTES)
 def test_eval_far_from_real_axis_never_escapes(capsys, target, route):
     # e^{2 pi i z} and the Bernoulli prefactors overflow at Im z = -200: a
     # route either refuses with DomainError or returns a finite value
     rc, out, err = run(capsys, *eval_argv(target, "0.3-200i", route))
+    if rc == EXIT_DOMAIN:
+        assert out == "" and err.startswith("conesine: error: ")
+    else:
+        assert (rc, err) == (EXIT_OK, "")
+        assert cmath.isfinite(complex(*eval_record(out)["value"]))
+
+
+@pytest.mark.parametrize("scale", [1e120, 1e300])
+@pytest.mark.parametrize("target, route", ALL_ROUTES)
+def test_eval_huge_period_never_escapes(capsys, target, route, scale):
+    # powers of a huge period overflow in the Bernoulli polynomials: a route
+    # either refuses with DomainError or returns a finite value
+    argv = eval_argv(target, format_complex(Z_GENERIC), route)
+    first = next(i for i, arg in enumerate(argv) if arg.startswith("--omega="))
+    argv[first] = f"--omega={format_complex(EVAL_ARGS[target][0][0] * scale)}"
+    rc, out, err = run(capsys, *argv)
     if rc == EXIT_DOMAIN:
         assert out == "" and err.startswith("conesine: error: ")
     else:

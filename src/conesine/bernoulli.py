@@ -35,7 +35,7 @@ MAX_ORDER = 8
 _BERNOULLI_OVER_FACTORIAL = (1.0, -1 / 2, 1 / 12, 0.0, -1 / 720, 0.0, 1 / 30240, 0.0, -1 / 1209600)
 
 
-def _bernoulli_upto(z: complex, omegas: tuple[complex, ...], n: int, max_order: int = MAX_ORDER) -> list[complex]:
+def _bernoulli_upto(z: complex, omegas: tuple[complex, ...], n: int) -> list[complex]:
     """[B_{r,k}(z | omegas) for k = 0..n], with r = len(omegas).
 
     The coefficients of e^{zt} and the powers of each omega are running
@@ -47,8 +47,8 @@ def _bernoulli_upto(z: complex, omegas: tuple[complex, ...], n: int, max_order: 
         n = operator.index(n)
     except TypeError:
         raise DomainError(f"order must be an integer, got {n!r}") from None
-    if not (0 <= n <= min(max_order, MAX_ORDER)):
-        raise DomainError(f"order {n} outside [0, {min(max_order, MAX_ORDER)}]")
+    if not (0 <= n <= MAX_ORDER):
+        raise DomainError(f"order {n} outside [0, {MAX_ORDER}]")
     z = complex(z)
     if 0 in omegas:
         raise DomainError("periods must be nonzero")
@@ -72,14 +72,13 @@ def _bernoulli_upto(z: complex, omegas: tuple[complex, ...], n: int, max_order: 
     raise DomainError(f"order-{n} Bernoulli polynomial is not finite at z = {z:.6g}, largest |omega| = {biggest:.3g}")
 
 
-def bernoulli_multiple(z: complex, omegas: tuple[complex, ...], n: int, max_order: int = MAX_ORDER) -> complex:
+def bernoulli_multiple(z: complex, omegas: tuple[complex, ...], n: int) -> complex:
     """Degree-n generalized Bernoulli polynomial with r = len(omegas) periods.
 
     Coefficient of t^n/n! in t^r e^{zt} / prod_i (e^{omega_i t} - 1).  The
-    periods must be nonzero; n must be an integer in [0, max_order], and
-    max_order is capped at MAX_ORDER.
+    periods must be nonzero; n must be an integer in [0, MAX_ORDER].
     """
-    return _bernoulli_upto(z, tuple(map(complex, omegas)), n, max_order)[n]
+    return _bernoulli_upto(z, tuple(map(complex, omegas)), n)[n]
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +145,15 @@ def _cone_sum(
     return total
 
 
+def _cone_polynomial(name: str, dim: int, cone: Cone, z, omegas, n: int, chain=None) -> complex:
+    """The body of ``bernoulli_cone_2d`` and ``bernoulli_cone_3d``."""
+    if cone.dim != dim:
+        raise DomainError(f"{name} needs a {dim}d cone")
+    omegas = _as_period_tuple(omegas, dim)
+    _require_damping_phase(cone_plan(cone).rays, omegas)
+    return _cone_sum(cone, z, omegas, n, chain)[n]
+
+
 def bernoulli_cone_2d(
     cone: Cone,
     z: complex,
@@ -162,11 +170,7 @@ def bernoulli_cone_2d(
     ``chain`` may be any unimodular refinement of the default chain; the
     value does not depend on the refinement.
     """
-    if cone.dim != 2:
-        raise DomainError("bernoulli_cone_2d needs a 2d cone")
-    omegas = _as_period_tuple(omegas, 2)
-    _require_damping_phase(cone_plan(cone).rays, omegas)
-    return _cone_sum(cone, z, omegas, n, chain)[n]
+    return _cone_polynomial("bernoulli_cone_2d", 2, cone, z, omegas, n, chain)
 
 
 def bernoulli_cone_22(cone: Cone, z: complex, omegas: tuple[complex, ...]) -> complex:
@@ -183,11 +187,7 @@ def bernoulli_cone_3d(cone: Cone, z: complex, omegas: tuple[complex, ...], n: in
     back.  Equals n! times the t^n coefficient of
     t^3 e^{zt} sum_{m in interior(C)} e^{-(omega . m) t}.
     """
-    if cone.dim != 3:
-        raise DomainError("bernoulli_cone_3d needs a 3d cone")
-    omegas = _as_period_tuple(omegas, 3)
-    _require_damping_phase(cone_plan(cone).rays, omegas)
-    return _cone_sum(cone, z, omegas, n)[n]
+    return _cone_polynomial("bernoulli_cone_3d", 3, cone, z, omegas, n)
 
 
 def bernoulli_cone_33(cone: Cone, z: complex, omegas: tuple[complex, ...]) -> complex:
@@ -349,9 +349,9 @@ def bernoulli_cone_oracle(
     polynomial in s of the given degree and reads off the power coefficient.
     ``ray`` must make Re(ray * omega . m) positive on the cone; with ``eta``
     set, the cylinder lift is summed instead, its extra coordinate handled by
-    one more exact geometric factor.  It needs 0 <= n <= degree < samples,
-    radius >= 1 and a window of two distinct positive ends, in either order;
-    other arguments raise DomainError.
+    one more exact geometric factor.  It needs integers 0 <= n <= degree <
+    samples, an integer radius >= 1 and a window of two distinct positive
+    ends, in either order; other arguments raise DomainError.
 
     Inputs are rescaled internally so the slowest lattice direction damps at a
     fixed rate (the coefficients are homogeneous of degree n - r under joint
@@ -364,6 +364,10 @@ def bernoulli_cone_oracle(
     omegas = tuple(complex(w) for w in omegas)
     if radius is None:
         radius = 2400 if cone.dim == 2 else 700
+    try:
+        n, degree, samples, radius = map(operator.index, (n, degree, samples, radius))
+    except TypeError:
+        raise DomainError(f"n, degree, samples and radius must be integers: {(n, degree, samples, radius)}") from None
     if t_window is None:
         t_window = (0.1, 1.0)
     lo, hi = t_window

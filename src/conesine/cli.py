@@ -17,8 +17,8 @@ Exit codes: 0 success (including PASS and SKIP), 1 usage or parse error
 
 Complex parameters are written ``re+imi`` (for example ``0.5-0.25i`` or
 ``1.3i``); complex values inside JSON documents are ``[re, im]`` pairs.
-Default tolerances may be overridden per call with ``--tol``, ``--tail-tol``
-and ``--radius``, or globally through a JSON file named by the environment
+Default tolerances may be overridden per call with ``--tol`` and
+``--tail-tol``, or globally through a JSON file named by the environment
 variable ``CONESINE_CONFIG``.
 """
 
@@ -50,6 +50,7 @@ from .generalized import (
 )
 from .lattice_cones import (
     Cone,
+    det2,
     edge_rays,
     face_matrices,
     gorenstein_vector,
@@ -149,8 +150,6 @@ def build_config(args: argparse.Namespace) -> EvalConfig:
         overrides.update(data)
     if getattr(args, "tail_tol", None) is not None:
         overrides["tail_tol"] = args.tail_tol
-    if getattr(args, "radius", None) is not None:
-        overrides["oracle_radius"] = args.radius
     return dataclasses.replace(DEFAULT_CONFIG, **overrides) if overrides else DEFAULT_CONFIG
 
 
@@ -352,10 +351,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_subdivide(args: argparse.Namespace) -> int:
     chain = subdivide_wedge(args.v1, args.v2)
     lines = chain.lines
-    dets = [
-        lines[i][0] * lines[i + 1][1] - lines[i][1] * lines[i + 1][0]
-        for i in range(len(lines) - 1)
-    ]
+    dets = [det2(a, b) for a, b in zip(lines, lines[1:])]
     print(f"wedge                  {_vec_str(args.v1)} -> {_vec_str(args.v2)}")
     print(f"chain                  {' '.join(_vec_str(v) for v in lines)}")
     interior = chain.interior
@@ -404,8 +400,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                         help="comparison tolerance override")
     parser.add_argument("--tail-tol", type=float, default=None, dest="tail_tol",
                         help="series truncation tolerance override")
-    parser.add_argument("--radius", type=int, default=None,
-                        help="lattice oracle truncation radius override")
 
 
 def build_parser() -> argparse.ArgumentParser:

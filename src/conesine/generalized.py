@@ -14,8 +14,10 @@ seeded random parameter samples and returns a serializable report.
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from random import Random
 from typing import Callable, Sequence
 
@@ -66,13 +68,18 @@ __all__ = [
 ]
 
 
-def _require_gamma_domain(cone: Cone, omegas: tuple[complex, ...]) -> None:
-    imag = tuple(w.imag for w in omegas)
-    if not dual_contains(cone, imag, strict=True):
+def _route_periods(name: str, cone: Cone, omegas: Sequence[complex], dim: int, gamma: bool) -> tuple[complex, ...]:
+    """The checked period tuple of a cone route: the cone is ``dim``-dimensional,
+    and for the elliptic gammas Im(periods) lies strictly inside the dual cone."""
+    if cone.dim != dim:
+        raise DomainError(f"{name} needs a {dim}d cone")
+    omegas = _as_period_tuple(omegas, dim)
+    if gamma and not dual_contains(cone, tuple(w.imag for w in omegas), strict=True):
         raise DomainError(
             "Im(periods) must lie strictly inside the dual cone for the "
             "cone elliptic gamma functions to converge"
         )
+    return omegas
 
 
 # ---------------------------------------------------------------------------
@@ -88,11 +95,13 @@ def _wedge_product(
     chain: WedgeSubdivision | None = None,
 ) -> complex:
     """Product of ``fn`` over the wedges of the cone's decomposition, after
-    the factor of the straightened axis in 3d."""
+    the factor of the straightened axis in 3d, checked finite."""
     axis, wedges = cone_plan(cone).wedges(z, omegas, chain)
     total = 1.0 + 0j if axis is None else fn(z, (axis,), cfg)
     for arg, periods in wedges:
         total *= fn(arg, periods, cfg)
+    if not cmath.isfinite(total):
+        raise DomainError(f"the wedge product is not finite at z = {z:.6g}: its factors overflow double precision")
     return total
 
 
@@ -110,9 +119,7 @@ def sine_cone_2d_decomposed(
     convention.  ``chain`` may be any unimodular refinement of the default
     (the value is invariant under refinement).
     """
-    if cone.dim != 2:
-        raise DomainError("sine_cone_2d_decomposed needs a 2d cone")
-    omegas = _as_period_tuple(omegas, 2)
+    omegas = _route_periods("sine_cone_2d_decomposed", cone, omegas, 2, gamma=False)
     return _wedge_product(multiple_sine, cone, z, omegas, cfg, chain)
 
 
@@ -128,9 +135,7 @@ def sine_cone_3d_decomposed(
     wedges tile the punctured apex plane (every factor shifted), and the
     points on the straightened axis contribute one ordinary sine factor.
     """
-    if cone.dim != 3:
-        raise DomainError("sine_cone_3d_decomposed needs a 3d cone")
-    omegas = _as_period_tuple(omegas, 3)
+    omegas = _route_periods("sine_cone_3d_decomposed", cone, omegas, 3, gamma=False)
     return _wedge_product(multiple_sine, cone, z, omegas, cfg)
 
 
@@ -146,10 +151,7 @@ def gamma_cone_2d_direct(
     Same chain layout as the sine decomposition; requires Im(periods)
     strictly inside the dual cone.
     """
-    if cone.dim != 2:
-        raise DomainError("gamma_cone_2d_direct needs a 2d cone")
-    omegas = _as_period_tuple(omegas, 2)
-    _require_gamma_domain(cone, omegas)
+    omegas = _route_periods("gamma_cone_2d_direct", cone, omegas, 2, gamma=True)
     return _wedge_product(elliptic_gamma, cone, z, omegas, cfg, chain)
 
 
@@ -164,10 +166,7 @@ def gamma_cone_3d_direct(
     One ordinary factor per facet wedge (all shifted) times the factor of the
     straightened axis.
     """
-    if cone.dim != 3:
-        raise DomainError("gamma_cone_3d_direct needs a 3d cone")
-    omegas = _as_period_tuple(omegas, 3)
-    _require_gamma_domain(cone, omegas)
+    omegas = _route_periods("gamma_cone_3d_direct", cone, omegas, 3, gamma=True)
     return _wedge_product(elliptic_gamma, cone, z, omegas, cfg)
 
 
@@ -187,6 +186,15 @@ class FaceFactor:
     face_id: str
     params: tuple[complex, ...]
     value: complex
+
+
+def _face_product(prefactor: complex, factors: tuple[FaceFactor, ...], z: complex) -> complex:
+    """The Bernoulli exponential ``prefactor`` times every face factor, checked finite."""
+    for factor in factors:
+        prefactor *= factor.value
+    if not cmath.isfinite(prefactor):
+        raise DomainError(f"the face product is not finite at z = {z:.6g}: its factors overflow double precision")
+    return prefactor
 
 
 def sine_face_factors(
@@ -219,13 +227,10 @@ def sine_cone_2d_factorized(
     cfg: EvalConfig = DEFAULT_CONFIG,
 ) -> complex:
     """Cone double sine as a Bernoulli exponential times two face factors."""
-    if cone.dim != 2:
-        raise DomainError("sine_cone_2d_factorized needs a 2d cone")
-    omegas = _as_period_tuple(omegas, 2)
-    total = _exp(0.5j * math.pi * bernoulli_cone_22(cone, z, omegas))
-    for factor in sine_face_factors(cone, z, omegas, cfg):
-        total *= factor.value
-    return total
+    omegas = _route_periods("sine_cone_2d_factorized", cone, omegas, 2, gamma=False)
+    return _face_product(
+        _exp(0.5j * math.pi * bernoulli_cone_22(cone, z, omegas)), sine_face_factors(cone, z, omegas, cfg), z
+    )
 
 
 def sine_cone_3d_factorized(
@@ -236,13 +241,10 @@ def sine_cone_3d_factorized(
 ) -> complex:
     """Cone triple sine as a Bernoulli exponential times one factor per
     1-dimensional face."""
-    if cone.dim != 3:
-        raise DomainError("sine_cone_3d_factorized needs a 3d cone")
-    omegas = _as_period_tuple(omegas, 3)
-    total = _exp(-1j * math.pi / 6.0 * bernoulli_cone_33(cone, z, omegas))
-    for factor in sine_face_factors(cone, z, omegas, cfg):
-        total *= factor.value
-    return total
+    omegas = _route_periods("sine_cone_3d_factorized", cone, omegas, 3, gamma=False)
+    return _face_product(
+        _exp(-1j * math.pi / 6.0 * bernoulli_cone_33(cone, z, omegas)), sine_face_factors(cone, z, omegas, cfg), z
+    )
 
 
 def gamma_face_factors(
@@ -274,14 +276,12 @@ def gamma_cone_2d_factorized(
 ) -> complex:
     """Cone elliptic gamma (2d) as a lifted-Bernoulli exponential times the
     face-transformed ordinary elliptic gammas."""
-    if cone.dim != 2:
-        raise DomainError("gamma_cone_2d_factorized needs a 2d cone")
-    omegas = _as_period_tuple(omegas, 2)
-    _require_gamma_domain(cone, omegas)
-    total = _exp(1j * math.pi / 3.0 * bernoulli_cone_lifted(cone, z, omegas, -1.0))
-    for factor in gamma_face_factors(cone, z, omegas, cfg, variant="primary"):
-        total *= factor.value
-    return total
+    omegas = _route_periods("gamma_cone_2d_factorized", cone, omegas, 2, gamma=True)
+    return _face_product(
+        _exp(1j * math.pi / 3.0 * bernoulli_cone_lifted(cone, z, omegas, -1.0)),
+        gamma_face_factors(cone, z, omegas, cfg, variant="primary"),
+        z,
+    )
 
 
 def gamma_cone_3d_factorized(
@@ -298,20 +298,15 @@ def gamma_cone_3d_factorized(
     S matrix; the alternative lifts with +1, uses the inverse S matrix and
     the opposite sign in the exponent.  Both evaluate the same function.
     """
-    if cone.dim != 3:
-        raise DomainError("gamma_cone_3d_factorized needs a 3d cone")
-    omegas = _as_period_tuple(omegas, 3)
-    _require_gamma_domain(cone, omegas)
-    if variant == "primary":
-        eta, sign = -1.0, 1.0
-    elif variant == "alternative":
-        eta, sign = 1.0, -1.0
-    else:
+    omegas = _route_periods("gamma_cone_3d_factorized", cone, omegas, 3, gamma=True)
+    if variant not in ("primary", "alternative"):
         raise DomainError(f"unknown variant {variant!r}: use 'primary' or 'alternative'")
-    total = _exp(sign * 1j * math.pi / 12.0 * bernoulli_cone_lifted(cone, z, omegas, eta))
-    for factor in gamma_face_factors(cone, z, omegas, cfg, variant=variant):
-        total *= factor.value
-    return total
+    eta, sign = (-1.0, 1.0) if variant == "primary" else (1.0, -1.0)
+    return _face_product(
+        _exp(sign * 1j * math.pi / 12.0 * bernoulli_cone_lifted(cone, z, omegas, eta)),
+        gamma_face_factors(cone, z, omegas, cfg, variant=variant),
+        z,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +329,7 @@ def gamma_cone_lattice_oracle(
     """
     import numpy as np
 
-    omegas = _as_period_tuple(omegas, cone.dim)
-    _require_gamma_domain(cone, omegas)
+    omegas = _route_periods("gamma_cone_lattice_oracle", cone, omegas, cone.dim, gamma=True)
     if radius is None:
         radius = cfg.oracle_radius if cone.dim == 2 else 40
     om = np.asarray(omegas)
@@ -454,37 +448,27 @@ class VerificationReport:
         }
 
 
-def _sample_sine_params(cone: Cone, rng: Random) -> tuple[complex, tuple[complex, ...]]:
-    """Periods with real part inside the dual cone (so the chain damps along
-    the real direction) and a small generic imaginary jitter."""
-    dim = cone.dim
-    re = [0.0] * dim
+def _sample_params(cone: Cone, rng: Random, mu: tuple, jitter: float, imag_inside: bool) -> tuple:
+    """Periods with one part inside the dual cone (a random positive
+    combination of the normals, weights in ``mu``) and the other part uniform
+    in [-jitter, jitter], and z uniform in a fixed box.  The sine identities
+    take the real part inside (so the chain damps along the real direction),
+    the gamma identities the imaginary part (their convergence domain)."""
+    inside = [0.0] * cone.dim
     for nv in cone.normals:
-        mu = rng.uniform(0.3, 1.0)
-        for k in range(dim):
-            re[k] += mu * nv[k]
-    omegas = tuple(
-        complex(re[k], rng.uniform(-0.2, 0.2)) for k in range(dim)
-    )
+        m = rng.uniform(*mu)
+        for k in range(cone.dim):
+            inside[k] += m * nv[k]
+    omegas = []
+    for part in inside:
+        other = rng.uniform(-jitter, jitter)
+        omegas.append(complex(other, part) if imag_inside else complex(part, other))
     z = complex(rng.uniform(-0.7, 0.7), rng.uniform(-0.45, 0.45))
-    return z, omegas
+    return z, tuple(omegas)
 
 
-def _sample_gamma_params(cone: Cone, rng: Random) -> tuple[complex, tuple[complex, ...]]:
-    """Periods with imaginary part inside the dual cone (the convergence
-    domain of the cone elliptic gammas) and bounded random real parts."""
-    dim = cone.dim
-    im = [0.0] * dim
-    for nv in cone.normals:
-        mu = rng.uniform(0.25, 0.6)
-        for k in range(dim):
-            im[k] += mu * nv[k]
-    omegas = tuple(
-        complex(rng.uniform(-0.5, 0.5), im[k]) for k in range(dim)
-    )
-    z = complex(rng.uniform(-0.7, 0.7), rng.uniform(-0.45, 0.45))
-    return z, omegas
-
+_sample_sine_params = partial(_sample_params, mu=(0.3, 1.0), jitter=0.2, imag_inside=False)
+_sample_gamma_params = partial(_sample_params, mu=(0.25, 0.6), jitter=0.5, imag_inside=True)
 
 _Sampler = Callable[[Cone, Random], tuple[complex, tuple[complex, ...]]]
 _Side = Callable[[Cone, complex, tuple[complex, ...], EvalConfig], complex]

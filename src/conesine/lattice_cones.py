@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .errors import DomainError, ParseError
 
@@ -537,59 +537,38 @@ def face_matrices(cone: Cone) -> list[FaceTransform]:
     normals.  Preconditions: the cone must be good (otherwise no integral
     transform exists at some face and a DomainError is raised).
     """
-    rays = edge_rays(cone)
+    normals, dim = cone.normals, cone.dim
     out: list[FaceTransform] = []
-    if cone.dim == 2:
-        for i, v in enumerate(cone.normals):
-            x = rays[i]
-            eps = 1 if det2(x, v) > 0 else -1
-            g, s, t = xgcd(v[1], -v[0])
-            assert g == 1
-            n0 = (eps * s, eps * t)  # det2(n0, v) = eps
-            n = _min_norm_coset_rep(n0, (v,))
-            cols = (n, v)
-            mat = tuple(tuple(col[r] for col in cols) for r in range(2))
-            kt = unimodular_inverse(mat)
-            assert n[0] * x[0] + n[1] * x[1] > 0
-            out.append(
-                FaceTransform(
-                    face_id=f"edge({x[0]},{x[1]})",
-                    edge_ray=x,
-                    normals=(v,),
-                    n_vector=n,
-                    matrix=kt,
-                    det=eps,
-                )
-            )
-        return out
-    nn = len(cone.normals)
-    for i in range(nn):
-        a, b = cone.normals[i], cone.normals[(i + 1) % nn]
-        x = rays[i]
-        if det3(x, a, b) < 0:
-            a, b = b, a
-        w = cross3(a, b)
+    for i, x in enumerate(edge_rays(cone)):
+        # the normals vanishing on x (one in 2d; two in 3d, with det3(x, a, b) > 0)
+        adjacent = tuple(normals[(i + k) % len(normals)] for k in range(dim - 1))
+        if dim == 3 and det3(x, *adjacent) < 0:
+            adjacent = adjacent[::-1]
+        # the cofactor vector: n . w = det(n, adjacent) for every n
+        w = (adjacent[0][1], -adjacent[0][0]) if dim == 2 else cross3(*adjacent)
         if vec_gcd(w) != 1:
             raise DomainError(
-                f"face with edge {x} is not good: normals {a}, {b} span a non-saturated lattice"
+                f"face with edge {x} is not good: normals "
+                f"{', '.join(map(str, adjacent))} span a non-saturated lattice"
             )
-        g2, p, q = xgcd(w[0], w[1])
-        g3, s, t = xgcd(g2, w[2])
-        assert g3 == 1
-        n0 = (s * p, s * q, t)  # n0 . w = 1, i.e. det3(n0, a, b) = 1
-        n = _min_norm_coset_rep(n0, (a, b))
-        cols = (n, a, b)
-        mat = tuple(tuple(col[r] for col in cols) for r in range(3))
-        kt = unimodular_inverse(mat)
-        assert sum(n[k] * x[k] for k in range(3)) > 0
+        eps = 1 if sum(a * b for a, b in zip(x, w)) > 0 else -1
+        # a Bezout vector n0 . w = 1 from successive extended gcds
+        g, n0 = w[0], (1,)
+        for c in w[1:]:
+            g, s, t = xgcd(g, c)
+            n0 = tuple(s * e for e in n0) + (t,)
+        n = _min_norm_coset_rep(tuple(eps * e for e in n0), adjacent)
+        cols = (n, *adjacent)
+        kt = unimodular_inverse(tuple(tuple(col[r] for col in cols) for r in range(dim)))
+        assert sum(a * b for a, b in zip(n, x)) > 0
         out.append(
             FaceTransform(
-                face_id=f"edge({x[0]},{x[1]},{x[2]})",
+                face_id=f"edge({','.join(map(str, x))})",
                 edge_ray=x,
-                normals=(a, b),
+                normals=adjacent,
                 n_vector=n,
                 matrix=kt,
-                det=1,
+                det=eps,
             )
         )
     return out
@@ -813,30 +792,26 @@ def cone_plan(cone: Cone) -> ConePlan:
 def lattice_points(cone: Cone, radius: int, interior: bool = False):
     """Integer points of the cone (or its interior) with sup-norm <= radius.
 
-    Returns a numpy integer array of shape (count, dim).  Enumerates the
-    cube in slices to bound memory.
+    Returns a numpy integer array of shape (count, dim), in lexicographic
+    order.  Enumerates the cube one value of the first coordinate at a time
+    to bound memory.
     """
     import numpy as np
 
     normals = np.asarray(cone.normals, dtype=np.int64)
     rng = np.arange(-radius, radius + 1, dtype=np.int64)
-    if cone.dim == 2:
-        pts = np.stack(np.meshgrid(rng, rng, indexing="ij"), axis=-1).reshape(-1, 2)
-        vals = pts @ normals.T
-        mask = (vals >= 1).all(axis=1) if interior else (vals >= 0).all(axis=1)
-        return pts[mask]
-    slice_pts = np.stack(np.meshgrid(rng, rng, indexing="ij"), axis=-1).reshape(-1, 2)
-    slice_vals = slice_pts @ normals[:, 1:].T
+    rest = np.stack(np.meshgrid(*[rng] * (cone.dim - 1), indexing="ij"), axis=-1).reshape(-1, cone.dim - 1)
+    rest_vals = rest @ normals[:, 1:].T
     chunks = []
     for x0 in range(-radius, radius + 1):
-        vals = slice_vals + x0 * normals[:, 0]
+        vals = rest_vals + x0 * normals[:, 0]
         mask = (vals >= 1).all(axis=1) if interior else (vals >= 0).all(axis=1)
         if mask.any():
-            sel = slice_pts[mask]
-            full = np.empty((sel.shape[0], 3), dtype=np.int64)
+            sel = rest[mask]
+            full = np.empty((sel.shape[0], cone.dim), dtype=np.int64)
             full[:, 0] = x0
             full[:, 1:] = sel
             chunks.append(full)
     if not chunks:
-        return np.empty((0, 3), dtype=np.int64)
+        return np.empty((0, cone.dim), dtype=np.int64)
     return np.concatenate(chunks, axis=0)

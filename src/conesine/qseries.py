@@ -33,7 +33,9 @@ class EvalConfig:
     ``tail_tol`` bounds every truncated tail (so values carry roughly that
     relative accuracy), ``comparison_tol`` is the default pass threshold for
     identity residuals, ``max_terms`` caps series iterations, and
-    ``oracle_radius`` is the default lattice truncation for oracles.
+    ``oracle_radius`` is the default lattice truncation of the 2d
+    ``gamma_cone_lattice_oracle`` only (the 3d one uses 40, and the
+    Bernoulli oracle does not read the config).
     """
 
     tail_tol: float = 1e-14
@@ -313,6 +315,16 @@ def _rel_residual(a: complex, b: complex) -> float:
     return abs(a - b) / scale
 
 
+def _gluing_residual(fn, z, w0, w1, rest: tuple, cfg: EvalConfig, zero_message: str) -> float:
+    """|fn(.|w0,w1,R) fn(.|-w1,w0+w1,R) / fn(.|w0,w0+w1,R) - 1|."""
+    a = fn(z, (w0, w1) + rest, cfg)
+    b = fn(z, (w0, w0 + w1) + rest, cfg)
+    c = fn(z, (-w1, w0 + w1) + rest, cfg)
+    if b == 0:
+        raise DomainError(zero_message)
+    return abs(a * c / b - 1.0)
+
+
 def qfactorial_gluing_check(
     z: complex,
     omega0: complex,
@@ -326,12 +338,8 @@ def qfactorial_gluing_check(
     additive parameters; returns |product - 1|.
     """
     rest = tuple(complex(w) for w in rest)
-    a = qfactorial(z, (omega0, omega1) + rest, cfg)
-    b = qfactorial(z, (omega0, omega0 + omega1) + rest, cfg)
-    c = qfactorial(z, (-omega1, omega0 + omega1) + rest, cfg)
-    if b == 0:
-        raise DomainError("gluing check hit a zero of the reference product")
-    return abs(a * c / b - 1.0)
+    return _gluing_residual(qfactorial, z, omega0, omega1, rest, cfg,
+                            "gluing check hit a zero of the reference product")
 
 
 def q_theta_modularity_check(z: complex, tau: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
@@ -352,13 +360,8 @@ def elliptic_gamma_gluing_check(z: complex, omegas: tuple[complex, ...], cfg: Ev
     omegas = tuple(complex(w) for w in omegas)
     if len(omegas) < 2:
         raise DomainError("the splitting identity needs at least two periods")
-    w0, w1, rest = omegas[0], omegas[1], omegas[2:]
-    a = elliptic_gamma(z, (w0, w1) + rest, cfg)
-    b = elliptic_gamma(z, (w0, w0 + w1) + rest, cfg)
-    c = elliptic_gamma(z, (-w1, w0 + w1) + rest, cfg)
-    if b == 0:
-        raise DomainError("splitting check hit a zero of the reference value")
-    return abs(a * c / b - 1.0)
+    return _gluing_residual(elliptic_gamma, z, omegas[0], omegas[1], omegas[2:], cfg,
+                            "splitting check hit a zero of the reference value")
 
 
 def elliptic_gamma_modularity_check(
@@ -381,20 +384,15 @@ def elliptic_gamma_modularity_check(
     if variant not in (1, 2):
         raise DomainError("variant must be 1 or 2")
     lhs = elliptic_gamma(z, omegas, cfg)
-    if variant == 1:
-        b = bernoulli_multiple(z, omegas + (-1.0,), r + 2)
-        pref = cmath.exp(TWO_PI_I / math.factorial(r + 2) * b)
-        prod = 1.0 + 0j
-        for k, wk in enumerate(omegas):
-            rest = tuple(omegas[j] / wk for j in range(len(omegas)) if j != k)
-            prod *= elliptic_gamma(z / wk, rest + (-1.0 / wk,), cfg)
-    else:
-        b = bernoulli_multiple(z, omegas + (1.0,), r + 2)
-        pref = cmath.exp(-TWO_PI_I / math.factorial(r + 2) * b)
-        prod = 1.0 + 0j
-        for k, wk in enumerate(omegas):
-            rest = tuple(-omegas[j] / wk for j in range(len(omegas)) if j != k)
-            prod *= elliptic_gamma(-z / wk, rest + (-1.0 / wk,), cfg)
+    # the variant's lift of the periods, exponent factor, and reflected z and periods
+    lift, exponent, zr, ws = (
+        (-1.0, TWO_PI_I, z, omegas) if variant == 1 else (1.0, -TWO_PI_I, -z, tuple(-w for w in omegas))
+    )
+    pref = cmath.exp(exponent / math.factorial(r + 2) * bernoulli_multiple(z, omegas + (lift,), r + 2))
+    prod = 1.0 + 0j
+    for k, wk in enumerate(omegas):
+        rest = tuple(ws[j] / wk for j in range(len(omegas)) if j != k)
+        prod *= elliptic_gamma(zr / wk, rest + (-1.0 / wk,), cfg)
     return _rel_residual(lhs, pref * prod)
 
 

@@ -59,3 +59,26 @@ def rel(a: complex, b: complex) -> float:
     if scale == 0:
         return 0.0
     return abs(a - b) / scale
+
+
+# (eval target, cone fixture, route, z, periods) where every factor of the
+# route is finite but their product overflows double precision; found by
+# fuzzing the verify samplers with periods scaled by 0.05-1 and large |Im z|
+OVERFLOWING_PRODUCTS = [
+    ("g2c", "standard-3", "direct", -1.4741057674986662 - 2.4293670443821855j,
+     (0.08381410654717894 + 0.21786450596247472j, 0.2592931283366799 + 0.24234458353664348j,
+      -0.08882495178618781 + 0.4810787384086693j)),
+    ("g1c", "standard-2", "factorized", -1.2329587409595275 + 2.3874839490203947j,
+     (0.17671602692944213 + 0.18559623032075767j, -0.0903466783460682 + 0.09005642268509148j)),
+    ("g1c", "wedge21", "direct", 0.8137555507769942 + 7.795751396628425j,
+     (0.2878975718715774 - 0.9202849935120694j, -0.23656465002396382 + 0.9708399355558271j)),
+    ("g2c", "cone-over-square", "factorized", -1.06101350580827 + 3.769945763059071j,
+     (0.33310952578493036 + 1.1611264297976824j, -0.2665562060886525 - 0.6274949110133086j,
+      0.10867514018542403 - 0.269881132786776j)),
+    ("s3c", "cone-over-square", "factorized", 1.0462611796628578 + 1.5488095881632244j,
+     (0.694494838284149 - 0.016847567965379454j, -0.9631727923737767 - 0.07644984386875364j,
+      -0.6937900189994956 - 0.04922834159721217j)),
+    ("s3c", "standard-3", "decomposed", -1.0616698513698788 + 0.461765387788744j,
+     (0.15886094881110255 - 0.02114048889705165j, 0.04722862495426524 - 0.005737995738367754j,
+      0.08264652338767096 - 0.03882537603249053j)),
+]

@@ -662,6 +662,11 @@ def test_oracle_matches_cone_polynomial_on_two_sided_cone():
         {"t_window": (0.4, 0.4)},
         {"n": 2, "degree": 1},
         {"n": -1},
+        {"n": 2.0, "radius": 50},  # non-integer counts, refused before any lattice work
+        {"degree": 14.0, "radius": 50},
+        {"samples": 56.0, "radius": 50},
+        {"radius": 50.0},
+        {"radius": "50"},
     ],
 )
 def test_oracle_rejects_bad_arguments(w21, kwargs):
@@ -669,6 +674,14 @@ def test_oracle_rejects_bad_arguments(w21, kwargs):
     n = kwargs.pop("n")
     with pytest.raises(DomainError):
         bernoulli_cone_oracle(w21, Z_BERNOULLI_2D, BERNOULLI_OMEGAS["wedge21"], n, **kwargs)
+
+
+def test_oracle_reads_a_bool_order_as_an_integer(w21):
+    # operator.index(True) == 1, as in bernoulli_multiple
+    om = BERNOULLI_OMEGAS["wedge21"]
+    assert bernoulli_cone_oracle(w21, Z_BERNOULLI_2D, om, True, radius=50) == bernoulli_cone_oracle(
+        w21, Z_BERNOULLI_2D, om, 1, radius=50
+    )
 
 
 def test_oracle_accepts_reversed_window(w21):

@@ -35,7 +35,7 @@ from conesine.cli import (
 )
 from conesine.generalized import THEOREMS
 
-from params import GAMMA_OMEGAS, SINE_OMEGAS, Z_GENERIC
+from params import GAMMA_OMEGAS, OVERFLOWING_PRODUCTS, SINE_OMEGAS, Z_GENERIC
 
 
 def run(capsys, *argv):
@@ -331,6 +331,17 @@ def test_eval_huge_period_never_escapes(capsys, target, route, scale):
         assert cmath.isfinite(complex(*eval_record(out)["value"]))
 
 
+@pytest.mark.parametrize("target, cone, route, z, omegas", OVERFLOWING_PRODUCTS)
+def test_eval_overflowing_cone_product_exits_2(capsys, target, cone, route, z, omegas):
+    # the value would print as NaN or Infinity, which is not valid JSON
+    argv = ["eval", target, f"--cone={cone}", f"--route={route}", f"--z={format_complex(z)}",
+            *[f"--omega={format_complex(w)}" for w in omegas]]
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (EXIT_DOMAIN, "")
+    assert "NaN" not in out and "Infinity" not in out
+    assert err.startswith("conesine: error: ") and "is not finite" in err
+
+
 @pytest.mark.parametrize("argv", [
     "eval theta0 --z 0.3-200i --tau i",
     "eval g1 --z 0.3-200i --omega 0.2+0.5i --omega 0.1+0.7i",
@@ -569,3 +580,15 @@ def test_tail_tol_flag_threads_into_config(capsys):
                      "--tail-tol", "1e-14")
     assert rc == EXIT_OK
     assert eval_record(out)["config"]["tail_tol"] == 1e-14
+
+
+@pytest.mark.parametrize("verb", [
+    ["eval", "s2", "--z", "0.3", "--omega", "1+0.1i", "--omega", "1-0.1i"],
+    ["report", "--samples", "1"],
+])
+def test_radius_flag_is_gone(capsys, verb):
+    # no verb runs an oracle, so the flag is refused as unknown
+    with pytest.raises(SystemExit) as exc:
+        main([*verb, "--radius", "5"])
+    assert exc.value.code == EXIT_USAGE
+    assert "unrecognized arguments: --radius 5" in capsys.readouterr().err

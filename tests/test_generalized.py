@@ -36,7 +36,7 @@ from conesine import bernoulli, lattice_cones
 from conesine.generalized import THEOREMS
 from conesine.lattice_cones import Cone, WedgeSubdivision, cone_chain_2d
 
-from params import GAMMA_OMEGAS, SINE_OMEGAS, Z_GENERIC, rel
+from params import GAMMA_OMEGAS, OVERFLOWING_PRODUCTS, SINE_OMEGAS, Z_GENERIC, rel
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +162,26 @@ def _refined_chain(cone: Cone) -> WedgeSubdivision:
     k = len(lines) // 2
     extra = tuple(a + b for a, b in zip(lines[k - 1], lines[k]))
     return WedgeSubdivision(tuple(lines[:k]) + (extra,) + tuple(lines[k:]))
+
+
+ROUTE_FUNCTIONS = {
+    ("s2c", "decomposed"): sine_cone_2d_decomposed,
+    ("s2c", "factorized"): sine_cone_2d_factorized,
+    ("s3c", "decomposed"): sine_cone_3d_decomposed,
+    ("s3c", "factorized"): sine_cone_3d_factorized,
+    ("g1c", "direct"): gamma_cone_2d_direct,
+    ("g1c", "factorized"): gamma_cone_2d_factorized,
+    ("g2c", "direct"): gamma_cone_3d_direct,
+    ("g2c", "factorized"): gamma_cone_3d_factorized,
+}
+
+
+@pytest.mark.parametrize("target, name, route, z, omegas", OVERFLOWING_PRODUCTS)
+def test_overflowing_cone_product_is_domain_error(target, name, route, z, omegas):
+    # every factor is finite, their product is not: refused, never nan or inf
+    product = "face" if route == "factorized" else "wedge"
+    with pytest.raises(DomainError, match=f"the {product} product is not finite"):
+        ROUTE_FUNCTIONS[target, route](fixture_cone(name), z, omegas)
 
 
 @pytest.mark.parametrize("name", ["wedge21", "wedge53"])

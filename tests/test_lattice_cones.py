@@ -1,6 +1,7 @@
 """Exact integer geometry: cone validation, wedge subdivision, face transforms."""
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -28,9 +29,11 @@ from conesine import (
     s_matrix,
     subdivide_wedge,
 )
+from conesine.fixtures import FIXTURE_NAMES, fixture_cone
 from conesine.lattice_cones import (
     cross3,
     det2,
+    det3,
     identity_matrix,
     int_det,
     mat_mul,
@@ -219,6 +222,56 @@ def test_property_closed_form_predicates_match_definitions(normals):
     event(f"{n} normals, {'good' if good else 'not good'}, {'no ' if xi is None else ''}xi")
     assert is_good(cone) == good
     assert gorenstein_vector(cone) == xi
+    if good:
+        _assert_face_transforms_match_definitions(cone)
+    else:
+        with pytest.raises(DomainError, match="is not good"):
+            face_matrices(cone)
+
+
+def _assert_face_transforms_match_definitions(cone: Cone) -> None:
+    """Each face transform against its definition: the inverse of the frame
+    [n | adjacent normals], of determinant ``det`` (+1 in 3d), with n
+    positive on the edge ray and the (squared norm, lex) smallest member of
+    n + Z<adjacent> over a box of coefficients; the adjacent normals vanish
+    on the edge ray, ordered in 3d so that det3(x, a, b) > 0."""
+    dim = cone.dim
+    faces = face_matrices(cone)
+    assert [ft.edge_ray for ft in faces] == list(edge_rays(cone))
+    for ft in faces:
+        x, n, adjacent = ft.edge_ray, ft.n_vector, ft.normals
+        assert len(adjacent) == dim - 1
+        assert set(adjacent) == {v for v in cone.normals if np.dot(v, x) == 0}
+        cols = (n, *adjacent)
+        frame = tuple(tuple(col[r] for col in cols) for r in range(dim))
+        assert mat_mul(ft.matrix, frame) == identity_matrix(dim)
+        assert int_det(frame) == ft.det
+        assert ft.det == 1 if dim == 3 else ft.det in (1, -1)
+        assert np.dot(n, x) > 0
+        if dim == 3:
+            assert det3(x, *adjacent) > 0
+        key = (sum(c * c for c in n), n)
+        for coeffs in itertools.product(range(-6, 7), repeat=len(adjacent)):
+            cand = tuple(n[k] + sum(c * v[k] for c, v in zip(coeffs, adjacent)) for k in range(dim))
+            assert (sum(c * c for c in cand), cand) >= key
+
+
+@st.composite
+def normal_pairs_2d(draw):
+    """Two primitive, non-parallel vectors with entries in [-6, 6]."""
+    raw = [tuple(draw(st.integers(-6, 6)) for _ in range(2)) for _ in range(2)]
+    assume(all(any(v) for v in raw))
+    vs = tuple(primitive_part(v) for v in raw)
+    assume(det2(*vs) != 0)
+    return vs
+
+
+@settings(max_examples=150, deadline=None)
+@given(normal_pairs_2d())
+@example(((0, 1), (1, 0)))  # the standard cone, one face of det -1
+@example(((-2, 1), (1, 0)))  # wedge21
+def test_property_2d_face_transforms_match_definitions(normals):
+    _assert_face_transforms_match_definitions(Cone(2, normals))
 
 
 # ---------------------------------------------------------------------------
@@ -558,13 +611,19 @@ def test_lattice_points_interior_excludes_boundary(std2):
     assert pts == {(x, y) for x in range(1, 3) for y in range(1, 3)}
 
 
-def test_lattice_points_match_membership(square):
-    pts = {tuple(p) for p in lattice_points(square, 4)}
-    brute = {
-        (x, y, z)
-        for x in range(-4, 5)
-        for y in range(-4, 5)
-        for z in range(-4, 5)
-        if contains(square, (x, y, z))
-    }
-    assert pts == brute
+def test_lattice_points_match_membership():
+    # the ordered list, not a set: the gamma oracle multiplies in this order
+    for name, interior in itertools.product(FIXTURE_NAMES, (False, True)):
+        cone = fixture_cone(name)
+        radius = 6 if cone.dim == 2 else 4
+        pts = lattice_points(cone, radius, interior=interior)
+        assert pts.dtype == np.int64
+        brute = [
+            p
+            for p in itertools.product(range(-radius, radius + 1), repeat=cone.dim)
+            if contains(cone, p, strict=interior)
+        ]
+        assert [tuple(int(c) for c in p) for p in pts] == brute, (name, interior)
+        assert pts.shape == (len(brute), cone.dim)
+        empty = lattice_points(cone, 0, interior=True)
+        assert empty.dtype == np.int64 and empty.shape == (0, cone.dim)

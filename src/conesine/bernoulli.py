@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import cmath
 import operator
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Sequence
 
 from .errors import DomainError
@@ -228,23 +228,61 @@ def bernoulli_cone_lifted(cone: Cone, z: complex, omegas: tuple[complex, ...], e
 # independent oracle: direct lattice sum + Chebyshev fit
 
 
-def _fiber_exponents(cone: Cone, omegas: tuple[complex, ...], radius: int) -> tuple:
-    """The t-independent part of the oracle's lattice sum over the open cone.
+def _row_runs(points):
+    """One row's fiber ends, split into maximal arithmetic progressions.
+
+    ``points`` holds integer lattice points in the row's residue-class order.
+    A run takes points greedily while the integer step between neighbours
+    stays the same, so it ends at the first point where the step changes and
+    the next run starts just after it.  Returns an int64 array with one line
+    per run: its head point, its step (zero for a single point) and its
+    length.
+    """
+    import numpy as np
+
+    m, dim = points.shape
+    if m == 0:
+        return np.empty((0, 2 * dim + 1), dtype=np.int64)
+    diffs = np.diff(points, axis=0)
+    bends = np.flatnonzero((diffs[1:] != diffs[:-1]).any(axis=1)) + 1
+    firsts = []
+    s = 0
+    for b in bends.tolist():
+        if b > s:
+            firsts.append(s)
+            s = b + 1
+    if s < m:
+        firsts.append(s)
+    first = np.array(firsts, dtype=np.int64)
+    last = np.append(first[1:] - 1, m - 1)
+    counts = last - first + 1
+    heads = points[first]
+    steps = (points[last] - heads) // np.maximum(counts - 1, 1)[:, None]
+    return np.column_stack((heads, steps, counts))
+
+
+def _fiber_runs(cone: Cone, radius: int) -> tuple:
+    """The integer skeleton of the oracle's lattice sum over the open cone.
 
     The sum runs over the transverse coordinates, truncated at sup-norm
     ``radius``, and sums each fiber along the last axis as an exact geometric
     series, so the truncation tail decays one dimension lower than a raw box
-    sum.  Returns ``(w, bounded, starts, stops)``: the fiber period ``w``
-    (the last period); which fiber end the cone bounds (``"both"``,
-    ``"lower"`` or ``"upper"``); the exponent ``omega . m`` at each nonempty
-    fiber's bounded end (its lowest point unless only the upper end is
-    bounded); and, for two-sided fibers, the exponent one step past the top
-    (``None`` otherwise).
+    sum.  Returns ``(bounded, starts, stops)``: which fiber end the cone
+    bounds (``"both"``, ``"lower"`` or ``"upper"``); the lattice point at each
+    nonempty fiber's bounded end (its lowest point unless only the upper end
+    is bounded), grouped into runs; and, for two-sided fibers, the point one
+    step past each top, in runs of its own (``None`` otherwise).  A run is one
+    line ``(head point, integer step, length)`` of ``_row_runs`` and stands
+    for the points head + i * step, 0 <= i < length.
 
     The transverse grid is walked one row at a time (one row in 2d, one
-    value of the first coordinate in 3d), in row-major order.  A row's
-    points, dot products, fiber bounds and mask are dropped once its nonempty
-    fibers' exponents are kept, so only the returned arrays outlive a row.
+    value of the first coordinate in 3d).  Within a row the last transverse
+    coordinate y is visited one residue class mod the stride P at a time, P
+    the lcm of the nonzero last coordinates of the normals.  Along one class
+    every normal's bound on the fiber end moves by a constant integer, so the
+    kept ends form a few arithmetic progressions, broken only where the
+    active normal changes.  A row's points, bounds and mask are dropped once
+    its runs are kept.
     """
     import numpy as np
 
@@ -257,13 +295,14 @@ def _fiber_exponents(cone: Cone, omegas: tuple[complex, ...], radius: int) -> tu
         # unreachable for a strictly convex cone
         raise DomainError("cone imposes no constraint along the fiber axis")
     bounded = "both" if has_lower and has_upper else "lower" if has_lower else "upper"
-    om = np.asarray(omegas, dtype=complex)
-    w_fiber = om[-1]
+    stride = lcm(*(abs(ai) for ai in a if ai))
     rng = np.arange(-radius, radius + 1, dtype=np.int64)
+    # classes past the row length are empty, however large the stride
+    ys = np.concatenate([rng[r::stride] for r in range(min(stride, rng.size))])
     if cone.dim == 2:
-        rows = [rng.reshape(-1, 1)]
+        rows = [ys.reshape(-1, 1)]
     else:
-        rows = (np.stack((np.full_like(rng, x), rng), axis=-1) for x in rng)
+        rows = (np.stack((np.full_like(ys, x), ys), axis=-1) for x in rng)
     starts = []
     stops = []
     for base in rows:
@@ -281,51 +320,97 @@ def _fiber_exponents(cone: Cone, omegas: tuple[complex, ...], radius: int) -> tu
             else:
                 hi_i = need // ai  # floor of need/ai with ai < 0
                 upper = hi_i if upper is None else np.minimum(upper, hi_i)
-        pair_base = base @ om[:-1]
         if bounded == "both":
             mask = alive & (lower <= upper)
-            starts.append(pair_base[mask] + lower[mask] * w_fiber)
-            stops.append(pair_base[mask] + (upper[mask] + 1) * w_fiber)
-        elif bounded == "lower":
-            starts.append(pair_base[alive] + lower[alive] * w_fiber)
+            starts.append(_row_runs(np.column_stack((base[mask], lower[mask]))))
+            stops.append(_row_runs(np.column_stack((base[mask], upper[mask] + 1))))
         else:
-            starts.append(pair_base[alive] + upper[alive] * w_fiber)
-    return w_fiber, bounded, np.concatenate(starts), np.concatenate(stops) if stops else None
+            end = lower if bounded == "lower" else upper
+            starts.append(_row_runs(np.column_stack((base[alive], end[alive]))))
+    return bounded, np.concatenate(starts), np.concatenate(stops) if stops else None
+
+
+def _fiber_exponents(cone: Cone, omegas: tuple[complex, ...], radius: int) -> tuple:
+    """The t-independent part of the oracle's lattice sum over the open cone.
+
+    Returns ``(w, bounded, starts, stops)``: the fiber period ``w`` (the last
+    period), ``bounded`` as in ``_fiber_runs``, and the runs of fiber ends of
+    ``_fiber_runs`` with the periods paired in: each is ``(head, tail, step,
+    count)``, the exponents ``omega . m`` at a run's first and last point, the
+    exponent step between neighbours and the run length.  Every exponent and
+    step is formed from integer points, never as a difference of two float
+    exponents.  ``stops`` is ``None`` unless the fibers are two-sided.
+    """
+    import numpy as np
+
+    bounded, starts, stops = _fiber_runs(cone, radius)
+    om = np.asarray(omegas, dtype=complex)
+    dim = cone.dim
+
+    def paired(runs):
+        if runs is None:
+            return None
+        heads, steps, counts = runs[:, :dim], runs[:, dim:-1], runs[:, -1]
+        tails = heads + (counts - 1)[:, None] * steps
+        return heads @ om, tails @ om, steps @ om, counts
+
+    return complex(om[-1]), bounded, paired(starts), paired(stops)
+
+
+def _run_sum(runs: tuple, t: complex) -> complex:
+    """sum over the runs of sum_{i < count} e^{-(head + i step) t}.
+
+    Each run is one geometric series, started at whichever end has the larger
+    term (the tail, stepping back, when Re(step t) < 0), so that its ratio
+    e^d has |e^d| <= 1 and nothing overflows: the run adds e^{-(first) t}
+    expm1(d count) / expm1(d), or e^{-(first) t} count where d = 0, as for a
+    single point.
+    """
+    import numpy as np
+
+    head, tail, step, count = runs
+    d = step * t
+    grow = d.real < 0
+    first = np.where(grow, tail, head)
+    np.negative(d, out=d, where=~grow)
+    num = d * count
+    np.expm1(num, out=num)
+    np.expm1(d, out=d)
+    ratio = count.astype(complex)
+    np.divide(num, d, out=ratio, where=d != 0)
+    first *= -t
+    np.exp(first, out=first)
+    first *= ratio
+    return complex(first.sum())
 
 
 def _fiber_sum(fibers: tuple, t: complex) -> complex:
     """sum over interior lattice points of e^{-(omega . m) t}, from the
-    exponents of ``_fiber_exponents``.
+    runs of ``_fiber_exponents``.
 
-    Each term is built in one working buffer (two for two-sided fibers), so
-    a sample holds no more than one array per kept exponent array.  Fibers
-    that are infinite require the corresponding geometric ratio to damp;
-    otherwise the sum diverges and a DomainError is raised.
+    The runs of fiber ends are summed in closed form, two-sided fibers as
+    their starts minus their stops, and the total divided by the fiber's
+    geometric denominator, formed with expm1 so that it stays accurate when
+    w t is small.  A sample holds a few arrays the size of the run arrays.
+    Fibers that are infinite require the corresponding geometric ratio to
+    damp; otherwise the sum diverges and a DomainError is raised.
     """
     import numpy as np
 
     w_fiber, bounded, starts, stops = fibers
+    wt = w_fiber * t
     if bounded == "upper":
-        qinv = np.exp(w_fiber * t)
-        if not abs(qinv) < 1:
+        if not wt.real < 0:
             raise DomainError("fiber sums diverge downward: Re(omega_last * t) must be negative")
-        denom = 1 - qinv
+        denom = -np.expm1(wt)
     else:
-        q = np.exp(-w_fiber * t)
-        if bounded == "lower" and not abs(q) < 1:
+        if bounded == "lower" and not wt.real > 0:
             raise DomainError("fiber sums diverge upward: Re(omega_last * t) must be positive")
-        denom = 1 - q
-    # terms = (e^{-starts t} [- e^{-stops t}]) / denom, in place
-    terms = np.negative(starts, out=np.empty_like(starts))
-    np.multiply(terms, t, out=terms)
-    np.exp(terms, out=terms)
+        denom = -np.expm1(-wt)
+    total = _run_sum(starts, t)
     if stops is not None:
-        tops = np.negative(stops, out=np.empty_like(stops))
-        np.multiply(tops, t, out=tops)
-        np.exp(tops, out=tops)
-        np.subtract(terms, tops, out=terms)
-    np.true_divide(terms, denom, out=terms)
-    return complex(terms.sum())
+        total -= _run_sum(stops, t)
+    return total / complex(denom)
 
 
 def bernoulli_cone_oracle(
@@ -357,6 +442,15 @@ def bernoulli_cone_oracle(
     fixed rate (the coefficients are homogeneous of degree n - r under joint
     scaling of z and the periods), which keeps the truncated tail negligible
     without enlarging the grid.
+
+    The fiber ends are grouped once, before sampling, into arithmetic runs
+    (``_fiber_runs``: along each row, one residue class of the last
+    transverse coordinate mod the stride of the normals at a time), so one
+    sample sums one geometric series per run, oriented from its larger term,
+    instead of one exponential per fiber.  The geometric denominators, of the
+    fibers and of the lift, are formed with expm1: the degree-14 fit
+    amplifies sample rounding about 1e8-fold, and 1 - e^{-wt} loses digits
+    when wt is small.
     """
     import numpy as np
     from numpy.polynomial import chebyshev
@@ -404,10 +498,10 @@ def bernoulli_cone_oracle(
         t = complex(ray) * s
         total = _fiber_sum(fibers, t)
         if eta is not None:
-            qe = complex(np.exp(-complex(eta) * t))
-            if not abs(qe) < 1:
+            et = eta * t
+            if not et.real > 0:
                 raise DomainError("lift fiber diverges: Re(eta * t) must be positive")
-            total = total * qe / (1 - qe)
+            total = total * cmath.exp(-et) / -complex(np.expm1(-et))
         f_vals[idx] = (t ** r) * np.exp(complex(z) * t) * total
     u_vals = (2 * s_vals - (lo + hi)) / (hi - lo)
     coef_re = chebyshev.chebfit(u_vals, f_vals.real, degree)

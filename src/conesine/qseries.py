@@ -201,7 +201,7 @@ def qfactorial_xq(x: complex, qs: tuple[complex, ...], cfg: EvalConfig = DEFAULT
         gap = min((abs(1.0 - abs(q)) for q in clean + invert), default=math.inf)
         raise DomainError(
             f"q-factorial is not finite at |x| = {ax:.6g} with min |1 - |q|| = {gap:.6g}: "
-            "the product overflows double precision this close to the unit circle"
+            "the product overflows double precision"
         )
     return val
 

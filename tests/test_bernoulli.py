@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from conesine import (
+    FIXTURE_NAMES,
     Cone,
     DomainError,
     WedgeSubdivision,
@@ -33,6 +34,7 @@ from conesine.bernoulli import (
     _cone_sum,
     _exists_damping_phase,
     _fiber_exponents,
+    _fiber_runs,
     _fiber_sum,
 )
 from conesine.generalized import _sample_gamma_params
@@ -529,12 +531,11 @@ def test_damping_phase_accepts_parallel_pairings():
 # lattice oracle
 
 
-def _reference_lattice_sum(cone: Cone, omegas: tuple, t: complex, radius: int) -> complex:
-    """sum of e^{-(omega . m) t} over the interior lattice points m of the
-    cone whose leading coordinates lie within sup-norm ``radius``, one fiber
-    along the last axis at a time, each summed as a closed geometric series."""
-    w = omegas[-1]
-    total = 0j
+def _reference_fibers(cone: Cone, radius: int):
+    """(base, lo, hi) for every nonempty fiber of the open cone along the last
+    axis whose leading coordinates lie within sup-norm ``radius``, one fiber
+    at a time in exact rationals; ``lo`` or ``hi`` is None where the fiber is
+    unbounded."""
     for base in itertools.product(range(-radius, radius + 1), repeat=cone.dim - 1):
         lows, highs = [], []  # bounds on the last coordinate s
         feasible = True
@@ -550,24 +551,85 @@ def _reference_lattice_sum(cone: Cone, omegas: tuple, t: complex, radius: int) -
                 feasible = False
         lo = max(lows) if lows else None
         hi = min(highs) if highs else None
-        if not feasible or (lows and highs and lo > hi):
-            continue
+        if feasible and not (lows and highs and lo > hi):
+            yield base, lo, hi
+
+
+def _reference_lattice_sum(cone: Cone, omegas: tuple, t: complex, radius: int, exp=cmath.exp):
+    """sum of e^{-(omega . m) t} over the interior lattice points m of the
+    cone whose leading coordinates lie within sup-norm ``radius``, one fiber
+    along the last axis at a time, each summed as a closed geometric series
+    (in mpmath when ``exp`` is ``mpmath.exp`` and the numbers are mpmath's)."""
+    w = omegas[-1]
+    total = 0
+    for base, lo, hi in _reference_fibers(cone, radius):
         pairing = sum(x * o for x, o in zip(base, omegas))
         if hi is None:
-            total += cmath.exp(-(pairing + lo * w) * t) / (1 - cmath.exp(-w * t))
+            total += exp(-(pairing + lo * w) * t) / (1 - exp(-w * t))
         elif lo is None:
-            total += cmath.exp(-(pairing + hi * w) * t) / (1 - cmath.exp(w * t))
+            total += exp(-(pairing + hi * w) * t) / (1 - exp(w * t))
         else:
             count = hi - lo + 1
-            total += cmath.exp(-(pairing + lo * w) * t) * (1 - cmath.exp(-count * w * t)) / (
-                1 - cmath.exp(-w * t)
-            )
+            total += exp(-(pairing + lo * w) * t) * (1 - exp(-count * w * t)) / (1 - exp(-w * t))
     return total
 
 
 TWO_SIDED_2D = Cone(2, ((0, 1), (1, -1)))
 TWO_SIDED_3D = Cone(3, ((1, 0, 1), (0, 1, 1), (1, 1, -1)))
 TWO_SIDED_OMEGAS_2D = (0.3 + 0.02j, 0.15 - 0.01j)
+# last coordinates 2, 3, -2, -3: the fiber ends move with stride lcm = 6
+STRIDE_6_3D = Cone(3, ((4, 1, 2), (4, -1, 3), (4, -1, -2), (4, 1, -3)))
+# two prime last coordinates: a stride of about 1e12, far longer than a row
+HUGE_STRIDE_2D = Cone(2, ((1, 1000003), (-1, 999983)))
+
+
+def _expand_runs(runs, dim: int) -> list:
+    """The lattice points of ``_fiber_runs`` runs, sorted."""
+    points = []
+    for line in runs.tolist():
+        head, step, count = line[:dim], line[dim:-1], line[-1]
+        points += [tuple(h + i * s for h, s in zip(head, step)) for i in range(count)]
+    return sorted(points)
+
+
+@pytest.mark.parametrize(
+    "cone", [*FIXTURE_NAMES, TWO_SIDED_2D, TWO_SIDED_3D, STRIDE_6_3D, HUGE_STRIDE_2D],
+    ids=[*FIXTURE_NAMES, "two-sided-2d", "two-sided-3d", "stride-6", "huge-stride"],
+)
+@pytest.mark.parametrize("radius", [2, 5, 40])
+def test_oracle_runs_expand_to_the_fiber_ends(cone, radius):
+    cone = fixture_cone(cone) if isinstance(cone, str) else cone
+    bounded, starts, stops = _fiber_runs(cone, radius)
+    kinds, want_starts, want_stops = set(), [], []
+    for base, lo, hi in _reference_fibers(cone, radius):
+        kinds.add("upper" if lo is None else "lower" if hi is None else "both")
+        want_starts.append(base + (hi if lo is None else lo,))
+        if kinds == {"both"}:
+            want_stops.append(base + (hi + 1,))
+    assert kinds == {bounded}
+    assert _expand_runs(starts, cone.dim) == sorted(want_starts)
+    assert (stops is None) == (bounded != "both")
+    if stops is not None:
+        assert _expand_runs(stops, cone.dim) == sorted(want_stops)
+    # the runs do merge points: a fiber end per run would pass the checks above
+    assert len(starts) < len(want_starts) or radius == 2
+
+
+def test_oracle_runs_follow_the_stride():
+    # along one residue class mod 6 every normal's bound on the fiber end
+    # moves by a constant integer; taken in plain y order the ends break into
+    # about 11 times as many runs here
+    radius = 200
+    bounded, starts, stops = _fiber_runs(STRIDE_6_3D, radius)
+    assert bounded == "both"
+    for runs in (starts, stops):
+        assert len(runs) <= (2 * radius + 1) * 6 * len(STRIDE_6_3D.normals)
+        assert runs[:, -1].sum() > 20 * len(runs)  # points per run
+
+
+# sample points: positive real, slightly complex, turned so that runs along
+# y grow on standard-3, and the two complex rays of the lifted oracle
+ORACLE_TS = (0.3, 0.9 - 0.05j, 0.3 * cmath.exp(-1.5j), 0.5 * LIFT_RAY[1.0], 0.5 * LIFT_RAY[-1.0])
 
 
 @pytest.mark.parametrize(
@@ -578,6 +640,8 @@ TWO_SIDED_OMEGAS_2D = (0.3 + 0.02j, 0.15 - 0.01j)
         ("cone-over-square", BERNOULLI_OMEGAS["cone-over-square"], "upper"),
         (TWO_SIDED_2D, TWO_SIDED_OMEGAS_2D, "both"),
         (TWO_SIDED_3D, (0.5 + 0.01j, 0.4 - 0.02j, 0.1 + 0.015j), "both"),
+        ("wedge21", GAMMA_OMEGAS["wedge21"], "lower"),  # as the lifted oracle sums it
+        (STRIDE_6_3D, (0.5 + 0.01j, 0.4 - 0.02j, 0.1 + 0.015j), "both"),
     ],
 )
 @pytest.mark.parametrize("radius", [2, 5, 12])
@@ -585,10 +649,48 @@ def test_oracle_lattice_sum_matches_reference(cone, omegas, bounded, radius):
     cone = fixture_cone(cone) if isinstance(cone, str) else cone
     fibers = _fiber_exponents(cone, omegas, radius)
     assert fibers[1] == bounded
-    for t in (0.3, 0.9 - 0.05j):
+    orientations = set()
+    for t in ORACLE_TS:
+        damping = (omegas[-1] * t).real
+        if (bounded == "lower" and damping <= 0) or (bounded == "upper" and damping >= 0):
+            with pytest.raises(DomainError, match="fiber sums diverge"):
+                _fiber_sum(fibers, t)
+            continue
+        for runs in fibers[2:]:
+            if runs is not None:
+                orientations.update((runs[2][runs[3] > 1] * t).real < 0)
         ref = _reference_lattice_sum(cone, omegas, t, radius)
         assert ref != 0
         assert abs(_fiber_sum(fibers, t) - ref) < 1e-12 * abs(ref)
+    # some summed run was started at its head and some at its tail (at
+    # radius 2 some cones have no run of two points)
+    assert orientations == {False, True} or radius == 2
+
+
+def test_oracle_run_sum_starts_at_the_larger_end():
+    # for y < 0 the run's terms grow from e^{-1801} at its head to e^{-1.8}
+    # at its tail: summed from the head, e^{-1801} underflows to 0 and the
+    # ratio's power to e^{1800} overflows
+    omegas = BERNOULLI_OMEGAS["wedge21"]
+    fibers = _fiber_exponents(fixture_cone("wedge21"), omegas, 2400)
+    ref = _reference_lattice_sum(fixture_cone("wedge21"), omegas, 3.0, 2400)
+    assert abs(_fiber_sum(fibers, 3.0) - ref) < 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize(
+    "cone, omegas",
+    [("wedge21", BERNOULLI_OMEGAS["wedge21"]), ("cone-over-square", BERNOULLI_OMEGAS["cone-over-square"])],
+)
+@pytest.mark.parametrize("t", [1e-4, 1e-4 - 2e-5j])
+def test_oracle_fiber_sum_keeps_its_digits_at_small_t(cone, omegas, t):
+    # 1 - e^{-wt} loses log10(1 / |wt|) digits, about 4.5 here; expm1 keeps
+    # them, and the oracle's degree-14 fit amplifies what is lost
+    mp = pytest.importorskip("mpmath")
+    cone = fixture_cone(cone)
+    with mp.workdps(40):
+        ref = _reference_lattice_sum(cone, tuple(map(mp.mpc, omegas)), mp.mpc(t), 5, exp=mp.exp)
+        err = abs(mp.mpc(_fiber_sum(_fiber_exponents(cone, omegas, 5), t)) - ref) / abs(ref)
+    assert err < 1e-14
 
 
 def _traced_peak(fn):
@@ -618,29 +720,38 @@ ONE_AND_TWO_SIDED_3D = [
 
 @pytest.mark.parametrize("cone, omegas", ONE_AND_TWO_SIDED_3D, ids=["one-sided", "two-sided"])
 def test_oracle_fiber_memory_stays_near_its_output(cone, omegas):
-    # building the 3d grid whole held 10-20x the returned bytes, and one
-    # sample held two temporaries per kept array
+    # building the 3d grid whole held 10-20x the fiber ends' bytes, one
+    # sample held two temporaries per fiber end, and a run per fiber end would
+    # break the count below
     cone = fixture_cone(cone) if isinstance(cone, str) else cone
-    fibers, build_peak = _traced_peak(lambda: _fiber_exponents(cone, omegas, 200))
-    kept = [arr for arr in fibers[2:] if arr is not None]
-    kept_bytes = sum(arr.nbytes for arr in kept)
-    assert kept_bytes > 5 * 10**5  # large enough that fixed overheads do not count
-    assert build_peak < 4 * kept_bytes
-    # one working buffer per kept array, plus half an array of slack
+    radius = 200
+    fibers, build_peak = _traced_peak(lambda: _fiber_exponents(cone, omegas, radius))
+    kept = [runs for runs in fibers[2:] if runs is not None]
+    # a few runs per row: the stride times the normals bounds them
+    stride = math.lcm(*(abs(normal[-1]) for normal in cone.normals if normal[-1]))
+    rows = (2 * radius + 1) ** (cone.dim - 2)
+    for runs in kept:
+        assert 0 < len(runs[0]) <= rows * stride * len(cone.normals)
+    # one row's int64 products of its points with the normals; the whole
+    # grid is 2 * radius + 1 = 401 such rows
+    row_bytes = (2 * radius + 1) * len(cone.normals) * 8
+    assert build_peak < 40 * row_bytes
+    # one sample: a few complex numbers per run
     _, sum_peak = _traced_peak(lambda: _fiber_sum(fibers, 0.3))
-    assert sum_peak < (len(kept) + 0.5) * kept[0].nbytes
+    assert sum_peak < 6 * 16 * max(len(runs[0]) for runs in kept)
 
 
 @pytest.mark.parametrize("cone, omegas", ONE_AND_TWO_SIDED_3D, ids=["one-sided", "two-sided"])
 def test_oracle_fiber_sum_leaves_exponents_intact(cone, omegas):
     cone = fixture_cone(cone) if isinstance(cone, str) else cone
     fibers = _fiber_exponents(cone, omegas, 12)
-    kept = [None if arr is None else arr.copy() for arr in fibers[2:]]
+    kept = [None if runs is None else [arr.copy() for arr in runs] for runs in fibers[2:]]
     first = _fiber_sum(fibers, 0.3)
     _fiber_sum(fibers, 0.9 - 0.05j)
+    _fiber_sum(fibers, 0.5 * LIFT_RAY[1.0])  # reverses some runs
     assert _fiber_sum(fibers, 0.3) == first
-    for arr, copy in zip(fibers[2:], kept):
-        assert (arr is None and copy is None) or np.array_equal(arr, copy)
+    for runs, copies in zip(fibers[2:], kept):
+        assert (runs is None and copies is None) or all(map(np.array_equal, runs, copies))
 
 
 def test_oracle_matches_cone_polynomial_on_two_sided_cone():

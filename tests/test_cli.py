@@ -5,9 +5,14 @@ import cmath
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import conesine
 from conesine import (
     DEFAULT_CONFIG,
     elliptic_gamma,
@@ -51,6 +56,16 @@ def eval_record(out: str) -> dict:
 
 # ---------------------------------------------------------------------------
 # argument parsing
+
+
+def test_import_leaves_numpy_unloaded():
+    # numpy is imported lazily, by the lattice oracles and enumeration only,
+    # so importing the package or starting the CLI does not pay for it
+    src = str(Path(conesine.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, conesine, conesine.cli; print('numpy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_parse_complex_forms():

@@ -315,6 +315,24 @@ def test_face_modularity_unit_shift_invariance(square):
         assert _face_modularity_residual(square, z, om) < 1e-7
 
 
+SQUARE_OVERFLOWS = [case[3:] for case in OVERFLOWING_PRODUCTS if case[1] == "cone-over-square"]
+
+
+@pytest.mark.parametrize(
+    "z, omegas, size, gap",
+    [(*SQUARE_OVERFLOWS[0], "4.02608e+06", "0.222583"), (*SQUARE_OVERFLOWS[1], "1.06998e+06", "0.0704495")],
+    ids=["g2c-point", "s3c-point"],
+)
+def test_face_modularity_overflow_names_size_and_gap(square, z, omegas, size, gap):
+    # a face q-factorial overflows at a large |x| while every |q| stays well
+    # off the unit circle: the message gives both figures and claims no cause
+    with pytest.raises(DomainError) as err:
+        THEOREMS["face-modularity"].rhs(square, z, omegas, DEFAULT_CONFIG)
+    message = str(err.value)
+    assert f"is not finite at |x| = {size} with min |1 - |q|| = {gap}: the product overflows" in message
+    assert "unit circle" not in message
+
+
 # ---------------------------------------------------------------------------
 # verification driver
 

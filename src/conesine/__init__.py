@@ -29,15 +29,12 @@ from .lattice_cones import (
     face_matrices,
     gorenstein_frame,
     gorenstein_vector,
-    group_action,
     is_good,
     is_primitive,
     lattice_points,
-    mat_mul,
     mat_transpose,
     mat_vec,
     primitive_part,
-    s_matrix,
     subdivide_wedge,
     unimodular_inverse,
     unimodular_with_first_column,
@@ -110,15 +107,12 @@ __all__ = [
     "face_matrices",
     "gorenstein_frame",
     "gorenstein_vector",
-    "group_action",
     "is_good",
     "is_primitive",
     "lattice_points",
-    "mat_mul",
     "mat_transpose",
     "mat_vec",
     "primitive_part",
-    "s_matrix",
     "subdivide_wedge",
     "unimodular_inverse",
     "unimodular_with_first_column",

@@ -150,7 +150,7 @@ def _cone_polynomial(name: str, dim: int, cone: Cone, z, omegas, n: int, chain=N
     if cone.dim != dim:
         raise DomainError(f"{name} needs a {dim}d cone")
     omegas = _as_period_tuple(omegas, dim)
-    _require_damping_phase(cone_plan(cone).rays, omegas)
+    _require_damping_phase(edge_rays(cone), omegas)
     return _cone_sum(cone, z, omegas, n, chain)[n]
 
 
@@ -213,7 +213,7 @@ def bernoulli_cone_lifted(cone: Cone, z: complex, omegas: tuple[complex, ...], e
     if eta == 0:
         raise DomainError("lift parameter must be nonzero")
     omegas = _as_period_tuple(omegas, cone.dim)
-    lifted_rays = [tuple(r) + (0,) for r in cone_plan(cone).rays]
+    lifted_rays = [tuple(r) + (0,) for r in edge_rays(cone)]
     lifted_rays.append((0,) * cone.dim + (1,))
     # the lifted rays contain the base rays, so this one check covers the
     # base polynomials as well

@@ -160,6 +160,8 @@ def build_config(args: argparse.Namespace) -> EvalConfig:
 # target -> (period count, None for one or more; cone dimension, None for no
 # cone; {route: (function, the argparse fields passed to it and recorded)})
 # with the default route first.  Cone targets call function(cone, z, ...).
+# A field left unset takes its _FLAG_DEFAULTS value; one set for a route that
+# does not take it is refused.
 _TARGETS = {
     **{f"s{r}": (r, None, {None: (multiple_sine, ("form",))}) for r in (1, 2, 3)},
     **{f"g{r}": (r + 1, None, {None: (elliptic_gamma, ())}) for r in (0, 1, 2)},
@@ -174,6 +176,7 @@ _TARGETS = {
     "g2c": (3, 3, {"direct": (gamma_cone_3d_direct, ()),
                    "factorized": (gamma_cone_3d_factorized, ("variant",))}),
 }
+_FLAG_DEFAULTS = {"form": 1, "variant": "primary"}
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -218,7 +221,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
             )
         record.update(cone=cone[0].to_json_dict(), route=route)
     fn, flags = routes[route]
-    flag_values = {flag: getattr(args, flag) for flag in flags}
+    for flag in _FLAG_DEFAULTS:
+        if getattr(args, flag) is not None and flag not in flags:
+            on_route = f" on route {route!r}" if dim is not None else ""
+            raise ParseError(f"target {args.target!r} takes no --{flag}{on_route}")
+    flag_values = {flag: getattr(args, flag) or _FLAG_DEFAULTS[flag] for flag in flags}
     value = fn(*cone, args.z, omegas, cfg, **flag_values)
     record.update(flag_values, value=[value.real, value.imag])
     print(f"{target} = {format_complex(value)}")
@@ -419,12 +426,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--tau", type=_complex_arg, default=None,
                         help="single period (alias for one --omega)")
     p_eval.add_argument("--cone", default=None, help="fixture name or cone JSON path")
-    p_eval.add_argument("--form", type=int, choices=(1, 2), default=1,
-                        help="boundary factorization form of the multiple sine")
+    p_eval.add_argument("--form", type=int, choices=(1, 2), default=None,
+                        help="s1 s2 s3 only: boundary factorization form (default 1)")
     p_eval.add_argument("--route", default=None, help="cone targets only, default first: " + ", ".join(
         f"{t} {'|'.join(routes)}" for t, (_, dim, routes) in _TARGETS.items() if dim))
-    p_eval.add_argument("--variant", choices=("primary", "alternative"), default="primary",
-                        help="prefactor variant of the factorized cone elliptic gamma")
+    p_eval.add_argument("--variant", choices=("primary", "alternative"), default=None,
+                        help="g2c factorized only: prefactor variant (default primary)")
     _add_config_flags(p_eval)
     p_eval.set_defaults(func=cmd_eval)
 

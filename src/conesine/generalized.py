@@ -176,15 +176,10 @@ def gamma_cone_3d_direct(
 
 @dataclass(frozen=True)
 class FaceFactor:
-    """One face's contribution to a factorized cone function.
-
-    ``params`` holds the transformed parameter vector (the image of
-    (periods, 1) under the S-composed face matrix, before any division by
-    the scale entry); ``value`` is the factor itself.
-    """
+    """One face's contribution to a factorized cone function: the face's id
+    (``edge(...)``, after its edge ray) and the factor's ``value``."""
 
     face_id: str
-    params: tuple[complex, ...]
     value: complex
 
 
@@ -205,18 +200,13 @@ def sine_face_factors(
 ) -> tuple[FaceFactor, ...]:
     """The q-factorial factor contributed by each codimension-1 face.
 
-    The transformed parameters are tau = S K_f (periods, 1); the factor is
-    (e^{2 pi i z/tau_last} | e^{2 pi i tau_j/tau_last}) over the middle
-    entries.
+    With p = K_f (periods) and its first entry p_0 the edge-ray pairing,
+    the factor is (e^{2 pi i z/p_0} | e^{2 pi i p_j/p_0}) over j >= 1.
     """
     omegas = _as_period_tuple(omegas, cone.dim)
     return tuple(
-        FaceFactor(
-            face_id=face_id,
-            params=params,
-            value=qfactorial_xq(e2(z_scaled), tuple(e2(w) for w in scaled[1:]), cfg),
-        )
-        for face_id, params, z_scaled, scaled in cone_plan(cone).faces(z, omegas)
+        FaceFactor(face_id=face_id, value=qfactorial_xq(e2(z_scaled), tuple(e2(w) for w in scaled[1:]), cfg))
+        for face_id, z_scaled, scaled in cone_plan(cone).faces(z, omegas)
     )
 
 
@@ -256,15 +246,13 @@ def gamma_face_factors(
 ) -> tuple[FaceFactor, ...]:
     """The transformed ordinary elliptic gamma contributed by each face.
 
-    ``variant="primary"`` composes the face matrices with the S matrix,
-    ``variant="alternative"`` with its inverse.
+    Each face's periods are ``ConePlan.faces`` of ``variant``: the face
+    matrix composed with S (``"primary"``) or with S^-1 (``"alternative"``).
     """
     omegas = _as_period_tuple(omegas, cone.dim)
-    if variant not in ("primary", "alternative"):
-        raise DomainError(f"unknown variant {variant!r}: use 'primary' or 'alternative'")
     return tuple(
-        FaceFactor(face_id=face_id, params=params, value=elliptic_gamma(z_scaled, scaled, cfg))
-        for face_id, params, z_scaled, scaled in cone_plan(cone).faces(z, omegas, variant)
+        FaceFactor(face_id=face_id, value=elliptic_gamma(z_scaled, scaled, cfg))
+        for face_id, z_scaled, scaled in cone_plan(cone).faces(z, omegas, variant)
     )
 
 
@@ -488,7 +476,7 @@ def _face_product_reduced(cone: Cone, z, omegas, cfg) -> complex:
     """Product of face-transformed two-period elliptic gammas, dropping the
     first transformed component (the reduced action)."""
     total = 1.0 + 0j
-    for _, _, z_scaled, scaled in cone_plan(cone).faces(z, omegas):
+    for _, z_scaled, scaled in cone_plan(cone).faces(z, omegas):
         total *= elliptic_gamma(z_scaled, scaled[1:], cfg)
     return total
 

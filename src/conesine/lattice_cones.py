@@ -102,13 +102,6 @@ def identity_matrix(n: int) -> IntMatrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0])))
-        for i in range(len(a))
-    )
-
-
 def mat_vec(m: IntMatrix, v: Sequence) -> tuple:
     """Matrix times vector; entries may be ints or complex numbers."""
     if len(m[0]) != len(v):
@@ -479,10 +472,9 @@ class FaceTransform:
     """Unimodular change of variables attached to a 1d face.
 
     ``matrix`` is the (dim x dim) integer block whose inverse stacks the
-    auxiliary vector ``n`` and the adjacent normals as columns; ``embedded``
-    is the same block extended by a trailing 1 so it can act on parameter
-    vectors with an appended constant.  ``det`` is +1 except for the one 2d
-    face where the orientation forces -1.
+    auxiliary vector ``n`` and the adjacent normals as columns, so its first
+    row is the edge ray.  ``det`` is +1 except for the one 2d face where the
+    orientation forces -1.
     """
 
     face_id: str
@@ -491,13 +483,6 @@ class FaceTransform:
     n_vector: IntVector
     matrix: IntMatrix
     det: int
-
-    @property
-    def embedded(self) -> IntMatrix:
-        d = len(self.matrix)
-        rows = [tuple(row) + (0,) for row in self.matrix]
-        rows.append(tuple(0 for _ in range(d)) + (1,))
-        return tuple(rows)
 
 
 def _min_norm_coset_rep(n: IntVector, basis: tuple[IntVector, ...]) -> IntVector:
@@ -572,41 +557,6 @@ def face_matrices(cone: Cone) -> list[FaceTransform]:
             )
         )
     return out
-
-
-def s_matrix(size: int) -> IntMatrix:
-    """The determinant +1 matrix with -1 in the top right, +1 in the bottom
-    left and an identity block in between."""
-    if size < 2:
-        raise DomainError("s_matrix needs size >= 2")
-    rows = []
-    for i in range(size):
-        row = [0] * size
-        if i == 0:
-            row[size - 1] = -1
-        elif i == size - 1:
-            row[0] = 1
-        else:
-            row[i] = 1
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def group_action(g: IntMatrix, z: complex, omegas: Sequence[complex]) -> tuple[complex, tuple[complex, ...]]:
-    """Fractional-linear action of an integer matrix on (z | omegas).
-
-    The matrix acts on the column (omegas, 1); the last component of the
-    image rescales everything.  Raises DomainError when that component
-    vanishes (the action is singular there).
-    """
-    m = len(g)
-    if len(omegas) != m - 1:
-        raise DomainError(f"matrix of size {m} acts on {m - 1} parameters, got {len(omegas)}")
-    w = mat_vec(g, tuple(omegas) + (1,))
-    denom = w[-1]
-    if abs(denom) < 1e-12:
-        raise DomainError("singular action: the transformed scale vanishes")
-    return z / denom, tuple(wi / denom for wi in w[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -687,31 +637,18 @@ def _omega_cross(omegas: Sequence[complex], u: Sequence[int]) -> complex:
     return omegas[0] * u[1] - omegas[1] * u[0]
 
 
-def _s_composed_faces(cone: Cone) -> dict[str, tuple[tuple[str, IntMatrix], ...]]:
-    """(face_id, block) per face with the embedded face matrix composed with
-    S ("primary") and with S^-1 ("alternative")."""
-    faces = face_matrices(cone)
-    s = s_matrix(cone.dim + 1)
-    return {
-        variant: tuple((ft.face_id, mat_mul(g, ft.embedded)) for ft in faces)
-        for variant, g in (("primary", s), ("alternative", unimodular_inverse(s)))
-    }
-
-
 class ConePlan:
     """What the evaluation routes need from one cone, built once per ``Cone``.
 
-    ``rays`` are the edge rays.  The other pieces are built on first use and
-    kept: the chain sweeping a 2d cone, the Gorenstein frame of a 3d cone
-    (which holds one chain per facet wedge) and the face blocks composed
-    with S and S^-1.  A DomainError met while building a piece is kept as
-    well and raised again, with the same message, whenever that piece is
-    read.  Get a cone's plan with :func:`cone_plan`.
+    The pieces are built on first use and kept: the chain sweeping a 2d
+    cone, the Gorenstein frame of a 3d cone (which holds one chain per facet
+    wedge) and the face transforms.  A DomainError met while building a
+    piece is kept as well and raised again, with the same message, whenever
+    that piece is read.  Get a cone's plan with :func:`cone_plan`.
     """
 
     def __init__(self, cone: Cone):
         self.cone = cone
-        self.rays = edge_rays(cone)
         self._pieces: dict[str, tuple] = {}
 
     def _piece(self, name: str, build: Callable[[Cone], object]):
@@ -762,18 +699,26 @@ class ConePlan:
         return axis, wedges
 
     def faces(self, z: complex, omegas: Sequence[complex], variant: str = "primary"):
-        """Yield ``(face_id, params, z / scale, params[:-1] / scale)`` per face.
+        """Yield ``(face_id, z / scale, face periods)`` per face.
 
-        ``params`` is the image of (periods, 1) under the face block composed
-        with S (``variant="primary"``) or S^-1 (``"alternative"``), and
-        ``scale`` is its last entry; a vanishing scale raises DomainError.
+        With ``p = K omegas`` for the face matrix K, ``p_0`` pairs the periods
+        with the edge ray.  ``scale`` is ``p_0`` for ``variant="primary"``
+        and ``-p_0`` for ``"alternative"``; the face periods are
+        ``(-1 / scale, p_1 / scale, ...)`` and ``(1 / scale, p_1 / scale, ...)``.
+        This is the image of (periods, 1) under S diag(K, 1) or S^-1 diag(K, 1)
+        divided by its last entry, where S has -1 top right, +1 bottom left
+        and an identity block between.  A vanishing scale raises DomainError.
         """
-        for face_id, g in self._piece("faces", _s_composed_faces)[variant]:
-            params = mat_vec(g, tuple(omegas) + (1,))
-            scale = params[-1]
+        if variant not in ("primary", "alternative"):
+            raise DomainError(f"unknown variant {variant!r}: use 'primary' or 'alternative'")
+        primary = variant == "primary"
+        for ft in self._piece("faces", face_matrices):
+            p = mat_vec(ft.matrix, omegas)
+            # 0 - p_0, not -p_0: zero parts stay +0.0, as in the S^-1 diag(K, 1) image
+            scale = p[0] if primary else 0 - p[0]
             if abs(scale) < 1e-12:
-                raise DomainError(f"face {face_id}: transformed scale vanishes")
-            yield face_id, params, z / scale, tuple(p / scale for p in params[:-1])
+                raise DomainError(f"face {ft.face_id}: transformed scale vanishes")
+            yield ft.face_id, z / scale, ((-1 if primary else 1) / scale, *(pk / scale for pk in p[1:]))
 
 
 def cone_plan(cone: Cone) -> ConePlan:

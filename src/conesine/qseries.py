@@ -31,8 +31,11 @@ class EvalConfig:
     """Evaluation budget and tolerances shared by all numeric routines.
 
     ``tail_tol`` bounds every truncated tail (so values carry roughly that
-    relative accuracy), ``comparison_tol`` is the default pass threshold for
-    identity residuals, ``max_terms`` caps series iterations, and
+    relative accuracy).  ``comparison_tol`` must exceed it and is recorded
+    with every report and eval record, but no check reads it: ``verify`` and
+    ``report`` pass each identity below that identity's own tolerance unless
+    ``--tol`` overrides it, and ``eval --tol`` only sets the recorded value.
+    ``max_terms`` caps series iterations, and
     ``oracle_radius`` is the default lattice truncation of the 2d
     ``gamma_cone_lattice_oracle`` only (the 3d one uses 40, and the
     Bernoulli oracle does not read the config).
@@ -231,7 +234,12 @@ def elliptic_gamma(z: complex, omegas: tuple[complex, ...], cfg: EvalConfig = DE
     omegas = tuple(complex(w) for w in omegas)
     r = len(omegas) - 1
     if r == -1:
-        return -e2(-z)
+        if not cmath.isfinite(z):
+            raise DomainError(f"the elliptic gamma needs a finite argument, got z = {z}")
+        val = -e2(-z)
+        if not cmath.isfinite(val):
+            raise DomainError(f"the empty-period elliptic gamma -e^(-2 pi i z) overflows at z = {z:.6g}")
+        return val
     qs = tuple(e2(w) for w in omegas)
     num = qfactorial_xq(e2(-z + sum(omegas)), qs, cfg)
     den = qfactorial_xq(e2(z), qs, cfg)
@@ -273,10 +281,15 @@ def multiple_sine(
     if form not in (1, 2):
         raise DomainError("form must be 1 or 2")
     if r == 1:
+        if not (cmath.isfinite(z) and cmath.isfinite(omegas[0])):
+            raise DomainError(f"the single sine needs a finite argument and period, got z = {z}, omega = {omegas[0]}")
         try:
-            return 2.0 * cmath.sin(math.pi * z / omegas[0])
-        except OverflowError:
-            raise DomainError(f"single sine overflows at z / omega = {z / omegas[0]:.6g}") from None
+            val = 2.0 * cmath.sin(math.pi * z / omegas[0])
+        except (OverflowError, ValueError):  # ValueError: z / omega is infinite
+            val = complex(math.nan)
+        if not cmath.isfinite(val):
+            raise DomainError(f"single sine overflows at z / omega = {z / omegas[0]:.6g}")
+        return val
     sign = 1 if (r % 2 == 0) == (form == 1) else -1
     b = bernoulli_multiple(z, omegas, r)
     try:

@@ -120,6 +120,12 @@ def test_eval_sine_overflow_is_domain_error(capsys):
     assert rc == EXIT_DOMAIN
     assert out == ""
     assert "multiple sine overflows at |x| = exp(" in err
+    # the single sine refuses a non-finite argument or period rather than
+    # printing nan+nani or 0.0+0.0i
+    for z, omega in (("nan", "1"), ("1e309", "1"), ("0.3", "1e309")):
+        rc, out, err = run(capsys, "eval", "s1", "--z", z, "--omega", omega)
+        assert (rc, out) == (EXIT_DOMAIN, "")
+        assert "single sine needs a finite argument and period" in err
 
 
 def test_eval_negative_complex_values(capsys):
@@ -313,6 +319,22 @@ def test_eval_refuses_cone_flags_on_plain_target(capsys, argv):
     rc, out, err = run(capsys, *argv)
     assert (rc, out) == (EXIT_USAGE, "")
     assert err == f"conesine: error: target {argv[1]!r} takes no --cone or --route: it has no cone\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["eval", "g0", "--z", "0.1", "--omega", "0.2+1i", "--form", "2"],
+     "target 'g0' takes no --form"),
+    (["eval", "s2c", "--cone", "wedge21", "--z", "0.31-0.17i", "--omega", "-0.9+0.12i",
+      "--omega", "1.1+0.07i", "--variant", "alternative"],
+     "target 's2c' takes no --variant on route 'decomposed'"),
+    (["eval", "g2c", "--cone", "cone-over-square", "--z", "0.31-0.17i", "--omega", "0.1+0.9i",
+      "--omega", "0.2+0.4i", "--omega", "-0.1+0.5i", "--route", "direct", "--variant", "alternative"],
+     "target 'g2c' takes no --variant on route 'direct'"),
+], ids=["g0-form", "s2c-variant", "g2c-direct-variant"])
+def test_eval_refuses_flag_the_route_does_not_take(capsys, argv, message):
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (EXIT_USAGE, "")
+    assert err == f"conesine: error: {message}\n"
 
 
 ALL_ROUTES = [(target, route) for target, (_, _, routes) in _TARGETS.items() for route in routes]

@@ -153,6 +153,16 @@ def test_face_factor_ids_name_the_edge_rays(w21):
     assert ids == {"edge(-1,0)", "edge(1,2)"}
 
 
+@pytest.mark.parametrize("factors", [
+    sine_face_factors,
+    lambda cone, z, om: gamma_face_factors(cone, z, om, variant="alternative"),
+], ids=["sine", "gamma-alternative"])
+def test_vanishing_face_scale_is_rejected(w21, factors):
+    # the edge ray (-1, 0) pairs to 0 with a first period of 0
+    with pytest.raises(DomainError, match=r"^face edge\(-1,0\): transformed scale vanishes$"):
+        factors(w21, 0.3, (0, 1 + 0.3j))
+
+
 # ---------------------------------------------------------------------------
 # subdivision independence of the 2d chains
 

@@ -22,21 +22,18 @@ from conesine import (
     edge_rays,
     face_matrices,
     gorenstein_vector,
-    group_action,
     is_good,
     is_primitive,
     lattice_points,
-    s_matrix,
     subdivide_wedge,
 )
 from conesine.fixtures import FIXTURE_NAMES, fixture_cone
 from conesine.lattice_cones import (
+    cone_plan,
     cross3,
     det2,
     det3,
-    identity_matrix,
     int_det,
-    mat_mul,
     mat_vec,
     primitive_part,
     unimodular_inverse,
@@ -198,6 +195,11 @@ def normal_sets_3d(draw):
     are valid cyclic normal lists."""
     raw = [tuple(draw(st.integers(-4, 4)) for _ in range(3)) for _ in range(draw(st.integers(3, 6)))]
     assume(all(any(v) for v in raw))
+    return _cyclic_normals(raw)
+
+
+def _cyclic_normals(raw):
+    """Primitive parts of nonzero vectors, listed by angle around their sum."""
     vs = [primitive_part(v) for v in raw]
     vs = [v if np.dot(v, vs[0]) >= 0 else tuple(-c for c in v) for v in vs]
     s = tuple(sum(v[k] for v in vs) for k in range(3))
@@ -244,7 +246,8 @@ def _assert_face_transforms_match_definitions(cone: Cone) -> None:
         assert set(adjacent) == {v for v in cone.normals if np.dot(v, x) == 0}
         cols = (n, *adjacent)
         frame = tuple(tuple(col[r] for col in cols) for r in range(dim))
-        assert mat_mul(ft.matrix, frame) == identity_matrix(dim)
+        assert (np.array(ft.matrix) @ np.array(frame) == np.eye(dim, dtype=int)).all()
+        assert ft.matrix[0] == ft.edge_ray
         assert int_det(frame) == ft.det
         assert ft.det == 1 if dim == 3 else ft.det in (1, -1)
         assert np.dot(n, x) > 0
@@ -479,7 +482,7 @@ def test_face_transform_matrix_inverts_normal_frame(square):
     for ft in face_matrices(square):
         cols = [ft.n_vector, *ft.normals]
         frame = tuple(tuple(cols[j][i] for j in range(3)) for i in range(3))
-        assert mat_mul(ft.matrix, frame) == identity_matrix(3)
+        assert (np.array(ft.matrix) @ np.array(frame) == np.eye(3, dtype=int)).all()
         assert ft.det == 1
         assert int_det(ft.matrix) == 1
 
@@ -496,90 +499,77 @@ def test_face_transforms_need_good_cone():
         face_matrices(bad)
 
 
-def test_embedded_transform_appends_identity_row(w21):
-    ft = face_matrices(w21)[0]
-    em = ft.embedded
-    assert len(em) == 3 and len(em[0]) == 3
-    assert em[2] == (0, 0, 1)
-    assert all(em[i][2] == 0 for i in range(2))
-    assert tuple(tuple(row[:2]) for row in em[:2]) == ft.matrix
-
-
-def test_alternative_normal_choice_shifts_parameters_by_integers(w21):
-    # replacing n by n + (edge-adjacent normal) keeps the determinant; after
-    # the swap-and-divide action the evaluation point is unchanged and the
-    # period ratios move by exact integers
-    omegas = (0.3 + 0.4j, -0.2 + 0.9j)
+def test_alternative_normal_choice_shifts_parameters_by_integers(square, w21):
+    # replacing n by n + v, for an adjacent normal v, keeps the determinant
+    # and the first row of the face matrix, the pairing with the edge ray:
+    # z / scale is unchanged and each period ratio moves by an exact integer
+    # (-1 for the row of v, 0 for the others)
     z = 0.17 - 0.23j
-    for ft in face_matrices(w21):
-        v = ft.normals[0]
-        alt_cols = [tuple(n + c for n, c in zip(ft.n_vector, v)), v]
-        frame = tuple(tuple(alt_cols[j][i] for j in range(2)) for i in range(2))
-        assert int_det(frame) == ft.det
-        alt_matrix = unimodular_inverse(frame)
-        alt_embedded = tuple(row + (0,) for row in alt_matrix) + ((0, 0, 1),)
-        z1, om1 = group_action(mat_mul(s_matrix(3), ft.embedded), z, omegas)
-        z2, om2 = group_action(mat_mul(s_matrix(3), alt_embedded), z, omegas)
-        assert abs(z1 - z2) < 1e-12
-        for a, b in zip(om1, om2):
-            d = b - a
-            assert abs(d.real - round(d.real)) < 1e-12
-            assert abs(d.imag) < 1e-12
+    for cone, omegas in ((w21, (0.3 + 0.4j, -0.2 + 0.9j)), (square, (0.9 + 0.3j, -0.2 + 0.5j, 0.1 - 0.4j))):
+        for ft, (_, z_scaled, scaled) in zip(face_matrices(cone), cone_plan(cone).faces(z, omegas)):
+            for i, v in enumerate(ft.normals):
+                alt_cols = [tuple(n + c for n, c in zip(ft.n_vector, v)), *ft.normals]
+                frame = tuple(tuple(col[r] for col in alt_cols) for r in range(cone.dim))
+                assert int_det(frame) == ft.det
+                alt_matrix = unimodular_inverse(frame)
+                assert alt_matrix[0] == ft.matrix[0] == ft.edge_ray
+                p = mat_vec(alt_matrix, omegas)
+                assert z / p[0] == z_scaled
+                for k, (ratio, pk) in enumerate(zip(scaled[1:], p[1:])):
+                    shift = pk / p[0] - ratio
+                    assert abs(shift - (-1 if k == i else 0)) < 1e-12
 
 
-# ---------------------------------------------------------------------------
-# the antidiagonal swap matrix and the parameter action
+def _random_good_cones(dim: int, count: int, seed: int) -> list[Cone]:
+    """Seeded good cones: two primitive normals in 2d, three to six normals
+    listed by angle in 3d, entries in [-4, 4]."""
+    rng = Random(seed)
+    cones = []
+    while len(cones) < count:
+        raw = [tuple(rng.randint(-4, 4) for _ in range(dim)) for _ in range(2 if dim == 2 else rng.randint(3, 6))]
+        if not all(any(v) for v in raw):
+            continue
+        try:
+            cone = Cone(dim, tuple(primitive_part(v) for v in raw) if dim == 2 else _cyclic_normals(raw))
+        except DomainError:
+            continue
+        if is_good(cone):
+            cones.append(cone)
+    return cones
 
 
-def test_swap_matrix_size_2():
-    assert s_matrix(2) == ((0, -1), (1, 0))
+FACE_CONES = [fixture_cone(name) for name in FIXTURE_NAMES] + [
+    cone for dim in (2, 3) for cone in _random_good_cones(dim, 30, 41 + dim)
+]
 
 
-def test_swap_matrix_size_3():
-    assert s_matrix(3) == ((0, 0, -1), (0, 1, 0), (1, 0, 0))
-
-
-def test_swap_matrix_determinant_is_one():
-    for size in (2, 3, 4, 5):
-        assert int_det(s_matrix(size)) == 1
-
-
-def test_identity_action_is_trivial():
-    z, om = 0.3 + 0.2j, (1.1 + 0.4j, -0.7 + 0.2j)
-    z2, om2 = group_action(identity_matrix(3), z, om)
-    assert z2 == z and om2 == om
-
-
-def test_swap_action_divides_by_first_period():
-    z, om = 0.3 + 0.2j, (1.1 + 0.4j, -0.7 + 0.2j)
-    z2, om2 = group_action(s_matrix(3), z, om)
-    assert abs(z2 - z / om[0]) < 1e-15
-    assert abs(om2[0] - (-1 / om[0])) < 1e-15
-    assert abs(om2[1] - om[1] / om[0]) < 1e-15
-
-
-def test_action_composes():
-    rng = Random(7)
-    a = ((1, 2, 0), (0, 1, 0), (1, 1, 1))
-    b = s_matrix(3)
-    ab = mat_mul(a, b)
-    for _ in range(10):
+@pytest.mark.parametrize("variant", ["primary", "alternative"])
+def test_faces_are_the_s_composed_face_action(variant):
+    # the face loop against its definition: the image of (periods, 1) under
+    # S (K + 1), or S^-1 (K + 1) for the alternative, divided by its last
+    # entry; S has -1 top right, +1 bottom left and an identity block between
+    rng = Random(5)
+    for cone in FACE_CONES:
+        size = cone.dim + 1
+        s = np.eye(size, dtype=int)
+        s[0, 0] = s[-1, -1] = 0
+        s[0, -1], s[-1, 0] = -1, 1
+        g = s if variant == "primary" else s.T  # S is a signed permutation: S^-1 = S^T
         z = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        om = (
-            complex(rng.uniform(0.5, 1.5), rng.uniform(0.1, 0.9)),
-            complex(rng.uniform(-1.5, -0.5), rng.uniform(0.1, 0.9)),
-        )
-        z1, om1 = group_action(b, z, om)
-        z2, om2 = group_action(a, z1, om1)
-        z3, om3 = group_action(ab, z, om)
-        assert abs(z2 - z3) < 1e-12
-        assert all(abs(p - q) < 1e-12 for p, q in zip(om2, om3))
+        omegas = tuple(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(cone.dim))
+        got = list(cone_plan(cone).faces(z, omegas, variant))
+        assert [face_id for face_id, *_ in got] == [ft.face_id for ft in face_matrices(cone)]
+        for ft, (_, z_scaled, scaled) in zip(face_matrices(cone), got):
+            k_plus_1 = np.eye(size, dtype=int)
+            k_plus_1[:-1, :-1] = ft.matrix
+            image = (g @ k_plus_1) @ np.array([*omegas, 1], dtype=complex)
+            want = (z, *image[:-1]) / image[-1]
+            assert np.allclose((z_scaled, *scaled), want, rtol=1e-15, atol=0)
 
 
-def test_singular_action_is_rejected():
-    g = ((1, 0, 0), (0, 1, 0), (1, 1, 0))  # last slot becomes om0 + om1 = 0
-    with pytest.raises(DomainError):
-        group_action(g, 0.3, (1.0 + 0.5j, -1.0 - 0.5j))
+def test_unknown_face_variant_is_rejected(w21):
+    with pytest.raises(DomainError, match="unknown variant 'other'"):
+        list(cone_plan(w21).faces(0.3, (1 + 0.5j, -1 + 0.5j), "other"))
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +578,7 @@ def test_singular_action_is_rejected():
 
 def test_unimodular_inverse_round_trip():
     m = ((3, 1), (2, 1))
-    assert mat_mul(unimodular_inverse(m), m) == identity_matrix(2)
+    assert (np.array(unimodular_inverse(m)) @ np.array(m) == np.eye(2, dtype=int)).all()
 
 
 def test_unimodular_completion_of_a_column():

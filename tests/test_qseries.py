@@ -464,10 +464,31 @@ def test_sine_rejects_real_period_ratio():
      (-0.0551227672295207 + 0.001482701347745538j, 0.38110594175219337 + 0.035433311886875284j),
      r"not finite at z = -1\.3183"),
     (0.5 + 300j, (1.0,), r"single sine overflows at z / omega = 0\.5\+300j"),
-], ids=["x-overflow", "prefactor-overflow", "nan-product", "single-sine"])
+    # z / omega overflows to infinity: cmath.sin raises ValueError, or returns nan
+    (1e300, (1e-300,), r"single sine overflows at z / omega = inf\+0j"),
+    (1e308 + 1e308j, (0.1,), r"single sine overflows at z / omega = inf\+infj"),
+    # non-finite input, as `eval s1` reads --z nan, --z 1e309 or --omega 1e309
+    (complex("nan"), (1.0,), r"single sine needs a finite argument and period, got z = \(nan\+0j\)"),
+    (complex("1e309"), (1.0,), r"single sine needs a finite argument and period, got z = \(inf\+0j\)"),
+    (0.3, (complex("1e309"),), r"single sine needs a finite argument and period, got z = 0\.3, omega = \(inf\+0j\)"),
+], ids=["x-overflow", "prefactor-overflow", "nan-product", "single-sine", "single-sine-inf-ratio",
+        "single-sine-nan-value", "single-sine-nan-z", "single-sine-inf-z", "single-sine-inf-period"])
 def test_sine_overflow_raises_domain_error(z, omegas, match):
     with pytest.raises(DomainError, match=match):
         multiple_sine(z, omegas)
+
+
+@pytest.mark.parametrize("z, match", [
+    (math.nan, r"needs a finite argument, got z = nan"),
+    (math.inf, r"needs a finite argument, got z = inf"),
+    # e^{-2 pi i z} would be a finite 0 here, but z itself is not finite
+    (complex(0.0, -math.inf), r"needs a finite argument, got z = -infj"),
+    # 2 pi i z overflows to an infinite exponent before cmath.exp sees it
+    (0.3 + 1e308j, r"empty-period elliptic gamma -e\^\(-2 pi i z\) overflows at z = 0\.3\+1e\+308j"),
+], ids=["nan", "inf", "minus-inf-imag", "inf-exponent"])
+def test_empty_period_gamma_refuses_non_finite(z, match):
+    with pytest.raises(DomainError, match=match):
+        elliptic_gamma(z, ())
 
 
 @pytest.mark.parametrize("fn, omegas", [

@@ -20,7 +20,6 @@ from typing import Sequence
 from .errors import DomainError
 from .lattice_cones import (
     Cone,
-    WedgeSubdivision,
     cone_plan,
     edge_rays,
 )
@@ -127,17 +126,11 @@ def _as_period_tuple(omegas: Sequence[complex], dim: int) -> tuple[complex, ...]
     return out
 
 
-def _cone_sum(
-    cone: Cone,
-    z: complex,
-    omegas: tuple[complex, ...],
-    n: int,
-    chain: WedgeSubdivision | None = None,
-) -> list[complex]:
+def _cone_sum(cone: Cone, z: complex, omegas: tuple[complex, ...], n: int) -> list[complex]:
     """The cone polynomials of degrees 0..n from one walk of the wedges: the
     sums of the wedges' plain polynomials, plus the straightened axis term in
     3d.  The caller checks the damping phase."""
-    axis, wedges = cone_plan(cone).wedges(z, omegas, chain)
+    axis, wedges = cone_plan(cone).wedges(z, omegas)
     total = [sum(col) for col in zip(*(_bernoulli_upto(arg, periods, n) for arg, periods in wedges))]
     if axis is not None and n >= 2:
         for k, b in enumerate(_bernoulli_upto(z, (axis,), n - 2), start=2):
@@ -145,32 +138,24 @@ def _cone_sum(
     return total
 
 
-def _cone_polynomial(name: str, dim: int, cone: Cone, z, omegas, n: int, chain=None) -> complex:
+def _cone_polynomial(name: str, dim: int, cone: Cone, z, omegas, n: int) -> complex:
     """The body of ``bernoulli_cone_2d`` and ``bernoulli_cone_3d``."""
     if cone.dim != dim:
         raise DomainError(f"{name} needs a {dim}d cone")
     omegas = _as_period_tuple(omegas, dim)
     _require_damping_phase(edge_rays(cone), omegas)
-    return _cone_sum(cone, z, omegas, n, chain)[n]
+    return _cone_sum(cone, z, omegas, n)[n]
 
 
-def bernoulli_cone_2d(
-    cone: Cone,
-    z: complex,
-    omegas: tuple[complex, ...],
-    n: int,
-    chain: WedgeSubdivision | None = None,
-) -> complex:
+def bernoulli_cone_2d(cone: Cone, z: complex, omegas: tuple[complex, ...], n: int) -> complex:
     """Degree-n cone polynomial of a 2d cone: the chain sum of plain ones.
 
     Equals n! times the t^n coefficient of t^2 e^{zt} sum_{m in interior(C)}
     e^{-(omega . m) t}: each shifted term covers its half-open wedge with the
     upper edge included, and the final unshifted term covers the last wedge
     with both edges excluded, so the union is exactly the open cone.
-    ``chain`` may be any unimodular refinement of the default chain; the
-    value does not depend on the refinement.
     """
-    return _cone_polynomial("bernoulli_cone_2d", 2, cone, z, omegas, n, chain)
+    return _cone_polynomial("bernoulli_cone_2d", 2, cone, z, omegas, n)
 
 
 def bernoulli_cone_22(cone: Cone, z: complex, omegas: tuple[complex, ...]) -> complex:

@@ -30,7 +30,6 @@ from .bernoulli import (
 )
 from .lattice_cones import (
     Cone,
-    WedgeSubdivision,
     _omega_cross,
     cone_plan,
     det2,
@@ -87,16 +86,11 @@ def _route_periods(name: str, cone: Cone, omegas: Sequence[complex], dim: int, g
 
 
 def _wedge_product(
-    fn: Callable[..., complex],
-    cone: Cone,
-    z: complex,
-    omegas: tuple[complex, ...],
-    cfg: EvalConfig,
-    chain: WedgeSubdivision | None = None,
+    fn: Callable[..., complex], cone: Cone, z: complex, omegas: tuple[complex, ...], cfg: EvalConfig
 ) -> complex:
     """Product of ``fn`` over the wedges of the cone's decomposition, after
     the factor of the straightened axis in 3d, checked finite."""
-    axis, wedges = cone_plan(cone).wedges(z, omegas, chain)
+    axis, wedges = cone_plan(cone).wedges(z, omegas)
     total = 1.0 + 0j if axis is None else fn(z, (axis,), cfg)
     for arg, periods in wedges:
         total *= fn(arg, periods, cfg)
@@ -110,17 +104,15 @@ def sine_cone_2d_decomposed(
     z: complex,
     omegas: Sequence[complex],
     cfg: EvalConfig = DEFAULT_CONFIG,
-    chain: WedgeSubdivision | None = None,
 ) -> complex:
     """Cone double sine via the finite product of ordinary double sines.
 
     Follows the chain subdividing the dual wedge: every wedge factor except
     the last is shifted by its opening pairing, matching the cone polynomial
-    convention.  ``chain`` may be any unimodular refinement of the default
-    (the value is invariant under refinement).
+    convention.
     """
     omegas = _route_periods("sine_cone_2d_decomposed", cone, omegas, 2, gamma=False)
-    return _wedge_product(multiple_sine, cone, z, omegas, cfg, chain)
+    return _wedge_product(multiple_sine, cone, z, omegas, cfg)
 
 
 def sine_cone_3d_decomposed(
@@ -144,7 +136,6 @@ def gamma_cone_2d_direct(
     z: complex,
     omegas: Sequence[complex],
     cfg: EvalConfig = DEFAULT_CONFIG,
-    chain: WedgeSubdivision | None = None,
 ) -> complex:
     """Cone elliptic gamma of a 2d cone via ordinary elliptic gammas.
 
@@ -152,7 +143,7 @@ def gamma_cone_2d_direct(
     strictly inside the dual cone.
     """
     omegas = _route_periods("gamma_cone_2d_direct", cone, omegas, 2, gamma=True)
-    return _wedge_product(elliptic_gamma, cone, z, omegas, cfg, chain)
+    return _wedge_product(elliptic_gamma, cone, z, omegas, cfg)
 
 
 def gamma_cone_3d_direct(

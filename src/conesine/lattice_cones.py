@@ -2,7 +2,10 @@
 
 Everything in this module runs on Python integers, so all geometric
 predicates (primitivity, goodness, adjacency, wedge subdivision, face
-transforms) are exact.  Conventions used throughout the package:
+transforms) are exact.  Cones have dimension 2 or 3: the matrix algebra is
+closed-form for those sizes, and one walk over the 1d faces serves cone
+validation, the good-cone test and the face transforms.  Conventions used
+throughout the package:
 
 * A cone is cut out by inward normals: ``C = {x : x . v >= 0 for all v}``.
 * ``det2``/``det3`` are determinants of stacked row vectors, so in 2d
@@ -16,6 +19,7 @@ transforms) are exact.  Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, product
 from math import gcd
 from typing import Callable, Sequence
 
@@ -114,31 +118,21 @@ def mat_transpose(m: IntMatrix) -> IntMatrix:
 
 
 def int_det(m: IntMatrix) -> int:
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    if n == 2:
-        return det2(m[0], m[1])
-    total = 0
-    for j in range(n):
-        minor = tuple(row[:j] + row[j + 1 :] for row in m[1:])
-        term = m[0][j] * int_det(minor)
-        total += term if j % 2 == 0 else -term
-    return total
+    """Determinant of a 2x2 or 3x3 integer matrix, the only sizes a cone needs."""
+    if len(m) == 2:
+        return det2(*m)
+    if len(m) == 3:
+        return det3(*m)
+    raise DomainError(f"only 2x2 and 3x3 determinants are supported, got {len(m)} rows")
 
 
 def _adjugate(m: IntMatrix) -> IntMatrix:
-    n = len(m)
-    if n == 1:
-        return ((1,),)
-    cof = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = tuple(
-                tuple(m[r][c] for c in range(n) if c != j) for r in range(n) if r != i
-            )
-            cof[i][j] = (-1) ** (i + j) * int_det(minor)
-    return tuple(tuple(cof[j][i] for j in range(n)) for i in range(n))
+    """The adjugate of a 2x2 or 3x3 integer matrix, m . adj(m) = det(m) I; in
+    3d its columns are the cross products of cyclic pairs of rows."""
+    if len(m) == 2:
+        (a, b), (c, d) = m
+        return ((d, -b), (-c, a))
+    return mat_transpose((cross3(m[1], m[2]), cross3(m[2], m[0]), cross3(m[0], m[1])))
 
 
 def unimodular_inverse(m: IntMatrix) -> IntMatrix:
@@ -190,14 +184,27 @@ def unimodular_with_first_column(xi: Sequence[int]) -> IntMatrix:
 # cones
 
 
+def _face_cofactors(normals: tuple[IntVector, ...], dim: int):
+    """Yield ``(adjacent, w)`` per 1d face, in facet order: the normals that
+    vanish on it (normal i in 2d, normals i and i+1 cyclically in 3d) and
+    their cofactor vector, n . w = det(n, *adjacent) for every n: (a_1, -a_0)
+    in 2d, the cross product in 3d.  Its entries are the adjacent normals'
+    maximal minors."""
+    count = len(normals)
+    for i in range(count):
+        adjacent = tuple(normals[(i + k) % count] for k in range(dim - 1))
+        yield adjacent, (adjacent[0][1], -adjacent[0][0]) if dim == 2 else cross3(*adjacent)
+
+
 @dataclass(frozen=True)
 class Cone:
     """A full-dimensional, strictly convex rational cone given by inward normals.
 
     ``normals`` must be primitive, minimal (each one carves an actual facet)
     and, in 3d, listed in cyclic facet order.  These structural invariants are
-    checked exactly at construction; properties that are preconditions of
-    individual operations (goodness, Gorenstein) are separate predicates.
+    checked exactly at construction, by one walk over the 1d faces that also
+    yields the edge rays; properties that are preconditions of individual
+    operations (goodness, Gorenstein) are separate predicates.
     """
 
     dim: int
@@ -215,54 +222,27 @@ class Cone:
                 raise DomainError(f"normal {v} is not primitive")
         if len(set(normals)) != len(normals):
             raise DomainError("duplicate normals")
-        if self.dim == 2:
-            if len(normals) != 2:
-                raise DomainError("a 2d cone needs exactly two normals")
-            if det2(normals[0], normals[1]) == 0:
-                raise DomainError("2d normals are parallel: cone is degenerate or a half-plane")
-            object.__setattr__(self, "_edge_rays", self._edge_rays_2d())
-        else:
-            if len(normals) < 3:
-                raise DomainError("a 3d cone needs at least three normals")
-            object.__setattr__(self, "_edge_rays", self._validate_3d())
+        if self.dim == 2 and len(normals) != 2:
+            raise DomainError("a 2d cone needs exactly two normals")
+        if self.dim == 3 and len(normals) < 3:
+            raise DomainError("a 3d cone needs at least three normals")
+        object.__setattr__(self, "_edge_rays", self._checked_edge_rays())
 
     # -- construction-time geometry ------------------------------------
 
-    def _edge_rays_2d(self) -> tuple[IntVector, ...]:
-        rays = []
-        v_all = self.normals
-        for i, v in enumerate(v_all):
-            other = v_all[1 - i]
-            x = (v[1], -v[0])
-            s = x[0] * other[0] + x[1] * other[1]
-            if s < 0:
-                x = (-x[0], -x[1])
-            elif s == 0:  # unreachable: normals non-parallel
-                raise DomainError("degenerate 2d cone")
-            rays.append(x)
-        return tuple(rays)
-
-    def _validate_3d(self) -> tuple[IntVector, ...]:
-        normals = self.normals
+    def _checked_edge_rays(self) -> tuple[IntVector, ...]:
+        normals, dim = self.normals, self.dim
         n = len(normals)
-        # strict convexity: the normals must span all of R^3
-        rank3 = any(
-            det3(normals[i], normals[j], normals[k]) != 0
-            for i in range(n)
-            for j in range(i + 1, n)
-            for k in range(j + 1, n)
-        )
-        if not rank3:
-            raise DomainError("normals do not span 3d space: cone contains a line")
+        # strict convexity: the normals must span all of R^dim
+        if not any(int_det(m) != 0 for m in combinations(normals, dim)):
+            raise DomainError(f"normals do not span {dim}d space: cone contains a line")
         rays: list[IntVector] = []
         sign = 0
-        for i in range(n):
-            a, b = normals[i], normals[(i + 1) % n]
-            w = cross3(a, b)
+        for i, (adjacent, w) in enumerate(_face_cofactors(normals, dim)):
             if all(c == 0 for c in w):
-                raise DomainError(f"consecutive normals {a}, {b} are parallel")
+                raise DomainError(f"consecutive normals {', '.join(map(str, adjacent))} are parallel")
             x = primitive_part(w)
-            dots = [sum(x[k] * v[k] for k in range(3)) for v in normals]
+            dots = [sum(a * b for a, b in zip(x, v)) for v in normals]
             if all(d >= 0 for d in dots):
                 s = 1
             elif all(d <= 0 for d in dots):
@@ -271,23 +251,24 @@ class Cone:
                 dots = [-d for d in dots]
             else:
                 raise DomainError(
-                    f"normals {a} and {b} are listed as facet neighbours but share no edge: "
-                    "normals are not in cyclic order or the cone is not minimal"
+                    f"normals {' and '.join(map(str, adjacent))} are listed as facet neighbours "
+                    "but share no edge: normals are not in cyclic order or the cone is not minimal"
                 )
-            if sign == 0:
-                sign = s
-            elif s != sign and any(d != 0 for d in dots):
+            # 3d only: the two edge rays of a 2d cone always take opposite signs
+            sign = sign or s
+            if dim == 3 and s != sign and any(d != 0 for d in dots):
                 raise DomainError("inconsistent facet orientation in normal list")
             for j, d in enumerate(dots):
-                if j not in (i, (i + 1) % n) and d == 0:
+                if d == 0 and normals[j] not in adjacent:
                     raise DomainError(
                         f"edge between facets {i} and {(i + 1) % n} lies on facet {j}: "
                         "normal list is redundant or mis-ordered"
                     )
             rays.append(x)
-        for i in range(n):
-            if all(c == 0 for c in cross3(rays[i], rays[(i + 1) % n])) and n > 2:
-                raise DomainError(f"facet {(i + 1) % n} is not two-dimensional: cone not minimal")
+        if dim == 3:
+            for i in range(n):
+                if all(c == 0 for c in cross3(rays[i], rays[(i + 1) % n])):
+                    raise DomainError(f"facet {(i + 1) % n} is not two-dimensional: cone not minimal")
         return tuple(rays)
 
     # -- serialization ----------------------------------------------------
@@ -351,17 +332,12 @@ def is_good(cone: Cone) -> bool:
 
     Checked at faces of codimension below the dimension (the apex does not
     count).  For facets this is primitivity of the single normal, guaranteed
-    at construction, so in 2d every valid cone qualifies.  In 3d each edge's
-    pair of adjacent normals must span a saturated lattice, which holds
-    exactly when the pair's 2x2 minors (the entries of their cross product)
-    are coprime.
+    at construction.  At each 1d face the adjacent normals span a saturated
+    lattice exactly when their maximal minors, the entries of the face's
+    cofactor vector, are coprime.  In 2d that vector is a primitive normal
+    turned by 90 degrees, so every valid 2d cone qualifies.
     """
-    if cone.dim == 2:
-        return True
-    n = len(cone.normals)
-    return all(
-        vec_gcd(cross3(cone.normals[i], cone.normals[(i + 1) % n])) == 1 for i in range(n)
-    )
+    return all(vec_gcd(w) == 1 for _, w in _face_cofactors(cone.normals, cone.dim))
 
 
 def gorenstein_vector(cone: Cone) -> IntVector | None:
@@ -489,8 +465,6 @@ def _min_norm_coset_rep(n: IntVector, basis: tuple[IntVector, ...]) -> IntVector
     """Smallest representative of n + Z<basis> by squared norm, then lex order."""
     dim = len(n)
     # real least-squares shift, then search the rounded neighbourhood
-    import itertools
-
     gram = [[sum(a[k] * b[k] for k in range(dim)) for b in basis] for a in basis]
     rhs = [-sum(a[k] * n[k] for k in range(dim)) for a in basis]
     m = len(basis)
@@ -504,7 +478,7 @@ def _min_norm_coset_rep(n: IntVector, basis: tuple[IntVector, ...]) -> IntVector
             (gram[0][0] * rhs[1] - rhs[0] * gram[1][0]) / det_g,
         ]
     best = None
-    for deltas in itertools.product(*[range(-2, 3)] * m):
+    for deltas in product(*[range(-2, 3)] * m):
         coeffs = [round(c[i]) + deltas[i] for i in range(m)]
         cand = tuple(
             n[k] + sum(coeffs[i] * basis[i][k] for i in range(m)) for k in range(dim)
@@ -519,24 +493,24 @@ def face_matrices(cone: Cone) -> list[FaceTransform]:
     """One unimodular transform per 1d face, in facet order.
 
     Each transform depends only on the face's edge ray and its adjacent
-    normals.  Preconditions: the cone must be good (otherwise no integral
+    normals, read from the same face walk that builds the cone; in 3d the
+    pair is ordered so that the edge ray pairs positively with its cofactor
+    vector.  Preconditions: the cone must be good (otherwise no integral
     transform exists at some face and a DomainError is raised).
     """
-    normals, dim = cone.normals, cone.dim
+    dim = cone.dim
     out: list[FaceTransform] = []
-    for i, x in enumerate(edge_rays(cone)):
-        # the normals vanishing on x (one in 2d; two in 3d, with det3(x, a, b) > 0)
-        adjacent = tuple(normals[(i + k) % len(normals)] for k in range(dim - 1))
-        if dim == 3 and det3(x, *adjacent) < 0:
-            adjacent = adjacent[::-1]
-        # the cofactor vector: n . w = det(n, adjacent) for every n
-        w = (adjacent[0][1], -adjacent[0][0]) if dim == 2 else cross3(*adjacent)
+    for x, (adjacent, w) in zip(edge_rays(cone), _face_cofactors(cone.normals, dim)):
+        # n . w = det(n, adjacent); in 3d the pair is ordered so x . w = det3(x, a, b) > 0
+        xw = sum(a * b for a, b in zip(x, w))
+        if dim == 3 and xw < 0:
+            adjacent, w, xw = adjacent[::-1], tuple(-c for c in w), -xw
         if vec_gcd(w) != 1:
             raise DomainError(
                 f"face with edge {x} is not good: normals "
                 f"{', '.join(map(str, adjacent))} span a non-saturated lattice"
             )
-        eps = 1 if sum(a * b for a, b in zip(x, w)) > 0 else -1
+        eps = 1 if xw > 0 else -1
         # a Bezout vector n0 . w = 1 from successive extended gcds
         g, n0 = w[0], (1,)
         for c in w[1:]:
@@ -667,23 +641,19 @@ class ConePlan:
         return self._piece("frame", gorenstein_frame)
 
     def wedges(
-        self,
-        z: complex,
-        omegas: Sequence[complex],
-        chain: WedgeSubdivision | None = None,
+        self, z: complex, omegas: Sequence[complex]
     ) -> tuple[complex | None, list[tuple[complex, tuple[complex, ...]]]]:
         """The unimodular decomposition of the cone at (z | omegas).
 
         Returns ``(axis, wedges)``, ``wedges`` listing each wedge's shifted
         argument and periods in chain order.  In 2d ``axis`` is None and
-        every wedge but the last is shifted by its opening period; ``chain``
-        may replace the default chain by a unimodular refinement of it.  In
-        3d ``axis`` is the period w1 of the straightened axis, and every
-        facet wedge is shifted and has periods (w1, a, b).
+        every wedge but the last is shifted by its opening period.  In 3d
+        ``axis`` is the period w1 of the straightened axis, and every facet
+        wedge is shifted and has periods (w1, a, b).
         """
         if self.cone.dim == 2:
             axis = None
-            walks = [(omegas, self._piece("chain", cone_chain_2d) if chain is None else chain)]
+            walks = [(omegas, self._piece("chain", cone_chain_2d))]
         else:
             frame = self.frame
             axis = frame.transformed_omegas(omegas)[0]

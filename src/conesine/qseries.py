@@ -66,7 +66,14 @@ DEFAULT_CONFIG = EvalConfig()
 
 
 def _exp(w: complex) -> complex:
-    """cmath.exp(w), raising DomainError where the value overflows double precision."""
+    """cmath.exp(w), raising DomainError where the value overflows double precision.
+
+    An exponent with a nan part or an infinite imaginary part comes from a
+    non-finite or overflowing argument or period; cmath.exp would raise
+    ValueError or return nan there, so it is refused too.
+    """
+    if math.isnan(w.real) or not math.isfinite(w.imag):
+        raise DomainError(f"exp is undefined at exponent {w}: an argument or period is not finite or too large")
     try:
         return cmath.exp(w)
     except OverflowError:

@@ -53,6 +53,18 @@ LIFT_RAY = {
 Z_LIFTED = 0.21 - 0.13j
 
 
+def chain_wedges(lines, z: complex, omegas) -> list[tuple[complex, tuple[complex, complex]]]:
+    """(shifted argument, periods) of each wedge of a 2d chain, walked as
+    ``ConePlan.wedges`` walks a 2d cone's chain: the pairings of consecutive
+    lines with the periods, every wedge but the last shifted by its first."""
+    def pairing(u):
+        return omegas[0] * u[1] - omegas[1] * u[0]
+
+    wedges = [(z + pairing(u), (pairing(u), pairing(up))) for u, up in zip(lines, lines[1:])]
+    wedges[-1] = (z, wedges[-1][1])
+    return wedges
+
+
 def rel(a: complex, b: complex) -> float:
     """Symmetric relative difference, zero when both values vanish."""
     scale = max(abs(a), abs(b))

@@ -15,7 +15,6 @@ from conesine import (
     FIXTURE_NAMES,
     Cone,
     DomainError,
-    WedgeSubdivision,
     bernoulli_cone,
     bernoulli_cone_22,
     bernoulli_cone_2d,
@@ -47,6 +46,7 @@ from params import (
     Z_BERNOULLI_2D,
     Z_BERNOULLI_3D,
     Z_LIFTED,
+    chain_wedges,
     rel,
 )
 
@@ -297,7 +297,7 @@ def test_cone_quadratic_subdivision_independence(w21):
         refined.append(a)
         refined.append(tuple(x + y for x, y in zip(a, b)))
     refined.append(base[-1])
-    value = bernoulli_cone_2d(w21, Z_BERNOULLI_2D, om, 2, chain=WedgeSubdivision(tuple(refined)))
+    value = sum(bernoulli_multiple(arg, periods, 2) for arg, periods in chain_wedges(refined, Z_BERNOULLI_2D, om))
     assert abs(value - default) < 1e-10
 
 

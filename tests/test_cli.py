@@ -128,6 +128,23 @@ def test_eval_sine_overflow_is_domain_error(capsys):
         assert "single sine needs a finite argument and period" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("qfac", "--z", "0.3", "--omega", "1e308+0.5i"),
+    ("qfac", "--z", "0.3", "--omega", "1e309+0.5i"),
+    ("qfac", "--z", "0.3+1e309i", "--omega", "0.5i"),
+    ("g0", "--z", "0.1", "--tau", "1e309i"),
+    ("g1", "--z", "0.1", "--omega", "0.2+1e309i", "--omega", "0.3+1i"),
+    ("theta0", "--z", "1e309", "--tau", "1i"),
+], ids=["qfac-huge-period", "qfac-inf-real-period", "qfac-inf-imag-z", "g0-inf-imag-tau",
+        "g1-inf-imag-period", "theta0-inf-z"])
+def test_eval_non_finite_exponent_is_domain_error(capsys, argv):
+    # once a traceback (ValueError from cmath.exp) or a value with Infinity
+    # in its JSON record; now refused before any product is formed
+    rc, out, err = run(capsys, "eval", *argv)
+    assert (rc, out) == (EXIT_DOMAIN, "")
+    assert "exp is undefined at exponent" in err
+
+
 def test_eval_negative_complex_values(capsys):
     rc, out, _ = run(capsys, "eval", "s2", "--z", "-0.3+0.1i",
                      "--omega", "-0.9+0.12i", "--omega", "1.1+0.07i")

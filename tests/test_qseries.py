@@ -491,6 +491,26 @@ def test_empty_period_gamma_refuses_non_finite(z, match):
         elliptic_gamma(z, ())
 
 
+INF = math.inf
+
+
+@pytest.mark.parametrize("fn, z, omegas, exponent", [
+    # 2 pi i omega overflows to an infinite imaginary part: cmath.exp raised ValueError
+    (qfactorial, 0.3, (1e308 + 0.5j,), r"\(-3\.14159\d*\+infj\)"),
+    (qfactorial, 0.3, (complex(INF, 0.5),), r"\(nan\+infj\)"),
+    # an infinite imaginary period or argument gives a nan imaginary part:
+    # cmath.exp returned a finite 0, read as q = 0
+    (elliptic_gamma, 0.1, (complex(0, INF),), r"\(-inf\+nanj\)"),
+    (qfactorial, complex(0.3, INF), (0.5j,), r"\(-inf\+nanj\)"),
+    (elliptic_gamma, 0.1, (complex(0.2, INF), 0.3 + 1j), r"\(-inf\+nanj\)"),
+    (elliptic_gamma, complex(INF), (1j,), r"\(nan-infj\)"),
+], ids=["qfac-huge-period", "qfac-inf-real-period", "theta-inf-imag-period", "qfac-inf-imag-z",
+        "gamma-1-inf-imag-period", "theta-inf-z"])
+def test_non_finite_exponent_raises_domain_error(fn, z, omegas, exponent):
+    with pytest.raises(DomainError, match=r"^exp is undefined at exponent " + exponent):
+        fn(z, omegas)
+
+
 @pytest.mark.parametrize("fn, omegas", [
     (qfactorial, (0.2 + 0.5j,)),
     (elliptic_gamma, (1j,)),

@@ -3,9 +3,10 @@
 Everything in this module runs on Python integers, so all geometric
 predicates (primitivity, goodness, adjacency, wedge subdivision, face
 transforms) are exact.  Cones have dimension 2 or 3: the matrix algebra is
-closed-form for those sizes, and one walk over the 1d faces serves cone
-validation, the good-cone test and the face transforms.  Conventions used
-throughout the package:
+closed-form for those sizes, and one walk over the 1d faces, run and kept
+when a cone is built, serves cone validation, the good-cone test, the face
+transforms and the Gorenstein frame.  Conventions used throughout the
+package:
 
 * A cone is cut out by inward normals: ``C = {x : x . v >= 0 for all v}``.
 * ``det2``/``det3`` are determinants of stacked row vectors, so in 2d
@@ -19,9 +20,10 @@ throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product
 from math import gcd
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import DomainError, ParseError
 
@@ -36,7 +38,7 @@ IntMatrix = tuple[IntVector, ...]
 def _as_ivec(v: Sequence[int], name: str = "vector") -> IntVector:
     try:
         out = tuple(int(c) for c in v)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"{name} must be a sequence of integers: {v!r}") from exc
     for c, o in zip(v, out):
         if o != c:
@@ -184,92 +186,75 @@ def unimodular_with_first_column(xi: Sequence[int]) -> IntMatrix:
 # cones
 
 
-def _face_cofactors(normals: tuple[IntVector, ...], dim: int):
-    """Yield ``(adjacent, w)`` per 1d face, in facet order: the normals that
-    vanish on it (normal i in 2d, normals i and i+1 cyclically in 3d) and
-    their cofactor vector, n . w = det(n, *adjacent) for every n: (a_1, -a_0)
-    in 2d, the cross product in 3d.  Its entries are the adjacent normals'
-    maximal minors."""
-    count = len(normals)
-    for i in range(count):
-        adjacent = tuple(normals[(i + k) % count] for k in range(dim - 1))
-        yield adjacent, (adjacent[0][1], -adjacent[0][0]) if dim == 2 else cross3(*adjacent)
-
-
 @dataclass(frozen=True)
 class Cone:
     """A full-dimensional, strictly convex rational cone given by inward normals.
 
     ``normals`` must be primitive, minimal (each one carves an actual facet)
-    and, in 3d, listed in cyclic facet order.  These structural invariants are
-    checked exactly at construction, by one walk over the 1d faces that also
-    yields the edge rays; properties that are preconditions of individual
-    operations (goodness, Gorenstein) are separate predicates.
+    and, in 3d, listed in cyclic facet order; an integral ``dim`` such as
+    2.0 is taken as that int.  These invariants are checked exactly at
+    construction by one walk over the 1d faces, kept on the cone: per face,
+    in facet order, the edge ray x, the normals that vanish on it (normal i
+    in 2d, normals i and i+1 cyclically in 3d) and their cofactor vector w,
+    n . w = det(n, *adjacent) for every n ((a_1, -a_0) in 2d, the cross
+    product in 3d), a 3d pair ordered so that x . w = det3(x, a, b) > 0.
+    Preconditions of single operations (goodness, Gorenstein) are separate
+    predicates reading the walk.
     """
 
     dim: int
     normals: tuple[IntVector, ...]
 
     def __post_init__(self):
-        if self.dim not in (2, 3):
+        # as for normal entries, an integral value such as 2.0 is taken as that int
+        dim = next((d for d in (2, 3) if d == self.dim), None)
+        if dim is None:
             raise DomainError(f"only cones of dimension 2 or 3 are supported, got {self.dim}")
+        object.__setattr__(self, "dim", dim)
         normals = tuple(_as_ivec(v, "normal") for v in self.normals)
         object.__setattr__(self, "normals", normals)
         for v in normals:
-            if len(v) != self.dim:
-                raise DomainError(f"normal {v} does not have {self.dim} entries")
+            if len(v) != dim:
+                raise DomainError(f"normal {v} does not have {dim} entries")
             if not is_primitive(v):
                 raise DomainError(f"normal {v} is not primitive")
         if len(set(normals)) != len(normals):
             raise DomainError("duplicate normals")
-        if self.dim == 2 and len(normals) != 2:
+        if dim == 2 and len(normals) != 2:
             raise DomainError("a 2d cone needs exactly two normals")
-        if self.dim == 3 and len(normals) < 3:
+        if dim == 3 and len(normals) < 3:
             raise DomainError("a 3d cone needs at least three normals")
-        object.__setattr__(self, "_edge_rays", self._checked_edge_rays())
-
-    # -- construction-time geometry ------------------------------------
-
-    def _checked_edge_rays(self) -> tuple[IntVector, ...]:
-        normals, dim = self.normals, self.dim
-        n = len(normals)
         # strict convexity: the normals must span all of R^dim
         if not any(int_det(m) != 0 for m in combinations(normals, dim)):
             raise DomainError(f"normals do not span {dim}d space: cone contains a line")
-        rays: list[IntVector] = []
-        sign = 0
-        for i, (adjacent, w) in enumerate(_face_cofactors(normals, dim)):
+        n = len(normals)
+        faces = []
+        for i in range(n):
+            adjacent = tuple(normals[(i + k) % n] for k in range(dim - 1))
+            w = (adjacent[0][1], -adjacent[0][0]) if dim == 2 else cross3(*adjacent)
             if all(c == 0 for c in w):
                 raise DomainError(f"consecutive normals {', '.join(map(str, adjacent))} are parallel")
             x = primitive_part(w)
             dots = [sum(a * b for a, b in zip(x, v)) for v in normals]
-            if all(d >= 0 for d in dots):
-                s = 1
-            elif all(d <= 0 for d in dots):
-                s = -1
+            if any(d < 0 for d in dots):
+                if any(d > 0 for d in dots):
+                    raise DomainError(
+                        f"normals {' and '.join(map(str, adjacent))} are listed as facet neighbours "
+                        "but share no edge: normals are not in cyclic order or the cone is not minimal"
+                    )
                 x = tuple(-c for c in x)
-                dots = [-d for d in dots]
-            else:
-                raise DomainError(
-                    f"normals {' and '.join(map(str, adjacent))} are listed as facet neighbours "
-                    "but share no edge: normals are not in cyclic order or the cone is not minimal"
-                )
-            # 3d only: the two edge rays of a 2d cone always take opposite signs
-            sign = sign or s
-            if dim == 3 and s != sign and any(d != 0 for d in dots):
-                raise DomainError("inconsistent facet orientation in normal list")
+                if dim == 3:
+                    # x . w < 0 now; swapping the pair negates w
+                    adjacent, w = adjacent[::-1], tuple(-c for c in w)
             for j, d in enumerate(dots):
                 if d == 0 and normals[j] not in adjacent:
                     raise DomainError(
                         f"edge between facets {i} and {(i + 1) % n} lies on facet {j}: "
                         "normal list is redundant or mis-ordered"
                     )
-            rays.append(x)
-        if dim == 3:
-            for i in range(n):
-                if all(c == 0 for c in cross3(rays[i], rays[(i + 1) % n])):
-                    raise DomainError(f"facet {(i + 1) % n} is not two-dimensional: cone not minimal")
-        return tuple(rays)
+            faces.append((x, adjacent, w))
+        object.__setattr__(self, "_faces", tuple(faces))
+        object.__setattr__(self, "_edge_rays", tuple(x for x, _, _ in faces))
 
     # -- serialization ----------------------------------------------------
 
@@ -334,10 +319,11 @@ def is_good(cone: Cone) -> bool:
     count).  For facets this is primitivity of the single normal, guaranteed
     at construction.  At each 1d face the adjacent normals span a saturated
     lattice exactly when their maximal minors, the entries of the face's
-    cofactor vector, are coprime.  In 2d that vector is a primitive normal
-    turned by 90 degrees, so every valid 2d cone qualifies.
+    cofactor vector kept by the cone's face walk, are coprime.  In 2d that
+    vector is a primitive normal turned by 90 degrees, so every valid 2d cone
+    qualifies.
     """
-    return all(vec_gcd(w) == 1 for _, w in _face_cofactors(cone.normals, cone.dim))
+    return all(vec_gcd(w) == 1 for _, _, w in cone._faces)
 
 
 def gorenstein_vector(cone: Cone) -> IntVector | None:
@@ -492,25 +478,23 @@ def _min_norm_coset_rep(n: IntVector, basis: tuple[IntVector, ...]) -> IntVector
 def face_matrices(cone: Cone) -> list[FaceTransform]:
     """One unimodular transform per 1d face, in facet order.
 
-    Each transform depends only on the face's edge ray and its adjacent
-    normals, read from the same face walk that builds the cone; in 3d the
-    pair is ordered so that the edge ray pairs positively with its cofactor
-    vector.  Preconditions: the cone must be good (otherwise no integral
-    transform exists at some face and a DomainError is raised).
+    Each transform depends only on the face's edge ray, its adjacent
+    normals and their cofactor vector, read from the face walk kept on the
+    cone; in 3d the walk has ordered the pair so that the edge ray pairs
+    positively with the cofactor vector.  Preconditions: the cone must be
+    good (otherwise no integral transform exists at some face and a
+    DomainError is raised).
     """
     dim = cone.dim
     out: list[FaceTransform] = []
-    for x, (adjacent, w) in zip(edge_rays(cone), _face_cofactors(cone.normals, dim)):
-        # n . w = det(n, adjacent); in 3d the pair is ordered so x . w = det3(x, a, b) > 0
-        xw = sum(a * b for a, b in zip(x, w))
-        if dim == 3 and xw < 0:
-            adjacent, w, xw = adjacent[::-1], tuple(-c for c in w), -xw
+    for x, adjacent, w in cone._faces:
         if vec_gcd(w) != 1:
             raise DomainError(
                 f"face with edge {x} is not good: normals "
                 f"{', '.join(map(str, adjacent))} span a non-saturated lattice"
             )
-        eps = 1 if xw > 0 else -1
+        # n . w = det(n, adjacent): -1 only at the 2d face whose edge ray the walk negated
+        eps = 1 if sum(a * b for a, b in zip(x, w)) > 0 else -1
         # a Bezout vector n0 . w = 1 from successive extended gcds
         g, n0 = w[0], (1,)
         for c in w[1:]:
@@ -567,8 +551,9 @@ class GorensteinFrame:
 def gorenstein_frame(cone: Cone) -> GorensteinFrame:
     """Straightening data for a good Gorenstein 3d cone.
 
-    Raises DomainError when the cone is not 3d, not good, or has no
-    Gorenstein vector.
+    Raises DomainError when the cone is not 3d, not good (read from the
+    cone's face walk), or has no Gorenstein vector.  The apex vectors ``ell``
+    are put in counterclockwise order, reversing a clockwise listing.
     """
     if cone.dim != 3:
         raise DomainError("gorenstein_frame needs a 3d cone")
@@ -579,26 +564,15 @@ def gorenstein_frame(cone: Cone) -> GorensteinFrame:
         raise DomainError("cone has no Gorenstein vector")
     a = unimodular_with_first_column(xi)
     at = mat_transpose(a)
-
-    def straighten(normals: Sequence[IntVector]) -> tuple[IntVector, ...]:
-        out = []
-        for v in normals:
-            vp = mat_vec(at, v)
-            if vp[0] != 1:
-                raise DomainError(f"normal {tuple(v)} does not pair to 1 with the Gorenstein vector {xi}")
-            out.append((-vp[1], -vp[2]))
-        return tuple(out)
-
-    ell = straighten(cone.normals)
-    n = len(ell)
-    t = [tuple(ell[(i + 1) % n][k] - ell[i][k] for k in range(2)) for i in range(n)]
-    dets = [det2(t[i - 1], t[i]) for i in range(n)]
-    if all(d < 0 for d in dets):
-        ell = tuple(reversed(ell))
+    # xi is the first column of a, so every transformed normal is (xi . v, -ell) = (1, -ell)
+    listed = tuple((-vp[1], -vp[2]) for vp in (mat_vec(at, v) for v in cone.normals))
+    n = len(listed)
+    # the apex vectors of a valid cone turn the same way at every vertex, so
+    # the turn at the first one tells whether the listing winds clockwise
+    for ell in (listed, listed[::-1]):
         t = [tuple(ell[(i + 1) % n][k] - ell[i][k] for k in range(2)) for i in range(n)]
-        dets = [det2(t[i - 1], t[i]) for i in range(n)]
-    if not all(d > 0 for d in dets):
-        raise DomainError("facet apex vectors do not wind once counterclockwise")
+        if det2(t[-1], t[0]) > 0:
+            break
     chains = tuple(subdivide_wedge(t[i - 1], t[i]) for i in range(n))
     return GorensteinFrame(cone=cone, xi=xi, basis=a, ell=ell, chains=chains)
 
@@ -614,31 +588,31 @@ def _omega_cross(omegas: Sequence[complex], u: Sequence[int]) -> complex:
 class ConePlan:
     """What the evaluation routes need from one cone, built once per ``Cone``.
 
-    The pieces are built on first use and kept: the chain sweeping a 2d
-    cone, the Gorenstein frame of a 3d cone (which holds one chain per facet
-    wedge) and the face transforms.  A DomainError met while building a
-    piece is kept as well and raised again, with the same message, whenever
-    that piece is read.  Get a cone's plan with :func:`cone_plan`.
+    The pieces are cached properties, built on first read and kept: the
+    chain sweeping a 2d cone, the Gorenstein frame of a 3d cone (which holds
+    one chain per facet wedge) and the face transforms.  A piece whose build
+    raises DomainError is not kept; its next read builds it again, which
+    stops early and raises the same message.  Get a cone's plan with
+    :func:`cone_plan`.
     """
 
     def __init__(self, cone: Cone):
         self.cone = cone
-        self._pieces: dict[str, tuple] = {}
 
-    def _piece(self, name: str, build: Callable[[Cone], object]):
-        if name not in self._pieces:
-            try:
-                self._pieces[name] = (build(self.cone), None)
-            except DomainError as exc:
-                self._pieces[name] = (None, str(exc))
-        value, error = self._pieces[name]
-        if error is not None:
-            raise DomainError(error)
-        return value
+    # the builders are looked up as module globals at each build, so that a
+    # wrapper installed on the module sees every build
 
-    @property
+    @cached_property
+    def chain(self) -> WedgeSubdivision:
+        return cone_chain_2d(self.cone)
+
+    @cached_property
     def frame(self) -> GorensteinFrame:
-        return self._piece("frame", gorenstein_frame)
+        return gorenstein_frame(self.cone)
+
+    @cached_property
+    def face_transforms(self) -> list[FaceTransform]:
+        return face_matrices(self.cone)
 
     def wedges(
         self, z: complex, omegas: Sequence[complex]
@@ -653,7 +627,7 @@ class ConePlan:
         """
         if self.cone.dim == 2:
             axis = None
-            walks = [(omegas, self._piece("chain", cone_chain_2d))]
+            walks = [(omegas, self.chain)]
         else:
             frame = self.frame
             axis = frame.transformed_omegas(omegas)[0]
@@ -682,7 +656,7 @@ class ConePlan:
         if variant not in ("primary", "alternative"):
             raise DomainError(f"unknown variant {variant!r}: use 'primary' or 'alternative'")
         primary = variant == "primary"
-        for ft in self._piece("faces", face_matrices):
+        for ft in self.face_transforms:
             p = mat_vec(ft.matrix, omegas)
             # 0 - p_0, not -p_0: zero parts stay +0.0, as in the S^-1 diag(K, 1) image
             scale = p[0] if primary else 0 - p[0]

@@ -58,14 +58,18 @@ def eval_record(out: str) -> dict:
 # argument parsing
 
 
+def _fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """This interpreter in a fresh process, importing the same ``conesine``."""
+    src = str(Path(conesine.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
 def test_import_leaves_numpy_unloaded():
     # numpy is imported lazily, by the lattice oracles and enumeration only,
     # so importing the package or starting the CLI does not pay for it
-    src = str(Path(conesine.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, conesine, conesine.cli; print('numpy' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "False"
+    done = _fresh_python("-c", "import sys, conesine, conesine.cli; print('numpy' in sys.modules)")
+    assert (done.returncode, done.stdout.strip()) == (0, "False")
 
 
 def test_parse_complex_forms():
@@ -499,6 +503,42 @@ def test_invalid_cone_data_is_domain_error(capsys, tmp_path):
     assert rc == EXIT_DOMAIN
 
 
+def _cli_process(*argv: str) -> subprocess.CompletedProcess:
+    """``python -m conesine.cli`` in a fresh process, so that an uncaught
+    exception shows as a traceback and exit 1."""
+    return _fresh_python("-m", "conesine.cli", *argv)
+
+
+_CONE_FILE_VERBS = [
+    ["check-cone", "{path}"],
+    ["verify", "s2c-factorization", "--cone", "{path}", "--samples", "1"],
+    ["eval", "s2c", "--cone", "{path}", "--z", "0.31-0.17i", "--omega", "-0.9+0.12i", "--omega", "1.1+0.07i"],
+]
+
+
+@pytest.mark.parametrize("verb", _CONE_FILE_VERBS, ids=lambda verb: verb[0])
+def test_infinite_cone_entry_is_domain_error_without_traceback(tmp_path, verb):
+    # JSON reads 1e400 as infinity, which int() cannot convert
+    path = tmp_path / "inf.json"
+    path.write_text('{"dim": 2, "normals": [[1e400, 1], [0, 1]]}')
+    done = _cli_process(*(arg.format(path=path) for arg in verb))
+    assert done.returncode == EXIT_DOMAIN
+    assert done.stderr == "conesine: error: normal must be a sequence of integers: (inf, 1)\n"
+
+
+@pytest.mark.parametrize("verb", _CONE_FILE_VERBS, ids=lambda verb: verb[0])
+def test_integral_float_dimension_loads_as_the_int_cone(tmp_path, verb):
+    # an integral dim is taken as that int, so 2.0 loads the same cone as 2
+    doc = fixture_cone("wedge21").to_json_dict()
+    as_int, as_float = tmp_path / "int.json", tmp_path / "float.json"
+    as_int.write_text(json.dumps(doc))
+    as_float.write_text(json.dumps({**doc, "dim": 2.0}))
+    want = _cli_process(*(arg.format(path=as_int) for arg in verb))
+    got = _cli_process(*(arg.format(path=as_float) for arg in verb))
+    assert (got.returncode, got.stderr) == (EXIT_OK, "")
+    assert got.stdout.replace(str(as_float), str(as_int)) == want.stdout
+
+
 def test_unknown_fixture_name_is_usage_error(capsys):
     rc, _, err = run(capsys, "verify", "s2c-factorization", "--cone", "no-such-cone")
     assert rc == EXIT_USAGE
@@ -599,6 +639,37 @@ def test_check_cone_not_good(capsys, tmp_path):
     assert "face transforms unavailable" in out
 
 
+def test_not_good_cone_skips_verify_and_refuses_eval(capsys, tmp_path):
+    # a Gorenstein vector (1, 1, 1) exists, but the cone is not good
+    path = tmp_path / "notgood.json"
+    path.write_text(json.dumps({"dim": 3, "normals": [[2, 0, -1], [0, 2, -1], [0, 0, 1]]}))
+    rc, out, _ = run(capsys, "verify", "g2c-factorization", "--cone", str(path), "--samples", "1")
+    assert rc == EXIT_OK
+    assert "skip reason      cone is not good: some edge lattice is not saturated" in out
+    periods = ["--omega", "0.1+0.5i", "--omega", "-0.1+0.6i", "--omega", "0.05+0.4i"]
+    for target, routes in (("s3c", ("decomposed", "factorized")), ("g2c", ("direct", "factorized"))):
+        for route in routes:
+            rc, out, err = run(capsys, "eval", target, "--cone", str(path), "--route", route,
+                               "--z", "0.3", *periods)
+            assert (rc, out) == (EXIT_DOMAIN, "")
+            assert err == "conesine: error: cone is not good: some edge lattice is not saturated\n"
+
+
+@pytest.mark.parametrize("v1, v2, code, message", [
+    ("1,2,3", "0,1", EXIT_DOMAIN, "conesine: error: wedge normals must be 2d integer vectors"),
+    ("2,4", "0,1", EXIT_DOMAIN, "conesine: error: wedge normal (2, 4) is not primitive"),
+    ("0,x", "1,0", EXIT_USAGE, "error: argument v1: cannot parse integer vector from '0,x'"),
+], ids=["three-entries", "not-primitive", "not-an-integer"])
+def test_subdivide_refusals(capsys, v1, v2, code, message):
+    try:
+        rc = main(["subdivide", v1, v2])
+    except SystemExit as exc:  # argparse refuses the argument itself
+        rc = exc.code
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (code, "")
+    assert message in captured.err
+
+
 # ---------------------------------------------------------------------------
 # configuration plumbing
 
@@ -626,6 +697,19 @@ def test_env_config_missing_file_is_usage_error(capsys, monkeypatch, tmp_path):
     rc, _, err = run(capsys, "eval", "s1", "--z", "0.25", "--omega", "1")
     assert rc == EXIT_USAGE
     assert "cannot read file" in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{not json", "not valid JSON"),
+    ("[1, 2]", "expected a JSON object"),
+], ids=["invalid-json", "json-list"])
+def test_env_config_unreadable_document_is_usage_error(capsys, monkeypatch, tmp_path, text, message):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(text)
+    monkeypatch.setenv("CONESINE_CONFIG", str(cfg_file))
+    rc, out, err = run(capsys, "eval", "s1", "--z", "0.25", "--omega", "1")
+    assert (rc, out) == (EXIT_USAGE, "")
+    assert f"conesine: error: CONESINE_CONFIG={str(cfg_file)!r}: {message}" in err
 
 
 def test_tail_tol_flag_threads_into_config(capsys):

@@ -401,6 +401,18 @@ def test_verify_theorem_skips_without_distinguished_lattice_vector():
     assert rep.skipped and not rep.passed
 
 
+def test_verify_theorem_skips_on_cone_that_is_not_good():
+    # a Gorenstein vector (1, 1, 1) exists, but the edge lattices of the
+    # first pair are not saturated: the good-cone hypothesis gates the frame
+    cone = Cone(3, ((2, 0, -1), (0, 2, -1), (0, 0, 1)))
+    ids_3d = [tid for tid in THEOREM_IDS if THEOREMS[tid].dim == 3]
+    assert len(ids_3d) == 4
+    for tid in ids_3d:
+        rep = verify_theorem(tid, cone, samples=2, seed=1)
+        assert rep.status == "SKIP"
+        assert rep.skipped == "cone is not good: some edge lattice is not saturated"
+
+
 def test_verify_theorem_rejects_unknown_id(w21):
     with pytest.raises(DomainError):
         verify_theorem("definitely-not-a-theorem", w21)

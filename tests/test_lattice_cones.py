@@ -13,6 +13,7 @@ from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from conesine import (
+    DEFAULT_CONFIG,
     Cone,
     DomainError,
     ParseError,
@@ -21,6 +22,7 @@ from conesine import (
     dual_contains,
     edge_rays,
     face_matrices,
+    gorenstein_frame,
     gorenstein_vector,
     is_good,
     is_primitive,
@@ -28,6 +30,15 @@ from conesine import (
     subdivide_wedge,
 )
 from conesine.fixtures import FIXTURE_NAMES, fixture_cone
+from conesine.generalized import (
+    _face_product_reduced,
+    _sample_gamma_params,
+    _sample_sine_params,
+    gamma_cone_3d_direct,
+    gamma_cone_3d_factorized,
+    sine_cone_3d_decomposed,
+    sine_cone_3d_factorized,
+)
 from conesine.lattice_cones import (
     _adjugate,
     cone_plan,
@@ -86,11 +97,23 @@ def test_primitive_part_divides_out_gcd():
      r"normals are not in cyclic order or the cone is not minimal$"),
     (3, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)),
      r"^edge between facets 0 and 1 lies on facet 3: normal list is redundant or mis-ordered$"),
+    (2.5, ((0, 1), (-2, 1)), r"^only cones of dimension 2 or 3 are supported, got 2.5$"),
+    # JSON reads 1e400 as infinity, which int() cannot convert
+    (2, ((math.inf, 1), (0, 1)), r"^normal must be a sequence of integers: \(inf, 1\)$"),
 ], ids=["2d-three-normals", "3d-two-normals", "2d-half-plane", "3d-rank-deficient",
-        "3d-consecutive-parallel", "3d-shuffled-square", "3d-edge-on-third-facet"])
+        "3d-consecutive-parallel", "3d-shuffled-square", "3d-edge-on-third-facet",
+        "non-integral-dim", "infinite-entry"])
 def test_cone_refusal_messages(dim, normals, match):
     with pytest.raises(DomainError, match=match):
         Cone(dim, normals)
+
+
+def test_integral_float_dimension_loads_as_int():
+    # an integral dim is read as normal entries are: 2.0 is the int 2
+    cone = Cone.from_json_dict(json.loads('{"dim": 2.0, "normals": [[0, 1], [-2, 1]]}'))
+    assert type(cone.dim) is int
+    assert cone == Cone(2, ((0, 1), (-2, 1)))
+    assert cone.to_json_dict() == {"dim": 2, "normals": [[0, 1], [-2, 1]]}
 
 
 def test_cone_rejects_non_primitive_normal():
@@ -235,6 +258,27 @@ def test_property_closed_form_predicates_match_definitions(normals):
     else:
         with pytest.raises(DomainError, match="is not good"):
             face_matrices(cone)
+
+
+@settings(max_examples=200, deadline=None)
+@given(normal_sets_3d(), st.booleans())
+@example(((1, 0, 0), (1, -1, 0), (1, -1, -1), (1, 0, -1)), True)  # cone over the square, clockwise
+def test_property_accepted_listing_winds_one_way_over_two_dimensional_facets(normals, clockwise):
+    # invariants the face walk relies on without checking them: every face
+    # of an accepted listing turns the same way, det3(x_i, v_i, v_i+1) of one
+    # nonzero sign, and consecutive edge rays span a 2d facet
+    if clockwise:
+        normals = normals[::-1]
+    try:
+        cone = Cone(3, normals)
+    except DomainError:
+        assume(False)
+    n = len(normals)
+    rays = edge_rays(cone)
+    turns = {int(np.sign(det3(x, normals[i], normals[(i + 1) % n]))) for i, x in enumerate(rays)}
+    event(f"turns {sorted(turns)}")
+    assert turns in ({1}, {-1})
+    assert all(any(cross3(rays[i], rays[(i + 1) % n])) for i in range(n))
 
 
 def _assert_face_transforms_match_definitions(cone: Cone) -> None:
@@ -526,9 +570,10 @@ def test_alternative_normal_choice_shifts_parameters_by_integers(square, w21):
                     assert abs(shift - (-1 if k == i else 0)) < 1e-12
 
 
-def _random_good_cones(dim: int, count: int, seed: int) -> list[Cone]:
+def _random_good_cones(dim: int, count: int, seed: int, gorenstein: bool = False) -> list[Cone]:
     """Seeded good cones: two primitive normals in 2d, three to six normals
-    listed by angle in 3d, entries in [-4, 4]."""
+    listed by angle in 3d, entries in [-4, 4]; with ``gorenstein``, only
+    cones that have a Gorenstein vector."""
     rng = Random(seed)
     cones = []
     while len(cones) < count:
@@ -539,7 +584,7 @@ def _random_good_cones(dim: int, count: int, seed: int) -> list[Cone]:
             cone = Cone(dim, tuple(primitive_part(v) for v in raw) if dim == 2 else _cyclic_normals(raw))
         except DomainError:
             continue
-        if is_good(cone):
+        if is_good(cone) and (not gorenstein or gorenstein_vector(cone) is not None):
             cones.append(cone)
     return cones
 
@@ -547,6 +592,82 @@ def _random_good_cones(dim: int, count: int, seed: int) -> list[Cone]:
 FACE_CONES = [fixture_cone(name) for name in FIXTURE_NAMES] + [
     cone for dim in (2, 3) for cone in _random_good_cones(dim, 30, 41 + dim)
 ]
+
+
+# good Gorenstein 3d cones, each listed counterclockwise
+GORENSTEIN_CONES = [fixture_cone("standard-3"), fixture_cone("cone-over-square")] + _random_good_cones(
+    3, 40, 13, gorenstein=True
+)
+
+
+def _relistings(cone: Cone) -> list[Cone]:
+    """The cone as listed, reversed (clockwise) and rotated by one."""
+    return [cone, Cone(3, cone.normals[::-1]), Cone(3, cone.normals[1:] + cone.normals[:1])]
+
+
+def _rotation(a: tuple, b: tuple) -> int:
+    """The k with b == a[k:] + a[:k]."""
+    return next(k for k in range(len(a)) if b == a[k:] + a[:k])
+
+
+@pytest.mark.parametrize("clockwise", [False, True], ids=["as-listed", "reversed"])
+def test_gorenstein_frame_straightens_normals_and_winds_counterclockwise(clockwise):
+    # invariants gorenstein_frame relies on without checking them: every
+    # straightened normal has first entry xi . v = 1, and the listed apex
+    # vectors turn the same way at every vertex
+    for cone in GORENSTEIN_CONES:
+        if clockwise:
+            cone = Cone(3, cone.normals[::-1])
+        frame = gorenstein_frame(cone)
+        straightened = [mat_vec(tuple(zip(*frame.basis)), v) for v in cone.normals]
+        assert all(p[0] == 1 for p in straightened)
+        listed = tuple((-p[1], -p[2]) for p in straightened)
+        n = len(listed)
+        steps = [tuple(np.subtract(listed[(i + 1) % n], listed[i])) for i in range(n)]
+        turns = {int(np.sign(det2(steps[i - 1], steps[i]))) for i in range(n)}
+        assert turns == ({-1} if clockwise else {1})
+        assert frame.ell == (listed[::-1] if clockwise else listed)
+
+
+def test_relisted_3d_cones_keep_their_geometry():
+    # reversing a listing makes the face walk swap every adjacent pair and
+    # the frame reverse its apex vectors; rotating it only rotates the walk
+    for cone in GORENSTEIN_CONES:
+        faces = {ft.face_id: ft for ft in face_matrices(cone)}
+        frame = gorenstein_frame(cone)
+        for other in _relistings(cone)[1:]:
+            assert set(edge_rays(other)) == set(edge_rays(cone))
+            assert {ft.face_id: ft for ft in face_matrices(other)} == faces
+            moved = gorenstein_frame(other)
+            assert (moved.xi, moved.basis) == (frame.xi, frame.basis)
+            k = _rotation(frame.ell, moved.ell)
+            assert [c.lines for c in moved.chains] == [c.lines for c in frame.chains[k:] + frame.chains[:k]]
+
+
+@pytest.mark.parametrize("route, kwargs, sampler", [
+    (sine_cone_3d_decomposed, {}, _sample_sine_params),
+    (sine_cone_3d_factorized, {}, _sample_sine_params),
+    (gamma_cone_3d_direct, {}, _sample_gamma_params),
+    (gamma_cone_3d_factorized, {"variant": "primary"}, _sample_gamma_params),
+    (gamma_cone_3d_factorized, {"variant": "alternative"}, _sample_gamma_params),
+    (_face_product_reduced, {}, _sample_gamma_params),
+], ids=["sine-decomposed", "sine-factorized", "gamma-direct", "gamma-factorized",
+        "gamma-factorized-alternative", "face-product-reduced"])
+def test_relisted_3d_cones_keep_their_values(route, kwargs, sampler):
+    rng = Random(29)
+    for cone in GORENSTEIN_CONES:
+        for _ in range(10):  # redraw a degenerate sample, as verify does
+            z, omegas = sampler(cone, rng)
+            try:
+                want = route(cone, z, omegas, DEFAULT_CONFIG, **kwargs)
+                break
+            except DomainError:
+                pass
+        else:
+            pytest.fail(f"no generic sample for {cone.normals}")
+        for other in _relistings(cone)[1:]:
+            got = route(other, z, omegas, DEFAULT_CONFIG, **kwargs)
+            assert abs(got - want) <= 1e-14 * abs(want), (cone.normals, other.normals)
 
 
 @pytest.mark.parametrize("variant", ["primary", "alternative"])

@@ -138,53 +138,21 @@ def _cone_sum(cone: Cone, z: complex, omegas: tuple[complex, ...], n: int) -> li
     return total
 
 
-def _cone_polynomial(name: str, dim: int, cone: Cone, z, omegas, n: int) -> complex:
-    """The body of ``bernoulli_cone_2d`` and ``bernoulli_cone_3d``."""
-    if cone.dim != dim:
-        raise DomainError(f"{name} needs a {dim}d cone")
-    omegas = _as_period_tuple(omegas, dim)
+def bernoulli_cone(cone: Cone, z: complex, omegas: tuple[complex, ...], n: int) -> complex:
+    """Degree-n cone polynomial of a 2d cone or of a good Gorenstein 3d cone:
+    n! times the t^n coefficient of t^r e^{zt} sum_{m in interior(C)}
+    e^{-(omega . m) t}, r = cone.dim.
+
+    In 2d each shifted chain term covers its half-open wedge with the upper
+    edge included, and the final unshifted term the last wedge with both
+    edges excluded, so the union is exactly the open cone.  In 3d the facet
+    wedges tile the punctured plane of apex vectors, missing exactly the
+    points on the straightened first axis; their generating function adds
+    n(n-1) B_{1,n-2}(z|w1).
+    """
+    omegas = _as_period_tuple(omegas, cone.dim)
     _require_damping_phase(edge_rays(cone), omegas)
     return _cone_sum(cone, z, omegas, n)[n]
-
-
-def bernoulli_cone_2d(cone: Cone, z: complex, omegas: tuple[complex, ...], n: int) -> complex:
-    """Degree-n cone polynomial of a 2d cone: the chain sum of plain ones.
-
-    Equals n! times the t^n coefficient of t^2 e^{zt} sum_{m in interior(C)}
-    e^{-(omega . m) t}: each shifted term covers its half-open wedge with the
-    upper edge included, and the final unshifted term covers the last wedge
-    with both edges excluded, so the union is exactly the open cone.
-    """
-    return _cone_polynomial("bernoulli_cone_2d", 2, cone, z, omegas, n)
-
-
-def bernoulli_cone_22(cone: Cone, z: complex, omegas: tuple[complex, ...]) -> complex:
-    """The quadratic cone polynomial of a 2d cone (degree and rank both 2)."""
-    return bernoulli_cone_2d(cone, z, omegas, 2)
-
-
-def bernoulli_cone_3d(cone: Cone, z: complex, omegas: tuple[complex, ...], n: int) -> complex:
-    """Degree-n cone polynomial of a good Gorenstein 3d cone.
-
-    The facet wedges tile the punctured plane of apex vectors, so the chain
-    sum misses exactly the points on the straightened first axis; their
-    generating function contributes n(n-1) B_{1,n-2}(z|w1), which is added
-    back.  Equals n! times the t^n coefficient of
-    t^3 e^{zt} sum_{m in interior(C)} e^{-(omega . m) t}.
-    """
-    return _cone_polynomial("bernoulli_cone_3d", 3, cone, z, omegas, n)
-
-
-def bernoulli_cone_33(cone: Cone, z: complex, omegas: tuple[complex, ...]) -> complex:
-    """The cubic cone polynomial of a good Gorenstein 3d cone."""
-    return bernoulli_cone_3d(cone, z, omegas, 3)
-
-
-def bernoulli_cone(cone: Cone, z: complex, omegas: tuple[complex, ...], n: int) -> complex:
-    """Degree-n cone polynomial for either supported dimension."""
-    if cone.dim == 2:
-        return bernoulli_cone_2d(cone, z, omegas, n)
-    return bernoulli_cone_3d(cone, z, omegas, n)
 
 
 def bernoulli_cone_lifted(cone: Cone, z: complex, omegas: tuple[complex, ...], eta: complex) -> complex:
@@ -274,11 +242,9 @@ def _fiber_runs(cone: Cone, radius: int) -> tuple:
     normals = np.asarray(cone.normals, dtype=np.int64)
     a = normals[:, -1].tolist()
     base_n = normals[:, :-1]
+    # some last coordinate is nonzero: Cone refuses normals that do not span
     has_lower = any(ai > 0 for ai in a)
     has_upper = any(ai < 0 for ai in a)
-    if not (has_lower or has_upper):
-        # unreachable for a strictly convex cone
-        raise DomainError("cone imposes no constraint along the fiber axis")
     bounded = "both" if has_lower and has_upper else "lower" if has_lower else "upper"
     stride = lcm(*(abs(ai) for ai in a if ai))
     rng = np.arange(-radius, radius + 1, dtype=np.int64)

@@ -38,15 +38,11 @@ from .errors import BudgetError, DomainError, ParseError
 from .fixtures import FIXTURE_NAMES, load_cone
 from .generalized import (
     THEOREM_IDS,
-    gamma_cone_2d_direct,
-    gamma_cone_2d_factorized,
-    gamma_cone_3d_direct,
-    gamma_cone_3d_factorized,
+    gamma_cone_direct,
+    gamma_cone_factorized,
+    sine_cone_decomposed,
+    sine_cone_factorized,
     verify_theorem,
-    sine_cone_2d_decomposed,
-    sine_cone_2d_factorized,
-    sine_cone_3d_decomposed,
-    sine_cone_3d_factorized,
 )
 from .lattice_cones import (
     Cone,
@@ -167,14 +163,14 @@ _TARGETS = {
     **{f"g{r}": (r + 1, None, {None: (elliptic_gamma, ())}) for r in (0, 1, 2)},
     "theta0": (1, None, {None: (elliptic_gamma, ())}),
     "qfac": (None, None, {None: (qfactorial, ())}),
-    "s2c": (2, 2, {"decomposed": (sine_cone_2d_decomposed, ()),
-                   "factorized": (sine_cone_2d_factorized, ())}),
-    "s3c": (3, 3, {"decomposed": (sine_cone_3d_decomposed, ()),
-                   "factorized": (sine_cone_3d_factorized, ())}),
-    "g1c": (2, 2, {"direct": (gamma_cone_2d_direct, ()),
-                   "factorized": (gamma_cone_2d_factorized, ())}),
-    "g2c": (3, 3, {"direct": (gamma_cone_3d_direct, ()),
-                   "factorized": (gamma_cone_3d_factorized, ("variant",))}),
+    "s2c": (2, 2, {"decomposed": (sine_cone_decomposed, ()),
+                   "factorized": (sine_cone_factorized, ())}),
+    "s3c": (3, 3, {"decomposed": (sine_cone_decomposed, ()),
+                   "factorized": (sine_cone_factorized, ())}),
+    "g1c": (2, 2, {"direct": (gamma_cone_direct, ()),
+                   "factorized": (gamma_cone_factorized, ())}),
+    "g2c": (3, 3, {"direct": (gamma_cone_direct, ()),
+                   "factorized": (gamma_cone_factorized, ("variant",))}),
 }
 _FLAG_DEFAULTS = {"form": 1, "variant": "primary"}
 

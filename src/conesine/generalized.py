@@ -16,16 +16,17 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
+import sys
 from dataclasses import dataclass
 from functools import partial
 from random import Random
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import DomainError
 from .bernoulli import (
     _as_period_tuple,
-    bernoulli_cone_22,
-    bernoulli_cone_33,
+    bernoulli_cone,
     bernoulli_cone_lifted,
 )
 from .lattice_cones import (
@@ -50,14 +51,10 @@ from .qseries import (
 __all__ = [
     "FaceFactor",
     "VerificationReport",
-    "sine_cone_2d_decomposed",
-    "sine_cone_2d_factorized",
-    "sine_cone_3d_decomposed",
-    "sine_cone_3d_factorized",
-    "gamma_cone_2d_direct",
-    "gamma_cone_2d_factorized",
-    "gamma_cone_3d_direct",
-    "gamma_cone_3d_factorized",
+    "sine_cone_decomposed",
+    "sine_cone_factorized",
+    "gamma_cone_direct",
+    "gamma_cone_factorized",
     "sine_face_factors",
     "gamma_face_factors",
     "gamma_cone_lattice_oracle",
@@ -67,18 +64,31 @@ __all__ = [
 ]
 
 
-def _route_periods(name: str, cone: Cone, omegas: Sequence[complex], dim: int, gamma: bool) -> tuple[complex, ...]:
-    """The checked period tuple of a cone route: the cone is ``dim``-dimensional,
-    and for the elliptic gammas Im(periods) lies strictly inside the dual cone."""
-    if cone.dim != dim:
-        raise DomainError(f"{name} needs a {dim}d cone")
-    omegas = _as_period_tuple(omegas, dim)
+def _route_periods(cone: Cone, omegas: Sequence[complex], gamma: bool) -> tuple[complex, ...]:
+    """One period per cone dimension; for the elliptic gammas Im(periods) strictly inside the dual cone."""
+    omegas = _as_period_tuple(omegas, cone.dim)
     if gamma and not dual_contains(cone, tuple(w.imag for w in omegas), strict=True):
         raise DomainError(
             "Im(periods) must lie strictly inside the dual cone for the "
             "cone elliptic gamma functions to converge"
         )
     return omegas
+
+
+def _checked_product(kind: str, factors: Iterable[complex], z: complex) -> complex:
+    """The product of a route's ``kind`` (wedge or face) factors, refused
+    when a partial product overflows, or underflows below the normal double
+    range, where it loses digits or reaches 0 (a g2c face product of about
+    1e-306, 1e-38, 1e43 and 1e298 returned 0 for a value of order 1)."""
+    total = 1.0 + 0j
+    for factor in factors:
+        product = total * factor
+        if not cmath.isfinite(product):
+            raise DomainError(f"the {kind} product is not finite at z = {z:.6g}: its factors overflow double precision")
+        if total and factor and abs(product) < sys.float_info.min:
+            raise DomainError(f"the {kind} product underflows at z = {z:.6g}: its factors span more than double precision")
+        total = product
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -91,74 +101,40 @@ def _wedge_product(
     """Product of ``fn`` over the wedges of the cone's decomposition, after
     the factor of the straightened axis in 3d, checked finite."""
     axis, wedges = cone_plan(cone).wedges(z, omegas)
-    total = 1.0 + 0j if axis is None else fn(z, (axis,), cfg)
-    for arg, periods in wedges:
-        total *= fn(arg, periods, cfg)
-    if not cmath.isfinite(total):
-        raise DomainError(f"the wedge product is not finite at z = {z:.6g}: its factors overflow double precision")
-    return total
+    axis_factor = [] if axis is None else [fn(z, (axis,), cfg)]
+    return _checked_product("wedge", axis_factor + [fn(arg, periods, cfg) for arg, periods in wedges], z)
 
 
-def sine_cone_2d_decomposed(
+def sine_cone_decomposed(
     cone: Cone,
     z: complex,
     omegas: Sequence[complex],
     cfg: EvalConfig = DEFAULT_CONFIG,
 ) -> complex:
-    """Cone double sine via the finite product of ordinary double sines.
+    """Cone sine via the finite product of ordinary multiple sines.
 
-    Follows the chain subdividing the dual wedge: every wedge factor except
-    the last is shifted by its opening pairing, matching the cone polynomial
-    convention.
+    In 2d the wedges follow the chain subdividing the dual wedge: every
+    wedge factor except the last is shifted by its opening pairing, matching
+    the cone polynomial convention.  In 3d the cone must be good Gorenstein:
+    in the straightened frame the facet wedges tile the punctured apex plane
+    (every factor shifted), and the points on the straightened axis
+    contribute one ordinary sine factor.
     """
-    omegas = _route_periods("sine_cone_2d_decomposed", cone, omegas, 2, gamma=False)
-    return _wedge_product(multiple_sine, cone, z, omegas, cfg)
+    return _wedge_product(multiple_sine, cone, z, _route_periods(cone, omegas, gamma=False), cfg)
 
 
-def sine_cone_3d_decomposed(
+def gamma_cone_direct(
     cone: Cone,
     z: complex,
     omegas: Sequence[complex],
     cfg: EvalConfig = DEFAULT_CONFIG,
 ) -> complex:
-    """Cone triple sine via ordinary triple sines over the facet wedges.
+    """Cone elliptic gamma via ordinary elliptic gammas.
 
-    Requires a good Gorenstein cone.  In the straightened frame the facet
-    wedges tile the punctured apex plane (every factor shifted), and the
-    points on the straightened axis contribute one ordinary sine factor.
+    Same wedge layout as the sine decomposition (a good Gorenstein cone in
+    3d); requires Im(periods) strictly inside the dual cone.
     """
-    omegas = _route_periods("sine_cone_3d_decomposed", cone, omegas, 3, gamma=False)
-    return _wedge_product(multiple_sine, cone, z, omegas, cfg)
-
-
-def gamma_cone_2d_direct(
-    cone: Cone,
-    z: complex,
-    omegas: Sequence[complex],
-    cfg: EvalConfig = DEFAULT_CONFIG,
-) -> complex:
-    """Cone elliptic gamma of a 2d cone via ordinary elliptic gammas.
-
-    Same chain layout as the sine decomposition; requires Im(periods)
-    strictly inside the dual cone.
-    """
-    omegas = _route_periods("gamma_cone_2d_direct", cone, omegas, 2, gamma=True)
-    return _wedge_product(elliptic_gamma, cone, z, omegas, cfg)
-
-
-def gamma_cone_3d_direct(
-    cone: Cone,
-    z: complex,
-    omegas: Sequence[complex],
-    cfg: EvalConfig = DEFAULT_CONFIG,
-) -> complex:
-    """Cone elliptic gamma of a good Gorenstein 3d cone, decomposition route.
-
-    One ordinary factor per facet wedge (all shifted) times the factor of the
-    straightened axis.
-    """
-    omegas = _route_periods("gamma_cone_3d_direct", cone, omegas, 3, gamma=True)
-    return _wedge_product(elliptic_gamma, cone, z, omegas, cfg)
+    return _wedge_product(elliptic_gamma, cone, z, _route_periods(cone, omegas, gamma=True), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -172,15 +148,6 @@ class FaceFactor:
 
     face_id: str
     value: complex
-
-
-def _face_product(prefactor: complex, factors: tuple[FaceFactor, ...], z: complex) -> complex:
-    """The Bernoulli exponential ``prefactor`` times every face factor, checked finite."""
-    for factor in factors:
-        prefactor *= factor.value
-    if not cmath.isfinite(prefactor):
-        raise DomainError(f"the face product is not finite at z = {z:.6g}: its factors overflow double precision")
-    return prefactor
 
 
 def sine_face_factors(
@@ -201,31 +168,19 @@ def sine_face_factors(
     )
 
 
-def sine_cone_2d_factorized(
+def sine_cone_factorized(
     cone: Cone,
     z: complex,
     omegas: Sequence[complex],
     cfg: EvalConfig = DEFAULT_CONFIG,
 ) -> complex:
-    """Cone double sine as a Bernoulli exponential times two face factors."""
-    omegas = _route_periods("sine_cone_2d_factorized", cone, omegas, 2, gamma=False)
-    return _face_product(
-        _exp(0.5j * math.pi * bernoulli_cone_22(cone, z, omegas)), sine_face_factors(cone, z, omegas, cfg), z
-    )
-
-
-def sine_cone_3d_factorized(
-    cone: Cone,
-    z: complex,
-    omegas: Sequence[complex],
-    cfg: EvalConfig = DEFAULT_CONFIG,
-) -> complex:
-    """Cone triple sine as a Bernoulli exponential times one factor per
-    1-dimensional face."""
-    omegas = _route_periods("sine_cone_3d_factorized", cone, omegas, 3, gamma=False)
-    return _face_product(
-        _exp(-1j * math.pi / 6.0 * bernoulli_cone_33(cone, z, omegas)), sine_face_factors(cone, z, omegas, cfg), z
-    )
+    """Cone sine as e^{(-1)^r pi i B^C_{r,r}(z | periods) / r!}, r the
+    cone's dimension, times one q-factorial per 1-dimensional face."""
+    omegas = _route_periods(cone, omegas, gamma=False)
+    r = cone.dim
+    prefactor = _exp((-1) ** r * 1j * math.pi / math.factorial(r) * bernoulli_cone(cone, z, omegas, r))
+    factors = sine_face_factors(cone, z, omegas, cfg)
+    return _checked_product("face", [prefactor, *(factor.value for factor in factors)], z)
 
 
 def gamma_face_factors(
@@ -247,45 +202,28 @@ def gamma_face_factors(
     )
 
 
-def gamma_cone_2d_factorized(
-    cone: Cone,
-    z: complex,
-    omegas: Sequence[complex],
-    cfg: EvalConfig = DEFAULT_CONFIG,
-) -> complex:
-    """Cone elliptic gamma (2d) as a lifted-Bernoulli exponential times the
-    face-transformed ordinary elliptic gammas."""
-    omegas = _route_periods("gamma_cone_2d_factorized", cone, omegas, 2, gamma=True)
-    return _face_product(
-        _exp(1j * math.pi / 3.0 * bernoulli_cone_lifted(cone, z, omegas, -1.0)),
-        gamma_face_factors(cone, z, omegas, cfg, variant="primary"),
-        z,
-    )
-
-
-def gamma_cone_3d_factorized(
+def gamma_cone_factorized(
     cone: Cone,
     z: complex,
     omegas: Sequence[complex],
     cfg: EvalConfig = DEFAULT_CONFIG,
     variant: str = "primary",
 ) -> complex:
-    """Cone elliptic gamma (3d) as a lifted-Bernoulli exponential times the
+    """Cone elliptic gamma as a lifted-Bernoulli exponential times the
     face-transformed ordinary elliptic gammas.
 
-    The primary variant lifts with parameter -1 and composes faces with the
-    S matrix; the alternative lifts with +1, uses the inverse S matrix and
-    the opposite sign in the exponent.  Both evaluate the same function.
+    With r the cone's dimension, the primary variant lifts with parameter -1
+    and composes faces with the S matrix, under e^{2 pi i B^lift / (r+1)!};
+    the alternative lifts with +1, uses the inverse S matrix and the
+    opposite sign in the exponent.  Both evaluate the same function.
     """
-    omegas = _route_periods("gamma_cone_3d_factorized", cone, omegas, 3, gamma=True)
+    omegas = _route_periods(cone, omegas, gamma=True)
     if variant not in ("primary", "alternative"):
         raise DomainError(f"unknown variant {variant!r}: use 'primary' or 'alternative'")
     eta, sign = (-1.0, 1.0) if variant == "primary" else (1.0, -1.0)
-    return _face_product(
-        _exp(sign * 1j * math.pi / 12.0 * bernoulli_cone_lifted(cone, z, omegas, eta)),
-        gamma_face_factors(cone, z, omegas, cfg, variant=variant),
-        z,
-    )
+    prefactor = _exp(sign * 2j * math.pi / math.factorial(cone.dim + 1) * bernoulli_cone_lifted(cone, z, omegas, eta))
+    factors = gamma_face_factors(cone, z, omegas, cfg, variant=variant)
+    return _checked_product("face", [prefactor, *(factor.value for factor in factors)], z)
 
 
 # ---------------------------------------------------------------------------
@@ -304,11 +242,12 @@ def gamma_cone_lattice_oracle(
     Multiplies (1 - e^{2 pi i (z + m.omega)})^{s} over closed-cone points m
     and (1 - e^{2 pi i (-z + m.omega)}) over interior points, with s = -1 in
     2d and +1 in 3d.  Convergence needs Im(periods) strictly inside the dual
-    cone; the discarded tail decays geometrically in the dual pairing.
+    cone; the discarded tail decays geometrically in the dual pairing.  A
+    product that overflows double precision raises DomainError.
     """
     import numpy as np
 
-    omegas = _route_periods("gamma_cone_lattice_oracle", cone, omegas, cone.dim, gamma=True)
+    omegas = _route_periods(cone, omegas, gamma=True)
     if radius is None:
         radius = cfg.oracle_radius if cone.dim == 2 else 40
     om = np.asarray(omegas)
@@ -317,11 +256,13 @@ def gamma_cone_lattice_oracle(
     phase_closed = closed @ om
     phase_open = opened @ om
     two_pi_i = 2j * np.pi
-    plus = np.prod(1 - np.exp(two_pi_i * (complex(z) + phase_closed)))
-    minus = np.prod(1 - np.exp(two_pi_i * (-complex(z) + phase_open)))
-    if cone.dim == 2:
-        return complex(minus / plus)
-    return complex(minus * plus)
+    with np.errstate(all="ignore"):
+        plus = np.prod(1 - np.exp(two_pi_i * (complex(z) + phase_closed)))
+        minus = np.prod(1 - np.exp(two_pi_i * (-complex(z) + phase_open)))
+        value = complex(minus / plus if cone.dim == 2 else minus * plus)
+    if not cmath.isfinite(value):
+        raise DomainError(f"the lattice product is not finite at z = {z:.6g}: its factors overflow double precision")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -460,16 +401,13 @@ class _Theorem:
     sampler: _Sampler
     lhs: _Side
     rhs: _Side
-    gorenstein: bool = False
 
 
 def _face_product_reduced(cone: Cone, z, omegas, cfg) -> complex:
     """Product of face-transformed two-period elliptic gammas, dropping the
     first transformed component (the reduced action)."""
-    total = 1.0 + 0j
-    for _, z_scaled, scaled in cone_plan(cone).faces(z, omegas):
-        total *= elliptic_gamma(z_scaled, scaled[1:], cfg)
-    return total
+    faces = cone_plan(cone).faces(z, omegas)
+    return _checked_product("face", (elliptic_gamma(z_scaled, scaled[1:], cfg) for _, z_scaled, scaled in faces), z)
 
 
 THEOREMS: dict[str, _Theorem] = {
@@ -477,47 +415,43 @@ THEOREMS: dict[str, _Theorem] = {
         dim=2,
         tolerance=1e-8,
         sampler=_sample_sine_params,
-        lhs=sine_cone_2d_decomposed,
-        rhs=sine_cone_2d_factorized,
+        lhs=sine_cone_decomposed,
+        rhs=sine_cone_factorized,
     ),
     "s3c-factorization": _Theorem(
         dim=3,
         tolerance=1e-7,
         sampler=_sample_sine_params,
-        lhs=sine_cone_3d_decomposed,
-        rhs=sine_cone_3d_factorized,
-        gorenstein=True,
+        lhs=sine_cone_decomposed,
+        rhs=sine_cone_factorized,
     ),
     "g1c-factorization": _Theorem(
         dim=2,
         tolerance=1e-8,
         sampler=_sample_gamma_params,
-        lhs=gamma_cone_2d_direct,
-        rhs=gamma_cone_2d_factorized,
+        lhs=gamma_cone_direct,
+        rhs=gamma_cone_factorized,
     ),
     "g2c-factorization": _Theorem(
         dim=3,
         tolerance=1e-7,
         sampler=_sample_gamma_params,
-        lhs=gamma_cone_3d_direct,
-        rhs=lambda cone, z, om, cfg: gamma_cone_3d_factorized(cone, z, om, cfg, variant="primary"),
-        gorenstein=True,
+        lhs=gamma_cone_direct,
+        rhs=gamma_cone_factorized,
     ),
     "g2c-alternative": _Theorem(
         dim=3,
         tolerance=1e-7,
         sampler=_sample_gamma_params,
-        lhs=lambda cone, z, om, cfg: gamma_cone_3d_factorized(cone, z, om, cfg, variant="primary"),
-        rhs=lambda cone, z, om, cfg: gamma_cone_3d_factorized(cone, z, om, cfg, variant="alternative"),
-        gorenstein=True,
+        lhs=gamma_cone_factorized,
+        rhs=lambda cone, z, om, cfg: gamma_cone_factorized(cone, z, om, cfg, variant="alternative"),
     ),
     "face-modularity": _Theorem(
         dim=3,
         tolerance=1e-7,
         sampler=_sample_gamma_params,
-        lhs=lambda cone, z, om, cfg: _exp(-1j * math.pi / 3.0 * bernoulli_cone_33(cone, z, om)),
+        lhs=lambda cone, z, om, cfg: _exp(-1j * math.pi / 3.0 * bernoulli_cone(cone, z, om, 3)),
         rhs=_face_product_reduced,
-        gorenstein=True,
     ),
 }
 
@@ -546,6 +480,10 @@ def verify_theorem(
             f"unknown theorem id {theorem_id!r}; known: {', '.join(THEOREM_IDS)}"
         )
     thm = THEOREMS[theorem_id]
+    try:
+        samples = operator.index(samples)
+    except TypeError:
+        raise DomainError(f"the sample count must be an integer, got {samples!r}") from None
     if samples < 1:
         raise DomainError("need at least one sample")
     tol = thm.tolerance if tolerance is None else float(tolerance)
@@ -558,7 +496,7 @@ def verify_theorem(
     )
     if cone.dim != thm.dim:
         return VerificationReport(**base, skipped=f"needs a {thm.dim}d cone, got {cone.dim}d")
-    if thm.gorenstein:
+    if cone.dim == 3:  # every 3d identity needs the Gorenstein frame
         try:
             cone_plan(cone).frame
         except DomainError as exc:

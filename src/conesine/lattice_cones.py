@@ -448,7 +448,12 @@ class FaceTransform:
 
 
 def _min_norm_coset_rep(n: IntVector, basis: tuple[IntVector, ...]) -> IntVector:
-    """Smallest representative of n + Z<basis> by squared norm, then lex order."""
+    """The smallest member of n + Z<basis> by squared norm, then lex order,
+    within a +-2 box around the rounded real least-squares coefficients; on a
+    skewed basis it can miss the shortest member (basis ((1,2,3), (20,41,61)),
+    n = (0,0,1): (-5,-10,-14), not (-1,0,0)).  Any member is valid: moving n
+    by the basis shifts each face period p_j / p_0 by an integer, which
+    leaves the face factors unchanged."""
     dim = len(n)
     # real least-squares shift, then search the rounded neighbourhood
     gram = [[sum(a[k] * b[k] for k in range(dim)) for b in basis] for a in basis]

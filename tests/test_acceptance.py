@@ -11,26 +11,21 @@ import time
 from random import Random
 
 from conesine import (
-    bernoulli_cone_22,
-    bernoulli_cone_33,
+    bernoulli_cone,
     bernoulli_cone_oracle,
     bernoulli_multiple,
     elliptic_gamma,
     elliptic_gamma_modularity_check,
     fixture_cone,
-    gamma_cone_2d_direct,
-    gamma_cone_2d_factorized,
-    gamma_cone_3d_direct,
-    gamma_cone_3d_factorized,
+    gamma_cone_direct,
+    gamma_cone_factorized,
     gamma_cone_lattice_oracle,
     multiple_sine,
     q_theta_modularity_check,
     qfactorial,
     qfactorial_gluing_check,
-    sine_cone_2d_decomposed,
-    sine_cone_2d_factorized,
-    sine_cone_3d_decomposed,
-    sine_cone_3d_factorized,
+    sine_cone_decomposed,
+    sine_cone_factorized,
     sine_face_factors,
     verify_theorem,
     wedge_product_check,
@@ -231,7 +226,7 @@ def test_c08_gamma_cone_2d_factorization_and_oracle():
     w21 = fixture_cone("wedge21")
     om = GAMMA_OMEGAS["wedge21"]
     oracle = gamma_cone_lattice_oracle(w21, Z_GENERIC, om, radius=60)
-    assert rel(gamma_cone_2d_direct(w21, Z_GENERIC, om), oracle) < 1e-6
+    assert rel(gamma_cone_direct(w21, Z_GENERIC, om), oracle) < 1e-6
 
 
 # criterion 9 -- three-period cone gamma on the cone over the square:
@@ -246,8 +241,8 @@ def test_c09_gamma_cone_3d_both_factorizations():
         assert rep.status == "PASS"
         assert rep.max_residual < 1e-7
     om = GAMMA_OMEGAS["cone-over-square"]
-    primary = gamma_cone_3d_factorized(square, Z_GENERIC, om, variant="primary")
-    alt = gamma_cone_3d_factorized(square, Z_GENERIC, om, variant="alternative")
+    primary = gamma_cone_factorized(square, Z_GENERIC, om, variant="primary")
+    alt = gamma_cone_factorized(square, Z_GENERIC, om, variant="alternative")
     assert rel(primary, alt) < 1e-7
 
 
@@ -310,13 +305,13 @@ def test_c12_bernoulli_suite():
     om2 = BERNOULLI_OMEGAS["wedge21"]
     z2 = 0.27 - 0.11j
     assert abs(
-        bernoulli_cone_22(w21, z2, om2) - bernoulli_cone_oracle(w21, z2, om2, 2)
+        bernoulli_cone(w21, z2, om2, 2) - bernoulli_cone_oracle(w21, z2, om2, 2)
     ) < 1e-6
     square = fixture_cone("cone-over-square")
     om3 = BERNOULLI_OMEGAS["cone-over-square"]
     z3 = 0.19 + 0.07j
     assert abs(
-        bernoulli_cone_33(square, z3, om3) - bernoulli_cone_oracle(square, z3, om3, 3)
+        bernoulli_cone(square, z3, om3, 3) - bernoulli_cone_oracle(square, z3, om3, 3)
     ) < 1e-6
 
 
@@ -329,16 +324,16 @@ def test_c13_standard_cone_degeneration():
     z = Z_GENERIC
     s2, s3 = SINE_OMEGAS["standard-2"], SINE_OMEGAS["standard-3"]
     g2, g3 = GAMMA_OMEGAS["standard-2"], GAMMA_OMEGAS["standard-3"]
-    assert rel(sine_cone_2d_decomposed(std2, z, s2), multiple_sine(z, s2)) < 1e-10
-    assert rel(sine_cone_2d_factorized(std2, z, s2), multiple_sine(z, s2)) < 1e-10
-    assert rel(sine_cone_3d_decomposed(std3, z, s3), multiple_sine(z, s3)) < 1e-10
-    assert rel(sine_cone_3d_factorized(std3, z, s3), multiple_sine(z, s3)) < 1e-10
-    assert rel(gamma_cone_2d_direct(std2, z, g2), elliptic_gamma(z, g2)) < 1e-10
-    assert rel(gamma_cone_2d_factorized(std2, z, g2), elliptic_gamma(z, g2)) < 1e-10
-    assert rel(gamma_cone_3d_direct(std3, z, g3), elliptic_gamma(z, g3)) < 1e-10
+    assert rel(sine_cone_decomposed(std2, z, s2), multiple_sine(z, s2)) < 1e-10
+    assert rel(sine_cone_factorized(std2, z, s2), multiple_sine(z, s2)) < 1e-10
+    assert rel(sine_cone_decomposed(std3, z, s3), multiple_sine(z, s3)) < 1e-10
+    assert rel(sine_cone_factorized(std3, z, s3), multiple_sine(z, s3)) < 1e-10
+    assert rel(gamma_cone_direct(std2, z, g2), elliptic_gamma(z, g2)) < 1e-10
+    assert rel(gamma_cone_factorized(std2, z, g2), elliptic_gamma(z, g2)) < 1e-10
+    assert rel(gamma_cone_direct(std3, z, g3), elliptic_gamma(z, g3)) < 1e-10
     for variant in ("primary", "alternative"):
         assert rel(
-            gamma_cone_3d_factorized(std3, z, g3, variant=variant),
+            gamma_cone_factorized(std3, z, g3, variant=variant),
             elliptic_gamma(z, g3),
         ) < 1e-10
 

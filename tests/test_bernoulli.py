@@ -16,9 +16,6 @@ from conesine import (
     Cone,
     DomainError,
     bernoulli_cone,
-    bernoulli_cone_22,
-    bernoulli_cone_2d,
-    bernoulli_cone_33,
     bernoulli_cone_lifted,
     bernoulli_cone_oracle,
     bernoulli_multiple,
@@ -261,14 +258,14 @@ def test_plain_polynomial_matches_60_digit_reference():
 
 def test_cone_quadratic_on_standard_cone_is_plain(std2):
     z, om = 0.37 - 0.21j, (1.1 + 0.2j, 0.8 - 0.3j)
-    assert abs(bernoulli_cone_22(std2, z, om) - bernoulli_multiple(z, om, 2)) < 1e-12
+    assert abs(bernoulli_cone(std2, z, om, 2) - bernoulli_multiple(z, om, 2)) < 1e-12
 
 
 @pytest.mark.parametrize("name", ["wedge21", "wedge53"])
 def test_cone_quadratic_matches_lattice_oracle(name, request):
     cone = request.getfixturevalue({"wedge21": "w21", "wedge53": "w53"}[name])
     om = BERNOULLI_OMEGAS[name]
-    val = bernoulli_cone_22(cone, Z_BERNOULLI_2D, om)
+    val = bernoulli_cone(cone, Z_BERNOULLI_2D, om, 2)
     oracle = bernoulli_cone_oracle(cone, Z_BERNOULLI_2D, om, 2)
     assert abs(val - oracle) < 1e-8
 
@@ -290,7 +287,7 @@ def test_oracle_agrees_with_plain_polynomial_on_standard_cone(std2):
 
 def test_cone_quadratic_subdivision_independence(w21):
     om = BERNOULLI_OMEGAS["wedge21"]
-    default = bernoulli_cone_2d(w21, Z_BERNOULLI_2D, om, 2)
+    default = bernoulli_cone(w21, Z_BERNOULLI_2D, om, 2)
     base = cone_chain_2d(w21).lines
     refined = []
     for a, b in zip(base, base[1:]):
@@ -307,19 +304,19 @@ def test_cone_quadratic_subdivision_independence(w21):
 
 def test_cone_cubic_on_standard_cone_is_plain(std3):
     z, om = 0.29 + 0.13j, (1.05 + 0.21j, 0.85 - 0.17j, 1.3 + 0.08j)
-    assert abs(bernoulli_cone_33(std3, z, om) - bernoulli_multiple(z, om, 3)) < 1e-10
+    assert abs(bernoulli_cone(std3, z, om, 3) - bernoulli_multiple(z, om, 3)) < 1e-10
 
 
 def test_cone_cubic_matches_lattice_oracle(square):
     om = BERNOULLI_OMEGAS["cone-over-square"]
-    val = bernoulli_cone_33(square, Z_BERNOULLI_3D, om)
+    val = bernoulli_cone(square, Z_BERNOULLI_3D, om, 3)
     oracle = bernoulli_cone_oracle(square, Z_BERNOULLI_3D, om, 3)
     assert abs(val - oracle) < 1e-6
 
 
 def _leading_cubic_coefficient(cone: Cone, om: tuple) -> complex:
     h, z0 = 0.7, 0.23
-    vals = [bernoulli_cone_33(cone, z0 + k * h, om) for k in range(4)]
+    vals = [bernoulli_cone(cone, z0 + k * h, om, 3) for k in range(4)]
     return (vals[3] - 3 * vals[2] + 3 * vals[1] - vals[0]) / h**3 / 6
 
 
@@ -350,12 +347,10 @@ def test_cubic_leading_coefficient_is_section_area(square):
     assert abs(ratio - area_tri / area_sq) < 1e-9
 
 
-def test_cone_cubic_needs_3d_gorenstein_cone(w21):
-    with pytest.raises(DomainError):
-        bernoulli_cone_33(w21, 0.3, BERNOULLI_OMEGAS["wedge21"])
+def test_cone_cubic_needs_gorenstein_cone():
     no_xi = Cone(3, ((1, 0, 0), (0, 1, 0), (-1, -1, 2)))
     with pytest.raises(DomainError):
-        bernoulli_cone_33(no_xi, 0.3, (0.2 + 0.9j, 0.1 + 0.8j, 0.05 + 0.7j))
+        bernoulli_cone(no_xi, 0.3, (0.2 + 0.9j, 0.1 + 0.8j, 0.05 + 0.7j), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +492,7 @@ def test_exponential_parity_chain(square):
         square, z, om, 1.0
     )
     lhs = cmath.exp(1j * math.pi / 12 * lifted_sum)
-    rhs = cmath.exp(-1j * math.pi / 3 * bernoulli_cone_33(square, z, om))
+    rhs = cmath.exp(-1j * math.pi / 3 * bernoulli_cone(square, z, om, 3))
     assert abs(lhs - rhs) / abs(rhs) < 1e-8
 
 
@@ -756,7 +751,7 @@ def test_oracle_fiber_sum_leaves_exponents_intact(cone, omegas):
 
 def test_oracle_matches_cone_polynomial_on_two_sided_cone():
     z = 0.27 - 0.11j
-    val = bernoulli_cone_2d(TWO_SIDED_2D, z, TWO_SIDED_OMEGAS_2D, 2)
+    val = bernoulli_cone(TWO_SIDED_2D, z, TWO_SIDED_OMEGAS_2D, 2)
     oracle = bernoulli_cone_oracle(TWO_SIDED_2D, z, TWO_SIDED_OMEGAS_2D, 2)
     assert abs(val - oracle) < 1e-6
 
@@ -798,4 +793,4 @@ def test_oracle_reads_a_bool_order_as_an_integer(w21):
 def test_oracle_accepts_reversed_window(w21):
     om = BERNOULLI_OMEGAS["wedge21"]
     reverse = bernoulli_cone_oracle(w21, Z_BERNOULLI_2D, om, 2, t_window=(1.0, 0.1))
-    assert abs(reverse - bernoulli_cone_22(w21, Z_BERNOULLI_2D, om)) < 1e-8
+    assert abs(reverse - bernoulli_cone(w21, Z_BERNOULLI_2D, om, 2)) < 1e-8

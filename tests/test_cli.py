@@ -17,16 +17,12 @@ from conesine import (
     DEFAULT_CONFIG,
     elliptic_gamma,
     fixture_cone,
-    gamma_cone_2d_direct,
-    gamma_cone_2d_factorized,
-    gamma_cone_3d_direct,
-    gamma_cone_3d_factorized,
+    gamma_cone_direct,
+    gamma_cone_factorized,
     multiple_sine,
     qfactorial,
-    sine_cone_2d_decomposed,
-    sine_cone_2d_factorized,
-    sine_cone_3d_decomposed,
-    sine_cone_3d_factorized,
+    sine_cone_decomposed,
+    sine_cone_factorized,
 )
 from conesine.cli import (
     EXIT_DOMAIN,
@@ -235,14 +231,14 @@ EVAL_ROUTES = [
     *[(f"s{r}", None, {"form": form}, multiple_sine) for r in (1, 2, 3) for form in (1, 2)],
     *[(target, None, {}, elliptic_gamma) for target in ("g0", "g1", "g2", "theta0")],
     ("qfac", None, {}, qfactorial),
-    ("s2c", "decomposed", {}, sine_cone_2d_decomposed),
-    ("s2c", "factorized", {}, sine_cone_2d_factorized),
-    ("s3c", "decomposed", {}, sine_cone_3d_decomposed),
-    ("s3c", "factorized", {}, sine_cone_3d_factorized),
-    ("g1c", "direct", {}, gamma_cone_2d_direct),
-    ("g1c", "factorized", {}, gamma_cone_2d_factorized),
-    ("g2c", "direct", {}, gamma_cone_3d_direct),
-    *[("g2c", "factorized", {"variant": v}, gamma_cone_3d_factorized)
+    ("s2c", "decomposed", {}, sine_cone_decomposed),
+    ("s2c", "factorized", {}, sine_cone_factorized),
+    ("s3c", "decomposed", {}, sine_cone_decomposed),
+    ("s3c", "factorized", {}, sine_cone_factorized),
+    ("g1c", "direct", {}, gamma_cone_direct),
+    ("g1c", "factorized", {}, gamma_cone_factorized),
+    ("g2c", "direct", {}, gamma_cone_direct),
+    *[("g2c", "factorized", {"variant": v}, gamma_cone_factorized)
       for v in ("primary", "alternative")],
 ]
 FLAG_DEFAULTS = {"form": 1, "variant": "primary"}

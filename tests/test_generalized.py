@@ -5,6 +5,7 @@ from __future__ import annotations
 import cmath
 import sys
 from collections import Counter
+from random import Random
 
 import pytest
 
@@ -17,23 +18,19 @@ from conesine import (
     bernoulli_cone_lifted,
     elliptic_gamma,
     fixture_cone,
-    gamma_cone_2d_direct,
-    gamma_cone_2d_factorized,
-    gamma_cone_3d_direct,
-    gamma_cone_3d_factorized,
+    gamma_cone_direct,
+    gamma_cone_factorized,
     gamma_cone_lattice_oracle,
     gamma_face_factors,
     multiple_sine,
-    sine_cone_2d_decomposed,
-    sine_cone_2d_factorized,
-    sine_cone_3d_decomposed,
-    sine_cone_3d_factorized,
+    sine_cone_decomposed,
+    sine_cone_factorized,
     sine_face_factors,
     verify_theorem,
     wedge_product_check,
 )
 from conesine import bernoulli, lattice_cones
-from conesine.generalized import THEOREMS
+from conesine.generalized import THEOREMS, _sample_gamma_params
 from conesine.lattice_cones import Cone, cone_chain_2d, cone_plan
 
 from params import GAMMA_OMEGAS, OVERFLOWING_PRODUCTS, SINE_OMEGAS, Z_GENERIC, chain_wedges, rel
@@ -46,40 +43,59 @@ from params import GAMMA_OMEGAS, OVERFLOWING_PRODUCTS, SINE_OMEGAS, Z_GENERIC, c
 @pytest.mark.parametrize("name", ["standard-2", "wedge21", "wedge53"])
 def test_sine_2d_routes_agree(name):
     cone = fixture_cone(name)
-    a = sine_cone_2d_decomposed(cone, Z_GENERIC, SINE_OMEGAS[name])
-    b = sine_cone_2d_factorized(cone, Z_GENERIC, SINE_OMEGAS[name])
+    a = sine_cone_decomposed(cone, Z_GENERIC, SINE_OMEGAS[name])
+    b = sine_cone_factorized(cone, Z_GENERIC, SINE_OMEGAS[name])
     assert rel(a, b) < 1e-8
 
 
 @pytest.mark.parametrize("name", ["standard-3", "cone-over-square"])
 def test_sine_3d_routes_agree(name):
     cone = fixture_cone(name)
-    a = sine_cone_3d_decomposed(cone, Z_GENERIC, SINE_OMEGAS[name])
-    b = sine_cone_3d_factorized(cone, Z_GENERIC, SINE_OMEGAS[name])
+    a = sine_cone_decomposed(cone, Z_GENERIC, SINE_OMEGAS[name])
+    b = sine_cone_factorized(cone, Z_GENERIC, SINE_OMEGAS[name])
     assert rel(a, b) < 1e-7
 
 
 @pytest.mark.parametrize("name", ["standard-2", "wedge21", "wedge53"])
 def test_gamma_2d_routes_agree(name):
     cone = fixture_cone(name)
-    a = gamma_cone_2d_direct(cone, Z_GENERIC, GAMMA_OMEGAS[name])
-    b = gamma_cone_2d_factorized(cone, Z_GENERIC, GAMMA_OMEGAS[name])
+    a = gamma_cone_direct(cone, Z_GENERIC, GAMMA_OMEGAS[name])
+    b = gamma_cone_factorized(cone, Z_GENERIC, GAMMA_OMEGAS[name])
     assert rel(a, b) < 1e-8
+
+
+@pytest.mark.parametrize("name", ["standard-2", "wedge21", "wedge53"])
+def test_gamma_2d_alternative_variant_agrees_with_direct_route(name):
+    # the alternative variant (lift +1, S^-1, opposite exponent) in 2d, at
+    # five seeded samples and the g1c identity tolerance
+    cone, rng = fixture_cone(name), Random(17)
+    for _ in range(5):
+        for _ in range(10):  # redraw a degenerate sample, as verify does
+            z, omegas = _sample_gamma_params(cone, rng)
+            try:
+                a = gamma_cone_direct(cone, z, omegas)
+                b = gamma_cone_factorized(cone, z, omegas, variant="alternative")
+                break
+            except DomainError:
+                pass
+        else:
+            pytest.fail(f"no generic sample for {name}")
+        assert rel(a, b) < 1e-8
 
 
 @pytest.mark.parametrize("name", ["standard-3", "cone-over-square"])
 def test_gamma_3d_routes_agree(name):
     cone = fixture_cone(name)
-    a = gamma_cone_3d_direct(cone, Z_GENERIC, GAMMA_OMEGAS[name])
-    b = gamma_cone_3d_factorized(cone, Z_GENERIC, GAMMA_OMEGAS[name], variant="primary")
-    c = gamma_cone_3d_factorized(cone, Z_GENERIC, GAMMA_OMEGAS[name], variant="alternative")
+    a = gamma_cone_direct(cone, Z_GENERIC, GAMMA_OMEGAS[name])
+    b = gamma_cone_factorized(cone, Z_GENERIC, GAMMA_OMEGAS[name], variant="primary")
+    c = gamma_cone_factorized(cone, Z_GENERIC, GAMMA_OMEGAS[name], variant="alternative")
     assert rel(a, b) < 1e-7
     assert rel(b, c) < 1e-7
 
 
 def test_gamma_3d_variant_is_validated(square):
     with pytest.raises(DomainError):
-        gamma_cone_3d_factorized(square, Z_GENERIC, GAMMA_OMEGAS["cone-over-square"], variant="bogus")
+        gamma_cone_factorized(square, Z_GENERIC, GAMMA_OMEGAS["cone-over-square"], variant="bogus")
 
 
 # ---------------------------------------------------------------------------
@@ -90,15 +106,15 @@ def test_standard_cone_degenerations(std2, std3):
     s2, s3 = SINE_OMEGAS["standard-2"], SINE_OMEGAS["standard-3"]
     g2, g3 = GAMMA_OMEGAS["standard-2"], GAMMA_OMEGAS["standard-3"]
     z = Z_GENERIC
-    assert rel(sine_cone_2d_decomposed(std2, z, s2), multiple_sine(z, s2)) < 1e-10
-    assert rel(sine_cone_2d_factorized(std2, z, s2), multiple_sine(z, s2)) < 1e-10
-    assert rel(sine_cone_3d_decomposed(std3, z, s3), multiple_sine(z, s3)) < 1e-10
-    assert rel(sine_cone_3d_factorized(std3, z, s3), multiple_sine(z, s3)) < 1e-10
-    assert rel(gamma_cone_2d_direct(std2, z, g2), elliptic_gamma(z, g2)) < 1e-10
-    assert rel(gamma_cone_2d_factorized(std2, z, g2), elliptic_gamma(z, g2)) < 1e-10
-    assert rel(gamma_cone_3d_direct(std3, z, g3), elliptic_gamma(z, g3)) < 1e-10
+    assert rel(sine_cone_decomposed(std2, z, s2), multiple_sine(z, s2)) < 1e-10
+    assert rel(sine_cone_factorized(std2, z, s2), multiple_sine(z, s2)) < 1e-10
+    assert rel(sine_cone_decomposed(std3, z, s3), multiple_sine(z, s3)) < 1e-10
+    assert rel(sine_cone_factorized(std3, z, s3), multiple_sine(z, s3)) < 1e-10
+    assert rel(gamma_cone_direct(std2, z, g2), elliptic_gamma(z, g2)) < 1e-10
+    assert rel(gamma_cone_factorized(std2, z, g2), elliptic_gamma(z, g2)) < 1e-10
+    assert rel(gamma_cone_direct(std3, z, g3), elliptic_gamma(z, g3)) < 1e-10
     assert rel(
-        gamma_cone_3d_factorized(std3, z, g3, variant="primary"), elliptic_gamma(z, g3)
+        gamma_cone_factorized(std3, z, g3, variant="primary"), elliptic_gamma(z, g3)
     ) < 1e-10
 
 
@@ -109,18 +125,26 @@ def test_standard_cone_degenerations(std2, std3):
 def test_gamma_2d_matches_lattice_oracle(w21):
     om = GAMMA_OMEGAS["wedge21"]
     oracle = gamma_cone_lattice_oracle(w21, Z_GENERIC, om, radius=60)
-    assert rel(gamma_cone_2d_direct(w21, Z_GENERIC, om), oracle) < 1e-6
+    assert rel(gamma_cone_direct(w21, Z_GENERIC, om), oracle) < 1e-6
 
 
 def test_gamma_3d_matches_lattice_oracle(square):
     om = GAMMA_OMEGAS["cone-over-square"]
     oracle = gamma_cone_lattice_oracle(square, Z_GENERIC, om, radius=40)
-    assert rel(gamma_cone_3d_direct(square, Z_GENERIC, om), oracle) < 1e-5
+    assert rel(gamma_cone_direct(square, Z_GENERIC, om), oracle) < 1e-5
 
 
 def test_lattice_oracle_needs_damped_periods(w21):
     with pytest.raises(DomainError):
         gamma_cone_lattice_oracle(w21, Z_GENERIC, SINE_OMEGAS["wedge21"], radius=10)
+
+
+@pytest.mark.parametrize("z", [0.3 - 40j, 0.3 + 40j])
+def test_lattice_oracle_refuses_a_product_that_is_not_finite(std2, z):
+    # e^{2 pi i z} overflows at |Im z| = 40: refused, never nan, and no
+    # numpy RuntimeWarning escapes (pytest turns one into an error)
+    with pytest.raises(DomainError, match="lattice product is not finite"):
+        gamma_cone_lattice_oracle(std2, z, GAMMA_OMEGAS["standard-2"])
 
 
 # ---------------------------------------------------------------------------
@@ -182,14 +206,14 @@ def _chain_product(fn, lines, z, omegas) -> complex:
 
 
 ROUTE_FUNCTIONS = {
-    ("s2c", "decomposed"): sine_cone_2d_decomposed,
-    ("s2c", "factorized"): sine_cone_2d_factorized,
-    ("s3c", "decomposed"): sine_cone_3d_decomposed,
-    ("s3c", "factorized"): sine_cone_3d_factorized,
-    ("g1c", "direct"): gamma_cone_2d_direct,
-    ("g1c", "factorized"): gamma_cone_2d_factorized,
-    ("g2c", "direct"): gamma_cone_3d_direct,
-    ("g2c", "factorized"): gamma_cone_3d_factorized,
+    ("s2c", "decomposed"): sine_cone_decomposed,
+    ("s2c", "factorized"): sine_cone_factorized,
+    ("s3c", "decomposed"): sine_cone_decomposed,
+    ("s3c", "factorized"): sine_cone_factorized,
+    ("g1c", "direct"): gamma_cone_direct,
+    ("g1c", "factorized"): gamma_cone_factorized,
+    ("g2c", "direct"): gamma_cone_direct,
+    ("g2c", "factorized"): gamma_cone_factorized,
 }
 
 
@@ -201,13 +225,41 @@ def test_overflowing_cone_product_is_domain_error(target, name, route, z, omegas
         ROUTE_FUNCTIONS[target, route](fixture_cone(name), z, omegas)
 
 
+def test_face_product_that_underflows_midway_is_domain_error():
+    # the primary face factors here are about 1e-306, 1e-38, 1e43 and 1e298:
+    # multiplied left to right the partial product underflowed to 0, and the
+    # factorized route returned 0 where the direct route and the alternative
+    # variant give 1.058+0.029i (a cone over a lattice polygon, in a random basis)
+    cone = Cone(3, ((2, -1, 2), (-2, -3, 5), (-2, -1, 2), (-1, 3, -4)))
+    z = 0.5736447583555362 + 0.4345069284338878j
+    omegas = (0.25580420415722394 - 1.429235636630282j, 0.11836899667533163 - 1.5384129061807608j,
+              -0.24949365863755946 + 3.206272793622946j)
+    with pytest.raises(DomainError, match="the face product underflows"):
+        gamma_cone_factorized(cone, z, omegas)
+    alternative = gamma_cone_factorized(cone, z, omegas, variant="alternative")
+    assert rel(alternative, gamma_cone_direct(cone, z, omegas)) < 1e-7
+
+
+def test_reduced_face_product_that_underflows_midway_is_refused_and_redrawn():
+    # the fourth sample of this face-modularity check had its reduced face
+    # product underflow to -0j, a FAIL with residual 1 (a fresh-cones cone);
+    # refused, the sample is drawn again and the identity holds
+    cone = Cone(3, ((1, 2, 0), (0, 1, -1), (0, 0, -1), (1, 1, 0)))
+    z = 0.5557464031699264 + 0.37149272346573764j
+    omegas = (0.1696048665060219 + 0.575481873359113j, 0.4221363923909809 + 1.4618183956354032j,
+              -0.21524191508476997 - 0.862429474899906j)
+    with pytest.raises(DomainError, match="the face product underflows"):
+        THEOREMS["face-modularity"].rhs(cone, z, omegas, DEFAULT_CONFIG)
+    assert verify_theorem("face-modularity", cone, samples=5, seed=100065).status == "PASS"
+
+
 @pytest.mark.parametrize("name", ["wedge21", "wedge53"])
 def test_sine_2d_chain_refinement_invariance(name):
     cone = fixture_cone(name)
     om = SINE_OMEGAS[name]
     # the helper walks the default chain exactly as the cone plan does
     assert chain_wedges(cone_chain_2d(cone).lines, Z_GENERIC, om) == cone_plan(cone).wedges(Z_GENERIC, om)[1]
-    a = sine_cone_2d_decomposed(cone, Z_GENERIC, om)
+    a = sine_cone_decomposed(cone, Z_GENERIC, om)
     b = _chain_product(multiple_sine, _refined_chain(cone), Z_GENERIC, om)
     assert rel(a, b) < 1e-10
 
@@ -216,7 +268,7 @@ def test_sine_2d_chain_refinement_invariance(name):
 def test_gamma_2d_chain_refinement_invariance(name):
     cone = fixture_cone(name)
     om = GAMMA_OMEGAS[name]
-    a = gamma_cone_2d_direct(cone, Z_GENERIC, om)
+    a = gamma_cone_direct(cone, Z_GENERIC, om)
     b = _chain_product(elliptic_gamma, _refined_chain(cone), Z_GENERIC, om)
     assert rel(a, b) < 1e-10
 
@@ -228,15 +280,15 @@ def test_gamma_2d_chain_refinement_invariance(name):
 def test_sine_2d_rescaling_invariance(w21):
     om = SINE_OMEGAS["wedge21"]
     c = 1.3 - 0.4j
-    a = sine_cone_2d_factorized(w21, c * Z_GENERIC, tuple(c * w for w in om))
-    assert rel(a, sine_cone_2d_factorized(w21, Z_GENERIC, om)) < 1e-9
+    a = sine_cone_factorized(w21, c * Z_GENERIC, tuple(c * w for w in om))
+    assert rel(a, sine_cone_factorized(w21, Z_GENERIC, om)) < 1e-9
 
 
 def test_sine_3d_rescaling_invariance(square):
     om = SINE_OMEGAS["cone-over-square"]
     c = 0.8 + 0.3j
-    a = sine_cone_3d_factorized(square, c * Z_GENERIC, tuple(c * w for w in om))
-    assert rel(a, sine_cone_3d_factorized(square, Z_GENERIC, om)) < 1e-9
+    a = sine_cone_factorized(square, c * Z_GENERIC, tuple(c * w for w in om))
+    assert rel(a, sine_cone_factorized(square, Z_GENERIC, om)) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +315,7 @@ def test_classical_double_sine_zero_and_pole_lattice():
 
 def test_sine_cone_2d_zero_and_pole_lattice(w21):
     om = (-0.8 + 0.05j, 1.1 - 0.07j)  # real parts inside the dual wedge
-    f = lambda z: sine_cone_2d_factorized(w21, z, om)
+    f = lambda z: sine_cone_factorized(w21, z, om)
     # zeros at -m.omega for lattice m in the closed cone
     assert _scaling_ratio(f, 0.0) < 0.5
     assert _scaling_ratio(f, -om[1]) < 0.5  # m=(0,1)
@@ -278,7 +330,7 @@ def test_sine_cone_2d_zero_and_pole_lattice(w21):
 def test_sine_cone_3d_zero_lattice_both_families(square):
     # odd period count: both lattice families give zeros
     om = SINE_OMEGAS["cone-over-square"]
-    f = lambda z: sine_cone_3d_factorized(square, z, om)
+    f = lambda z: sine_cone_factorized(square, z, om)
     assert _scaling_ratio(f, 0.0) < 0.5
     assert _scaling_ratio(f, -(om[0] + om[1])) < 0.5  # m=(1,1,0) on a face
     assert _scaling_ratio(f, om[0]) < 0.5  # n=(1,0,0) interior
@@ -421,6 +473,12 @@ def test_verify_theorem_rejects_unknown_id(w21):
 def test_verify_theorem_rejects_empty_sample_request(w21):
     with pytest.raises(DomainError):
         verify_theorem("s2c-factorization", w21, samples=0)
+
+
+@pytest.mark.parametrize("samples", [2.0, 2.5])
+def test_verify_theorem_refuses_a_sample_count_that_is_not_an_integer(std2, samples):
+    with pytest.raises(DomainError, match="sample count must be an integer"):
+        verify_theorem("s2c-factorization", std2, samples=samples)
 
 
 def test_verify_theorem_fails_at_impossible_tolerance(w21):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from conesine import (
     DEFAULT_CONFIG,
+    BudgetError,
     Cone,
     DomainError,
     ParseError,
@@ -28,16 +29,17 @@ from conesine import (
     is_primitive,
     lattice_points,
     subdivide_wedge,
+    verify_theorem,
 )
 from conesine.fixtures import FIXTURE_NAMES, fixture_cone
 from conesine.generalized import (
     _face_product_reduced,
     _sample_gamma_params,
     _sample_sine_params,
-    gamma_cone_3d_direct,
-    gamma_cone_3d_factorized,
-    sine_cone_3d_decomposed,
-    sine_cone_3d_factorized,
+    gamma_cone_direct,
+    gamma_cone_factorized,
+    sine_cone_decomposed,
+    sine_cone_factorized,
 )
 from conesine.lattice_cones import (
     _adjugate,
@@ -51,6 +53,8 @@ from conesine.lattice_cones import (
     unimodular_inverse,
     unimodular_with_first_column,
 )
+
+from cone_strategies import polygon_cones
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +91,9 @@ def test_primitive_part_divides_out_gcd():
     (2, ((0, 1), (1, 1), (1, 0)), r"^a 2d cone needs exactly two normals$"),
     (3, ((1, 0, 0), (0, 1, 0)), r"^a 3d cone needs at least three normals$"),
     (2, ((0, 1), (0, -1)), r"^normals do not span 2d space: cone contains a line$"),
+    # normals whose last coordinates are all 0 never span, so the oracle's
+    # fiber walk (bernoulli._fiber_runs) always has a bound along that axis
+    (2, ((1, 0), (-1, 0)), r"^normals do not span 2d space: cone contains a line$"),
     (3, ((1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0)),
      r"^normals do not span 3d space: cone contains a line$"),
     (3, ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1)),
@@ -100,7 +107,7 @@ def test_primitive_part_divides_out_gcd():
     (2.5, ((0, 1), (-2, 1)), r"^only cones of dimension 2 or 3 are supported, got 2.5$"),
     # JSON reads 1e400 as infinity, which int() cannot convert
     (2, ((math.inf, 1), (0, 1)), r"^normal must be a sequence of integers: \(inf, 1\)$"),
-], ids=["2d-three-normals", "3d-two-normals", "2d-half-plane", "3d-rank-deficient",
+], ids=["2d-three-normals", "3d-two-normals", "2d-half-plane", "2d-free-last-axis", "3d-rank-deficient",
         "3d-consecutive-parallel", "3d-shuffled-square", "3d-edge-on-third-facet",
         "non-integral-dim", "infinite-entry"])
 def test_cone_refusal_messages(dim, normals, match):
@@ -629,45 +636,93 @@ def test_gorenstein_frame_straightens_normals_and_winds_counterclockwise(clockwi
         assert frame.ell == (listed[::-1] if clockwise else listed)
 
 
-def test_relisted_3d_cones_keep_their_geometry():
+def _check_relisted_geometry(cone: Cone) -> None:
     # reversing a listing makes the face walk swap every adjacent pair and
     # the frame reverse its apex vectors; rotating it only rotates the walk
-    for cone in GORENSTEIN_CONES:
-        faces = {ft.face_id: ft for ft in face_matrices(cone)}
-        frame = gorenstein_frame(cone)
-        for other in _relistings(cone)[1:]:
-            assert set(edge_rays(other)) == set(edge_rays(cone))
-            assert {ft.face_id: ft for ft in face_matrices(other)} == faces
-            moved = gorenstein_frame(other)
-            assert (moved.xi, moved.basis) == (frame.xi, frame.basis)
-            k = _rotation(frame.ell, moved.ell)
-            assert [c.lines for c in moved.chains] == [c.lines for c in frame.chains[k:] + frame.chains[:k]]
+    faces = {ft.face_id: ft for ft in face_matrices(cone)}
+    frame = gorenstein_frame(cone)
+    for other in _relistings(cone)[1:]:
+        assert set(edge_rays(other)) == set(edge_rays(cone))
+        assert {ft.face_id: ft for ft in face_matrices(other)} == faces
+        moved = gorenstein_frame(other)
+        assert (moved.xi, moved.basis) == (frame.xi, frame.basis)
+        k = _rotation(frame.ell, moved.ell)
+        assert [c.lines for c in moved.chains] == [c.lines for c in frame.chains[k:] + frame.chains[:k]]
 
 
-@pytest.mark.parametrize("route, kwargs, sampler", [
-    (sine_cone_3d_decomposed, {}, _sample_sine_params),
-    (sine_cone_3d_factorized, {}, _sample_sine_params),
-    (gamma_cone_3d_direct, {}, _sample_gamma_params),
-    (gamma_cone_3d_factorized, {"variant": "primary"}, _sample_gamma_params),
-    (gamma_cone_3d_factorized, {"variant": "alternative"}, _sample_gamma_params),
+RELISTED_ROUTES = [
+    (sine_cone_decomposed, {}, _sample_sine_params),
+    (sine_cone_factorized, {}, _sample_sine_params),
+    (gamma_cone_direct, {}, _sample_gamma_params),
+    (gamma_cone_factorized, {"variant": "primary"}, _sample_gamma_params),
+    (gamma_cone_factorized, {"variant": "alternative"}, _sample_gamma_params),
     (_face_product_reduced, {}, _sample_gamma_params),
-], ids=["sine-decomposed", "sine-factorized", "gamma-direct", "gamma-factorized",
-        "gamma-factorized-alternative", "face-product-reduced"])
+]
+RELISTED_ROUTE_IDS = ["sine-decomposed", "sine-factorized", "gamma-direct", "gamma-factorized",
+                      "gamma-factorized-alternative", "face-product-reduced"]
+
+
+def _check_relisted_values(cone: Cone, route, kwargs, sampler, rng: Random) -> None:
+    # redraw a sample the route refuses: a degenerate one (DomainError, as
+    # verify redraws) or one whose moduli sit so near the unit circle that
+    # the series overruns its budget (BudgetError)
+    for _ in range(10):
+        z, omegas = sampler(cone, rng)
+        try:
+            want = route(cone, z, omegas, DEFAULT_CONFIG, **kwargs)
+            break
+        except (DomainError, BudgetError):
+            pass
+    else:
+        pytest.fail(f"no generic sample for {cone.normals}")
+    for other in _relistings(cone)[1:]:
+        got = route(other, z, omegas, DEFAULT_CONFIG, **kwargs)
+        assert abs(got - want) <= 1e-14 * abs(want), (cone.normals, other.normals)
+
+
+def test_relisted_3d_cones_keep_their_geometry():
+    for cone in GORENSTEIN_CONES:
+        _check_relisted_geometry(cone)
+
+
+@pytest.mark.parametrize("route, kwargs, sampler", RELISTED_ROUTES, ids=RELISTED_ROUTE_IDS)
 def test_relisted_3d_cones_keep_their_values(route, kwargs, sampler):
     rng = Random(29)
     for cone in GORENSTEIN_CONES:
-        for _ in range(10):  # redraw a degenerate sample, as verify does
-            z, omegas = sampler(cone, rng)
-            try:
-                want = route(cone, z, omegas, DEFAULT_CONFIG, **kwargs)
-                break
-            except DomainError:
-                pass
-        else:
-            pytest.fail(f"no generic sample for {cone.normals}")
-        for other in _relistings(cone)[1:]:
-            got = route(other, z, omegas, DEFAULT_CONFIG, **kwargs)
-            assert abs(got - want) <= 1e-14 * abs(want), (cone.normals, other.normals)
+        _check_relisted_values(cone, route, kwargs, sampler, rng)
+
+
+# cones over lattice polygons reach four to eight facets and both windings,
+# which the draws of _random_good_cones(3, ..., gorenstein=True) almost never do
+
+
+@settings(max_examples=30, deadline=None)
+@given(cone=polygon_cones())
+def test_relisted_polygon_cones_keep_their_geometry(cone):
+    event(f"{len(cone.normals)} facets")
+    _check_relisted_geometry(cone)
+
+
+@settings(max_examples=10, deadline=None)
+@given(cone=polygon_cones(), seed=st.integers(0, 2**32 - 1))
+# first sine sample: face moduli within 3e-5 of the unit circle, BudgetError from the factorized route
+@example(cone=Cone(3, ((5, 2, -2), (-3, 1, 2), (-1, -2, 1), (3, -1, -1))), seed=1)
+@pytest.mark.parametrize("route, kwargs, sampler", RELISTED_ROUTES, ids=RELISTED_ROUTE_IDS)
+def test_relisted_polygon_cones_keep_their_values(route, kwargs, sampler, cone, seed):
+    event(f"{len(cone.normals)} facets")
+    _check_relisted_values(cone, route, kwargs, sampler, Random(seed))
+
+
+@settings(max_examples=10, deadline=None)
+@given(cone=polygon_cones(), seed=st.integers(0, 2**32 - 1))
+# second g2c sample: the primary face product underflowed midway, so the factorized route returned 0
+@example(cone=Cone(3, ((2, -1, 2), (-2, -3, 5), (-2, -1, 2), (-1, 3, -4))), seed=0)
+@pytest.mark.parametrize("theorem_id", ["s3c-factorization", "g2c-factorization", "g2c-alternative"])
+def test_polygon_cones_agree_across_routes(theorem_id, cone, seed):
+    # the four cone routes and both gamma variants, at the identity tolerances
+    event(f"{len(cone.normals)} facets")
+    report = verify_theorem(theorem_id, cone, samples=2, seed=seed)
+    assert report.status == "PASS", (cone.normals, seed, report.residuals)
 
 
 @pytest.mark.parametrize("variant", ["primary", "alternative"])

@@ -23,15 +23,18 @@ from .errors import BudgetError, DomainError
 
 TWO_PI_I = 2j * math.pi
 RESONANCE_FLOOR = 1e-6
-X_REDUCTION_THRESHOLD = 0.75
+SERIES_TERMS = 100.0
 
 
 @dataclass(frozen=True)
 class EvalConfig:
     """Evaluation budget and tolerances shared by all numeric routines.
 
-    ``tail_tol`` bounds every truncated tail (so values carry roughly that
-    relative accuracy).  ``comparison_tol`` must exceed it and is recorded
+    ``tail_tol`` bounds every truncated tail, and only the truncation: near
+    the unit circle rounding dominates, and a value can err by far more
+    (``multiple_sine(0.6+0.1j, (1, 1.0001+0.00001j))``, with |log |q|| near
+    6e-5, errs by 1.03e-9 relative).
+    ``comparison_tol`` must exceed it and is recorded
     with every report and eval record, but no check reads it: ``verify`` and
     ``report`` pass each identity below that identity's own tolerance unless
     ``--tol`` overrides it, and ``eval --tol`` only sets the recorded value.
@@ -91,18 +94,57 @@ class _Budget:
     def __init__(self, max_terms: int):
         self.left = max_terms
 
-    def spend(self, k: int = 1):
-        """Charge k terms; BudgetError, with nothing charged, if fewer are left."""
-        if k > self.left:
+    def spend(self, k: int = 1, ahead: int = 0):
+        """Charge k terms; BudgetError, with nothing charged, if fewer than k + ahead are left.
+
+        ``ahead`` is a lower bound on the terms the caller is sure to charge next.
+        """
+        if k + ahead > self.left:
             raise BudgetError("evaluation exceeded the configured max_terms budget")
         self.left -= k
+
+
+def _shift_target(log_a: float, periods: int) -> float:
+    """The |x| at which a shift loop on a modulus a = e^{log_a} < 1 over ``periods`` periods
+    stops and the log series takes over.
+
+    With g = -log_a, shifting from |x| down to t takes about log(|x| / t) / g steps of
+    price C each, and the log series started at |x| = t about SERIES_TERMS / |log t| terms;
+    their sum is least at t = exp(-sqrt(SERIES_TERMS g / C)).  A one-period step is one
+    factor (1 - x), C = 1; a step over more periods is a sub-product, about one series,
+    C = SERIES_TERMS.
+    """
+    return math.exp(-math.sqrt(-log_a * SERIES_TERMS if periods == 1 else -log_a))
+
+
+def _row_steps(ax: float, log_a: float, steps: int, reduced_abs: tuple[float, ...]) -> int:
+    """A lower bound on the shift steps charged by the rows (x q^k | reduced), k < steps, of
+    a shift loop on q, |q| = e^{log_a}.
+
+    Row k starts at |x| e^{k log_a} and takes ceil(s_k) steps, s_k = (span + k log_a) /
+    -log a', with a' the smallest reduced modulus and span = log(|x| / t') at its target t';
+    the rows with s_k > 0 sum in closed form, less one step per row for rounding.
+    """
+    if not reduced_abs:
+        return 0
+    log_a1 = math.log(min(reduced_abs))
+    span = math.log(ax / _shift_target(log_a1, len(reduced_abs)))
+    if span <= 0:
+        return 0
+    rows = min(steps, math.ceil(span / -log_a))
+    return max(0, math.floor((rows * span + log_a * rows * (rows - 1) / 2) / -log_a1) - rows)
 
 
 def _qfac_small(x: complex, qs: tuple[complex, ...], cfg: EvalConfig, budget: _Budget, absq=None) -> complex:
     """(x | qs) with every |q| < 1 and x finite, via the shift identity and a log series.
 
-    ``absq`` holds the moduli of ``qs``: the top-level call computes them and
-    passes each recursive call its share.
+    The shift identity (x | qs) = (x | qs without q) (x q | qs) on the smallest |q| moves
+    x down to the cost-balanced ``_shift_target``, where the log series takes over.  Each
+    loop charges its closed-form step or term count to ``budget``; a shift loop over two
+    or more periods first checks the shift steps its rows will charge (``_row_steps``),
+    so a call whose nested loops cannot fit raises BudgetError before any step is taken.
+    ``absq`` holds the moduli of ``qs``: the top-level call computes them and passes each
+    recursive call its share.
     """
     if not qs:
         return 1.0 - x
@@ -110,14 +152,14 @@ def _qfac_small(x: complex, qs: tuple[complex, ...], cfg: EvalConfig, budget: _B
         absq = tuple(abs(q) for q in qs)
     prefactor = 1.0 + 0j
     ax = abs(x)
-    if ax >= X_REDUCTION_THRESHOLD:
-        # shift identity (x | qs) = (x | qs without q) (x q | qs) on the smallest |q|; the
-        # step count is closed-form, so the budget is checked before any step is taken
-        jmin = absq.index(min(absq))
+    jmin = absq.index(min(absq))
+    log_a = math.log(absq[jmin])
+    target = _shift_target(log_a, len(qs))
+    if ax >= target:
         q = qs[jmin]
-        steps = math.ceil(math.log(X_REDUCTION_THRESHOLD / ax) / math.log(absq[jmin]))
-        budget.spend(steps)
+        steps = math.ceil(math.log(target / ax) / log_a)
         reduced, reduced_abs = qs[:jmin] + qs[jmin + 1 :], absq[:jmin] + absq[jmin + 1 :]
+        budget.spend(steps, _row_steps(ax, log_a, steps, reduced_abs))
         for _ in range(steps):
             prefactor *= _qfac_small(x, reduced, cfg, budget, reduced_abs) if reduced else 1.0 - x
             x *= q
@@ -200,7 +242,9 @@ def qfactorial_xq(x: complex, qs: tuple[complex, ...], cfg: EvalConfig = DEFAULT
         x = x / q
     budget = _Budget(cfg.max_terms)
     try:
-        val = _qfac_small(x, tuple(clean) + tuple(1.0 / q for q in invert), cfg, budget)
+        # a reciprocal that underflows to zero is the limit q = 0 as well, and is dropped
+        small = tuple(clean) + tuple(u for u in (1.0 / q for q in invert) if u != 0)
+        val = _qfac_small(x, small, cfg, budget)
     except OverflowError:  # cmath.exp of the log series
         val = complex(math.nan)
     if len(invert) % 2 == 1:

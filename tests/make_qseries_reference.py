@@ -1,4 +1,4 @@
-"""Print the 40-digit reference values held in ``test_qseries_reference.py``.
+"""Print the reference values held in ``test_qseries_reference.py``.
 
 Runs the ``fresh-cones`` benchmark workload (``perfbench/workloads.py``) at
 the given seed with every ``qfactorial_xq`` call recorded, keeps the
@@ -11,17 +11,26 @@ checkout is the one recorded and checked::
 
     python3 tests/make_qseries_reference.py --seed 301 --count 8 --src <checkout>/src
 
+With ``--near-circle`` it prints instead seeded draws near the unit circle,
+30 one-period and 10 two-period (``near_circle_draws``), each with its value
+computed in mpmath at 30 digits::
+
+    python3 tests/make_qseries_reference.py --near-circle --seed 301
+
 The reference shares no code with ``conesine.qseries``: it inverts every
-|q| > 1, shifts on the smallest |q| until |x| < 1/2 (not 3/4) and sums the
-log series until its tail bound is below 1e-36.  It takes a few minutes.
+|q| > 1, shifts on the smallest |q| until |x| < 1/2 (not at the library's
+cost-balanced target) and sums the log series until its tail bound is below
+1e-36.  The fresh-cones run takes a few minutes.
 """
 from __future__ import annotations
 
 import argparse
+import cmath
 import math
 import os
 import sys
 import tempfile
+from random import Random
 
 import mpmath
 
@@ -66,6 +75,20 @@ def _mp_small(x, qs):
         xn, qn, n = xn * x, [u * q for u, q in zip(qn, qs)], n + 1
 
 
+def near_circle_draws(seed: int) -> list:
+    """30 one-period then 10 two-period (x, qs) draws from ``Random(seed)``: every
+    1 - |q| log-uniform in [1e-3, 1e-1], |x| uniform in [0.5, 1.5], uniform angles."""
+    rng = Random(seed)
+    draws = []
+    for r, count in ((1, 30), (2, 10)):
+        for _ in range(count):
+            x = cmath.rect(rng.uniform(0.5, 1.5), rng.uniform(-math.pi, math.pi))
+            qs = tuple(cmath.rect(1.0 - 10.0 ** -rng.uniform(1.0, 3.0), rng.uniform(-math.pi, math.pi))
+                       for _ in range(r))
+            draws.append((x, qs))
+    return draws
+
+
 def record_calls(seed: int):
     """(x, qs, terms spent) of every ``qfactorial_xq`` call that returns in one fresh-cones run."""
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -107,9 +130,16 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=301)
     parser.add_argument("--count", type=int, default=8)
     parser.add_argument("--src", default=os.path.join(ROOT, "src"), help="the conesine sources to record and check")
+    parser.add_argument("--near-circle", action="store_true", help="print the seeded near-circle draws instead")
     args = parser.parse_args(argv)
     sys.path.insert(0, args.src)
     from conesine import qfactorial_xq
+
+    if args.near_circle:
+        for x, qs in near_circle_draws(args.seed):
+            want = mp_qfac(x, qs, 30)
+            print(f"    ({x!r}, {qs!r},\n     \"{mpmath.nstr(want.real, 30)}\", \"{mpmath.nstr(want.imag, 30)}\"),")
+        return 0
 
     chosen = {}
     for x, qs, terms in record_calls(args.seed):

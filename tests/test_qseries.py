@@ -25,7 +25,7 @@ from conesine import (
     qfactorial_gluing_check,
     qfactorial_xq,
 )
-from conesine.qseries import DEFAULT_CONFIG, X_REDUCTION_THRESHOLD, _Budget, _qfac_small
+from conesine.qseries import DEFAULT_CONFIG, _Budget, _qfac_small, _row_steps, _shift_target
 
 from params import rel
 
@@ -77,6 +77,11 @@ def test_non_finite_qfactorial_raises_domain_error(z, omegas):
 
 def test_vanishing_x_gives_empty_product():
     assert qfactorial_xq(0.0, (0.3 + 0.1j, 0.2 - 0.05j)) == 1.0
+
+
+def test_period_whose_reciprocal_underflows_is_dropped():
+    # 1 / (1e308 + 1e308j) underflows to zero, the limit q = 0 of the inverted period
+    assert qfactorial_xq(5.0, (1e308 + 1e308j, 0.5j)) == 1.0
 
 
 def test_no_periods_gives_single_factor():
@@ -157,13 +162,15 @@ def test_truncation_policy_is_self_consistent():
 
 def _qfac_reference(x: complex, qs: tuple[complex, ...], cfg: EvalConfig, budget: _Budget) -> complex:
     """The q-factorial core without specialisation: one recursive call per shift
-    step, one budget charge per term, and the tail bound over |q_j|^{n+1}."""
+    step down to the shift target, one budget charge per term, and the tail bound
+    over |q_j|^{n+1}."""
     if not qs:
         return 1.0 - x
     prefactor = 1.0 + 0j
     absq = [abs(q) for q in qs]
     jmin = absq.index(min(absq))
-    while abs(x) >= X_REDUCTION_THRESHOLD:
+    target = _shift_target(math.log(absq[jmin]), len(qs))
+    while abs(x) >= target:
         budget.spend()
         prefactor *= _qfac_reference(x, qs[:jmin] + qs[jmin + 1 :], cfg, budget)
         x = x * qs[jmin]
@@ -200,18 +207,22 @@ def _draw_modulus(rng: Random) -> float:
 def test_qfac_core_matches_reference_loop(r, x_max):
     rng = Random(17 + r)
     for trial in range(40):
-        # |x| alternately below and above the shift threshold 0.75
-        ax = rng.uniform(0.05, 0.75) if trial % 2 else rng.uniform(0.75, x_max)
-        x = cmath.rect(ax, rng.uniform(-math.pi, math.pi))
         mods = [_draw_modulus(rng) for _ in range(r)]
         if r == 3:
             mods[rng.randrange(3)] = rng.uniform(0.05, 0.6)  # one fast period keeps the loop short
         qs = tuple(cmath.rect(m, rng.uniform(-math.pi, math.pi)) for m in mods)
+        # |x| alternately below and above this call's shift target
+        target = _shift_target(math.log(min(mods)), r)
+        ax = rng.uniform(0.05 * target, target) if trial % 2 else rng.uniform(target, max(x_max, target))
+        x = cmath.rect(ax, rng.uniform(-math.pi, math.pi))
         fast, slow = _Budget(DEFAULT_CONFIG.max_terms), _Budget(DEFAULT_CONFIG.max_terms)
         got = _qfac_small(x, qs, DEFAULT_CONFIG, fast)
         want = _qfac_reference(x, qs, DEFAULT_CONFIG, slow)
         assert rel(got, want) <= 1e-13, (x, qs)
         assert abs(fast.left - slow.left) <= 1, (x, qs)
+        # the up-front checks refuse no call that fits: the terms it spends are enough
+        exact = _Budget(DEFAULT_CONFIG.max_terms - fast.left)
+        assert _qfac_small(x, qs, DEFAULT_CONFIG, exact) == got and exact.left == 0, (x, qs)
 
 
 def test_tail_bound_uses_the_next_power_of_q():
@@ -247,6 +258,45 @@ def test_budget_checked_before_the_shift_loop():
     budget = _Budget(DEFAULT_CONFIG.max_terms)
     with pytest.raises(BudgetError):
         _qfac_small(x, (q,), DEFAULT_CONFIG, budget)
+    assert budget.left == DEFAULT_CONFIG.max_terms
+
+
+def test_row_steps_bound_the_shift_steps_of_the_rows():
+    # the closed form against the rows (x q^k | reduced) of one shift loop, each row's
+    # shift steps counted as _qfac_small counts them; off by at most two per row
+    rng = Random(23)
+    for _ in range(200):
+        r = rng.choice((2, 3))
+        qs = tuple(cmath.rect(_draw_modulus(rng), rng.uniform(-math.pi, math.pi)) for _ in range(r))
+        x = cmath.rect(rng.uniform(0.3, 3.0), rng.uniform(-math.pi, math.pi))
+        absq = tuple(abs(q) for q in qs)
+        jmin = absq.index(min(absq))
+        log_a = math.log(absq[jmin])
+        steps = max(0, math.ceil(math.log(_shift_target(log_a, r) / abs(x)) / log_a))
+        reduced = absq[:jmin] + absq[jmin + 1 :]
+        log_a1 = math.log(min(reduced))
+        row_target = _shift_target(log_a1, r - 1)
+        counted, row = 0, x
+        for _ in range(steps):
+            if abs(row) >= row_target:
+                counted += math.ceil(math.log(row_target / abs(row)) / log_a1)
+            row *= qs[jmin]
+        bound = _row_steps(abs(x), log_a, steps, reduced)
+        assert bound <= counted <= bound + 2 * steps + 1, (x, qs)
+
+
+def test_nested_budget_checked_before_the_outer_shift_loop():
+    # |x| = e^4 shifted on |q0| = 1/2 gives 7 rows, each a one-period shift loop on
+    # |q1| = e^{-2e-6} of up to 2M steps: 6.8M in all, more than max_terms
+    x = cmath.rect(math.exp(4.0), 0.3)
+    qs = (cmath.rect(0.5, 0.7), cmath.rect(math.exp(-2e-6), 1.1))
+    start = time.perf_counter()
+    with pytest.raises(BudgetError):
+        qfactorial_xq(x, qs)
+    assert time.perf_counter() - start < 0.1
+    budget = _Budget(DEFAULT_CONFIG.max_terms)
+    with pytest.raises(BudgetError):
+        _qfac_small(x, qs, DEFAULT_CONFIG, budget)
     assert budget.left == DEFAULT_CONFIG.max_terms
 
 

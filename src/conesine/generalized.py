@@ -17,11 +17,10 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-import sys
 from dataclasses import dataclass
 from functools import partial
 from random import Random
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .errors import DomainError
 from .bernoulli import (
@@ -40,8 +39,12 @@ from .lattice_cones import (
 from .qseries import (
     DEFAULT_CONFIG,
     EvalConfig,
+    _checked_product,
+    _cheaper_form,
     _exp,
+    _form_arguments,
     _rel_residual,
+    _sine_prefactor,
     e2,
     elliptic_gamma,
     multiple_sine,
@@ -73,22 +76,6 @@ def _route_periods(cone: Cone, omegas: Sequence[complex], gamma: bool) -> tuple[
             "cone elliptic gamma functions to converge"
         )
     return omegas
-
-
-def _checked_product(kind: str, factors: Iterable[complex], z: complex) -> complex:
-    """The product of a route's ``kind`` (wedge or face) factors, refused
-    when a partial product overflows, or underflows below the normal double
-    range, where it loses digits or reaches 0 (a g2c face product of about
-    1e-306, 1e-38, 1e43 and 1e298 returned 0 for a value of order 1)."""
-    total = 1.0 + 0j
-    for factor in factors:
-        product = total * factor
-        if not cmath.isfinite(product):
-            raise DomainError(f"the {kind} product is not finite at z = {z:.6g}: its factors overflow double precision")
-        if total and factor and abs(product) < sys.float_info.min:
-            raise DomainError(f"the {kind} product underflows at z = {z:.6g}: its factors span more than double precision")
-        total = product
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -155,16 +142,20 @@ def sine_face_factors(
     z: complex,
     omegas: Sequence[complex],
     cfg: EvalConfig = DEFAULT_CONFIG,
+    form: int = 1,
 ) -> tuple[FaceFactor, ...]:
     """The q-factorial factor contributed by each codimension-1 face.
 
     With p = K_f (periods) and its first entry p_0 the edge-ray pairing,
-    the factor is (e^{2 pi i z/p_0} | e^{2 pi i p_j/p_0}) over j >= 1.
+    the form-1 factor is (e^{2 pi i z/p_0} | e^{2 pi i p_j/p_0}) over j >= 1;
+    the form-2 factor takes the opposite sign in every exponent.
     """
     omegas = _as_period_tuple(omegas, cone.dim)
+    if form not in (1, 2):
+        raise DomainError("form must be 1 or 2")
     return tuple(
-        FaceFactor(face_id=face_id, value=qfactorial_xq(e2(z_scaled), tuple(e2(w) for w in scaled[1:]), cfg))
-        for face_id, z_scaled, scaled in cone_plan(cone).faces(z, omegas)
+        FaceFactor(face_id=face_id, value=qfactorial_xq(*_form_arguments(u, scaled[1:], form), cfg))
+        for face_id, u, scaled in cone_plan(cone).faces(z, omegas)
     )
 
 
@@ -175,12 +166,20 @@ def sine_cone_factorized(
     cfg: EvalConfig = DEFAULT_CONFIG,
 ) -> complex:
     """Cone sine as e^{(-1)^r pi i B^C_{r,r}(z | periods) / r!}, r the
-    cone's dimension, times one q-factorial per 1-dimensional face."""
+    cone's dimension, times one q-factorial per 1-dimensional face (form 1).
+
+    Form 2 negates every exponent: e^{-(-1)^r pi i B^C_{r,r} / r!} times the
+    faces' (e^{-2 pi i z/p_0} | e^{-2 pi i p_j/p_0}).  The route takes the
+    form with fewer predicted shift steps, as ``multiple_sine`` does.
+    """
     omegas = _route_periods(cone, omegas, gamma=False)
     r = cone.dim
-    prefactor = _exp((-1) ** r * 1j * math.pi / math.factorial(r) * bernoulli_cone(cone, z, omegas, r))
-    factors = sine_face_factors(cone, z, omegas, cfg)
-    return _checked_product("face", [prefactor, *(factor.value for factor in factors)], z)
+    b = bernoulli_cone(cone, z, omegas, r)
+    # after the cone checks of bernoulli_cone, so their refusals come first
+    pairs = [(u, scaled[1:]) for _, u, scaled in cone_plan(cone).faces(z, omegas)]
+    form = _cheaper_form(pairs)
+    values = [qfactorial_xq(*_form_arguments(u, taus, form), cfg) for u, taus in pairs]
+    return _checked_product("face", [_sine_prefactor(b, r, form), *values], z)
 
 
 def gamma_face_factors(

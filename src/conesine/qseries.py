@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import asdict, dataclass
+from typing import Iterable
 
 from .bernoulli import bernoulli_multiple
 from .errors import BudgetError, DomainError
@@ -104,17 +106,17 @@ class _Budget:
         self.left -= k
 
 
-def _shift_target(log_a: float, periods: int) -> float:
-    """The |x| at which a shift loop on a modulus a = e^{log_a} < 1 over ``periods`` periods
-    stops and the log series takes over.
+def _log_shift_target(log_a: float, periods: int) -> float:
+    """log t, where t is the |x| at which a shift loop on a modulus a = e^{log_a} < 1 over
+    ``periods`` periods stops and the log series takes over.
 
     With g = -log_a, shifting from |x| down to t takes about log(|x| / t) / g steps of
     price C each, and the log series started at |x| = t about SERIES_TERMS / |log t| terms;
-    their sum is least at t = exp(-sqrt(SERIES_TERMS g / C)).  A one-period step is one
+    their sum is least at log t = -sqrt(SERIES_TERMS g / C).  A one-period step is one
     factor (1 - x), C = 1; a step over more periods is a sub-product, about one series,
     C = SERIES_TERMS.
     """
-    return math.exp(-math.sqrt(-log_a * SERIES_TERMS if periods == 1 else -log_a))
+    return -math.sqrt(-log_a * SERIES_TERMS if periods == 1 else -log_a)
 
 
 def _row_steps(ax: float, log_a: float, steps: int, reduced_abs: tuple[float, ...]) -> int:
@@ -128,18 +130,41 @@ def _row_steps(ax: float, log_a: float, steps: int, reduced_abs: tuple[float, ..
     if not reduced_abs:
         return 0
     log_a1 = math.log(min(reduced_abs))
-    span = math.log(ax / _shift_target(log_a1, len(reduced_abs)))
+    span = math.log(ax) - _log_shift_target(log_a1, len(reduced_abs))
     if span <= 0:
         return 0
     rows = min(steps, math.ceil(span / -log_a))
     return max(0, math.floor((rows * span + log_a * rows * (rows - 1) / 2) / -log_a1) - rows)
 
 
+def _cheaper_form(factors) -> int:
+    """The boundary factorization, 1 or 2, whose q-factorials take fewer top-level shift steps.
+
+    ``factors`` holds additive pairs (u, taus): form 1 evaluates (e^{2 pi i u} | e^{2 pi i tau}),
+    form 2 the same at -u and -taus.  With log|x| = -2 pi Im u and log|q| = -2 pi Im tau (no exp,
+    no overflow), a factor takes (log t - log|x|) / log a steps when positive, counted after the
+    |q| > 1 inversions divide x by each such q: a = e^{-max |log|q||} is the smallest modulus in
+    both forms and t its ``_log_shift_target``.  A tie, a modulus on the unit circle or an input
+    that is not finite gives form 1, whose refusals are the documented ones.
+    """
+    steps1 = steps2 = 0.0
+    for u, taus in factors:
+        log_ax, log_mods = -2 * math.pi * u.imag, [-2 * math.pi * t.imag for t in taus]
+        log_a = -max(map(abs, log_mods))
+        if not (math.isfinite(log_ax + sum(log_mods)) and log_a < 0):
+            return 1
+        log_t = _log_shift_target(log_a, len(log_mods))
+        inverted = sum(m for m in log_mods if m > 0)  # form 1 inverts these moduli, form 2 the others
+        steps1 += max(0.0, (log_t - log_ax + inverted) / log_a)
+        steps2 += max(0.0, (log_t + log_ax + inverted - sum(log_mods)) / log_a)
+    return 2 if steps2 < steps1 else 1
+
+
 def _qfac_small(x: complex, qs: tuple[complex, ...], cfg: EvalConfig, budget: _Budget, absq=None) -> complex:
     """(x | qs) with every |q| < 1 and x finite, via the shift identity and a log series.
 
     The shift identity (x | qs) = (x | qs without q) (x q | qs) on the smallest |q| moves
-    x down to the cost-balanced ``_shift_target``, where the log series takes over.  Each
+    x down to the cost-balanced ``_log_shift_target``, where the log series takes over.  Each
     loop charges its closed-form step or term count to ``budget``; a shift loop over two
     or more periods first checks the shift steps its rows will charge (``_row_steps``),
     so a call whose nested loops cannot fit raises BudgetError before any step is taken.
@@ -154,7 +179,7 @@ def _qfac_small(x: complex, qs: tuple[complex, ...], cfg: EvalConfig, budget: _B
     ax = abs(x)
     jmin = absq.index(min(absq))
     log_a = math.log(absq[jmin])
-    target = _shift_target(log_a, len(qs))
+    target = math.exp(_log_shift_target(log_a, len(qs)))
     if ax >= target:
         q = qs[jmin]
         steps = math.ceil(math.log(target / ax) / log_a)
@@ -221,7 +246,10 @@ def qfactorial_xq(x: complex, qs: tuple[complex, ...], cfg: EvalConfig = DEFAULT
     x = complex(x)
     if not (cmath.isfinite(x) and all(cmath.isfinite(q) for q in qs)):
         raise DomainError("the q-factorial needs a finite argument and finite periods")
-    ax = abs(x)
+    try:
+        ax = abs(x)
+    except OverflowError:  # finite parts, modulus above double range
+        raise DomainError(f"the q-factorial argument x = {x:.6g} has a modulus above double precision") from None
     clean: list[complex] = []
     invert: list[complex] = []
     for q in qs:
@@ -310,18 +338,58 @@ def q_theta(z: complex, tau: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> compl
 # multiple sine hierarchy
 
 
+def _checked_product(kind: str, factors: Iterable[complex], z: complex) -> complex:
+    """The product of a route's ``kind`` (wedge, face or multiple sine) factors, refused
+    when a partial product overflows, or underflows below the normal double
+    range, where it loses digits or reaches 0 (a g2c face product of about
+    1e-306, 1e-38, 1e43 and 1e298 returned 0 for a value of order 1)."""
+    total = 1.0 + 0j
+    for factor in factors:
+        product = total * factor
+        if not cmath.isfinite(product):
+            raise DomainError(f"the {kind} product is not finite at z = {z:.6g}: its factors overflow double precision")
+        if total and factor and abs(product) < sys.float_info.min:
+            raise DomainError(f"the {kind} product underflows at z = {z:.6g}: its factors span more than double precision")
+        total = product
+    return total
+
+
+def _form_arguments(u: complex, taus: tuple[complex, ...], form: int) -> tuple[complex, tuple[complex, ...]]:
+    """(x, qs) of a boundary-factorization q-factorial given in additive form (u, taus):
+    (e^{2 pi i u}, e^{2 pi i tau}) in form 1, the same at -u and -taus in form 2."""
+    if form == 2:
+        u, taus = -u, tuple(-t for t in taus)
+    return e2(u), tuple(e2(t) for t in taus)
+
+
+def _sine_prefactor(b: complex, r: int, form: int) -> complex:
+    """A boundary factorization's prefactor e^{(-1)^r pi i b / r!} (form 1) or e^{-(-1)^r pi i b / r!}
+    (form 2).  It has no zero, so a value that overflows, or underflows below the normal double
+    range, raises DomainError (it would turn a finite sine into infinity or 0)."""
+    try:
+        prefactor = _exp((-1) ** (r + form - 1) * 1j * math.pi / math.factorial(r) * b)
+    except DomainError:
+        raise DomainError(f"sine prefactor e^(i pi B_rr / r!) overflows at B_rr = {b:.6g}") from None
+    if abs(prefactor) < sys.float_info.min:
+        raise DomainError(f"sine prefactor e^(i pi B_rr / r!) underflows at B_rr = {b:.6g}")
+    return prefactor
+
+
 def multiple_sine(
     z: complex,
     omegas: tuple[complex, ...],
     cfg: EvalConfig = DEFAULT_CONFIG,
-    form: int = 1,
+    form: int | None = None,
 ) -> complex:
-    """The r-th multiple sine, r = len(omegas) >= 1, via its factorization.
+    """The r-th multiple sine, r = len(omegas) >= 1, via a boundary factorization.
 
-    ``form`` selects between the two equivalent boundary factorizations
-    (form 1 uses ratios e^{2 pi i z / omega_k}, form 2 their reciprocals);
-    both need every pairwise ratio omega_j / omega_k off the real axis for
-    r >= 2.  r = 1 is 2 sin(pi z / omega).
+    Form 1 is e^{(-1)^r pi i B_{r,r}(z | omega) / r!} times, for each k,
+    (e^{2 pi i z / omega_k} | e^{2 pi i omega_j / omega_k}, j != k); form 2
+    negates every exponent.  Both need each ratio omega_j / omega_k off the
+    real axis for r >= 2; near resonance one can take many times the terms of
+    the other and lose more digits.  ``form=None`` takes the form with fewer
+    predicted shift steps (``_cheaper_form``).  r = 1 is 2 sin(pi z / omega).
+    A partial product that overflows or underflows raises DomainError.
     """
     omegas = tuple(complex(w) for w in omegas)
     r = len(omegas)
@@ -329,7 +397,7 @@ def multiple_sine(
         raise DomainError("the multiple sine needs at least one period")
     if any(w == 0 for w in omegas):
         raise DomainError("periods must be nonzero")
-    if form not in (1, 2):
+    if form not in (None, 1, 2):
         raise DomainError("form must be 1 or 2")
     if r == 1:
         if not (cmath.isfinite(z) and cmath.isfinite(omegas[0])):
@@ -341,31 +409,22 @@ def multiple_sine(
         if not cmath.isfinite(val):
             raise DomainError(f"single sine overflows at z / omega = {z / omegas[0]:.6g}")
         return val
-    sign = 1 if (r % 2 == 0) == (form == 1) else -1
-    b = bernoulli_multiple(z, omegas, r)
-    try:
-        val = cmath.exp(sign * 1j * math.pi / math.factorial(r) * b)
-    except OverflowError:
-        raise DomainError(
-            f"multiple sine prefactor e^(i pi B_rr / r!) overflows at B_rr = {b:.6g}"
-        ) from None
-    flip = 1 if form == 1 else -1
-    for k in range(r):
-        wk = omegas[k]
+    # the form-1 q-factorial of omega_k in additive form: (z / omega_k, (omega_j / omega_k)_{j != k})
+    ratios = [(z / wk, tuple(w / wk for j, w in enumerate(omegas) if j != k)) for k, wk in enumerate(omegas)]
+    if form is None:
+        form = _cheaper_form(ratios)
+    values = [_sine_prefactor(bernoulli_multiple(z, omegas, r), r, form)]
+    for k, (u, taus) in enumerate(ratios):
         try:
-            x = e2(flip * z / wk)
-            qs = tuple(e2(flip * omegas[j] / wk) for j in range(r) if j != k)
+            x, qs = _form_arguments(u, taus, form)
         except DomainError:
-            log_ax = -2 * math.pi * (flip * z / wk).imag
-            ratios = ", ".join(f"{omegas[j] / wk:.6g}" for j in range(r) if j != k)
             raise DomainError(
-                f"multiple sine overflows at |x| = exp({log_ax:.6g}) with period ratios "
-                f"omega_j / omega_{k} = ({ratios}): e^(2 pi i z / omega_{k}) exceeds double precision"
+                f"multiple sine overflows at |x| = exp({-2 * math.pi * (u if form == 1 else -u).imag:.6g}) "
+                f"with period ratios omega_j / omega_{k} = ({', '.join(f'{w:.6g}' for w in taus)}): "
+                f"e^(2 pi i z / omega_{k}) exceeds double precision"
             ) from None
-        val *= qfactorial_xq(x, qs, cfg)
-    if not cmath.isfinite(val):
-        raise DomainError(f"multiple sine is not finite at z = {z:.6g}: its factors overflow double precision")
-    return val
+        values.append(qfactorial_xq(x, qs, cfg))
+    return _checked_product("multiple sine", values, z)
 
 
 # ---------------------------------------------------------------------------

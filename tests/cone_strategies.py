@@ -1,4 +1,7 @@
-"""Hypothesis strategies for random good Gorenstein 3d cones.
+"""Hypothesis strategies for random 2d cones and random good Gorenstein 3d cones.
+
+A 2d cone is two primitive inward normals that are not parallel; every 2d
+cone is good.
 
 A cone over a convex lattice polygon P has the inward normals (1, -l) for
 the vertices l of P in cyclic order.  The vector (1, 0, 0) pairs to 1 with
@@ -18,6 +21,8 @@ from hypothesis import strategies as st
 from conesine import Cone
 
 POLYGON_RANGE = 2
+PLANAR_RANGE = 6
+PLANAR_MAX_DET = 30
 
 
 def _turn(o, a, b) -> int:
@@ -76,3 +81,16 @@ def polygon_cones(draw) -> Cone:
     hull = draw(lattice_polygons)
     u = draw(unimodular_matrices())
     return Cone(3, tuple(tuple(sum(row[k] * v[k] for k in range(3)) for row in u) for v in ((1, -x, -y) for x, y in hull)))
+
+
+def _primitive(v: tuple[int, int]) -> tuple[int, int]:
+    g = gcd(*v)
+    return v[0] // g, v[1] // g
+
+
+primitive_vectors = st.tuples(*[st.integers(-PLANAR_RANGE, PLANAR_RANGE)] * 2).filter(any).map(_primitive)
+
+
+planar_cones = st.tuples(primitive_vectors, primitive_vectors).filter(
+    lambda ab: 0 < abs(ab[0][0] * ab[1][1] - ab[0][1] * ab[1][0]) <= PLANAR_MAX_DET
+).map(lambda ab: Cone(2, ab))

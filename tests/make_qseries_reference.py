@@ -17,6 +17,20 @@ computed in mpmath at 30 digits::
 
     python3 tests/make_qseries_reference.py --near-circle --seed 301
 
+With ``--wedge-sines`` it records instead every multi-period ``multiple_sine``
+call of the fresh-cones run (the wedge sines of the decomposed cone routes),
+evaluates each in both boundary forms with the library from ``--src``, and
+prints the ``count`` calls whose forms disagree most, each with its value at
+30 digits and the relative errors of form 1, form 2 and the default form::
+
+    python3 tests/make_qseries_reference.py --wedge-sines --seed 1 --count 12
+
+Its reference is e^{(-1)^r pi i B_{r,r}(z | omega) / r!} times the q-factorials
+of ``mp_qfac``, in whichever form ``mp_qfac`` shifts less; the Bernoulli
+polynomial comes from its generating function, with mpmath's Bernoulli
+numbers (``mp_bernoulli_rr``).  Where the other form is affordable too, the
+two forms' agreement is printed with it.
+
 The reference shares no code with ``conesine.qseries``: it inverts every
 |q| > 1, shifts on the smallest |q| until |x| < 1/2 (not at the library's
 cost-balanced target) and sums the log series until its tail bound is below
@@ -89,12 +103,98 @@ def near_circle_draws(seed: int) -> list:
     return draws
 
 
-def record_calls(seed: int):
-    """(x, qs, terms spent) of every ``qfactorial_xq`` call that returns in one fresh-cones run."""
+def mp_bernoulli_rr(z, omegas):
+    """B_{r,r}(z | omegas), r = len(omegas): r! times the t^r coefficient of
+    e^{zt} prod_w t / (e^{wt} - 1), with t / (e^{wt} - 1) = sum_k B_k w^{k-1} t^k / k!."""
+    r = len(omegas)
+    series = [z ** n / mpmath.factorial(n) for n in range(r + 1)]
+    for w in omegas:
+        factor = [mpmath.bernoulli(k) * w ** (k - 1) / mpmath.factorial(k) for k in range(r + 1)]
+        series = [sum(series[i] * factor[n - i] for i in range(n + 1)) for n in range(r + 1)]
+    return mpmath.factorial(r) * series[r]
+
+
+def _mp_sine_steps(z, omegas, form: int) -> float:
+    """Top-level shift steps of ``mp_qfac`` (down to |x| < 1/2) over the sine's q-factorials in
+    boundary form ``form``."""
+    z, omegas, sign = mpmath.mpc(z), [mpmath.mpc(w) for w in omegas], 1 if form == 1 else -1
+    total = 0.0
+    for k, wk in enumerate(omegas):
+        log_x = -2 * mpmath.pi * (sign * z / wk).imag
+        logs = [-2 * mpmath.pi * (sign * w / wk).imag for j, w in enumerate(omegas) if j != k]
+        log_x -= sum(m for m in logs if m > 0)
+        total += max(0, (log_x - mpmath.log(0.5)) / max(abs(m) for m in logs))
+    return float(total)
+
+
+def mp_multiple_sine(z, omegas, form: int, dps: int = 40):
+    """S_r(z | omegas) at ``dps`` digits in boundary form ``form`` (1: exponents as written, 2: negated)."""
+    with mpmath.workdps(dps):
+        z, omegas = mpmath.mpc(z), [mpmath.mpc(w) for w in omegas]
+        r, sign = len(omegas), 1 if form == 1 else -1
+        val = mpmath.exp(sign * (-1) ** r * 1j * mpmath.pi * mp_bernoulli_rr(z, omegas) / mpmath.factorial(r))
+        for k, wk in enumerate(omegas):
+            x, *qs = [mpmath.exp(2j * mpmath.pi * sign * u / wk) for u in (z, *omegas[:k], *omegas[k + 1:])]
+            val *= mp_qfac(x, qs, dps)
+        return val
+
+
+def print_wedge_sines(seed: int, count: int) -> None:
+    """The ``count`` wedge sines of a fresh-cones run whose two forms disagree most, as literals."""
+    from conesine import generalized, multiple_sine
+    from conesine.errors import ConesineError
+
+    calls = []
+    original = generalized.multiple_sine
+
+    def recorded(z, omegas, *args, **kwargs):
+        if len(omegas) >= 2:
+            calls.append((complex(z), tuple(complex(w) for w in omegas)))
+        return original(z, omegas, *args, **kwargs)
+
+    generalized.multiple_sine = recorded
+    try:
+        run_fresh_cones(seed)
+    finally:
+        generalized.multiple_sine = original
+    disagree = {}
+    for z, omegas in calls:
+        try:
+            one, two = multiple_sine(z, omegas, form=1), multiple_sine(z, omegas, form=2)
+        except ConesineError:
+            continue
+        disagree[(z, omegas)] = abs(one - two) / abs(two)
+    for z, omegas in sorted(disagree, key=disagree.get, reverse=True)[:count]:
+        steps = {form: _mp_sine_steps(z, omegas, form) for form in (1, 2)}
+        cheap = min(steps, key=steps.get)
+        want = mp_multiple_sine(z, omegas, cheap)
+        note = f"form {cheap} reference"
+        if steps[3 - cheap] < 2000:
+            other = mp_multiple_sine(z, omegas, 3 - cheap)
+            with mpmath.workdps(40):
+                note += f", form {3 - cheap} agrees to {mpmath.nstr(abs(other - want) / abs(want), 2)}"
+        with mpmath.workdps(40):
+            errs = [float(abs(mpmath.mpc(multiple_sine(z, omegas, form=f)) - want) / abs(want)) for f in (1, 2, None)]
+        print(f"    ({z!r}, {omegas!r},\n     \"{mpmath.nstr(want.real, 30)}\", \"{mpmath.nstr(want.imag, 30)}\"),"
+              f"  # errors {errs[0]:.2g} (form 1), {errs[1]:.2g} (form 2), {errs[2]:.2g} (default); {note}")
+
+
+def run_fresh_cones(seed: int) -> None:
+    """One fresh-cones benchmark run at ``seed``, as ``perfbench/run.py`` sizes it."""
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
-    from conesine import generalized, qseries
     from run import unit_count
     from workloads import FreshCones
+
+    with tempfile.TemporaryDirectory() as outdir:
+        work = FreshCones(seed, outdir)
+        work.setup()
+        for i in range(unit_count(work, 15)):
+            work.unit(i)[0]()
+
+
+def record_calls(seed: int):
+    """(x, qs, terms spent) of every ``qfactorial_xq`` call that returns in one fresh-cones run."""
+    from conesine import generalized, qseries
 
     budgets, calls = [], []
 
@@ -114,11 +214,7 @@ def record_calls(seed: int):
     qseries._Budget = Recorded
     qseries.qfactorial_xq = generalized.qfactorial_xq = recorded
     try:
-        with tempfile.TemporaryDirectory() as outdir:
-            work = FreshCones(seed, outdir)
-            work.setup()
-            for i in range(unit_count(work, 15)):
-                work.unit(i)[0]()
+        run_fresh_cones(seed)
     finally:
         qseries._Budget = Recorded.__bases__[0]
         qseries.qfactorial_xq = generalized.qfactorial_xq = original
@@ -131,9 +227,15 @@ def main(argv=None) -> int:
     parser.add_argument("--count", type=int, default=8)
     parser.add_argument("--src", default=os.path.join(ROOT, "src"), help="the conesine sources to record and check")
     parser.add_argument("--near-circle", action="store_true", help="print the seeded near-circle draws instead")
+    parser.add_argument("--wedge-sines", action="store_true",
+                        help="print the wedge sines whose two forms disagree most instead")
     args = parser.parse_args(argv)
     sys.path.insert(0, args.src)
     from conesine import qfactorial_xq
+
+    if args.wedge_sines:
+        print_wedge_sines(args.seed, args.count)
+        return 0
 
     if args.near_circle:
         for x, qs in near_circle_draws(args.seed):

@@ -145,6 +145,18 @@ def test_eval_non_finite_exponent_is_domain_error(capsys, argv):
     assert "exp is undefined at exponent" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("qfac", "--z", "0.125-112.99i", "--omega", "0.3+0.5i"),
+    ("g1", "--z", "0.125-112.99i", "--omega", "0.3+0.5i", "--omega", "0.2+0.4i"),
+], ids=["qfac", "g1"])
+def test_eval_argument_modulus_beyond_double_range_is_domain_error(capsys, argv):
+    # e^{2 pi i z} has finite parts but a modulus above double range: once a
+    # raw OverflowError from abs(x), a traceback and exit 1
+    rc, out, err = run(capsys, "eval", *argv)
+    assert (rc, out) == (EXIT_DOMAIN, "")
+    assert "has a modulus above double precision" in err
+
+
 def test_eval_negative_complex_values(capsys):
     rc, out, _ = run(capsys, "eval", "s2", "--z", "-0.3+0.1i",
                      "--omega", "-0.9+0.12i", "--omega", "1.1+0.07i")

@@ -3,18 +3,23 @@ to the classical functions, face locality, and the verification reports."""
 from __future__ import annotations
 
 import cmath
+import math
 import sys
+import time
 from collections import Counter
 from random import Random
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from conesine import (
     DEFAULT_CONFIG,
+    BudgetError,
     DomainError,
     EvalConfig,
     FIXTURE_NAMES,
     THEOREM_IDS,
+    bernoulli_cone,
     bernoulli_cone_lifted,
     elliptic_gamma,
     fixture_cone,
@@ -30,9 +35,10 @@ from conesine import (
     wedge_product_check,
 )
 from conesine import bernoulli, lattice_cones
-from conesine.generalized import THEOREMS, _sample_gamma_params
+from conesine.generalized import THEOREMS, _sample_gamma_params, _sample_sine_params
 from conesine.lattice_cones import Cone, cone_chain_2d, cone_plan
 
+from cone_strategies import planar_cones, polygon_cones
 from params import GAMMA_OMEGAS, OVERFLOWING_PRODUCTS, SINE_OMEGAS, Z_GENERIC, chain_wedges, rel
 
 
@@ -54,6 +60,72 @@ def test_sine_3d_routes_agree(name):
     a = sine_cone_decomposed(cone, Z_GENERIC, SINE_OMEGAS[name])
     b = sine_cone_factorized(cone, Z_GENERIC, SINE_OMEGAS[name])
     assert rel(a, b) < 1e-7
+
+
+def _sine_face_product(cone: Cone, z: complex, omegas: tuple, form: int) -> complex:
+    # the face factorization written out in one form; form 2 negates every exponent
+    r = cone.dim
+    sign = (-1) ** r if form == 1 else -((-1) ** r)
+    total = cmath.exp(sign * 1j * math.pi / math.factorial(r) * bernoulli_cone(cone, z, omegas, r))
+    for factor in sine_face_factors(cone, z, omegas, form=form):
+        total *= factor.value
+    if not cmath.isfinite(total):
+        raise DomainError("the face product is not finite")
+    return total
+
+
+def _check_form_2_factorization(cone: Cone, seed: int) -> None:
+    # form 2 against form 1 and the decomposed route at the identity's
+    # tolerance; a draw the decomposed route or form 2 refuses is redrawn,
+    # as verify redraws
+    tol = THEOREMS[f"s{cone.dim}c-factorization"].tolerance
+    rng = Random(seed)
+    for _ in range(10):
+        z, omegas = _sample_sine_params(cone, rng)
+        try:
+            form2 = _sine_face_product(cone, z, omegas, 2)
+            want = sine_cone_decomposed(cone, z, omegas)
+            break
+        except (DomainError, BudgetError, OverflowError):
+            event("redrawn")
+    else:
+        pytest.fail(f"no generic sample for {cone.normals}")
+    assert rel(form2, want) < tol, (z, omegas)
+    try:
+        form1 = _sine_face_product(cone, z, omegas, 1)
+    except (DomainError, BudgetError, OverflowError):
+        event("form 1 refuses")  # near the unit circle form 1 can overflow where form 2 does not
+        return
+    assert rel(form2, form1) < tol, (z, omegas)
+    # the route evaluates one of the two forms
+    assert sine_cone_factorized(cone, z, omegas) in (form1, form2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(cone=planar_cones, seed=st.integers(0, 2**32 - 1))
+def test_form_2_face_factorization_on_random_2d_cones(cone, seed):
+    _check_form_2_factorization(cone, seed)
+
+
+@settings(max_examples=30, deadline=None)
+@given(cone=polygon_cones(), seed=st.integers(0, 2**32 - 1))
+def test_form_2_face_factorization_on_polygon_cones(cone, seed):
+    event(f"{len(cone.normals)} facets")
+    _check_form_2_factorization(cone, seed)
+
+
+def test_near_circle_polygon_cone_sine_routes_agree():
+    # the first sine draw of Random(1) on this polygon cone puts face moduli
+    # within 3e-5 of the unit circle: in form 1 the decomposed route refused
+    # it in milliseconds and the factorized route after 0.6 s; in the forms
+    # each route now picks, both return it
+    cone = Cone(3, ((5, 2, -2), (-3, 1, 2), (-1, -2, 1), (3, -1, -1)))
+    z, omegas = _sample_sine_params(cone, Random(1))
+    start = time.perf_counter()
+    a = sine_cone_decomposed(cone, z, omegas)
+    b = sine_cone_factorized(cone, z, omegas)
+    assert time.perf_counter() - start < 0.5
+    assert rel(a, b) < 1e-10
 
 
 @pytest.mark.parametrize("name", ["standard-2", "wedge21", "wedge53"])
@@ -238,6 +310,15 @@ def test_face_product_that_underflows_midway_is_domain_error():
         gamma_cone_factorized(cone, z, omegas)
     alternative = gamma_cone_factorized(cone, z, omegas, variant="alternative")
     assert rel(alternative, gamma_cone_direct(cone, z, omegas)) < 1e-7
+
+
+@pytest.mark.parametrize("route", [sine_cone_decomposed, sine_cone_factorized])
+def test_sine_prefactor_that_underflows_is_domain_error(route):
+    # far below the real axis form 1's faces overflow, so the factorized route
+    # takes form 2, whose e^{-(-1)^r pi i B^C_{3,3} / 3!} underflows to exactly
+    # 0: it returned -0+0j where the decomposed route refused
+    with pytest.raises(DomainError, match=r"prefactor .* underflows at B_rr"):
+        route(fixture_cone("standard-3"), 0.3 - 200j, (0.9 + 0.08j, 0.75 - 0.11j, 1.05 + 0.05j))
 
 
 def test_reduced_face_product_that_underflows_midway_is_refused_and_redrawn():

@@ -25,7 +25,7 @@ from conesine import (
     qfactorial_gluing_check,
     qfactorial_xq,
 )
-from conesine.qseries import DEFAULT_CONFIG, _Budget, _qfac_small, _row_steps, _shift_target
+from conesine.qseries import DEFAULT_CONFIG, _Budget, _cheaper_form, _log_shift_target, _qfac_small, _row_steps
 
 from params import rel
 
@@ -169,7 +169,7 @@ def _qfac_reference(x: complex, qs: tuple[complex, ...], cfg: EvalConfig, budget
     prefactor = 1.0 + 0j
     absq = [abs(q) for q in qs]
     jmin = absq.index(min(absq))
-    target = _shift_target(math.log(absq[jmin]), len(qs))
+    target = math.exp(_log_shift_target(math.log(absq[jmin]), len(qs)))
     while abs(x) >= target:
         budget.spend()
         prefactor *= _qfac_reference(x, qs[:jmin] + qs[jmin + 1 :], cfg, budget)
@@ -212,7 +212,7 @@ def test_qfac_core_matches_reference_loop(r, x_max):
             mods[rng.randrange(3)] = rng.uniform(0.05, 0.6)  # one fast period keeps the loop short
         qs = tuple(cmath.rect(m, rng.uniform(-math.pi, math.pi)) for m in mods)
         # |x| alternately below and above this call's shift target
-        target = _shift_target(math.log(min(mods)), r)
+        target = math.exp(_log_shift_target(math.log(min(mods)), r))
         ax = rng.uniform(0.05 * target, target) if trial % 2 else rng.uniform(target, max(x_max, target))
         x = cmath.rect(ax, rng.uniform(-math.pi, math.pi))
         fast, slow = _Budget(DEFAULT_CONFIG.max_terms), _Budget(DEFAULT_CONFIG.max_terms)
@@ -272,10 +272,10 @@ def test_row_steps_bound_the_shift_steps_of_the_rows():
         absq = tuple(abs(q) for q in qs)
         jmin = absq.index(min(absq))
         log_a = math.log(absq[jmin])
-        steps = max(0, math.ceil(math.log(_shift_target(log_a, r) / abs(x)) / log_a))
+        steps = max(0, math.ceil(math.log(math.exp(_log_shift_target(log_a, r)) / abs(x)) / log_a))
         reduced = absq[:jmin] + absq[jmin + 1 :]
         log_a1 = math.log(min(reduced))
-        row_target = _shift_target(log_a1, r - 1)
+        row_target = math.exp(_log_shift_target(log_a1, r - 1))
         counted, row = 0, x
         for _ in range(steps):
             if abs(row) >= row_target:
@@ -493,6 +493,75 @@ def test_sine_rescaling_invariance(count):
         assert rel(scaled, multiple_sine(z, om)) < 1e-9
 
 
+@pytest.mark.parametrize("count", [2, 3])
+def test_sine_default_form_is_the_predicted_cheaper_form(count):
+    # bit for bit the form _cheaper_form names, from the additive ratios
+    rng = Random(80 + count)
+    for _ in range(20):
+        z = _draw_z(rng)
+        om = _draw_sine_omegas(rng, count)
+        ratios = [(z / wk, tuple(w / wk for j, w in enumerate(om) if j != k)) for k, wk in enumerate(om)]
+        assert multiple_sine(z, om) == multiple_sine(z, om, form=_cheaper_form(ratios))
+
+
+def test_cheaper_form_takes_form_1_on_a_tie():
+    # log|x| = 0 and moduli e^{-+0.1}: after the inversion both forms shift
+    # |x| = e^{-0.1} on a = e^{-0.1}, about 2.2 steps each
+    assert _cheaper_form([(0.3 + 0j, (0.2 + 0.016j, 0.1 - 0.016j))]) == 1
+    # |x| = e^{-+0.0063} tips the balance
+    assert _cheaper_form([(0.3 + 0.001j, (0.2 + 0.016j, 0.1 - 0.016j))]) == 1
+    assert _cheaper_form([(0.3 - 0.001j, (0.2 + 0.016j, 0.1 - 0.016j))]) == 2
+
+
+@pytest.mark.parametrize("z, omegas, costly", [
+    # wedge sines of a fresh-cones run: 57,096 terms in form 1 against 767 in
+    # form 2, and 191 in form 1 against 43,824 in form 2
+    (21.60629941679724 - 0.629656167168011j,
+     (4.627272713225974 - 0.04999170892469498j, 21.911183411048874 - 0.2295834269910712j,
+      31.844211011618633 - 0.34451272196153887j), 1),
+    (7.897695600895085 + 0.6669090057558635j,
+     (2.4606515139027176 + 0.05316098816215051j, 7.898035504284316 + 0.26279757333395404j,
+      5.870745336740937 + 0.19519847062437992j), 2),
+], ids=["form-2-cheaper", "form-1-cheaper"])
+def test_sine_default_form_takes_fewer_terms(z, omegas, costly):
+    # under a 20,000-term budget only the cheaper form evaluates
+    small = EvalConfig(max_terms=20_000)
+    with pytest.raises(BudgetError):
+        multiple_sine(z, omegas, small, form=costly)
+    assert multiple_sine(z, omegas, small) == multiple_sine(z, omegas, form=3 - costly)
+
+
+@pytest.mark.parametrize("factors", [
+    [(complex(0.1, math.inf), (0.3 + 0.5j,))],
+    [(complex(0.1, 1e308), (0.3 + 0.5j,))],  # -2 pi Im u overflows
+    [(0.2 - 3j, (complex(0.3, math.nan),))],
+    [(0.2 - 3j, (0.7 + 0j,))],  # a modulus on the unit circle
+], ids=["inf-argument", "huge-argument", "nan-period", "real-period"])
+def test_cheaper_form_is_form_1_on_input_it_cannot_rank(factors):
+    # form 1 then raises its documented refusal
+    assert _cheaper_form(factors) == 1
+
+
+@pytest.mark.parametrize("z, omegas, form, match", [
+    # e^{i pi B_33 / 3!} underflows to exactly 0 in form 2 (form 1's overflows),
+    # and form 1's in the conjugate point: form 2 returned -0+0j
+    (0.3 - 200j, (0.9 + 0.08j, 0.75 - 0.11j, 1.05 + 0.05j), 2, r"prefactor .* underflows at B_rr"),
+    (0.3 + 200j, (0.9 + 0.08j, 0.75 - 0.11j, 1.05 + 0.05j), 1, r"prefactor .* underflows at B_rr"),
+    (0.3 - 200j, (0.9 + 0.08j, 0.75 - 0.11j, 1.05 + 0.05j), None, r"prefactor .* underflows at B_rr"),
+    # finite nonzero factors whose partial product falls below the normal
+    # range: form 1 returned 0j, form 2 a subnormal -2.6e-309+1.7e-308j
+    (0.15130776221629616 + 0.3762591927254597j,
+     (0.8704806815163761 + 0.023676198515367543j, -0.4028163113452101 + 0.0006359375459398824j,
+      -0.6595763765154045 - 0.024166252140033772j), 1, r"multiple sine product underflows at z = 0\.151308"),
+    (-0.7057518288273457 - 0.18767738118803878j,
+     (-0.3081305191028475 - 0.00165308764940537j, -0.353613775309969 + 0.008830923434472721j,
+      0.6261568114809601 - 0.0005467514210255945j), 2, r"multiple sine product underflows at z = -0\.705752"),
+], ids=["prefactor-form-2", "prefactor-form-1", "prefactor-default", "product-form-1", "product-form-2"])
+def test_sine_underflow_raises_domain_error(z, omegas, form, match):
+    with pytest.raises(DomainError, match=match):
+        multiple_sine(z, omegas, form=form)
+
+
 def test_sine_rejects_real_period_ratio():
     with pytest.raises(DomainError):
         multiple_sine(0.3 + 0.1j, (1.0 + 0.2j, 2.0 + 0.4j))
@@ -524,8 +593,20 @@ def test_sine_rejects_real_period_ratio():
 ], ids=["x-overflow", "prefactor-overflow", "nan-product", "single-sine", "single-sine-inf-ratio",
         "single-sine-nan-value", "single-sine-nan-z", "single-sine-inf-z", "single-sine-inf-period"])
 def test_sine_overflow_raises_domain_error(z, omegas, match):
+    # each multi-period case names a form-1 factor; the default form may take the other
     with pytest.raises(DomainError, match=match):
-        multiple_sine(z, omegas)
+        multiple_sine(z, omegas, form=1)
+
+
+@pytest.mark.parametrize("fn, omegas", [
+    (qfactorial, (0.3 + 0.5j,)),
+    (elliptic_gamma, (0.3 + 0.5j, 0.2 + 0.4j)),
+], ids=["qfactorial", "gamma-1"])
+def test_argument_modulus_beyond_double_range_raises_domain_error(fn, omegas):
+    # e^{2 pi i z} at z = 0.125 - 112.99i has finite parts, 1.48e308 each, but a
+    # modulus above double range: abs(x) raised a raw OverflowError
+    with pytest.raises(DomainError, match=r"argument x = 1\.48338e\+308\+1\.48338e\+308j has a modulus above"):
+        fn(0.125 - 112.99j, omegas)
 
 
 @pytest.mark.parametrize("z, match", [

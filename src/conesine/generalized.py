@@ -459,6 +459,42 @@ THEOREM_IDS = tuple(sorted(THEOREMS))
 _MAX_SAMPLE_ATTEMPTS = 24
 
 
+class _SideValues:
+    """The side values of the identities verified on one (cone, seed, config).
+
+    Identities of one dimension share a sampler and a seed, and every attempt
+    consumes exactly one draw, so they draw the same points; a side that two
+    identities have in common (``gamma_cone_factorized`` is the rhs of
+    g2c-factorization and the lhs of g2c-alternative) is evaluated once per
+    point.  Values are keyed by (side, z, omegas) and kept only while the
+    (cone, seed, config) stays the same, so the store holds one cone's draws.
+    The sampler never draws a negative zero, so points equal under ``==``
+    are the same bits.
+    """
+
+    def __init__(self):
+        self.context = None
+        self.values: dict = {}
+
+    def enter(self, context: tuple) -> None:
+        if context != self.context:
+            self.context = context
+            self.values.clear()
+
+    def value(self, side: _Side, cone: Cone, z: complex, omegas: tuple, cfg: EvalConfig) -> complex | None:
+        """``side(cone, z, omegas, cfg)``, or None where it raises DomainError."""
+        key = (side, z, omegas)
+        if key not in self.values:
+            try:
+                self.values[key] = side(cone, z, omegas, cfg)
+            except DomainError:
+                self.values[key] = None
+        return self.values[key]
+
+
+_side_values = _SideValues()
+
+
 def verify_theorem(
     theorem_id: str,
     cone: Cone,
@@ -473,6 +509,12 @@ def verify_theorem(
     the reason) rather than a failure.  Sampling is deterministic in the
     seed; parameter draws that hit degenerate configurations (resonant
     ratios, poles) are rejected and redrawn, which is also deterministic.
+
+    Consecutive calls on the same cone, seed and config share each side's
+    value, or refusal, at each drawn point: on a 3d cone the primary
+    factorized gamma, the rhs of g2c-factorization and the lhs of
+    g2c-alternative, is evaluated once per point for both.  The values are
+    dropped when a call comes with another cone, seed or config.
     """
     if theorem_id not in THEOREMS:
         raise DomainError(
@@ -501,17 +543,17 @@ def verify_theorem(
         except DomainError as exc:
             return VerificationReport(**base, skipped=str(exc))
 
+    _side_values.enter((cone, seed, cfg))
+    value = _side_values.value
     rng = Random(seed)
     points, lhs_vals, rhs_vals, residuals = [], [], [], []
     for _ in range(samples):
         for attempt in range(_MAX_SAMPLE_ATTEMPTS):
             z, omegas = thm.sampler(cone, rng)
-            try:
-                a = thm.lhs(cone, z, omegas, cfg)
-                b = thm.rhs(cone, z, omegas, cfg)
-            except DomainError:
-                continue
-            break
+            a = value(thm.lhs, cone, z, omegas, cfg)
+            b = None if a is None else value(thm.rhs, cone, z, omegas, cfg)
+            if b is not None:
+                break
         else:
             raise DomainError(
                 f"could not draw a generic sample for {theorem_id} after "

@@ -7,6 +7,7 @@ import math
 import sys
 import time
 from collections import Counter
+from dataclasses import replace
 from random import Random
 
 import pytest
@@ -34,7 +35,7 @@ from conesine import (
     verify_theorem,
     wedge_product_check,
 )
-from conesine import bernoulli, lattice_cones
+from conesine import bernoulli, generalized, lattice_cones
 from conesine.generalized import THEOREMS, _sample_gamma_params, _sample_sine_params
 from conesine.lattice_cones import Cone, cone_chain_2d, cone_plan
 
@@ -604,6 +605,73 @@ def test_verify_theorem_is_deterministic(square):
     assert a.to_json_dict() == b.to_json_dict()
     c = verify_theorem("g2c-factorization", square, samples=3, seed=43)
     assert c.points != a.points
+
+
+def _reports(cone, theorem_ids, samples, seed, fresh_store):
+    """Each identity's JSON report (or refusal), with a new side-value store
+    before each identity when ``fresh_store``."""
+    out = {}
+    for tid in theorem_ids:
+        if fresh_store:
+            generalized._side_values = generalized._SideValues()
+        try:
+            out[tid] = verify_theorem(tid, cone, samples=samples, seed=seed).to_json_dict()
+        except DomainError as exc:
+            out[tid] = str(exc)
+    return out
+
+
+def _check_shared_side_values_change_no_report(cone, samples, seed):
+    alone = _reports(cone, THEOREM_IDS, samples, seed, fresh_store=True)
+    for order in (THEOREM_IDS, THEOREM_IDS[::-1]):
+        generalized._side_values = generalized._SideValues()
+        assert _reports(cone, order, samples, seed, fresh_store=False) == alone
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_shared_side_values_change_no_report(monkeypatch, name):
+    monkeypatch.setattr(generalized, "_side_values", generalized._side_values)
+    _check_shared_side_values_change_no_report(fixture_cone(name), samples=4, seed=11)
+
+
+@settings(max_examples=10, deadline=None)
+@given(cone=polygon_cones(), seed=st.integers(0, 2**32 - 1))
+def test_shared_side_values_change_no_report_on_polygon_cones(cone, seed):
+    saved = generalized._side_values
+    try:
+        _check_shared_side_values_change_no_report(cone, samples=2, seed=seed)
+    finally:
+        generalized._side_values = saved
+
+
+def test_side_values_are_dropped_for_the_next_cone(square, std3):
+    first = verify_theorem("g2c-factorization", square, samples=5, seed=0)
+    verify_theorem("g2c-factorization", std3, samples=5, seed=0)
+    store = generalized._side_values
+    assert store.context[0] == std3
+    stored_points = {(z, omegas) for _, z, omegas in store.values}
+    assert stored_points and not stored_points & set(first.points)
+
+
+def test_primary_factorized_gamma_is_evaluated_once_per_point(monkeypatch, square):
+    monkeypatch.setattr(generalized, "_side_values", generalized._SideValues())
+    calls = Counter()
+
+    def counted(cone, z, omegas, cfg, **kwargs):
+        calls[z, omegas] += 1
+        return gamma_cone_factorized(cone, z, omegas, cfg, **kwargs)
+
+    monkeypatch.setitem(THEOREMS, "g2c-factorization", replace(THEOREMS["g2c-factorization"], rhs=counted))
+    monkeypatch.setitem(THEOREMS, "g2c-alternative", replace(THEOREMS["g2c-alternative"], lhs=counted))
+    factorization = verify_theorem("g2c-factorization", square, samples=100, seed=2)
+    first_calls = sum(calls.values())
+    alternative = verify_theorem("g2c-alternative", square, samples=100, seed=2)
+    assert factorization.points == alternative.points
+    assert factorization.rhs == alternative.lhs
+    # every primary value, or refusal, of the first identity is reused by the
+    # second, which draws the same points
+    assert first_calls >= 100 and sum(calls.values()) == first_calls
+    assert set(calls.values()) == {1}
 
 
 def test_report_json_shape(w21):

@@ -1,9 +1,11 @@
 """Generalized Bernoulli polynomials, plain and cone-restricted.
 
 ``bernoulli_multiple`` is ``n!`` times the ``t^n`` coefficient of
-``t^r e^{zt} / prod_i (e^{omega_i t} - 1) = e^{zt} prod_i sum_k B_k
-omega_i^{k-1} t^k / k!`` (Barnes), one product of truncated series in the
-Bernoulli numbers ``B_k``.  The cone-restricted variants sum such polynomials,
+``t^r e^{zt} / prod_i (e^{omega_i t} - 1) = exp(G(t)) / prod_i omega_i``, with
+``G(t) = z t + sum_k c_k p_k t^k``, ``c_k`` the coefficients of
+``log(t / (e^t - 1))`` and ``p_k`` the power sums of the periods; every degree
+up to ``n`` comes from one recursion for the coefficients of ``exp(G)``, in
+field operations alone.  The cone-restricted variants sum such polynomials,
 every degree from one walk, over a unimodular wedge decomposition of the cone
 so that the total is the degree-``n`` coefficient of the lattice generating
 function over the open cone interior; an independent numeric oracle (direct
@@ -28,18 +30,53 @@ MAX_ORDER = 8
 
 
 # ---------------------------------------------------------------------------
-# plain polynomials, from Bernoulli numbers
+# plain polynomials, from one log-series recursion
 
-# B_k / k! for k = 0..MAX_ORDER: the coefficients of t / (e^t - 1)
-_BERNOULLI_OVER_FACTORIAL = (1.0, -1 / 2, 1 / 12, 0.0, -1 / 720, 0.0, 1 / 30240, 0.0, -1 / 1209600)
+# log(t / (e^t - 1)) = sum_k c_k t^k for k = 1..MAX_ORDER (entry 0 unused):
+# c_1 = -1/2 and c_k = -B_k / (k k!) for k >= 2, zero at odd k >= 3
+_LOG_SERIES = (0.0, -1 / 2, -1 / 24, 0.0, 1 / 2880, 0.0, -1 / 181440, 0.0, 1 / 9676800)
+
+
+def _barnes_series(z, omegas, n: int, log_series=_LOG_SERIES) -> list:
+    """[B_{r,k}(z | omegas) for k = 0..n], r = len(omegas), by field
+    operations alone: Fraction inputs and a Fraction ``log_series`` give
+    exact values.
+
+    t^r e^{zt} / prod_i (e^{omega_i t} - 1) = exp(G(t)) / prod_i omega_i with
+    G(t) = z t + sum_k c_k p_k t^k, c_k = ``log_series[k]`` and p_k the power
+    sum of the periods.  The coefficients f_m of exp(G) follow from
+    f' = G' f, that is m f_m = sum_k k G_k f_{m-k} with f_0 = 1, and
+    B_{r,m} = m! f_m / prod_i omega_i.  The inputs are not checked.
+    """
+    # (k, k G_k) for the k <= n with c_k nonzero; even power sums from the squares
+    kg = [(1, z + log_series[1] * sum(omegas))] if n else []
+    squares = powers = [w * w for w in omegas]
+    for k in range(2, n + 1, 2):
+        if k > 2:
+            powers = [p * s for p, s in zip(powers, squares)]
+        if log_series[k]:
+            kg.append((k, k * log_series[k] * sum(powers)))
+    f = [1]
+    for m in range(1, n + 1):
+        total = 0
+        for k, g in kg:
+            if k > m:
+                break
+            total += g * f[m - k]
+        f.append(total / m)
+    scale = 1  # m! / prod_i omega_i
+    for w in omegas:
+        scale = scale / w
+    out = [scale]
+    for m in range(1, n + 1):
+        scale *= m
+        out.append(f[m] * scale)
+    return out
 
 
 def _bernoulli_upto(z: complex, omegas: tuple[complex, ...], n: int) -> list[complex]:
-    """[B_{r,k}(z | omegas) for k = 0..n], with r = len(omegas).
-
-    The coefficients of e^{zt} and the powers of each omega are running
-    products; z, the periods and the result must be finite.
-    """
+    """[B_{r,k}(z | omegas) for k = 0..n], with r = len(omegas), from
+    ``_barnes_series``; z, the periods and the result must be finite."""
     if not omegas:
         raise DomainError("at least one period is required")
     try:
@@ -52,19 +89,7 @@ def _bernoulli_upto(z: complex, omegas: tuple[complex, ...], n: int) -> list[com
     if 0 in omegas:
         raise DomainError("periods must be nonzero")
     if cmath.isfinite(z) and all(map(cmath.isfinite, omegas)):
-        acc = [1 + 0j]
-        for k in range(1, n + 1):
-            acc.append(acc[-1] * z / k)
-        for w in omegas:
-            # acc times sum_k (B_k / k!) omega^{k-1} t^k, skipping B_k = 0
-            new, power = [a / w for a in acc], 1 + 0j
-            for k in range(1, n + 1):
-                if _BERNOULLI_OVER_FACTORIAL[k]:
-                    c = _BERNOULLI_OVER_FACTORIAL[k] * power
-                    new[k:] = [x + c * a for x, a in zip(new[k:], acc)]
-                power *= w
-            acc = new
-        out = [c * factorial(k) for k, c in enumerate(acc)]
+        out = _barnes_series(z, omegas, n)
         if all(map(cmath.isfinite, out)):
             return out
     biggest = max(abs(w) for w in omegas)

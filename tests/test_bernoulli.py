@@ -25,8 +25,9 @@ from conesine import (
     is_good,
 )
 from conesine.bernoulli import (
-    _BERNOULLI_OVER_FACTORIAL,
+    _LOG_SERIES,
     MAX_ORDER,
+    _barnes_series,
     _cone_sum,
     _exists_damping_phase,
     _fiber_exponents,
@@ -197,12 +198,32 @@ def _exact_bernoulli(z: Fraction, omegas: tuple, n: int) -> tuple[Fraction, Frac
     return acc[n] * math.factorial(n), mag[n] * math.factorial(n)
 
 
-def test_bernoulli_number_table_is_exact():
+def _exact_log_series() -> tuple[Fraction, ...]:
+    """c_0..c_MAX_ORDER of log(t / (e^t - 1)) = -t/2 - sum_{k>=2} B_k t^k / (k k!)."""
+    b = _bernoulli_numbers(MAX_ORDER + 1)
+    return (Fraction(0), Fraction(-1, 2), *(-b[k] / (k * math.factorial(k)) for k in range(2, MAX_ORDER + 1)))
+
+
+def test_log_series_table_is_exact():
     b = _bernoulli_numbers(MAX_ORDER + 1)
     assert b[:3] == [1, Fraction(-1, 2), Fraction(1, 6)]
-    assert _BERNOULLI_OVER_FACTORIAL == tuple(
-        float(bk / math.factorial(k)) for k, bk in enumerate(b)
-    )
+    exact = _exact_log_series()
+    assert exact == (0, Fraction(-1, 2), Fraction(-1, 24), 0, Fraction(1, 2880), 0, Fraction(-1, 181440), 0,
+                     Fraction(1, 9676800))
+    assert _LOG_SERIES == tuple(float(c) for c in exact)
+
+
+def test_log_series_recursion_is_exact_on_rationals():
+    # in Fractions, with the exact table, the recursion is Barnes' product of
+    # Bernoulli-number series term for term
+    rng = Random(3)
+    table = _exact_log_series()
+    for r in range(1, 5):
+        for _ in range(4):
+            z = Fraction(rng.randint(-40, 40), rng.randint(1, 9))
+            om = tuple(Fraction(rng.choice((-1, 1)) * rng.randint(1, 30), rng.randint(1, 9)) for _ in range(r))
+            values = _barnes_series(z, om, MAX_ORDER, table)
+            assert values == [_exact_bernoulli(z, om, n)[0] for n in range(MAX_ORDER + 1)], (z, om)
 
 
 def test_plain_polynomial_matches_exact_rationals():

@@ -172,7 +172,7 @@ _TARGETS = {
     "g2c": (3, 3, {"direct": (gamma_cone_direct, ()),
                    "factorized": (gamma_cone_factorized, ("variant",))}),
 }
-_FLAG_DEFAULTS = {"form": 1, "variant": "primary"}
+_FLAG_DEFAULTS = {"form": None, "variant": "primary"}
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -423,7 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="single period (alias for one --omega)")
     p_eval.add_argument("--cone", default=None, help="fixture name or cone JSON path")
     p_eval.add_argument("--form", type=int, choices=(1, 2), default=None,
-                        help="s1 s2 s3 only: boundary factorization form (default 1)")
+                        help="s1 s2 s3 only: boundary factorization form "
+                        "(default: the form with fewer predicted shift steps, recorded as null)")
     p_eval.add_argument("--route", default=None, help="cone targets only, default first: " + ", ".join(
         f"{t} {'|'.join(routes)}" for t, (_, dim, routes) in _TARGETS.items() if dim))
     p_eval.add_argument("--variant", choices=("primary", "alternative"), default=None,

@@ -19,7 +19,7 @@ package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, product
 from math import gcd
@@ -536,6 +536,7 @@ class GorensteinFrame:
     if it wound clockwise), and ``chains[i]`` subdivides the half-open
     dominance wedge of facet i, spanned between the successive difference
     vectors t_{i-1} = ell_i - ell_{i-1} and t_i = ell_{i+1} - ell_i.
+    ``basis_t``, the transpose of ``basis``, is formed once with the frame.
     """
 
     cone: Cone
@@ -543,9 +544,13 @@ class GorensteinFrame:
     basis: IntMatrix
     ell: tuple[IntVector, ...]
     chains: tuple[WedgeSubdivision, ...]
+    basis_t: IntMatrix = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "basis_t", mat_transpose(self.basis))
 
     def transformed_omegas(self, omegas: Sequence[complex]) -> tuple[complex, ...]:
-        return mat_vec(mat_transpose(self.basis), omegas)
+        return mat_vec(self.basis_t, omegas)
 
     def facet_omegas(self, omegas: Sequence[complex]) -> tuple[tuple[complex, complex], ...]:
         """Per-facet 2d parameters (w2 + ell^1 w1, w3 + ell^2 w1)."""

@@ -8,13 +8,16 @@ the vertices l of P in cyclic order.  The vector (1, 0, 0) pairs to 1 with
 each of them, so the cone is Gorenstein; it is good when every edge of P is
 primitive.  Both properties survive an integer change of basis, so the
 normals are sent through a random unimodular matrix U (whose Gorenstein
-vector is U^-T (1, 0, 0)).  With vertices in [-2, 2]^2 this reaches cones with
-three to eight facets, listed either way round, since det U = -1 reverses
-the winding.
+vector is U^-T (1, 0, 0)).  The polygons are drawn from the full list of
+those with primitive edges and vertices in [-2, 2]^2 (3,531 up to
+translation, with three to nine vertices), so the cones have three to nine
+facets, listed either way round, since det U = -1 reverses the winding.
 """
 from __future__ import annotations
 
-from math import gcd
+from functools import cache
+from itertools import accumulate
+from math import atan2, gcd, tau
 
 from hypothesis import strategies as st
 
@@ -25,37 +28,54 @@ PLANAR_RANGE = 6
 PLANAR_MAX_DET = 30
 
 
-def _turn(o, a, b) -> int:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+@cache
+def _primitive_edge_cycles(size: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Every convex lattice polygon with primitive edges whose bounding box
+    fits a size x size square, up to translation, as its cycle of edge
+    vectors, fewest edges first.
 
-
-def convex_hull(points) -> list[tuple[int, int]]:
-    """The vertices of the convex hull, counterclockwise, with no three on a
-    line (Andrew's monotone chain)."""
-    pts = sorted(set(points))
-    if len(pts) < 3:
-        return pts
-    hull: list = []
-    for sweep in (pts, pts[::-1]):
-        half: list = []
-        for p in sweep:
-            while len(half) >= 2 and _turn(half[-2], half[-1], p) <= 0:
-                half.pop()
-            half.append(p)
-        hull += half[:-1]
-    return hull
-
-
-def _has_primitive_edges(hull) -> bool:
-    n = len(hull)
-    return n >= 3 and all(
-        gcd(hull[(i + 1) % n][0] - hull[i][0], hull[(i + 1) % n][1] - hull[i][1]) == 1 for i in range(n)
+    Such a polygon is a set of distinct primitive directions summing to
+    zero, walked by increasing angle: no edge holds a lattice point inside,
+    and no two are parallel and same-facing, so no three vertices are on a
+    line.  The walk starts with the direction of least angle in [0, 2 pi).
+    """
+    dirs = sorted(
+        ((x, y) for x in range(-size, size + 1) for y in range(-size, size + 1) if gcd(x, y) == 1),
+        key=lambda d: atan2(d[1], d[0]) % tau,
     )
+    angles = [atan2(d[1], d[0]) % tau for d in dirs]
+    cycles = []
+
+    def walk(start, path, x, y, box):
+        for i in range(start, len(dirs)):
+            nx, ny = x + dirs[i][0], y + dirs[i][1]
+            lo_x, hi_x, lo_y, hi_y = min(box[0], nx), max(box[1], nx), min(box[2], ny), max(box[3], ny)
+            if hi_x - lo_x > size or hi_y - lo_y > size:
+                continue
+            if (nx, ny) == (0, 0):
+                if len(path) >= 2:
+                    cycles.append((*path, dirs[i]))
+            # the rest of the walk turns on counterclockwise, so the way back
+            # to the start must point past this edge
+            elif atan2(-ny, -nx) % tau > angles[i]:
+                walk(i + 1, (*path, dirs[i]), nx, ny, (lo_x, hi_x, lo_y, hi_y))
+
+    walk(0, (), 0, 0, (0, 0, 0, 0))
+    return tuple(sorted(cycles, key=len))
 
 
-lattice_polygons = st.lists(
-    st.tuples(*[st.integers(-POLYGON_RANGE, POLYGON_RANGE)] * 2), min_size=3, max_size=9
-).map(convex_hull).filter(_has_primitive_edges)
+@st.composite
+def lattice_polygons(draw) -> list[tuple[int, int]]:
+    """A convex lattice polygon with primitive edges and vertices in
+    [-POLYGON_RANGE, POLYGON_RANGE]^2, counterclockwise: any such polygon,
+    drawn from the full list, then placed by a translation that keeps it in
+    the square.  Nothing is drawn only to be rejected."""
+    edges = draw(st.sampled_from(_primitive_edge_cycles(2 * POLYGON_RANGE)))
+    vertices = list(accumulate(edges[:-1], lambda v, e: (v[0] + e[0], v[1] + e[1]), initial=(0, 0)))
+    xs, ys = [v[0] for v in vertices], [v[1] for v in vertices]
+    dx = draw(st.integers(-POLYGON_RANGE - min(xs), POLYGON_RANGE - max(xs)))
+    dy = draw(st.integers(-POLYGON_RANGE - min(ys), POLYGON_RANGE - max(ys)))
+    return [(x + dx, y + dy) for x, y in vertices]
 
 
 @st.composite
@@ -63,12 +83,10 @@ def unimodular_matrices(draw) -> tuple[tuple[int, ...], ...]:
     """Up to four elementary row operations on the identity (add +-1 times
     one row to another), then a row permutation and an optional sign flip."""
     m = [[int(i == j) for j in range(3)] for i in range(3)]
-    ops = draw(st.lists(
-        st.tuples(st.integers(0, 2), st.integers(0, 2), st.sampled_from((-1, 1))).filter(lambda op: op[0] != op[1]),
-        max_size=4,
-    ))
-    for i, j, k in ops:
-        m[i] = [a + k * b for a, b in zip(m[i], m[j])]
+    # row i gains k times row (i + shift) % 3, another row
+    ops = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(1, 2), st.sampled_from((-1, 1))), max_size=4))
+    for i, shift, k in ops:
+        m[i] = [a + k * b for a, b in zip(m[i], m[(i + shift) % 3])]
     m = [m[p] for p in draw(st.permutations(range(3)))]
     if draw(st.booleans()):
         m[0] = [-a for a in m[0]]
@@ -78,7 +96,7 @@ def unimodular_matrices(draw) -> tuple[tuple[int, ...], ...]:
 @st.composite
 def polygon_cones(draw) -> Cone:
     """A good Gorenstein 3d cone over a lattice polygon, in a random basis."""
-    hull = draw(lattice_polygons)
+    hull = draw(lattice_polygons())
     u = draw(unimodular_matrices())
     return Cone(3, tuple(tuple(sum(row[k] * v[k] for k in range(3)) for row in u) for v in ((1, -x, -y) for x, y in hull)))
 

@@ -240,7 +240,7 @@ EVAL_ARGS = {
 # (target, route, recorded flags, library function); a cone target's first
 # route is its default
 EVAL_ROUTES = [
-    *[(f"s{r}", None, {"form": form}, multiple_sine) for r in (1, 2, 3) for form in (1, 2)],
+    *[(f"s{r}", None, {"form": form}, multiple_sine) for r in (1, 2, 3) for form in (None, 1, 2)],
     *[(target, None, {}, elliptic_gamma) for target in ("g0", "g1", "g2", "theta0")],
     ("qfac", None, {}, qfactorial),
     ("s2c", "decomposed", {}, sine_cone_decomposed),
@@ -253,7 +253,7 @@ EVAL_ROUTES = [
     *[("g2c", "factorized", {"variant": v}, gamma_cone_factorized)
       for v in ("primary", "alternative")],
 ]
-FLAG_DEFAULTS = {"form": 1, "variant": "primary"}
+FLAG_DEFAULTS = {"form": None, "variant": "primary"}
 
 
 def eval_argv(target, z, route=None, flags=()):
@@ -379,6 +379,27 @@ def test_eval_far_from_real_axis_never_escapes(capsys, target, route):
     else:
         assert (rc, err) == (EXIT_OK, "")
         assert cmath.isfinite(complex(*eval_record(out)["value"]))
+
+
+def test_eval_sine_takes_the_cheaper_form_by_default(capsys):
+    # WEDGE_SINES sine0: form 1 errs by 1.0e-8 there, the cheaper form 2 by 3.5e-15
+    pytest.importorskip("mpmath")
+    from test_qseries_reference import WEDGE_SINE_BOUND, WEDGE_SINES
+
+    z, omegas, re, im = WEDGE_SINES[0]
+    rc, out, err = run(capsys, "eval", "s3", f"--z={format_complex(z)}", *[f"--omega={format_complex(w)}" for w in omegas])
+    assert (rc, err) == (EXIT_OK, "")
+    record = eval_record(out)
+    assert record["form"] is None
+    want = complex(float(re), float(im))
+    assert abs(complex(*record["value"]) - want) / abs(want) <= WEDGE_SINE_BOUND
+    # an explicit form is still honoured and recorded
+    rc, out, _ = run(capsys, "eval", "s3", f"--z={format_complex(z)}", *[f"--omega={format_complex(w)}" for w in omegas],
+                     "--form", "1")
+    assert rc == EXIT_OK
+    record = eval_record(out)
+    assert record["form"] == 1
+    assert complex(*record["value"]) == multiple_sine(z, omegas, form=1) != multiple_sine(z, omegas)
 
 
 @pytest.mark.parametrize("scale", [1e120, 1e300])

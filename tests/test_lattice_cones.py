@@ -31,6 +31,7 @@ from conesine import (
     subdivide_wedge,
     verify_theorem,
 )
+from conesine import lattice_cones
 from conesine.fixtures import FIXTURE_NAMES, fixture_cone
 from conesine.generalized import (
     _face_product_reduced,
@@ -634,6 +635,20 @@ def test_gorenstein_frame_straightens_normals_and_winds_counterclockwise(clockwi
         turns = {int(np.sign(det2(steps[i - 1], steps[i]))) for i in range(n)}
         assert turns == ({-1} if clockwise else {1})
         assert frame.ell == (listed[::-1] if clockwise else listed)
+
+
+def test_frame_transpose_is_formed_once(monkeypatch):
+    cone = fixture_cone("cone-over-square")
+    frame = cone_plan(cone).frame
+    assert frame.basis_t == tuple(zip(*frame.basis))
+    built = []
+    monkeypatch.setattr(lattice_cones, "mat_transpose", lambda m: built.append(m) or tuple(zip(*m)))
+    omegas = (0.42 + 0.014j, -0.13 + 0.009j, -0.17 - 0.012j)
+    for _ in range(3):
+        axis, _wedges = cone_plan(cone).wedges(0.19 + 0.07j, omegas)
+    assert not built
+    assert frame.transformed_omegas(omegas) == mat_vec(tuple(zip(*frame.basis)), omegas)
+    assert axis == frame.transformed_omegas(omegas)[0]
 
 
 def _check_relisted_geometry(cone: Cone) -> None:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
+import threading
 from dataclasses import dataclass
 from functools import partial
 from random import Random
@@ -459,7 +460,7 @@ THEOREM_IDS = tuple(sorted(THEOREMS))
 _MAX_SAMPLE_ATTEMPTS = 24
 
 
-class _SideValues:
+class _SideValues(threading.local):
     """The side values of the identities verified on one (cone, seed, config).
 
     Identities of one dimension share a sampler and a seed, and every attempt
@@ -467,9 +468,9 @@ class _SideValues:
     identities have in common (``gamma_cone_factorized`` is the rhs of
     g2c-factorization and the lhs of g2c-alternative) is evaluated once per
     point.  Values are keyed by (side, z, omegas) and kept only while the
-    (cone, seed, config) stays the same, so the store holds one cone's draws.
-    The sampler never draws a negative zero, so points equal under ``==``
-    are the same bits.
+    (cone, seed, config) stays the same, so the store holds one cone's draws;
+    each thread has its own.  The sampler never draws a negative zero, so
+    points equal under ``==`` are the same bits.
     """
 
     def __init__(self):
@@ -484,12 +485,14 @@ class _SideValues:
     def value(self, side: _Side, cone: Cone, z: complex, omegas: tuple, cfg: EvalConfig) -> complex | None:
         """``side(cone, z, omegas, cfg)``, or None where it raises DomainError."""
         key = (side, z, omegas)
-        if key not in self.values:
-            try:
-                self.values[key] = side(cone, z, omegas, cfg)
-            except DomainError:
-                self.values[key] = None
-        return self.values[key]
+        if key in self.values:
+            return self.values[key]
+        try:
+            value = side(cone, z, omegas, cfg)
+        except DomainError:
+            value = None
+        self.values[key] = value
+        return value
 
 
 _side_values = _SideValues()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+import threading
 import time
 from collections import Counter
 from dataclasses import replace
@@ -651,6 +652,33 @@ def test_side_values_are_dropped_for_the_next_cone(square, std3):
     assert store.context[0] == std3
     stored_points = {(z, omegas) for _, z, omegas in store.values}
     assert stored_points and not stored_points & set(first.points)
+
+
+def test_threads_keep_their_own_side_values(square):
+    # the two g2c identities share the primary factorized gamma; run at once
+    # on the same cone and seed under configs whose values differ, each
+    # thread must get the report it gets alone
+    loose = EvalConfig(tail_tol=1e-6, comparison_tol=1e-5)
+    jobs = [("g2c-factorization", DEFAULT_CONFIG), ("g2c-alternative", loose)] * 2
+    alone = [verify_theorem(tid, square, samples=8, seed=5, cfg=cfg).to_json_dict() for tid, cfg in jobs]
+    assert alone[0]["rhs"] != alone[1]["lhs"]
+    results = [None] * len(jobs)
+
+    def work(k):
+        results[k] = verify_theorem(jobs[k][0], square, samples=8, seed=5, cfg=jobs[k][1]).to_json_dict()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(jobs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == alone
 
 
 def test_primary_factorized_gamma_is_evaluated_once_per_point(monkeypatch, square):

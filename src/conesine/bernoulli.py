@@ -47,6 +47,10 @@ def _barnes_series(z, omegas, n: int, log_series=_LOG_SERIES) -> list:
     sum of the periods.  The coefficients f_m of exp(G) follow from
     f' = G' f, that is m f_m = sum_k k G_k f_{m-k} with f_0 = 1, and
     B_{r,m} = m! f_m / prod_i omega_i.  The inputs are not checked.
+
+    At odd degrees the terms of size max |omega_i|^m cancel, so a period far
+    larger than the others costs digits: about eight when it is 1e8 times
+    larger, at small z.
     """
     # (k, k G_k) for the k <= n with c_k nonzero; even power sums from the squares
     kg = [(1, z + log_series[1] * sum(omegas))] if n else []

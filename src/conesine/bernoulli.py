@@ -1,15 +1,18 @@
 """Generalized Bernoulli polynomials, plain and cone-restricted.
 
 ``bernoulli_multiple`` is ``n!`` times the ``t^n`` coefficient of
-``t^r e^{zt} / prod_i (e^{omega_i t} - 1) = exp(G(t)) / prod_i omega_i``, with
-``G(t) = z t + sum_k c_k p_k t^k``, ``c_k`` the coefficients of
-``log(t / (e^t - 1))`` and ``p_k`` the power sums of the periods; every degree
-up to ``n`` comes from one recursion for the coefficients of ``exp(G)``, in
-field operations alone.  The cone-restricted variants sum such polynomials,
-every degree from one walk, over a unimodular wedge decomposition of the cone
-so that the total is the degree-``n`` coefficient of the lattice generating
-function over the open cone interior; an independent numeric oracle (direct
-lattice sum plus a Chebyshev fit) ships alongside for verification.
+``t^r e^{zt} / prod_i (e^{omega_i t} - 1)``.  The period of largest modulus
+enters through its own Barnes series ``sum_k B_k omega^{k-1} t^k / k!`` in the
+Bernoulli numbers ``B_k``, so its vanishing odd terms stay exact zeros; ``z``
+and the other periods through ``exp(G(t))`` with ``G(t) = z t + sum_k c_k p_k
+t^k``, ``c_k`` the coefficients of ``log(t / (e^t - 1))`` and ``p_k`` the
+power sums of those periods, every degree up to ``n`` from one recursion for
+the coefficients of ``exp(G)``, in field operations alone.  The
+cone-restricted variants sum such polynomials, every degree from one walk,
+over a unimodular wedge decomposition of the cone so that the total is the
+degree-``n`` coefficient of the lattice generating function over the open
+cone interior; an independent numeric oracle (direct lattice sum plus a
+Chebyshev fit) ships alongside for verification.
 """
 
 from __future__ import annotations
@@ -30,57 +33,85 @@ MAX_ORDER = 8
 
 
 # ---------------------------------------------------------------------------
-# plain polynomials, from one log-series recursion
+# plain polynomials, from one log-series recursion and Barnes factors
 
-# log(t / (e^t - 1)) = sum_k c_k t^k for k = 1..MAX_ORDER (entry 0 unused):
-# c_1 = -1/2 and c_k = -B_k / (k k!) for k >= 2, zero at odd k >= 3
-_LOG_SERIES = (0.0, -1 / 2, -1 / 24, 0.0, 1 / 2880, 0.0, -1 / 181440, 0.0, 1 / 9676800)
+# B_k / k! for k = 0..MAX_ORDER: the coefficients of t / (e^t - 1)
+_BERNOULLI_OVER_FACTORIAL = (1.0, -1 / 2, 1 / 12, 0.0, -1 / 720, 0.0, 1 / 30240, 0.0, -1 / 1209600)
 
 
-def _barnes_series(z, omegas, n: int, log_series=_LOG_SERIES) -> list:
-    """[B_{r,k}(z | omegas) for k = 0..n], r = len(omegas), by field
-    operations alone: Fraction inputs and a Fraction ``log_series`` give
-    exact values.
+def _barnes_product(z, omegas, n: int, table=_BERNOULLI_OVER_FACTORIAL) -> list:
+    """[B_{r,k}(z | omegas) for k = 0..n] as n! [t^n] of e^{zt} times each
+    period's Barnes series sum_k B_k omega^{k-1} t^k / k!, by field
+    operations alone; ``table`` holds B_k / k!.  The inputs are not checked."""
+    acc = [1]
+    for k in range(1, n + 1):
+        acc.append(acc[-1] * z / k)
+    for w in omegas:
+        # acc times sum_k (B_k / k!) omega^{k-1} t^k, skipping B_k = 0
+        new, power = [a / w for a in acc], 1
+        for k in range(1, n + 1):
+            if table[k]:
+                c = table[k] * power
+                new[k:] = [x + c * a for x, a in zip(new[k:], acc)]
+            power *= w
+        acc = new
+    return [c * factorial(k) for k, c in enumerate(acc)]
 
-    t^r e^{zt} / prod_i (e^{omega_i t} - 1) = exp(G(t)) / prod_i omega_i with
-    G(t) = z t + sum_k c_k p_k t^k, c_k = ``log_series[k]`` and p_k the power
-    sum of the periods.  The coefficients f_m of exp(G) follow from
-    f' = G' f, that is m f_m = sum_k k G_k f_{m-k} with f_0 = 1, and
-    B_{r,m} = m! f_m / prod_i omega_i.  The inputs are not checked.
 
-    At odd degrees the terms of size max |omega_i|^m cancel, so a period far
-    larger than the others costs digits: about eight when it is 1e8 times
-    larger, at small z.
+def _barnes_series(z, big, others, n: int, table=_BERNOULLI_OVER_FACTORIAL) -> list:
+    """[B_{r,k}(z | (big, *others)) for k = 0..n] by one recursion, in field
+    operations alone: Fraction inputs and a Fraction ``table`` of B_k / k!
+    give exact values.  The inputs are not checked.
+
+    t^r e^{zt} / prod_i (e^{omega_i t} - 1) is exp(G(t)) / prod(others) times
+    the Barnes series sum_k B_k big^{k-1} t^k / k! of ``big``.  G(t) = z t +
+    sum_k c_k p_k t^k, with c_k the coefficients of log(t / (e^t - 1)), that
+    is c_1 = B_1 and k c_k = -B_k / k! for k >= 2, and p_k the power sums of
+    ``others``.  The coefficients f_m of exp(G) follow from f' = G' f:
+    m f_m = sum_k k G_k f_{m-k} with f_0 = 1.
+
+    The recursion cancels terms of size max |omega|^m at odd degrees m, where
+    a Barnes series has exact zeros, so ``big`` should be the period of
+    largest modulus: the loss is then relative to terms at least as large.
+    Its power sums reach |omega|^n, where ``_barnes_product`` stays below
+    |omega|^(n-1).
     """
-    # (k, k G_k) for the k <= n with c_k nonzero; even power sums from the squares
-    kg = [(1, z + log_series[1] * sum(omegas))] if n else []
-    squares = powers = [w * w for w in omegas]
-    for k in range(2, n + 1, 2):
-        if k > 2:
-            powers = [p * s for p, s in zip(powers, squares)]
-        if log_series[k]:
-            kg.append((k, k * log_series[k] * sum(powers)))
-    f = [1]
+    # (k, k G_k, B_k big^{k-1} / k!) for the k <= n with B_k nonzero: k = 1
+    # and the even k; even power sums from the squares
+    terms = []
+    if n:
+        terms.append((1, z + table[1] * sum(others), table[1]))
+        power, squares = big, [w * w for w in others]
+        powers = squares
+        for k in range(2, n + 1, 2):
+            if k > 2:
+                powers = [p * s for p, s in zip(powers, squares)]
+                power *= big * big
+            terms.append((k, -table[k] * sum(powers), table[k] * power))
+    scale = 1  # m! / prod(others)
+    for w in others:
+        scale = scale / w
+    f, out = [1], [scale / big]
     for m in range(1, n + 1):
-        total = 0
-        for k, g in kg:
+        f_m = h_m = 0
+        for k, g, c in terms:
             if k > m:
                 break
-            total += g * f[m - k]
-        f.append(total / m)
-    scale = 1  # m! / prod_i omega_i
-    for w in omegas:
-        scale = scale / w
-    out = [scale]
-    for m in range(1, n + 1):
+            a = f[m - k]
+            f_m += g * a
+            h_m += c * a
+        f_m /= m
+        f.append(f_m)
         scale *= m
-        out.append(f[m] * scale)
+        out.append((f_m / big + h_m) * scale)
     return out
 
 
 def _bernoulli_upto(z: complex, omegas: tuple[complex, ...], n: int) -> list[complex]:
     """[B_{r,k}(z | omegas) for k = 0..n], with r = len(omegas), from
-    ``_barnes_series``; z, the periods and the result must be finite."""
+    ``_barnes_series`` with the period of largest modulus as ``big``, or from
+    ``_barnes_product`` where that overflows; z, the periods and the result
+    must be finite."""
     if not omegas:
         raise DomainError("at least one period is required")
     try:
@@ -93,7 +124,10 @@ def _bernoulli_upto(z: complex, omegas: tuple[complex, ...], n: int) -> list[com
     if 0 in omegas:
         raise DomainError("periods must be nonzero")
     if cmath.isfinite(z) and all(map(cmath.isfinite, omegas)):
-        out = _barnes_series(z, omegas, n)
+        others = sorted(omegas, key=abs)
+        out = _barnes_series(z, others.pop(), others, n)
+        if not all(map(cmath.isfinite, out)) and others:
+            out = _barnes_product(z, omegas, n)
         if all(map(cmath.isfinite, out)):
             return out
     biggest = max(abs(w) for w in omegas)

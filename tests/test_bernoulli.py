@@ -25,8 +25,9 @@ from conesine import (
     is_good,
 )
 from conesine.bernoulli import (
-    _LOG_SERIES,
+    _BERNOULLI_OVER_FACTORIAL,
     MAX_ORDER,
+    _barnes_product,
     _barnes_series,
     _cone_sum,
     _exists_damping_phase,
@@ -198,32 +199,63 @@ def _exact_bernoulli(z: Fraction, omegas: tuple, n: int) -> tuple[Fraction, Frac
     return acc[n] * math.factorial(n), mag[n] * math.factorial(n)
 
 
-def _exact_log_series() -> tuple[Fraction, ...]:
-    """c_0..c_MAX_ORDER of log(t / (e^t - 1)) = -t/2 - sum_{k>=2} B_k t^k / (k k!)."""
+def test_bernoulli_number_table_is_exact():
     b = _bernoulli_numbers(MAX_ORDER + 1)
-    return (Fraction(0), Fraction(-1, 2), *(-b[k] / (k * math.factorial(k)) for k in range(2, MAX_ORDER + 1)))
+    assert b[:3] == [1, Fraction(-1, 2), Fraction(1, 6)]
+    assert _BERNOULLI_OVER_FACTORIAL == tuple(
+        float(bk / math.factorial(k)) for k, bk in enumerate(b)
+    )
 
 
 def test_log_series_table_is_exact():
-    b = _bernoulli_numbers(MAX_ORDER + 1)
-    assert b[:3] == [1, Fraction(-1, 2), Fraction(1, 6)]
-    exact = _exact_log_series()
-    assert exact == (0, Fraction(-1, 2), Fraction(-1, 24), 0, Fraction(1, 2880), 0, Fraction(-1, 181440), 0,
-                     Fraction(1, 9676800))
-    assert _LOG_SERIES == tuple(float(c) for c in exact)
+    # c_k of log(t / (e^t - 1)) by the series logarithm of sum_k B_k t^k / k!
+    # (l' = b' / b): the recursion's k G_k reads c_1 = B_1 and
+    # k c_k = -B_k / k! off the table of B_k / k!
+    b = [bk / math.factorial(k) for k, bk in enumerate(_bernoulli_numbers(MAX_ORDER + 1))]
+    c = [Fraction(0)]
+    for k in range(1, MAX_ORDER + 1):
+        c.append((k * b[k] - sum(j * c[j] * b[k - j] for j in range(1, k))) / k)
+    assert c == [0, Fraction(-1, 2), Fraction(-1, 24), 0, Fraction(1, 2880), 0, Fraction(-1, 181440), 0,
+                 Fraction(1, 9676800)]
+    assert c[1] == b[1] and all(k * c[k] == -b[k] for k in range(2, MAX_ORDER + 1))
 
 
 def test_log_series_recursion_is_exact_on_rationals():
-    # in Fractions, with the exact table, the recursion is Barnes' product of
-    # Bernoulli-number series term for term
+    # in Fractions, with the exact table, the recursion with any period as
+    # ``big`` is Barnes' product of Bernoulli-number series term for term
     rng = Random(3)
-    table = _exact_log_series()
+    table = [bk / math.factorial(k) for k, bk in enumerate(_bernoulli_numbers(MAX_ORDER + 1))]
     for r in range(1, 5):
         for _ in range(4):
             z = Fraction(rng.randint(-40, 40), rng.randint(1, 9))
             om = tuple(Fraction(rng.choice((-1, 1)) * rng.randint(1, 30), rng.randint(1, 9)) for _ in range(r))
-            values = _barnes_series(z, om, MAX_ORDER, table)
-            assert values == [_exact_bernoulli(z, om, n)[0] for n in range(MAX_ORDER + 1)], (z, om)
+            exact = [_exact_bernoulli(z, om, n)[0] for n in range(MAX_ORDER + 1)]
+            assert _barnes_product(z, om, MAX_ORDER, table) == exact, (z, om)
+            for i in range(r):
+                values = _barnes_series(z, om[i], om[:i] + om[i + 1:], MAX_ORDER, table)
+                assert values == exact, (z, om, i)
+
+
+@pytest.mark.parametrize(
+    "z, omegas, n",
+    [
+        (0.3, (1e60, 1.0, 1.0), 3),
+        (0.3, (1.0, 1e60, 1.0), 5),
+        (0.3, (1e30, 1.0, 2.0), 7),
+        (0.3, (1e100, -3e99, 1.0), 3),
+        (0.3, (1e155,), 2),
+        (0.3, (1e155, 1e155), 2),
+        (0.0, (1.0,), 3),
+        (0.0, (-1.0,), 5),
+    ],
+)
+def test_far_larger_period_keeps_its_digits(z, omegas, n):
+    # the largest period's odd Barnes terms stay exact zeros, and power sums
+    # that overflow fall back to Barnes' product: no digits lost to terms of
+    # size max |omega|^n, and no refusal of a finite value
+    exact = float(_exact_bernoulli(Fraction(z), tuple(map(Fraction, omegas)), n)[0])
+    value = bernoulli_multiple(z, omegas, n)
+    assert abs(value - exact) <= 1e-12 * abs(exact), (value, exact)
 
 
 def test_plain_polynomial_matches_exact_rationals():

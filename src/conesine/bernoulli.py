@@ -76,25 +76,26 @@ def _barnes_series(z, big, others, n: int, table=_BERNOULLI_OVER_FACTORIAL) -> l
     Its power sums reach |omega|^n, where ``_barnes_product`` stays below
     |omega|^(n-1).
     """
-    # (k, k G_k, B_k big^{k-1} / k!) for the k <= n with B_k nonzero: k = 1
-    # and the even k; even power sums from the squares
-    terms = []
-    if n:
-        terms.append((1, z + table[1] * sum(others), table[1]))
+    # k G_k and B_k big^{k-1} / k! at k = 1, and (k, k G_k, B_k big^{k-1} / k!)
+    # at the even k <= n, where B_k is nonzero; even power sums from the squares
+    g1, c1 = z + table[1] * sum(others), table[1]
+    even = []
+    if n > 1:
         power, squares = big, [w * w for w in others]
         powers = squares
         for k in range(2, n + 1, 2):
             if k > 2:
                 powers = [p * s for p, s in zip(powers, squares)]
                 power *= big * big
-            terms.append((k, -table[k] * sum(powers), table[k] * power))
+            even.append((k, -table[k] * sum(powers), table[k] * power))
     scale = 1  # m! / prod(others)
     for w in others:
         scale = scale / w
     f, out = [1], [scale / big]
     for m in range(1, n + 1):
-        f_m = h_m = 0
-        for k, g, c in terms:
+        a = f[m - 1]
+        f_m, h_m = g1 * a, c1 * a
+        for k, g, c in even:
             if k > m:
                 break
             a = f[m - k]

@@ -25,7 +25,6 @@ from typing import Sequence
 from .errors import DomainError
 from .lattice_cones import (
     Cone,
-    cone_plan,
     edge_rays,
 )
 
@@ -194,7 +193,7 @@ def _cone_sum(cone: Cone, z: complex, omegas: tuple[complex, ...], n: int) -> li
     """The cone polynomials of degrees 0..n from one walk of the wedges: the
     sums of the wedges' plain polynomials, plus the straightened axis term in
     3d.  The caller checks the damping phase."""
-    axis, wedges = cone_plan(cone).wedges(z, omegas)
+    axis, wedges = cone.wedges(z, omegas)
     total = [sum(col) for col in zip(*(_bernoulli_upto(arg, periods, n) for arg, periods in wedges))]
     if axis is not None and n >= 2:
         for k, b in enumerate(_bernoulli_upto(z, (axis,), n - 2), start=2):

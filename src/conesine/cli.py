@@ -48,7 +48,6 @@ from .lattice_cones import (
     Cone,
     det2,
     edge_rays,
-    face_matrices,
     gorenstein_vector,
     is_good,
     subdivide_wedge,
@@ -379,7 +378,7 @@ def cmd_check_cone(args: argparse.Namespace) -> int:
         print("face transforms unavailable: the cone is not good")
         return EXIT_OK
     print("face transforms:")
-    for ft in face_matrices(cone):
+    for ft in cone.face_transforms:
         print(f"  {ft.face_id}: n = {_vec_str(ft.n_vector)}, det {ft.det:+d}")
         for row in ft.matrix:
             print(f"      [{' '.join(f'{c:3d}' for c in row)}]")

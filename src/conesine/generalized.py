@@ -32,7 +32,6 @@ from .bernoulli import (
 from .lattice_cones import (
     Cone,
     _omega_cross,
-    cone_plan,
     det2,
     dual_contains,
     lattice_points,
@@ -88,7 +87,7 @@ def _wedge_product(
 ) -> complex:
     """Product of ``fn`` over the wedges of the cone's decomposition, after
     the factor of the straightened axis in 3d, checked finite."""
-    axis, wedges = cone_plan(cone).wedges(z, omegas)
+    axis, wedges = cone.wedges(z, omegas)
     axis_factor = [] if axis is None else [fn(z, (axis,), cfg)]
     return _checked_product("wedge", axis_factor + [fn(arg, periods, cfg) for arg, periods in wedges], z)
 
@@ -156,7 +155,7 @@ def sine_face_factors(
         raise DomainError("form must be 1 or 2")
     return tuple(
         FaceFactor(face_id=face_id, value=qfactorial_xq(*_form_arguments(u, scaled[1:], form), cfg))
-        for face_id, u, scaled in cone_plan(cone).faces(z, omegas)
+        for face_id, u, scaled in cone.faces(z, omegas)
     )
 
 
@@ -177,7 +176,7 @@ def sine_cone_factorized(
     r = cone.dim
     b = bernoulli_cone(cone, z, omegas, r)
     # after the cone checks of bernoulli_cone, so their refusals come first
-    pairs = [(u, scaled[1:]) for _, u, scaled in cone_plan(cone).faces(z, omegas)]
+    pairs = [(u, scaled[1:]) for _, u, scaled in cone.faces(z, omegas)]
     form = _cheaper_form(pairs)
     values = [qfactorial_xq(*_form_arguments(u, taus, form), cfg) for u, taus in pairs]
     return _checked_product("face", [_sine_prefactor(b, r, form), *values], z)
@@ -192,13 +191,13 @@ def gamma_face_factors(
 ) -> tuple[FaceFactor, ...]:
     """The transformed ordinary elliptic gamma contributed by each face.
 
-    Each face's periods are ``ConePlan.faces`` of ``variant``: the face
+    Each face's periods are ``Cone.faces`` of ``variant``: the face
     matrix composed with S (``"primary"``) or with S^-1 (``"alternative"``).
     """
     omegas = _as_period_tuple(omegas, cone.dim)
     return tuple(
         FaceFactor(face_id=face_id, value=elliptic_gamma(z_scaled, scaled, cfg))
-        for face_id, z_scaled, scaled in cone_plan(cone).faces(z, omegas, variant)
+        for face_id, z_scaled, scaled in cone.faces(z, omegas, variant)
     )
 
 
@@ -242,14 +241,21 @@ def gamma_cone_lattice_oracle(
     Multiplies (1 - e^{2 pi i (z + m.omega)})^{s} over closed-cone points m
     and (1 - e^{2 pi i (-z + m.omega)}) over interior points, with s = -1 in
     2d and +1 in 3d.  Convergence needs Im(periods) strictly inside the dual
-    cone; the discarded tail decays geometrically in the dual pairing.  A
-    product that overflows double precision raises DomainError.
+    cone; the discarded tail decays geometrically in the dual pairing.
+    ``radius`` must be an integer >= 1.  A product that overflows double
+    precision raises DomainError.
     """
     import numpy as np
 
     omegas = _route_periods(cone, omegas, gamma=True)
     if radius is None:
         radius = cfg.oracle_radius if cone.dim == 2 else 40
+    try:
+        radius = operator.index(radius)
+    except TypeError:
+        raise DomainError(f"radius must be an integer, got {radius!r}") from None
+    if radius < 1:
+        raise DomainError(f"radius must be at least 1, got {radius}")
     om = np.asarray(omegas)
     closed = lattice_points(cone, radius, interior=False)
     opened = closed[(closed @ np.asarray(cone.normals).T >= 1).all(axis=1)]
@@ -406,7 +412,7 @@ class _Theorem:
 def _face_product_reduced(cone: Cone, z, omegas, cfg) -> complex:
     """Product of face-transformed two-period elliptic gammas, dropping the
     first transformed component (the reduced action)."""
-    faces = cone_plan(cone).faces(z, omegas)
+    faces = cone.faces(z, omegas)
     return _checked_product("face", (elliptic_gamma(z_scaled, scaled[1:], cfg) for _, z_scaled, scaled in faces), z)
 
 
@@ -542,7 +548,7 @@ def verify_theorem(
         return VerificationReport(**base, skipped=f"needs a {thm.dim}d cone, got {cone.dim}d")
     if cone.dim == 3:  # every 3d identity needs the Gorenstein frame
         try:
-            cone_plan(cone).frame
+            cone.frame
         except DomainError as exc:
             return VerificationReport(**base, skipped=str(exc))
 

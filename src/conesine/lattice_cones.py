@@ -19,7 +19,7 @@ package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
 from math import gcd
@@ -102,6 +102,10 @@ def cross3(a: Sequence[int], b: Sequence[int]) -> IntVector:
 def det3(a: Sequence[int], b: Sequence[int], c: Sequence[int]) -> int:
     cx = cross3(b, c)
     return a[0] * cx[0] + a[1] * cx[1] + a[2] * cx[2]
+
+
+def _omega_cross(omegas: Sequence[complex], u: Sequence[int]) -> complex:
+    return omegas[0] * u[1] - omegas[1] * u[0]
 
 
 def identity_matrix(n: int) -> IntMatrix:
@@ -199,7 +203,9 @@ class Cone:
     n . w = det(n, *adjacent) for every n ((a_1, -a_0) in 2d, the cross
     product in 3d), a 3d pair ordered so that x . w = det3(x, a, b) > 0.
     Preconditions of single operations (goodness, Gorenstein) are separate
-    predicates reading the walk.
+    predicates reading the walk.  What the evaluation routes read (the
+    chain of a 2d cone, the Gorenstein frame of a 3d cone and the face
+    transforms) is built on first read and kept on the cone.
     """
 
     dim: int
@@ -255,6 +261,74 @@ class Cone:
             faces.append((x, adjacent, w))
         object.__setattr__(self, "_faces", tuple(faces))
         object.__setattr__(self, "_edge_rays", tuple(x for x, _, _ in faces))
+
+    # -- geometry the routes read, built on first read -------------------
+    # a piece whose build raises DomainError is not kept: its next read raises
+    # the same message.  The builders are looked up as module globals at each
+    # build, so that a wrapper installed on the module sees every build.
+
+    @cached_property
+    def chain(self) -> WedgeSubdivision:
+        return cone_chain_2d(self)
+
+    @cached_property
+    def frame(self) -> GorensteinFrame:
+        return gorenstein_frame(self)
+
+    @cached_property
+    def face_transforms(self) -> list[FaceTransform]:
+        return face_matrices(self)
+
+    def wedges(
+        self, z: complex, omegas: Sequence[complex]
+    ) -> tuple[complex | None, list[tuple[complex, tuple[complex, ...]]]]:
+        """The unimodular decomposition of the cone at (z | omegas).
+
+        Returns ``(axis, wedges)``, ``wedges`` listing each wedge's shifted
+        argument and periods in chain order.  In 2d ``axis`` is None and
+        every wedge but the last is shifted by its opening period.  In 3d
+        ``axis`` is the period w1 of the straightened axis, and every facet
+        wedge is shifted and has periods (w1, a, b).
+        """
+        if self.dim == 2:
+            axis = None
+            walks = [(omegas, self.chain)]
+        else:
+            frame = self.frame
+            axis, w2, w3 = frame.transformed_omegas(omegas)
+            # facet i has the 2d periods (w2 + ell_i^1 w1, w3 + ell_i^2 w1), w1 = axis
+            walks = zip([(w2 + l[0] * axis, w3 + l[1] * axis) for l in frame.ell], frame.chains)
+        wedges = []
+        for fo, walk in walks:
+            for u, up in zip(walk.lines, walk.lines[1:]):
+                a = _omega_cross(fo, u)
+                b = _omega_cross(fo, up)
+                wedges.append((z + a, (a, b) if axis is None else (axis, a, b)))
+        if axis is None:
+            wedges[-1] = (z, wedges[-1][1])
+        return axis, wedges
+
+    def faces(self, z: complex, omegas: Sequence[complex], variant: str = "primary"):
+        """Yield ``(face_id, z / scale, face periods)`` per face.
+
+        With ``p = K omegas`` for the face matrix K, ``p_0`` pairs the periods
+        with the edge ray.  ``scale`` is ``p_0`` for ``variant="primary"``
+        and ``-p_0`` for ``"alternative"``; the face periods are
+        ``(-1 / scale, p_1 / scale, ...)`` and ``(1 / scale, p_1 / scale, ...)``.
+        This is the image of (periods, 1) under S diag(K, 1) or S^-1 diag(K, 1)
+        divided by its last entry, where S has -1 top right, +1 bottom left
+        and an identity block between.  A vanishing scale raises DomainError.
+        """
+        if variant not in ("primary", "alternative"):
+            raise DomainError(f"unknown variant {variant!r}: use 'primary' or 'alternative'")
+        primary = variant == "primary"
+        for ft in self.face_transforms:
+            p = mat_vec(ft.matrix, omegas)
+            # 0 - p_0, not -p_0: zero parts stay +0.0, as in the S^-1 diag(K, 1) image
+            scale = p[0] if primary else 0 - p[0]
+            if abs(scale) < 1e-12:
+                raise DomainError(f"face {ft.face_id}: transformed scale vanishes")
+            yield ft.face_id, z / scale, ((-1 if primary else 1) / scale, *(pk / scale for pk in p[1:]))
 
     # -- serialization ----------------------------------------------------
 
@@ -536,26 +610,20 @@ class GorensteinFrame:
     if it wound clockwise), and ``chains[i]`` subdivides the half-open
     dominance wedge of facet i, spanned between the successive difference
     vectors t_{i-1} = ell_i - ell_{i-1} and t_i = ell_{i+1} - ell_i.
-    ``basis_t``, the transpose of ``basis``, is formed once with the frame.
+    ``basis_t``, the transpose of ``basis``, is formed on first read and kept.
     """
 
-    cone: Cone
     xi: IntVector
     basis: IntMatrix
     ell: tuple[IntVector, ...]
     chains: tuple[WedgeSubdivision, ...]
-    basis_t: IntMatrix = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "basis_t", mat_transpose(self.basis))
+    @cached_property
+    def basis_t(self) -> IntMatrix:
+        return mat_transpose(self.basis)
 
     def transformed_omegas(self, omegas: Sequence[complex]) -> tuple[complex, ...]:
         return mat_vec(self.basis_t, omegas)
-
-    def facet_omegas(self, omegas: Sequence[complex]) -> tuple[tuple[complex, complex], ...]:
-        """Per-facet 2d parameters (w2 + ell^1 w1, w3 + ell^2 w1)."""
-        w1, w2, w3 = self.transformed_omegas(omegas)
-        return tuple((w2 + l[0] * w1, w3 + l[1] * w1) for l in self.ell)
 
 
 def gorenstein_frame(cone: Cone) -> GorensteinFrame:
@@ -584,104 +652,7 @@ def gorenstein_frame(cone: Cone) -> GorensteinFrame:
         if det2(t[-1], t[0]) > 0:
             break
     chains = tuple(subdivide_wedge(t[i - 1], t[i]) for i in range(n))
-    return GorensteinFrame(cone=cone, xi=xi, basis=a, ell=ell, chains=chains)
-
-
-# ---------------------------------------------------------------------------
-# cone plan: the per-cone data every evaluation route reads
-
-
-def _omega_cross(omegas: Sequence[complex], u: Sequence[int]) -> complex:
-    return omegas[0] * u[1] - omegas[1] * u[0]
-
-
-class ConePlan:
-    """What the evaluation routes need from one cone, built once per ``Cone``.
-
-    The pieces are cached properties, built on first read and kept: the
-    chain sweeping a 2d cone, the Gorenstein frame of a 3d cone (which holds
-    one chain per facet wedge) and the face transforms.  A piece whose build
-    raises DomainError is not kept; its next read builds it again, which
-    stops early and raises the same message.  Get a cone's plan with
-    :func:`cone_plan`.
-    """
-
-    def __init__(self, cone: Cone):
-        self.cone = cone
-
-    # the builders are looked up as module globals at each build, so that a
-    # wrapper installed on the module sees every build
-
-    @cached_property
-    def chain(self) -> WedgeSubdivision:
-        return cone_chain_2d(self.cone)
-
-    @cached_property
-    def frame(self) -> GorensteinFrame:
-        return gorenstein_frame(self.cone)
-
-    @cached_property
-    def face_transforms(self) -> list[FaceTransform]:
-        return face_matrices(self.cone)
-
-    def wedges(
-        self, z: complex, omegas: Sequence[complex]
-    ) -> tuple[complex | None, list[tuple[complex, tuple[complex, ...]]]]:
-        """The unimodular decomposition of the cone at (z | omegas).
-
-        Returns ``(axis, wedges)``, ``wedges`` listing each wedge's shifted
-        argument and periods in chain order.  In 2d ``axis`` is None and
-        every wedge but the last is shifted by its opening period.  In 3d
-        ``axis`` is the period w1 of the straightened axis, and every facet
-        wedge is shifted and has periods (w1, a, b).
-        """
-        if self.cone.dim == 2:
-            axis = None
-            walks = [(omegas, self.chain)]
-        else:
-            frame = self.frame
-            axis = frame.transformed_omegas(omegas)[0]
-            walks = zip(frame.facet_omegas(omegas), frame.chains)
-        wedges = []
-        for fo, walk in walks:
-            for u, up in zip(walk.lines, walk.lines[1:]):
-                a = _omega_cross(fo, u)
-                b = _omega_cross(fo, up)
-                wedges.append((z + a, (a, b) if axis is None else (axis, a, b)))
-        if axis is None:
-            wedges[-1] = (z, wedges[-1][1])
-        return axis, wedges
-
-    def faces(self, z: complex, omegas: Sequence[complex], variant: str = "primary"):
-        """Yield ``(face_id, z / scale, face periods)`` per face.
-
-        With ``p = K omegas`` for the face matrix K, ``p_0`` pairs the periods
-        with the edge ray.  ``scale`` is ``p_0`` for ``variant="primary"``
-        and ``-p_0`` for ``"alternative"``; the face periods are
-        ``(-1 / scale, p_1 / scale, ...)`` and ``(1 / scale, p_1 / scale, ...)``.
-        This is the image of (periods, 1) under S diag(K, 1) or S^-1 diag(K, 1)
-        divided by its last entry, where S has -1 top right, +1 bottom left
-        and an identity block between.  A vanishing scale raises DomainError.
-        """
-        if variant not in ("primary", "alternative"):
-            raise DomainError(f"unknown variant {variant!r}: use 'primary' or 'alternative'")
-        primary = variant == "primary"
-        for ft in self.face_transforms:
-            p = mat_vec(ft.matrix, omegas)
-            # 0 - p_0, not -p_0: zero parts stay +0.0, as in the S^-1 diag(K, 1) image
-            scale = p[0] if primary else 0 - p[0]
-            if abs(scale) < 1e-12:
-                raise DomainError(f"face {ft.face_id}: transformed scale vanishes")
-            yield ft.face_id, z / scale, ((-1 if primary else 1) / scale, *(pk / scale for pk in p[1:]))
-
-
-def cone_plan(cone: Cone) -> ConePlan:
-    """The cone's plan, built on first use and kept on the cone."""
-    plan = getattr(cone, "_plan", None)
-    if plan is None:
-        plan = ConePlan(cone)
-        object.__setattr__(cone, "_plan", plan)
-    return plan
+    return GorensteinFrame(xi=xi, basis=a, ell=ell, chains=chains)
 
 
 # ---------------------------------------------------------------------------

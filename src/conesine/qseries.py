@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import sys
 from dataclasses import asdict, dataclass
 from typing import Iterable
@@ -52,6 +53,19 @@ class EvalConfig:
     oracle_radius: int = 60
 
     def __post_init__(self):
+        # a JSON config file may give any type, and 1e400 reads as infinity;
+        # an integral float such as 5e6 is taken as that int, as Cone takes dim 2.0
+        for name in ("tail_tol", "comparison_tol"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise DomainError(f"{name} must be a real number, got {value!r}")
+        for name in ("max_terms", "oracle_radius"):
+            value = getattr(self, name)
+            if isinstance(value, float) and value.is_integer():
+                value = int(value)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if not (0 < self.tail_tol < self.comparison_tol < 1):
             raise DomainError(
                 "tolerances must satisfy 0 < tail_tol < comparison_tol < 1, got "

@@ -55,7 +55,7 @@ Z_LIFTED = 0.21 - 0.13j
 
 def chain_wedges(lines, z: complex, omegas) -> list[tuple[complex, tuple[complex, complex]]]:
     """(shifted argument, periods) of each wedge of a 2d chain, walked as
-    ``ConePlan.wedges`` walks a 2d cone's chain: the pairings of consecutive
+    ``Cone.wedges`` walks a 2d cone's chain: the pairings of consecutive
     lines with the periods, every wedge but the last shifted by its first."""
     def pairing(u):
         return omegas[0] * u[1] - omegas[1] * u[0]

@@ -36,7 +36,7 @@ from conesine.bernoulli import (
     _fiber_sum,
 )
 from conesine.generalized import _sample_gamma_params
-from conesine.lattice_cones import cone_plan, det3
+from conesine.lattice_cones import det3
 
 from params import (
     BERNOULLI_OMEGAS,
@@ -525,7 +525,7 @@ def test_cone_sum_lists_every_degree():
     # one walk gives every degree; each matches its own polynomial and the
     # sum of the public plain polynomials over the same wedges
     for cone, z, om in _lifted_cases():
-        axis, wedges = cone_plan(cone).wedges(z, om)
+        axis, wedges = cone.wedges(z, om)
         n = cone.dim + 1
         every = _cone_sum(cone, z, om, n)
         assert len(every) == n + 1

@@ -741,6 +741,34 @@ def test_env_config_unreadable_document_is_usage_error(capsys, monkeypatch, tmp_
     assert f"conesine: error: CONESINE_CONFIG={str(cfg_file)!r}: {message}" in err
 
 
+@pytest.mark.parametrize("payload", [
+    '{"max_terms": "5000000"}', '{"tail_tol": "1e-14"}', '{"oracle_radius": null}',
+    '{"max_terms": 1e400}', '{"oracle_radius": 1e400}',
+])
+@pytest.mark.parametrize("verb", [
+    ("eval", "g0", "--z", "0.1", "--tau", "0.2+1i"),
+    ("verify", "s2c-factorization", "--cone", "wedge21", "--samples", "1"),
+    ("report", "--samples", "1", "--cone", "wedge21"),
+], ids=["eval", "verify", "report"])
+def test_env_config_setting_of_the_wrong_type_is_domain_error(capsys, monkeypatch, tmp_path, payload, verb):
+    # JSON reads 1e400 as infinity, which no integer setting may take
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(payload)
+    monkeypatch.setenv("CONESINE_CONFIG", str(cfg_file))
+    rc, out, err = run(capsys, *verb)
+    assert (rc, out) == (EXIT_DOMAIN, "")
+    assert err.startswith("conesine: error: ") and "must be" in err
+
+
+def test_env_config_integral_float_is_recorded_as_an_int(capsys, monkeypatch, tmp_path):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text('{"max_terms": 5e6}')
+    monkeypatch.setenv("CONESINE_CONFIG", str(cfg_file))
+    rc, out, _ = run(capsys, "eval", "g0", "--z", "0.1", "--tau", "0.2+1i")
+    assert rc == EXIT_OK
+    assert '"max_terms": 5000000,' in out
+
+
 def test_tail_tol_flag_threads_into_config(capsys):
     rc, out, _ = run(capsys, "eval", "s2", "--z", "0.3+0.1i",
                      "--omega", "0.8+0.11i", "--omega", "0.9-0.13i",

@@ -38,7 +38,7 @@ from conesine import (
 )
 from conesine import bernoulli, generalized, lattice_cones
 from conesine.generalized import THEOREMS, _sample_gamma_params, _sample_sine_params
-from conesine.lattice_cones import Cone, cone_chain_2d, cone_plan
+from conesine.lattice_cones import Cone, cone_chain_2d
 
 from cone_strategies import planar_cones, polygon_cones
 from params import GAMMA_OMEGAS, OVERFLOWING_PRODUCTS, SINE_OMEGAS, Z_GENERIC, chain_wedges, rel
@@ -213,6 +213,19 @@ def test_lattice_oracle_needs_damped_periods(w21):
         gamma_cone_lattice_oracle(w21, Z_GENERIC, SINE_OMEGAS["wedge21"], radius=10)
 
 
+@pytest.mark.parametrize("radius, message", [
+    (-3, "radius must be at least 1, got -3"),
+    (0, "radius must be at least 1, got 0"),
+    (2.5, "radius must be an integer, got 2.5"),
+    (2.0, "radius must be an integer, got 2.0"),
+])
+def test_lattice_oracle_refuses_a_radius_that_is_not_a_positive_integer(std2, radius, message):
+    # -3 returned the empty product 1, 0 the origin's factor alone, and 2.5
+    # raised a raw TypeError
+    with pytest.raises(DomainError, match=message):
+        gamma_cone_lattice_oracle(std2, Z_GENERIC, GAMMA_OMEGAS["standard-2"], radius=radius)
+
+
 @pytest.mark.parametrize("z", [0.3 - 40j, 0.3 + 40j])
 def test_lattice_oracle_refuses_a_product_that_is_not_finite(std2, z):
     # e^{2 pi i z} overflows at |Im z| = 40: refused, never nan, and no
@@ -341,7 +354,7 @@ def test_sine_2d_chain_refinement_invariance(name):
     cone = fixture_cone(name)
     om = SINE_OMEGAS[name]
     # the helper walks the default chain exactly as the cone plan does
-    assert chain_wedges(cone_chain_2d(cone).lines, Z_GENERIC, om) == cone_plan(cone).wedges(Z_GENERIC, om)[1]
+    assert chain_wedges(cone_chain_2d(cone).lines, Z_GENERIC, om) == cone.wedges(Z_GENERIC, om)[1]
     a = sine_cone_decomposed(cone, Z_GENERIC, om)
     b = _chain_product(multiple_sine, _refined_chain(cone), Z_GENERIC, om)
     assert rel(a, b) < 1e-10

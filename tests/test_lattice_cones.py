@@ -1,9 +1,11 @@
 """Exact integer geometry: cone validation, wedge subdivision, face transforms."""
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 import math
+import weakref
 from fractions import Fraction
 from random import Random
 
@@ -44,7 +46,6 @@ from conesine.generalized import (
 )
 from conesine.lattice_cones import (
     _adjugate,
-    cone_plan,
     cross3,
     det2,
     det3,
@@ -55,7 +56,8 @@ from conesine.lattice_cones import (
     unimodular_with_first_column,
 )
 
-from cone_strategies import polygon_cones
+from cone_strategies import planar_cones, polygon_cones
+from params import SINE_OMEGAS, Z_GENERIC
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +566,7 @@ def test_alternative_normal_choice_shifts_parameters_by_integers(square, w21):
     # (-1 for the row of v, 0 for the others)
     z = 0.17 - 0.23j
     for cone, omegas in ((w21, (0.3 + 0.4j, -0.2 + 0.9j)), (square, (0.9 + 0.3j, -0.2 + 0.5j, 0.1 - 0.4j))):
-        for ft, (_, z_scaled, scaled) in zip(face_matrices(cone), cone_plan(cone).faces(z, omegas)):
+        for ft, (_, z_scaled, scaled) in zip(face_matrices(cone), cone.faces(z, omegas)):
             for i, v in enumerate(ft.normals):
                 alt_cols = [tuple(n + c for n, c in zip(ft.n_vector, v)), *ft.normals]
                 frame = tuple(tuple(col[r] for col in alt_cols) for r in range(cone.dim))
@@ -639,16 +641,56 @@ def test_gorenstein_frame_straightens_normals_and_winds_counterclockwise(clockwi
 
 def test_frame_transpose_is_formed_once(monkeypatch):
     cone = fixture_cone("cone-over-square")
-    frame = cone_plan(cone).frame
+    frame = cone.frame
     assert frame.basis_t == tuple(zip(*frame.basis))
     built = []
     monkeypatch.setattr(lattice_cones, "mat_transpose", lambda m: built.append(m) or tuple(zip(*m)))
     omegas = (0.42 + 0.014j, -0.13 + 0.009j, -0.17 - 0.012j)
     for _ in range(3):
-        axis, _wedges = cone_plan(cone).wedges(0.19 + 0.07j, omegas)
+        axis, _wedges = cone.wedges(0.19 + 0.07j, omegas)
     assert not built
     assert frame.transformed_omegas(omegas) == mat_vec(tuple(zip(*frame.basis)), omegas)
     assert axis == frame.transformed_omegas(omegas)[0]
+
+
+NOT_GOOD = ((1, 0, 0), (1, 2, 0), (0, 0, 1))
+
+
+@pytest.mark.parametrize(
+    "normals, piece",
+    [(((1, 0, 0), (0, 1, 0), (0, 0, 1)), "chain"), (NOT_GOOD, "frame"), (NOT_GOOD, "face_transforms"),
+     (((0, 1), (-2, 1)), "frame")],
+)
+def test_a_piece_whose_build_fails_is_not_kept(normals, piece):
+    cone = Cone(len(normals[0]), normals)
+    with pytest.raises(DomainError) as first:
+        getattr(cone, piece)
+    assert piece not in vars(cone)
+    with pytest.raises(DomainError) as second:
+        getattr(cone, piece)
+    assert str(second.value) == str(first.value)
+
+
+@pytest.mark.parametrize(
+    "name, pieces", [("wedge21", ("chain", "face_transforms")), ("cone-over-square", ("frame", "face_transforms"))]
+)
+def test_a_cone_with_built_geometry_is_freed_without_the_cycle_collector(name, pieces):
+    # the cached pieces hold no reference back to the cone, so reference
+    # counting alone frees it
+    cone = fixture_cone(name)
+    for piece in pieces:
+        getattr(cone, piece)
+    cone.wedges(Z_GENERIC, SINE_OMEGAS[name])
+    list(cone.faces(Z_GENERIC, SINE_OMEGAS[name]))
+    ref = weakref.ref(cone)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del cone
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _check_relisted_geometry(cone: Cone) -> None:
@@ -733,10 +775,22 @@ def test_relisted_polygon_cones_keep_their_values(route, kwargs, sampler, cone, 
 @given(cone=polygon_cones(), seed=st.integers(0, 2**32 - 1))
 # second g2c sample: the primary face product underflowed midway, so the factorized route returned 0
 @example(cone=Cone(3, ((2, -1, 2), (-2, -3, 5), (-2, -1, 2), (-1, 3, -4))), seed=0)
-@pytest.mark.parametrize("theorem_id", ["s3c-factorization", "g2c-factorization", "g2c-alternative"])
+@pytest.mark.parametrize(
+    "theorem_id", ["s3c-factorization", "g2c-factorization", "g2c-alternative", "face-modularity"]
+)
 def test_polygon_cones_agree_across_routes(theorem_id, cone, seed):
-    # the four cone routes and both gamma variants, at the identity tolerances
+    # the four cone routes, both gamma variants and the reduced face product,
+    # at the identity tolerances
     event(f"{len(cone.normals)} facets")
+    report = verify_theorem(theorem_id, cone, samples=2, seed=seed)
+    assert report.status == "PASS", (cone.normals, seed, report.residuals)
+
+
+@settings(max_examples=30, deadline=None)
+@given(cone=planar_cones, seed=st.integers(0, 2**32 - 1))
+@pytest.mark.parametrize("theorem_id", ["s2c-factorization", "g1c-factorization"])
+def test_planar_cones_agree_across_routes(theorem_id, cone, seed):
+    # the wedge walk along a 2d cone's chain against its face walk
     report = verify_theorem(theorem_id, cone, samples=2, seed=seed)
     assert report.status == "PASS", (cone.normals, seed, report.residuals)
 
@@ -755,7 +809,7 @@ def test_faces_are_the_s_composed_face_action(variant):
         g = s if variant == "primary" else s.T  # S is a signed permutation: S^-1 = S^T
         z = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         omegas = tuple(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(cone.dim))
-        got = list(cone_plan(cone).faces(z, omegas, variant))
+        got = list(cone.faces(z, omegas, variant))
         assert [face_id for face_id, *_ in got] == [ft.face_id for ft in face_matrices(cone)]
         for ft, (_, z_scaled, scaled) in zip(face_matrices(cone), got):
             k_plus_1 = np.eye(size, dtype=int)
@@ -767,7 +821,7 @@ def test_faces_are_the_s_composed_face_action(variant):
 
 def test_unknown_face_variant_is_rejected(w21):
     with pytest.raises(DomainError, match="unknown variant 'other'"):
-        list(cone_plan(w21).faces(0.3, (1 + 0.5j, -1 + 0.5j), "other"))
+        list(w21.faces(0.3, (1 + 0.5j, -1 + 0.5j), "other"))
 
 
 # ---------------------------------------------------------------------------

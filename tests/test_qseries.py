@@ -54,6 +54,30 @@ def test_config_orders_tolerances():
         EvalConfig(max_terms=10)
 
 
+@pytest.mark.parametrize("setting, value, message", [
+    ("max_terms", "5000000", "max_terms must be an integer"),
+    ("max_terms", math.inf, "max_terms must be an integer"),
+    ("max_terms", 5000.5, "max_terms must be an integer"),
+    ("max_terms", True, "max_terms must be an integer"),
+    ("oracle_radius", None, "oracle_radius must be an integer"),
+    ("oracle_radius", math.inf, "oracle_radius must be an integer"),
+    ("oracle_radius", math.nan, "oracle_radius must be an integer"),
+    ("tail_tol", "1e-14", "tail_tol must be a real number"),
+    ("comparison_tol", None, "comparison_tol must be a real number"),
+    ("comparison_tol", False, "comparison_tol must be a real number"),
+    ("tail_tol", math.nan, "tolerances must satisfy"),
+])
+def test_config_refuses_settings_of_the_wrong_type(setting, value, message):
+    with pytest.raises(DomainError, match=message):
+        EvalConfig(**{setting: value})
+
+
+def test_config_takes_an_integral_float_as_an_int():
+    cfg = EvalConfig(max_terms=5e6, oracle_radius=60.0)
+    assert cfg == DEFAULT_CONFIG
+    assert type(cfg.max_terms) is int and type(cfg.oracle_radius) is int
+
+
 def test_resonance_guard_rejects_real_periods():
     with pytest.raises(DomainError):
         qfactorial(0.3 + 0.2j, (0.5, 0.25 + 0.4j))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from functools import cache
 from importlib import resources
 
 from .errors import ParseError
@@ -17,8 +18,9 @@ FIXTURE_NAMES = (
 )
 
 
+@cache
 def fixture_cone(name: str) -> Cone:
-    """Load one of the bundled cones by name."""
+    """Load one of the bundled cones by name: one cone, and so one build of its geometry, per process."""
     if name not in FIXTURE_NAMES:
         raise ParseError(
             f"unknown fixture {name!r}; available: {', '.join(FIXTURE_NAMES)}"

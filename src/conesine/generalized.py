@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import operator
 import threading
 from dataclasses import dataclass
@@ -518,6 +519,7 @@ def verify_theorem(
     the reason) rather than a failure.  Sampling is deterministic in the
     seed; parameter draws that hit degenerate configurations (resonant
     ratios, poles) are rejected and redrawn, which is also deterministic.
+    ``tolerance``, if given, overrides the identity's own (a finite positive real).
 
     Consecutive calls on the same cone, seed and config share each side's
     value, or refusal, at each drawn point: on a 3d cone the primary
@@ -536,12 +538,14 @@ def verify_theorem(
         raise DomainError(f"the sample count must be an integer, got {samples!r}") from None
     if samples < 1:
         raise DomainError("need at least one sample")
-    tol = thm.tolerance if tolerance is None else float(tolerance)
+    tol = thm.tolerance if tolerance is None else tolerance
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < math.inf:
+        raise DomainError(f"the tolerance must be a finite positive number, got {tolerance!r}")
     base = dict(
         theorem_id=theorem_id,
         cone=cone.to_json_dict(),
         seed=seed,
-        tolerance=tol,
+        tolerance=float(tol),
         config={**cfg.to_json_dict(), "samples": samples},
     )
     if cone.dim != thm.dim:

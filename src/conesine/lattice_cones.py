@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations
 from math import gcd
 from typing import Sequence
 
@@ -315,20 +315,29 @@ class Cone:
         with the edge ray.  ``scale`` is ``p_0`` for ``variant="primary"``
         and ``-p_0`` for ``"alternative"``; the face periods are
         ``(-1 / scale, p_1 / scale, ...)`` and ``(1 / scale, p_1 / scale, ...)``.
-        This is the image of (periods, 1) under S diag(K, 1) or S^-1 diag(K, 1)
-        divided by its last entry, where S has -1 top right, +1 bottom left
-        and an identity block between.  A vanishing scale raises DomainError.
+        Up to an integer in each p_j / scale, this is the image of (periods, 1)
+        under S diag(K, 1) or S^-1 diag(K, 1) divided by its last entry, where
+        S has -1 top right, +1 bottom left and an identity block between: p_j
+        pairs the periods with row j of K less the multiple of the edge ray
+        that brings |Re(p_j / p_0)| to at most 1/2, so its rounding error does
+        not grow with K.  A vanishing scale raises DomainError.
         """
         if variant not in ("primary", "alternative"):
             raise DomainError(f"unknown variant {variant!r}: use 'primary' or 'alternative'")
         primary = variant == "primary"
         for ft in self.face_transforms:
-            p = mat_vec(ft.matrix, omegas)
+            p0, *ps = mat_vec(ft.matrix, omegas)
             # 0 - p_0, not -p_0: zero parts stay +0.0, as in the S^-1 diag(K, 1) image
-            scale = p[0] if primary else 0 - p[0]
+            scale = p0 if primary else 0 - p0
             if abs(scale) < 1e-12:
                 raise DomainError(f"face {ft.face_id}: transformed scale vanishes")
-            yield ft.face_id, z / scale, ((-1 if primary else 1) / scale, *(pk / scale for pk in p[1:]))
+            periods = []
+            for row, pk in zip(ft.matrix[1:], ps):
+                ratio = (pk / p0).real
+                # past 2**52 a double has no fraction left to reduce, nor has nan or inf
+                m = round(ratio) if abs(ratio) < 2**52 else 0
+                periods.append(sum((r - m * e) * w for r, e, w in zip(row, ft.edge_ray, omegas)) / scale)
+            yield ft.face_id, z / scale, ((-1 if primary else 1) / scale, *periods)
 
     # -- serialization ----------------------------------------------------
 
@@ -509,8 +518,10 @@ class FaceTransform:
 
     ``matrix`` is the (dim x dim) integer block whose inverse stacks the
     auxiliary vector ``n`` and the adjacent normals as columns, so its first
-    row is the edge ray.  ``det`` is +1 except for the one 2d face where the
-    orientation forces -1.
+    row is the edge ray x.  ``n`` is any Bezout vector, n . x = 1: another
+    moves each later row by a multiple of x, which ``Cone.faces`` reduces
+    away.  ``det`` is +1 except for the one 2d face where the orientation
+    forces -1.
     """
 
     face_id: str
@@ -521,48 +532,16 @@ class FaceTransform:
     det: int
 
 
-def _min_norm_coset_rep(n: IntVector, basis: tuple[IntVector, ...]) -> IntVector:
-    """The smallest member of n + Z<basis> by squared norm, then lex order,
-    within a +-2 box around the rounded real least-squares coefficients; on a
-    skewed basis it can miss the shortest member (basis ((1,2,3), (20,41,61)),
-    n = (0,0,1): (-5,-10,-14), not (-1,0,0)).  Any member is valid: moving n
-    by the basis shifts each face period p_j / p_0 by an integer, which
-    leaves the face factors unchanged."""
-    dim = len(n)
-    # real least-squares shift, then search the rounded neighbourhood
-    gram = [[sum(a[k] * b[k] for k in range(dim)) for b in basis] for a in basis]
-    rhs = [-sum(a[k] * n[k] for k in range(dim)) for a in basis]
-    m = len(basis)
-    # solve gram * c = rhs in floats (gram is positive definite)
-    if m == 1:
-        c = [rhs[0] / gram[0][0]]
-    else:
-        det_g = gram[0][0] * gram[1][1] - gram[0][1] * gram[1][0]
-        c = [
-            (rhs[0] * gram[1][1] - gram[0][1] * rhs[1]) / det_g,
-            (gram[0][0] * rhs[1] - rhs[0] * gram[1][0]) / det_g,
-        ]
-    best = None
-    for deltas in product(*[range(-2, 3)] * m):
-        coeffs = [round(c[i]) + deltas[i] for i in range(m)]
-        cand = tuple(
-            n[k] + sum(coeffs[i] * basis[i][k] for i in range(m)) for k in range(dim)
-        )
-        key = (sum(e * e for e in cand), cand)
-        if best is None or key < best:
-            best = key
-    return best[1]
-
-
 def face_matrices(cone: Cone) -> list[FaceTransform]:
     """One unimodular transform per 1d face, in facet order.
 
     Each transform depends only on the face's edge ray, its adjacent
     normals and their cofactor vector, read from the face walk kept on the
     cone; in 3d the walk has ordered the pair so that the edge ray pairs
-    positively with the cofactor vector.  Preconditions: the cone must be
-    good (otherwise no integral transform exists at some face and a
-    DomainError is raised).
+    positively with the cofactor vector; ``n`` is any Bezout vector of the
+    cofactor vector, signed to pair to 1 with the edge ray.  Preconditions:
+    the cone must be good (otherwise no integral transform exists at some
+    face and a DomainError is raised).
     """
     dim = cone.dim
     out: list[FaceTransform] = []
@@ -579,7 +558,7 @@ def face_matrices(cone: Cone) -> list[FaceTransform]:
         for c in w[1:]:
             g, s, t = xgcd(g, c)
             n0 = tuple(s * e for e in n0) + (t,)
-        n = _min_norm_coset_rep(tuple(eps * e for e in n0), adjacent)
+        n = tuple(eps * e for e in n0)
         cols = (n, *adjacent)
         kt = unimodular_inverse(tuple(tuple(col[r] for col in cols) for r in range(dim)))
         assert sum(a * b for a, b in zip(n, x)) > 0

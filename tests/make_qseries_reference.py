@@ -25,6 +25,15 @@ prints the ``count`` calls whose forms disagree most, each with its value at
 
     python3 tests/make_qseries_reference.py --wedge-sines --seed 1 --count 12
 
+With ``--faces`` it prints instead, for each bundled cone, the first
+``count`` sine and the first ``count`` gamma parameter draws of
+``_sample_sine_params`` and ``_sample_gamma_params`` whose face factors all
+evaluate in the library from ``--src``, each with every face factor at 30
+digits (``mp_face_factors``); the median, 90th percentile and worst relative
+error of that library's factors, per kind, go to stderr::
+
+    python3 tests/make_qseries_reference.py --faces --seed 0 --count 4
+
 Its reference is e^{(-1)^r pi i B_{r,r}(z | omega) / r!} times the q-factorials
 of ``mp_qfac``, in whichever form ``mp_qfac`` shifts less; the Bernoulli
 polynomial comes from its generating function, with mpmath's Bernoulli
@@ -179,6 +188,87 @@ def print_wedge_sines(seed: int, count: int) -> None:
               f"  # errors {errs[0]:.2g} (form 1), {errs[1]:.2g} (form 2), {errs[2]:.2g} (default); {note}")
 
 
+def mp_face_factors(cone, z, omegas, kind: str, form: int = 1, dps: int = 30) -> list:
+    """Each face factor of ``cone`` at (z | omegas) at ``dps`` digits, in facet order.
+
+    The periods p = K omegas of the face matrix K are formed in mpmath from the
+    exact double inputs and K's integer rows.  A sine factor is
+    (e^{2 pi i z/p_0} | e^{2 pi i p_j/p_0}, j >= 1) in boundary form ``form``
+    (form 2 negates every exponent); a gamma factor is the elliptic gamma of
+    z/p_0 at the periods (-1/p_0, p_1/p_0, ...), r = dim - 1, from the num and den
+    q-factorials of ``elliptic_gamma``.
+    Moving a row of K by a multiple of the edge ray moves p_j/p_0 by an integer,
+    which changes no q, so the value does not depend on which face matrix the
+    library holds."""
+    from conesine.lattice_cones import face_matrices
+
+    def e(w):
+        return mpmath.exp(2j * mpmath.pi * w)
+
+    with mpmath.workdps(dps):
+        z, omegas = mpmath.mpc(z), [mpmath.mpc(w) for w in omegas]
+        out = []
+        for ft in face_matrices(cone):
+            p = [sum(k * w for k, w in zip(row, omegas)) for row in ft.matrix]
+            if kind == "sine":
+                sign = 1 if form == 1 else -1
+                out.append(mp_qfac(e(sign * z / p[0]), [e(sign * pk / p[0]) for pk in p[1:]], dps))
+            else:
+                zf, periods = z / p[0], [-1 / p[0], *(pk / p[0] for pk in p[1:])]
+                qs = [e(w) for w in periods]
+                num, den = mp_qfac(e(-zf + sum(periods)), qs, dps), mp_qfac(e(zf), qs, dps)
+                out.append(num / den if cone.dim % 2 == 0 else num * den)
+        return out
+
+
+def face_draws(seed: int, count: int) -> list:
+    """(fixture, kind, z, omegas, form, factor values): the first ``count`` draws per bundled
+    cone and kind, from ``Random(seed)``, whose face factors all evaluate.  A sine draw takes
+    the form ``sine_cone_factorized`` picks; a gamma draw the primary face periods."""
+    from conesine import FIXTURE_NAMES, fixture_cone, gamma_face_factors, sine_face_factors
+    from conesine.errors import ConesineError
+    from conesine.generalized import _sample_gamma_params, _sample_sine_params
+    from conesine.qseries import _cheaper_form
+
+    draws = []
+    for name in FIXTURE_NAMES:
+        cone = fixture_cone(name)
+        for kind, sampler in (("sine", _sample_sine_params), ("gamma", _sample_gamma_params)):
+            rng, kept = Random(seed), 0
+            while kept < count:
+                z, omegas = sampler(cone, rng)
+                try:
+                    if kind == "sine":
+                        form = _cheaper_form([(u, scaled[1:]) for _, u, scaled in cone.faces(z, omegas)])
+                        factors = sine_face_factors(cone, z, omegas, form=form)
+                    else:
+                        form, factors = 1, gamma_face_factors(cone, z, omegas)
+                except ConesineError:
+                    continue
+                draws.append((name, kind, z, omegas, form, [f.value for f in factors]))
+                kept += 1
+    return draws
+
+
+def print_faces(seed: int, count: int) -> None:
+    """The face draws as literals with their 30-digit factors; error quantiles per kind to stderr."""
+    from conesine import fixture_cone
+
+    errors = {"sine": [], "gamma": []}
+    for name, kind, z, omegas, form, values in face_draws(seed, count):
+        wants = mp_face_factors(fixture_cone(name), z, omegas, kind, form)
+        with mpmath.workdps(30):
+            errs = [float(abs(mpmath.mpc(v) - w) / abs(w)) for v, w in zip(values, wants)]
+            refs = ", ".join(f'("{mpmath.nstr(w.real, 30)}", "{mpmath.nstr(w.imag, 30)}")' for w in wants)
+        errors[kind] += errs
+        print(f"    ({name!r}, {kind!r}, {z!r}, {omegas!r}, {form},\n     [{refs}]),"
+              f"  # worst error {max(errs):.2g}")
+    for kind, errs in errors.items():
+        errs.sort()
+        print(f"{kind}: {len(errs)} factors, median {errs[len(errs) // 2]:.3g}, "
+              f"p90 {errs[int(0.9 * len(errs))]:.3g}, worst {errs[-1]:.3g}", file=sys.stderr)
+
+
 def run_fresh_cones(seed: int) -> None:
     """One fresh-cones benchmark run at ``seed``, as ``perfbench/run.py`` sizes it."""
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -229,9 +319,15 @@ def main(argv=None) -> int:
     parser.add_argument("--near-circle", action="store_true", help="print the seeded near-circle draws instead")
     parser.add_argument("--wedge-sines", action="store_true",
                         help="print the wedge sines whose two forms disagree most instead")
+    parser.add_argument("--faces", action="store_true",
+                        help="print seeded face-factor draws of the bundled cones instead")
     args = parser.parse_args(argv)
     sys.path.insert(0, args.src)
     from conesine import qfactorial_xq
+
+    if args.faces:
+        print_faces(args.seed, args.count)
+        return 0
 
     if args.wedge_sines:
         print_wedge_sines(args.seed, args.count)

@@ -34,7 +34,9 @@ from conesine.cli import (
     main,
     parse_complex,
 )
+from conesine import lattice_cones
 from conesine.generalized import THEOREMS
+from conesine.lattice_cones import Cone
 
 from params import GAMMA_OMEGAS, OVERFLOWING_PRODUCTS, SINE_OMEGAS, Z_GENERIC
 
@@ -470,6 +472,17 @@ def test_verify_fail_exit_code(capsys):
     assert "status           FAIL" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "s2c-factorization", "--cone", "wedge21", "--samples", "1", "--tol", "nan"),
+    ("report", "--cone", "wedge21", "--theorem", "s2c-factorization", "--samples", "1", "--tol", "inf"),
+], ids=["verify-nan", "report-inf"])
+def test_tolerance_that_is_not_finite_is_a_domain_error(capsys, argv):
+    # nan printed FAIL and recorded "tolerance": NaN; inf passed every item
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (EXIT_DOMAIN, "")
+    assert err.startswith("conesine: error: the tolerance must be a finite positive number")
+
+
 def test_verify_nan_residual_is_failure(capsys, monkeypatch):
     # a nan right-hand side at sample 2 only: max() alone would skip it and
     # report PASS
@@ -624,6 +637,22 @@ def test_report_output_file_and_summary(capsys, tmp_path):
     assert f"report written   {out_file}" in out
     doc = json.loads(out_file.read_text())
     assert doc["status"] == "PASS"
+
+
+def test_a_second_report_builds_no_cone_geometry(capsys, monkeypatch):
+    # fixture_cone keeps one cone per name, and each cone keeps the geometry it builds
+    builds = []
+    original_init = Cone.__post_init__
+    monkeypatch.setattr(Cone, "__post_init__", lambda cone: builds.append("Cone") or original_init(cone))
+    for name in ("gorenstein_frame", "face_matrices", "cone_chain_2d"):
+        original = getattr(lattice_cones, name)
+        monkeypatch.setattr(lattice_cones, name, lambda cone, _n=name, _o=original: builds.append(_n) or _o(cone))
+    fixture_cone.cache_clear()
+    assert run(capsys, "report", "--samples", "1")[0] == EXIT_OK
+    assert {"Cone", "gorenstein_frame", "face_matrices", "cone_chain_2d"} <= set(builds)
+    builds.clear()
+    assert run(capsys, "report", "--samples", "1")[0] == EXIT_OK
+    assert builds == []
 
 
 def test_report_unknown_theorem_is_usage_error(capsys):

@@ -577,6 +577,13 @@ def test_verify_theorem_refuses_a_sample_count_that_is_not_an_integer(std2, samp
         verify_theorem("s2c-factorization", std2, samples=samples)
 
 
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1.0, 0.0, True, "1e-8"])
+def test_verify_theorem_refuses_a_tolerance_that_is_not_a_finite_positive_real(w21, tolerance):
+    # nan failed every identity and inf passed every one; True was recorded as 1.0
+    with pytest.raises(DomainError, match="the tolerance must be a finite positive number"):
+        verify_theorem("s2c-factorization", w21, samples=1, tolerance=tolerance)
+
+
 def test_verify_theorem_fails_at_impossible_tolerance(w21):
     rep = verify_theorem("s2c-factorization", w21, samples=2, seed=3, tolerance=1e-300)
     assert rep.status == "FAIL"
@@ -596,7 +603,8 @@ def test_cone_geometry_is_built_once_per_cone(monkeypatch):
         for modname, module in list(sys.modules.items()):
             if modname.startswith("conesine") and getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted)
-    cones = [fixture_cone(name) for name in FIXTURE_NAMES]  # fresh instances
+    # fresh instances: fixture_cone keeps one cone per name, with its geometry built
+    cones = [Cone(c.dim, c.normals) for c in map(fixture_cone, FIXTURE_NAMES)]
     for cone in cones:
         for tid in THEOREM_IDS:
             verify_theorem(tid, cone, samples=5, seed=0)

@@ -41,6 +41,7 @@ from conesine.generalized import (
     _sample_sine_params,
     gamma_cone_direct,
     gamma_cone_factorized,
+    gamma_face_factors,
     sine_cone_decomposed,
     sine_cone_factorized,
 )
@@ -294,9 +295,8 @@ def test_property_accepted_listing_winds_one_way_over_two_dimensional_facets(nor
 def _assert_face_transforms_match_definitions(cone: Cone) -> None:
     """Each face transform against its definition: the inverse of the frame
     [n | adjacent normals], of determinant ``det`` (+1 in 3d), with n
-    positive on the edge ray and the (squared norm, lex) smallest member of
-    n + Z<adjacent> over a box of coefficients; the adjacent normals vanish
-    on the edge ray, ordered in 3d so that det3(x, a, b) > 0."""
+    positive on the edge ray; the adjacent normals vanish on the edge ray,
+    ordered in 3d so that det3(x, a, b) > 0."""
     dim = cone.dim
     faces = face_matrices(cone)
     assert [ft.edge_ray for ft in faces] == list(edge_rays(cone))
@@ -313,10 +313,6 @@ def _assert_face_transforms_match_definitions(cone: Cone) -> None:
         assert np.dot(n, x) > 0
         if dim == 3:
             assert det3(x, *adjacent) > 0
-        key = (sum(c * c for c in n), n)
-        for coeffs in itertools.product(range(-6, 7), repeat=len(adjacent)):
-            cand = tuple(n[k] + sum(c * v[k] for c, v in zip(coeffs, adjacent)) for k in range(dim))
-            assert (sum(c * c for c in cand), cand) >= key
 
 
 @st.composite
@@ -563,11 +559,11 @@ def test_alternative_normal_choice_shifts_parameters_by_integers(square, w21):
     # replacing n by n + v, for an adjacent normal v, keeps the determinant
     # and the first row of the face matrix, the pairing with the edge ray:
     # z / scale is unchanged and each period ratio moves by an exact integer
-    # (-1 for the row of v, 0 for the others)
+    # (Cone.faces reduces each ratio by its own integer, so which one is not fixed)
     z = 0.17 - 0.23j
     for cone, omegas in ((w21, (0.3 + 0.4j, -0.2 + 0.9j)), (square, (0.9 + 0.3j, -0.2 + 0.5j, 0.1 - 0.4j))):
         for ft, (_, z_scaled, scaled) in zip(face_matrices(cone), cone.faces(z, omegas)):
-            for i, v in enumerate(ft.normals):
+            for v in ft.normals:
                 alt_cols = [tuple(n + c for n, c in zip(ft.n_vector, v)), *ft.normals]
                 frame = tuple(tuple(col[r] for col in alt_cols) for r in range(cone.dim))
                 assert int_det(frame) == ft.det
@@ -575,9 +571,9 @@ def test_alternative_normal_choice_shifts_parameters_by_integers(square, w21):
                 assert alt_matrix[0] == ft.matrix[0] == ft.edge_ray
                 p = mat_vec(alt_matrix, omegas)
                 assert z / p[0] == z_scaled
-                for k, (ratio, pk) in enumerate(zip(scaled[1:], p[1:])):
+                for ratio, pk in zip(scaled[1:], p[1:]):
                     shift = pk / p[0] - ratio
-                    assert abs(shift - (-1 if k == i else 0)) < 1e-12
+                    assert abs(shift - round(shift.real)) < 1e-12
 
 
 def _random_good_cones(dim: int, count: int, seed: int, gorenstein: bool = False) -> list[Cone]:
@@ -676,8 +672,9 @@ def test_a_piece_whose_build_fails_is_not_kept(normals, piece):
 )
 def test_a_cone_with_built_geometry_is_freed_without_the_cycle_collector(name, pieces):
     # the cached pieces hold no reference back to the cone, so reference
-    # counting alone frees it
-    cone = fixture_cone(name)
+    # counting alone frees it (a fresh cone: fixture_cone keeps its own)
+    kept = fixture_cone(name)
+    cone = Cone(kept.dim, kept.normals)
     for piece in pieces:
         getattr(cone, piece)
     cone.wedges(Z_GENERIC, SINE_OMEGAS[name])
@@ -771,7 +768,7 @@ def test_relisted_polygon_cones_keep_their_values(route, kwargs, sampler, cone, 
     _check_relisted_values(cone, route, kwargs, sampler, Random(seed))
 
 
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(cone=polygon_cones(), seed=st.integers(0, 2**32 - 1))
 # second g2c sample: the primary face product underflowed midway, so the factorized route returned 0
 @example(cone=Cone(3, ((2, -1, 2), (-2, -3, 5), (-2, -1, 2), (-1, 3, -4))), seed=0)
@@ -799,7 +796,9 @@ def test_planar_cones_agree_across_routes(theorem_id, cone, seed):
 def test_faces_are_the_s_composed_face_action(variant):
     # the face loop against its definition: the image of (periods, 1) under
     # S (K + 1), or S^-1 (K + 1) for the alternative, divided by its last
-    # entry; S has -1 top right, +1 bottom left and an identity block between
+    # entry; S has -1 top right, +1 bottom left and an identity block between.
+    # The periods after the first are that image up to an integer each, with
+    # real part within 1/2 of zero
     rng = Random(5)
     for cone in FACE_CONES:
         size = cone.dim + 1
@@ -816,7 +815,21 @@ def test_faces_are_the_s_composed_face_action(variant):
             k_plus_1[:-1, :-1] = ft.matrix
             image = (g @ k_plus_1) @ np.array([*omegas, 1], dtype=complex)
             want = (z, *image[:-1]) / image[-1]
-            assert np.allclose((z_scaled, *scaled), want, rtol=1e-15, atol=0)
+            assert np.allclose((z_scaled, scaled[0]), want[:2], rtol=1e-15, atol=0)
+            for period, image_period in zip(scaled[1:], want[2:]):
+                assert abs(period.real) <= 0.5 + 1e-12
+                shifted = period + round((image_period - period).real)
+                assert np.isclose(shifted, image_period, rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("omegas", [(complex("nan"), 1j), (-1e-10 + 0j, 1e300 + 0j)], ids=["nan", "infinite-ratio"])
+def test_a_face_ratio_with_no_fraction_is_not_reduced(w21, omegas):
+    # round() refuses nan and inf: such a period is passed on as it is, and the face factor refuses it
+    for ft, (_, _, scaled) in zip(face_matrices(w21), w21.faces(0.1, omegas)):
+        p = mat_vec(ft.matrix, omegas)
+        assert repr(scaled[1:]) == repr(tuple(pk / p[0] for pk in p[1:]))
+    with pytest.raises(DomainError):
+        gamma_face_factors(w21, 0.1, omegas)
 
 
 def test_unknown_face_variant_is_rejected(w21):

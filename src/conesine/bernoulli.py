@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import cmath
 import operator
-from math import comb, factorial, lcm
+from math import comb, factorial, inf, lcm
 from typing import Sequence
 
 from .errors import DomainError
@@ -244,37 +244,66 @@ def bernoulli_cone_lifted(cone: Cone, z: complex, omegas: tuple[complex, ...], e
 # independent oracle: direct lattice sum + Chebyshev fit
 
 
-def _row_runs(points):
-    """One row's fiber ends, split into maximal arithmetic progressions.
+def _half_line(lo, hi, alpha, beta: int) -> tuple:
+    """``(lo, hi)`` narrowed to the integers j with alpha + beta j <= 0."""
+    import numpy as np
 
-    ``points`` holds integer lattice points in the row's residue-class order.
-    A run takes points greedily while the integer step between neighbours
-    stays the same, so it ends at the first point where the step changes and
-    the next run starts just after it.  Returns an int64 array with one line
-    per run: its head point, its step (zero for a single point) and its
-    length.
+    if beta > 0:
+        return lo, np.minimum(hi, (-alpha) // beta)
+    if beta < 0:
+        return np.maximum(lo, -(alpha // beta)), hi
+    return lo, np.where(alpha > 0, -1, hi)
+
+
+def _greedy_runs(index, lead, moving):
+    """One kind of fiber end, split into maximal arithmetic progressions.
+
+    The knots come in row and residue-class order: ``index`` holds each
+    knot's place among its row's points, ``lead`` the coordinates fixed along
+    a row (x in 3d) and ``moving`` the others (y, then the fiber end), one
+    array per coordinate; the points between two knots of a row are equally
+    spaced.  A run takes points greedily while the step between neighbours
+    stays the same, so it ends at the first bend past its head (a point whose
+    in-step and out-step differ) and the next run starts just after that
+    bend: within a chain of bends at consecutive points every other one, from
+    the first, ends a run.  Bends lie on knots only.  Returns an int64 array
+    with one line per run: its head point, its step (zero for a single point)
+    and its length.
     """
     import numpy as np
 
-    m, dim = points.shape
-    if m == 0:
-        return np.empty((0, 2 * dim + 1), dtype=np.int64)
-    diffs = np.diff(points, axis=0)
-    bends = np.flatnonzero((diffs[1:] != diffs[:-1]).any(axis=1)) + 1
-    firsts = []
-    s = 0
-    for b in bends.tolist():
-        if b > s:
-            firsts.append(s)
-            s = b + 1
-    if s < m:
-        firsts.append(s)
-    first = np.array(firsts, dtype=np.int64)
-    last = np.append(first[1:] - 1, m - 1)
-    counts = last - first + 1
-    heads = points[first]
-    steps = (points[last] - heads) // np.maximum(counts - 1, 1)[:, None]
-    return np.column_stack((heads, steps, counts))
+    knots = len(index)
+    gap = index[1:] - index[:-1]
+    opens = np.empty(knots, dtype=bool)  # a row's first knot
+    opens[0] = True
+    np.less_equal(gap, 0, out=opens[1:])
+    np.maximum(gap, 1, out=gap)
+    steps = [(c[1:] - c[:-1]) // gap for c in moving]
+    bend = np.zeros(knots + 1, dtype=bool)  # a spare slot past the last knot
+    inner = bend[1:-2]
+    for step in steps:
+        inner |= step[1:] != step[:-1]
+    inner &= ~(opens[1:-1] | opens[2:])
+    at = np.flatnonzero(bend)
+    place = np.arange(len(at))
+    chained = np.zeros(len(at), dtype=bool)
+    chained[1:] = (at[1:] == at[:-1] + 1) & (gap[at[1:] - 1] == 1)
+    place -= np.maximum.accumulate(np.where(chained, 0, place))
+    bend[at[place % 2 == 1]] = False
+    first = np.flatnonzero(opens | bend[:-1])
+    after = np.append(first[1:], knots)
+    last = after - 1 + bend[after]
+    shifted = bend[first]
+    moved = first[shifted]
+    counts = index[last] - index[first] - shifted + 1
+    spread = np.maximum(counts - 1, 1)
+    heads, run_steps = [c[first] for c in lead], [np.zeros_like(counts)] * len(lead)
+    for c, step in zip(moving, steps):
+        head = c[first]
+        head[shifted] += step[moved]
+        heads.append(head)
+        run_steps.append((c[last] - head) // spread)
+    return np.column_stack(heads + run_steps + [counts])
 
 
 def _fiber_runs(cone: Cone, radius: int) -> tuple:
@@ -288,60 +317,120 @@ def _fiber_runs(cone: Cone, radius: int) -> tuple:
     nonempty fiber's bounded end (its lowest point unless only the upper end
     is bounded), grouped into runs; and, for two-sided fibers, the point one
     step past each top, in runs of its own (``None`` otherwise).  A run is one
-    line ``(head point, integer step, length)`` of ``_row_runs`` and stands
-    for the points head + i * step, 0 <= i < length.
+    line ``(head point, integer step, length)`` and stands for the points
+    head + i * step, 0 <= i < length.
 
-    The transverse grid is walked one row at a time (one row in 2d, one
-    value of the first coordinate in 3d).  Within a row the last transverse
-    coordinate y is visited one residue class mod the stride P at a time, P
-    the lcm of the nonzero last coordinates of the normals.  Along one class
-    every normal's bound on the fiber end moves by a constant integer, so the
-    kept ends form a few arithmetic progressions, broken only where the
-    active normal changes.  A row's points, bounds and mask are dropped once
-    its runs are kept.
+    The fibers are taken one row at a time (one row in 2d, one value of the
+    first coordinate in 3d), and within a row one residue class of the last
+    transverse coordinate y mod the stride P at a time, P the lcm of the
+    nonzero last coordinates a_i of the normals.  Along a class line
+    y = y0 + P j each normal's bound on the fiber end is an exact integer
+    linear function of j, since a_i divides P, and a normal with a_i = 0
+    keeps a half-line of j; so the kept j form one interval, and the end (the
+    largest lower bound, or the smallest upper bound) is piecewise linear.
+    Its step can change only where two bounds of one side cross, so the end
+    is evaluated only at knots: the interval's ends and the two integers
+    around each crossing.  Between neighbouring knots every step is the same,
+    which is all the greedy split into runs needs.  A line with no more points
+    than knots takes all its points as knots.  Rows go in blocks sized from
+    the row length and the number of normals, so the transverse grid is
+    never built.
     """
     import numpy as np
 
-    normals = np.asarray(cone.normals, dtype=np.int64)
-    a = normals[:, -1].tolist()
-    base_n = normals[:, :-1]
+    normals = cone.normals
+    a = [normal[-1] for normal in normals]
     # some last coordinate is nonzero: Cone refuses normals that do not span
     has_lower = any(ai > 0 for ai in a)
     has_upper = any(ai < 0 for ai in a)
     bounded = "both" if has_lower and has_upper else "lower" if has_lower else "upper"
     stride = lcm(*(abs(ai) for ai in a if ai))
-    rng = np.arange(-radius, radius + 1, dtype=np.int64)
-    # classes past the row length are empty, however large the stride
-    ys = np.concatenate([rng[r::stride] for r in range(min(stride, rng.size))])
-    if cone.dim == 2:
-        rows = [ys.reshape(-1, 1)]
+    size = 2 * radius + 1  # points per row
+    classes = min(stride, size)  # classes past the row length are empty
+    longest = (size - 1) // classes + 1  # points on the line of class 0
+    # the y step along a class line, zero where no line has two points, so
+    # that a stride far longer than a row never enters int64 arithmetic
+    span = stride if longest > 1 else 0
+    offsets = np.arange(classes, dtype=np.int64)
+    y0 = offsets - radius
+    top = (size - 1 - offsets) // classes  # the last j of each line
+    # normal i asks a_i s >= need_i = 1 - n_x x - n_y y; along a line need_i
+    # moves by -n_y span per step of j, so its bound on s moves by slope[i],
+    # exactly since a_i divides span (for a_i = 0, slope[i] is need_i's step)
+    nx = [normal[0] if cone.dim == 3 else 0 for normal in normals]
+    ny = [normal[-2] for normal in normals]
+    need_y0 = [1 - ny[i] * y0 for i in range(len(a))]
+    slope = [-ny[i] * span // (a[i] or 1) for i in range(len(a))]
+    lows = [i for i, ai in enumerate(a) if ai > 0]
+    highs = [i for i, ai in enumerate(a) if ai < 0]
+    crossings = [(p, q) for side in (lows, highs) for p in side for q in side if p < q and slope[p] != slope[q]]
+    width = min(2 + 2 * len(crossings), longest)  # knots per line
+    xs = np.arange(-radius, radius + 1, dtype=np.int64) if cone.dim == 3 else np.zeros(1, dtype=np.int64)
+    # each kind of end: its normals, how their bounds combine, and its shift
+    if bounded == "upper":
+        sides = [(highs, np.minimum, 0)]
     else:
-        rows = (np.stack((np.full_like(ys, x), ys), axis=-1) for x in rng)
-    starts = []
-    stops = []
-    for base in rows:
-        dots = base @ base_n.T  # (row length, n_normals)
-        alive = np.ones(len(base), dtype=bool)
-        lower = None
-        upper = None
+        sides = [(lows, np.maximum, 0)] + ([(highs, np.minimum, 1)] if bounded == "both" else [])
+    empty = np.empty((0, 2 * cone.dim + 1), dtype=np.int64)
+
+    def knots(x):
+        """``(index, lead, y, ends)`` for the rows at ``x``, a column of first
+        coordinates: each knot's place in its row, its x (in 3d) and y, and
+        its fiber end, one array for each kind of end."""
+        lo = np.zeros((len(x), classes), dtype=np.int64)
+        hi = lo + top
+        bound = {}
         for i, ai in enumerate(a):
-            need = 1 - dots[:, i]  # constraint ai * s >= need
-            if ai == 0:
-                alive &= need <= 0
-            elif ai > 0:
-                lo_i = -((-need) // ai)  # ceil division
-                lower = lo_i if lower is None else np.maximum(lower, lo_i)
+            need = need_y0[i] - nx[i] * x
+            if ai > 0:
+                bound[i] = -(-need // ai)  # ceil(need / a_i)
+            elif ai < 0:
+                bound[i] = need // ai  # floor(need / a_i)
             else:
-                hi_i = need // ai  # floor of need/ai with ai < 0
-                upper = hi_i if upper is None else np.minimum(upper, hi_i)
-        if bounded == "both":
-            mask = alive & (lower <= upper)
-            starts.append(_row_runs(np.column_stack((base[mask], lower[mask]))))
-            stops.append(_row_runs(np.column_stack((base[mask], upper[mask] + 1))))
+                lo, hi = _half_line(lo, hi, need, slope[i])
+        for p in lows:
+            for q in highs:
+                lo, hi = _half_line(lo, hi, bound[p] - bound[q], slope[p] - slope[q])
+        if width == longest:
+            j = np.arange(width, dtype=np.int64)
         else:
-            end = lower if bounded == "lower" else upper
-            starts.append(_row_runs(np.column_stack((base[alive], end[alive]))))
-    return bounded, np.concatenate(starts), np.concatenate(stops) if stops else None
+            j = [lo, hi]
+            for p, q in crossings:
+                floor = (bound[q] - bound[p]) // (slope[p] - slope[q])
+                j += [floor, floor + 1]
+            j = np.sort(np.stack(j, axis=-1), axis=-1)
+        j = np.minimum(np.maximum(j, lo[..., None]), hi[..., None])
+        keep = np.empty(j.shape, dtype=bool)
+        keep[..., 0] = lo <= hi
+        keep[..., 1:] = (j[..., 1:] != j[..., :-1]) & keep[..., :1]
+        # a knot's place in its row: the points of the lines before, plus j - lo
+        count = np.where(keep[..., 0], hi - lo + 1, 0)
+        index = ((np.cumsum(count, axis=1) - count - lo)[..., None] + j)[keep]
+        y = (y0[:, None] + span * j)[keep]
+        lead = [np.repeat(x.ravel(), keep.sum(axis=(1, 2)))] if cone.dim == 3 else []
+        ends = []
+        for side, pick, shift in sides:
+            end = bound[side[0]][..., None] + (slope[side[0]] * j + shift)
+            for i in side[1:]:
+                pick(end, bound[i][..., None] + (slope[i] * j + shift), out=end)
+            ends.append(end[keep])
+        return index, lead, y, ends
+
+    def runs(x):
+        """The starts' runs, and the stops' for two-sided fibers, of the
+        rows at ``x``; the knots' construction is freed first."""
+        index, lead, y, ends = knots(x)
+        if not index.size:
+            return [empty] * len(sides)
+        return [_greedy_runs(index, lead, [y, end]) for end in ends]
+
+    # a line holds ``width`` knots and one bound per normal; a block of rows
+    # holds about four times as many of these as one row has products of its
+    # points with the normals
+    block = max(1, 4 * size * len(a) // (classes * (width + len(a))))  # rows per block
+    parts = zip(*(runs(xs[b:b + block, None]) for b in range(0, len(xs), block)))
+    starts, *stops = map(np.concatenate, parts)
+    return bounded, starts, stops[0] if stops else None
 
 
 def _fiber_exponents(cone: Cone, omegas: tuple[complex, ...], radius: int) -> tuple:
@@ -427,6 +516,25 @@ def _fiber_sum(fibers: tuple, t: complex) -> complex:
     return total / complex(denom)
 
 
+def _oracle_samples(fibers: tuple, z: complex, ray: complex, eta: complex | None, r: int, s_vals):
+    """t^r e^{zt} times the lattice sum of ``_fiber_exponents``, and the
+    lift's geometric factor when ``eta`` is set, at t = ray * s for each s
+    in ``s_vals``."""
+    import numpy as np
+
+    f_vals = np.empty(len(s_vals), dtype=complex)
+    for idx, s in enumerate(s_vals):
+        t = complex(ray) * s
+        total = _fiber_sum(fibers, t)
+        if eta is not None:
+            et = eta * t
+            if not et.real > 0:
+                raise DomainError("lift fiber diverges: Re(eta * t) must be positive")
+            total = total * cmath.exp(-et) / -complex(np.expm1(-et))
+        f_vals[idx] = (t ** r) * np.exp(complex(z) * t) * total
+    return f_vals
+
+
 def bernoulli_cone_oracle(
     cone: Cone,
     z: complex,
@@ -448,34 +556,43 @@ def bernoulli_cone_oracle(
     polynomial in s of the given degree and reads off the power coefficient.
     ``ray`` must make Re(ray * omega . m) positive on the cone; with ``eta``
     set, the cylinder lift is summed instead, its extra coordinate handled by
-    one more exact geometric factor.  It needs integers 0 <= n <= degree <
-    samples, an integer radius >= 1 and a window of two distinct positive
-    ends, in either order; other arguments raise DomainError.
+    one more exact geometric factor.  It needs one finite period per cone
+    dimension, a finite z, integers (not bools) 0 <= n <= degree < samples,
+    an integer radius >= 1 and a window of two distinct positive finite ends,
+    in either order; other arguments, and samples that overflow double
+    precision, raise DomainError.
 
     Inputs are rescaled internally so the slowest lattice direction damps at a
     fixed rate (the coefficients are homogeneous of degree n - r under joint
     scaling of z and the periods), which keeps the truncated tail negligible
     without enlarging the grid.
 
-    The fiber ends are grouped once, before sampling, into arithmetic runs
-    (``_fiber_runs``: along each row, one residue class of the last
-    transverse coordinate mod the stride of the normals at a time), so one
-    sample sums one geometric series per run, oriented from its larger term,
-    instead of one exponential per fiber.  The geometric denominators, of the
-    fibers and of the lift, are formed with expm1: the degree-14 fit
-    amplifies sample rounding about 1e8-fold, and 1 - e^{-wt} loses digits
-    when wt is small.
+    The fiber ends are grouped once, before sampling, into arithmetic runs,
+    so one sample sums one geometric series per run, oriented from its larger
+    term, instead of one exponential per fiber.  ``_fiber_runs`` builds the
+    runs without visiting each fiber: along each residue-class line of a row
+    the fiber end is the envelope of the normals' integer linear bounds, so
+    it is evaluated only at the bounds' crossings and the line's ends.  The
+    geometric denominators, of the fibers and of the lift, are formed with
+    expm1: the degree-14 fit amplifies sample rounding about 1e8-fold, and
+    1 - e^{-wt} loses digits when wt is small.
     """
     import numpy as np
     from numpy.polynomial import chebyshev
 
-    omegas = tuple(complex(w) for w in omegas)
+    omegas = _as_period_tuple(omegas, cone.dim)
+    inputs = (complex(z), *omegas, complex(ray)) + (() if eta is None else (complex(eta),))
+    if not all(map(cmath.isfinite, inputs)):
+        raise DomainError(f"z, the periods, ray and eta must be finite, got {inputs}")
     if radius is None:
         radius = 2400 if cone.dim == 2 else 700
+    counts = (n, degree, samples, radius)
+    if any(isinstance(c, bool) for c in counts):
+        raise DomainError(f"n, degree, samples and radius must be integers, not bools: {counts}")
     try:
-        n, degree, samples, radius = map(operator.index, (n, degree, samples, radius))
+        n, degree, samples, radius = map(operator.index, counts)
     except TypeError:
-        raise DomainError(f"n, degree, samples and radius must be integers: {(n, degree, samples, radius)}") from None
+        raise DomainError(f"n, degree, samples and radius must be integers: {counts}") from None
     if t_window is None:
         t_window = (0.1, 1.0)
     lo, hi = t_window
@@ -485,8 +602,8 @@ def bernoulli_cone_oracle(
         raise DomainError(f"{samples} samples cannot fit a degree-{degree} polynomial")
     if radius < 1:
         raise DomainError(f"radius must be at least 1, got {radius}")
-    if not (lo > 0 and hi > 0 and lo != hi):
-        raise DomainError(f"sample window {t_window} needs two distinct positive ends")
+    if not (0 < lo < inf and 0 < hi < inf and lo != hi):
+        raise DomainError(f"sample window {t_window} needs two distinct positive finite ends")
     r = cone.dim + (0 if eta is None else 1)
 
     pairings = [sum(w * c for w, c in zip(omegas, ray_vec)) for ray_vec in edge_rays(cone)]
@@ -507,16 +624,16 @@ def bernoulli_cone_oracle(
     fibers = _fiber_exponents(cone, omegas, radius)
     s_vals = np.cos(np.pi * (np.arange(samples) + 0.5) / samples)  # Chebyshev nodes
     s_vals = lo + (hi - lo) * (s_vals + 1) / 2
-    f_vals = np.empty(samples, dtype=complex)
-    for idx, s in enumerate(s_vals):
-        t = complex(ray) * s
-        total = _fiber_sum(fibers, t)
-        if eta is not None:
-            et = eta * t
-            if not et.real > 0:
-                raise DomainError("lift fiber diverges: Re(eta * t) must be positive")
-            total = total * cmath.exp(-et) / -complex(np.expm1(-et))
-        f_vals[idx] = (t ** r) * np.exp(complex(z) * t) * total
+    try:
+        # a window far from the damping scale overflows a sample, which is
+        # refused below rather than warned about
+        with np.errstate(all="ignore"):
+            f_vals = _oracle_samples(fibers, z, ray, eta, r, s_vals)
+        finite = np.isfinite(f_vals).all()
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise DomainError(f"the oracle's samples on the window {t_window} overflow double precision")
     u_vals = (2 * s_vals - (lo + hi)) / (hi - lo)
     coef_re = chebyshev.chebfit(u_vals, f_vals.real, degree)
     coef_im = chebyshev.chebfit(u_vals, f_vals.imag, degree)

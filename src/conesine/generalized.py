@@ -243,18 +243,17 @@ def gamma_cone_lattice_oracle(
     and (1 - e^{2 pi i (-z + m.omega)}) over interior points, with s = -1 in
     2d and +1 in 3d.  Convergence needs Im(periods) strictly inside the dual
     cone; the discarded tail decays geometrically in the dual pairing.
-    ``radius`` must be an integer >= 1.  A product that overflows double
-    precision raises DomainError.
+    ``radius`` must be an integer >= 1, not a bool.  A product that
+    overflows double precision raises DomainError.
     """
     import numpy as np
 
     omegas = _route_periods(cone, omegas, gamma=True)
     if radius is None:
         radius = cfg.oracle_radius if cone.dim == 2 else 40
-    try:
-        radius = operator.index(radius)
-    except TypeError:
-        raise DomainError(f"radius must be an integer, got {radius!r}") from None
+    if isinstance(radius, bool) or not isinstance(radius, numbers.Integral):
+        raise DomainError(f"radius must be an integer, got {radius!r}")
+    radius = int(radius)
     if radius < 1:
         raise DomainError(f"radius must be at least 1, got {radius}")
     om = np.asarray(omegas)

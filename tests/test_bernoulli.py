@@ -10,6 +10,8 @@ from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conesine import (
     FIXTURE_NAMES,
@@ -38,6 +40,7 @@ from conesine.bernoulli import (
 from conesine.generalized import _sample_gamma_params
 from conesine.lattice_cones import det3
 
+from cone_strategies import planar_cones, polygon_cones
 from params import (
     BERNOULLI_OMEGAS,
     GAMMA_OMEGAS,
@@ -675,6 +678,96 @@ def test_oracle_runs_follow_the_stride():
         assert runs[:, -1].sum() > 20 * len(runs)  # points per run
 
 
+def _greedy_split(points: list) -> list:
+    """The lines ``(head, step, length)`` of the runs of one row's fiber
+    ends, taken greedily: a run grows while the step between neighbours
+    stays the same, so it ends at the first point past its head whose
+    in-step and out-step differ, and the next run starts just after it."""
+    runs, head, m = [], 0, len(points)
+
+    def step(k):
+        return tuple(b - a for a, b in zip(points[k], points[k + 1]))
+
+    while head < m:
+        last = head + 1
+        while last < m - 1 and step(last - 1) == step(last):
+            last += 1
+        last = min(last, m - 1)
+        spread = max(last - head, 1)
+        runs.append((*points[head], *((b - a) // spread for a, b in zip(points[head], points[last])), last - head + 1))
+        head = last + 1
+    return runs
+
+
+def _reference_runs(cone: Cone, radius: int) -> tuple:
+    """``(starts, stops)`` of ``_fiber_runs`` from ``_reference_fibers``: the
+    fiber ends taken in the oracle's order (rows of the first coordinate in
+    3d; within a row the residue classes of the last transverse coordinate y
+    mod the stride, y ascending within each), each row split greedily.
+    ``stops`` is None unless the fibers are two-sided."""
+    stride = math.lcm(*(abs(normal[-1]) for normal in cone.normals if normal[-1]))
+    rows = {}
+    for base, lo, hi in _reference_fibers(cone, radius):
+        rows.setdefault(base[:-1], []).append(((base[-1] + radius) % stride, base[-1], base, lo, hi))
+    starts, stops = [], []
+    for key in sorted(rows):
+        fibers = [fiber[2:] for fiber in sorted(rows[key])]
+        starts += _greedy_split([base + (hi if lo is None else lo,) for base, lo, hi in fibers])
+        if fibers[0][1] is not None and fibers[0][2] is not None:
+            stops += _greedy_split([base + (hi + 1,) for base, lo, hi in fibers])
+    return tuple(np.array(runs, dtype=np.int64).reshape(-1, 2 * cone.dim + 1) for runs in (starts, stops))
+
+
+def _assert_runs_match_the_greedy_split(cone: Cone, radius: int) -> None:
+    bounded, starts, stops = _fiber_runs(cone, radius)
+    want_starts, want_stops = _reference_runs(cone, radius)
+    assert starts.dtype == np.int64 and np.array_equal(starts, want_starts)
+    if stops is None:
+        assert bounded != "both" and len(want_stops) == 0
+    else:
+        assert bounded == "both" and stops.dtype == np.int64 and np.array_equal(stops, want_stops)
+
+
+# strides longer than a row at radius 40: lines of one point each
+STRIDE_1517_3D = Cone(3, ((1, 0, 37), (0, 1, 41), (-1, -1, 1)))
+STRIDE_105_3D = Cone(3, ((1, 0, 3), (0, 1, 5), (-1, -1, 7)))
+# two-sided with stride 2: some bend of a single-bend chain is followed,
+# more than one point on, by another bend, which then opens a chain of its own
+BEND_AFTER_LONE_BEND_3D = Cone(3, ((1, -2, -2), (1, 0, -2), (-3, 4, 2)))
+# two primes above 2^32: a stride past the int64 range
+GIANT_STRIDE_2D = Cone(2, ((1, 4294967311), (-1, 4294967357)))
+
+
+@pytest.mark.parametrize(
+    "cone",
+    [*FIXTURE_NAMES, TWO_SIDED_2D, TWO_SIDED_3D, STRIDE_6_3D, HUGE_STRIDE_2D, STRIDE_1517_3D, STRIDE_105_3D,
+     BEND_AFTER_LONE_BEND_3D, GIANT_STRIDE_2D],
+    ids=[*FIXTURE_NAMES, "two-sided-2d", "two-sided-3d", "stride-6", "huge-stride", "stride-1517", "stride-105",
+         "lone-bend", "giant-stride"],
+)
+@pytest.mark.parametrize("radius", [2, 5, 40])
+def test_oracle_runs_match_the_greedy_split_in_oracle_order(cone, radius):
+    # the runs are built from the end's values at a few knots per line; the
+    # reference visits every fiber and splits each row point by point
+    cone = fixture_cone(cone) if isinstance(cone, str) else cone
+    _assert_runs_match_the_greedy_split(cone, radius)
+
+
+_ENTRIES = st.integers(-6, 6)
+# three independent primitive normals always make a valid simplicial cone
+simplicial_cones = (
+    st.tuples(*[st.tuples(_ENTRIES, _ENTRIES, _ENTRIES).filter(lambda v: math.gcd(*v) == 1)] * 3)
+    .filter(lambda normals: det3(*normals) != 0)
+    .map(lambda normals: Cone(3, normals))
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(planar_cones, polygon_cones(), simplicial_cones), st.integers(1, 12))
+def test_property_oracle_runs_match_the_greedy_split(cone, radius):
+    _assert_runs_match_the_greedy_split(cone, radius)
+
+
 # sample points: positive real, slightly complex, turned so that runs along
 # y grow on standard-3, and the two complex rays of the lifted oracle
 ORACLE_TS = (0.3, 0.9 - 0.05j, 0.3 * cmath.exp(-1.5j), 0.5 * LIFT_RAY[1.0], 0.5 * LIFT_RAY[-1.0])
@@ -766,7 +859,12 @@ ONE_AND_TWO_SIDED_3D = [
 ]
 
 
-@pytest.mark.parametrize("cone, omegas", ONE_AND_TWO_SIDED_3D, ids=["one-sided", "two-sided"])
+@pytest.mark.parametrize(
+    "cone, omegas",
+    # a stride longer than a row: every residue-class line holds one point
+    [*ONE_AND_TWO_SIDED_3D, (STRIDE_1517_3D, (0.5 + 0.01j, 0.4 - 0.02j, 0.1 + 0.015j))],
+    ids=["one-sided", "two-sided", "stride-1517"],
+)
 def test_oracle_fiber_memory_stays_near_its_output(cone, omegas):
     # building the 3d grid whole held 10-20x the fiber ends' bytes, one
     # sample held two temporaries per fiber end, and a run per fiber end would
@@ -826,6 +924,11 @@ def test_oracle_matches_cone_polynomial_on_two_sided_cone():
         {"samples": 56.0, "radius": 50},
         {"radius": 50.0},
         {"radius": "50"},
+        # bools, refused as counts although each would be valid as 1
+        {"n": True, "radius": 50},
+        {"n": 0, "degree": True, "radius": 50},
+        {"n": 0, "degree": 0, "samples": True, "radius": 50},
+        {"radius": True},
     ],
 )
 def test_oracle_rejects_bad_arguments(w21, kwargs):
@@ -835,12 +938,23 @@ def test_oracle_rejects_bad_arguments(w21, kwargs):
         bernoulli_cone_oracle(w21, Z_BERNOULLI_2D, BERNOULLI_OMEGAS["wedge21"], n, **kwargs)
 
 
-def test_oracle_reads_a_bool_order_as_an_integer(w21):
-    # operator.index(True) == 1, as in bernoulli_multiple
-    om = BERNOULLI_OMEGAS["wedge21"]
-    assert bernoulli_cone_oracle(w21, Z_BERNOULLI_2D, om, True, radius=50) == bernoulli_cone_oracle(
-        w21, Z_BERNOULLI_2D, om, 1, radius=50
-    )
+@pytest.mark.parametrize("z", [complex("nan"), complex("inf"), complex(0.1, math.inf)])
+def test_oracle_refuses_a_z_that_is_not_finite(w21, z):
+    # it returned (nan+nanj)
+    with pytest.raises(DomainError, match="must be finite"):
+        bernoulli_cone_oracle(w21, z, BERNOULLI_OMEGAS["wedge21"], 2, radius=50)
+
+
+def test_oracle_refuses_the_wrong_number_of_periods(w21):
+    # numpy's matmul raised a raw ValueError on the shape mismatch
+    with pytest.raises(DomainError, match="a 2d cone takes 2 periods, got 3"):
+        bernoulli_cone_oracle(w21, Z_BERNOULLI_2D, (*BERNOULLI_OMEGAS["wedge21"], 0.5), 2, radius=50)
+
+
+def test_oracle_refuses_a_window_that_overflows(w21):
+    # t^r raised a raw OverflowError at the window's far end
+    with pytest.raises(DomainError, match="overflow double precision"):
+        bernoulli_cone_oracle(w21, Z_BERNOULLI_2D, BERNOULLI_OMEGAS["wedge21"], 2, t_window=(0.1, 1e300), radius=50)
 
 
 def test_oracle_accepts_reversed_window(w21):

@@ -218,10 +218,11 @@ def test_lattice_oracle_needs_damped_periods(w21):
     (0, "radius must be at least 1, got 0"),
     (2.5, "radius must be an integer, got 2.5"),
     (2.0, "radius must be an integer, got 2.0"),
+    (True, "radius must be an integer, got True"),
 ])
 def test_lattice_oracle_refuses_a_radius_that_is_not_a_positive_integer(std2, radius, message):
-    # -3 returned the empty product 1, 0 the origin's factor alone, and 2.5
-    # raised a raw TypeError
+    # -3 returned the empty product 1, 0 the origin's factor alone, 2.5
+    # raised a raw TypeError and True was taken as 1
     with pytest.raises(DomainError, match=message):
         gamma_cone_lattice_oracle(std2, Z_GENERIC, GAMMA_OMEGAS["standard-2"], radius=radius)
 

@@ -18,6 +18,7 @@ Chebyshev fit) ships alongside for verification.
 from __future__ import annotations
 
 import cmath
+import numbers
 import operator
 from math import comb, factorial, inf, lcm
 from typing import Sequence
@@ -558,8 +559,8 @@ def bernoulli_cone_oracle(
     set, the cylinder lift is summed instead, its extra coordinate handled by
     one more exact geometric factor.  It needs one finite period per cone
     dimension, a finite z, integers (not bools) 0 <= n <= degree < samples,
-    an integer radius >= 1 and a window of two distinct positive finite ends,
-    in either order; other arguments, and samples that overflow double
+    an integer radius >= 1 and a window of two distinct positive finite real
+    ends, in either order; other arguments, and samples that overflow double
     precision, raise DomainError.
 
     Inputs are rescaled internally so the slowest lattice direction damps at a
@@ -595,7 +596,12 @@ def bernoulli_cone_oracle(
         raise DomainError(f"n, degree, samples and radius must be integers: {counts}") from None
     if t_window is None:
         t_window = (0.1, 1.0)
-    lo, hi = t_window
+    try:
+        lo, hi = t_window
+    except (TypeError, ValueError):
+        lo = hi = None
+    if not all(isinstance(e, numbers.Real) and not isinstance(e, bool) for e in (lo, hi)):
+        raise DomainError(f"sample window {t_window!r} must be a pair of real numbers")
     if not 0 <= n <= degree:
         raise DomainError(f"order {n} outside [0, {degree}], the fitted degree")
     if samples <= degree:

@@ -19,6 +19,7 @@ package:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -638,29 +639,72 @@ def gorenstein_frame(cone: Cone) -> GorensteinFrame:
 # lattice enumeration (numpy, for oracles and property tests)
 
 
-def lattice_points(cone: Cone, radius: int, interior: bool = False):
-    """Integer points of the cone (or its interior) with sup-norm <= radius.
+def require_radius(radius, least: int) -> int:
+    """``radius`` as an int; a bool, a non-integer or a value below ``least``
+    raises DomainError."""
+    if isinstance(radius, bool) or not isinstance(radius, numbers.Integral):
+        raise DomainError(f"radius must be an integer, got {radius!r}")
+    radius = int(radius)
+    if radius < least:
+        raise DomainError(f"radius must be at least {least}, got {radius}")
+    return radius
 
-    Returns a numpy integer array of shape (count, dim), in lexicographic
-    order.  Enumerates the cube one value of the first coordinate at a time
-    to bound memory.
+
+def lattice_fibers(cone: Cone, radius: int, interior: bool = False):
+    """The points of ``lattice_points``, fiber by fiber along the last axis.
+
+    Returns ``(rest, counts, last)``: the transverse points u, one row each
+    in lexicographic order over [-radius, radius]^(dim - 1); how many points
+    each one's fiber holds; and the last coordinate of every point, fiber
+    after fiber, ascending within a fiber.  A normal (b, a), with a its last
+    coordinate, asks a s >= c - b . u of the fiber's coordinate s (c = 1 for
+    the interior, else 0).  It bounds s from below by ceil((c - b . u) / a)
+    when a > 0 and from above by floor((c - b . u) / a) when a < 0; with
+    a = 0 it keeps the whole fiber or empties it.  Each fiber is the
+    interval between its bounds cut to [-radius, radius], so no point
+    outside the cone is ever built.  Normals whose pairings with such points
+    could leave int64 raise DomainError.
     """
     import numpy as np
 
+    radius = require_radius(radius, 0)
+    largest = max(abs(c) for v in cone.normals for c in v)
+    if largest * cone.dim * radius >= 2**63:
+        raise DomainError(f"a normal entry of {largest} at radius {radius} overflows int64 pairings")
     normals = np.asarray(cone.normals, dtype=np.int64)
     rng = np.arange(-radius, radius + 1, dtype=np.int64)
     rest = np.stack(np.meshgrid(*[rng] * (cone.dim - 1), indexing="ij"), axis=-1).reshape(-1, cone.dim - 1)
-    rest_vals = rest @ normals[:, 1:].T
-    chunks = []
-    for x0 in range(-radius, radius + 1):
-        vals = rest_vals + x0 * normals[:, 0]
-        mask = (vals >= 1).all(axis=1) if interior else (vals >= 0).all(axis=1)
-        if mask.any():
-            sel = rest[mask]
-            full = np.empty((sel.shape[0], cone.dim), dtype=np.int64)
-            full[:, 0] = x0
-            full[:, 1:] = sel
-            chunks.append(full)
-    if not chunks:
-        return np.empty((0, cone.dim), dtype=np.int64)
-    return np.concatenate(chunks, axis=0)
+    need = (1 if interior else 0) - rest @ normals[:, :-1].T
+    lo = np.full(len(rest), -radius, dtype=np.int64)
+    hi = np.full(len(rest), radius, dtype=np.int64)
+    for a, need_i in zip(normals[:, -1], need.T):
+        if a > 0:
+            np.maximum(lo, -(-need_i // a), out=lo)
+        elif a < 0:
+            np.minimum(hi, need_i // a, out=hi)
+        else:
+            hi[need_i > 0] = -radius - 1
+    counts = np.maximum(hi - lo + 1, 0)
+    # a point's last coordinate is its fiber's lowest plus its place in the fiber
+    firsts = np.cumsum(counts) - counts
+    last = np.repeat(lo - firsts, counts)
+    last += np.arange(len(last), dtype=np.int64)
+    return rest, counts, last
+
+
+def lattice_points(cone: Cone, radius: int, interior: bool = False):
+    """Integer points of the cone (or its interior) with sup-norm <= radius.
+
+    Returns a numpy int64 array of shape (count, dim), in lexicographic
+    order; ``radius`` must be an integer >= 0, not a bool.  The points are
+    expanded from the fibers of ``lattice_fibers``, so only the returned
+    points are ever built.
+    """
+    import numpy as np
+
+    rest, counts, last = lattice_fibers(cone, radius, interior)
+    points = np.empty((len(last), cone.dim), dtype=np.int64)
+    for k in range(cone.dim - 1):
+        points[:, k] = np.repeat(rest[:, k], counts)
+    points[:, -1] = last
+    return points

@@ -951,6 +951,14 @@ def test_oracle_refuses_the_wrong_number_of_periods(w21):
         bernoulli_cone_oracle(w21, Z_BERNOULLI_2D, (*BERNOULLI_OMEGAS["wedge21"], 0.5), 2, radius=50)
 
 
+@pytest.mark.parametrize("t_window", [(0.1,), 0.5, ("a", "b"), (0.1, 0.5, 1.0), (True, 0.5), (0.1, 1j)])
+def test_oracle_refuses_a_window_that_is_not_a_pair_of_reals(w21, t_window):
+    # (0.1,) raised a raw ValueError from the unpacking, 0.5 and ("a", "b")
+    # a raw TypeError, and True was read as 1
+    with pytest.raises(DomainError, match="must be a pair of real numbers"):
+        bernoulli_cone_oracle(w21, Z_BERNOULLI_2D, BERNOULLI_OMEGAS["wedge21"], 2, t_window=t_window, radius=50)
+
+
 def test_oracle_refuses_a_window_that_overflows(w21):
     # t^r raised a raw OverflowError at the window's far end
     with pytest.raises(DomainError, match="overflow double precision"):

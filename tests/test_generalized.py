@@ -12,7 +12,7 @@ from dataclasses import replace
 from random import Random
 
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from conesine import (
     DEFAULT_CONFIG,
@@ -41,6 +41,7 @@ from conesine.generalized import THEOREMS, _sample_gamma_params, _sample_sine_pa
 from conesine.lattice_cones import Cone, cone_chain_2d
 
 from cone_strategies import planar_cones, polygon_cones
+from lattice_reference import cube_scan_gamma_oracle
 from params import GAMMA_OMEGAS, OVERFLOWING_PRODUCTS, SINE_OMEGAS, Z_GENERIC, chain_wedges, rel
 
 
@@ -206,6 +207,58 @@ def test_gamma_3d_matches_lattice_oracle(square):
     om = GAMMA_OMEGAS["cone-over-square"]
     oracle = gamma_cone_lattice_oracle(square, Z_GENERIC, om, radius=40)
     assert rel(gamma_cone_direct(square, Z_GENERIC, om), oracle) < 1e-5
+
+
+def _jittered_points(name: str, seed: int) -> tuple[complex, tuple[complex, ...]]:
+    # the oracle benchmark's first-pass point for its seed: z and each period
+    # shaken by up to 3% from a stream seeded by the seed, the pass and the case
+    rng = Random(f"{seed}/0/gamma/{name}")
+
+    def shake(w: complex) -> complex:
+        return w * complex(1 + rng.uniform(-0.03, 0.03), rng.uniform(-0.03, 0.03))
+
+    return shake(Z_GENERIC), tuple(shake(w) for w in GAMMA_OMEGAS[name])
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_gamma_lattice_oracle_is_the_cube_scan_product(name):
+    # the fiber-built product against the whole-cube scan it replaced, at the
+    # default radius: same points, same order, same float operations, so the
+    # values are ==-identical, not merely close.  Every fixture has a normal
+    # with last coordinate 0, the interval rule's special case.
+    cone = fixture_cone(name)
+    radius = DEFAULT_CONFIG.oracle_radius if cone.dim == 2 else 40
+    for z, om in [(Z_GENERIC, GAMMA_OMEGAS[name])] + [_jittered_points(name, seed) for seed in range(1, 6)]:
+        assert gamma_cone_lattice_oracle(cone, z, om) == cube_scan_gamma_oracle(cone, z, om, radius), (z, om)
+
+
+@st.composite
+def _damped_draws(draw):
+    """A random cone, a radius, z and periods whose imaginary parts are a
+    positive combination of the normals, strictly inside the dual cone."""
+    cone = draw(planar_cones | polygon_cones())
+    radius = draw(st.integers(1, 8 if cone.dim == 2 else 5))
+    unit = st.floats(-0.6, 0.6)
+    weights = [draw(st.floats(0.05, 0.6)) for _ in cone.normals]
+    im = [sum(c * v[k] for c, v in zip(weights, cone.normals)) for k in range(cone.dim)]
+    om = tuple(complex(draw(unit), y) for y in im)
+    return cone, radius, complex(draw(unit), draw(unit)), om
+
+
+@settings(max_examples=150, deadline=None)
+@given(_damped_draws())
+# the interior holds the lone point (4, -5), which numpy pairs by a BLAS dot
+# whose fused multiply-adds round 4 omega_0 - 5 omega_1 differently
+@example((Cone(2, ((-1, -1), (4, 3))), 5, 0.164 + 0.275j, (0.445 + 0.711j, -0.5 + 0.407j)))
+def test_gamma_lattice_oracle_is_the_cube_scan_product_on_random_cones(draw):
+    cone, radius, z, om = draw
+    try:
+        expected = cube_scan_gamma_oracle(cone, z, om, radius)
+    except DomainError:
+        with pytest.raises(DomainError):
+            gamma_cone_lattice_oracle(cone, z, om, radius=radius)
+        return
+    assert gamma_cone_lattice_oracle(cone, z, om, radius=radius) == expected
 
 
 def test_lattice_oracle_needs_damped_periods(w21):

@@ -58,6 +58,7 @@ from conesine.lattice_cones import (
 )
 
 from cone_strategies import planar_cones, polygon_cones
+from lattice_reference import cube_scan_lattice_points
 from params import SINE_OMEGAS, Z_GENERIC
 
 
@@ -906,3 +907,64 @@ def test_lattice_points_match_membership():
         assert pts.shape == (len(brute), cone.dim)
         empty = lattice_points(cone, 0, interior=True)
         assert empty.dtype == np.int64 and empty.shape == (0, cone.dim)
+
+
+def _membership_list(cone, radius, interior):
+    return [
+        p
+        for p in itertools.product(range(-radius, radius + 1), repeat=cone.dim)
+        if contains(cone, p, strict=interior)
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(cone=planar_cones, radius=st.integers(0, 8), interior=st.booleans())
+def test_planar_lattice_points_are_the_ordered_membership_list(cone, radius, interior):
+    # every fiber along the last axis is cut by the normals' bounds; random
+    # cones reach normals with a zero, positive or negative last coordinate
+    pts = lattice_points(cone, radius, interior=interior)
+    assert pts.dtype == np.int64 and pts.shape[1:] == (2,)
+    assert [tuple(int(c) for c in p) for p in pts] == _membership_list(cone, radius, interior)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cone=polygon_cones(), radius=st.integers(0, 4), interior=st.booleans())
+def test_polygon_lattice_points_are_the_ordered_membership_list(cone, radius, interior):
+    event(f"{len(cone.normals)} facets")
+    pts = lattice_points(cone, radius, interior=interior)
+    assert pts.dtype == np.int64 and pts.shape[1:] == (3,)
+    assert [tuple(int(c) for c in p) for p in pts] == _membership_list(cone, radius, interior)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_lattice_points_match_the_cube_scan(name):
+    # the ordered arrays at the oracles' radii, against the scan of the whole cube
+    cone = fixture_cone(name)
+    for radius, interior in itertools.product((0, 4, 40 if cone.dim == 3 else 60), (False, True)):
+        pts = lattice_points(cone, radius, interior=interior)
+        ref = cube_scan_lattice_points(cone, radius, interior=interior)
+        assert pts.dtype == ref.dtype and pts.shape == ref.shape and np.array_equal(pts, ref), (radius, interior)
+
+
+@pytest.mark.parametrize("radius, message", [
+    (-1, "radius must be at least 0, got -1"),
+    (2.5, "radius must be an integer, got 2.5"),
+    (2.0, "radius must be an integer, got 2.0"),
+    (True, "radius must be an integer, got True"),
+    ("3", "radius must be an integer, got '3'"),
+])
+def test_lattice_points_refuse_a_radius_that_is_not_a_natural_number(std2, radius, message):
+    # -1 returned an empty array, 2.5 raised a raw TypeError and True was taken as 1
+    with pytest.raises(DomainError, match=message):
+        lattice_points(std2, radius)
+
+
+@pytest.mark.parametrize("normal", [(2**62 + 1, 2**62), (2**63 + 1, 2**63)])
+def test_lattice_points_refuse_normals_whose_pairings_overflow_int64(normal):
+    # the first returned points outside the cone, the second raised a raw OverflowError
+    with pytest.raises(DomainError, match="overflows int64"):
+        lattice_points(Cone(2, (normal, (0, 1))), 3)
+
+
+def test_lattice_points_take_an_integral_numpy_radius(std2):
+    assert np.array_equal(lattice_points(std2, np.int64(2)), lattice_points(std2, 2))

@@ -35,7 +35,6 @@ from .lattice_cones import (
     _omega_cross,
     det2,
     dual_contains,
-    lattice_fibers,
     lattice_points,
     require_radius,
 )
@@ -232,36 +231,6 @@ def gamma_cone_factorized(
 # independent lattice oracle for the gamma functions
 
 
-def _lattice_factor_product(cone: Cone, radius: int, interior: bool, shift: complex, om) -> complex:
-    """The product of 1 - e^{2 pi i (shift + omega . m)} over the points m of
-    ``lattice_points(cone, radius, interior)``, in their order.
-
-    The pairings omega . m are summed as ``lattice_points(...) @ om`` sums
-    them for two or more points, from +0 one coordinate at a time, so the
-    product is bit-identical to one taken over those points; but the
-    transverse coordinates are paired once per fiber, and the factors are
-    formed in one buffer.  numpy pairs a lone point by a BLAS dot product,
-    whose fused multiply-adds round differently, so a lone point is paired
-    that way.
-    """
-    import numpy as np
-
-    rest, counts, last = lattice_fibers(cone, radius, interior)
-    if len(last) == 1:
-        factors = lattice_points(cone, radius, interior) @ om
-    else:
-        transverse = np.zeros(len(rest), dtype=complex)
-        for k in range(cone.dim - 1):
-            transverse += rest[:, k] * om[k]
-        factors = np.repeat(transverse, counts)
-        factors += last * om[-1]
-    np.add(shift, factors, out=factors)
-    np.multiply(2j * np.pi, factors, out=factors)
-    np.exp(factors, out=factors)
-    np.subtract(1, factors, out=factors)
-    return np.prod(factors)
-
-
 def gamma_cone_lattice_oracle(
     cone: Cone,
     z: complex,
@@ -285,9 +254,12 @@ def gamma_cone_lattice_oracle(
         radius = cfg.oracle_radius if cone.dim == 2 else 40
     radius = require_radius(radius, 1)
     om = np.asarray(omegas)
+    phase_closed = lattice_points(cone, radius, interior=False) @ om
+    phase_open = lattice_points(cone, radius, interior=True) @ om
+    two_pi_i = 2j * np.pi
     with np.errstate(all="ignore"):
-        plus = _lattice_factor_product(cone, radius, False, complex(z), om)
-        minus = _lattice_factor_product(cone, radius, True, -complex(z), om)
+        plus = np.prod(1 - np.exp(two_pi_i * (complex(z) + phase_closed)))
+        minus = np.prod(1 - np.exp(two_pi_i * (-complex(z) + phase_open)))
         value = complex(minus / plus if cone.dim == 2 else minus * plus)
     if not cmath.isfinite(value):
         raise DomainError(f"the lattice product is not finite at z = {z:.6g}: its factors overflow double precision")

@@ -650,20 +650,19 @@ def require_radius(radius, least: int) -> int:
     return radius
 
 
-def lattice_fibers(cone: Cone, radius: int, interior: bool = False):
-    """The points of ``lattice_points``, fiber by fiber along the last axis.
+def lattice_points(cone: Cone, radius: int, interior: bool = False):
+    """Integer points of the cone (or its interior) with sup-norm <= radius.
 
-    Returns ``(rest, counts, last)``: the transverse points u, one row each
-    in lexicographic order over [-radius, radius]^(dim - 1); how many points
-    each one's fiber holds; and the last coordinate of every point, fiber
-    after fiber, ascending within a fiber.  A normal (b, a), with a its last
-    coordinate, asks a s >= c - b . u of the fiber's coordinate s (c = 1 for
-    the interior, else 0).  It bounds s from below by ceil((c - b . u) / a)
-    when a > 0 and from above by floor((c - b . u) / a) when a < 0; with
-    a = 0 it keeps the whole fiber or empties it.  Each fiber is the
-    interval between its bounds cut to [-radius, radius], so no point
-    outside the cone is ever built.  Normals whose pairings with such points
-    could leave int64 raise DomainError.
+    Returns a numpy int64 array of shape (count, dim), in lexicographic
+    order; ``radius`` must be an integer >= 0, not a bool.  The points are
+    built fiber by fiber along the last axis.  A normal (b, a), with a its
+    last coordinate, asks a s >= c - b . u of the coordinate s over the
+    transverse point u (c = 1 for the interior, else 0).  It bounds s from
+    below by ceil((c - b . u) / a) when a > 0 and from above by
+    floor((c - b . u) / a) when a < 0; with a = 0 it keeps the whole fiber
+    or empties it.  Each fiber is the interval between its bounds cut to
+    [-radius, radius], so no point outside the cone is ever built.  Normals
+    whose pairings with such points could leave int64 raise DomainError.
     """
     import numpy as np
 
@@ -684,27 +683,14 @@ def lattice_fibers(cone: Cone, radius: int, interior: bool = False):
             np.minimum(hi, need_i // a, out=hi)
         else:
             hi[need_i > 0] = -radius - 1
+    # a lower bound past the radius empties the fiber; clipped, hi - lo stays in int64
+    np.minimum(lo, radius + 1, out=lo)
     counts = np.maximum(hi - lo + 1, 0)
-    # a point's last coordinate is its fiber's lowest plus its place in the fiber
-    firsts = np.cumsum(counts) - counts
-    last = np.repeat(lo - firsts, counts)
-    last += np.arange(len(last), dtype=np.int64)
-    return rest, counts, last
-
-
-def lattice_points(cone: Cone, radius: int, interior: bool = False):
-    """Integer points of the cone (or its interior) with sup-norm <= radius.
-
-    Returns a numpy int64 array of shape (count, dim), in lexicographic
-    order; ``radius`` must be an integer >= 0, not a bool.  The points are
-    expanded from the fibers of ``lattice_fibers``, so only the returned
-    points are ever built.
-    """
-    import numpy as np
-
-    rest, counts, last = lattice_fibers(cone, radius, interior)
-    points = np.empty((len(last), cone.dim), dtype=np.int64)
+    points = np.empty((counts.sum(), cone.dim), dtype=np.int64)
     for k in range(cone.dim - 1):
         points[:, k] = np.repeat(rest[:, k], counts)
-    points[:, -1] = last
+    # a point's last coordinate is its fiber's lowest plus its place in the fiber
+    firsts = np.cumsum(counts) - counts
+    points[:, -1] = np.repeat(lo - firsts, counts)
+    points[:, -1] += np.arange(len(points), dtype=np.int64)
     return points

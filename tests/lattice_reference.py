@@ -1,7 +1,7 @@
 """The cube-scan lattice enumeration and gamma lattice oracle, kept as references.
 
-``lattice_points`` and ``gamma_cone_lattice_oracle`` build each fiber along
-the last axis from the normals' bounds.  These are the earlier versions they
+``lattice_points`` builds each fiber along the last axis from the normals'
+bounds, and ``gamma_cone_lattice_oracle`` takes its interior points from it.  These are the earlier versions they
 replaced: scan every point of the (2R+1)^d cube for membership, then mask the
 closed points a second time for the interior.  They are slow and plain, and
 the library must return the same points in the same order, and

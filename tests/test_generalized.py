@@ -222,9 +222,9 @@ def _jittered_points(name: str, seed: int) -> tuple[complex, tuple[complex, ...]
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_gamma_lattice_oracle_is_the_cube_scan_product(name):
-    # the fiber-built product against the whole-cube scan it replaced, at the
-    # default radius: same points, same order, same float operations, so the
-    # values are ==-identical, not merely close.  Every fixture has a normal
+    # the product over the fiber-built points against the whole-cube scan it
+    # replaced, at the default radius: same points, same order, same float
+    # operations, so the values are ==-identical, not merely close.  Every fixture has a normal
     # with last coordinate 0, the interval rule's special case.
     cone = fixture_cone(name)
     radius = DEFAULT_CONFIG.oracle_radius if cone.dim == 2 else 40
@@ -247,8 +247,8 @@ def _damped_draws(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(_damped_draws())
-# the interior holds the lone point (4, -5), which numpy pairs by a BLAS dot
-# whose fused multiply-adds round 4 omega_0 - 5 omega_1 differently
+# the interior holds the lone point (4, -5), which numpy pairs by a BLAS dot,
+# not the summation it uses for two or more points
 @example((Cone(2, ((-1, -1), (4, 3))), 5, 0.164 + 0.275j, (0.445 + 0.711j, -0.5 + 0.407j)))
 def test_gamma_lattice_oracle_is_the_cube_scan_product_on_random_cones(draw):
     cone, radius, z, om = draw

@@ -966,5 +966,16 @@ def test_lattice_points_refuse_normals_whose_pairings_overflow_int64(normal):
         lattice_points(Cone(2, (normal, (0, 1))), 3)
 
 
+@pytest.mark.parametrize("interior", [False, True])
+def test_lattice_points_are_right_for_normals_just_inside_the_int64_guard(interior):
+    # a fiber's bounds reach about +-2 a R here, so hi - lo would leave int64 unless lo is clipped
+    a = 2**61 + 2**59
+    cone = Cone(3, ((a, a, 1), (a, a, -1), (-1, 0, 0)))
+    pts = lattice_points(cone, 1, interior=interior)
+    assert pts.dtype == np.int64 and pts.shape[1:] == (3,)
+    assert [tuple(int(c) for c in p) for p in pts] == _membership_list(cone, 1, interior)
+    assert np.array_equal(pts, cube_scan_lattice_points(cone, 1, interior=interior))
+
+
 def test_lattice_points_take_an_integral_numpy_radius(std2):
     assert np.array_equal(lattice_points(std2, np.int64(2)), lattice_points(std2, 2))

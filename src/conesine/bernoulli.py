@@ -18,15 +18,14 @@ Chebyshev fit) ships alongside for verification.
 from __future__ import annotations
 
 import cmath
-import numbers
-import operator
-from math import comb, factorial, inf, lcm
+from math import comb, factorial, lcm
 from typing import Sequence
 
 from .errors import DomainError
 from .lattice_cones import (
     Cone,
     edge_rays,
+    require_count,
 )
 
 MAX_ORDER = 8
@@ -115,11 +114,8 @@ def _bernoulli_upto(z: complex, omegas: tuple[complex, ...], n: int) -> list[com
     must be finite."""
     if not omegas:
         raise DomainError("at least one period is required")
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise DomainError(f"order must be an integer, got {n!r}") from None
-    if not (0 <= n <= MAX_ORDER):
+    n = require_count(n, "order", 0)
+    if n > MAX_ORDER:
         raise DomainError(f"order {n} outside [0, {MAX_ORDER}]")
     z = complex(z)
     if 0 in omegas:
@@ -139,7 +135,8 @@ def bernoulli_multiple(z: complex, omegas: tuple[complex, ...], n: int) -> compl
     """Degree-n generalized Bernoulli polynomial with r = len(omegas) periods.
 
     Coefficient of t^n/n! in t^r e^{zt} / prod_i (e^{omega_i t} - 1).  The
-    periods must be nonzero; n must be an integer in [0, MAX_ORDER].
+    periods must be nonzero; n must be an integer in [0, MAX_ORDER], not a
+    bool.
     """
     return _bernoulli_upto(z, tuple(map(complex, omegas)), n)[n]
 
@@ -243,6 +240,10 @@ def bernoulli_cone_lifted(cone: Cone, z: complex, omegas: tuple[complex, ...], e
 
 # ---------------------------------------------------------------------------
 # independent oracle: direct lattice sum + Chebyshev fit
+
+# the fit's sample window in s, t = ray * s, after the damping rescale, and its degree
+ORACLE_WINDOW = (0.1, 1.0)
+ORACLE_DEGREE = 14
 
 
 def _half_line(lo, hi, alpha, beta: int) -> tuple:
@@ -544,24 +545,22 @@ def bernoulli_cone_oracle(
     *,
     radius: int | None = None,
     ray: complex = 1.0,
-    t_window: tuple[float, float] | None = None,
-    degree: int = 14,
     samples: int = 56,
     eta: complex | None = None,
 ) -> complex:
     """Numeric estimate of the cone polynomial from the raw lattice sum.
 
     Evaluates t^r e^{zt} sum_{m in interior} e^{-(omega.m) t} at t = ray*s for
-    s in a window (fiber sums along the last axis are exact geometric series,
-    transverse coordinates truncated at ``radius``), fits a Chebyshev
-    polynomial in s of the given degree and reads off the power coefficient.
+    ``samples`` Chebyshev nodes s in the window ``ORACLE_WINDOW`` (fiber sums
+    along the last axis are exact geometric series, transverse coordinates
+    truncated at ``radius``), fits a Chebyshev polynomial in s of degree
+    ``ORACLE_DEGREE`` and reads off the power coefficient.
     ``ray`` must make Re(ray * omega . m) positive on the cone; with ``eta``
     set, the cylinder lift is summed instead, its extra coordinate handled by
     one more exact geometric factor.  It needs one finite period per cone
-    dimension, a finite z, integers (not bools) 0 <= n <= degree < samples,
-    an integer radius >= 1 and a window of two distinct positive finite real
-    ends, in either order; other arguments, and samples that overflow double
-    precision, raise DomainError.
+    dimension, a finite z, integers (not bools) 0 <= n <= ORACLE_DEGREE <
+    samples and an integer radius >= 1; other arguments, and samples that
+    overflow double precision, raise DomainError.
 
     Inputs are rescaled internally so the slowest lattice direction damps at a
     fixed rate (the coefficients are homogeneous of degree n - r under joint
@@ -587,29 +586,11 @@ def bernoulli_cone_oracle(
         raise DomainError(f"z, the periods, ray and eta must be finite, got {inputs}")
     if radius is None:
         radius = 2400 if cone.dim == 2 else 700
-    counts = (n, degree, samples, radius)
-    if any(isinstance(c, bool) for c in counts):
-        raise DomainError(f"n, degree, samples and radius must be integers, not bools: {counts}")
-    try:
-        n, degree, samples, radius = map(operator.index, counts)
-    except TypeError:
-        raise DomainError(f"n, degree, samples and radius must be integers: {counts}") from None
-    if t_window is None:
-        t_window = (0.1, 1.0)
-    try:
-        lo, hi = t_window
-    except (TypeError, ValueError):
-        lo = hi = None
-    if not all(isinstance(e, numbers.Real) and not isinstance(e, bool) for e in (lo, hi)):
-        raise DomainError(f"sample window {t_window!r} must be a pair of real numbers")
-    if not 0 <= n <= degree:
-        raise DomainError(f"order {n} outside [0, {degree}], the fitted degree")
-    if samples <= degree:
-        raise DomainError(f"{samples} samples cannot fit a degree-{degree} polynomial")
-    if radius < 1:
-        raise DomainError(f"radius must be at least 1, got {radius}")
-    if not (0 < lo < inf and 0 < hi < inf and lo != hi):
-        raise DomainError(f"sample window {t_window} needs two distinct positive finite ends")
+    n = require_count(n, "order", 0)
+    samples = require_count(samples, "samples", ORACLE_DEGREE + 1)
+    radius = require_count(radius, "radius", 1)
+    if n > ORACLE_DEGREE:
+        raise DomainError(f"order {n} outside [0, {ORACLE_DEGREE}], the fitted degree")
     r = cone.dim + (0 if eta is None else 1)
 
     pairings = [sum(w * c for w, c in zip(omegas, ray_vec)) for ray_vec in edge_rays(cone)]
@@ -629,9 +610,10 @@ def bernoulli_cone_oracle(
 
     fibers = _fiber_exponents(cone, omegas, radius)
     s_vals = np.cos(np.pi * (np.arange(samples) + 0.5) / samples)  # Chebyshev nodes
+    lo, hi = ORACLE_WINDOW
     s_vals = lo + (hi - lo) * (s_vals + 1) / 2
     try:
-        # a window far from the damping scale overflows a sample, which is
+        # a z far from the damping scale overflows a sample, which is
         # refused below rather than warned about
         with np.errstate(all="ignore"):
             f_vals = _oracle_samples(fibers, z, ray, eta, r, s_vals)
@@ -639,15 +621,15 @@ def bernoulli_cone_oracle(
     except OverflowError:
         finite = False
     if not finite:
-        raise DomainError(f"the oracle's samples on the window {t_window} overflow double precision")
+        raise DomainError("the oracle's samples overflow double precision: z is far from the periods' damping scale")
     u_vals = (2 * s_vals - (lo + hi)) / (hi - lo)
-    coef_re = chebyshev.chebfit(u_vals, f_vals.real, degree)
-    coef_im = chebyshev.chebfit(u_vals, f_vals.imag, degree)
+    coef_re = chebyshev.chebfit(u_vals, f_vals.real, ORACLE_DEGREE)
+    coef_im = chebyshev.chebfit(u_vals, f_vals.imag, ORACLE_DEGREE)
     pow_u = chebyshev.cheb2poly(coef_re + 1j * coef_im)
     scale = 2.0 / (hi - lo)
     shift = -(lo + hi) / (hi - lo)
     # u = scale*s + shift: expand sum_k pow_u[k] (scale*s + shift)^k
-    pow_s = np.zeros(degree + 1, dtype=complex)
+    pow_s = np.zeros(ORACLE_DEGREE + 1, dtype=complex)
     for k, ck in enumerate(pow_u):
         for j in range(k + 1):
             pow_s[j] += ck * comb(k, j) * (scale ** j) * (shift ** (k - j))

@@ -17,9 +17,10 @@ Exit codes: 0 success (including PASS and SKIP), 1 usage or parse error
 
 Complex parameters are written ``re+imi`` (for example ``0.5-0.25i`` or
 ``1.3i``); complex values inside JSON documents are ``[re, im]`` pairs.
-Default tolerances may be overridden per call with ``--tol`` and
-``--tail-tol``, or globally through a JSON file named by the environment
-variable ``CONESINE_CONFIG``.
+The evaluation settings ``tail_tol`` and ``max_terms`` come from a JSON file
+named by the environment variable ``CONESINE_CONFIG``, and ``--tail-tol``
+overrides the first per call.  ``verify`` and ``report`` take ``--tol``, the
+pass tolerance of each identity.
 """
 
 from __future__ import annotations
@@ -73,8 +74,13 @@ CONFIG_ENV_VAR = "CONESINE_CONFIG"
 
 
 def parse_complex(text: str) -> complex:
-    """Parse ``re+imi`` notation (``i`` or ``j`` for the imaginary unit)."""
-    cleaned = text.strip().replace(" ", "").replace("i", "j").replace("I", "j")
+    """Parse ``re+imi`` notation (``i`` or ``j`` for the imaginary unit).
+
+    Only a trailing ``i`` or ``I`` is the unit, so ``inf`` and ``1+infi`` parse.
+    """
+    cleaned = text.strip().replace(" ", "")
+    if cleaned[-1:] in ("i", "I"):
+        cleaned = cleaned[:-1] + "j"
     try:
         return complex(cleaned)
     except ValueError as exc:
@@ -176,8 +182,6 @@ _FLAG_DEFAULTS = {"form": None, "variant": "primary"}
 
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = build_config(args)
-    if args.tol is not None:
-        cfg = dataclasses.replace(cfg, comparison_tol=args.tol)
     target = args.target.lower()
     if target not in _TARGETS:
         raise ParseError(f"unknown eval target {args.target!r}; known: {' '.join(_TARGETS)}")
@@ -397,9 +401,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol", type=float, default=None,
-                        help="comparison tolerance override")
+def _add_config_flags(parser: argparse.ArgumentParser, pass_tol: bool = True) -> None:
+    if pass_tol:
+        parser.add_argument("--tol", type=float, default=None,
+                            help="identity pass tolerance override (default: the identity's own)")
     parser.add_argument("--tail-tol", type=float, default=None, dest="tail_tol",
                         help="series truncation tolerance override")
 
@@ -428,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
         f"{t} {'|'.join(routes)}" for t, (_, dim, routes) in _TARGETS.items() if dim))
     p_eval.add_argument("--variant", choices=("primary", "alternative"), default=None,
                         help="g2c factorized only: prefactor variant (default primary)")
-    _add_config_flags(p_eval)
+    _add_config_flags(p_eval, pass_tol=False)
     p_eval.set_defaults(func=cmd_eval)
 
     p_verify = sub.add_parser("verify", help="verify one identity over one cone")
@@ -471,8 +476,8 @@ def _preprocess_argv(argv: Sequence[str] | None) -> Sequence[str] | None:
     """Keep argparse from reading negative numbers as option flags.
 
     ``subdivide`` gets an explicit ``--`` separator when a vector starts with
-    a minus sign, and complex-valued flags absorb a following negative value
-    via the ``--flag=value`` form.
+    a minus sign, and complex-valued flags absorb a following negative value,
+    ``-inf`` and ``-nan`` included, via the ``--flag=value`` form.
     """
     if argv is None:
         argv = sys.argv[1:]
@@ -487,7 +492,7 @@ def _preprocess_argv(argv: Sequence[str] | None) -> Sequence[str] | None:
         tok = argv[i]
         if tok in _COMPLEX_FLAGS and i + 1 < len(argv):
             nxt = argv[i + 1]
-            if len(nxt) > 1 and nxt[0] == "-" and (nxt[1].isdigit() or nxt[1] == "."):
+            if nxt[:1] == "-" and (nxt[1:2].isdigit() or nxt[1:2] == "." or nxt[1:4].lower() in ("inf", "nan")):
                 out.append(f"{tok}={nxt}")
                 i += 2
                 continue

@@ -17,7 +17,6 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
-import operator
 import threading
 from dataclasses import dataclass
 from functools import partial
@@ -36,7 +35,7 @@ from .lattice_cones import (
     det2,
     dual_contains,
     lattice_points,
-    require_radius,
+    require_count,
 )
 from .qseries import (
     DEFAULT_CONFIG,
@@ -235,14 +234,14 @@ def gamma_cone_lattice_oracle(
     cone: Cone,
     z: complex,
     omegas: Sequence[complex],
-    cfg: EvalConfig = DEFAULT_CONFIG,
     radius: int | None = None,
 ) -> complex:
     """Brute-force truncated lattice product for the cone elliptic gamma.
 
     Multiplies (1 - e^{2 pi i (z + m.omega)})^{s} over closed-cone points m
     and (1 - e^{2 pi i (-z + m.omega)}) over interior points, with s = -1 in
-    2d and +1 in 3d.  Convergence needs Im(periods) strictly inside the dual
+    2d and +1 in 3d, truncated at sup-norm ``radius`` (by default 60 in 2d
+    and 40 in 3d).  Convergence needs Im(periods) strictly inside the dual
     cone; the discarded tail decays geometrically in the dual pairing.
     ``radius`` must be an integer >= 1, not a bool.  A product that
     overflows double precision raises DomainError.
@@ -251,8 +250,8 @@ def gamma_cone_lattice_oracle(
 
     omegas = _route_periods(cone, omegas, gamma=True)
     if radius is None:
-        radius = cfg.oracle_radius if cone.dim == 2 else 40
-    radius = require_radius(radius, 1)
+        radius = 60 if cone.dim == 2 else 40
+    radius = require_count(radius, "radius", 1)
     om = np.asarray(omegas)
     phase_closed = lattice_points(cone, radius, interior=False) @ om
     phase_open = lattice_points(cone, radius, interior=True) @ om
@@ -513,7 +512,8 @@ def verify_theorem(
     the reason) rather than a failure.  Sampling is deterministic in the
     seed; parameter draws that hit degenerate configurations (resonant
     ratios, poles) are rejected and redrawn, which is also deterministic.
-    ``tolerance``, if given, overrides the identity's own (a finite positive real).
+    ``samples`` must be an integer >= 1, not a bool.  ``tolerance``, if
+    given, overrides the identity's own (a finite positive real).
 
     Consecutive calls on the same cone, seed and config share each side's
     value, or refusal, at each drawn point: on a 3d cone the primary
@@ -526,12 +526,7 @@ def verify_theorem(
             f"unknown theorem id {theorem_id!r}; known: {', '.join(THEOREM_IDS)}"
         )
     thm = THEOREMS[theorem_id]
-    try:
-        samples = operator.index(samples)
-    except TypeError:
-        raise DomainError(f"the sample count must be an integer, got {samples!r}") from None
-    if samples < 1:
-        raise DomainError("need at least one sample")
+    samples = require_count(samples, "the sample count", 1)
     tol = thm.tolerance if tolerance is None else tolerance
     if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < math.inf:
         raise DomainError(f"the tolerance must be a finite positive number, got {tolerance!r}")

@@ -639,15 +639,15 @@ def gorenstein_frame(cone: Cone) -> GorensteinFrame:
 # lattice enumeration (numpy, for oracles and property tests)
 
 
-def require_radius(radius, least: int) -> int:
-    """``radius`` as an int; a bool, a non-integer or a value below ``least``
-    raises DomainError."""
-    if isinstance(radius, bool) or not isinstance(radius, numbers.Integral):
-        raise DomainError(f"radius must be an integer, got {radius!r}")
-    radius = int(radius)
-    if radius < least:
-        raise DomainError(f"radius must be at least {least}, got {radius}")
-    return radius
+def require_count(value, name: str, least: int) -> int:
+    """``value`` as an int; a bool, a non-integer or a value below ``least``
+    raises DomainError naming it ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if value < least:
+        raise DomainError(f"{name} must be at least {least}, got {value}")
+    return value
 
 
 def lattice_points(cone: Cone, radius: int, interior: bool = False):
@@ -666,7 +666,7 @@ def lattice_points(cone: Cone, radius: int, interior: bool = False):
     """
     import numpy as np
 
-    radius = require_radius(radius, 0)
+    radius = require_count(radius, "radius", 0)
     largest = max(abs(c) for v in cone.normals for c in v)
     if largest * cone.dim * radius >= 2**63:
         raise DomainError(f"a normal entry of {largest} at radius {radius} overflows int64 pairings")

@@ -23,6 +23,7 @@ from typing import Iterable
 
 from .bernoulli import bernoulli_multiple
 from .errors import BudgetError, DomainError
+from .lattice_cones import require_count
 
 TWO_PI_I = 2j * math.pi
 RESONANCE_FLOOR = 1e-6
@@ -31,53 +32,34 @@ SERIES_TERMS = 100.0
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """Evaluation budget and tolerances shared by all numeric routines.
+    """Evaluation budget and truncation tolerance shared by all numeric routines.
 
     ``tail_tol`` bounds every truncated tail, and only the truncation: near
     the unit circle rounding dominates, and a value can err by far more
     (``multiple_sine(0.6+0.1j, (1, 1.0001+0.00001j))``, with |log |q|| near
-    6e-5, errs by 1.03e-9 relative).
-    ``comparison_tol`` must exceed it and is recorded
-    with every report and eval record, but no check reads it: ``verify`` and
-    ``report`` pass each identity below that identity's own tolerance unless
-    ``--tol`` overrides it, and ``eval --tol`` only sets the recorded value.
-    ``max_terms`` caps series iterations, and
-    ``oracle_radius`` is the default lattice truncation of the 2d
-    ``gamma_cone_lattice_oracle`` only (the 3d one uses 40, and the
-    Bernoulli oracle does not read the config).
+    6e-5, errs by 1.03e-9 relative).  ``max_terms`` caps series iterations.
+    Identity checks take their pass tolerance from ``verify_theorem``, not
+    from here.
     """
 
     tail_tol: float = 1e-14
-    comparison_tol: float = 1e-8
     max_terms: int = 5_000_000
-    oracle_radius: int = 60
 
     def __post_init__(self):
         # a JSON config file may give any type, and 1e400 reads as infinity;
         # an integral float such as 5e6 is taken as that int, as Cone takes dim 2.0
-        for name in ("tail_tol", "comparison_tol"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise DomainError(f"{name} must be a real number, got {value!r}")
-        for name in ("max_terms", "oracle_radius"):
-            value = getattr(self, name)
-            if isinstance(value, float) and value.is_integer():
-                value = int(value)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise DomainError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if not (0 < self.tail_tol < self.comparison_tol < 1):
-            raise DomainError(
-                "tolerances must satisfy 0 < tail_tol < comparison_tol < 1, got "
-                f"tail_tol={self.tail_tol}, comparison_tol={self.comparison_tol}"
-            )
-        if self.max_terms < 1000:
-            raise DomainError("max_terms is too small to evaluate anything")
-        if self.oracle_radius < 1:
-            raise DomainError("oracle_radius must be positive")
+        if isinstance(self.tail_tol, bool) or not isinstance(self.tail_tol, numbers.Real):
+            raise DomainError(f"tail_tol must be a real number, got {self.tail_tol!r}")
+        if not 0 < self.tail_tol < 1:
+            raise DomainError(f"tolerances must satisfy 0 < tail_tol < 1, got tail_tol={self.tail_tol}")
+        max_terms = self.max_terms
+        if isinstance(max_terms, float) and max_terms.is_integer():
+            max_terms = int(max_terms)
+        # fewer terms than this evaluate nothing
+        object.__setattr__(self, "max_terms", require_count(max_terms, "max_terms", 1000))
 
     def to_json_dict(self) -> dict:
-        """The four settings by name, as reports and CLI records show them."""
+        """The two settings by name, as reports and CLI records show them."""
         return asdict(self)
 
 

@@ -15,6 +15,7 @@ import pytest
 import conesine
 from conesine import (
     DEFAULT_CONFIG,
+    ParseError,
     elliptic_gamma,
     fixture_cone,
     gamma_cone_direct,
@@ -75,6 +76,16 @@ def test_parse_complex_forms():
     assert parse_complex("1.3i") == 1.3j
     assert parse_complex("2") == 2.0
     assert parse_complex("-0.7+0.2j") == -0.7 + 0.2j
+    # only the trailing letter is the imaginary unit: every i once became j,
+    # so inf read as jnf and failed to parse
+    assert parse_complex("inf") == complex(math.inf, 0)
+    assert parse_complex("-inf") == complex(-math.inf, 0)
+    assert parse_complex("1+infi") == complex(1, math.inf)
+    assert parse_complex("0.5-0.25I") == 0.5 - 0.25j
+    assert cmath.isnan(parse_complex("nan"))
+    for text in ("1i2", "infi+1", ""):
+        with pytest.raises(ParseError, match="cannot parse complex number"):
+            parse_complex(text)
 
 
 def test_bad_complex_is_usage_error():
@@ -124,7 +135,7 @@ def test_eval_sine_overflow_is_domain_error(capsys):
     assert "multiple sine overflows at |x| = exp(" in err
     # the single sine refuses a non-finite argument or period rather than
     # printing nan+nani or 0.0+0.0i
-    for z, omega in (("nan", "1"), ("1e309", "1"), ("0.3", "1e309")):
+    for z, omega in (("nan", "1"), ("inf", "1"), ("-inf", "1"), ("1+infi", "1"), ("1e309", "1"), ("0.3", "1e309")):
         rc, out, err = run(capsys, "eval", "s1", "--z", z, "--omega", omega)
         assert (rc, out) == (EXIT_DOMAIN, "")
         assert "single sine needs a finite argument and period" in err
@@ -742,12 +753,14 @@ def test_env_config_override(capsys, monkeypatch, tmp_path):
 
 
 def test_env_config_unknown_key_is_usage_error(capsys, monkeypatch, tmp_path):
-    cfg_file = tmp_path / "cfg.json"
-    cfg_file.write_text(json.dumps({"bogus": 1}))
-    monkeypatch.setenv("CONESINE_CONFIG", str(cfg_file))
-    rc, _, err = run(capsys, "eval", "s1", "--z", "0.25", "--omega", "1")
-    assert rc == EXIT_USAGE
-    assert "unknown config keys" in err
+    # comparison_tol and oracle_radius were settings once, read by no computation
+    for key in ("bogus", "comparison_tol", "oracle_radius"):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({key: 1}))
+        monkeypatch.setenv("CONESINE_CONFIG", str(cfg_file))
+        rc, _, err = run(capsys, "eval", "s1", "--z", "0.25", "--omega", "1")
+        assert rc == EXIT_USAGE
+        assert f"unknown config keys {key}" in err
 
 
 def test_env_config_missing_file_is_usage_error(capsys, monkeypatch, tmp_path):
@@ -771,8 +784,8 @@ def test_env_config_unreadable_document_is_usage_error(capsys, monkeypatch, tmp_
 
 
 @pytest.mark.parametrize("payload", [
-    '{"max_terms": "5000000"}', '{"tail_tol": "1e-14"}', '{"oracle_radius": null}',
-    '{"max_terms": 1e400}', '{"oracle_radius": 1e400}',
+    '{"max_terms": "5000000"}', '{"tail_tol": "1e-14"}', '{"max_terms": null}',
+    '{"max_terms": 1e400}',
 ])
 @pytest.mark.parametrize("verb", [
     ("eval", "g0", "--z", "0.1", "--tau", "0.2+1i"),
@@ -816,3 +829,11 @@ def test_radius_flag_is_gone(capsys, verb):
         main([*verb, "--radius", "5"])
     assert exc.value.code == EXIT_USAGE
     assert "unrecognized arguments: --radius 5" in capsys.readouterr().err
+
+
+def test_eval_tol_flag_is_gone(capsys):
+    # eval compares nothing, so it takes no pass tolerance; verify and report keep --tol
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "s2", "--z", "0.3", "--omega", "1+0.1i", "--omega", "0.5+0.3i", "--tol", "1e-9"])
+    assert exc.value.code == EXIT_USAGE
+    assert "unrecognized arguments: --tol 1e-9" in capsys.readouterr().err

@@ -47,9 +47,9 @@ SIGN_CASES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 def test_config_orders_tolerances():
     with pytest.raises(DomainError):
-        EvalConfig(tail_tol=1e-8, comparison_tol=1e-8)
+        EvalConfig(tail_tol=1.0)
     with pytest.raises(DomainError):
-        EvalConfig(comparison_tol=2.0)
+        EvalConfig(tail_tol=0.0)
     with pytest.raises(DomainError):
         EvalConfig(max_terms=10)
 
@@ -59,12 +59,11 @@ def test_config_orders_tolerances():
     ("max_terms", math.inf, "max_terms must be an integer"),
     ("max_terms", 5000.5, "max_terms must be an integer"),
     ("max_terms", True, "max_terms must be an integer"),
-    ("oracle_radius", None, "oracle_radius must be an integer"),
-    ("oracle_radius", math.inf, "oracle_radius must be an integer"),
-    ("oracle_radius", math.nan, "oracle_radius must be an integer"),
+    pytest.param("max_terms", None, "max_terms must be an integer", id="max_terms-None"),
+    ("max_terms", math.nan, "max_terms must be an integer"),
     ("tail_tol", "1e-14", "tail_tol must be a real number"),
-    ("comparison_tol", None, "comparison_tol must be a real number"),
-    ("comparison_tol", False, "comparison_tol must be a real number"),
+    pytest.param("tail_tol", None, "tail_tol must be a real number", id="tail_tol-None"),
+    ("tail_tol", False, "tail_tol must be a real number"),
     ("tail_tol", math.nan, "tolerances must satisfy"),
 ])
 def test_config_refuses_settings_of_the_wrong_type(setting, value, message):
@@ -73,9 +72,14 @@ def test_config_refuses_settings_of_the_wrong_type(setting, value, message):
 
 
 def test_config_takes_an_integral_float_as_an_int():
-    cfg = EvalConfig(max_terms=5e6, oracle_radius=60.0)
+    cfg = EvalConfig(max_terms=5e6)
     assert cfg == DEFAULT_CONFIG
-    assert type(cfg.max_terms) is int and type(cfg.oracle_radius) is int
+    assert type(cfg.max_terms) is int
+
+
+def test_config_holds_only_the_evaluation_settings():
+    # reports and eval records show this dict as their config block
+    assert EvalConfig().to_json_dict() == {"tail_tol": 1e-14, "max_terms": 5000000}
 
 
 def test_resonance_guard_rejects_real_periods():
@@ -172,11 +176,11 @@ def test_gluing_identity_random_points():
 
 def test_truncation_policy_is_self_consistent():
     z, om = 0.23 - 0.11j, (0.31 + 0.52j, -0.17 + 0.43j)
-    loose = qfactorial(z, om, EvalConfig(tail_tol=1e-8, comparison_tol=1e-4))
-    tight = qfactorial(z, om, EvalConfig(tail_tol=5e-9, comparison_tol=1e-4))
+    loose = qfactorial(z, om, EvalConfig(tail_tol=1e-8))
+    tight = qfactorial(z, om, EvalConfig(tail_tol=5e-9))
     assert abs(loose - tight) < 1e-8
-    g_loose = elliptic_gamma(z, om, EvalConfig(tail_tol=1e-8, comparison_tol=1e-4))
-    g_tight = elliptic_gamma(z, om, EvalConfig(tail_tol=5e-9, comparison_tol=1e-4))
+    g_loose = elliptic_gamma(z, om, EvalConfig(tail_tol=1e-8))
+    g_tight = elliptic_gamma(z, om, EvalConfig(tail_tol=5e-9))
     assert abs(g_loose - g_tight) < 1e-8
 
 

@@ -18,13 +18,16 @@ Chebyshev fit) ships alongside for verification.
 from __future__ import annotations
 
 import cmath
+import threading
 from math import comb, factorial, lcm
+from operator import mul
 from typing import Sequence
 
 from .errors import DomainError
 from .lattice_cones import (
     Cone,
     edge_rays,
+    _exact_key,
     require_count,
 )
 
@@ -107,11 +110,30 @@ def _barnes_series(z, big, others, n: int, table=_BERNOULLI_OVER_FACTORIAL) -> l
     return out
 
 
+# the _barnes_series tables of _bernoulli_upto by (z, periods): the wedges of a cone at one
+# draw repeat across the decomposed sine's prefactors, bernoulli_cone and both lifted
+# variants.  A read is one atomic dict.get and a kept table is never changed; the lock
+# keeps the check for room and the store together, so the size stays within bound.
+_TABLES: dict = {}
+_TABLES_SIZE = 256
+_TABLES_LOCK = threading.Lock()
+
+
 def _bernoulli_upto(z: complex, omegas: tuple[complex, ...], n: int) -> list[complex]:
     """[B_{r,k}(z | omegas) for k = 0..n], with r = len(omegas), from
     ``_barnes_series`` with the period of largest modulus as ``big``, or from
-    ``_barnes_product`` where that overflows; z, the periods and the result
-    must be finite."""
+    ``_barnes_product`` where that overflows; z, the periods (complex) and
+    the result must be finite.
+
+    The inputs are checked on every call.  ``_barnes_series`` builds degree k
+    from lower degrees only, so its table up to degree n is a prefix of its
+    table up to any higher degree: the tables are kept in ``_TABLES``, and a
+    call reads the prefix of a kept table of its degree or higher.  A table
+    is kept only for a key that ``==`` cannot confuse (``_exact_key``: -0.0
+    == 0.0 would let it answer for a zero of the other sign), and a
+    ``_barnes_product`` table is not kept, so every value is the one the call
+    computes itself.
+    """
     if not omegas:
         raise DomainError("at least one period is required")
     n = require_count(n, "order", 0)
@@ -121,12 +143,24 @@ def _bernoulli_upto(z: complex, omegas: tuple[complex, ...], n: int) -> list[com
     if 0 in omegas:
         raise DomainError("periods must be nonzero")
     if cmath.isfinite(z) and all(map(cmath.isfinite, omegas)):
+        # a kept key is exact, so only a key equal to it in every bit finds it
+        key = z, omegas
+        table = _TABLES.get(key)
+        if table is not None and len(table) > n:
+            return table[: n + 1]
         others = sorted(omegas, key=abs)
         out = _barnes_series(z, others.pop(), others, n)
-        if not all(map(cmath.isfinite, out)) and others:
-            out = _barnes_product(z, omegas, n)
         if all(map(cmath.isfinite, out)):
+            if _exact_key(z, omegas):
+                with _TABLES_LOCK:
+                    if len(_TABLES) >= _TABLES_SIZE:
+                        _TABLES.clear()
+                    _TABLES[key] = out[:]
             return out
+        if others:
+            out = _barnes_product(z, omegas, n)
+            if all(map(cmath.isfinite, out)):
+                return out
     biggest = max(abs(w) for w in omegas)
     raise DomainError(f"order-{n} Bernoulli polynomial is not finite at z = {z:.6g}, largest |omega| = {biggest:.3g}")
 
@@ -154,18 +188,18 @@ def _exists_damping_phase(rays: list[tuple[int, ...]], omegas: tuple[complex, ..
     test reads signs of cross and dot products, not rounded arguments, so
     exactly opposite pairings (a gap of exactly pi) are always rejected.
     """
-    pairings = [sum(r[k] * omegas[k] for k in range(len(omegas))) for r in rays]
-    if any(p == 0 for p in pairings):
+    pairings = [sum(map(mul, r, omegas)) for r in rays]
+    if 0 in pairings:
         return False
-
-    def starts_arc(p: complex) -> bool:
-        for q in pairings:
-            cross = p.real * q.imag - p.imag * q.real
-            if cross < 0 or (cross == 0 and p.real * q.real + p.imag * q.imag < 0):
-                return False
-        return True
-
-    return any(starts_arc(p) for p in pairings)
+    parts = [(p.real, p.imag) for p in pairings]
+    for pr, pi in parts:
+        for qr, qi in parts:
+            cross = pr * qi - pi * qr
+            if cross < 0 or (cross == 0 and pr * qr + pi * qi < 0):
+                break
+        else:
+            return True  # every pairing is within [0, pi) counterclockwise of p
+    return False
 
 
 def _require_damping_phase(rays: list[tuple[int, ...]], omegas: tuple[complex, ...]) -> None:

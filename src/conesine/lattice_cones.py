@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from math import gcd
+from operator import mul
 from typing import Sequence
 
 from .errors import DomainError, ParseError
@@ -109,6 +110,18 @@ def _omega_cross(omegas: Sequence[complex], u: Sequence[int]) -> complex:
     return omegas[0] * u[1] - omegas[1] * u[0]
 
 
+def _exact_key(z: complex, omegas: tuple[complex, ...]) -> bool:
+    """Whether z and every period are complex numbers with no zero part, so that
+    (z, omegas) equals another such key only if every part has the same bits:
+    -0.0 == 0.0, and a float or an int can equal a complex."""
+    if type(z) is not complex or not (z.real and z.imag):
+        return False
+    for w in omegas:
+        if type(w) is not complex or not (w.real and w.imag):
+            return False
+    return True
+
+
 def identity_matrix(n: int) -> IntMatrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
@@ -117,7 +130,7 @@ def mat_vec(m: IntMatrix, v: Sequence) -> tuple:
     """Matrix times vector; entries may be ints or complex numbers."""
     if len(m[0]) != len(v):
         raise DomainError(f"matrix of width {len(m[0])} cannot act on length-{len(v)} vector")
-    return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in m)
+    return tuple(sum(map(mul, row, v)) for row in m)
 
 
 def mat_transpose(m: IntMatrix) -> IntMatrix:
@@ -290,7 +303,16 @@ class Cone:
         every wedge but the last is shifted by its opening period.  In 3d
         ``axis`` is the period w1 of the straightened axis, and every facet
         wedge is shifted and has periods (w1, a, b).
+
+        The last decomposition is kept on the cone, since the routes and the
+        cone Bernoulli polynomials at one draw walk the same wedges; it is kept
+        only for a key that ``==`` cannot confuse (``_exact_key``).
         """
+        key = (z, tuple(omegas))
+        keyable = _exact_key(*key)
+        last = self.__dict__.get("_last_wedges")
+        if keyable and last is not None and last[0] == key:
+            return last[1], list(last[2])
         if self.dim == 2:
             axis = None
             walks = [(omegas, self.chain)]
@@ -301,12 +323,14 @@ class Cone:
             walks = zip([(w2 + l[0] * axis, w3 + l[1] * axis) for l in frame.ell], frame.chains)
         wedges = []
         for fo, walk in walks:
-            for u, up in zip(walk.lines, walk.lines[1:]):
-                a = _omega_cross(fo, u)
-                b = _omega_cross(fo, up)
+            # each inner line closes one wedge and opens the next
+            crosses = [_omega_cross(fo, u) for u in walk.lines]
+            for a, b in zip(crosses, crosses[1:]):
                 wedges.append((z + a, (a, b) if axis is None else (axis, a, b)))
         if axis is None:
             wedges[-1] = (z, wedges[-1][1])
+        if keyable:
+            object.__setattr__(self, "_last_wedges", (key, axis, tuple(wedges)))
         return axis, wedges
 
     def faces(self, z: complex, omegas: Sequence[complex], variant: str = "primary"):
@@ -337,7 +361,7 @@ class Cone:
                 ratio = (pk / p0).real
                 # past 2**52 a double has no fraction left to reduce, nor has nan or inf
                 m = round(ratio) if abs(ratio) < 2**52 else 0
-                periods.append(sum((r - m * e) * w for r, e, w in zip(row, ft.edge_ray, omegas)) / scale)
+                periods.append(sum(map(mul, [r - m * e for r, e in zip(row, ft.edge_ray)], omegas)) / scale)
             yield ft.face_id, z / scale, ((-1 if primary else 1) / scale, *periods)
 
     # -- serialization ----------------------------------------------------
@@ -642,9 +666,10 @@ def gorenstein_frame(cone: Cone) -> GorensteinFrame:
 def require_count(value, name: str, least: int) -> int:
     """``value`` as an int; a bool, a non-integer or a value below ``least``
     raises DomainError naming it ``name``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
-    value = int(value)
+    if type(value) is not int:  # an exact int skips the slower abstract-class check
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise DomainError(f"{name} must be an integer, got {value!r}")
+        value = int(value)
     if value < least:
         raise DomainError(f"{name} must be at least {least}, got {value}")
     return value

@@ -115,18 +115,16 @@ def _log_shift_target(log_a: float, periods: int) -> float:
     return -math.sqrt(-log_a * SERIES_TERMS if periods == 1 else -log_a)
 
 
-def _row_steps(ax: float, log_a: float, steps: int, reduced_abs: tuple[float, ...]) -> int:
+def _row_steps(ax: float, log_a: float, steps: int, log_a1: float, log_t1: float) -> int:
     """A lower bound on the shift steps charged by the rows (x q^k | reduced), k < steps, of
     a shift loop on q, |q| = e^{log_a}.
 
     Row k starts at |x| e^{k log_a} and takes ceil(s_k) steps, s_k = (span + k log_a) /
-    -log a', with a' the smallest reduced modulus and span = log(|x| / t') at its target t';
-    the rows with s_k > 0 sum in closed form, less one step per row for rounding.
+    -log a', with a' = e^{log_a1} the smallest reduced modulus and span = log(|x| / t') at
+    its target t' = e^{log_t1}; the rows with s_k > 0 sum in closed form, less one step per
+    row for rounding.
     """
-    if not reduced_abs:
-        return 0
-    log_a1 = math.log(min(reduced_abs))
-    span = math.log(ax) - _log_shift_target(log_a1, len(reduced_abs))
+    span = math.log(ax) - log_t1
     if span <= 0:
         return 0
     rows = min(steps, math.ceil(span / -log_a))
@@ -146,50 +144,77 @@ def _cheaper_form(factors) -> int:
     steps1 = steps2 = 0.0
     for u, taus in factors:
         log_ax, log_mods = -2 * math.pi * u.imag, [-2 * math.pi * t.imag for t in taus]
-        log_a = -max(map(abs, log_mods))
-        if not (math.isfinite(log_ax + sum(log_mods)) and log_a < 0):
+        log_a, total = -max(map(abs, log_mods)), sum(log_mods)
+        if not (math.isfinite(log_ax + total) and log_a < 0):
             return 1
         log_t = _log_shift_target(log_a, len(log_mods))
-        inverted = sum(m for m in log_mods if m > 0)  # form 1 inverts these moduli, form 2 the others
+        inverted = sum([m for m in log_mods if m > 0])  # form 1 inverts these moduli, form 2 the others
         steps1 += max(0.0, (log_t - log_ax + inverted) / log_a)
-        steps2 += max(0.0, (log_t + log_ax + inverted - sum(log_mods)) / log_a)
+        steps2 += max(0.0, (log_t + log_ax + inverted - total) / log_a)
     return 2 if steps2 < steps1 else 1
 
 
-def _qfac_small(x: complex, qs: tuple[complex, ...], cfg: EvalConfig, budget: _Budget, absq=None) -> complex:
-    """(x | qs) with every |q| < 1 and x finite, via the shift identity and a log series.
+class _ShiftPlan:
+    """The period-only part of (x | qs) with every |q| < 1, for ``_qfac_planned``.
+
+    It holds the moduli ``absq``, the period ``q`` of smallest modulus that the shift
+    identity moves x by, ``log_a`` = log |q|, its ``_log_shift_target`` ``log_target``
+    and ``target`` = e^{log_target}.  The plan of the reduced set (qs without q), which
+    every row of a shift loop evaluates, is built by ``rows`` on the first shift loop.
+    """
+
+    __slots__ = ("qs", "absq", "jmin", "q", "log_a", "log_target", "target", "reduced")
+
+    def __init__(self, qs: tuple[complex, ...], absq: tuple[float, ...]):
+        jmin = absq.index(min(absq))
+        log_a = math.log(absq[jmin])
+        log_target = _log_shift_target(log_a, len(qs))
+        self.qs, self.absq, self.jmin, self.q, self.log_a = qs, absq, jmin, qs[jmin], log_a
+        self.log_target, self.target, self.reduced = log_target, math.exp(log_target), None
+
+    def rows(self) -> _ShiftPlan:
+        """The plan of the reduced set, for a plan of two or more periods."""
+        if self.reduced is None:
+            j, qs, absq = self.jmin, self.qs, self.absq
+            self.reduced = _ShiftPlan(qs[:j] + qs[j + 1 :], absq[:j] + absq[j + 1 :])
+        return self.reduced
+
+
+def _qfac_planned(x: complex, plan: _ShiftPlan, cfg: EvalConfig, budget: _Budget) -> complex:
+    """(x | plan.qs) with every |q| < 1 and x finite, via the shift identity and a log series.
 
     The shift identity (x | qs) = (x | qs without q) (x q | qs) on the smallest |q| moves
     x down to the cost-balanced ``_log_shift_target``, where the log series takes over.  Each
     loop charges its closed-form step or term count to ``budget``; a shift loop over two
     or more periods first checks the shift steps its rows will charge (``_row_steps``),
     so a call whose nested loops cannot fit raises BudgetError before any step is taken.
-    ``absq`` holds the moduli of ``qs``: the top-level call computes them and passes each
-    recursive call its share.
     """
-    if not qs:
-        return 1.0 - x
-    if absq is None:
-        absq = tuple(abs(q) for q in qs)
     prefactor = 1.0 + 0j
     ax = abs(x)
-    jmin = absq.index(min(absq))
-    log_a = math.log(absq[jmin])
-    target = math.exp(_log_shift_target(log_a, len(qs)))
+    target = plan.target
     if ax >= target:
-        q = qs[jmin]
+        q, log_a = plan.q, plan.log_a
         steps = math.ceil(math.log(target / ax) / log_a)
-        reduced, reduced_abs = qs[:jmin] + qs[jmin + 1 :], absq[:jmin] + absq[jmin + 1 :]
-        budget.spend(steps, _row_steps(ax, log_a, steps, reduced_abs))
-        for _ in range(steps):
-            prefactor *= _qfac_small(x, reduced, cfg, budget, reduced_abs) if reduced else 1.0 - x
-            x *= q
+        if len(plan.qs) == 1:
+            budget.spend(steps)
+            for _ in range(steps):
+                prefactor *= 1.0 - x
+                x *= q
+        else:
+            reduced = plan.rows()
+            budget.spend(steps, _row_steps(ax, log_a, steps, reduced.log_a, reduced.log_target))
+            for _ in range(steps):
+                prefactor *= _qfac_planned(x, reduced, cfg, budget)
+                x *= q
         ax = abs(x)
     if ax == 0:
         return prefactor
     # log form: -sum_{n>=1} x^n / (n prod_j (1 - q_j^n)).  After term n the tail is at most
     # |x|^{n+1} / ((n+1)(1-|x|) prod_j (1 - |q_j|^{n+1})); the loop stops once that is below
-    # tail_tol.  The running products hold q_j^n and |q_j|^{n+1}.
+    # tail_tol.  The running products hold q_j^n and |q_j|^{n+1}.  The loops for one, two
+    # and three periods unroll the general one; the three-period loop keeps the general
+    # loop's order of operations, its factor 1 + 0j included, so it gives the same bits.
+    qs, absq = plan.qs, plan.absq
     c, tol = ax / (1.0 - ax), cfg.tail_tol
     acc, xn, axn, n = 0j, x, ax, 1
     if len(qs) == 1:
@@ -211,6 +236,16 @@ def _qfac_small(x: complex, qs: tuple[complex, ...], cfg: EvalConfig, budget: _B
             xn, axn, n = xn * x, axn * ax, n + 1
             q0n, q1n = q0n * q0, q1n * q1
             a0n, a1n = a0n * a0, a1n * a1
+    elif len(qs) == 3:
+        (q0, q1, q2), (a0, a1, a2) = qs, absq
+        q0n, q1n, q2n, a0n, a1n, a2n = q0, q1, q2, a0 * a0, a1 * a1, a2 * a2
+        while True:
+            acc += xn / (n * ((1.0 + 0j) * (1.0 - q0n) * (1.0 - q1n) * (1.0 - q2n)))
+            if axn * c < tol * (n + 1) * (1.0 - a0n) * (1.0 - a1n) * (1.0 - a2n):
+                break
+            xn, axn, n = xn * x, axn * ax, n + 1
+            q0n, q1n, q2n = q0n * q0, q1n * q1, q2n * q2
+            a0n, a1n, a2n = a0n * a0, a1n * a1, a2n * a2
     else:
         qn, an = list(qs), [a * a for a in absq]
         while True:
@@ -231,57 +266,107 @@ def _qfac_small(x: complex, qs: tuple[complex, ...], cfg: EvalConfig, budget: _B
     return prefactor * cmath.exp(-acc)
 
 
+def _qfac_small(x: complex, qs: tuple[complex, ...], cfg: EvalConfig, budget: _Budget) -> complex:
+    """(x | qs) with every |q| < 1 and x finite, charged to a budget the caller holds
+    (``_qfac_planned`` on a plan of ``qs``)."""
+    if not qs:
+        return 1.0 - x
+    return _qfac_planned(x, _ShiftPlan(qs, tuple(abs(q) for q in qs)), cfg, budget)
+
+
+def _argument_modulus(x: complex, qs: tuple[complex, ...]) -> float:
+    """|x|, after checking that x and the periods are finite and |x| is below double range."""
+    if not (cmath.isfinite(x) and all(map(cmath.isfinite, qs))):
+        raise DomainError("the q-factorial needs a finite argument and finite periods")
+    try:
+        return abs(x)
+    except OverflowError:  # finite parts, modulus above double range
+        raise DomainError(f"the q-factorial argument x = {x:.6g} has a modulus above double precision") from None
+
+
+class _QPlan(_ShiftPlan):
+    """The period-only work of a q-factorial with finite periods ``qs``, done once per period set.
+
+    Building it refuses a period on (or within the resonance floor of) the unit circle or
+    with a modulus above double range, drops each q that is exactly zero, keeps the
+    periods with |q| > 1 (``inverted``) and plans the shift recursion over the others and
+    the reciprocals of the inverted ones (empty ``qs`` where there are none); a
+    reciprocal that underflows to zero is the limit q = 0 as well, and is dropped.
+    """
+
+    __slots__ = ("inverted", "moduli")
+
+    def __init__(self, qs: tuple[complex, ...]):
+        invert: list[complex] = []
+        moduli: list[float] = []
+        small: list[complex] = []
+        absq: list[float] = []
+        for q in qs:
+            q = complex(q)
+            if q == 0:
+                continue
+            try:
+                m = abs(q)
+            except OverflowError:  # finite parts, modulus above double range
+                raise DomainError(f"the q-factorial period q = {q:.6g} has a modulus above double precision") from None
+            if abs(math.log(m)) < RESONANCE_FLOOR:
+                raise DomainError(
+                    f"|q| = {m} is within {RESONANCE_FLOOR} of the unit circle: "
+                    "the product does not converge (resonant or near-resonant periods)"
+                )
+            moduli.append(m)
+            if m > 1:
+                invert.append(q)
+            else:
+                small.append(q)
+                absq.append(m)
+        for q in invert:
+            u = 1.0 / q
+            if u != 0:
+                small.append(u)
+                absq.append(abs(u))
+        self.inverted, self.moduli = invert, moduli
+        if small:
+            _ShiftPlan.__init__(self, tuple(small), tuple(absq))
+        else:
+            self.qs = ()
+
+    def evaluate(self, x: complex, ax: float, cfg: EvalConfig) -> complex:
+        """(x | qs) at the argument x of modulus ``ax`` (``_argument_modulus``), with its own budget."""
+        for q in self.inverted:
+            x = x / q
+        budget = _Budget(cfg.max_terms)
+        try:
+            val = _qfac_planned(x, self, cfg, budget) if self.qs else 1.0 - x
+        except OverflowError:  # cmath.exp of the log series
+            val = complex(math.nan)
+        if len(self.inverted) % 2 == 1:
+            if val == 0:
+                raise DomainError("evaluation point is a pole of the inverted product")
+            val = 1.0 / val
+        if not cmath.isfinite(val):
+            gap = min((abs(1.0 - m) for m in self.moduli), default=math.inf)
+            raise DomainError(
+                f"q-factorial is not finite at |x| = {ax:.6g} with min |1 - |q|| = {gap:.6g}: "
+                "the product overflows double precision"
+            )
+        return val
+
+
 def qfactorial_xq(x: complex, qs: tuple[complex, ...], cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
     """The q-shifted factorial on raw multiplicative arguments.
 
     ``qs`` may mix moduli above and below 1 but none may sit on (or within
     the resonance floor of) the unit circle.  Factors whose q underflowed to
-    exactly zero contribute their exact limit and are dropped.  A value that
-    overflows or is not finite raises DomainError.
+    exactly zero contribute their exact limit and are dropped.  An argument
+    or period that is not finite, or whose modulus is above double range, and
+    a value that overflows or is not finite raise DomainError.  The periods'
+    checks, inversions and shift levels are prepared once (``_QPlan``) and
+    reused by every row of the shift loops.
     """
     x = complex(x)
-    if not (cmath.isfinite(x) and all(cmath.isfinite(q) for q in qs)):
-        raise DomainError("the q-factorial needs a finite argument and finite periods")
-    try:
-        ax = abs(x)
-    except OverflowError:  # finite parts, modulus above double range
-        raise DomainError(f"the q-factorial argument x = {x:.6g} has a modulus above double precision") from None
-    clean: list[complex] = []
-    invert: list[complex] = []
-    for q in qs:
-        q = complex(q)
-        if q == 0:
-            continue
-        m = abs(q)
-        if abs(math.log(m)) < RESONANCE_FLOOR:
-            raise DomainError(
-                f"|q| = {m} is within {RESONANCE_FLOOR} of the unit circle: "
-                "the product does not converge (resonant or near-resonant periods)"
-            )
-        if m > 1:
-            invert.append(q)
-        else:
-            clean.append(q)
-    for q in invert:
-        x = x / q
-    budget = _Budget(cfg.max_terms)
-    try:
-        # a reciprocal that underflows to zero is the limit q = 0 as well, and is dropped
-        small = tuple(clean) + tuple(u for u in (1.0 / q for q in invert) if u != 0)
-        val = _qfac_small(x, small, cfg, budget)
-    except OverflowError:  # cmath.exp of the log series
-        val = complex(math.nan)
-    if len(invert) % 2 == 1:
-        if val == 0:
-            raise DomainError("evaluation point is a pole of the inverted product")
-        val = 1.0 / val
-    if not cmath.isfinite(val):
-        gap = min((abs(1.0 - abs(q)) for q in clean + invert), default=math.inf)
-        raise DomainError(
-            f"q-factorial is not finite at |x| = {ax:.6g} with min |1 - |q|| = {gap:.6g}: "
-            "the product overflows double precision"
-        )
-    return val
+    ax = _argument_modulus(x, qs)
+    return _QPlan(qs).evaluate(x, ax, cfg)
 
 
 def qfactorial(z: complex, omegas: tuple[complex, ...], cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
@@ -291,7 +376,7 @@ def qfactorial(z: complex, omegas: tuple[complex, ...], cfg: EvalConfig = DEFAUL
     Any omega with integer real part shift changes nothing; omegas with
     vanishing imaginary part are rejected by the resonance guard.
     """
-    return qfactorial_xq(e2(z), tuple(e2(w) for w in omegas), cfg)
+    return qfactorial_xq(e2(z), tuple(map(e2, omegas)), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +389,11 @@ def elliptic_gamma(z: complex, omegas: tuple[complex, ...], cfg: EvalConfig = DE
     g_0 is the theta-like product; each level is
     (e^{2 pi i (-z + sum omegas)} | q) times (e^{2 pi i z} | q)^{(-1)^r}.
     Depends on z and each omega only modulo 1.  The empty-period level
-    (the base case of the period-shift recursion) is -e^{-2 pi i z}.
+    (the base case of the period-shift recursion) is -e^{-2 pi i z}.  The two
+    q-factorials share one prepared period set (``_QPlan``), and each is
+    refused as ``qfactorial_xq`` refuses it.
     """
-    omegas = tuple(complex(w) for w in omegas)
+    omegas = tuple(map(complex, omegas))
     r = len(omegas) - 1
     if r == -1:
         if not cmath.isfinite(z):
@@ -315,9 +402,13 @@ def elliptic_gamma(z: complex, omegas: tuple[complex, ...], cfg: EvalConfig = DE
         if not cmath.isfinite(val):
             raise DomainError(f"the empty-period elliptic gamma -e^(-2 pi i z) overflows at z = {z:.6g}")
         return val
-    qs = tuple(e2(w) for w in omegas)
-    num = qfactorial_xq(e2(-z + sum(omegas)), qs, cfg)
-    den = qfactorial_xq(e2(z), qs, cfg)
+    qs = tuple(map(e2, omegas))
+    x = e2(-z + sum(omegas))
+    ax = _argument_modulus(x, qs)
+    plan = _QPlan(qs)  # the numerator and denominator share their periods
+    num = plan.evaluate(x, ax, cfg)
+    x = e2(z)
+    den = plan.evaluate(x, _argument_modulus(x, ()), cfg)
     if r % 2 == 0:
         return num * den
     if den == 0:
@@ -355,7 +446,7 @@ def _form_arguments(u: complex, taus: tuple[complex, ...], form: int) -> tuple[c
     (e^{2 pi i u}, e^{2 pi i tau}) in form 1, the same at -u and -taus in form 2."""
     if form == 2:
         u, taus = -u, tuple(-t for t in taus)
-    return e2(u), tuple(e2(t) for t in taus)
+    return e2(u), tuple(map(e2, taus))
 
 
 def _sine_prefactor(b: complex, r: int, form: int) -> complex:
@@ -387,7 +478,7 @@ def multiple_sine(
     predicted shift steps (``_cheaper_form``).  r = 1 is 2 sin(pi z / omega).
     A partial product that overflows or underflows raises DomainError.
     """
-    omegas = tuple(complex(w) for w in omegas)
+    omegas = tuple(map(complex, omegas))
     r = len(omegas)
     if r < 1:
         raise DomainError("the multiple sine needs at least one period")

@@ -1,7 +1,8 @@
 """Print the reference values held in ``test_qseries_reference.py``.
 
 Runs the ``fresh-cones`` benchmark workload (``perfbench/workloads.py``) at
-the given seed with every ``qfactorial_xq`` call recorded, keeps the
+the given seed with every q-factorial recorded (each ``qfactorial_xq`` call
+and the two of each ``elliptic_gamma``), keeps the
 two-period calls whose larger reduced modulus is at least 0.99 and that spend
 more than 2,000 terms, and prints the ``count`` costliest as Python literals:
 the arguments, the value computed in mpmath at 40 digits, and the relative
@@ -283,7 +284,8 @@ def run_fresh_cones(seed: int) -> None:
 
 
 def record_calls(seed: int):
-    """(x, qs, terms spent) of every ``qfactorial_xq`` call that returns in one fresh-cones run."""
+    """(x, qs, terms spent) of every q-factorial that returns in one fresh-cones run:
+    each ``qfactorial_xq`` call and the two q-factorials of each ``elliptic_gamma``."""
     from conesine import generalized, qseries
 
     budgets, calls = [], []
@@ -293,21 +295,40 @@ def record_calls(seed: int):
             super().__init__(max_terms)
             budgets.append(self)
 
-    original = qseries.qfactorial_xq
-
-    def recorded(x, qs, cfg=qseries.DEFAULT_CONFIG):
+    def record(x, qs, cfg, evaluate):
         budgets.clear()
-        value = original(x, qs, cfg)  # a call that raises has no reference value and is not kept
+        value = evaluate()  # a call that raises has no reference value and is not kept
         calls.append((complex(x), tuple(complex(q) for q in qs), cfg.max_terms - budgets[0].left))
         return value
 
-    qseries._Budget = Recorded
-    qseries.qfactorial_xq = generalized.qfactorial_xq = recorded
+    patches = [(qseries, "_Budget", Recorded)]
+    if hasattr(qseries, "_QPlan"):  # every q-factorial is evaluated against a plan of its periods
+        class RecordedPlan(qseries._QPlan):
+            __slots__ = ("periods",)
+
+            def __init__(self, qs):
+                super().__init__(qs)
+                self.periods = qs
+
+            def evaluate(self, x, ax, cfg):
+                return record(x, self.periods, cfg, lambda: super(RecordedPlan, self).evaluate(x, ax, cfg))
+
+        patches.append((qseries, "_QPlan", RecordedPlan))
+    else:  # a checkout before the plans, whose elliptic_gamma calls qfactorial_xq
+        original = qseries.qfactorial_xq
+
+        def recorded(x, qs, cfg=qseries.DEFAULT_CONFIG):
+            return record(x, qs, cfg, lambda: original(x, qs, cfg))
+
+        patches += [(qseries, "qfactorial_xq", recorded), (generalized, "qfactorial_xq", recorded)]
+    saved = [(module, name, getattr(module, name)) for module, name, _ in patches]
+    for module, name, value in patches:
+        setattr(module, name, value)
     try:
         run_fresh_cones(seed)
     finally:
-        qseries._Budget = Recorded.__bases__[0]
-        qseries.qfactorial_xq = generalized.qfactorial_xq = original
+        for module, name, value in saved:
+            setattr(module, name, value)
     return calls
 
 

@@ -170,6 +170,18 @@ def test_eval_argument_modulus_beyond_double_range_is_domain_error(capsys, argv)
     assert "has a modulus above double precision" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("qfac", "--z", "0.3", "--omega", "0.125-113i"),
+    ("g1", "--z", "0.3", "--omega", "0.125-113i", "--omega", "0.1+113i"),
+], ids=["qfac", "g1"])
+def test_eval_period_modulus_beyond_double_range_is_domain_error(capsys, argv):
+    # e^{2 pi i omega} has finite parts but a modulus above double range: once a
+    # raw OverflowError from abs(q), a traceback and exit 1
+    rc, out, err = run(capsys, "eval", *argv)
+    assert (rc, out) == (EXIT_DOMAIN, "")
+    assert "period q = 1.57958e+308+1.57958e+308j has a modulus above double precision" in err
+
+
 def test_eval_negative_complex_values(capsys):
     rc, out, _ = run(capsys, "eval", "s2", "--z", "-0.3+0.1i",
                      "--omega", "-0.9+0.12i", "--omega", "1.1+0.07i")
@@ -590,6 +602,17 @@ def test_integral_float_dimension_loads_as_the_int_cone(tmp_path, verb):
     got = _cli_process(*(arg.format(path=as_float) for arg in verb))
     assert (got.returncode, got.stderr) == (EXIT_OK, "")
     assert got.stdout.replace(str(as_float), str(as_int)) == want.stdout
+
+
+def test_report_bytes_do_not_depend_on_the_kept_bernoulli_tables(capsys, tmp_path):
+    # a second report in the same process reads the Bernoulli tables the first one kept
+    paths = [tmp_path / f"in-process-{k}.json" for k in (1, 2)]
+    for path in paths:
+        rc, _, _ = run(capsys, "report", "--samples", "3", "--output", str(path))
+        assert rc == EXIT_OK
+    fresh = tmp_path / "fresh.json"
+    assert _cli_process("report", "--samples", "3", "--output", str(fresh)).returncode == EXIT_OK
+    assert paths[0].read_bytes() == paths[1].read_bytes() == fresh.read_bytes()
 
 
 def test_unknown_fixture_name_is_usage_error(capsys):

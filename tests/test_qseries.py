@@ -6,8 +6,11 @@ import cmath
 import math
 import time
 from random import Random
+from unittest import mock
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from conesine import (
     BudgetError,
@@ -25,8 +28,11 @@ from conesine import (
     qfactorial_gluing_check,
     qfactorial_xq,
 )
+from conesine import qseries
+from conesine.errors import ConesineError
 from conesine.qseries import DEFAULT_CONFIG, _Budget, _cheaper_form, _log_shift_target, _qfac_small, _row_steps
 
+import qseries_reference
 from params import rel
 
 
@@ -309,7 +315,7 @@ def test_row_steps_bound_the_shift_steps_of_the_rows():
             if abs(row) >= row_target:
                 counted += math.ceil(math.log(row_target / abs(row)) / log_a1)
             row *= qs[jmin]
-        bound = _row_steps(abs(x), log_a, steps, reduced)
+        bound = _row_steps(abs(x), log_a, steps, log_a1, _log_shift_target(log_a1, r - 1))
         assert bound <= counted <= bound + 2 * steps + 1, (x, qs)
 
 
@@ -336,6 +342,109 @@ def test_nested_budget_checked_before_the_outer_shift_loop():
 def test_non_finite_input_raises_domain_error(x, qs):
     with pytest.raises(DomainError, match="finite argument and finite periods"):
         qfactorial_xq(x, qs)
+
+
+# ---------------------------------------------------------------------------
+# the prepared q-factorial against the reference core: == values, the same
+# refusals and the same terms charged to each budget
+
+# |q| far inside the unit circle, inside and outside it down to 3e-4 away, and far outside
+_REF_MODULI = st.one_of(
+    st.floats(0.05, 0.6),
+    st.floats(0.3, 3.5).map(lambda u: 1.0 - 10.0 ** -u),
+    st.floats(0.3, 3.5).map(lambda u: 1.0 / (1.0 - 10.0 ** -u)),
+    st.floats(1.7, 20.0),
+)
+_PHASES = st.floats(-math.pi, math.pi)
+# a small budget keeps the near-circle calls short: they are refused, as the reference refuses them
+_REF_CONFIG = EvalConfig(max_terms=20_000)
+
+
+@st.composite
+def _qfac_calls(draw, inside: bool = False):
+    """(x, qs) with 1-4 periods, moduli from ``_REF_MODULI`` (below 1 only, if ``inside``),
+    and |x| from e^-2.5 to e^2.5 times the shift target of the periods after inversion."""
+    r = draw(st.integers(1, 4))
+    moduli = st.one_of(st.floats(0.05, 0.6), st.floats(0.3, 3.5).map(lambda u: 1.0 - 10.0 ** -u))
+    mods = draw(st.lists(moduli if inside else _REF_MODULI, min_size=r, max_size=r))
+    qs = tuple(cmath.rect(m, draw(_PHASES)) for m in mods)
+    log_target = _log_shift_target(-max(abs(math.log(m)) for m in mods), r)
+    offset = draw(st.floats(-2.5, 2.5))
+    event("above the shift target" if offset >= 0 else "below the shift target")
+    # x is divided by each q with |q| > 1 before the shift loop
+    log_ax = log_target + offset + sum(math.log(m) for m in mods if m > 1)
+    return cmath.rect(math.exp(log_ax), draw(_PHASES)), qs
+
+
+@st.composite
+def _gamma_calls(draw):
+    """(z, omegas) with 1-4 periods whose nomes have moduli from ``_REF_MODULI``, and
+    |e^{2 pi i z}| from e^-3.8 to e^3.8."""
+    mods = draw(st.lists(_REF_MODULI, min_size=1, max_size=4))
+    omegas = tuple(complex(draw(st.floats(-0.5, 0.5)), -math.log(m) / (2 * math.pi)) for m in mods)
+    return complex(draw(st.floats(-0.5, 0.5)), draw(st.floats(-0.6, 0.6))), omegas
+
+
+def _outcome(fn, *args):
+    """The repr of ``fn(*args)`` (exact to the bit, nan and the sign of a zero included),
+    or the type and message of the ConesineError it raises, and the terms left in each
+    ``_Budget`` made during the call, in order."""
+    budgets = []
+
+    class Recorded(_Budget):
+        def __init__(self, max_terms):
+            super().__init__(max_terms)
+            budgets.append(self)
+
+    with mock.patch.object(qseries, "_Budget", Recorded), mock.patch.object(qseries_reference, "_Budget", Recorded):
+        try:
+            value = repr(fn(*args))
+        except ConesineError as exc:
+            value = (type(exc), str(exc))
+    return value, [budget.left for budget in budgets]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_qfac_calls())
+def test_qfactorial_xq_matches_the_reference_core(call):
+    x, qs = call
+    got = _outcome(qfactorial_xq, x, qs, _REF_CONFIG)
+    event("refused" if isinstance(got[0], tuple) else "value")
+    assert got == _outcome(qseries_reference.qfactorial_xq, x, qs, _REF_CONFIG)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_qfac_calls(inside=True))
+def test_qfac_small_matches_the_reference_core(call):
+    x, qs = call
+    outcomes = []
+    for fn in (_qfac_small, qseries_reference._qfac_small):
+        budget = _Budget(_REF_CONFIG.max_terms)
+        try:
+            value = repr(fn(x, qs, _REF_CONFIG, budget))
+        except (BudgetError, OverflowError) as exc:  # OverflowError: exp of the log series
+            value = (type(exc), str(exc))
+        outcomes.append((value, budget.left))
+    assert outcomes[0] == outcomes[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_gamma_calls())
+def test_elliptic_gamma_matches_the_reference_core(call):
+    z, omegas = call
+    got = _outcome(elliptic_gamma, z, omegas, _REF_CONFIG)
+    event("refused" if isinstance(got[0], tuple) else "value")
+    assert got == _outcome(qseries_reference.elliptic_gamma, z, omegas, _REF_CONFIG)
+
+
+@pytest.mark.parametrize("x, qs", [
+    # three periods with rows on two and one: every loop of the shift recursion
+    (cmath.rect(1.4, 0.3), (cmath.rect(0.9, 1.0), cmath.rect(0.97, -2.0), cmath.rect(0.6, 0.4))),
+    # four periods, one inverted, and the general series loop
+    (cmath.rect(2.0, -0.7), (cmath.rect(1.05, 1.0), cmath.rect(0.8, -2.0), cmath.rect(0.7, 0.4), cmath.rect(0.5, 2.9))),
+])
+def test_prepared_q_factorial_matches_the_reference_at_the_default_budget(x, qs):
+    assert _outcome(qfactorial_xq, x, qs, DEFAULT_CONFIG) == _outcome(qseries_reference.qfactorial_xq, x, qs, DEFAULT_CONFIG)
 
 
 # ---------------------------------------------------------------------------
@@ -635,6 +744,21 @@ def test_argument_modulus_beyond_double_range_raises_domain_error(fn, omegas):
     # modulus above double range: abs(x) raised a raw OverflowError
     with pytest.raises(DomainError, match=r"argument x = 1\.48338e\+308\+1\.48338e\+308j has a modulus above"):
         fn(0.125 - 112.99j, omegas)
+
+
+# e^{2 pi i omega} at omega = 0.125 - 113i has finite parts, 1.58e308 each, but a modulus above double range
+HUGE_PERIOD = 0.125 - 113j
+
+
+@pytest.mark.parametrize("fn, omegas", [
+    (qfactorial_xq, (e2(HUGE_PERIOD),)),
+    (qfactorial, (HUGE_PERIOD,)),
+    (elliptic_gamma, (HUGE_PERIOD, 0.1 + 113j)),
+], ids=["qfactorial_xq", "qfactorial", "gamma-1"])
+def test_period_modulus_beyond_double_range_raises_domain_error(fn, omegas):
+    # abs(q) raised a raw OverflowError
+    with pytest.raises(DomainError, match=r"period q = 1\.5\d*e\+308\+1\.5\d*e\+308j has a modulus above double precision"):
+        fn(0.3, omegas)
 
 
 @pytest.mark.parametrize("z, match", [

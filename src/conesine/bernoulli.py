@@ -18,7 +18,6 @@ Chebyshev fit) ships alongside for verification.
 from __future__ import annotations
 
 import cmath
-import threading
 from math import comb, factorial, lcm
 from operator import mul
 from typing import Sequence
@@ -27,7 +26,6 @@ from .errors import DomainError
 from .lattice_cones import (
     Cone,
     edge_rays,
-    _exact_key,
     require_count,
 )
 
@@ -110,30 +108,11 @@ def _barnes_series(z, big, others, n: int, table=_BERNOULLI_OVER_FACTORIAL) -> l
     return out
 
 
-# the _barnes_series tables of _bernoulli_upto by (z, periods): the wedges of a cone at one
-# draw repeat across the decomposed sine's prefactors, bernoulli_cone and both lifted
-# variants.  A read is one atomic dict.get and a kept table is never changed; the lock
-# keeps the check for room and the store together, so the size stays within bound.
-_TABLES: dict = {}
-_TABLES_SIZE = 256
-_TABLES_LOCK = threading.Lock()
-
-
 def _bernoulli_upto(z: complex, omegas: tuple[complex, ...], n: int) -> list[complex]:
     """[B_{r,k}(z | omegas) for k = 0..n], with r = len(omegas), from
     ``_barnes_series`` with the period of largest modulus as ``big``, or from
-    ``_barnes_product`` where that overflows; z, the periods (complex) and
-    the result must be finite.
-
-    The inputs are checked on every call.  ``_barnes_series`` builds degree k
-    from lower degrees only, so its table up to degree n is a prefix of its
-    table up to any higher degree: the tables are kept in ``_TABLES``, and a
-    call reads the prefix of a kept table of its degree or higher.  A table
-    is kept only for a key that ``==`` cannot confuse (``_exact_key``: -0.0
-    == 0.0 would let it answer for a zero of the other sign), and a
-    ``_barnes_product`` table is not kept, so every value is the one the call
-    computes itself.
-    """
+    ``_barnes_product`` where that overflows; z, the periods and the result
+    must be finite."""
     if not omegas:
         raise DomainError("at least one period is required")
     n = require_count(n, "order", 0)
@@ -143,24 +122,12 @@ def _bernoulli_upto(z: complex, omegas: tuple[complex, ...], n: int) -> list[com
     if 0 in omegas:
         raise DomainError("periods must be nonzero")
     if cmath.isfinite(z) and all(map(cmath.isfinite, omegas)):
-        # a kept key is exact, so only a key equal to it in every bit finds it
-        key = z, omegas
-        table = _TABLES.get(key)
-        if table is not None and len(table) > n:
-            return table[: n + 1]
         others = sorted(omegas, key=abs)
         out = _barnes_series(z, others.pop(), others, n)
-        if all(map(cmath.isfinite, out)):
-            if _exact_key(z, omegas):
-                with _TABLES_LOCK:
-                    if len(_TABLES) >= _TABLES_SIZE:
-                        _TABLES.clear()
-                    _TABLES[key] = out[:]
-            return out
-        if others:
+        if not all(map(cmath.isfinite, out)) and others:
             out = _barnes_product(z, omegas, n)
-            if all(map(cmath.isfinite, out)):
-                return out
+        if all(map(cmath.isfinite, out)):
+            return out
     biggest = max(abs(w) for w in omegas)
     raise DomainError(f"order-{n} Bernoulli polynomial is not finite at z = {z:.6g}, largest |omega| = {biggest:.3g}")
 

@@ -110,18 +110,6 @@ def _omega_cross(omegas: Sequence[complex], u: Sequence[int]) -> complex:
     return omegas[0] * u[1] - omegas[1] * u[0]
 
 
-def _exact_key(z: complex, omegas: tuple[complex, ...]) -> bool:
-    """Whether z and every period are complex numbers with no zero part, so that
-    (z, omegas) equals another such key only if every part has the same bits:
-    -0.0 == 0.0, and a float or an int can equal a complex."""
-    if type(z) is not complex or not (z.real and z.imag):
-        return False
-    for w in omegas:
-        if type(w) is not complex or not (w.real and w.imag):
-            return False
-    return True
-
-
 def identity_matrix(n: int) -> IntMatrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
@@ -303,16 +291,7 @@ class Cone:
         every wedge but the last is shifted by its opening period.  In 3d
         ``axis`` is the period w1 of the straightened axis, and every facet
         wedge is shifted and has periods (w1, a, b).
-
-        The last decomposition is kept on the cone, since the routes and the
-        cone Bernoulli polynomials at one draw walk the same wedges; it is kept
-        only for a key that ``==`` cannot confuse (``_exact_key``).
         """
-        key = (z, tuple(omegas))
-        keyable = _exact_key(*key)
-        last = self.__dict__.get("_last_wedges")
-        if keyable and last is not None and last[0] == key:
-            return last[1], list(last[2])
         if self.dim == 2:
             axis = None
             walks = [(omegas, self.chain)]
@@ -329,8 +308,6 @@ class Cone:
                 wedges.append((z + a, (a, b) if axis is None else (axis, a, b)))
         if axis is None:
             wedges[-1] = (z, wedges[-1][1])
-        if keyable:
-            object.__setattr__(self, "_last_wedges", (key, axis, tuple(wedges)))
         return axis, wedges
 
     def faces(self, z: complex, omegas: Sequence[complex], variant: str = "primary"):

@@ -8,7 +8,9 @@ more than 2,000 terms, and prints the ``count`` costliest as Python literals:
 the arguments, the value computed in mpmath at 40 digits, and the relative
 error of the ``qfactorial_xq`` imported from ``--src``, rounded up to three
 significant digits.  With ``--src`` a checkout's ``src`` directory, that
-checkout is the one recorded and checked::
+checkout is the one recorded and checked; it must evaluate its q-factorials
+through ``qseries._QPlan``, and an older checkout is recorded with the script
+of its own commit::
 
     python3 tests/make_qseries_reference.py --seed 301 --count 8 --src <checkout>/src
 
@@ -286,7 +288,7 @@ def run_fresh_cones(seed: int) -> None:
 def record_calls(seed: int):
     """(x, qs, terms spent) of every q-factorial that returns in one fresh-cones run:
     each ``qfactorial_xq`` call and the two q-factorials of each ``elliptic_gamma``."""
-    from conesine import generalized, qseries
+    from conesine import qseries
 
     budgets, calls = [], []
 
@@ -295,40 +297,24 @@ def record_calls(seed: int):
             super().__init__(max_terms)
             budgets.append(self)
 
-    def record(x, qs, cfg, evaluate):
-        budgets.clear()
-        value = evaluate()  # a call that raises has no reference value and is not kept
-        calls.append((complex(x), tuple(complex(q) for q in qs), cfg.max_terms - budgets[0].left))
-        return value
+    class RecordedPlan(qseries._QPlan):  # every q-factorial is evaluated against a plan of its periods
+        __slots__ = ("periods",)
 
-    patches = [(qseries, "_Budget", Recorded)]
-    if hasattr(qseries, "_QPlan"):  # every q-factorial is evaluated against a plan of its periods
-        class RecordedPlan(qseries._QPlan):
-            __slots__ = ("periods",)
+        def __init__(self, qs):
+            super().__init__(qs)
+            self.periods = qs
 
-            def __init__(self, qs):
-                super().__init__(qs)
-                self.periods = qs
+        def evaluate(self, x, ax, cfg):
+            budgets.clear()
+            value = super().evaluate(x, ax, cfg)  # a call that raises has no reference value and is not kept
+            calls.append((complex(x), tuple(complex(q) for q in self.periods), cfg.max_terms - budgets[0].left))
+            return value
 
-            def evaluate(self, x, ax, cfg):
-                return record(x, self.periods, cfg, lambda: super(RecordedPlan, self).evaluate(x, ax, cfg))
-
-        patches.append((qseries, "_QPlan", RecordedPlan))
-    else:  # a checkout before the plans, whose elliptic_gamma calls qfactorial_xq
-        original = qseries.qfactorial_xq
-
-        def recorded(x, qs, cfg=qseries.DEFAULT_CONFIG):
-            return record(x, qs, cfg, lambda: original(x, qs, cfg))
-
-        patches += [(qseries, "qfactorial_xq", recorded), (generalized, "qfactorial_xq", recorded)]
-    saved = [(module, name, getattr(module, name)) for module, name, _ in patches]
-    for module, name, value in patches:
-        setattr(module, name, value)
+    qseries._Budget, qseries._QPlan = Recorded, RecordedPlan
     try:
         run_fresh_cones(seed)
     finally:
-        for module, name, value in saved:
-            setattr(module, name, value)
+        qseries._Budget, qseries._QPlan = Recorded.__bases__[0], RecordedPlan.__bases__[0]
     return calls
 
 

@@ -5,13 +5,9 @@ import cmath
 import inspect
 import itertools
 import math
-import sys
-import threading
 import tracemalloc
 from fractions import Fraction
-from functools import partial
 from random import Random
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,13 +27,11 @@ from conesine import (
     fixture_cone,
     is_good,
 )
-from conesine import bernoulli
 from conesine.bernoulli import (
     _BERNOULLI_OVER_FACTORIAL,
     MAX_ORDER,
     _barnes_product,
     _barnes_series,
-    _bernoulli_upto,
     _cone_sum,
     _exists_damping_phase,
     _fiber_exponents,
@@ -563,114 +557,6 @@ def test_exponential_parity_chain(square):
 
 
 # ---------------------------------------------------------------------------
-# the shared tables of _bernoulli_upto
-
-
-class _NoTables(dict):
-    """A table store that keeps nothing, so every call computes its own table."""
-
-    def __setitem__(self, key, value):
-        pass
-
-
-def _cone_polynomials(cone, z, omegas):
-    """Both lifted polynomials, then the cone polynomials of degree dim + 1 down to 0 and the
-    plain one of degree dim: each later call may read the tables of an earlier, higher
-    degree.  A refused call gives its message."""
-    calls = [partial(bernoulli_cone_lifted, cone, z, omegas, eta) for eta in (-1.0, 1.0)]
-    calls += [partial(bernoulli_cone, cone, z, omegas, n) for n in range(cone.dim + 1, -1, -1)]
-    calls.append(partial(bernoulli_multiple, z, omegas, cone.dim))
-    out = []
-    for call in calls:
-        try:
-            out.append(call())
-        except DomainError as exc:
-            out.append(str(exc))
-    return out
-
-
-def _fresh_cone_polynomials(cone, z, omegas):
-    with mock.patch.object(bernoulli, "_TABLES", _NoTables()):
-        return _cone_polynomials(cone, z, omegas)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.one_of(planar_cones, polygon_cones()), st.integers(0, 2**32 - 1))
-def test_kept_tables_give_the_values_of_fresh_ones(cone, seed):
-    z, omegas = _sample_gamma_params(cone, Random(seed))
-    bernoulli._TABLES.clear()
-    first, again = _cone_polynomials(cone, z, omegas), _cone_polynomials(cone, z, omegas)
-    assert first == again == _fresh_cone_polynomials(cone, z, omegas)
-
-
-def test_threads_sharing_the_tables_get_the_values_of_fresh_ones():
-    # more threads than cores, switching often, sharing each cone's kept wedges and a table
-    # store small enough to be cleared many times: each value must be its fresh one, and
-    # the store must stay within its bound
-    cases = []
-    for name in FIXTURE_NAMES:
-        cone, rng = fixture_cone(name), Random(name)
-        cases += [(cone, *_sample_gamma_params(cone, rng)) for _ in range(3)]
-    want = [_fresh_cone_polynomials(*case) for case in cases]
-    bernoulli._TABLES.clear()
-    got, sizes = {}, []
-
-    def work(slot):
-        rng = Random(slot)
-        got[slot] = []
-        for _ in range(3):
-            order = rng.sample(range(len(cases)), len(cases))
-            got[slot].append(sorted((k, _cone_polynomials(*cases[k])) for k in order))
-            sizes.append(len(bernoulli._TABLES))
-
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with mock.patch.object(bernoulli, "_TABLES_SIZE", 8):
-            threads = [threading.Thread(target=work, args=(slot,)) for slot in range(4)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(switch)
-    assert not any(thread.is_alive() for thread in threads)
-    assert got == {slot: [list(enumerate(want))] * 3 for slot in range(4)}
-    assert max(sizes) <= 8
-
-
-@pytest.mark.parametrize("orders", [
-    (MAX_ORDER, *range(MAX_ORDER + 1)),  # every lower degree reads the prefix of the first table
-    tuple(range(MAX_ORDER + 1)),  # each higher degree replaces the kept table
-])
-def test_a_kept_table_answers_with_exactly_the_degrees_asked_for(orders):
-    z, omegas = 0.3 + 0.2j, (0.5 + 0.25j, 0.75 - 0.5j, -0.4 + 0.3j)
-    with mock.patch.object(bernoulli, "_TABLES", _NoTables()):
-        want = [_signed(_bernoulli_upto(z, omegas, n)) for n in range(MAX_ORDER + 1)]
-    bernoulli._TABLES.clear()
-    for n in orders:
-        assert _signed(_bernoulli_upto(z, omegas, n)) == want[n]
-
-
-def _signed(values):
-    """Each part of each value with its sign, so that -0.0 and 0.0 differ."""
-    return [(math.copysign(1.0, p), abs(p)) for v in values for p in (v.real, v.imag)]
-
-
-@pytest.mark.parametrize("first", [0.0, -0.0])
-def test_a_zero_of_one_sign_does_not_read_the_table_of_the_other(first):
-    z, signs = complex(-0.7, 0.0), (first, -first)
-    with mock.patch.object(bernoulli, "_TABLES", _NoTables()):
-        want = [_bernoulli_upto(z, (complex(-0.5, sign),), 4) for sign in signs]
-    # the two tables differ only in the sign of a zero, and -0.0 == 0.0
-    assert want[0] == want[1] and _signed(want[0]) != _signed(want[1])
-    bernoulli._TABLES.clear()
-    for sign, table in zip(signs, want):
-        assert _signed(_bernoulli_upto(z, (complex(-0.5, sign),), 4)) == _signed(table)
-        assert _signed(_bernoulli_upto(z, (complex(-0.5, sign),), 2)) == _signed(table[:3])
-
-
-# ---------------------------------------------------------------------------
 # damping phase
 
 
@@ -694,6 +580,36 @@ def test_damping_phase_rejects_zero_pairing():
 
 def test_damping_phase_accepts_parallel_pairings():
     assert _exists_damping_phase([(1, 0), (2, 0)], (0.3 - 0.4j, 0.7j))
+
+
+def _arc_scan_damping_phase(rays, omegas):
+    """The damping check as it was written before its plain-loop form: a closure per pairing."""
+    pairings = [sum(r[k] * omegas[k] for k in range(len(omegas))) for r in rays]
+    if any(p == 0 for p in pairings):
+        return False
+
+    def starts_arc(p):
+        for q in pairings:
+            cross = p.real * q.imag - p.imag * q.real
+            if cross < 0 or (cross == 0 and p.real * q.real + p.imag * q.imag < 0):
+                return False
+        return True
+
+    return any(starts_arc(p) for p in pairings)
+
+
+# small integer parts, so that zero, parallel and exactly opposite pairings are common
+_small_complex = st.builds(complex, st.integers(-2, 2), st.integers(-2, 2))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(2, 3).flatmap(lambda d: st.tuples(
+    st.lists(st.tuples(*[st.integers(-2, 2)] * d), min_size=1, max_size=5),
+    st.tuples(*[_small_complex] * d),
+)))
+def test_damping_phase_answers_as_the_arc_scan(case):
+    rays, omegas = case
+    assert _exists_damping_phase(rays, omegas) is _arc_scan_damping_phase(rays, omegas)
 
 
 # ---------------------------------------------------------------------------

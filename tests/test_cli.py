@@ -604,17 +604,6 @@ def test_integral_float_dimension_loads_as_the_int_cone(tmp_path, verb):
     assert got.stdout.replace(str(as_float), str(as_int)) == want.stdout
 
 
-def test_report_bytes_do_not_depend_on_the_kept_bernoulli_tables(capsys, tmp_path):
-    # a second report in the same process reads the Bernoulli tables the first one kept
-    paths = [tmp_path / f"in-process-{k}.json" for k in (1, 2)]
-    for path in paths:
-        rc, _, _ = run(capsys, "report", "--samples", "3", "--output", str(path))
-        assert rc == EXIT_OK
-    fresh = tmp_path / "fresh.json"
-    assert _cli_process("report", "--samples", "3", "--output", str(fresh)).returncode == EXIT_OK
-    assert paths[0].read_bytes() == paths[1].read_bytes() == fresh.read_bytes()
-
-
 def test_unknown_fixture_name_is_usage_error(capsys):
     rc, _, err = run(capsys, "verify", "s2c-factorization", "--cone", "no-such-cone")
     assert rc == EXIT_USAGE

@@ -509,27 +509,6 @@ def test_cone_chain_endpoints_and_interior(w21, w53):
         assert det2(a, b) == 1
 
 
-@pytest.mark.parametrize("name", ["wedge21", "cone-over-square"])
-def test_the_kept_wedges_of_the_last_draw_equal_fresh_ones(name):
-    kept = fixture_cone(name)
-    cone, fresh = Cone(kept.dim, kept.normals), Cone(kept.dim, kept.normals)
-    z, omegas = Z_GENERIC, SINE_OMEGAS[name]
-    first = cone.wedges(z, omegas)
-    first[1].append(None)  # the caller's list is its own
-    for args in ((z, omegas), (z, list(omegas)), (z + 0.5, omegas), (z, omegas)):
-        assert repr(cone.wedges(*args)) == repr(fresh.wedges(*args))
-
-
-@pytest.mark.parametrize("first", [0.0, -0.0])
-def test_the_kept_wedges_are_not_read_for_a_key_equal_in_value_only(first):
-    # -0.0 == 0.0 and 0.3 == 0.3+0j, but the 2d chain's last wedge carries z as given
-    cone, omegas = Cone(2, fixture_cone("wedge21").normals), SINE_OMEGAS["wedge21"]
-    zs = (complex(0.3, first), complex(0.3, -first), 0.3, complex(0.3, first))
-    want = [repr(Cone(2, cone.normals).wedges(z, omegas)) for z in zs]
-    assert len(set(want)) == 3
-    assert [repr(cone.wedges(z, omegas)) for z in zs] == want
-
-
 # ---------------------------------------------------------------------------
 # face transforms
 

@@ -27,11 +27,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import os
-import statistics
 import sys
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Sequence
 
 from . import __version__
@@ -127,6 +128,70 @@ def _vec_str(v: Sequence[int]) -> str:
 def _cone_digest(cone: Cone) -> str:
     canonical = json.dumps(cone.to_json_dict(), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+# The JSON text of a non-finite float, as ``json.dumps`` writes it.
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_document(doc) -> str:
+    """``json.dumps(doc, sort_keys=True, indent=2)``, byte for byte.
+
+    ``indent`` sends ``json.dumps`` to its pure-Python encoder, which makes a
+    call per value; this writer writes the scalars of each container in the
+    container's own loop.  It takes dicts with str keys, lists, tuples, str,
+    int, bool, None and float (``NaN``, ``Infinity`` and ``-Infinity`` for
+    the non-finite ones); any other value or key raises ``TypeError``.
+    """
+    if not isinstance(doc, (dict, list, tuple)):
+        return _json_document([doc])[4:-2]  # drop "[\n  " and "\n]"
+    out: list[str] = []
+    _json_write(doc, "\n", out)
+    return "".join(out)
+
+
+def _json_write(container, newline: str, out: list[str]) -> None:
+    """Append the text of a dict, list or tuple that closes after ``newline``."""
+    append = out.append
+    keys = sorted(container) if isinstance(container, dict) else None
+    brackets = "[]" if keys is None else "{}"
+    if not container:
+        append(brackets)
+        return
+    inner = newline + "  "
+    head, sep = brackets[0] + inner, "," + inner
+    for value in container if keys is None else keys:
+        if keys is not None:
+            head += _json_str(value) + ": "
+            value = container[value]
+        cls = value.__class__
+        if cls is float:
+            text = float.__repr__(value)
+            append(head + _JSON_NONFINITE.get(text, text))
+        elif cls is str:
+            append(head + _json_str(value))
+        elif cls is int:
+            append(head + int.__repr__(value))
+        elif value is None:
+            append(head + "null")
+        elif value is True:
+            append(head + "true")
+        elif value is False:
+            append(head + "false")
+        elif isinstance(value, (dict, list, tuple)):
+            append(head)
+            _json_write(value, inner, out)
+        elif isinstance(value, str):
+            append(head + _json_str(value))
+        elif isinstance(value, int):
+            append(head + int.__repr__(value))
+        elif isinstance(value, float):
+            text = float.__repr__(value)
+            append(head + _JSON_NONFINITE.get(text, text))
+        else:
+            raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
+        head = sep
+    append(newline + brackets[1])
 
 
 def build_config(args: argparse.Namespace) -> EvalConfig:
@@ -247,8 +312,10 @@ def _print_report_summary(name: str, report) -> None:
     if report.skipped is not None:
         print(f"skip reason      {report.skipped}")
     else:
+        from statistics import median  # imported here: report never needs it
+
         print(f"max residual     {report.max_residual:.3e}")
-        print(f"median residual  {statistics.median(report.residuals):.3e}")
+        print(f"median residual  {median(report.residuals):.3e}")
 
 
 def _check_theorem_ids(theorem_ids: Sequence[str]) -> None:
@@ -270,7 +337,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         tolerance=args.tol,
     )
     _print_report_summary(args.cone, report)
-    doc = json.dumps(report.to_json_dict(), sort_keys=True, indent=2)
+    doc = _json_document(report.to_json_dict())
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(doc + "\n")
@@ -336,7 +403,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     if args.format == "csv":
         text = _report_csv(doc)
     else:
-        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        text = _json_document(doc) + "\n"
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -409,7 +476,13 @@ def _add_config_flags(parser: argparse.ArgumentParser, pass_tol: bool = True) ->
                         help="series truncation tolerance override")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every verb, built on first use and kept for the process.
+
+    ``parse_args`` returns a fresh namespace on each call, so no value
+    carries over from one call to the next.
+    """
     parser = _Parser(
         prog="conesine",
         description="Evaluate and verify multiple sine / elliptic gamma "
@@ -469,15 +542,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMPLEX_FLAGS = ("--z", "--omega", "--tau")
+_NUMERIC_FLAGS = ("--z", "--omega", "--tau", "--tol", "--tail-tol")
 
 
 def _preprocess_argv(argv: Sequence[str] | None) -> Sequence[str] | None:
     """Keep argparse from reading negative numbers as option flags.
 
     ``subdivide`` gets an explicit ``--`` separator when a vector starts with
-    a minus sign, and complex-valued flags absorb a following negative value,
-    ``-inf`` and ``-nan`` included, via the ``--flag=value`` form.
+    a minus sign, and numeric flags absorb a following negative value,
+    ``-1e-9``, ``-inf`` and ``-nan`` included, via the ``--flag=value`` form.
     """
     if argv is None:
         argv = sys.argv[1:]
@@ -490,7 +563,7 @@ def _preprocess_argv(argv: Sequence[str] | None) -> Sequence[str] | None:
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if tok in _COMPLEX_FLAGS and i + 1 < len(argv):
+        if tok in _NUMERIC_FLAGS and i + 1 < len(argv):
             nxt = argv[i + 1]
             if nxt[:1] == "-" and (nxt[1:2].isdigit() or nxt[1:2] == "." or nxt[1:4].lower() in ("inf", "nan")):
                 out.append(f"{tok}={nxt}")

@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import cmath
+import collections
 import dataclasses
+import enum
 import json
 import math
 import os
@@ -11,10 +13,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import conesine
 from conesine import (
     DEFAULT_CONFIG,
+    FIXTURE_NAMES,
     ParseError,
     elliptic_gamma,
     fixture_cone,
@@ -31,12 +36,14 @@ from conesine.cli import (
     EXIT_OK,
     EXIT_USAGE,
     _TARGETS,
+    _json_document,
+    build_parser,
     format_complex,
     main,
     parse_complex,
 )
 from conesine import lattice_cones
-from conesine.generalized import THEOREMS
+from conesine.generalized import THEOREMS, verify_theorem
 from conesine.lattice_cones import Cone
 
 from params import GAMMA_OMEGAS, OVERFLOWING_PRODUCTS, SINE_OMEGAS, Z_GENERIC
@@ -104,6 +111,35 @@ def test_unknown_eval_target_is_usage_error(capsys):
     rc, _, err = run(capsys, "eval", "blorp", "--z", "0.5")
     assert rc == EXIT_USAGE
     assert "unknown eval target" in err
+
+
+def test_the_parser_is_built_once_and_carries_no_state_between_calls(capsys):
+    assert build_parser() is build_parser()
+    # a --cone list from one report does not narrow the next
+    rc, out, _ = run(capsys, "report", "--cone", "wedge21", "--theorem", "s2c-factorization",
+                     "--samples", "1")
+    assert rc == EXIT_OK
+    assert [c["name"] for c in json.loads(out)["cones"]] == ["wedge21"]
+    rc, out, _ = run(capsys, "report", "--samples", "1")
+    assert rc == EXIT_OK
+    assert [c["name"] for c in json.loads(out)["cones"]] == list(FIXTURE_NAMES)
+    # --omega values do not accumulate: two periods, then one
+    rc, out, _ = run(capsys, "eval", "s2", "--z", "0.3", "--omega", "1+0.1i", "--omega", "0.5+0.3i")
+    assert rc == EXIT_OK
+    assert len(eval_record(out)["omegas"]) == 2
+    rc, out, _ = run(capsys, "eval", "s1", "--z", "0.25", "--omega", "1")
+    assert rc == EXIT_OK
+    assert eval_record(out)["omegas"] == [[1.0, 0.0]]
+    # usage errors and --version still end the call with their codes
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "s1", "--z", "wat", "--omega", "1"])
+    assert exc.value.code == EXIT_USAGE
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == EXIT_OK
+    assert capsys.readouterr().out == f"conesine {conesine.__version__}\n"
+    rc, out, _ = run(capsys, "eval", "s1", "--z", "0.25", "--omega", "1")
+    assert rc == EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -498,12 +534,32 @@ def test_verify_fail_exit_code(capsys):
 @pytest.mark.parametrize("argv", [
     ("verify", "s2c-factorization", "--cone", "wedge21", "--samples", "1", "--tol", "nan"),
     ("report", "--cone", "wedge21", "--theorem", "s2c-factorization", "--samples", "1", "--tol", "inf"),
-], ids=["verify-nan", "report-inf"])
+    ("verify", "s2c-factorization", "--cone", "wedge21", "--samples", "1", "--tol", "-inf"),
+    ("verify", "s2c-factorization", "--cone", "wedge21", "--samples", "1", "--tol", "-nan"),
+], ids=["verify-nan", "report-inf", "verify-minus-inf", "verify-minus-nan"])
 def test_tolerance_that_is_not_finite_is_a_domain_error(capsys, argv):
     # nan printed FAIL and recorded "tolerance": NaN; inf passed every item
     rc, out, err = run(capsys, *argv)
     assert (rc, out) == (EXIT_DOMAIN, "")
     assert err.startswith("conesine: error: the tolerance must be a finite positive number")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "s2c-factorization", "--cone", "wedge21", "--samples", "1", "--tol", "-1e-9"),
+     "the tolerance must be a finite positive number"),
+    (("verify", "s2c-factorization", "--cone", "wedge21", "--samples", "1", "--tol", "-0.5"),
+     "the tolerance must be a finite positive number"),
+    (("report", "--cone", "wedge21", "--theorem", "s2c-factorization", "--samples", "1",
+      "--tol", "-1e-9"), "the tolerance must be a finite positive number"),
+    (("eval", "s2", "--z", "0.3", "--omega", "1+0.1i", "--omega", "0.5+0.3i", "--tail-tol", "-1e-3"),
+     "tolerances must satisfy 0 < tail_tol < 1"),
+], ids=["verify-tol-exponent", "verify-tol-decimal", "report-tol-exponent", "eval-tail-tol-exponent"])
+def test_negative_tolerance_is_a_domain_error_in_every_spelling(capsys, argv, message):
+    # argparse reads "-1e-9" as an option, not a number: the value went missing
+    # and the call exited 1 with "expected one argument"
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (EXIT_DOMAIN, "")
+    assert err.startswith(f"conesine: error: {message}")
 
 
 def test_verify_nan_residual_is_failure(capsys, monkeypatch):
@@ -682,6 +738,87 @@ def test_report_unknown_theorem_is_usage_error(capsys):
     rc, _, err = run(capsys, "report", "--theorem", "bogus", "--cone", "wedge21")
     assert rc == EXIT_USAGE
     assert "unknown theorem id" in err
+
+
+# ---------------------------------------------------------------------------
+# the report and verify JSON writer
+
+
+def _dumps(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2)
+
+
+_JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**63 - 2, max_value=2**80) | st.integers(max_value=-(2**63) + 2),
+    st.floats(),  # nan, +-inf, -0.0 and subnormals included
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.5e-310, 1e16, 1e-7]),
+    st.text(),  # non-ASCII and control characters included
+)
+_JSON_TREES = st.recursive(
+    _JSON_LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(st.text(max_size=6), children, max_size=5),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_TREES)
+@example([True, False, None, [], {}, (), [[]], {"": {}}, -0.0, 5e-324, 2**64, -(2**70)])
+@example({"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "\x00é\u2028": "\x1f\"\\ü\U0001f600"})
+@example(1.5)
+def test_json_writer_matches_json_dumps(doc):
+    assert _json_document(doc) == _dumps(doc)
+
+
+def test_json_writer_writes_subclasses_as_json_dumps_does():
+    import numpy as np
+
+    class Name(str):
+        def __str__(self):
+            return "not this"
+
+    doc = collections.OrderedDict(
+        b=[np.float64(0.1), np.float64("nan"), enum.IntEnum("Count", "one two").two],
+        a=(Name("é\n"), collections.OrderedDict()),
+    )
+    assert _json_document(doc) == _dumps(doc)
+
+
+@pytest.mark.parametrize("value", [1j, {1, 2}, frozenset(), object(), b"bytes"])
+def test_json_writer_refuses_what_json_dumps_refuses(value):
+    for doc in (value, [value], {"key": value}):
+        with pytest.raises(TypeError):
+            _dumps(doc)
+        with pytest.raises(TypeError):
+            _json_document(doc)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_report_json_is_json_dumps_sorted_with_two_space_indent(capsys, seed):
+    rc, out, _ = run(capsys, "report", "--samples", "5", "--seed", str(seed))
+    assert rc == EXIT_OK
+    assert out == _dumps(json.loads(out)) + "\n"
+
+
+def test_verify_json_is_json_dumps_sorted_with_two_space_indent(capsys, tmp_path):
+    doc = verify_theorem("g2c-factorization", fixture_cone("cone-over-square"), samples=3).to_json_dict()
+    assert _json_document(doc) == _dumps(doc)
+    path = tmp_path / "verify.json"
+    rc, out, _ = run(capsys, "verify", "g2c-factorization", "--cone", "cone-over-square",
+                     "--samples", "3", "--output", str(path))
+    assert rc == EXIT_OK
+    assert path.read_text() == _dumps(doc) + "\n"
+    rc, out, _ = run(capsys, "verify", "g2c-factorization", "--cone", "cone-over-square",
+                     "--samples", "3")
+    assert rc == EXIT_OK
+    assert out[out.index("{"):] == _dumps(doc) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ Chebyshev fit) ships alongside for verification.
 from __future__ import annotations
 
 import cmath
-from math import comb, factorial, lcm
+from math import comb, factorial, hypot, lcm
 from operator import mul
 from typing import Sequence
 
@@ -128,7 +128,8 @@ def _bernoulli_upto(z: complex, omegas: tuple[complex, ...], n: int) -> list[com
             out = _barnes_product(z, omegas, n)
         if all(map(cmath.isfinite, out)):
             return out
-    biggest = max(abs(w) for w in omegas)
+    # not abs(): on a complex with a nan part it raises OverflowError where errno is left at ERANGE
+    biggest = max(hypot(w.real, w.imag) for w in omegas)
     raise DomainError(f"order-{n} Bernoulli polynomial is not finite at z = {z:.6g}, largest |omega| = {biggest:.3g}")
 
 

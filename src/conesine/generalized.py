@@ -7,7 +7,7 @@ Each object comes with two independent evaluation routes:
 * a Bernoulli exponential times one q-factorial or elliptic-gamma factor per
   codimension-1 face, built from the face transforms (``*_factorized``).
 
-The two routes share only the q-factorial primitive, so their agreement is a
+The two routes share only the q-series primitives, so their agreement is a
 meaningful identity check; ``verify_theorem`` drives that comparison over
 seeded random parameter samples and returns a serializable report.
 """
@@ -41,11 +41,10 @@ from .qseries import (
     DEFAULT_CONFIG,
     EvalConfig,
     _checked_product,
-    _cheaper_form,
-    _exp,
     _form_arguments,
+    _prefactor,
     _rel_residual,
-    _sine_prefactor,
+    _sine_factorization,
     e2,
     elliptic_gamma,
     multiple_sine,
@@ -155,8 +154,8 @@ def sine_face_factors(
     if form not in (1, 2):
         raise DomainError("form must be 1 or 2")
     return tuple(
-        FaceFactor(face_id=face_id, value=qfactorial_xq(*_form_arguments(u, scaled[1:], form), cfg))
-        for face_id, u, scaled in cone.faces(z, omegas)
+        FaceFactor(face_id=face_id, value=qfactorial_xq(*_form_arguments(u, scaled[1:], form, k), cfg))
+        for k, (face_id, u, scaled) in enumerate(cone.faces(z, omegas))
     )
 
 
@@ -170,17 +169,14 @@ def sine_cone_factorized(
     cone's dimension, times one q-factorial per 1-dimensional face (form 1).
 
     Form 2 negates every exponent: e^{-(-1)^r pi i B^C_{r,r} / r!} times the
-    faces' (e^{-2 pi i z/p_0} | e^{-2 pi i p_j/p_0}).  The route takes the
-    form with fewer predicted shift steps, as ``multiple_sine`` does.
+    faces' (e^{-2 pi i z/p_0} | e^{-2 pi i p_j/p_0}).  The factorization is
+    ``multiple_sine``'s, which takes the form with fewer predicted shift steps.
     """
     omegas = _route_periods(cone, omegas, gamma=False)
-    r = cone.dim
-    b = bernoulli_cone(cone, z, omegas, r)
+    b = bernoulli_cone(cone, z, omegas, cone.dim)
     # after the cone checks of bernoulli_cone, so their refusals come first
     pairs = [(u, scaled[1:]) for _, u, scaled in cone.faces(z, omegas)]
-    form = _cheaper_form(pairs)
-    values = [qfactorial_xq(*_form_arguments(u, taus, form), cfg) for u, taus in pairs]
-    return _checked_product("face", [_sine_prefactor(b, r, form), *values], z)
+    return _sine_factorization("face", b, cone.dim, pairs, z, cfg)
 
 
 def gamma_face_factors(
@@ -221,9 +217,9 @@ def gamma_cone_factorized(
     if variant not in ("primary", "alternative"):
         raise DomainError(f"unknown variant {variant!r}: use 'primary' or 'alternative'")
     eta, sign = (-1.0, 1.0) if variant == "primary" else (1.0, -1.0)
-    prefactor = _exp(sign * 2j * math.pi / math.factorial(cone.dim + 1) * bernoulli_cone_lifted(cone, z, omegas, eta))
-    factors = gamma_face_factors(cone, z, omegas, cfg, variant=variant)
-    return _checked_product("face", [prefactor, *(factor.value for factor in factors)], z)
+    b = bernoulli_cone_lifted(cone, z, omegas, eta)
+    factors = (elliptic_gamma(u, scaled, cfg) for _, u, scaled in cone.faces(z, omegas, variant))
+    return _checked_product("face", [_prefactor(sign * 2j * math.pi / math.factorial(cone.dim + 1), b), *factors], z)
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +446,7 @@ THEOREMS: dict[str, _Theorem] = {
         dim=3,
         tolerance=1e-7,
         sampler=_sample_gamma_params,
-        lhs=lambda cone, z, om, cfg: _exp(-1j * math.pi / 3.0 * bernoulli_cone(cone, z, om, 3)),
+        lhs=lambda cone, z, om, cfg: _prefactor(-1j * math.pi / 3.0, bernoulli_cone(cone, z, om, 3)),
         rhs=_face_product_reduced,
     ),
 }

@@ -193,8 +193,9 @@ def _qfac_planned(x: complex, plan: _ShiftPlan, cfg: EvalConfig, budget: _Budget
     ax = abs(x)
     target = plan.target
     if ax >= target:
-        q, log_a = plan.q, plan.log_a
-        steps = math.ceil(math.log(target / ax) / log_a)
+        q, log_a, ratio = plan.q, plan.log_a, target / ax
+        # the ratio underflows to 0 once |x| passes about e^744 t; the difference of the logs does not
+        steps = math.ceil((math.log(ratio) if ratio else plan.log_target - math.log(ax)) / log_a)
         if len(plan.qs) == 1:
             budget.spend(steps)
             for _ in range(steps):
@@ -391,7 +392,7 @@ def elliptic_gamma(z: complex, omegas: tuple[complex, ...], cfg: EvalConfig = DE
     Depends on z and each omega only modulo 1.  The empty-period level
     (the base case of the period-shift recursion) is -e^{-2 pi i z}.  The two
     q-factorials share one prepared period set (``_QPlan``), and each is
-    refused as ``qfactorial_xq`` refuses it.
+    refused as ``qfactorial_xq`` refuses it; so is a value that is not finite.
     """
     omegas = tuple(map(complex, omegas))
     r = len(omegas) - 1
@@ -409,11 +410,12 @@ def elliptic_gamma(z: complex, omegas: tuple[complex, ...], cfg: EvalConfig = DE
     num = plan.evaluate(x, ax, cfg)
     x = e2(z)
     den = plan.evaluate(x, _argument_modulus(x, ()), cfg)
-    if r % 2 == 0:
-        return num * den
-    if den == 0:
+    if r % 2 and den == 0:
         raise DomainError("evaluation point is a pole (the denominator product vanishes)")
-    return num / den
+    val = num / den if r % 2 else num * den
+    if not cmath.isfinite(val):
+        raise DomainError(f"elliptic gamma is not finite at z = {z:.6g}: its q-factorials overflow double precision")
+    return val
 
 
 def q_theta(z: complex, tau: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
@@ -441,25 +443,45 @@ def _checked_product(kind: str, factors: Iterable[complex], z: complex) -> compl
     return total
 
 
-def _form_arguments(u: complex, taus: tuple[complex, ...], form: int) -> tuple[complex, tuple[complex, ...]]:
-    """(x, qs) of a boundary-factorization q-factorial given in additive form (u, taus):
-    (e^{2 pi i u}, e^{2 pi i tau}) in form 1, the same at -u and -taus in form 2."""
-    if form == 2:
-        u, taus = -u, tuple(-t for t in taus)
-    return e2(u), tuple(map(e2, taus))
-
-
-def _sine_prefactor(b: complex, r: int, form: int) -> complex:
-    """A boundary factorization's prefactor e^{(-1)^r pi i b / r!} (form 1) or e^{-(-1)^r pi i b / r!}
-    (form 2).  It has no zero, so a value that overflows, or underflows below the normal double
-    range, raises DomainError (it would turn a finite sine into infinity or 0)."""
+def _form_arguments(u: complex, taus: tuple[complex, ...], form: int, k: int) -> tuple[complex, tuple[complex, ...]]:
+    """(x, qs) of the k-th q-factorial of a boundary factorization given in additive form (u, taus):
+    (e^{2 pi i u}, e^{2 pi i tau}) in form 1, the same at -u and -taus in form 2.  An exponential
+    that overflows raises DomainError naming |x| and the period ratios taus."""
+    xu, xtaus = (u, taus) if form == 1 else (-u, tuple(-t for t in taus))
     try:
-        prefactor = _exp((-1) ** (r + form - 1) * 1j * math.pi / math.factorial(r) * b)
+        return e2(xu), tuple(map(e2, xtaus))
     except DomainError:
-        raise DomainError(f"sine prefactor e^(i pi B_rr / r!) overflows at B_rr = {b:.6g}") from None
+        raise DomainError(
+            f"multiple sine overflows at |x| = exp({-2 * math.pi * xu.imag:.6g}) "
+            f"with period ratios omega_j / omega_{k} = ({', '.join(f'{w:.6g}' for w in taus)}): "
+            f"e^(2 pi i z / omega_{k}) exceeds double precision"
+        ) from None
+
+
+def _prefactor(c: complex, b: complex) -> complex:
+    """The Bernoulli exponential e^{c b} of a boundary factorization or a modularity, b a
+    Bernoulli value B_{r,r}.  It has no zero, so a value that overflows, or underflows below
+    the normal double range, raises DomainError (it would turn a finite value into infinity or 0)."""
+    try:
+        prefactor = _exp(c * b)
+    except DomainError:
+        raise DomainError(f"prefactor e^(c B_rr) with c = {c:.6g} overflows at B_rr = {b:.6g}") from None
     if abs(prefactor) < sys.float_info.min:
-        raise DomainError(f"sine prefactor e^(i pi B_rr / r!) underflows at B_rr = {b:.6g}")
+        raise DomainError(f"prefactor e^(c B_rr) with c = {c:.6g} underflows at B_rr = {b:.6g}")
     return prefactor
+
+
+def _sine_factorization(kind: str, b: complex, r: int, pairs: list, z: complex, cfg: EvalConfig,
+                        form: int | None = None) -> complex:
+    """A sine boundary factorization: e^{(-1)^r pi i b / r!}, b = B_{r,r}, times the q-factorial
+    of each additive pair (u, taus) in ``pairs`` (``_form_arguments``), in form 1; form 2 negates
+    every exponent.  ``form=None`` takes ``_cheaper_form``.  The product is checked as a
+    ``kind`` product (``_checked_product``)."""
+    if form is None:
+        form = _cheaper_form(pairs)
+    values = [_prefactor((-1) ** (r + form - 1) * 1j * math.pi / math.factorial(r), b)]
+    values += [qfactorial_xq(*_form_arguments(u, taus, form, k), cfg) for k, (u, taus) in enumerate(pairs)]
+    return _checked_product(kind, values, z)
 
 
 def multiple_sine(
@@ -498,20 +520,7 @@ def multiple_sine(
         return val
     # the form-1 q-factorial of omega_k in additive form: (z / omega_k, (omega_j / omega_k)_{j != k})
     ratios = [(z / wk, tuple(w / wk for j, w in enumerate(omegas) if j != k)) for k, wk in enumerate(omegas)]
-    if form is None:
-        form = _cheaper_form(ratios)
-    values = [_sine_prefactor(bernoulli_multiple(z, omegas, r), r, form)]
-    for k, (u, taus) in enumerate(ratios):
-        try:
-            x, qs = _form_arguments(u, taus, form)
-        except DomainError:
-            raise DomainError(
-                f"multiple sine overflows at |x| = exp({-2 * math.pi * (u if form == 1 else -u).imag:.6g}) "
-                f"with period ratios omega_j / omega_{k} = ({', '.join(f'{w:.6g}' for w in taus)}): "
-                f"e^(2 pi i z / omega_{k}) exceeds double precision"
-            ) from None
-        values.append(qfactorial_xq(x, qs, cfg))
-    return _checked_product("multiple sine", values, z)
+    return _sine_factorization("multiple sine", bernoulli_multiple(z, omegas, r), r, ratios, z, cfg, form)
 
 
 # ---------------------------------------------------------------------------

@@ -179,6 +179,16 @@ def test_non_finite_input_or_value_is_domain_error(z, omegas, n):
     assert f"largest |omega| = {max(abs(w) for w in omegas):.3g}" in str(info.value)
 
 
+def test_nan_periods_are_domain_error_after_an_underflow_left_errno_set():
+    # math.exp(-1000) leaves errno at ERANGE; abs() of a complex with a nan part
+    # then raised OverflowError ("absolute value too large") from the refusal's
+    # message on CPython 3.11, so the outcome hung on an earlier, unrelated call
+    n = complex("nan+nanj")
+    math.exp(-1000)
+    with pytest.raises(DomainError, match="order-3 Bernoulli polynomial is not finite at z = nan"):
+        bernoulli_multiple(n, (n, n, n), 3)
+
+
 # ---------------------------------------------------------------------------
 # exact and independent references
 

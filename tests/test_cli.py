@@ -206,6 +206,23 @@ def test_eval_argument_modulus_beyond_double_range_is_domain_error(capsys, argv)
     assert "has a modulus above double precision" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    # the factorized route printed 0.0+0.0i: its Bernoulli prefactor underflowed to exactly 0
+    (("g1c", "--cone", "wedge21", "--z", "0.1-5i", "--omega", "0.09-0.6i", "--omega", "-0.04+0.65i",
+      "--route", "factorized"), "prefactor e^(c B_rr) with c = 0+1.0472j underflows at B_rr = "),
+    # finite q-factorials whose product is not: g0 = 70.33-infi and g0 = inf+nani, exit 0
+    (("g0", "--z", "1.1125369292536007e-308", "--tau", "-0.08906561888218836i"), "elliptic gamma is not finite"),
+    (("g0", "--z", "-0.4977920813097638+0.001i", "--tau", "0.00011648242185494838+0.00012032765163390222i"),
+     "elliptic gamma is not finite"),
+    # target / |x| underflowed to 0 in the shift-step count: "math domain error", a traceback and exit 1
+    (("qfac", "--z", "0.1-111i", "--omega", "0.2+5i"), "q-factorial is not finite"),
+], ids=["g1c-prefactor-zero", "g0-minus-inf-imag", "g0-inf-nan", "qfac-shift-steps"])
+def test_eval_value_out_of_double_range_is_domain_error(capsys, argv, message):
+    rc, out, err = run(capsys, "eval", *argv)
+    assert (rc, out) == (EXIT_DOMAIN, "")
+    assert err.startswith("conesine: error: ") and message in err
+
+
 @pytest.mark.parametrize("argv", [
     ("qfac", "--z", "0.3", "--omega", "0.125-113i"),
     ("g1", "--z", "0.3", "--omega", "0.125-113i", "--omega", "0.1+113i"),

@@ -13,6 +13,7 @@ from random import Random
 
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
+from unittest import mock
 
 from conesine import (
     DEFAULT_CONFIG,
@@ -36,7 +37,7 @@ from conesine import (
     verify_theorem,
     wedge_product_check,
 )
-from conesine import bernoulli, generalized, lattice_cones
+from conesine import bernoulli, generalized, lattice_cones, qseries
 from conesine.generalized import THEOREMS, _sample_gamma_params, _sample_sine_params
 from conesine.lattice_cones import Cone, cone_chain_2d
 
@@ -388,6 +389,39 @@ def test_sine_prefactor_that_underflows_is_domain_error(route):
     # 0: it returned -0+0j where the decomposed route refused
     with pytest.raises(DomainError, match=r"prefactor .* underflows at B_rr"):
         route(fixture_cone("standard-3"), 0.3 - 200j, (0.9 + 0.08j, 0.75 - 0.11j, 1.05 + 0.05j))
+
+
+def _face_modularity_lhs(cone, z, omegas):
+    return THEOREMS["face-modularity"].lhs(cone, z, omegas, DEFAULT_CONFIG)
+
+
+@pytest.mark.parametrize("route, name, z, omegas", [
+    # e^{2 pi i B^lift / 3!} underflowed to exactly 0 and the face product
+    # passed the zero factor: `eval g1c --route factorized` printed 0.0+0.0i
+    # where `--route direct` refused ("the wedge product underflows")
+    (gamma_cone_factorized, "wedge21", 0.1 - 5j, (0.09 - 0.6j, -0.04 + 0.65j)),
+    # the face-modularity lhs e^{-pi i B^C_{3,3} / 3} returned 2.75e-310 and -0-0j
+    (_face_modularity_lhs, "cone-over-square", 0.31 - 4j, (0.06 + 0.95j, -0.04 - 0.28j, 0.05 - 0.33j)),
+    (_face_modularity_lhs, "cone-over-square", 0.31 - 5j, (0.06 + 0.95j, -0.04 - 0.28j, 0.05 - 0.33j)),
+], ids=["g1c-factorized", "face-modularity-subnormal", "face-modularity-zero"])
+def test_bernoulli_prefactor_that_underflows_is_domain_error(route, name, z, omegas):
+    # every Bernoulli exponential is built by one guarded function, which
+    # refuses a value below the normal double range as the sine prefactor does
+    with pytest.raises(DomainError, match=r"prefactor .* underflows at B_rr"):
+        route(fixture_cone(name), z, omegas)
+
+
+def test_sine_form_is_chosen_in_qseries_for_both_sine_factorizations():
+    # one boundary factorization in qseries chooses the form for the multiple
+    # sine and the factorized cone sine: a form choice copied elsewhere would
+    # not call qseries._cheaper_form
+    with mock.patch.object(qseries, "_cheaper_form", wraps=qseries._cheaper_form) as spy:
+        multiple_sine(Z_GENERIC, (0.9 + 0.08j, 0.75 - 0.11j, 1.05 + 0.05j))
+        assert spy.call_count == 1
+        sine_cone_factorized(fixture_cone("wedge21"), Z_GENERIC, SINE_OMEGAS["wedge21"])
+        assert spy.call_count == 2
+        sine_cone_factorized(fixture_cone("cone-over-square"), Z_GENERIC, SINE_OMEGAS["cone-over-square"])
+        assert spy.call_count == 3
 
 
 def test_reduced_face_product_that_underflows_midway_is_refused_and_redrawn():

@@ -9,7 +9,7 @@ from random import Random
 from unittest import mock
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from conesine import (
@@ -430,11 +430,37 @@ def test_qfac_small_matches_the_reference_core(call):
 
 @settings(max_examples=200, deadline=None)
 @given(_gamma_calls())
+# both q-factorials are finite, their product is not: the reference returns 70.33-inf*j
+@example(call=(complex(1.1125369292536007e-308, 0.0), (complex(0.0, -0.08906561888218836),)))
 def test_elliptic_gamma_matches_the_reference_core(call):
     z, omegas = call
     got = _outcome(elliptic_gamma, z, omegas, _REF_CONFIG)
     event("refused" if isinstance(got[0], tuple) else "value")
-    assert got == _outcome(qseries_reference.elliptic_gamma, z, omegas, _REF_CONFIG)
+    want = _outcome(qseries_reference.elliptic_gamma, z, omegas, _REF_CONFIG)
+    if isinstance(want[0], str) and not cmath.isfinite(complex(want[0])):
+        # the reference core does not check the combined value; elliptic_gamma refuses it
+        assert got[0][0] is DomainError and "elliptic gamma is not finite" in got[0][1]
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize("z, tau", [
+    (1.1125369292536007e-308, -0.08906561888218836j),
+    (-0.4977920813097638 + 0.001j, 0.00011648242185494838 + 0.00012032765163390222j),
+], ids=["minus-inf-imag", "inf-nan"])
+def test_elliptic_gamma_that_is_not_finite_is_domain_error(z, tau):
+    # each q-factorial is finite but their product is not: g0 returned
+    # 70.33-inf*i and inf+nan*i, and `eval g0` wrote Infinity and NaN into its record
+    with pytest.raises(DomainError, match=r"elliptic gamma is not finite at z = "):
+        elliptic_gamma(z, (tau,))
+
+
+def test_shift_steps_past_the_underflow_of_target_over_x_are_domain_error():
+    # |x| = e^697 against a shift target of about e^-56: target / |x| underflows
+    # to 0 and math.log raised ValueError ("math domain error"); the step count
+    # comes from the difference of the logs, and the product then overflows
+    with pytest.raises(DomainError, match="q-factorial is not finite"):
+        qfactorial(0.1 - 111j, (0.2 + 5j,))
 
 
 @pytest.mark.parametrize("x, qs", [

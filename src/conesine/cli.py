@@ -8,8 +8,8 @@ subdivide   print the unimodular chain subdividing a 2d wedge
 check-cone  print structural diagnostics and face transforms for a cone
 report      run identities over cones and emit a JSON or CSV report
 
-The table ``_TARGETS`` gives each eval target's periods, cone dimension, routes
-and flags; ``--cone`` and ``--route`` are refused for a target without a cone.
+The table ``_TARGETS`` gives each eval target's periods, cone dimension and
+routes; ``--cone`` and ``--route`` are refused for a target without a cone.
 
 Exit codes: 0 success (including PASS and SKIP), 1 usage or parse error
 (including a flag the target does not take), 2 domain or precondition error
@@ -95,16 +95,12 @@ def format_complex(value: complex) -> str:
 
 
 def parse_int_vector(text: str) -> tuple[int, ...]:
-    """Parse an integer vector such as ``0,1`` or ``(-2, 1)``."""
+    """Parse an integer vector such as ``0,1`` or ``(-2, 1)``; an empty component is refused."""
     cleaned = text.strip().strip("()[]")
-    parts = [p for p in cleaned.replace(" ", "").split(",") if p]
     try:
-        vec = tuple(int(p) for p in parts)
+        return tuple(int(p) for p in cleaned.replace(" ", "").split(","))
     except ValueError as exc:
         raise ParseError(f"cannot parse integer vector from {text!r}") from exc
-    if not vec:
-        raise ParseError(f"cannot parse integer vector from {text!r}")
-    return vec
 
 
 def _complex_arg(text: str) -> complex:
@@ -224,25 +220,19 @@ def build_config(args: argparse.Namespace) -> EvalConfig:
 
 
 # target -> (period count, None for one or more; cone dimension, None for no
-# cone; {route: (function, the argparse fields passed to it and recorded)})
-# with the default route first.  Cone targets call function(cone, z, ...).
-# A field left unset takes its _FLAG_DEFAULTS value; one set for a route that
-# does not take it is refused.
+# cone; {route: function}) with the default route first.  Every function is
+# called as function(z, omegas, cfg), cone targets' as function(cone, z, omegas, cfg).
 _TARGETS = {
-    **{f"s{r}": (r, None, {None: (multiple_sine, ("form",))}) for r in (1, 2, 3)},
-    **{f"g{r}": (r + 1, None, {None: (elliptic_gamma, ())}) for r in (0, 1, 2)},
-    "theta0": (1, None, {None: (elliptic_gamma, ())}),
-    "qfac": (None, None, {None: (qfactorial, ())}),
-    "s2c": (2, 2, {"decomposed": (sine_cone_decomposed, ()),
-                   "factorized": (sine_cone_factorized, ())}),
-    "s3c": (3, 3, {"decomposed": (sine_cone_decomposed, ()),
-                   "factorized": (sine_cone_factorized, ())}),
-    "g1c": (2, 2, {"direct": (gamma_cone_direct, ()),
-                   "factorized": (gamma_cone_factorized, ())}),
-    "g2c": (3, 3, {"direct": (gamma_cone_direct, ()),
-                   "factorized": (gamma_cone_factorized, ("variant",))}),
+    **{f"s{r}": (r, None, {None: multiple_sine}) for r in (1, 2, 3)},
+    **{f"g{r}": (r + 1, None, {None: elliptic_gamma}) for r in (0, 1, 2)},
+    "theta0": (1, None, {None: elliptic_gamma}),
+    "qfac": (None, None, {None: qfactorial}),
+    "s2c": (2, 2, {"decomposed": sine_cone_decomposed, "factorized": sine_cone_factorized}),
+    "s3c": (3, 3, {"decomposed": sine_cone_decomposed, "factorized": sine_cone_factorized}),
+    "g1c": (2, 2, {"direct": gamma_cone_direct, "factorized": gamma_cone_factorized}),
+    "g2c": (3, 3, {"direct": gamma_cone_direct, "factorized": gamma_cone_factorized,
+                   "alternative": functools.partial(gamma_cone_factorized, variant="alternative")}),
 }
-_FLAG_DEFAULTS = {"form": None, "variant": "primary"}
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -284,14 +274,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 f"target {args.target!r} supports --route {{{','.join(routes)}}}, got {route!r}"
             )
         record.update(cone=cone[0].to_json_dict(), route=route)
-    fn, flags = routes[route]
-    for flag in _FLAG_DEFAULTS:
-        if getattr(args, flag) is not None and flag not in flags:
-            on_route = f" on route {route!r}" if dim is not None else ""
-            raise ParseError(f"target {args.target!r} takes no --{flag}{on_route}")
-    flag_values = {flag: getattr(args, flag) or _FLAG_DEFAULTS[flag] for flag in flags}
-    value = fn(*cone, args.z, omegas, cfg, **flag_values)
-    record.update(flag_values, value=[value.real, value.imag])
+    value = routes[route](*cone, args.z, omegas, cfg)
+    record["value"] = [value.real, value.imag]
     print(f"{target} = {format_complex(value)}")
     print(json.dumps(record, sort_keys=True))
     return EXIT_OK
@@ -499,13 +483,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--tau", type=_complex_arg, default=None,
                         help="single period (alias for one --omega)")
     p_eval.add_argument("--cone", default=None, help="fixture name or cone JSON path")
-    p_eval.add_argument("--form", type=int, choices=(1, 2), default=None,
-                        help="s1 s2 s3 only: boundary factorization form "
-                        "(default: the form with fewer predicted shift steps, recorded as null)")
     p_eval.add_argument("--route", default=None, help="cone targets only, default first: " + ", ".join(
         f"{t} {'|'.join(routes)}" for t, (_, dim, routes) in _TARGETS.items() if dim))
-    p_eval.add_argument("--variant", choices=("primary", "alternative"), default=None,
-                        help="g2c factorized only: prefactor variant (default primary)")
     _add_config_flags(p_eval, pass_tol=False)
     p_eval.set_defaults(func=cmd_eval)
 
@@ -549,8 +528,10 @@ def _preprocess_argv(argv: Sequence[str] | None) -> Sequence[str] | None:
     """Keep argparse from reading negative numbers as option flags.
 
     ``subdivide`` gets an explicit ``--`` separator when a vector starts with
-    a minus sign, and numeric flags absorb a following negative value,
-    ``-1e-9``, ``-inf`` and ``-nan`` included, via the ``--flag=value`` form.
+    a minus sign, and a numeric flag absorbs a following token that starts
+    with a single minus sign as its value (``-i``, ``-1e-9``, ``-inf`` and
+    ``-nan`` included), via the ``--flag=value`` form, so that the flag's own
+    parser reports a malformed one.
     """
     if argv is None:
         argv = sys.argv[1:]
@@ -565,7 +546,7 @@ def _preprocess_argv(argv: Sequence[str] | None) -> Sequence[str] | None:
         tok = argv[i]
         if tok in _NUMERIC_FLAGS and i + 1 < len(argv):
             nxt = argv[i + 1]
-            if nxt[:1] == "-" and (nxt[1:2].isdigit() or nxt[1:2] == "." or nxt[1:4].lower() in ("inf", "nan")):
+            if nxt[:1] == "-" and nxt[:2] != "--":
                 out.append(f"{tok}={nxt}")
                 i += 2
                 continue

@@ -40,8 +40,9 @@ from .lattice_cones import (
 from .qseries import (
     DEFAULT_CONFIG,
     EvalConfig,
+    _boundary_qfactorials,
     _checked_product,
-    _form_arguments,
+    _forms_in_order,
     _prefactor,
     _rel_residual,
     _sine_factorization,
@@ -142,21 +143,19 @@ def sine_face_factors(
     z: complex,
     omegas: Sequence[complex],
     cfg: EvalConfig = DEFAULT_CONFIG,
-    form: int = 1,
 ) -> tuple[FaceFactor, ...]:
     """The q-factorial factor contributed by each codimension-1 face.
 
     With p = K_f (periods) and its first entry p_0 the edge-ray pairing,
     the form-1 factor is (e^{2 pi i z/p_0} | e^{2 pi i p_j/p_0}) over j >= 1;
-    the form-2 factor takes the opposite sign in every exponent.
+    the form-2 factor takes the opposite sign in every exponent.  The factors
+    are those of the form ``sine_cone_factorized`` evaluates first.
     """
     omegas = _as_period_tuple(omegas, cone.dim)
-    if form not in (1, 2):
-        raise DomainError("form must be 1 or 2")
-    return tuple(
-        FaceFactor(face_id=face_id, value=qfactorial_xq(*_form_arguments(u, scaled[1:], form, k), cfg))
-        for k, (face_id, u, scaled) in enumerate(cone.faces(z, omegas))
-    )
+    faces = list(cone.faces(z, omegas))
+    pairs = [(u, scaled[1:]) for _, u, scaled in faces]
+    values = _boundary_qfactorials(pairs, cfg, _forms_in_order(pairs)[0])
+    return tuple(FaceFactor(face_id=face_id, value=value) for (face_id, _, _), value in zip(faces, values))
 
 
 def sine_cone_factorized(
@@ -170,7 +169,8 @@ def sine_cone_factorized(
 
     Form 2 negates every exponent: e^{-(-1)^r pi i B^C_{r,r} / r!} times the
     faces' (e^{-2 pi i z/p_0} | e^{-2 pi i p_j/p_0}).  The factorization is
-    ``multiple_sine``'s, which takes the form with fewer predicted shift steps.
+    ``multiple_sine``'s, which takes the form with fewer predicted shift steps
+    and the other where that one refuses.
     """
     omegas = _route_periods(cone, omegas, gamma=False)
     b = bernoulli_cone(cone, z, omegas, cone.dim)

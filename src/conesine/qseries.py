@@ -471,33 +471,50 @@ def _prefactor(c: complex, b: complex) -> complex:
     return prefactor
 
 
-def _sine_factorization(kind: str, b: complex, r: int, pairs: list, z: complex, cfg: EvalConfig,
-                        form: int | None = None) -> complex:
+def _boundary_qfactorials(pairs: list, cfg: EvalConfig, form: int) -> list[complex]:
+    """The q-factorial of each additive pair (u, taus) in ``pairs`` (``_form_arguments``) in
+    boundary form ``form``."""
+    return [qfactorial_xq(*_form_arguments(u, taus, form, k), cfg) for k, (u, taus) in enumerate(pairs)]
+
+
+def _forms_in_order(pairs: list) -> tuple[int, int]:
+    """The boundary forms of a sine factorization of ``pairs`` in the order it tries them: first
+    the one with fewer predicted shift steps (``_cheaper_form``), then the other."""
+    form = _cheaper_form(pairs)
+    return form, 3 - form
+
+
+def _sine_factorization(kind: str, b: complex, r: int, pairs: list, z: complex, cfg: EvalConfig) -> complex:
     """A sine boundary factorization: e^{(-1)^r pi i b / r!}, b = B_{r,r}, times the q-factorial
-    of each additive pair (u, taus) in ``pairs`` (``_form_arguments``), in form 1; form 2 negates
-    every exponent.  ``form=None`` takes ``_cheaper_form``.  The product is checked as a
+    of each additive pair (u, taus) in ``pairs``, in form 1; form 2 negates every exponent.
+    It evaluates the first of ``_forms_in_order`` and, where that form raises DomainError, the
+    other; where both refuse, it raises the first form's refusal.  The product is checked as a
     ``kind`` product (``_checked_product``)."""
-    if form is None:
-        form = _cheaper_form(pairs)
-    values = [_prefactor((-1) ** (r + form - 1) * 1j * math.pi / math.factorial(r), b)]
-    values += [qfactorial_xq(*_form_arguments(u, taus, form, k), cfg) for k, (u, taus) in enumerate(pairs)]
-    return _checked_product(kind, values, z)
+
+    def evaluate(form: int) -> complex:
+        prefactor = _prefactor((-1) ** (r + form - 1) * 1j * math.pi / math.factorial(r), b)
+        return _checked_product(kind, [prefactor, *_boundary_qfactorials(pairs, cfg, form)], z)
+
+    first, other = _forms_in_order(pairs)
+    try:
+        return evaluate(first)
+    except DomainError as refusal:
+        try:
+            return evaluate(other)
+        except DomainError:
+            raise refusal from None
 
 
-def multiple_sine(
-    z: complex,
-    omegas: tuple[complex, ...],
-    cfg: EvalConfig = DEFAULT_CONFIG,
-    form: int | None = None,
-) -> complex:
+def multiple_sine(z: complex, omegas: tuple[complex, ...], cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
     """The r-th multiple sine, r = len(omegas) >= 1, via a boundary factorization.
 
     Form 1 is e^{(-1)^r pi i B_{r,r}(z | omega) / r!} times, for each k,
     (e^{2 pi i z / omega_k} | e^{2 pi i omega_j / omega_k}, j != k); form 2
     negates every exponent.  Both need each ratio omega_j / omega_k off the
     real axis for r >= 2; near resonance one can take many times the terms of
-    the other and lose more digits.  ``form=None`` takes the form with fewer
-    predicted shift steps (``_cheaper_form``).  r = 1 is 2 sin(pi z / omega).
+    the other and lose more digits.  The form with fewer predicted shift steps
+    (``_cheaper_form``) is evaluated, and the other where it raises
+    DomainError (``_sine_factorization``).  r = 1 is 2 sin(pi z / omega).
     A partial product that overflows or underflows raises DomainError.
     """
     omegas = tuple(map(complex, omegas))
@@ -506,8 +523,6 @@ def multiple_sine(
         raise DomainError("the multiple sine needs at least one period")
     if any(w == 0 for w in omegas):
         raise DomainError("periods must be nonzero")
-    if form not in (None, 1, 2):
-        raise DomainError("form must be 1 or 2")
     if r == 1:
         if not (cmath.isfinite(z) and cmath.isfinite(omegas[0])):
             raise DomainError(f"the single sine needs a finite argument and period, got z = {z}, omega = {omegas[0]}")
@@ -520,7 +535,7 @@ def multiple_sine(
         return val
     # the form-1 q-factorial of omega_k in additive form: (z / omega_k, (omega_j / omega_k)_{j != k})
     ratios = [(z / wk, tuple(w / wk for j, w in enumerate(omegas) if j != k)) for k, wk in enumerate(omegas)]
-    return _sine_factorization("multiple sine", bernoulli_multiple(z, omegas, r), r, ratios, z, cfg, form)
+    return _sine_factorization("multiple sine", bernoulli_multiple(z, omegas, r), r, ratios, z, cfg)
 
 
 # ---------------------------------------------------------------------------

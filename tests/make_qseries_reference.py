@@ -37,6 +37,14 @@ error of that library's factors, per kind, go to stderr::
 
     python3 tests/make_qseries_reference.py --faces --seed 0 --count 4
 
+With ``--fallback-sines`` it prints instead the first ``count`` of 3,000
+hostile ``multiple_sine`` draws (``hostile_sine_draws``) that the cheaper
+boundary form refuses and the other form returns, each with its value at 40
+digits and the library's relative error, rounded up to three significant
+digits::
+
+    python3 tests/make_qseries_reference.py --fallback-sines --seed 5 --count 4
+
 Its reference is e^{(-1)^r pi i B_{r,r}(z | omega) / r!} times the q-factorials
 of ``mp_qfac``, in whichever form ``mp_qfac`` shifts less; the Bernoulli
 polynomial comes from its generating function, with mpmath's Bernoulli
@@ -169,10 +177,16 @@ def print_wedge_sines(seed: int, count: int) -> None:
         run_fresh_cones(seed)
     finally:
         generalized.multiple_sine = original
+    from params import forced_form
+
+    def in_form(form, z, omegas):
+        with forced_form(form):
+            return multiple_sine(z, omegas)
+
     disagree = {}
     for z, omegas in calls:
         try:
-            one, two = multiple_sine(z, omegas, form=1), multiple_sine(z, omegas, form=2)
+            one, two = in_form(1, z, omegas), in_form(2, z, omegas)
         except ConesineError:
             continue
         disagree[(z, omegas)] = abs(one - two) / abs(two)
@@ -186,9 +200,54 @@ def print_wedge_sines(seed: int, count: int) -> None:
             with mpmath.workdps(40):
                 note += f", form {3 - cheap} agrees to {mpmath.nstr(abs(other - want) / abs(want), 2)}"
         with mpmath.workdps(40):
-            errs = [float(abs(mpmath.mpc(multiple_sine(z, omegas, form=f)) - want) / abs(want)) for f in (1, 2, None)]
+            values = [in_form(1, z, omegas), in_form(2, z, omegas), multiple_sine(z, omegas)]
+            errs = [float(abs(mpmath.mpc(v) - want) / abs(want)) for v in values]
         print(f"    ({z!r}, {omegas!r},\n     \"{mpmath.nstr(want.real, 30)}\", \"{mpmath.nstr(want.imag, 30)}\"),"
               f"  # errors {errs[0]:.2g} (form 1), {errs[1]:.2g} (form 2), {errs[2]:.2g} (default); {note}")
+
+
+def _rounded_up(err: float) -> float:
+    """``err`` rounded up to three significant digits."""
+    scale = 10.0 ** (math.floor(math.log10(err)) - 2)
+    return math.ceil(err / scale) * scale
+
+
+def hostile_sine_draws(seed: int, count: int):
+    """``count`` (z, omegas) draws from ``Random(seed)``: 2 or 3 periods with real parts uniform
+    in [-1.5, 1.5] and imaginary parts of either sign, log-uniform in [10^-3.5, 1], and z with
+    real part uniform in [-2, 2] and imaginary part of either sign, log-uniform in [10^-2, 10^2.5]."""
+    rng = Random(seed)
+    for _ in range(count):
+        r = rng.choice((2, 3))
+        omegas = tuple(complex(rng.uniform(-1.5, 1.5), rng.choice((1, -1)) * 10 ** rng.uniform(-3.5, 0)) for _ in range(r))
+        yield complex(rng.uniform(-2, 2), rng.choice((1, -1)) * 10 ** rng.uniform(-2, 2.5)), omegas
+
+
+def print_fallback_sines(seed: int, count: int) -> None:
+    """The first ``count`` hostile draws that only the costlier boundary form returns, as literals."""
+    from unittest import mock
+
+    from conesine import multiple_sine, qseries
+    from conesine.errors import ConesineError
+
+    kept = 0
+    for z, omegas in hostile_sine_draws(seed, 3000):
+        # each form tried builds its prefactor first, so two prefactors mean the other form was taken
+        with mock.patch.object(qseries, "_prefactor", wraps=qseries._prefactor) as prefactors:
+            try:
+                value = multiple_sine(z, omegas)
+            except ConesineError:
+                continue
+        if prefactors.call_count < 2:
+            continue
+        want = mp_multiple_sine(z, omegas, 1)
+        with mpmath.workdps(40):
+            err = float(abs(mpmath.mpc(value) - want) / abs(want))
+            print(f"    ({z!r}, {omegas!r},\n     \"{mpmath.nstr(want.real, 40)}\", \"{mpmath.nstr(want.imag, 40)}\"),"
+                  f"  # error {_rounded_up(err):.3g}")
+        kept += 1
+        if kept == count:
+            break
 
 
 def mp_face_factors(cone, z, omegas, kind: str, form: int = 1, dps: int = 30) -> list:
@@ -231,7 +290,7 @@ def face_draws(seed: int, count: int) -> list:
     from conesine import FIXTURE_NAMES, fixture_cone, gamma_face_factors, sine_face_factors
     from conesine.errors import ConesineError
     from conesine.generalized import _sample_gamma_params, _sample_sine_params
-    from conesine.qseries import _cheaper_form
+    from conesine.qseries import _cheaper_form  # the form the factorized route tries first
 
     draws = []
     for name in FIXTURE_NAMES:
@@ -243,7 +302,7 @@ def face_draws(seed: int, count: int) -> list:
                 try:
                     if kind == "sine":
                         form = _cheaper_form([(u, scaled[1:]) for _, u, scaled in cone.faces(z, omegas)])
-                        factors = sine_face_factors(cone, z, omegas, form=form)
+                        factors = sine_face_factors(cone, z, omegas)
                     else:
                         form, factors = 1, gamma_face_factors(cone, z, omegas)
                 except ConesineError:
@@ -328,6 +387,8 @@ def main(argv=None) -> int:
                         help="print the wedge sines whose two forms disagree most instead")
     parser.add_argument("--faces", action="store_true",
                         help="print seeded face-factor draws of the bundled cones instead")
+    parser.add_argument("--fallback-sines", action="store_true",
+                        help="print hostile sine draws that only the costlier boundary form returns instead")
     args = parser.parse_args(argv)
     sys.path.insert(0, args.src)
     from conesine import qfactorial_xq
@@ -338,6 +399,10 @@ def main(argv=None) -> int:
 
     if args.wedge_sines:
         print_wedge_sines(args.seed, args.count)
+        return 0
+
+    if args.fallback_sines:
+        print_fallback_sines(args.seed, args.count)
         return 0
 
     if args.near_circle:
@@ -355,9 +420,8 @@ def main(argv=None) -> int:
         want = mp_qfac(x, qs)
         with mpmath.workdps(40):
             err = float(abs(mpmath.mpc(qfactorial_xq(x, qs)) - want) / abs(want))
-            scale = 10.0 ** (math.floor(math.log10(err)) - 2)
             print(f"    ({x!r}, {qs!r},\n     \"{mpmath.nstr(want.real, 40)}\", \"{mpmath.nstr(want.imag, 40)}\","
-                  f" {math.ceil(err / scale) * scale:.3g}),  # {terms} terms")
+                  f" {_rounded_up(err):.3g}),  # {terms} terms")
     return 0
 
 

@@ -11,6 +11,10 @@ from __future__ import annotations
 
 import cmath
 import math
+from contextlib import contextmanager
+from unittest import mock
+
+from conesine import qseries
 
 # A generic evaluation point used by most identity checks.
 Z_GENERIC = 0.31 - 0.17j
@@ -71,6 +75,15 @@ def rel(a: complex, b: complex) -> float:
     if scale == 0:
         return 0.0
     return abs(a - b) / scale
+
+
+@contextmanager
+def forced_form(form: int):
+    """Within the block every sine boundary factorization tries form ``form`` first, as if
+    ``qseries._cheaper_form`` had picked it; the other form is still taken where that one
+    refuses.  Tests pick a form through this one seam and no other."""
+    with mock.patch.object(qseries, "_cheaper_form", return_value=form):
+        yield
 
 
 # (eval target, cone fixture, route, z, periods) where every factor of the

@@ -33,7 +33,7 @@ from conesine import (
 from conesine.cli import main
 from conesine.lattice_cones import det2, subdivide_wedge, vec_gcd
 
-from params import BERNOULLI_OMEGAS, GAMMA_OMEGAS, SINE_OMEGAS, Z_GENERIC, rel
+from params import BERNOULLI_OMEGAS, GAMMA_OMEGAS, SINE_OMEGAS, Z_GENERIC, forced_form, rel
 
 
 def _z(rng: Random) -> complex:
@@ -135,8 +135,10 @@ def test_c04_multiple_sine_suite():
                 complex(rng.uniform(0.6, 1.5), rng.uniform(-0.35, 0.35))
                 for _ in range(count)
             )
-            a = multiple_sine(z, om, form=1)
-            b = multiple_sine(z, om, form=2)
+            with forced_form(1):
+                a = multiple_sine(z, om)
+            with forced_form(2):
+                b = multiple_sine(z, om)
             assert rel(a, b) < 1e-9
             refl = multiple_sine(sum(om) - z, om)
             expect = a if count % 2 == 1 else 1.0 / a

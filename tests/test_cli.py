@@ -5,11 +5,13 @@ import cmath
 import collections
 import dataclasses
 import enum
+import functools
 import json
 import math
 import os
 import subprocess
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 import pytest
@@ -46,7 +48,7 @@ from conesine import lattice_cones
 from conesine.generalized import THEOREMS, verify_theorem
 from conesine.lattice_cones import Cone
 
-from params import GAMMA_OMEGAS, OVERFLOWING_PRODUCTS, SINE_OMEGAS, Z_GENERIC
+from params import GAMMA_OMEGAS, OVERFLOWING_PRODUCTS, SINE_OMEGAS, Z_GENERIC, forced_form
 
 
 def run(capsys, *argv):
@@ -241,6 +243,15 @@ def test_eval_negative_complex_values(capsys):
     assert rc == EXIT_OK
     rec = eval_record(out)
     assert rec["z"] == [-0.3, 0.1]
+    # a value with no digit after the minus sign is a value too, not an option
+    rc, out, err = run(capsys, "eval", "s1", "--z", "-i", "--omega", "1")
+    assert (rc, err) == (EXIT_OK, "")
+    assert eval_record(out)["z"] == [-0.0, -1.0]
+    # a malformed one is the flag's value too, and its parser names it
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "s1", "--z", "-1+2x", "--omega", "1"])
+    assert exc.value.code == EXIT_USAGE
+    assert "cannot parse complex number from '-1+2x'" in capsys.readouterr().err
 
 
 def test_eval_standard_cone_matches_plain_sine(capsys):
@@ -266,12 +277,14 @@ def test_eval_cone_routes_agree(capsys):
 
 
 def test_eval_gamma_variant_recorded(capsys):
+    # the alternative factorization is a route of its own, recorded as the route
     rc, out, _ = run(capsys, "eval", "g2c", "--cone", "cone-over-square",
                      "--z", "0.31-0.17i", "--omega", "0.06+0.95i",
                      "--omega", "-0.04-0.28i", "--omega", "0.05-0.33i",
-                     "--route", "factorized", "--variant", "alternative")
+                     "--route", "alternative")
     assert rc == EXIT_OK
-    assert eval_record(out)["variant"] == "alternative"
+    record = eval_record(out)
+    assert record["route"] == "alternative" and "variant" not in record
 
 
 def test_eval_wrong_cone_dimension_is_domain_error(capsys):
@@ -315,28 +328,27 @@ EVAL_ARGS = {
     "g2c": (GAMMA_OMEGAS["cone-over-square"], "cone-over-square"),
 }
 
-# (target, route, recorded flags, library function); a cone target's first
-# route is its default
+# (target, route, the sine form forced through the one seam or None, library
+# function); a cone target's first route is its default
 EVAL_ROUTES = [
-    *[(f"s{r}", None, {"form": form}, multiple_sine) for r in (1, 2, 3) for form in (None, 1, 2)],
-    *[(target, None, {}, elliptic_gamma) for target in ("g0", "g1", "g2", "theta0")],
-    ("qfac", None, {}, qfactorial),
-    ("s2c", "decomposed", {}, sine_cone_decomposed),
-    ("s2c", "factorized", {}, sine_cone_factorized),
-    ("s3c", "decomposed", {}, sine_cone_decomposed),
-    ("s3c", "factorized", {}, sine_cone_factorized),
-    ("g1c", "direct", {}, gamma_cone_direct),
-    ("g1c", "factorized", {}, gamma_cone_factorized),
-    ("g2c", "direct", {}, gamma_cone_direct),
-    *[("g2c", "factorized", {"variant": v}, gamma_cone_factorized)
-      for v in ("primary", "alternative")],
+    *[(f"s{r}", None, form, multiple_sine) for r in (1, 2, 3) for form in (None, 1, 2)],
+    *[(target, None, None, elliptic_gamma) for target in ("g0", "g1", "g2", "theta0")],
+    ("qfac", None, None, qfactorial),
+    ("s2c", "decomposed", None, sine_cone_decomposed),
+    ("s2c", "factorized", None, sine_cone_factorized),
+    ("s3c", "decomposed", None, sine_cone_decomposed),
+    ("s3c", "factorized", None, sine_cone_factorized),
+    ("g1c", "direct", None, gamma_cone_direct),
+    ("g1c", "factorized", None, gamma_cone_factorized),
+    ("g2c", "direct", None, gamma_cone_direct),
+    ("g2c", "factorized", None, gamma_cone_factorized),
+    ("g2c", "alternative", None, functools.partial(gamma_cone_factorized, variant="alternative")),
 ]
-FLAG_DEFAULTS = {"form": None, "variant": "primary"}
 
 
-def eval_argv(target, z, route=None, flags=()):
+def eval_argv(target, z, route=None):
     """``eval`` arguments for ``target`` at z with its EVAL_ARGS periods and
-    cone; a route or flag at its default is left for the CLI to fill in."""
+    cone; a default route is left for the CLI to fill in."""
     omegas, cone_name = EVAL_ARGS[target]
     argv = ["eval", target, f"--z={z}", *[f"--omega={format_complex(w)}" for w in omegas]]
     if cone_name is not None:
@@ -344,17 +356,19 @@ def eval_argv(target, z, route=None, flags=()):
     defaults = [r for t, r, *_ in EVAL_ROUTES if t == target][:1]
     if route not in defaults:
         argv.append(f"--route={route}")
-    return argv + [f"--{k}={v}" for k, v in dict(flags).items() if FLAG_DEFAULTS[k] != v]
+    return argv
 
 
 @pytest.mark.parametrize(
-    "target, route, flags, fn", EVAL_ROUTES,
-    ids=[f"{t}-{r or ''}-{'-'.join(map(str, f.values()))}" for t, r, f, _ in EVAL_ROUTES],
+    "target, route, form, fn", EVAL_ROUTES,
+    ids=[f"{t}-{r or ''}-{form if fn is multiple_sine else ''}" for t, r, form, fn in EVAL_ROUTES],
 )
-def test_eval_record_matches_library_call(capsys, target, route, flags, fn):
+def test_eval_record_matches_library_call(capsys, target, route, form, fn):
     omegas, cone_name = EVAL_ARGS[target]
     cone = () if cone_name is None else (fixture_cone(cone_name),)
-    value = fn(*cone, Z_GENERIC, omegas, **flags)
+    with nullcontext() if form is None else forced_form(form):
+        value = fn(*cone, Z_GENERIC, omegas)
+        rc, out, err = run(capsys, *eval_argv(target, format_complex(Z_GENERIC), route))
     expected = {
         "schema": 1,
         "target": target,
@@ -362,19 +376,11 @@ def test_eval_record_matches_library_call(capsys, target, route, flags, fn):
         "value": [value.real, value.imag],
         "z": [Z_GENERIC.real, Z_GENERIC.imag],
         "omegas": [[w.real, w.imag] for w in omegas],
-        **flags,
     }
     if cone:
         expected.update(cone=cone[0].to_json_dict(), route=route)
-    rc, out, err = run(capsys, *eval_argv(target, format_complex(Z_GENERIC), route, flags))
     assert (rc, err) == (EXIT_OK, "")
     assert out == f"{target} = {format_complex(value)}\n{json.dumps(expected, sort_keys=True)}\n"
-    keys = set(eval_record(out)) - {"schema", "target", "config", "value", "z", "omegas"}
-    assert keys == (
-        ({"form"} if target in ("s1", "s2", "s3") else set())
-        | ({"variant"} if (target, route) == ("g2c", "factorized") else set())
-        | ({"cone", "route"} if cone else set())
-    )
 
 
 def test_eval_wrong_period_count_message(capsys):
@@ -428,20 +434,13 @@ def test_eval_refuses_cone_flags_on_plain_target(capsys, argv):
     assert err == f"conesine: error: target {argv[1]!r} takes no --cone or --route: it has no cone\n"
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["eval", "g0", "--z", "0.1", "--omega", "0.2+1i", "--form", "2"],
-     "target 'g0' takes no --form"),
-    (["eval", "s2c", "--cone", "wedge21", "--z", "0.31-0.17i", "--omega", "-0.9+0.12i",
-      "--omega", "1.1+0.07i", "--variant", "alternative"],
-     "target 's2c' takes no --variant on route 'decomposed'"),
-    (["eval", "g2c", "--cone", "cone-over-square", "--z", "0.31-0.17i", "--omega", "0.1+0.9i",
-      "--omega", "0.2+0.4i", "--omega", "-0.1+0.5i", "--route", "direct", "--variant", "alternative"],
-     "target 'g2c' takes no --variant on route 'direct'"),
-], ids=["g0-form", "s2c-variant", "g2c-direct-variant"])
-def test_eval_refuses_flag_the_route_does_not_take(capsys, argv, message):
-    rc, out, err = run(capsys, *argv)
-    assert (rc, out) == (EXIT_USAGE, "")
-    assert err == f"conesine: error: {message}\n"
+@pytest.mark.parametrize("flag", [("--form", "1"), ("--variant", "alternative")], ids=["form", "variant"])
+def test_eval_takes_no_form_or_variant(capsys, flag):
+    # the code picks the sine form, and the alternative gamma factorization is a route
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "s2", "--z", "0.3", "--omega", "1+0.1i", "--omega", "0.5+0.3i", *flag])
+    assert exc.value.code == EXIT_USAGE
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 ALL_ROUTES = [(target, route) for target, (_, _, routes) in _TARGETS.items() for route in routes]
@@ -465,19 +464,35 @@ def test_eval_sine_takes_the_cheaper_form_by_default(capsys):
     from test_qseries_reference import WEDGE_SINE_BOUND, WEDGE_SINES
 
     z, omegas, re, im = WEDGE_SINES[0]
-    rc, out, err = run(capsys, "eval", "s3", f"--z={format_complex(z)}", *[f"--omega={format_complex(w)}" for w in omegas])
+    argv = ["eval", "s3", f"--z={format_complex(z)}", *[f"--omega={format_complex(w)}" for w in omegas]]
+    rc, out, err = run(capsys, *argv)
     assert (rc, err) == (EXIT_OK, "")
     record = eval_record(out)
-    assert record["form"] is None
+    assert "form" not in record
     want = complex(float(re), float(im))
     assert abs(complex(*record["value"]) - want) / abs(want) <= WEDGE_SINE_BOUND
-    # an explicit form is still honoured and recorded
-    rc, out, _ = run(capsys, "eval", "s3", f"--z={format_complex(z)}", *[f"--omega={format_complex(w)}" for w in omegas],
-                     "--form", "1")
-    assert rc == EXIT_OK
-    record = eval_record(out)
-    assert record["form"] == 1
-    assert complex(*record["value"]) == multiple_sine(z, omegas, form=1) != multiple_sine(z, omegas)
+    # form 1 forced through the seam reaches eval too, and is not what eval takes by default
+    with forced_form(1):
+        rc, out, _ = run(capsys, *argv)
+        assert complex(*eval_record(out)["value"]) == multiple_sine(z, omegas) != complex(*record["value"])
+
+
+@pytest.mark.parametrize("form, argv, line", [
+    # the cheaper form's q-factorial overflows at |x| = 6.9e147; the other form
+    # returns the value, which only a forced form reached before
+    (None, ("--z", "-1.999751354833775-0.01756626591609456i", "--omega", "-0.01190205266261124+0.004214491266586144i",
+            "--omega", "0.6522969357444515-0.000880847566452513i"),
+     "s2 = 2.199154254406434e+157+1.65540020886517e+157i"),
+    # form 1 tried first: e^(2 pi i z / omega_0) overflows, and form 2, which eval
+    # takes by default here, returns the value that `--form 1` refused with exit 2
+    (1, ("--z", "0.3-200i", "--omega", "0.8+0.11i", "--omega", "0.9-0.13i"),
+     "s2 = 1.568623130774023e-49-1.7509578389119222e-49i"),
+], ids=["cheaper-refuses", "form-1-refuses"])
+def test_eval_sine_takes_the_other_form_where_the_cheaper_refuses(capsys, form, argv, line):
+    with nullcontext() if form is None else forced_form(form):
+        rc, out, err = run(capsys, "eval", "s2", *argv)
+    assert (rc, err) == (EXIT_OK, "")
+    assert out.splitlines()[0] == line
 
 
 @pytest.mark.parametrize("scale", [1e120, 1e300])
@@ -894,7 +909,9 @@ def test_not_good_cone_skips_verify_and_refuses_eval(capsys, tmp_path):
     ("1,2,3", "0,1", EXIT_DOMAIN, "conesine: error: wedge normals must be 2d integer vectors"),
     ("2,4", "0,1", EXIT_DOMAIN, "conesine: error: wedge normal (2, 4) is not primitive"),
     ("0,x", "1,0", EXIT_USAGE, "error: argument v1: cannot parse integer vector from '0,x'"),
-], ids=["three-entries", "not-primitive", "not-an-integer"])
+    # an empty component was dropped, and the wedge (0,1) -> (-5,3) printed
+    ("0,,1", "-5,3", EXIT_USAGE, "error: argument v1: cannot parse integer vector from '0,,1'"),
+], ids=["three-entries", "not-primitive", "not-an-integer", "empty-component"])
 def test_subdivide_refusals(capsys, v1, v2, code, message):
     try:
         rc = main(["subdivide", v1, v2])

@@ -22,7 +22,6 @@ from conesine import (
     EvalConfig,
     FIXTURE_NAMES,
     THEOREM_IDS,
-    bernoulli_cone,
     bernoulli_cone_lifted,
     elliptic_gamma,
     fixture_cone,
@@ -43,7 +42,7 @@ from conesine.lattice_cones import Cone, cone_chain_2d
 
 from cone_strategies import planar_cones, polygon_cones
 from lattice_reference import cube_scan_gamma_oracle
-from params import GAMMA_OMEGAS, OVERFLOWING_PRODUCTS, SINE_OMEGAS, Z_GENERIC, chain_wedges, rel
+from params import GAMMA_OMEGAS, OVERFLOWING_PRODUCTS, SINE_OMEGAS, Z_GENERIC, chain_wedges, forced_form, rel
 
 
 # ---------------------------------------------------------------------------
@@ -66,16 +65,12 @@ def test_sine_3d_routes_agree(name):
     assert rel(a, b) < 1e-7
 
 
-def _sine_face_product(cone: Cone, z: complex, omegas: tuple, form: int) -> complex:
-    # the face factorization written out in one form; form 2 negates every exponent
-    r = cone.dim
-    sign = (-1) ** r if form == 1 else -((-1) ** r)
-    total = cmath.exp(sign * 1j * math.pi / math.factorial(r) * bernoulli_cone(cone, z, omegas, r))
-    for factor in sine_face_factors(cone, z, omegas, form=form):
-        total *= factor.value
-    if not cmath.isfinite(total):
-        raise DomainError("the face product is not finite")
-    return total
+def _factorized_in_form(form: int, cone: Cone, z: complex, omegas: tuple) -> complex | None:
+    # the factorized route with form ``form`` tried first, or None where that form refuses and
+    # the route takes the other: each form tried builds its prefactor first
+    with forced_form(form), mock.patch.object(qseries, "_prefactor", wraps=qseries._prefactor) as prefactors:
+        value = sine_cone_factorized(cone, z, omegas)
+    return value if prefactors.call_count == 1 else None
 
 
 def _check_form_2_factorization(cone: Cone, seed: int) -> None:
@@ -87,18 +82,22 @@ def _check_form_2_factorization(cone: Cone, seed: int) -> None:
     for _ in range(10):
         z, omegas = _sample_sine_params(cone, rng)
         try:
-            form2 = _sine_face_product(cone, z, omegas, 2)
+            form2 = _factorized_in_form(2, cone, z, omegas)
             want = sine_cone_decomposed(cone, z, omegas)
-            break
-        except (DomainError, BudgetError, OverflowError):
-            event("redrawn")
+            if form2 is not None:
+                break
+        except (DomainError, BudgetError):
+            pass
+        event("redrawn")
     else:
         pytest.fail(f"no generic sample for {cone.normals}")
     assert rel(form2, want) < tol, (z, omegas)
     try:
-        form1 = _sine_face_product(cone, z, omegas, 1)
-    except (DomainError, BudgetError, OverflowError):
-        event("form 1 refuses")  # near the unit circle form 1 can overflow where form 2 does not
+        form1 = _factorized_in_form(1, cone, z, omegas)
+    except BudgetError:
+        form1 = None
+    if form1 is None:
+        event("form 1 refuses")  # near the unit circle form 1 can overflow or cost far more than form 2
         return
     assert rel(form2, form1) < tol, (z, omegas)
     # the route evaluates one of the two forms
@@ -422,6 +421,10 @@ def test_sine_form_is_chosen_in_qseries_for_both_sine_factorizations():
         assert spy.call_count == 2
         sine_cone_factorized(fixture_cone("cone-over-square"), Z_GENERIC, SINE_OMEGAS["cone-over-square"])
         assert spy.call_count == 3
+        # the face factors are those of the form the route tries first
+        sine_face_factors(fixture_cone("cone-over-square"), Z_GENERIC, SINE_OMEGAS["cone-over-square"])
+        assert spy.call_count == 4
+    assert "_cheaper_form" not in vars(generalized)
 
 
 def test_reduced_face_product_that_underflows_midway_is_refused_and_redrawn():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import cmath
 import math
 import time
+from contextlib import nullcontext
 from random import Random
 from unittest import mock
 
@@ -33,7 +34,7 @@ from conesine.errors import ConesineError
 from conesine.qseries import DEFAULT_CONFIG, _Budget, _cheaper_form, _log_shift_target, _qfac_small, _row_steps
 
 import qseries_reference
-from params import rel
+from params import forced_form, rel
 
 
 def _draw_z(rng: Random) -> complex:
@@ -628,8 +629,11 @@ def test_sine_two_product_forms_agree(count):
     for _ in range(20):
         z = _draw_z(rng)
         om = _draw_sine_omegas(rng, count)
-        a = multiple_sine(z, om, form=1)
-        b = multiple_sine(z, om, form=2)
+        with forced_form(1):
+            a = multiple_sine(z, om)
+        with forced_form(2):
+            b = multiple_sine(z, om)
+        assert a != b  # each form evaluated: neither refused and fell back to the other
         assert rel(a, b) < 1e-9
 
 
@@ -658,13 +662,18 @@ def test_sine_rescaling_invariance(count):
 
 @pytest.mark.parametrize("count", [2, 3])
 def test_sine_default_form_is_the_predicted_cheaper_form(count):
-    # bit for bit the form _cheaper_form names, from the additive ratios
+    # bit for bit the form _cheaper_form names from the additive ratios, not the other
     rng = Random(80 + count)
     for _ in range(20):
         z = _draw_z(rng)
         om = _draw_sine_omegas(rng, count)
         ratios = [(z / wk, tuple(w / wk for j, w in enumerate(om) if j != k)) for k, wk in enumerate(om)]
-        assert multiple_sine(z, om) == multiple_sine(z, om, form=_cheaper_form(ratios))
+        form = _cheaper_form(ratios)
+        with forced_form(form):
+            cheaper = multiple_sine(z, om)
+        with forced_form(3 - form):
+            other = multiple_sine(z, om)
+        assert multiple_sine(z, om) == cheaper != other
 
 
 def test_cheaper_form_takes_form_1_on_a_tie():
@@ -688,10 +697,13 @@ def test_cheaper_form_takes_form_1_on_a_tie():
 ], ids=["form-2-cheaper", "form-1-cheaper"])
 def test_sine_default_form_takes_fewer_terms(z, omegas, costly):
     # under a 20,000-term budget only the cheaper form evaluates
+    # (BudgetError is no refusal of the domain: the other form is not tried)
     small = EvalConfig(max_terms=20_000)
-    with pytest.raises(BudgetError):
-        multiple_sine(z, omegas, small, form=costly)
-    assert multiple_sine(z, omegas, small) == multiple_sine(z, omegas, form=3 - costly)
+    with pytest.raises(BudgetError), forced_form(costly):
+        multiple_sine(z, omegas, small)
+    with forced_form(3 - costly):
+        cheaper = multiple_sine(z, omegas)
+    assert multiple_sine(z, omegas, small) == cheaper
 
 
 @pytest.mark.parametrize("factors", [
@@ -711,18 +723,27 @@ def test_cheaper_form_is_form_1_on_input_it_cannot_rank(factors):
     (0.3 - 200j, (0.9 + 0.08j, 0.75 - 0.11j, 1.05 + 0.05j), 2, r"prefactor .* underflows at B_rr"),
     (0.3 + 200j, (0.9 + 0.08j, 0.75 - 0.11j, 1.05 + 0.05j), 1, r"prefactor .* underflows at B_rr"),
     (0.3 - 200j, (0.9 + 0.08j, 0.75 - 0.11j, 1.05 + 0.05j), None, r"prefactor .* underflows at B_rr"),
+    # form 1 tried first at the same point: its overflow names the refusal, not form 2's underflow
+    (0.3 - 200j, (0.9 + 0.08j, 0.75 - 0.11j, 1.05 + 0.05j), 1, r"prefactor .* overflows at B_rr"),
     # finite nonzero factors whose partial product falls below the normal
     # range: form 1 returned 0j, form 2 a subnormal -2.6e-309+1.7e-308j
     (0.15130776221629616 + 0.3762591927254597j,
      (0.8704806815163761 + 0.023676198515367543j, -0.4028163113452101 + 0.0006359375459398824j,
       -0.6595763765154045 - 0.024166252140033772j), 1, r"multiple sine product underflows at z = 0\.151308"),
+    # the same point by default: form 2, the cheaper, overflows in a q-factorial and its
+    # refusal stands, although the value exists
+    (0.15130776221629616 + 0.3762591927254597j,
+     (0.8704806815163761 + 0.023676198515367543j, -0.4028163113452101 + 0.0006359375459398824j,
+      -0.6595763765154045 - 0.024166252140033772j), None, r"q-factorial is not finite at \|x\| = 14\.6461"),
     (-0.7057518288273457 - 0.18767738118803878j,
      (-0.3081305191028475 - 0.00165308764940537j, -0.353613775309969 + 0.008830923434472721j,
       0.6261568114809601 - 0.0005467514210255945j), 2, r"multiple sine product underflows at z = -0\.705752"),
-], ids=["prefactor-form-2", "prefactor-form-1", "prefactor-default", "product-form-1", "product-form-2"])
+], ids=["prefactor-form-2", "prefactor-form-1", "prefactor-default", "prefactor-form-1-overflows", "product-form-1",
+        "product-default", "product-form-2"])
 def test_sine_underflow_raises_domain_error(z, omegas, form, match):
-    with pytest.raises(DomainError, match=match):
-        multiple_sine(z, omegas, form=form)
+    # both forms refuse each point; the form tried first names the refusal
+    with pytest.raises(DomainError, match=match), nullcontext() if form is None else forced_form(form):
+        multiple_sine(z, omegas)
 
 
 def test_sine_rejects_real_period_ratio():
@@ -756,9 +777,9 @@ def test_sine_rejects_real_period_ratio():
 ], ids=["x-overflow", "prefactor-overflow", "nan-product", "single-sine", "single-sine-inf-ratio",
         "single-sine-nan-value", "single-sine-nan-z", "single-sine-inf-z", "single-sine-inf-period"])
 def test_sine_overflow_raises_domain_error(z, omegas, match):
-    # each multi-period case names a form-1 factor; the default form may take the other
-    with pytest.raises(DomainError, match=match):
-        multiple_sine(z, omegas, form=1)
+    # each multi-period case names a form-1 factor: form 1 tried first, both forms refuse
+    with pytest.raises(DomainError, match=match), forced_form(1):
+        multiple_sine(z, omegas)
 
 
 @pytest.mark.parametrize("fn, omegas", [

@@ -51,14 +51,8 @@ from .qseries import (
     EvalConfig,
     e2,
     elliptic_gamma,
-    elliptic_gamma_gluing_check,
-    elliptic_gamma_modularity_check,
-    elliptic_gamma_three_term_check,
     multiple_sine,
-    q_theta,
-    q_theta_modularity_check,
     qfactorial,
-    qfactorial_gluing_check,
     qfactorial_xq,
 )
 from .generalized import (
@@ -73,7 +67,6 @@ from .generalized import (
     sine_cone_factorized,
     sine_face_factors,
     verify_theorem,
-    wedge_product_check,
 )
 from .fixtures import FIXTURE_NAMES, fixture_cone, load_cone
 
@@ -122,14 +115,8 @@ __all__ = [
     "EvalConfig",
     "e2",
     "elliptic_gamma",
-    "elliptic_gamma_gluing_check",
-    "elliptic_gamma_modularity_check",
-    "elliptic_gamma_three_term_check",
     "multiple_sine",
-    "q_theta",
-    "q_theta_modularity_check",
     "qfactorial",
-    "qfactorial_gluing_check",
     "qfactorial_xq",
     # cone-restricted functions and verification
     "THEOREM_IDS",
@@ -143,7 +130,6 @@ __all__ = [
     "sine_cone_factorized",
     "sine_face_factors",
     "verify_theorem",
-    "wedge_product_check",
     # fixtures
     "FIXTURE_NAMES",
     "fixture_cone",

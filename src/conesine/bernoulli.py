@@ -561,8 +561,8 @@ def bernoulli_cone_oracle(
     set, the cylinder lift is summed instead, its extra coordinate handled by
     one more exact geometric factor.  It needs one finite period per cone
     dimension, a finite z, integers (not bools) 0 <= n <= ORACLE_DEGREE <
-    samples and an integer radius >= 1; other arguments, and samples that
-    overflow double precision, raise DomainError.
+    samples and an integer radius >= 1; other arguments, and samples or a
+    fit that overflow double precision, raise DomainError.
 
     Inputs are rescaled internally so the slowest lattice direction damps at a
     fixed rate (the coefficients are homogeneous of degree n - r under joint
@@ -625,15 +625,22 @@ def bernoulli_cone_oracle(
     if not finite:
         raise DomainError("the oracle's samples overflow double precision: z is far from the periods' damping scale")
     u_vals = (2 * s_vals - (lo + hi)) / (hi - lo)
-    coef_re = chebyshev.chebfit(u_vals, f_vals.real, ORACLE_DEGREE)
-    coef_im = chebyshev.chebfit(u_vals, f_vals.imag, ORACLE_DEGREE)
-    pow_u = chebyshev.cheb2poly(coef_re + 1j * coef_im)
-    scale = 2.0 / (hi - lo)
-    shift = -(lo + hi) / (hi - lo)
-    # u = scale*s + shift: expand sum_k pow_u[k] (scale*s + shift)^k
-    pow_s = np.zeros(ORACLE_DEGREE + 1, dtype=complex)
-    for k, ck in enumerate(pow_u):
-        for j in range(k + 1):
-            pow_s[j] += ck * comb(k, j) * (scale ** j) * (shift ** (k - j))
-    coeff_t_n = pow_s[n] / (complex(ray) ** n)
-    return complex(coeff_t_n * factorial(n) * kappa ** (r - n))
+    try:  # finite samples of huge modulus overflow the fit or its expansion, refused below
+        with np.errstate(all="ignore"):
+            coef_re = chebyshev.chebfit(u_vals, f_vals.real, ORACLE_DEGREE)
+            coef_im = chebyshev.chebfit(u_vals, f_vals.imag, ORACLE_DEGREE)
+            pow_u = chebyshev.cheb2poly(coef_re + 1j * coef_im)
+            scale = 2.0 / (hi - lo)
+            shift = -(lo + hi) / (hi - lo)
+            # u = scale*s + shift: expand sum_k pow_u[k] (scale*s + shift)^k
+            pow_s = np.zeros(ORACLE_DEGREE + 1, dtype=complex)
+            for k, ck in enumerate(pow_u):
+                for j in range(k + 1):
+                    pow_s[j] += ck * comb(k, j) * (scale ** j) * (shift ** (k - j))
+            coeff_t_n = pow_s[n] / (complex(ray) ** n)
+            value = complex(coeff_t_n * factorial(n) * kappa ** (r - n))
+    except OverflowError:  # a power of ray or kappa past double range
+        value = complex("nan")
+    if not cmath.isfinite(value):
+        raise DomainError(f"the oracle's coefficient of order {n} is not finite: its fit overflows double precision")
+    return value

@@ -29,14 +29,7 @@ from .bernoulli import (
     bernoulli_cone,
     bernoulli_cone_lifted,
 )
-from .lattice_cones import (
-    Cone,
-    _omega_cross,
-    det2,
-    dual_contains,
-    lattice_points,
-    require_count,
-)
+from .lattice_cones import Cone, dual_contains, lattice_points, require_count
 from .qseries import (
     DEFAULT_CONFIG,
     EvalConfig,
@@ -46,10 +39,8 @@ from .qseries import (
     _prefactor,
     _rel_residual,
     _sine_factorization,
-    e2,
     elliptic_gamma,
     multiple_sine,
-    qfactorial_xq,
 )
 
 __all__ = [
@@ -62,7 +53,6 @@ __all__ = [
     "sine_face_factors",
     "gamma_face_factors",
     "gamma_cone_lattice_oracle",
-    "wedge_product_check",
     "verify_theorem",
     "THEOREM_IDS",
 ]
@@ -179,6 +169,18 @@ def sine_cone_factorized(
     return _sine_factorization("face", b, cone.dim, pairs, z, cfg)
 
 
+def _gamma_faces(cone: Cone, z: complex, omegas: tuple[complex, ...], variant: str):
+    """The faces of ``variant``: ``Cone.faces`` (the face matrices composed with S) for
+    ``"primary"``; for ``"alternative"`` (with S^-1, dividing by -p_0 in place of p_0)
+    each face (u, (tau_0, tau_1, ...)) of that walk becomes (-u, (tau_0, -tau_1, ...))."""
+    if variant not in ("primary", "alternative"):
+        raise DomainError(f"unknown variant {variant!r}: use 'primary' or 'alternative'")
+    faces = cone.faces(z, omegas)
+    if variant == "primary":
+        return faces
+    return ((face_id, -u, (taus[0], *(-t for t in taus[1:]))) for face_id, u, taus in faces)
+
+
 def gamma_face_factors(
     cone: Cone,
     z: complex,
@@ -188,13 +190,13 @@ def gamma_face_factors(
 ) -> tuple[FaceFactor, ...]:
     """The transformed ordinary elliptic gamma contributed by each face.
 
-    Each face's periods are ``Cone.faces`` of ``variant``: the face
-    matrix composed with S (``"primary"``) or with S^-1 (``"alternative"``).
+    Each face's periods are those of ``variant``: the face matrix composed
+    with S (``"primary"``) or with S^-1 (``"alternative"``).
     """
     omegas = _as_period_tuple(omegas, cone.dim)
     return tuple(
         FaceFactor(face_id=face_id, value=elliptic_gamma(z_scaled, scaled, cfg))
-        for face_id, z_scaled, scaled in cone.faces(z, omegas, variant)
+        for face_id, z_scaled, scaled in _gamma_faces(cone, z, omegas, variant)
     )
 
 
@@ -214,11 +216,10 @@ def gamma_cone_factorized(
     opposite sign in the exponent.  Both evaluate the same function.
     """
     omegas = _route_periods(cone, omegas, gamma=True)
-    if variant not in ("primary", "alternative"):
-        raise DomainError(f"unknown variant {variant!r}: use 'primary' or 'alternative'")
+    faces = _gamma_faces(cone, z, omegas, variant)
     eta, sign = (-1.0, 1.0) if variant == "primary" else (1.0, -1.0)
     b = bernoulli_cone_lifted(cone, z, omegas, eta)
-    factors = (elliptic_gamma(u, scaled, cfg) for _, u, scaled in cone.faces(z, omegas, variant))
+    factors = (elliptic_gamma(u, scaled, cfg) for _, u, scaled in faces)
     return _checked_product("face", [_prefactor(sign * 2j * math.pi / math.factorial(cone.dim + 1), b), *factors], z)
 
 
@@ -239,73 +240,28 @@ def gamma_cone_lattice_oracle(
     2d and +1 in 3d, truncated at sup-norm ``radius`` (by default 60 in 2d
     and 40 in 3d).  Convergence needs Im(periods) strictly inside the dual
     cone; the discarded tail decays geometrically in the dual pairing.
-    ``radius`` must be an integer >= 1, not a bool.  A product that
-    overflows double precision raises DomainError.
+    ``radius`` must be an integer >= 1, not a bool.  A non-finite z or
+    period, and a product that overflows double precision, raise DomainError.
     """
     import numpy as np
 
     omegas = _route_periods(cone, omegas, gamma=True)
+    if not all(map(cmath.isfinite, (complex(z), *omegas))):
+        raise DomainError(f"the lattice oracle needs a finite z and finite periods, got z = {z}, periods {omegas}")
     if radius is None:
         radius = 60 if cone.dim == 2 else 40
     radius = require_count(radius, "radius", 1)
     om = np.asarray(omegas)
-    phase_closed = lattice_points(cone, radius, interior=False) @ om
-    phase_open = lattice_points(cone, radius, interior=True) @ om
     two_pi_i = 2j * np.pi
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):  # huge finite periods overflow a phase; the product is checked below
+        phase_closed = lattice_points(cone, radius, interior=False) @ om
+        phase_open = lattice_points(cone, radius, interior=True) @ om
         plus = np.prod(1 - np.exp(two_pi_i * (complex(z) + phase_closed)))
         minus = np.prod(1 - np.exp(two_pi_i * (-complex(z) + phase_open)))
         value = complex(minus / plus if cone.dim == 2 else minus * plus)
     if not cmath.isfinite(value):
         raise DomainError(f"the lattice product is not finite at z = {z:.6g}: its factors overflow double precision")
     return value
-
-
-# ---------------------------------------------------------------------------
-# wedge chains of q-factorials
-
-
-def wedge_product_check(
-    chain: Sequence[Sequence[int]],
-    z: complex,
-    omegas: Sequence[complex],
-    cfg: EvalConfig = DEFAULT_CONFIG,
-    closed: bool = False,
-) -> float:
-    """Residual of the telescoping product of wedge q-factorials.
-
-    ``chain`` is a list of integer 2-vectors with unit consecutive
-    determinants (cyclically when ``closed``).  Each consecutive pair
-    contributes (e^{2 pi i z} | e^{2 pi i w(u_i)}, e^{-2 pi i w(u_{i+1})}),
-    with w(u) the pairing of the periods against the rotated u.  An open
-    chain telescopes to the two-endpoint factor; a closed chain's product
-    equals 1 - e^{2 pi i z}.
-    """
-    us = [tuple(int(c) for c in u) for u in chain]
-    if len(us) < 2 + (1 if closed else 0):
-        raise DomainError("chain needs at least two lines (three when closed)")
-    omegas = tuple(complex(w) for w in omegas)
-    if len(omegas) != 2:
-        raise DomainError("wedge chains take two periods")
-    pairs = list(zip(us, us[1:]))
-    if closed:
-        pairs.append((us[-1], us[0]))
-    for u, up in pairs:
-        if det2(u, up) != 1:
-            raise DomainError(f"consecutive chain lines {u}, {up} must have determinant 1")
-    x = e2(z)
-    total = 1.0 + 0j
-    for u, up in pairs:
-        qa = e2(_omega_cross(omegas, u))
-        qb = e2(-_omega_cross(omegas, up))
-        total *= qfactorial_xq(x, (qa, qb), cfg)
-    if closed:
-        expected = 1 - x
-    else:
-        qa = e2(_omega_cross(omegas, us[0]))
-        qb = e2(-_omega_cross(omegas, us[-1]))
-        expected = qfactorial_xq(x, (qa, qb), cfg)
-    return _rel_residual(total, expected)
 
 
 # ---------------------------------------------------------------------------

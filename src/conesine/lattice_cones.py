@@ -110,10 +110,6 @@ def _omega_cross(omegas: Sequence[complex], u: Sequence[int]) -> complex:
     return omegas[0] * u[1] - omegas[1] * u[0]
 
 
-def identity_matrix(n: int) -> IntMatrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
 def mat_vec(m: IntMatrix, v: Sequence) -> tuple:
     """Matrix times vector; entries may be ints or complex numbers."""
     if len(m[0]) != len(v):
@@ -162,7 +158,7 @@ def unimodular_with_first_column(xi: Sequence[int]) -> IntMatrix:
     n = len(col)
     # reduce col to e1 by row operations, accumulating them in u
     work = list(col)
-    u = [list(r) for r in identity_matrix(n)]
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
     for i in range(1, n):
         if work[i] == 0:
             continue
@@ -310,36 +306,29 @@ class Cone:
             wedges[-1] = (z, wedges[-1][1])
         return axis, wedges
 
-    def faces(self, z: complex, omegas: Sequence[complex], variant: str = "primary"):
-        """Yield ``(face_id, z / scale, face periods)`` per face.
+    def faces(self, z: complex, omegas: Sequence[complex]):
+        """Yield ``(face_id, z / p_0, face periods)`` per face.
 
         With ``p = K omegas`` for the face matrix K, ``p_0`` pairs the periods
-        with the edge ray.  ``scale`` is ``p_0`` for ``variant="primary"``
-        and ``-p_0`` for ``"alternative"``; the face periods are
-        ``(-1 / scale, p_1 / scale, ...)`` and ``(1 / scale, p_1 / scale, ...)``.
-        Up to an integer in each p_j / scale, this is the image of (periods, 1)
-        under S diag(K, 1) or S^-1 diag(K, 1) divided by its last entry, where
-        S has -1 top right, +1 bottom left and an identity block between: p_j
-        pairs the periods with row j of K less the multiple of the edge ray
-        that brings |Re(p_j / p_0)| to at most 1/2, so its rounding error does
-        not grow with K.  A vanishing scale raises DomainError.
+        with the edge ray, and the face periods are ``(-1 / p_0, p_1 / p_0, ...)``.
+        Up to an integer in each p_j / p_0, this is the image of (periods, 1)
+        under S diag(K, 1) divided by its last entry, where S has -1 top
+        right, +1 bottom left and an identity block between: p_j pairs the
+        periods with row j of K less the multiple of the edge ray that brings
+        |Re(p_j / p_0)| to at most 1/2, so its rounding error does not grow
+        with K.  A vanishing p_0 raises DomainError.
         """
-        if variant not in ("primary", "alternative"):
-            raise DomainError(f"unknown variant {variant!r}: use 'primary' or 'alternative'")
-        primary = variant == "primary"
         for ft in self.face_transforms:
             p0, *ps = mat_vec(ft.matrix, omegas)
-            # 0 - p_0, not -p_0: zero parts stay +0.0, as in the S^-1 diag(K, 1) image
-            scale = p0 if primary else 0 - p0
-            if abs(scale) < 1e-12:
+            if abs(p0) < 1e-12:
                 raise DomainError(f"face {ft.face_id}: transformed scale vanishes")
             periods = []
             for row, pk in zip(ft.matrix[1:], ps):
                 ratio = (pk / p0).real
                 # past 2**52 a double has no fraction left to reduce, nor has nan or inf
                 m = round(ratio) if abs(ratio) < 2**52 else 0
-                periods.append(sum(map(mul, [r - m * e for r, e in zip(row, ft.edge_ray)], omegas)) / scale)
-            yield ft.face_id, z / scale, ((-1 if primary else 1) / scale, *periods)
+                periods.append(sum(map(mul, [r - m * e for r, e in zip(row, ft.edge_ray)], omegas)) / p0)
+            yield ft.face_id, z / p0, (-1 / p0, *periods)
 
     # -- serialization ----------------------------------------------------
 

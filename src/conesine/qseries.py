@@ -1,5 +1,5 @@
 """Multivariate q-shifted factorials, multiple sine and elliptic gamma
-functions, and residual checks for their functional equations.
+functions.
 
 The central primitive is the infinite product
 
@@ -418,11 +418,6 @@ def elliptic_gamma(z: complex, omegas: tuple[complex, ...], cfg: EvalConfig = DE
     return val
 
 
-def q_theta(z: complex, tau: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
-    """The Jacobi-type theta product (x q | q)(x^{-1} q ... ); level 0 of the elliptic gamma family."""
-    return elliptic_gamma(z, (tau,), cfg)
-
-
 # ---------------------------------------------------------------------------
 # multiple sine hierarchy
 
@@ -539,7 +534,7 @@ def multiple_sine(z: complex, omegas: tuple[complex, ...], cfg: EvalConfig = DEF
 
 
 # ---------------------------------------------------------------------------
-# residual checks for the functional equations
+# the residual verify_theorem judges an identity by
 
 
 def _rel_residual(a: complex, b: complex) -> float:
@@ -547,100 +542,3 @@ def _rel_residual(a: complex, b: complex) -> float:
     if scale == 0:
         return 0.0
     return abs(a - b) / scale
-
-
-def _gluing_residual(fn, z, w0, w1, rest: tuple, cfg: EvalConfig, zero_message: str) -> float:
-    """|fn(.|w0,w1,R) fn(.|-w1,w0+w1,R) / fn(.|w0,w0+w1,R) - 1|."""
-    a = fn(z, (w0, w1) + rest, cfg)
-    b = fn(z, (w0, w0 + w1) + rest, cfg)
-    c = fn(z, (-w1, w0 + w1) + rest, cfg)
-    if b == 0:
-        raise DomainError(zero_message)
-    return abs(a * c / b - 1.0)
-
-
-def qfactorial_gluing_check(
-    z: complex,
-    omega0: complex,
-    omega1: complex,
-    rest: tuple[complex, ...] = (),
-    cfg: EvalConfig = DEFAULT_CONFIG,
-) -> float:
-    """Residual of the three-factor splitting of the q-shifted factorial.
-
-    Checks (x|q0,q1,R) * (x|q1^{-1}, q0 q1, R) / (x|q0, q0 q1, R) = 1 in
-    additive parameters; returns |product - 1|.
-    """
-    rest = tuple(complex(w) for w in rest)
-    return _gluing_residual(qfactorial, z, omega0, omega1, rest, cfg,
-                            "gluing check hit a zero of the reference product")
-
-
-def q_theta_modularity_check(z: complex, tau: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
-    """Residual of the level-0 modularity: theta at (z/tau, -1/tau) against
-    e^{-i pi B_{2,2}(z | (tau, -1))} times theta at (z, tau).  Needs Im tau > 0."""
-    tau = complex(tau)
-    if tau.imag <= 0:
-        raise DomainError("theta modularity requires Im tau > 0")
-    lhs = q_theta(z / tau, -1.0 / tau, cfg)
-    pref = cmath.exp(-1j * math.pi * bernoulli_multiple(z, (tau, -1.0), 2))
-    rhs = pref * q_theta(z, tau, cfg)
-    return _rel_residual(lhs, rhs)
-
-
-def elliptic_gamma_gluing_check(z: complex, omegas: tuple[complex, ...], cfg: EvalConfig = DEFAULT_CONFIG) -> float:
-    """Residual of the period-splitting identity for the elliptic gamma in the first two
-    periods: g(.|w0,w1,R) * g(.|-w1, w0+w1, R) / g(.|w0, w0+w1, R) = 1."""
-    omegas = tuple(complex(w) for w in omegas)
-    if len(omegas) < 2:
-        raise DomainError("the splitting identity needs at least two periods")
-    return _gluing_residual(elliptic_gamma, z, omegas[0], omegas[1], omegas[2:], cfg,
-                            "splitting check hit a zero of the reference value")
-
-
-def elliptic_gamma_modularity_check(
-    z: complex,
-    omegas: tuple[complex, ...],
-    cfg: EvalConfig = DEFAULT_CONFIG,
-    variant: int = 1,
-) -> float:
-    """Residual of the SL(r+2) modularity of the elliptic gamma against its product form.
-
-    Variant 1 compares elliptic_gamma(z|w) with
-    e^{2 pi i B_{r+2,r+2}(z|(w,-1)) / (r+2)!} prod_k elliptic_gamma(z/w_k | (w_j/w_k)_{j != k}, -1/w_k);
-    variant 2 uses the reflected product with the +1 lift and the opposite
-    exponent sign.
-    """
-    omegas = tuple(complex(w) for w in omegas)
-    r = len(omegas) - 1
-    if r < 0:
-        raise DomainError("needs at least one period")
-    if variant not in (1, 2):
-        raise DomainError("variant must be 1 or 2")
-    lhs = elliptic_gamma(z, omegas, cfg)
-    # the variant's lift of the periods, exponent factor, and reflected z and periods
-    lift, exponent, zr, ws = (
-        (-1.0, TWO_PI_I, z, omegas) if variant == 1 else (1.0, -TWO_PI_I, -z, tuple(-w for w in omegas))
-    )
-    pref = cmath.exp(exponent / math.factorial(r + 2) * bernoulli_multiple(z, omegas + (lift,), r + 2))
-    prod = 1.0 + 0j
-    for k, wk in enumerate(omegas):
-        rest = tuple(ws[j] / wk for j in range(len(omegas)) if j != k)
-        prod *= elliptic_gamma(zr / wk, rest + (-1.0 / wk,), cfg)
-    return _rel_residual(lhs, pref * prod)
-
-
-def elliptic_gamma_three_term_check(z: complex, omegas: tuple[complex, ...], cfg: EvalConfig = DEFAULT_CONFIG) -> float:
-    """Residual of the closed product identity two levels down:
-    prod_k g_{r-2}(z/w_k | (w_j/w_k)_{j != k}) = e^{-2 pi i B_{r,r}(z|w) / r!}
-    with r = len(omegas) >= 2."""
-    omegas = tuple(complex(w) for w in omegas)
-    r = len(omegas)
-    if r < 2:
-        raise DomainError("the closed product identity needs at least two periods")
-    prod = 1.0 + 0j
-    for k, wk in enumerate(omegas):
-        rest = tuple(omegas[j] / wk for j in range(r) if j != k)
-        prod *= elliptic_gamma(z / wk, rest, cfg)
-    rhs = cmath.exp(-TWO_PI_I / math.factorial(r) * bernoulli_multiple(z, omegas, r))
-    return _rel_residual(prod, rhs)

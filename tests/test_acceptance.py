@@ -15,24 +15,26 @@ from conesine import (
     bernoulli_cone_oracle,
     bernoulli_multiple,
     elliptic_gamma,
-    elliptic_gamma_modularity_check,
     fixture_cone,
     gamma_cone_direct,
     gamma_cone_factorized,
     gamma_cone_lattice_oracle,
     multiple_sine,
-    q_theta_modularity_check,
     qfactorial,
-    qfactorial_gluing_check,
     sine_cone_decomposed,
     sine_cone_factorized,
     sine_face_factors,
     verify_theorem,
-    wedge_product_check,
 )
 from conesine.cli import main
 from conesine.lattice_cones import det2, subdivide_wedge, vec_gcd
 
+from identities import (
+    elliptic_gamma_modularity_check,
+    q_theta_modularity_check,
+    qfactorial_gluing_check,
+    wedge_product_check,
+)
 from params import BERNOULLI_OMEGAS, GAMMA_OMEGAS, SINE_OMEGAS, Z_GENERIC, forced_form, rel
 
 

@@ -6,6 +6,7 @@ import inspect
 import itertools
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 from random import Random
 
@@ -999,6 +1000,27 @@ def test_oracle_refuses_a_window_that_overflows(w21):
     # z = 3000 makes e^{zt} overflow at the far end of the fixed sample window
     with pytest.raises(DomainError, match="overflow double precision"):
         bernoulli_cone_oracle(w21, 3000, BERNOULLI_OMEGAS["wedge21"], 2, radius=50)
+
+
+@pytest.mark.parametrize("omegas, n", [
+    # samples near 1e306 are finite, but the fit overflowed: 98 RuntimeWarnings, then (nan+nanj)
+    ((0.7 + 1e307j, 1.5), 3),
+    # kappa ** (r - n) past double range raised a raw OverflowError
+    ((0.7 + 1e300j, 1.5), 8),
+], ids=["fit", "power"])
+def test_oracle_refuses_a_fit_that_overflows(std2, omegas, n):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DomainError, match="not finite: its fit overflows"):
+            bernoulli_cone_oracle(std2, 0.3, omegas, n)
+
+
+@pytest.mark.xfail(strict=True, reason="the damping rescale leaves a truncation tail near e^-0.4 when |omega| >> Re omega")
+def test_oracle_meets_its_2d_tolerance_when_a_period_is_far_larger_than_its_real_part(std2):
+    # the oracle gives 5.3e6+5.2e7i against the closed form 0.378+111.1i: kappa * damp is
+    # 0.00168, so at s = 0.1 and radius 2400 the tail is about e^-0.4
+    z, omegas = 0.3, (0.7 + 1000j, 1.5)
+    assert abs(bernoulli_cone_oracle(std2, z, omegas, 2) - bernoulli_cone(std2, z, omegas, 2)) < 1e-8
 
 
 def test_oracle_keywords_are_the_ones_the_benchmark_binds():

@@ -7,6 +7,7 @@ import math
 import sys
 import threading
 import time
+import warnings
 from collections import Counter
 from dataclasses import replace
 from random import Random
@@ -34,13 +35,13 @@ from conesine import (
     sine_cone_factorized,
     sine_face_factors,
     verify_theorem,
-    wedge_product_check,
 )
 from conesine import bernoulli, generalized, lattice_cones, qseries
 from conesine.generalized import THEOREMS, _sample_gamma_params, _sample_sine_params
 from conesine.lattice_cones import Cone, cone_chain_2d
 
 from cone_strategies import planar_cones, polygon_cones
+from identities import wedge_product_check
 from lattice_reference import cube_scan_gamma_oracle
 from params import GAMMA_OMEGAS, OVERFLOWING_PRODUCTS, SINE_OMEGAS, Z_GENERIC, chain_wedges, forced_form, rel
 
@@ -171,6 +172,9 @@ def test_gamma_3d_routes_agree(name):
 def test_gamma_3d_variant_is_validated(square):
     with pytest.raises(DomainError):
         gamma_cone_factorized(square, Z_GENERIC, GAMMA_OMEGAS["cone-over-square"], variant="bogus")
+    # the face factors read their faces through the same check
+    with pytest.raises(DomainError, match="unknown variant 'bogus'"):
+        gamma_face_factors(square, Z_GENERIC, GAMMA_OMEGAS["cone-over-square"], variant="bogus")
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +211,18 @@ def test_gamma_3d_matches_lattice_oracle(square):
     om = GAMMA_OMEGAS["cone-over-square"]
     oracle = gamma_cone_lattice_oracle(square, Z_GENERIC, om, radius=40)
     assert rel(gamma_cone_direct(square, Z_GENERIC, om), oracle) < 1e-5
+
+
+@pytest.mark.parametrize("z, omegas", [
+    # an infinite real part: two "invalid value encountered in matmul" warnings, then DomainError
+    (0.31 - 0.17j, (complex(math.inf, -0.6), -0.04 + 0.65j)),
+    (complex(math.nan, 0.1), GAMMA_OMEGAS["wedge21"]),
+], ids=["inf-period", "nan-z"])
+def test_gamma_lattice_oracle_refuses_a_non_finite_input_before_any_warning(w21, z, omegas):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DomainError, match="needs a finite z and finite periods"):
+            gamma_cone_lattice_oracle(w21, z, omegas)
 
 
 def _jittered_points(name: str, seed: int) -> tuple[complex, tuple[complex, ...]]:

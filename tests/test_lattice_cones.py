@@ -37,6 +37,7 @@ from conesine import lattice_cones
 from conesine.fixtures import FIXTURE_NAMES, fixture_cone
 from conesine.generalized import (
     _face_product_reduced,
+    _gamma_faces,
     _sample_gamma_params,
     _sample_sine_params,
     gamma_cone_direct,
@@ -796,10 +797,11 @@ def test_planar_cones_agree_across_routes(theorem_id, cone, seed):
 @pytest.mark.parametrize("variant", ["primary", "alternative"])
 def test_faces_are_the_s_composed_face_action(variant):
     # the face loop against its definition: the image of (periods, 1) under
-    # S (K + 1), or S^-1 (K + 1) for the alternative, divided by its last
-    # entry; S has -1 top right, +1 bottom left and an identity block between.
-    # The periods after the first are that image up to an integer each, with
-    # real part within 1/2 of zero
+    # S (K + 1), or S^-1 (K + 1) for the alternative (the primary walk with
+    # z / p_0 and each p_j / p_0 negated), divided by its last entry; S has -1
+    # top right, +1 bottom left and an identity block between.  The periods
+    # after the first are that image up to an integer each, with real part
+    # within 1/2 of zero
     rng = Random(5)
     for cone in FACE_CONES:
         size = cone.dim + 1
@@ -809,7 +811,7 @@ def test_faces_are_the_s_composed_face_action(variant):
         g = s if variant == "primary" else s.T  # S is a signed permutation: S^-1 = S^T
         z = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         omegas = tuple(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(cone.dim))
-        got = list(cone.faces(z, omegas, variant))
+        got = list(_gamma_faces(cone, z, omegas, variant))
         assert [face_id for face_id, *_ in got] == [ft.face_id for ft in face_matrices(cone)]
         for ft, (_, z_scaled, scaled) in zip(face_matrices(cone), got):
             k_plus_1 = np.eye(size, dtype=int)
@@ -831,11 +833,6 @@ def test_a_face_ratio_with_no_fraction_is_not_reduced(w21, omegas):
         assert repr(scaled[1:]) == repr(tuple(pk / p[0] for pk in p[1:]))
     with pytest.raises(DomainError):
         gamma_face_factors(w21, 0.1, omegas)
-
-
-def test_unknown_face_variant_is_rejected(w21):
-    with pytest.raises(DomainError, match="unknown variant 'other'"):
-        list(w21.faces(0.3, (1 + 0.5j, -1 + 0.5j), "other"))
 
 
 # ---------------------------------------------------------------------------

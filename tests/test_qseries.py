@@ -19,14 +19,8 @@ from conesine import (
     EvalConfig,
     e2,
     elliptic_gamma,
-    elliptic_gamma_gluing_check,
-    elliptic_gamma_modularity_check,
-    elliptic_gamma_three_term_check,
     multiple_sine,
-    q_theta,
-    q_theta_modularity_check,
     qfactorial,
-    qfactorial_gluing_check,
     qfactorial_xq,
 )
 from conesine import qseries
@@ -34,6 +28,13 @@ from conesine.errors import ConesineError
 from conesine.qseries import DEFAULT_CONFIG, _Budget, _cheaper_form, _log_shift_target, _qfac_small, _row_steps
 
 import qseries_reference
+from identities import (
+    elliptic_gamma_gluing_check,
+    elliptic_gamma_modularity_check,
+    elliptic_gamma_three_term_check,
+    q_theta_modularity_check,
+    qfactorial_gluing_check,
+)
 from params import forced_form, rel
 
 
@@ -479,13 +480,8 @@ def test_prepared_q_factorial_matches_the_reference_at_the_default_budget(x, qs)
 
 
 def test_theta_vanishes_at_integer_points():
-    assert q_theta(0.0, 1j) == 0.0
-    assert abs(q_theta(1.0, 1j)) < 1e-14
-
-
-def test_theta_is_the_zeroth_gamma_level():
-    z, tau = 0.27 + 0.13j, 0.2 + 0.8j
-    assert q_theta(z, tau) == elliptic_gamma(z, (tau,))
+    assert elliptic_gamma(0.0, (1j,)) == 0.0
+    assert abs(elliptic_gamma(1.0, (1j,))) < 1e-14
 
 
 def test_theta_modularity():

@@ -557,7 +557,12 @@ def _preprocess_argv(argv: Sequence[str] | None) -> Sequence[str] | None:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(_preprocess_argv(argv))
+    argv = _preprocess_argv(argv)
+    # argparse strips a value of "--" and hands the verb an empty list
+    for flag, _, value in (tok.partition("=") for tok in argv if tok[:2] == "--"):
+        if value == "--":
+            parser.error(f"argument {flag}: expected a value, got '--'")
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

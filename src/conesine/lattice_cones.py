@@ -139,6 +139,16 @@ def _adjugate(m: IntMatrix) -> IntMatrix:
     return mat_transpose((cross3(m[1], m[2]), cross3(m[2], m[0]), cross3(m[0], m[1])))
 
 
+def _bezout(w: Sequence[int]) -> IntVector:
+    """An integer vector b with b . w = gcd of the entries of w, from
+    successive extended gcds."""
+    g, b = w[0], (1,)
+    for c in w[1:]:
+        g, s, t = xgcd(g, c)
+        b = tuple(s * e for e in b) + (t,)
+    return b
+
+
 def unimodular_inverse(m: IntMatrix) -> IntMatrix:
     """Exact inverse of an integer matrix with determinant +-1."""
     d = int_det(m)
@@ -203,7 +213,8 @@ class Cone:
     Preconditions of single operations (goodness, Gorenstein) are separate
     predicates reading the walk.  What the evaluation routes read (the
     chain of a 2d cone, the Gorenstein frame of a 3d cone and the face
-    transforms) is built on first read and kept on the cone.
+    transforms), and the Bernoulli oracle's parallelepiped pieces, is built
+    on first read and kept on the cone.
     """
 
     dim: int
@@ -276,6 +287,10 @@ class Cone:
     @cached_property
     def face_transforms(self) -> list[FaceTransform]:
         return face_matrices(self)
+
+    @cached_property
+    def pieces(self) -> tuple[Piece, ...]:
+        return parallelepiped_pieces(self)
 
     def wedges(
         self, z: complex, omegas: Sequence[complex]
@@ -544,12 +559,7 @@ def face_matrices(cone: Cone) -> list[FaceTransform]:
             )
         # n . w = det(n, adjacent): -1 only at the 2d face whose edge ray the walk negated
         eps = 1 if sum(a * b for a, b in zip(x, w)) > 0 else -1
-        # a Bezout vector n0 . w = 1 from successive extended gcds
-        g, n0 = w[0], (1,)
-        for c in w[1:]:
-            g, s, t = xgcd(g, c)
-            n0 = tuple(s * e for e in n0) + (t,)
-        n = tuple(eps * e for e in n0)
+        n = tuple(eps * e for e in _bezout(w))
         cols = (n, *adjacent)
         kt = unimodular_inverse(tuple(tuple(col[r] for col in cols) for r in range(dim)))
         assert sum(a * b for a, b in zip(n, x)) > 0
@@ -623,6 +633,73 @@ def gorenstein_frame(cone: Cone) -> GorensteinFrame:
             break
     chains = tuple(subdivide_wedge(t[i - 1], t[i]) for i in range(n))
     return GorensteinFrame(xi=xi, basis=a, ell=ell, chains=chains)
+
+
+# ---------------------------------------------------------------------------
+# the open cone as disjoint simplicial pieces (Brion; Barvinok)
+
+# a cone whose pieces hold more parallelepiped points than this is refused
+MAX_PIECE_POINTS = 100_000
+
+
+@dataclass(frozen=True)
+class Piece:
+    """A relatively open simplicial cone spanned by primitive ``rays``.
+
+    Its lattice points are exactly q + sum_i n_i rays[i] with n_i >= 0 and q
+    in ``points``, the lattice points of the half-open parallelepiped
+    sum_i (0, 1] rays[i].  A wall of a 3d cone has two rays.
+    """
+
+    rays: tuple[IntVector, ...]
+    points: tuple[IntVector, ...]
+
+
+def _parallelepiped_points(basis: IntMatrix, lead: int) -> tuple[IntVector, ...]:
+    """The lattice points sum_i lambda_i basis[i] with lambda_i in (0, 1] for
+    the first ``lead`` rows and in [0, 1) for the rest, |det basis| of them.
+
+    A point is kept as its numerators a = |det| lambda.  Those of the unit
+    vectors, the adjugate's rows signed by det, generate Z^d / (basis) Z^d:
+    a breadth-first walk adds them, reducing each sum into the
+    parallelepiped, until no new point appears.
+    """
+    det = int_det(basis)
+    size = abs(det)
+    gens = [tuple(c if det > 0 else -c for c in row) for row in _adjugate(basis)]
+    order = [(size,) * lead + (0,) * (len(basis) - lead)]
+    seen = set(order)
+    for a in order:  # grows while it is walked
+        for g in gens:
+            b = tuple((c + d - 1) % size + 1 if i < lead else (c + d) % size for i, (c, d) in enumerate(zip(a, g)))
+            if b not in seen:
+                seen.add(b)
+                order.append(b)
+    return tuple(tuple(sum(map(mul, a, col)) // size for col in zip(*basis)) for a in order)
+
+
+def parallelepiped_pieces(cone: Cone) -> tuple[Piece, ...]:
+    """The open cone as disjoint relatively open simplicial pieces.
+
+    A 2d cone is one piece, spanned by its edge rays.  A 3d cone is
+    triangulated from its first edge ray x_0: the open triangles
+    (x_0, x_j, x_{j+1}) and the open walls (x_0, x_j) between consecutive
+    ones, 2 <= j <= k - 2, partition its interior.  A wall's points are
+    found with a third basis vector b, b . nu = 1 for the wall's primitive
+    normal nu: every lattice point has an integer b-coordinate, so the
+    [0, 1) range keeps exactly the wall's index of them.  A DomainError is
+    raised when the pieces would hold more than MAX_PIECE_POINTS points.
+    """
+    x = edge_rays(cone)
+    if cone.dim == 2:
+        spans = [(x, ())]
+    else:
+        spans = [((x[0], x[j], x[j + 1]), ()) for j in range(1, len(x) - 1)]
+        spans += [((x[0], x[j]), (_bezout(primitive_part(cross3(x[0], x[j]))),)) for j in range(2, len(x) - 1)]
+    count = sum(abs(int_det(rays + extra)) for rays, extra in spans)
+    if count > MAX_PIECE_POINTS:
+        raise DomainError(f"the cone's pieces hold {count} parallelepiped points, more than {MAX_PIECE_POINTS}")
+    return tuple(Piece(rays, _parallelepiped_points(rays + extra, len(rays))) for rays, extra in spans)
 
 
 # ---------------------------------------------------------------------------

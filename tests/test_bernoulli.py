@@ -3,16 +3,14 @@ from __future__ import annotations
 
 import cmath
 import inspect
-import itertools
 import math
-import tracemalloc
 import warnings
 from fractions import Fraction
+from operator import mul
 from random import Random
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conesine import (
@@ -35,9 +33,7 @@ from conesine.bernoulli import (
     _barnes_series,
     _cone_sum,
     _exists_damping_phase,
-    _fiber_exponents,
-    _fiber_runs,
-    _fiber_sum,
+    _piece_sum,
 )
 from conesine.generalized import _sample_gamma_params
 from conesine.lattice_cones import det3
@@ -627,322 +623,66 @@ def test_damping_phase_answers_as_the_arc_scan(case):
 # lattice oracle
 
 
-def _reference_fibers(cone: Cone, radius: int):
-    """(base, lo, hi) for every nonempty fiber of the open cone along the last
-    axis whose leading coordinates lie within sup-norm ``radius``, one fiber
-    at a time in exact rationals; ``lo`` or ``hi`` is None where the fiber is
-    unbounded."""
-    for base in itertools.product(range(-radius, radius + 1), repeat=cone.dim - 1):
-        lows, highs = [], []  # bounds on the last coordinate s
-        feasible = True
-        for normal in cone.normals:
-            # normal . (base, s) >= 1
-            need = 1 - sum(x * y for x, y in zip(normal, base))
-            a = normal[-1]
-            if a > 0:
-                lows.append(math.ceil(Fraction(need, a)))
-            elif a < 0:
-                highs.append(math.floor(Fraction(need, a)))
-            elif need > 0:
-                feasible = False
-        lo = max(lows) if lows else None
-        hi = min(highs) if highs else None
-        if feasible and not (lows and highs and lo > hi):
-            yield base, lo, hi
-
-
-def _reference_lattice_sum(cone: Cone, omegas: tuple, t: complex, radius: int, exp=cmath.exp):
-    """sum of e^{-(omega . m) t} over the interior lattice points m of the
-    cone whose leading coordinates lie within sup-norm ``radius``, one fiber
-    along the last axis at a time, each summed as a closed geometric series
-    (in mpmath when ``exp`` is ``mpmath.exp`` and the numbers are mpmath's)."""
-    w = omegas[-1]
-    total = 0
-    for base, lo, hi in _reference_fibers(cone, radius):
-        pairing = sum(x * o for x, o in zip(base, omegas))
-        if hi is None:
-            total += exp(-(pairing + lo * w) * t) / (1 - exp(-w * t))
-        elif lo is None:
-            total += exp(-(pairing + hi * w) * t) / (1 - exp(w * t))
-        else:
-            count = hi - lo + 1
-            total += exp(-(pairing + lo * w) * t) * (1 - exp(-count * w * t)) / (1 - exp(-w * t))
-    return total
-
-
 TWO_SIDED_2D = Cone(2, ((0, 1), (1, -1)))
-TWO_SIDED_3D = Cone(3, ((1, 0, 1), (0, 1, 1), (1, 1, -1)))
 TWO_SIDED_OMEGAS_2D = (0.3 + 0.02j, 0.15 - 0.01j)
-# last coordinates 2, 3, -2, -3: the fiber ends move with stride lcm = 6
-STRIDE_6_3D = Cone(3, ((4, 1, 2), (4, -1, 3), (4, -1, -2), (4, 1, -3)))
-# two prime last coordinates: a stride of about 1e12, far longer than a row
-HUGE_STRIDE_2D = Cone(2, ((1, 1000003), (-1, 999983)))
 
 
-def _expand_runs(runs, dim: int) -> list:
-    """The lattice points of ``_fiber_runs`` runs, sorted."""
-    points = []
-    for line in runs.tolist():
-        head, step, count = line[:dim], line[dim:-1], line[-1]
-        points += [tuple(h + i * s for h, s in zip(head, step)) for i in range(count)]
-    return sorted(points)
+# B_k / k! in rationals: with it the plain polynomials are exact on Fractions
+EXACT_TABLE = [bk / math.factorial(k) for k, bk in enumerate(_bernoulli_numbers(MAX_ORDER + 1))]
 
 
-@pytest.mark.parametrize(
-    "cone", [*FIXTURE_NAMES, TWO_SIDED_2D, TWO_SIDED_3D, STRIDE_6_3D, HUGE_STRIDE_2D],
-    ids=[*FIXTURE_NAMES, "two-sided-2d", "two-sided-3d", "stride-6", "huge-stride"],
-)
-@pytest.mark.parametrize("radius", [2, 5, 40])
-def test_oracle_runs_expand_to_the_fiber_ends(cone, radius):
-    cone = fixture_cone(cone) if isinstance(cone, str) else cone
-    bounded, starts, stops = _fiber_runs(cone, radius)
-    kinds, want_starts, want_stops = set(), [], []
-    for base, lo, hi in _reference_fibers(cone, radius):
-        kinds.add("upper" if lo is None else "lower" if hi is None else "both")
-        want_starts.append(base + (hi if lo is None else lo,))
-        if kinds == {"both"}:
-            want_stops.append(base + (hi + 1,))
-    assert kinds == {bounded}
-    assert _expand_runs(starts, cone.dim) == sorted(want_starts)
-    assert (stops is None) == (bounded != "both")
-    if stops is not None:
-        assert _expand_runs(stops, cone.dim) == sorted(want_stops)
-    # the runs do merge points: a fiber end per run would pass the checks above
-    assert len(starts) < len(want_starts) or radius == 2
+def _exact_upto(z, periods, n):
+    return _barnes_series(z, periods[0], periods[1:], n, EXACT_TABLE)
 
 
-def test_oracle_runs_follow_the_stride():
-    # along one residue class mod 6 every normal's bound on the fiber end
-    # moves by a constant integer; taken in plain y order the ends break into
-    # about 11 times as many runs here
-    radius = 200
-    bounded, starts, stops = _fiber_runs(STRIDE_6_3D, radius)
-    assert bounded == "both"
-    for runs in (starts, stops):
-        assert len(runs) <= (2 * radius + 1) * 6 * len(STRIDE_6_3D.normals)
-        assert runs[:, -1].sum() > 20 * len(runs)  # points per run
+def _damped_point(cone: Cone, rng: Random) -> tuple:
+    """z and periods whose real parts pair positively with every edge ray: a
+    positive combination of the normals, so that ray = 1 damps the lattice sum."""
+    c = [rng.uniform(0.2, 1.0) for _ in cone.normals]
+    re = [sum(ci * v[k] for ci, v in zip(c, cone.normals)) for k in range(cone.dim)]
+    om = tuple(complex(x, rng.uniform(-0.3, 0.3)) for x in re)
+    return _rand_z(rng), om
 
 
-def _greedy_split(points: list) -> list:
-    """The lines ``(head, step, length)`` of the runs of one row's fiber
-    ends, taken greedily: a run grows while the step between neighbours
-    stays the same, so it ends at the first point past its head whose
-    in-step and out-step differ, and the next run starts just after it."""
-    runs, head, m = [], 0, len(points)
-
-    def step(k):
-        return tuple(b - a for a, b in zip(points[k], points[k + 1]))
-
-    while head < m:
-        last = head + 1
-        while last < m - 1 and step(last - 1) == step(last):
-            last += 1
-        last = min(last, m - 1)
-        spread = max(last - head, 1)
-        runs.append((*points[head], *((b - a) // spread for a, b in zip(points[head], points[last])), last - head + 1))
-        head = last + 1
-    return runs
-
-
-def _reference_runs(cone: Cone, radius: int) -> tuple:
-    """``(starts, stops)`` of ``_fiber_runs`` from ``_reference_fibers``: the
-    fiber ends taken in the oracle's order (rows of the first coordinate in
-    3d; within a row the residue classes of the last transverse coordinate y
-    mod the stride, y ascending within each), each row split greedily.
-    ``stops`` is None unless the fibers are two-sided."""
-    stride = math.lcm(*(abs(normal[-1]) for normal in cone.normals if normal[-1]))
-    rows = {}
-    for base, lo, hi in _reference_fibers(cone, radius):
-        rows.setdefault(base[:-1], []).append(((base[-1] + radius) % stride, base[-1], base, lo, hi))
-    starts, stops = [], []
-    for key in sorted(rows):
-        fibers = [fiber[2:] for fiber in sorted(rows[key])]
-        starts += _greedy_split([base + (hi if lo is None else lo,) for base, lo, hi in fibers])
-        if fibers[0][1] is not None and fibers[0][2] is not None:
-            stops += _greedy_split([base + (hi + 1,) for base, lo, hi in fibers])
-    return tuple(np.array(runs, dtype=np.int64).reshape(-1, 2 * cone.dim + 1) for runs in (starts, stops))
+@pytest.mark.parametrize("cones", [planar_cones, polygon_cones()], ids=["2d", "3d"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_pieces_sum_to_the_wedge_chain_exactly(cones, data):
+    # two partitions of the open cone, summed in rationals: the pieces share
+    # no wedge chain and no Gorenstein frame with the closed form
+    cone, rng = data.draw(cones), data.draw(st.randoms(use_true_random=False))
+    z = Fraction(rng.randint(-60, 60), rng.randint(1, 12))
+    om = tuple(Fraction(rng.choice((-1, 1)) * rng.randint(1, 90), rng.randint(1, 12)) for _ in range(cone.dim))
+    axis, wedges = cone.wedges(z, om)
+    assume(axis != 0 and all(p != 0 for _, periods in wedges for p in periods))
+    assume(all(sum(map(mul, v, om)) != 0 for piece in cone.pieces for v in piece.rays))
+    # every degree of a wedge's polynomial from one recursion
+    chain = [sum(col) for col in zip(*(_exact_upto(arg, periods, 4) for arg, periods in wedges))]
+    if axis is not None:
+        for n, b in enumerate(_exact_upto(z, (axis,), 2), start=2):
+            chain[n] += n * (n - 1) * b
+    for n in range(5):
+        assert _piece_sum(cone.pieces, z, om, (), n, _exact_upto) == chain[n], (cone, z, om, n)
 
 
-def _assert_runs_match_the_greedy_split(cone: Cone, radius: int) -> None:
-    bounded, starts, stops = _fiber_runs(cone, radius)
-    want_starts, want_stops = _reference_runs(cone, radius)
-    assert starts.dtype == np.int64 and np.array_equal(starts, want_starts)
-    if stops is None:
-        assert bounded != "both" and len(want_stops) == 0
-    else:
-        assert bounded == "both" and stops.dtype == np.int64 and np.array_equal(stops, want_stops)
+@pytest.mark.parametrize("cones", [planar_cones, polygon_cones()], ids=["2d", "3d"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_oracle_agrees_with_the_closed_forms_on_random_cones(cones, data):
+    cone, rng = data.draw(cones), data.draw(st.randoms(use_true_random=False))
+    z, om = _damped_point(cone, rng)
+    eta = complex(rng.uniform(0.5, 2.0), rng.uniform(-0.3, 0.3))
+    pairs = [(bernoulli_cone_oracle(cone, z, om, n), bernoulli_cone(cone, z, om, n)) for n in range(5)]
+    pairs.append((bernoulli_cone_oracle(cone, z, om, cone.dim + 1, eta=eta), bernoulli_cone_lifted(cone, z, om, eta)))
+    for n, (oracle, closed) in enumerate(pairs):
+        assert abs(oracle - closed) <= 1e-12 * max(1.0, abs(closed)), (cone, z, om, n)
 
 
-# strides longer than a row at radius 40: lines of one point each
-STRIDE_1517_3D = Cone(3, ((1, 0, 37), (0, 1, 41), (-1, -1, 1)))
-STRIDE_105_3D = Cone(3, ((1, 0, 3), (0, 1, 5), (-1, -1, 7)))
-# two-sided with stride 2: some bend of a single-bend chain is followed,
-# more than one point on, by another bend, which then opens a chain of its own
-BEND_AFTER_LONE_BEND_3D = Cone(3, ((1, -2, -2), (1, 0, -2), (-3, 4, 2)))
-# two primes above 2^32: a stride past the int64 range
-GIANT_STRIDE_2D = Cone(2, ((1, 4294967311), (-1, 4294967357)))
-
-
-@pytest.mark.parametrize(
-    "cone",
-    [*FIXTURE_NAMES, TWO_SIDED_2D, TWO_SIDED_3D, STRIDE_6_3D, HUGE_STRIDE_2D, STRIDE_1517_3D, STRIDE_105_3D,
-     BEND_AFTER_LONE_BEND_3D, GIANT_STRIDE_2D],
-    ids=[*FIXTURE_NAMES, "two-sided-2d", "two-sided-3d", "stride-6", "huge-stride", "stride-1517", "stride-105",
-         "lone-bend", "giant-stride"],
-)
-@pytest.mark.parametrize("radius", [2, 5, 40])
-def test_oracle_runs_match_the_greedy_split_in_oracle_order(cone, radius):
-    # the runs are built from the end's values at a few knots per line; the
-    # reference visits every fiber and splits each row point by point
-    cone = fixture_cone(cone) if isinstance(cone, str) else cone
-    _assert_runs_match_the_greedy_split(cone, radius)
-
-
-_ENTRIES = st.integers(-6, 6)
-# three independent primitive normals always make a valid simplicial cone
-simplicial_cones = (
-    st.tuples(*[st.tuples(_ENTRIES, _ENTRIES, _ENTRIES).filter(lambda v: math.gcd(*v) == 1)] * 3)
-    .filter(lambda normals: det3(*normals) != 0)
-    .map(lambda normals: Cone(3, normals))
-)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.one_of(planar_cones, polygon_cones(), simplicial_cones), st.integers(1, 12))
-def test_property_oracle_runs_match_the_greedy_split(cone, radius):
-    _assert_runs_match_the_greedy_split(cone, radius)
-
-
-# sample points: positive real, slightly complex, turned so that runs along
-# y grow on standard-3, and the two complex rays of the lifted oracle
-ORACLE_TS = (0.3, 0.9 - 0.05j, 0.3 * cmath.exp(-1.5j), 0.5 * LIFT_RAY[1.0], 0.5 * LIFT_RAY[-1.0])
-
-
-@pytest.mark.parametrize(
-    "cone, omegas, bounded",
-    [
-        ("wedge21", BERNOULLI_OMEGAS["wedge21"], "lower"),
-        ("standard-3", (0.9 + 0.08j, 0.75 - 0.11j, 1.05 + 0.05j), "lower"),
-        ("cone-over-square", BERNOULLI_OMEGAS["cone-over-square"], "upper"),
-        (TWO_SIDED_2D, TWO_SIDED_OMEGAS_2D, "both"),
-        (TWO_SIDED_3D, (0.5 + 0.01j, 0.4 - 0.02j, 0.1 + 0.015j), "both"),
-        ("wedge21", GAMMA_OMEGAS["wedge21"], "lower"),  # as the lifted oracle sums it
-        (STRIDE_6_3D, (0.5 + 0.01j, 0.4 - 0.02j, 0.1 + 0.015j), "both"),
-    ],
-)
-@pytest.mark.parametrize("radius", [2, 5, 12])
-def test_oracle_lattice_sum_matches_reference(cone, omegas, bounded, radius):
-    cone = fixture_cone(cone) if isinstance(cone, str) else cone
-    fibers = _fiber_exponents(cone, omegas, radius)
-    assert fibers[1] == bounded
-    orientations = set()
-    for t in ORACLE_TS:
-        damping = (omegas[-1] * t).real
-        if (bounded == "lower" and damping <= 0) or (bounded == "upper" and damping >= 0):
-            with pytest.raises(DomainError, match="fiber sums diverge"):
-                _fiber_sum(fibers, t)
-            continue
-        for runs in fibers[2:]:
-            if runs is not None:
-                orientations.update((runs[2][runs[3] > 1] * t).real < 0)
-        ref = _reference_lattice_sum(cone, omegas, t, radius)
-        assert ref != 0
-        assert abs(_fiber_sum(fibers, t) - ref) < 1e-12 * abs(ref)
-    # some summed run was started at its head and some at its tail (at
-    # radius 2 some cones have no run of two points)
-    assert orientations == {False, True} or radius == 2
-
-
-def test_oracle_run_sum_starts_at_the_larger_end():
-    # for y < 0 the run's terms grow from e^{-1801} at its head to e^{-1.8}
-    # at its tail: summed from the head, e^{-1801} underflows to 0 and the
-    # ratio's power to e^{1800} overflows
-    omegas = BERNOULLI_OMEGAS["wedge21"]
-    fibers = _fiber_exponents(fixture_cone("wedge21"), omegas, 2400)
-    ref = _reference_lattice_sum(fixture_cone("wedge21"), omegas, 3.0, 2400)
-    assert abs(_fiber_sum(fibers, 3.0) - ref) < 1e-12 * abs(ref)
-
-
-@pytest.mark.parametrize(
-    "cone, omegas",
-    [("wedge21", BERNOULLI_OMEGAS["wedge21"]), ("cone-over-square", BERNOULLI_OMEGAS["cone-over-square"])],
-)
-@pytest.mark.parametrize("t", [1e-4, 1e-4 - 2e-5j])
-def test_oracle_fiber_sum_keeps_its_digits_at_small_t(cone, omegas, t):
-    # 1 - e^{-wt} loses log10(1 / |wt|) digits, about 4.5 here; expm1 keeps
-    # them, and the oracle's degree-14 fit amplifies what is lost
-    mp = pytest.importorskip("mpmath")
-    cone = fixture_cone(cone)
-    with mp.workdps(40):
-        ref = _reference_lattice_sum(cone, tuple(map(mp.mpc, omegas)), mp.mpc(t), 5, exp=mp.exp)
-        err = abs(mp.mpc(_fiber_sum(_fiber_exponents(cone, omegas, 5), t)) - ref) / abs(ref)
-    assert err < 1e-14
-
-
-def _traced_peak(fn):
-    """``fn()`` and the peak bytes it allocated on top of what was live.
-
-    numpy reports its array buffers to tracemalloc, so the figure counts the
-    same bytes on every machine.
-    """
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        live = tracemalloc.get_traced_memory()[0]
-        out = fn()
-        return out, tracemalloc.get_traced_memory()[1] - live
-    finally:
-        if not tracing:
-            tracemalloc.stop()
-
-
-ONE_AND_TWO_SIDED_3D = [
-    ("cone-over-square", BERNOULLI_OMEGAS["cone-over-square"]),
-    (TWO_SIDED_3D, (0.5 + 0.01j, 0.4 - 0.02j, 0.1 + 0.015j)),
-]
-
-
-@pytest.mark.parametrize(
-    "cone, omegas",
-    # a stride longer than a row: every residue-class line holds one point
-    [*ONE_AND_TWO_SIDED_3D, (STRIDE_1517_3D, (0.5 + 0.01j, 0.4 - 0.02j, 0.1 + 0.015j))],
-    ids=["one-sided", "two-sided", "stride-1517"],
-)
-def test_oracle_fiber_memory_stays_near_its_output(cone, omegas):
-    # building the 3d grid whole held 10-20x the fiber ends' bytes, one
-    # sample held two temporaries per fiber end, and a run per fiber end would
-    # break the count below
-    cone = fixture_cone(cone) if isinstance(cone, str) else cone
-    radius = 200
-    fibers, build_peak = _traced_peak(lambda: _fiber_exponents(cone, omegas, radius))
-    kept = [runs for runs in fibers[2:] if runs is not None]
-    # a few runs per row: the stride times the normals bounds them
-    stride = math.lcm(*(abs(normal[-1]) for normal in cone.normals if normal[-1]))
-    rows = (2 * radius + 1) ** (cone.dim - 2)
-    for runs in kept:
-        assert 0 < len(runs[0]) <= rows * stride * len(cone.normals)
-    # one row's int64 products of its points with the normals; the whole
-    # grid is 2 * radius + 1 = 401 such rows
-    row_bytes = (2 * radius + 1) * len(cone.normals) * 8
-    assert build_peak < 40 * row_bytes
-    # one sample: a few complex numbers per run
-    _, sum_peak = _traced_peak(lambda: _fiber_sum(fibers, 0.3))
-    assert sum_peak < 6 * 16 * max(len(runs[0]) for runs in kept)
-
-
-@pytest.mark.parametrize("cone, omegas", ONE_AND_TWO_SIDED_3D, ids=["one-sided", "two-sided"])
-def test_oracle_fiber_sum_leaves_exponents_intact(cone, omegas):
-    cone = fixture_cone(cone) if isinstance(cone, str) else cone
-    fibers = _fiber_exponents(cone, omegas, 12)
-    kept = [None if runs is None else [arr.copy() for arr in runs] for runs in fibers[2:]]
-    first = _fiber_sum(fibers, 0.3)
-    _fiber_sum(fibers, 0.9 - 0.05j)
-    _fiber_sum(fibers, 0.5 * LIFT_RAY[1.0])  # reverses some runs
-    assert _fiber_sum(fibers, 0.3) == first
-    for runs, copies in zip(fibers[2:], kept):
-        assert (runs is None and copies is None) or all(map(np.array_equal, runs, copies))
+def test_oracle_refuses_a_cone_with_too_many_parallelepiped_points():
+    # two primes above 2^32: about 8.6e9 points, where the sampled oracle summed fiber runs
+    giant = Cone(2, ((1, 4294967311), (-1, 4294967357)))
+    with pytest.raises(DomainError, match="parallelepiped points, more than"):
+        bernoulli_cone_oracle(giant, *_damped_point(giant, Random(1)), 2)
 
 
 def test_oracle_matches_cone_polynomial_on_two_sided_cone():
@@ -955,16 +695,16 @@ def test_oracle_matches_cone_polynomial_on_two_sided_cone():
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"samples": 5},  # fewer samples than the degree-14 fit needs
-        {"samples": 14},
+        {"samples": 0},  # radius and samples no longer change the value, but must be positive
+        {"n": 9},  # above MAX_ORDER
         {"radius": -3},
         {"radius": 0},
         {"samples": -1},
         {"samples": "56", "radius": 50},
         {"n": None, "radius": 50},
-        {"n": 15},  # above the fitted degree
+        {"n": 15},
         {"n": -1},
-        {"n": 2.0, "radius": 50},  # non-integer counts, refused before any lattice work
+        {"n": 2.0, "radius": 50},  # non-integer counts
         {"n": "2", "radius": 50},
         {"samples": 56.0, "radius": 50},
         {"radius": 50.0},
@@ -996,29 +736,36 @@ def test_oracle_refuses_the_wrong_number_of_periods(w21):
         bernoulli_cone_oracle(w21, Z_BERNOULLI_2D, (*BERNOULLI_OMEGAS["wedge21"], 0.5), 2, radius=50)
 
 
-def test_oracle_refuses_a_window_that_overflows(w21):
-    # z = 3000 makes e^{zt} overflow at the far end of the fixed sample window
-    with pytest.raises(DomainError, match="overflow double precision"):
-        bernoulli_cone_oracle(w21, 3000, BERNOULLI_OMEGAS["wedge21"], 2, radius=50)
+def test_oracle_agrees_at_a_z_far_from_the_damping_scale(w21):
+    # z = 3000 made e^{zt} overflow in the sampled oracle's window, which refused
+    om = BERNOULLI_OMEGAS["wedge21"]
+    value = bernoulli_cone_oracle(w21, 3000, om, 2, radius=50)
+    assert rel(value, bernoulli_cone(w21, 3000, om, 2)) < 1e-12
+    assert rel(value, 1.585248e8 - 3.213453e6j) < 1e-6
 
 
-@pytest.mark.parametrize("omegas, n", [
-    # samples near 1e306 are finite, but the fit overflowed: 98 RuntimeWarnings, then (nan+nanj)
-    ((0.7 + 1e307j, 1.5), 3),
-    # kappa ** (r - n) past double range raised a raw OverflowError
-    ((0.7 + 1e300j, 1.5), 8),
+@pytest.mark.parametrize("omegas, n, closed", [
+    # finite samples near 1e306 overflowed the sampled oracle's fit: 98 RuntimeWarnings, then (nan+nanj)
+    ((0.7 + 1e307j, 1.5), 3, -0.12 - 1.5e306j),
+    # the sampled oracle raised a raw OverflowError; the polynomial itself overflows
+    ((0.7 + 1e300j, 1.5), 8, None),
 ], ids=["fit", "power"])
-def test_oracle_refuses_a_fit_that_overflows(std2, omegas, n):
+def test_oracle_agrees_with_the_closed_form_at_a_huge_period(std2, omegas, n, closed):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(DomainError, match="not finite: its fit overflows"):
-            bernoulli_cone_oracle(std2, 0.3, omegas, n)
+        if closed is None:
+            for route in (bernoulli_cone, bernoulli_cone_oracle):
+                with pytest.raises(DomainError, match="not finite"):
+                    route(std2, 0.3, omegas, n)
+        else:
+            value = bernoulli_cone_oracle(std2, 0.3, omegas, n)
+            assert rel(value, bernoulli_cone(std2, 0.3, omegas, n)) < 1e-12
+            assert rel(value, closed) < 1e-12
 
 
-@pytest.mark.xfail(strict=True, reason="the damping rescale leaves a truncation tail near e^-0.4 when |omega| >> Re omega")
 def test_oracle_meets_its_2d_tolerance_when_a_period_is_far_larger_than_its_real_part(std2):
-    # the oracle gives 5.3e6+5.2e7i against the closed form 0.378+111.1i: kappa * damp is
-    # 0.00168, so at s = 0.1 and radius 2400 the tail is about e^-0.4
+    # the sampled oracle gave 5.3e6+5.2e7i against the closed form 0.378+111.1i: its damping
+    # rescale left a truncation tail near e^-0.4
     z, omegas = 0.3, (0.7 + 1000j, 1.5)
     assert abs(bernoulli_cone_oracle(std2, z, omegas, 2) - bernoulli_cone(std2, z, omegas, 2)) < 1e-8
 

@@ -103,6 +103,33 @@ def test_bad_complex_is_usage_error():
     assert exc.value.code == EXIT_USAGE
 
 
+# an otherwise valid call of each verb that takes flags with values
+_VALID_CALLS = {
+    "eval": ["eval", "s2", "--z", "0.3", "--omega", "1+0.1i", "--omega", "0.5+0.3i"],
+    "verify": ["verify", "s2c-factorization", "--cone", "wedge21", "--samples", "1"],
+    "report": ["report", "--cone", "wedge21", "--theorem", "s2c-factorization", "--samples", "1"],
+}
+
+
+def _value_flags() -> list[tuple[str, str]]:
+    """(verb, flag) for every flag of every verb that takes a value."""
+    verbs = next(a for a in build_parser()._actions if a.dest == "verb").choices
+    return [(verb, flag) for verb, sub in verbs.items() for action in sub._actions
+            if action.option_strings and action.nargs != 0 for flag in action.option_strings]
+
+
+@pytest.mark.parametrize("verb, flag", _value_flags(), ids=[verb + flag for verb, flag in _value_flags()])
+def test_a_flag_value_of_double_dash_is_usage_error(capsys, verb, flag):
+    # argparse strips the value "--" and handed the verb an empty list: eval died
+    # with an AttributeError traceback, and report --format=-- wrote JSON
+    with pytest.raises(SystemExit) as exc:
+        main([*_VALID_CALLS[verb], f"{flag}=--"])
+    assert exc.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: argument {flag}: expected a value, got '--'" in captured.err
+
+
 def test_missing_argument_is_usage_error(capsys):
     rc, _, err = run(capsys, "eval", "s1", "--omega", "1")
     assert rc == EXIT_USAGE

@@ -82,7 +82,7 @@ def test_every_eval_call_returns_a_finite_value_or_refuses(family, data):
     eta=st.one_of(st.none(), values),
     radius=st.integers(1, 20),
 )
-# finite samples near 1e306 overflowed the Bernoulli oracle's fit: 98 warnings, then nan+nanj
+# finite samples near 1e306 overflowed the sampled Bernoulli oracle's fit: 98 warnings, then nan+nanj
 @example(oracle="bernoulli", name="standard-2", z=0.3, omegas=(0.7 + 1e307j, 1.5, 0j), n=3, eta=None, radius=20)
 # an infinite period: two matmul warnings before the gamma oracle refused it
 @example(oracle="gamma", name="wedge21", z=0.31 - 0.17j, omegas=(complex(math.inf, -0.6), -0.04 + 0.65j, 0j),

@@ -97,8 +97,8 @@ def test_primitive_part_divides_out_gcd():
     (2, ((0, 1), (1, 1), (1, 0)), r"^a 2d cone needs exactly two normals$"),
     (3, ((1, 0, 0), (0, 1, 0)), r"^a 3d cone needs at least three normals$"),
     (2, ((0, 1), (0, -1)), r"^normals do not span 2d space: cone contains a line$"),
-    # normals whose last coordinates are all 0 never span, so the oracle's
-    # fiber walk (bernoulli._fiber_runs) always has a bound along that axis
+    # normals whose last coordinates are all 0 never span, so the fiber walk
+    # of lattice_points always has a bound along that axis
     (2, ((1, 0), (-1, 0)), r"^normals do not span 2d space: cone contains a line$"),
     (3, ((1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0)),
      r"^normals do not span 3d space: cone contains a line$"),
@@ -976,3 +976,55 @@ def test_lattice_points_are_right_for_normals_just_inside_the_int64_guard(interi
 
 def test_lattice_points_take_an_integral_numpy_radius(std2):
     assert np.array_equal(lattice_points(std2, np.int64(2)), lattice_points(std2, 2))
+
+
+# ---------------------------------------------------------------------------
+# parallelepiped pieces
+
+
+def _assert_pieces_partition_the_interior(cone: Cone, radius: int) -> None:
+    """Each piece's points q are interior and its rays lie in the cone, so
+    q + sum_i n_i v_i is interior; every interior point within ``radius`` is
+    one of these for exactly one piece, point and n >= 0.  In integers."""
+    interior = lattice_points(cone, radius, interior=True)
+    hits = np.zeros(len(interior), dtype=np.int64)
+    assert cone.pieces is cone.pieces  # built once, kept on the cone
+    for piece in cone.pieces:
+        assert all(contains(cone, v) for v in piece.rays)
+        assert all(contains(cone, q, strict=True) for q in piece.points)
+        # a wall's third basis vector is its normal, so that coordinate must vanish
+        basis = piece.rays + ((cross3(*piece.rays),) if len(piece.rays) < cone.dim else ())
+        det = int_det(basis)
+        index = abs(det) if len(piece.rays) == cone.dim else math.gcd(*basis[-1])
+        assert len(set(piece.points)) == len(piece.points) == index
+        adj = np.array(_adjugate(basis), dtype=np.int64)
+        for q in piece.points:
+            num = (interior - np.array(q, dtype=np.int64)) @ adj
+            steps = num // det
+            whole = (num % det == 0).all(axis=1)
+            k = len(piece.rays)
+            hits += whole & (steps[:, :k] >= 0).all(axis=1) & (steps[:, k:] == 0).all(axis=1)
+    assert (hits == 1).all(), interior[hits != 1][:5]
+
+
+@settings(max_examples=40, deadline=None)
+@given(cone=planar_cones)
+def test_planar_pieces_partition_the_interior(cone):
+    _assert_pieces_partition_the_interior(cone, 12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cone=polygon_cones())
+def test_polygon_pieces_partition_the_interior(cone):
+    _assert_pieces_partition_the_interior(cone, 5)
+
+
+@pytest.mark.parametrize("cone", [
+    *FIXTURE_NAMES,
+    Cone(3, ((1, 0, 0), (0, 1, 0), (-1, -1, 2))),  # no Gorenstein vector
+    Cone(3, ((2, 0, -1), (0, 2, -1), (0, 0, 1))),  # not good
+    Cone(3, ((4, 1, 2), (4, -1, 3), (4, -1, -2), (4, 1, -3))),  # neither
+], ids=[*FIXTURE_NAMES, "no-gorenstein", "not-good", "four-facets"])
+def test_pieces_partition_the_interior_of_any_cone(cone):
+    cone = fixture_cone(cone) if isinstance(cone, str) else cone
+    _assert_pieces_partition_the_interior(cone, 6)

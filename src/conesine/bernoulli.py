@@ -24,7 +24,7 @@ from operator import mul
 from typing import Sequence
 
 from .errors import DomainError
-from .lattice_cones import Cone, edge_rays, require_count
+from .lattice_cones import Cone, edge_rays, require_count, require_float_exact
 
 MAX_ORDER = 8
 
@@ -179,10 +179,12 @@ def _require_damping_phase(rays: list[tuple[int, ...]], omegas: tuple[complex, .
 # cone-restricted polynomials
 
 
-def _as_period_tuple(omegas: Sequence[complex], dim: int) -> tuple[complex, ...]:
+def _as_period_tuple(omegas: Sequence[complex], cone: Cone) -> tuple[complex, ...]:
+    """One complex period per cone dimension, for a cone that ``require_float_exact`` takes."""
+    require_float_exact(cone)
     out = tuple(complex(w) for w in omegas)
-    if len(out) != dim:
-        raise DomainError(f"a {dim}d cone takes {dim} periods, got {len(out)}")
+    if len(out) != cone.dim:
+        raise DomainError(f"a {cone.dim}d cone takes {cone.dim} periods, got {len(out)}")
     return out
 
 
@@ -210,7 +212,7 @@ def bernoulli_cone(cone: Cone, z: complex, omegas: tuple[complex, ...], n: int) 
     points on the straightened first axis; their generating function adds
     n(n-1) B_{1,n-2}(z|w1).
     """
-    omegas = _as_period_tuple(omegas, cone.dim)
+    omegas = _as_period_tuple(omegas, cone)
     _require_damping_phase(edge_rays(cone), omegas)
     return _cone_sum(cone, z, omegas, n)[n]
 
@@ -225,7 +227,7 @@ def bernoulli_cone_lifted(cone: Cone, z: complex, omegas: tuple[complex, ...], e
     eta = complex(eta)
     if eta == 0:
         raise DomainError("lift parameter must be nonzero")
-    omegas = _as_period_tuple(omegas, cone.dim)
+    omegas = _as_period_tuple(omegas, cone)
     lifted_rays = [tuple(r) + (0,) for r in edge_rays(cone)]
     lifted_rays.append((0,) * cone.dim + (1,))
     # the lifted rays contain the base rays, so this one check covers the
@@ -293,7 +295,7 @@ def bernoulli_cone_oracle(
     sampled sum that this exact one replaced.  Other arguments, bools as
     counts and a value that is not finite raise DomainError.
     """
-    omegas = _as_period_tuple(omegas, cone.dim)
+    omegas = _as_period_tuple(omegas, cone)
     lift = () if eta is None else (complex(eta),)
     inputs = (complex(z), *omegas, complex(ray), *lift)
     if not all(map(cmath.isfinite, inputs)):

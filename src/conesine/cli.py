@@ -37,7 +37,7 @@ from typing import Sequence
 
 from . import __version__
 from .errors import BudgetError, DomainError, ParseError
-from .fixtures import FIXTURE_NAMES, load_cone
+from .fixtures import FIXTURE_NAMES, load_cone, read_json
 from .generalized import (
     THEOREM_IDS,
     gamma_cone_direct,
@@ -190,18 +190,22 @@ def _json_write(container, newline: str, out: list[str]) -> None:
     append(newline + brackets[1])
 
 
+def write_output(path: str, text: str) -> None:
+    """Write ``text`` to the file at ``path`` as UTF-8, the one file a verb
+    writes; a path that cannot be written raises ParseError naming it."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ParseError(f"--output {path!r}: cannot write file ({exc.strerror or exc})") from exc
+
+
 def build_config(args: argparse.Namespace) -> EvalConfig:
     """Defaults, then the ``CONESINE_CONFIG`` file, then per-call flags."""
     overrides: dict = {}
     path = os.environ.get(CONFIG_ENV_VAR)
     if path:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise ParseError(f"{CONFIG_ENV_VAR}={path!r}: cannot read file") from exc
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{CONFIG_ENV_VAR}={path!r}: not valid JSON ({exc})") from exc
+        data = read_json(path, f"{CONFIG_ENV_VAR}={path!r}")
         if not isinstance(data, dict):
             raise ParseError(f"{CONFIG_ENV_VAR}={path!r}: expected a JSON object")
         unknown = sorted(set(data) - set(DEFAULT_CONFIG.to_json_dict()))
@@ -225,7 +229,6 @@ def build_config(args: argparse.Namespace) -> EvalConfig:
 _TARGETS = {
     **{f"s{r}": (r, None, {None: multiple_sine}) for r in (1, 2, 3)},
     **{f"g{r}": (r + 1, None, {None: elliptic_gamma}) for r in (0, 1, 2)},
-    "theta0": (1, None, {None: elliptic_gamma}),
     "qfac": (None, None, {None: qfactorial}),
     "s2c": (2, 2, {"decomposed": sine_cone_decomposed, "factorized": sine_cone_factorized}),
     "s3c": (3, 3, {"decomposed": sine_cone_decomposed, "factorized": sine_cone_factorized}),
@@ -323,8 +326,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     _print_report_summary(args.cone, report)
     doc = _json_document(report.to_json_dict())
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(doc + "\n")
+        write_output(args.output, doc + "\n")
         print(f"report written   {args.output}")
     else:
         print(doc)
@@ -389,8 +391,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     else:
         text = _json_document(doc) + "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_output(args.output, text)
         for item in doc["items"]:
             residual = "" if item["status"] == "SKIP" else f"  max residual {item['max_residual']:.3e}"
             print(f"{item['cone_name']:16s} {item['theorem']:20s} {item['status']}{residual}")

@@ -29,7 +29,7 @@ from .bernoulli import (
     bernoulli_cone,
     bernoulli_cone_lifted,
 )
-from .lattice_cones import Cone, dual_contains, lattice_points, require_count
+from .lattice_cones import Cone, dual_contains, lattice_points, require_count, require_float_exact
 from .qseries import (
     DEFAULT_CONFIG,
     EvalConfig,
@@ -60,7 +60,7 @@ __all__ = [
 
 def _route_periods(cone: Cone, omegas: Sequence[complex], gamma: bool) -> tuple[complex, ...]:
     """One period per cone dimension; for the elliptic gammas Im(periods) strictly inside the dual cone."""
-    omegas = _as_period_tuple(omegas, cone.dim)
+    omegas = _as_period_tuple(omegas, cone)
     if gamma and not dual_contains(cone, tuple(w.imag for w in omegas), strict=True):
         raise DomainError(
             "Im(periods) must lie strictly inside the dual cone for the "
@@ -141,7 +141,7 @@ def sine_face_factors(
     the form-2 factor takes the opposite sign in every exponent.  The factors
     are those of the form ``sine_cone_factorized`` evaluates first.
     """
-    omegas = _as_period_tuple(omegas, cone.dim)
+    omegas = _as_period_tuple(omegas, cone)
     faces = list(cone.faces(z, omegas))
     pairs = [(u, scaled[1:]) for _, u, scaled in faces]
     values = _boundary_qfactorials(pairs, cfg, _forms_in_order(pairs)[0])
@@ -193,7 +193,7 @@ def gamma_face_factors(
     Each face's periods are those of ``variant``: the face matrix composed
     with S (``"primary"``) or with S^-1 (``"alternative"``).
     """
-    omegas = _as_period_tuple(omegas, cone.dim)
+    omegas = _as_period_tuple(omegas, cone)
     return tuple(
         FaceFactor(face_id=face_id, value=elliptic_gamma(z_scaled, scaled, cfg))
         for face_id, z_scaled, scaled in _gamma_faces(cone, z, omegas, variant)
@@ -465,7 +465,9 @@ def verify_theorem(
     seed; parameter draws that hit degenerate configurations (resonant
     ratios, poles) are rejected and redrawn, which is also deterministic.
     ``samples`` must be an integer >= 1, not a bool.  ``tolerance``, if
-    given, overrides the identity's own (a finite positive real).
+    given, overrides the identity's own (a finite positive real).  A cone
+    that meets the hypotheses but has a normal or edge-ray entry of
+    magnitude 2**53 or more raises DomainError before any sample is drawn.
 
     Consecutive calls on the same cone, seed and config share each side's
     value, or refusal, at each drawn point: on a 3d cone the primary
@@ -496,6 +498,7 @@ def verify_theorem(
             cone.frame
         except DomainError as exc:
             return VerificationReport(**base, skipped=str(exc))
+    require_float_exact(cone)  # the sampler pairs the normals with doubles
 
     _side_values.enter((cone, seed, cfg))
     value = _side_values.value

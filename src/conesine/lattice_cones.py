@@ -43,7 +43,7 @@ def _as_ivec(v: Sequence[int], name: str = "vector") -> IntVector:
     except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"{name} must be a sequence of integers: {v!r}") from exc
     for c, o in zip(v, out):
-        if o != c:
+        if o != c or isinstance(c, bool):
             raise DomainError(f"{name} must have integer entries: {v!r}")
     if not out:
         raise DomainError(f"{name} must be non-empty")
@@ -270,6 +270,7 @@ class Cone:
             faces.append((x, adjacent, w))
         object.__setattr__(self, "_faces", tuple(faces))
         object.__setattr__(self, "_edge_rays", tuple(x for x, _, _ in faces))
+        object.__setattr__(self, "_largest_entry", max(abs(c) for v in normals + self._edge_rays for c in v))
 
     # -- geometry the routes read, built on first read -------------------
     # a piece whose build raises DomainError is not kept: its next read raises
@@ -367,6 +368,17 @@ def edge_rays(cone: Cone) -> tuple[IntVector, ...]:
     is the edge shared by facets i and i+1 (cyclically).
     """
     return cone._edge_rays  # computed and cached at construction
+
+
+def require_float_exact(cone: Cone) -> None:
+    """Refuse, with DomainError, a cone with a normal or edge-ray entry of
+    magnitude 2**53 or more, the first integers that a double does not hold
+    exactly: the cone functions pair them with the periods, doubles."""
+    if cone._largest_entry >= 2**53:
+        raise DomainError(
+            "the cone has a normal or edge-ray entry of magnitude 2**53 or more, "
+            "which a double does not hold exactly"
+        )
 
 
 def dual_contains(cone: Cone, y: Sequence, strict: bool = False) -> bool:

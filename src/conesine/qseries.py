@@ -483,7 +483,7 @@ def _sine_factorization(kind: str, b: complex, r: int, pairs: list, z: complex, 
     """A sine boundary factorization: e^{(-1)^r pi i b / r!}, b = B_{r,r}, times the q-factorial
     of each additive pair (u, taus) in ``pairs``, in form 1; form 2 negates every exponent.
     It evaluates the first of ``_forms_in_order`` and, where that form raises DomainError, the
-    other; where both refuse, it raises the first form's refusal.  The product is checked as a
+    other; where the other raises DomainError or BudgetError too, it raises the first form's refusal.  The product is checked as a
     ``kind`` product (``_checked_product``)."""
 
     def evaluate(form: int) -> complex:
@@ -496,7 +496,7 @@ def _sine_factorization(kind: str, b: complex, r: int, pairs: list, z: complex, 
     except DomainError as refusal:
         try:
             return evaluate(other)
-        except DomainError:
+        except (DomainError, BudgetError):
             raise refusal from None
 
 

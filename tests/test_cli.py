@@ -38,6 +38,7 @@ from conesine.cli import (
     EXIT_OK,
     EXIT_USAGE,
     _TARGETS,
+    _cone_digest,
     _json_document,
     build_parser,
     format_complex,
@@ -183,8 +184,9 @@ def test_eval_single_sine_closed_form(capsys):
     assert abs(value[1]) < 1e-12
 
 
-def test_eval_theta_vanishes_at_origin(capsys):
-    rc, out, _ = run(capsys, "eval", "theta0", "--z", "0", "--tau", "i")
+def test_eval_g0_vanishes_at_origin(capsys):
+    # G_0(z | tau), the theta product, has a zero at z = 0
+    rc, out, _ = run(capsys, "eval", "g0", "--z", "0", "--tau", "i")
     assert rc == EXIT_OK
     value = eval_record(out)["value"]
     assert abs(complex(*value)) < 1e-14
@@ -212,9 +214,9 @@ def test_eval_sine_overflow_is_domain_error(capsys):
     ("qfac", "--z", "0.3+1e309i", "--omega", "0.5i"),
     ("g0", "--z", "0.1", "--tau", "1e309i"),
     ("g1", "--z", "0.1", "--omega", "0.2+1e309i", "--omega", "0.3+1i"),
-    ("theta0", "--z", "1e309", "--tau", "1i"),
+    ("g0", "--z", "1e309", "--tau", "1i"),
 ], ids=["qfac-huge-period", "qfac-inf-real-period", "qfac-inf-imag-z", "g0-inf-imag-tau",
-        "g1-inf-imag-period", "theta0-inf-z"])
+        "g1-inf-imag-period", "g0-inf-z"])
 def test_eval_non_finite_exponent_is_domain_error(capsys, argv):
     # once a traceback (ValueError from cmath.exp) or a value with Infinity
     # in its JSON record; now refused before any product is formed
@@ -347,7 +349,6 @@ EVAL_ARGS = {
     "g0": (GAMMA_OMEGAS["standard-2"][:1], None),
     "g1": (GAMMA_OMEGAS["standard-2"], None),
     "g2": (GAMMA_OMEGAS["standard-3"], None),
-    "theta0": (GAMMA_OMEGAS["standard-2"][:1], None),
     "qfac": (GAMMA_OMEGAS["standard-2"], None),
     "s2c": (SINE_OMEGAS["wedge21"], "wedge21"),
     "s3c": (SINE_OMEGAS["cone-over-square"], "cone-over-square"),
@@ -359,7 +360,7 @@ EVAL_ARGS = {
 # function); a cone target's first route is its default
 EVAL_ROUTES = [
     *[(f"s{r}", None, form, multiple_sine) for r in (1, 2, 3) for form in (None, 1, 2)],
-    *[(target, None, None, elliptic_gamma) for target in ("g0", "g1", "g2", "theta0")],
+    *[(target, None, None, elliptic_gamma) for target in ("g0", "g1", "g2")],
     ("qfac", None, None, qfactorial),
     ("s2c", "decomposed", None, sine_cone_decomposed),
     ("s2c", "factorized", None, sine_cone_factorized),
@@ -550,7 +551,7 @@ def test_eval_overflowing_cone_product_exits_2(capsys, target, cone, route, z, o
 
 
 @pytest.mark.parametrize("argv", [
-    "eval theta0 --z 0.3-200i --tau i",
+    "eval g0 --z 0.3-200i --tau i",
     "eval g1 --z 0.3-200i --omega 0.2+0.5i --omega 0.1+0.7i",
 ])
 def test_eval_exp_overflow_is_domain_error(capsys, argv):
@@ -723,6 +724,97 @@ def test_unknown_fixture_name_is_usage_error(capsys):
     rc, _, err = run(capsys, "verify", "s2c-factorization", "--cone", "no-such-cone")
     assert rc == EXIT_USAGE
     assert "neither a bundled cone name" in err
+
+
+# the bundled cones are literals in conesine.fixtures; the digest of each one's
+# JSON, which every report records, pins them
+FIXTURE_DIGESTS = {
+    "standard-2": "70f38799099e864e9f226441b6dc4b81298b88f6052109402342b6df1424784c",
+    "standard-3": "429ab9f0f03c61277eceba0d1130b0c576afed1fb2ce1760fdf100c6d3cc8ae0",
+    "wedge21": "01a70a84ccdf34240e399fdafdd0276c1dac5e042cb727bb29fd110a26a017c1",
+    "wedge53": "3aef347181f8ab72781680c0b29f9b36c0385c5f11343e07eb9399d215050c79",
+    "cone-over-square": "ea372d8823d3c71f7fbd0fe8bd054af00ab11319efd0d9c971697f3d6cd5af91",
+}
+
+
+def test_fixture_digests_are_pinned():
+    assert {name: _cone_digest(fixture_cone(name)) for name in FIXTURE_NAMES} == FIXTURE_DIGESTS
+    assert FIXTURE_NAMES == tuple(FIXTURE_DIGESTS)
+
+
+# hostile file -> (its bytes, None for a path in a missing directory, "dir" for a
+# directory; exit code and error fragment when it is read as a cone)
+_HOSTILE_FILES = {
+    "float-entry": (b'{"dim": 2, "normals": [[1.5, 1], [0, 1]]}', EXIT_DOMAIN, "must have integer entries"),
+    "bool-entry": (b'{"dim": 2, "normals": [[true, 1], [0, 1]]}', EXIT_DOMAIN, "must have integer entries"),
+    "huge-entry": (b'{"dim": 2, "normals": [[1' + b"0" * 400 + b', 1], [0, 1]]}', EXIT_DOMAIN,
+                   "entry of magnitude 2**53 or more"),
+    "non-primitive": (b'{"dim": 2, "normals": [[0, 2], [1, 0]]}', EXIT_DOMAIN, "is not primitive"),
+    "flat-normals": (b'{"dim": 2, "normals": [1, 2]}', EXIT_USAGE, "must have 'dim' and 'normals'"),
+    "top-level-list": (b"[[0, 1], [1, 0]]", EXIT_USAGE, "must have 'dim' and 'normals'"),
+    # more digits than int() converts: json raises a ValueError that is no JSONDecodeError
+    "long-integer": (b'{"dim": 2, "normals": [[1' + b"0" * 5000 + b', 1], [0, 1]]}', EXIT_USAGE, "not valid JSON"),
+    "non-utf8": (b'\xff{"dim": 2}', EXIT_USAGE, "not UTF-8 text (invalid start byte at byte 0)"),
+    "deep-nesting": (b"[" * 200_000 + b"]" * 200_000, EXIT_USAGE, "JSON nested too deeply"),
+    "missing": (None, EXIT_USAGE, "nor a readable file"),
+    "directory": ("dir", EXIT_USAGE, "nor a readable file"),
+    "max-terms-true": (b'{"max_terms": true}', EXIT_DOMAIN, "max_terms must be an integer, got True"),
+}
+
+
+def _hostile_calls():
+    """(argv with {path} for the file, file kind, whether the file is
+    CONESINE_CONFIG, exit code, error fragment with {path})."""
+    report = ["report", "--cone", "{path}", "--samples", "1"]
+    for verb in [*_CONE_FILE_VERBS, report]:
+        for kind, (_, code, fragment) in _HOSTILE_FILES.items():
+            if kind == "max-terms-true":  # a config file, not a cone
+                continue
+            if verb[0] == "check-cone" and kind == "huge-entry":
+                code, fragment = EXIT_OK, None  # the exact geometry takes it
+            yield pytest.param(verb, kind, False, code, fragment, id=f"{verb[0]}-{kind}")
+    for kind in ("non-utf8", "deep-nesting", "missing", "directory", "max-terms-true"):
+        payload, code, fragment = _HOSTILE_FILES[kind]
+        fragment = "{path!r}: cannot read file" if payload in (None, "dir") else fragment
+        yield pytest.param(["eval", "g0", "--z", "0.1", "--tau", "0.2+1i"], kind, True, code, fragment,
+                           id=f"config-{kind}")
+    for verb in (_VALID_CALLS["verify"], _VALID_CALLS["report"]):
+        for kind in ("missing", "directory"):
+            yield pytest.param([*verb, "--output", "{path}"], kind, False, EXIT_USAGE,
+                               "--output {path!r}: cannot write file", id=f"{verb[0]}-output-{kind}")
+
+
+@pytest.mark.parametrize("argv, kind, config, code, fragment", _hostile_calls())
+def test_hostile_file_exits_with_one_error_line(capsys, monkeypatch, tmp_path, argv, kind, config, code, fragment):
+    # a non-UTF-8 or deeply nested file, a huge entry, a bool entry and an
+    # output path that cannot be written each ended in a traceback
+    payload = _HOSTILE_FILES[kind][0]
+    path = tmp_path / "absent" / "file.json" if payload is None else tmp_path / "file.json"
+    if payload == "dir":
+        path.mkdir()
+    elif payload is not None:
+        path.write_bytes(payload)
+    if config:
+        monkeypatch.setenv("CONESINE_CONFIG", str(path))
+    rc, out, err = run(capsys, *(arg.format(path=path) for arg in argv))
+    assert rc == code
+    if code == EXIT_OK:
+        assert err == "" and "normals     (1" + "0" * 400 + ",1) (0,1)" in out
+    else:
+        assert err.startswith("conesine: error: ") and len(err.splitlines()) == 1
+        assert fragment.format(path=str(path)) in err
+
+
+def test_sine_fallback_keeps_the_first_refusal_over_a_budget_error(capsys):
+    # the first form refuses near the unit circle and the other overruns
+    # max_terms: eval reported the budget and verify_theorem could not redraw
+    rc, out, err = run(capsys, "eval", "s2c", "--cone", "wedge53", "--route", "factorized",
+                       "--z", "0.11595957121577838-8.366145405965092i",
+                       "--omega", "-1.5868093054252816-0.0003481147530394282i",
+                       "--omega", "1.8202391293764213+0.0003977921039356357i")
+    assert (rc, out) == (EXIT_DOMAIN, "")
+    assert err == ("conesine: error: |q| = 1.0000008109415959 is within 1e-06 of the unit circle: "
+                   "the product does not converge (resonant or near-resonant periods)\n")
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ values = st.builds(complex, st.sampled_from(ORDINARY + HOSTILE), st.sampled_from
 
 
 def _family(target: str) -> str:
-    # the cone targets are one family each; the others by letters (s1..s3, g0..g2, theta0, qfac)
+    # the cone targets are one family each; the others by letters (s1..s3, g0..g2, qfac)
     return target if _TARGETS[target][1] is not None else target.rstrip("0123456789")
 
 

@@ -692,6 +692,61 @@ def test_verify_theorem_refuses_a_tolerance_that_is_not_a_finite_positive_real(w
         verify_theorem("s2c-factorization", w21, samples=1, tolerance=tolerance)
 
 
+# cones whose integers a double does not hold exactly: 10**400 overflowed in
+# int-to-float conversion, and an entry of 2**53 or more rounds
+HUGE_CONES = {
+    "2d-past-double-range": Cone(2, ((10**400, 1), (0, 1))),
+    "2d-at-2-to-the-53": Cone(2, ((2**53, 1), (0, 1))),
+    "3d-unimodular": Cone(3, ((1, 10**400, 0), (0, 1, 0), (0, 0, 1))),
+    "3d-edge-ray": Cone(3, ((1, 0, 0), (0, 2**27, 1), (2**27, 1, 1))),
+}
+
+CONE_FUNCTIONS = {
+    "sine_cone_decomposed": sine_cone_decomposed,
+    "sine_cone_factorized": sine_cone_factorized,
+    "gamma_cone_direct": gamma_cone_direct,
+    "gamma_cone_factorized": gamma_cone_factorized,
+    "sine_face_factors": sine_face_factors,
+    "gamma_face_factors": gamma_face_factors,
+    "bernoulli_cone": lambda cone, z, omegas: bernoulli.bernoulli_cone(cone, z, omegas, cone.dim),
+    "bernoulli_cone_lifted": lambda cone, z, omegas: bernoulli_cone_lifted(cone, z, omegas, 1.0),
+    "bernoulli_cone_oracle": lambda cone, z, omegas: bernoulli.bernoulli_cone_oracle(cone, z, omegas, cone.dim),
+    "gamma_cone_lattice_oracle": gamma_cone_lattice_oracle,
+}
+
+
+@pytest.mark.parametrize("fn", CONE_FUNCTIONS.values(), ids=CONE_FUNCTIONS)
+@pytest.mark.parametrize("cone", HUGE_CONES.values(), ids=HUGE_CONES)
+def test_cone_functions_refuse_integers_a_double_does_not_hold(cone, fn):
+    # 10**400 raised OverflowError: int too large to convert to float
+    omegas = (1 + 0.1j, 0.5 + 0.3j, 0.2 + 0.4j)[: cone.dim]
+    with pytest.raises(DomainError, match=r"entry of magnitude 2\*\*53 or more"):
+        fn(cone, 0.3 + 0.1j, omegas)
+
+
+@pytest.mark.parametrize("name", ["2d-past-double-range", "2d-at-2-to-the-53", "3d-unimodular"])
+def test_verify_theorem_refuses_integers_a_double_does_not_hold(name):
+    # the sampler pairs the normals with doubles: 10**400 raised OverflowError
+    cone = HUGE_CONES[name]
+    for tid in THEOREM_IDS:
+        if THEOREMS[tid].dim == cone.dim:
+            with pytest.raises(DomainError, match=r"entry of magnitude 2\*\*53 or more"):
+                verify_theorem(tid, cone, samples=1)
+
+
+def test_sine_fallback_keeps_the_first_refusal_over_a_budget_error():
+    # the first form refuses near the unit circle; the other overran max_terms,
+    # and its BudgetError replaced the refusal, which verify_theorem redraws on
+    z = 0.11595957121577838 - 8.366145405965092j
+    omegas = (-1.5868093054252816 - 0.0003481147530394282j, 1.8202391293764213 + 0.0003977921039356357j)
+    cone = fixture_cone("wedge53")
+    with pytest.raises(DomainError, match=r"^\|q\| = 1\.0000008109415959 is within 1e-06 of the unit circle"):
+        sine_cone_factorized(cone, z, omegas)
+    _, other = qseries._forms_in_order([(u, scaled[1:]) for _, u, scaled in cone.faces(z, omegas)])
+    with forced_form(other), pytest.raises(BudgetError):
+        sine_cone_factorized(cone, z, omegas)
+
+
 def test_verify_theorem_fails_at_impossible_tolerance(w21):
     rep = verify_theorem("s2c-factorization", w21, samples=2, seed=3, tolerance=1e-300)
     assert rep.status == "FAIL"

@@ -113,12 +113,30 @@ def test_primitive_part_divides_out_gcd():
     (2.5, ((0, 1), (-2, 1)), r"^only cones of dimension 2 or 3 are supported, got 2.5$"),
     # JSON reads 1e400 as infinity, which int() cannot convert
     (2, ((math.inf, 1), (0, 1)), r"^normal must be a sequence of integers: \(inf, 1\)$"),
+    # int(True) == True, so a bool entry loaded as 1
+    (2, ((True, 1), (0, 1)), r"^normal must have integer entries: \(True, 1\)$"),
 ], ids=["2d-three-normals", "3d-two-normals", "2d-half-plane", "2d-free-last-axis", "3d-rank-deficient",
         "3d-consecutive-parallel", "3d-shuffled-square", "3d-edge-on-third-facet",
-        "non-integral-dim", "infinite-entry"])
+        "non-integral-dim", "infinite-entry", "bool-entry"])
 def test_cone_refusal_messages(dim, normals, match):
     with pytest.raises(DomainError, match=match):
         Cone(dim, normals)
+
+
+@pytest.mark.parametrize("normals, refused", [
+    (((2**53 - 1, 1), (0, 1)), False),
+    (((2**53, 1), (0, 1)), True),
+    (((-(2**53), 1), (0, 1)), True),
+    # every normal entry is below 2**28, but an edge ray has the entry -2**54
+    (((1, 0, 0), (0, 2**27, 1), (2**27, 1, 1)), True),
+], ids=["2d-below", "2d-at", "2d-negative", "3d-edge-ray"])
+def test_require_float_exact_refuses_entries_from_2_to_the_53(normals, refused):
+    cone = Cone(len(normals[0]), normals)
+    if refused:
+        with pytest.raises(DomainError, match=r"entry of magnitude 2\*\*53 or more"):
+            lattice_cones.require_float_exact(cone)
+    else:
+        lattice_cones.require_float_exact(cone)
 
 
 def test_integral_float_dimension_loads_as_int():

@@ -16,29 +16,16 @@ __version__ = "1.0.0"
 from .errors import BudgetError, ConesineError, DomainError, ParseError
 from .lattice_cones import (
     Cone,
-    FaceTransform,
-    GorensteinFrame,
-    WedgeSubdivision,
     cone_chain_2d,
-    contains,
-    cross3,
     det2,
-    det3,
     dual_contains,
     edge_rays,
     face_matrices,
     gorenstein_frame,
     gorenstein_vector,
     is_good,
-    is_primitive,
     lattice_points,
-    mat_transpose,
-    mat_vec,
-    primitive_part,
     subdivide_wedge,
-    unimodular_inverse,
-    unimodular_with_first_column,
-    xgcd,
 )
 from .bernoulli import (
     bernoulli_cone,
@@ -57,15 +44,12 @@ from .qseries import (
 )
 from .generalized import (
     THEOREM_IDS,
-    FaceFactor,
     VerificationReport,
     gamma_cone_direct,
     gamma_cone_factorized,
     gamma_cone_lattice_oracle,
-    gamma_face_factors,
     sine_cone_decomposed,
     sine_cone_factorized,
-    sine_face_factors,
     verify_theorem,
 )
 from .fixtures import FIXTURE_NAMES, fixture_cone, load_cone
@@ -82,29 +66,16 @@ __all__ = [
     "BudgetError",
     # lattice geometry
     "Cone",
-    "FaceTransform",
-    "GorensteinFrame",
-    "WedgeSubdivision",
     "cone_chain_2d",
-    "contains",
-    "cross3",
     "det2",
-    "det3",
     "dual_contains",
     "edge_rays",
     "face_matrices",
     "gorenstein_frame",
     "gorenstein_vector",
     "is_good",
-    "is_primitive",
     "lattice_points",
-    "mat_transpose",
-    "mat_vec",
-    "primitive_part",
     "subdivide_wedge",
-    "unimodular_inverse",
-    "unimodular_with_first_column",
-    "xgcd",
     # generalized Bernoulli layer
     "bernoulli_cone",
     "bernoulli_cone_lifted",
@@ -120,15 +91,12 @@ __all__ = [
     "qfactorial_xq",
     # cone-restricted functions and verification
     "THEOREM_IDS",
-    "FaceFactor",
     "VerificationReport",
     "gamma_cone_direct",
     "gamma_cone_factorized",
     "gamma_cone_lattice_oracle",
-    "gamma_face_factors",
     "sine_cone_decomposed",
     "sine_cone_factorized",
-    "sine_face_factors",
     "verify_theorem",
     # fixtures
     "FIXTURE_NAMES",

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import functools
 import hashlib
 import json
@@ -190,6 +191,14 @@ def _json_write(container, newline: str, out: list[str]) -> None:
     append(newline + brackets[1])
 
 
+def check_output(path: str | None) -> None:
+    """Refuse an ``--output`` path that is a directory, or whose directory is missing, as
+    ``write_output`` would, but before a verb evaluates anything and creating no file."""
+    if path is not None and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")):
+        code = errno.EISDIR if os.path.isdir(path) else errno.ENOENT
+        raise ParseError(f"--output {path!r}: cannot write file ({os.strerror(code)})")
+
+
 def write_output(path: str, text: str) -> None:
     """Write ``text`` to the file at ``path`` as UTF-8, the one file a verb
     writes; a path that cannot be written raises ParseError naming it."""
@@ -292,7 +301,7 @@ def _print_report_summary(name: str, report) -> None:
     print(f"theorem          {report.theorem_id}")
     cone = report.cone
     normals = " ".join(_vec_str(v) for v in cone["normals"])
-    print(f"cone             {name}  (dim {cone['dim']}, normals {normals})")
+    print(f"cone             {_escaped(name)}  (dim {cone['dim']}, normals {normals})")
     print(f"samples          {report.config['samples']}  (seed {report.seed})")
     print(f"tolerance        {report.tolerance:g}")
     print(f"status           {report.status}")
@@ -314,6 +323,7 @@ def _check_theorem_ids(theorem_ids: Sequence[str]) -> None:
 def cmd_verify(args: argparse.Namespace) -> int:
     _check_theorem_ids([args.theorem])
     cfg = build_config(args)
+    check_output(args.output)
     cone = load_cone(args.cone)
     report = verify_theorem(
         args.theorem,
@@ -327,7 +337,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     doc = _json_document(report.to_json_dict())
     if args.output:
         write_output(args.output, doc + "\n")
-        print(f"report written   {args.output}")
+        print(f"report written   {_escaped(args.output)}")
     else:
         print(doc)
     return EXIT_OK if report.status in ("PASS", "SKIP") else EXIT_FAIL
@@ -366,6 +376,17 @@ def _report_document(args: argparse.Namespace, cfg: EvalConfig) -> dict:
     }
 
 
+def _escaped(text: str) -> str:
+    """``text`` with each lone surrogate, a path byte that is not UTF-8, backslash-escaped."""
+    return text.encode("utf-8", "backslashreplace").decode("utf-8")
+
+
+def _csv_field(text: str) -> str:
+    """``_escaped(text)`` as one CSV field, quoted as RFC 4180 quotes a comma, a quote or a line break."""
+    text = _escaped(text)
+    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
+
+
 def _report_csv(doc: dict) -> str:
     lines = ["theorem,cone,status,samples,seed,tolerance,max_residual,detail"]
     for item in doc["items"]:
@@ -376,7 +397,7 @@ def _report_csv(doc: dict) -> str:
             residual = f"{item['max_residual']:.6e}"
             detail = ""
         lines.append(
-            f"{item['theorem']},{item['cone_name']},{item['status']},"
+            f"{item['theorem']},{_csv_field(item['cone_name'])},{item['status']},"
             f"{item['config']['samples']},{item['seed']},{item['tolerance']:g},"
             f"{residual},{detail}"
         )
@@ -385,6 +406,7 @@ def _report_csv(doc: dict) -> str:
 
 def cmd_report(args: argparse.Namespace) -> int:
     cfg = build_config(args)
+    check_output(args.output)
     doc = _report_document(args, cfg)
     if args.format == "csv":
         text = _report_csv(doc)
@@ -394,9 +416,9 @@ def cmd_report(args: argparse.Namespace) -> int:
         write_output(args.output, text)
         for item in doc["items"]:
             residual = "" if item["status"] == "SKIP" else f"  max residual {item['max_residual']:.3e}"
-            print(f"{item['cone_name']:16s} {item['theorem']:20s} {item['status']}{residual}")
+            print(f"{_escaped(item['cone_name']):16s} {item['theorem']:20s} {item['status']}{residual}")
         print(f"overall          {doc['status']}")
-        print(f"report written   {args.output}")
+        print(f"report written   {_escaped(args.output)}")
     else:
         sys.stdout.write(text)
     return EXIT_FAIL if doc["status"] == "FAIL" else EXIT_OK
@@ -420,24 +442,26 @@ def cmd_subdivide(args: argparse.Namespace) -> int:
 
 def cmd_check_cone(args: argparse.Namespace) -> int:
     cone = load_cone(args.cone)
-    print(f"cone        {args.cone}")
-    print(f"dim         {cone.dim}")
-    print(f"normals     {' '.join(_vec_str(v) for v in cone.normals)}")
-    print(f"edge rays   {' '.join(_vec_str(v) for v in edge_rays(cone))}")
-    print("primitive   yes (enforced at load)")
-    print("minimal     yes (enforced at load)")
-    good = is_good(cone)
-    print(f"good        {'yes' if good else 'no'}")
-    xi = gorenstein_vector(cone)
-    print(f"gorenstein  {'xi = ' + _vec_str(xi) if xi is not None else 'no'}")
-    if not good:
-        print("face transforms unavailable: the cone is not good")
-        return EXIT_OK
-    print("face transforms:")
-    for ft in cone.face_transforms:
-        print(f"  {ft.face_id}: n = {_vec_str(ft.n_vector)}, det {ft.det:+d}")
-        for row in ft.matrix:
-            print(f"      [{' '.join(f'{c:3d}' for c in row)}]")
+    good, xi = is_good(cone), gorenstein_vector(cone)
+    try:  # all or nothing: str() refuses an integer past Python's digit limit
+        lines = [
+            f"cone        {_escaped(args.cone)}",
+            f"dim         {cone.dim}",
+            f"normals     {' '.join(_vec_str(v) for v in cone.normals)}",
+            f"edge rays   {' '.join(_vec_str(v) for v in edge_rays(cone))}",
+            "primitive   yes (enforced at load)",
+            "minimal     yes (enforced at load)",
+            f"good        {'yes' if good else 'no'}",
+            f"gorenstein  {'xi = ' + _vec_str(xi) if xi is not None else 'no'}",
+            "face transforms:" if good else "face transforms unavailable: the cone is not good",
+        ]
+        for ft in cone.face_transforms if good else ():
+            lines.append(f"  {ft.face_id}: n = {_vec_str(ft.n_vector)}, det {ft.det:+d}")
+            lines += [f"      [{' '.join(f'{c:3d}' for c in row)}]" for row in ft.matrix]
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise DomainError(f"cannot print the cone: an integer of it has more than {limit} digits") from None
+    print("\n".join(lines))
     return EXIT_OK
 
 

@@ -33,29 +33,13 @@ from .lattice_cones import Cone, dual_contains, lattice_points, require_count, r
 from .qseries import (
     DEFAULT_CONFIG,
     EvalConfig,
-    _boundary_qfactorials,
     _checked_product,
-    _forms_in_order,
     _prefactor,
     _rel_residual,
     _sine_factorization,
     elliptic_gamma,
     multiple_sine,
 )
-
-__all__ = [
-    "FaceFactor",
-    "VerificationReport",
-    "sine_cone_decomposed",
-    "sine_cone_factorized",
-    "gamma_cone_direct",
-    "gamma_cone_factorized",
-    "sine_face_factors",
-    "gamma_face_factors",
-    "gamma_cone_lattice_oracle",
-    "verify_theorem",
-    "THEOREM_IDS",
-]
 
 
 def _route_periods(cone: Cone, omegas: Sequence[complex], gamma: bool) -> tuple[complex, ...]:
@@ -119,35 +103,6 @@ def gamma_cone_direct(
 # factorization routes (Bernoulli exponential times one factor per face)
 
 
-@dataclass(frozen=True)
-class FaceFactor:
-    """One face's contribution to a factorized cone function: the face's id
-    (``edge(...)``, after its edge ray) and the factor's ``value``."""
-
-    face_id: str
-    value: complex
-
-
-def sine_face_factors(
-    cone: Cone,
-    z: complex,
-    omegas: Sequence[complex],
-    cfg: EvalConfig = DEFAULT_CONFIG,
-) -> tuple[FaceFactor, ...]:
-    """The q-factorial factor contributed by each codimension-1 face.
-
-    With p = K_f (periods) and its first entry p_0 the edge-ray pairing,
-    the form-1 factor is (e^{2 pi i z/p_0} | e^{2 pi i p_j/p_0}) over j >= 1;
-    the form-2 factor takes the opposite sign in every exponent.  The factors
-    are those of the form ``sine_cone_factorized`` evaluates first.
-    """
-    omegas = _as_period_tuple(omegas, cone)
-    faces = list(cone.faces(z, omegas))
-    pairs = [(u, scaled[1:]) for _, u, scaled in faces]
-    values = _boundary_qfactorials(pairs, cfg, _forms_in_order(pairs)[0])
-    return tuple(FaceFactor(face_id=face_id, value=value) for (face_id, _, _), value in zip(faces, values))
-
-
 def sine_cone_factorized(
     cone: Cone,
     z: complex,
@@ -179,25 +134,6 @@ def _gamma_faces(cone: Cone, z: complex, omegas: tuple[complex, ...], variant: s
     if variant == "primary":
         return faces
     return ((face_id, -u, (taus[0], *(-t for t in taus[1:]))) for face_id, u, taus in faces)
-
-
-def gamma_face_factors(
-    cone: Cone,
-    z: complex,
-    omegas: Sequence[complex],
-    cfg: EvalConfig = DEFAULT_CONFIG,
-    variant: str = "primary",
-) -> tuple[FaceFactor, ...]:
-    """The transformed ordinary elliptic gamma contributed by each face.
-
-    Each face's periods are those of ``variant``: the face matrix composed
-    with S (``"primary"``) or with S^-1 (``"alternative"``).
-    """
-    omegas = _as_period_tuple(omegas, cone)
-    return tuple(
-        FaceFactor(face_id=face_id, value=elliptic_gamma(z_scaled, scaled, cfg))
-        for face_id, z_scaled, scaled in _gamma_faces(cone, z, omegas, variant)
-    )
 
 
 def gamma_cone_factorized(

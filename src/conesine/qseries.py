@@ -466,36 +466,25 @@ def _prefactor(c: complex, b: complex) -> complex:
     return prefactor
 
 
-def _boundary_qfactorials(pairs: list, cfg: EvalConfig, form: int) -> list[complex]:
-    """The q-factorial of each additive pair (u, taus) in ``pairs`` (``_form_arguments``) in
-    boundary form ``form``."""
-    return [qfactorial_xq(*_form_arguments(u, taus, form, k), cfg) for k, (u, taus) in enumerate(pairs)]
-
-
-def _forms_in_order(pairs: list) -> tuple[int, int]:
-    """The boundary forms of a sine factorization of ``pairs`` in the order it tries them: first
-    the one with fewer predicted shift steps (``_cheaper_form``), then the other."""
-    form = _cheaper_form(pairs)
-    return form, 3 - form
-
-
 def _sine_factorization(kind: str, b: complex, r: int, pairs: list, z: complex, cfg: EvalConfig) -> complex:
     """A sine boundary factorization: e^{(-1)^r pi i b / r!}, b = B_{r,r}, times the q-factorial
-    of each additive pair (u, taus) in ``pairs``, in form 1; form 2 negates every exponent.
-    It evaluates the first of ``_forms_in_order`` and, where that form raises DomainError, the
-    other; where the other raises DomainError or BudgetError too, it raises the first form's refusal.  The product is checked as a
-    ``kind`` product (``_checked_product``)."""
+    of each additive pair (u, taus) in ``pairs`` (``_form_arguments``), in form 1; form 2 negates
+    every exponent.  It evaluates first the form with fewer predicted shift steps
+    (``_cheaper_form``) and, where that form raises DomainError, the other; where the other
+    raises DomainError or BudgetError too, it raises the first form's refusal.  The product is
+    checked as a ``kind`` product (``_checked_product``)."""
 
     def evaluate(form: int) -> complex:
         prefactor = _prefactor((-1) ** (r + form - 1) * 1j * math.pi / math.factorial(r), b)
-        return _checked_product(kind, [prefactor, *_boundary_qfactorials(pairs, cfg, form)], z)
+        factors = [qfactorial_xq(*_form_arguments(u, taus, form, k), cfg) for k, (u, taus) in enumerate(pairs)]
+        return _checked_product(kind, [prefactor, *factors], z)
 
-    first, other = _forms_in_order(pairs)
+    first = _cheaper_form(pairs)
     try:
         return evaluate(first)
     except DomainError as refusal:
         try:
-            return evaluate(other)
+            return evaluate(3 - first)
         except (DomainError, BudgetError):
             raise refusal from None
 

@@ -287,10 +287,11 @@ def face_draws(seed: int, count: int) -> list:
     """(fixture, kind, z, omegas, form, factor values): the first ``count`` draws per bundled
     cone and kind, from ``Random(seed)``, whose face factors all evaluate.  A sine draw takes
     the form ``sine_cone_factorized`` picks; a gamma draw the primary face periods."""
-    from conesine import FIXTURE_NAMES, fixture_cone, gamma_face_factors, sine_face_factors
+    from conesine import FIXTURE_NAMES, fixture_cone
     from conesine.errors import ConesineError
     from conesine.generalized import _sample_gamma_params, _sample_sine_params
     from conesine.qseries import _cheaper_form  # the form the factorized route tries first
+    from params import face_factors
 
     draws = []
     for name in FIXTURE_NAMES:
@@ -302,12 +303,12 @@ def face_draws(seed: int, count: int) -> list:
                 try:
                     if kind == "sine":
                         form = _cheaper_form([(u, scaled[1:]) for _, u, scaled in cone.faces(z, omegas)])
-                        factors = sine_face_factors(cone, z, omegas)
+                        factors = face_factors(cone, z, omegas)
                     else:
-                        form, factors = 1, gamma_face_factors(cone, z, omegas)
+                        form, factors = 1, face_factors(cone, z, omegas, "primary")
                 except ConesineError:
                     continue
-                draws.append((name, kind, z, omegas, form, [f.value for f in factors]))
+                draws.append((name, kind, z, omegas, form, [value for _, value in factors]))
                 kept += 1
     return draws
 

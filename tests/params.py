@@ -14,7 +14,8 @@ import math
 from contextlib import contextmanager
 from unittest import mock
 
-from conesine import qseries
+from conesine import elliptic_gamma, generalized, qfactorial_xq, qseries
+from conesine.bernoulli import _as_period_tuple
 
 # A generic evaluation point used by most identity checks.
 Z_GENERIC = 0.31 - 0.17j
@@ -84,6 +85,22 @@ def forced_form(form: int):
     refuses.  Tests pick a form through this one seam and no other."""
     with mock.patch.object(qseries, "_cheaper_form", return_value=form):
         yield
+
+
+def face_factors(cone, z: complex, omegas, variant: str | None = None) -> list[tuple[str, complex]]:
+    """[(face id, factor), ...]: one factor per codimension-1 face of a factorized cone route,
+    built from the route's pieces.  For the sine (``variant`` None) each face's q-factorial
+    in the form ``qseries._cheaper_form`` picks, the one ``sine_cone_factorized`` tries first
+    (``forced_form`` picks another); for the gamma each face's elliptic gamma in ``variant``,
+    ``"primary"`` or ``"alternative"``.  The periods are checked as the routes check them."""
+    omegas = _as_period_tuple(omegas, cone)
+    if variant is not None:
+        faces = generalized._gamma_faces(cone, z, omegas, variant)
+        return [(face_id, elliptic_gamma(u, taus)) for face_id, u, taus in faces]
+    faces = [(face_id, u, scaled[1:]) for face_id, u, scaled in cone.faces(z, omegas)]
+    form = qseries._cheaper_form([(u, taus) for _, u, taus in faces])
+    return [(face_id, qfactorial_xq(*qseries._form_arguments(u, taus, form, k)))
+            for k, (face_id, u, taus) in enumerate(faces)]
 
 
 # (eval target, cone fixture, route, z, periods) where every factor of the

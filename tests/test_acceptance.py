@@ -23,7 +23,6 @@ from conesine import (
     qfactorial,
     sine_cone_decomposed,
     sine_cone_factorized,
-    sine_face_factors,
     verify_theorem,
 )
 from conesine.cli import main
@@ -35,7 +34,7 @@ from identities import (
     qfactorial_gluing_check,
     wedge_product_check,
 )
-from params import BERNOULLI_OMEGAS, GAMMA_OMEGAS, SINE_OMEGAS, Z_GENERIC, forced_form, rel
+from params import BERNOULLI_OMEGAS, GAMMA_OMEGAS, SINE_OMEGAS, Z_GENERIC, face_factors, forced_form, rel
 
 
 def _z(rng: Random) -> complex:
@@ -212,7 +211,7 @@ def test_c07_sine_cone_3d_factorization():
     rep = verify_theorem("s3c-factorization", square, samples=5, seed=107)
     assert rep.status == "PASS"
     assert rep.max_residual < 1e-7
-    factors = sine_face_factors(square, Z_GENERIC, SINE_OMEGAS["cone-over-square"])
+    factors = face_factors(square, Z_GENERIC, SINE_OMEGAS["cone-over-square"])
     assert len(factors) == 4
 
 

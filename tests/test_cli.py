@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import cmath
 import collections
+import csv
 import dataclasses
 import enum
 import functools
@@ -803,6 +804,58 @@ def test_hostile_file_exits_with_one_error_line(capsys, monkeypatch, tmp_path, a
     else:
         assert err.startswith("conesine: error: ") and len(err.splitlines()) == 1
         assert fragment.format(path=str(path)) in err
+
+
+def test_check_cone_refuses_an_integer_too_long_to_print(capsys, tmp_path):
+    # the normals fit Python's 4300-digit limit, but the edge rays have 5001 digits:
+    # str() raised a ValueError traceback after the first four lines were printed
+    n = 10**2500
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"dim": 3, "normals": [[1, 0, 0], [0, n, 1], [n, 1, 1]]}))
+    rc, out, err = run(capsys, "check-cone", str(path))
+    assert (rc, out) == (EXIT_DOMAIN, "")
+    assert err.startswith("conesine: error: cannot print the cone: an integer of it has more than ")
+    assert len(err.splitlines()) == 1
+
+
+def test_report_csv_quotes_a_cone_name_that_would_break_its_row(capsys, monkeypatch, tmp_path):
+    # 'a,b.json' made a row of 9 fields, and a path byte that is not UTF-8 (a lone
+    # surrogate in the name) died in the --output write with UnicodeEncodeError
+    monkeypatch.chdir(tmp_path)
+    names = ["a,b.json", 'say "b".json', "two\nlines.json", os.fsdecode(b"\xffw.json")]
+    for name in names:
+        Path(name).write_text(json.dumps({"dim": 2, "normals": [[0, 1], [-2, 1]]}))
+    cones = [arg for name in names for arg in ("--cone", name)]
+    rc, out, err = run(capsys, "report", *cones, "--theorem", "s2c-factorization", "--samples", "1",
+                       "--format", "csv", "--output", "report.csv")
+    assert (rc, err) == (EXIT_OK, "")
+    with open("report.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [len(row) for row in rows] == [8] * 5
+    assert [row[1] for row in rows[1:]] == [*names[:3], "\\udcffw.json"]
+    assert 's2c-factorization,"a,b.json",PASS,' in Path("report.csv").read_text(encoding="utf-8")
+    # the summaries print such a name escaped too: a strict stdout, as here, refused it
+    assert "\\udcffw.json     s2c-factorization    PASS" in out
+    for verb in (["check-cone", names[3]], ["verify", "s2c-factorization", "--cone", names[3], "--samples", "1",
+                                            "--output", names[3] + ".out"]):
+        rc, out, err = run(capsys, *verb)
+        assert (rc, err) == (EXIT_OK, "") and "\\udcffw.json" in out
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+@pytest.mark.parametrize("verb", ["verify", "report"])
+def test_unwritable_output_is_refused_before_any_evaluation(capsys, monkeypatch, tmp_path, verb, kind):
+    # report --samples 100 --output /nonexistent/x.json computed the whole report before it exited 1
+    def evaluated(*args, **kwargs):
+        raise AssertionError("evaluated before the --output check")
+
+    monkeypatch.setattr("conesine.cli.verify_theorem", evaluated)
+    path = tmp_path / "absent" / "x.json" if kind == "missing" else tmp_path
+    rc, out, err = run(capsys, *_VALID_CALLS[verb], "--output", str(path))
+    assert (rc, out) == (EXIT_USAGE, "")
+    assert err.startswith(f"conesine: error: --output {str(path)!r}: cannot write file (")
+    assert len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []  # no file made
 
 
 def test_sine_fallback_keeps_the_first_refusal_over_a_budget_error(capsys):

@@ -1,4 +1,7 @@
-"""The error contract over hostile inputs.
+"""The package's public names, and the error contract over hostile inputs.
+
+``conesine`` exports the paper's objects, its routes and its verbs; the
+integer-matrix helpers are imported from ``conesine.lattice_cones``.
 
 Every library call behind an ``eval`` target returns a finite complex or
 raises a ConesineError, whatever z and the periods are: ordinary values,
@@ -17,9 +20,41 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+import conesine
 from conesine import EvalConfig, FIXTURE_NAMES, bernoulli_cone_oracle, fixture_cone, gamma_cone_lattice_oracle
+from conesine import lattice_cones
 from conesine.cli import _TARGETS
 from conesine.errors import ConesineError
+
+PUBLIC_NAMES = {
+    "__version__", "ConesineError", "ParseError", "DomainError", "BudgetError",
+    "Cone", "cone_chain_2d", "det2", "dual_contains", "edge_rays", "face_matrices", "gorenstein_frame",
+    "gorenstein_vector", "is_good", "lattice_points", "subdivide_wedge",
+    "bernoulli_cone", "bernoulli_cone_lifted", "bernoulli_cone_oracle", "bernoulli_multiple",
+    "DEFAULT_CONFIG", "EvalConfig", "e2", "elliptic_gamma", "multiple_sine", "qfactorial", "qfactorial_xq",
+    "THEOREM_IDS", "VerificationReport", "gamma_cone_direct", "gamma_cone_factorized",
+    "gamma_cone_lattice_oracle", "sine_cone_decomposed", "sine_cone_factorized", "verify_theorem",
+    "FIXTURE_NAMES", "fixture_cone", "load_cone",
+}
+# importable from conesine.lattice_cones only
+MATRIX_HELPERS = {
+    "xgcd", "FaceTransform", "GorensteinFrame", "WedgeSubdivision", "cross3", "det3", "mat_transpose",
+    "mat_vec", "primitive_part", "is_primitive", "contains", "unimodular_inverse", "unimodular_with_first_column",
+}
+# test-only face-factor lists, built now by tests/params.py face_factors
+FACE_FACTOR_NAMES = {"FaceFactor", "sine_face_factors", "gamma_face_factors"}
+
+
+def test_public_names_are_pinned_and_resolve():
+    assert len(conesine.__all__) == len(PUBLIC_NAMES) == 38
+    assert set(conesine.__all__) == PUBLIC_NAMES
+    assert all(hasattr(conesine, name) for name in PUBLIC_NAMES)
+
+
+def test_removed_names_are_not_conesine_attributes():
+    assert not (MATRIX_HELPERS | FACE_FACTOR_NAMES) & set(dir(conesine))
+    assert all(hasattr(lattice_cones, name) for name in MATRIX_HELPERS)
+
 
 # a BudgetError bounds the time of a call whose moduli sit near the unit circle
 CFG = EvalConfig(max_terms=200_000)

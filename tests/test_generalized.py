@@ -29,11 +29,9 @@ from conesine import (
     gamma_cone_direct,
     gamma_cone_factorized,
     gamma_cone_lattice_oracle,
-    gamma_face_factors,
     multiple_sine,
     sine_cone_decomposed,
     sine_cone_factorized,
-    sine_face_factors,
     verify_theorem,
 )
 from conesine import bernoulli, generalized, lattice_cones, qseries
@@ -43,7 +41,9 @@ from conesine.lattice_cones import Cone, cone_chain_2d
 from cone_strategies import planar_cones, polygon_cones
 from identities import wedge_product_check
 from lattice_reference import cube_scan_gamma_oracle
-from params import GAMMA_OMEGAS, OVERFLOWING_PRODUCTS, SINE_OMEGAS, Z_GENERIC, chain_wedges, forced_form, rel
+from params import (
+    GAMMA_OMEGAS, OVERFLOWING_PRODUCTS, SINE_OMEGAS, Z_GENERIC, chain_wedges, face_factors, forced_form, rel,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -170,11 +170,8 @@ def test_gamma_3d_routes_agree(name):
 
 
 def test_gamma_3d_variant_is_validated(square):
-    with pytest.raises(DomainError):
-        gamma_cone_factorized(square, Z_GENERIC, GAMMA_OMEGAS["cone-over-square"], variant="bogus")
-    # the face factors read their faces through the same check
     with pytest.raises(DomainError, match="unknown variant 'bogus'"):
-        gamma_face_factors(square, Z_GENERIC, GAMMA_OMEGAS["cone-over-square"], variant="bogus")
+        gamma_cone_factorized(square, Z_GENERIC, GAMMA_OMEGAS["cone-over-square"], variant="bogus")
 
 
 # ---------------------------------------------------------------------------
@@ -310,11 +307,11 @@ def test_lattice_oracle_refuses_a_product_that_is_not_finite(std2, z):
 
 def test_face_factor_counts(square, w21, std3):
     om3, om2 = SINE_OMEGAS["cone-over-square"], SINE_OMEGAS["wedge21"]
-    assert len(sine_face_factors(square, Z_GENERIC, om3)) == 4
-    assert len(sine_face_factors(std3, Z_GENERIC, SINE_OMEGAS["standard-3"])) == 3
-    assert len(sine_face_factors(w21, Z_GENERIC, om2)) == 2
+    assert len(face_factors(square, Z_GENERIC, om3)) == 4
+    assert len(face_factors(std3, Z_GENERIC, SINE_OMEGAS["standard-3"])) == 3
+    assert len(face_factors(w21, Z_GENERIC, om2)) == 2
     gsq = GAMMA_OMEGAS["cone-over-square"]
-    assert len(gamma_face_factors(square, Z_GENERIC, gsq)) == 4
+    assert len(face_factors(square, Z_GENERIC, gsq, "primary")) == 4
 
 
 def test_face_factors_are_local_to_each_face(square):
@@ -322,21 +319,42 @@ def test_face_factors_are_local_to_each_face(square):
     # factor for each edge, matched by id
     om = SINE_OMEGAS["cone-over-square"]
     rotated = Cone(3, square.normals[1:] + square.normals[:1])
-    base = {f.face_id: f.value for f in sine_face_factors(square, Z_GENERIC, om)}
-    moved = {f.face_id: f.value for f in sine_face_factors(rotated, Z_GENERIC, om)}
+    base = dict(face_factors(square, Z_GENERIC, om))
+    moved = dict(face_factors(rotated, Z_GENERIC, om))
     assert set(base) == set(moved)
     for fid, val in base.items():
         assert moved[fid] == val
 
 
 def test_face_factor_ids_name_the_edge_rays(w21):
-    ids = {f.face_id for f in sine_face_factors(w21, Z_GENERIC, SINE_OMEGAS["wedge21"])}
+    ids = {face_id for face_id, _ in face_factors(w21, Z_GENERIC, SINE_OMEGAS["wedge21"])}
     assert ids == {"edge(-1,0)", "edge(1,2)"}
 
 
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_face_factors_are_the_factorized_routes_factors(name):
+    # the prefactor and the helper's factors, multiplied as the routes multiply them,
+    # give each factorized route's value to the bit
+    cone = fixture_cone(name)
+    z, r = Z_GENERIC, cone.dim
+    om = SINE_OMEGAS[name]
+    form = qseries._cheaper_form([(u, scaled[1:]) for _, u, scaled in cone.faces(z, om)])
+    prefactor = qseries._prefactor((-1) ** (r + form - 1) * 1j * math.pi / math.factorial(r),
+                                   bernoulli.bernoulli_cone(cone, z, om, r))
+    values = [value for _, value in face_factors(cone, z, om)]
+    assert qseries._checked_product("face", [prefactor, *values], z) == sine_cone_factorized(cone, z, om)
+    om = GAMMA_OMEGAS[name]
+    for variant, eta, sign in (("primary", -1.0, 1.0), ("alternative", 1.0, -1.0)):
+        prefactor = qseries._prefactor(sign * 2j * math.pi / math.factorial(r + 1),
+                                       bernoulli_cone_lifted(cone, z, om, eta))
+        values = [value for _, value in face_factors(cone, z, om, variant)]
+        route = gamma_cone_factorized(cone, z, om, variant=variant)
+        assert qseries._checked_product("face", [prefactor, *values], z) == route
+
+
 @pytest.mark.parametrize("factors", [
-    sine_face_factors,
-    lambda cone, z, om: gamma_face_factors(cone, z, om, variant="alternative"),
+    face_factors,
+    lambda cone, z, om: face_factors(cone, z, om, "alternative"),
 ], ids=["sine", "gamma-alternative"])
 def test_vanishing_face_scale_is_rejected(w21, factors):
     # the edge ray (-1, 0) pairs to 0 with a first period of 0
@@ -438,7 +456,7 @@ def test_sine_form_is_chosen_in_qseries_for_both_sine_factorizations():
         sine_cone_factorized(fixture_cone("cone-over-square"), Z_GENERIC, SINE_OMEGAS["cone-over-square"])
         assert spy.call_count == 3
         # the face factors are those of the form the route tries first
-        sine_face_factors(fixture_cone("cone-over-square"), Z_GENERIC, SINE_OMEGAS["cone-over-square"])
+        face_factors(fixture_cone("cone-over-square"), Z_GENERIC, SINE_OMEGAS["cone-over-square"])
         assert spy.call_count == 4
     assert "_cheaper_form" not in vars(generalized)
 
@@ -706,8 +724,6 @@ CONE_FUNCTIONS = {
     "sine_cone_factorized": sine_cone_factorized,
     "gamma_cone_direct": gamma_cone_direct,
     "gamma_cone_factorized": gamma_cone_factorized,
-    "sine_face_factors": sine_face_factors,
-    "gamma_face_factors": gamma_face_factors,
     "bernoulli_cone": lambda cone, z, omegas: bernoulli.bernoulli_cone(cone, z, omegas, cone.dim),
     "bernoulli_cone_lifted": lambda cone, z, omegas: bernoulli_cone_lifted(cone, z, omegas, 1.0),
     "bernoulli_cone_oracle": lambda cone, z, omegas: bernoulli.bernoulli_cone_oracle(cone, z, omegas, cone.dim),
@@ -742,7 +758,7 @@ def test_sine_fallback_keeps_the_first_refusal_over_a_budget_error():
     cone = fixture_cone("wedge53")
     with pytest.raises(DomainError, match=r"^\|q\| = 1\.0000008109415959 is within 1e-06 of the unit circle"):
         sine_cone_factorized(cone, z, omegas)
-    _, other = qseries._forms_in_order([(u, scaled[1:]) for _, u, scaled in cone.faces(z, omegas)])
+    other = 3 - qseries._cheaper_form([(u, scaled[1:]) for _, u, scaled in cone.faces(z, omegas)])
     with forced_form(other), pytest.raises(BudgetError):
         sine_cone_factorized(cone, z, omegas)
 

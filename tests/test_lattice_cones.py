@@ -21,14 +21,12 @@ from conesine import (
     DomainError,
     ParseError,
     cone_chain_2d,
-    contains,
     dual_contains,
     edge_rays,
     face_matrices,
     gorenstein_frame,
     gorenstein_vector,
     is_good,
-    is_primitive,
     lattice_points,
     subdivide_wedge,
     verify_theorem,
@@ -42,16 +40,17 @@ from conesine.generalized import (
     _sample_sine_params,
     gamma_cone_direct,
     gamma_cone_factorized,
-    gamma_face_factors,
     sine_cone_decomposed,
     sine_cone_factorized,
 )
 from conesine.lattice_cones import (
     _adjugate,
+    contains,
     cross3,
     det2,
     det3,
     int_det,
+    is_primitive,
     mat_vec,
     primitive_part,
     unimodular_inverse,
@@ -60,7 +59,7 @@ from conesine.lattice_cones import (
 
 from cone_strategies import planar_cones, polygon_cones
 from lattice_reference import cube_scan_lattice_points
-from params import SINE_OMEGAS, Z_GENERIC
+from params import SINE_OMEGAS, Z_GENERIC, face_factors
 
 
 # ---------------------------------------------------------------------------
@@ -850,7 +849,7 @@ def test_a_face_ratio_with_no_fraction_is_not_reduced(w21, omegas):
         p = mat_vec(ft.matrix, omegas)
         assert repr(scaled[1:]) == repr(tuple(pk / p[0] for pk in p[1:]))
     with pytest.raises(DomainError):
-        gamma_face_factors(w21, 0.1, omegas)
+        face_factors(w21, 0.1, omegas, "primary")
 
 
 # ---------------------------------------------------------------------------

@@ -154,33 +154,7 @@ def _cheaper_form(factors) -> int:
     return 2 if steps2 < steps1 else 1
 
 
-class _ShiftPlan:
-    """The period-only part of (x | qs) with every |q| < 1, for ``_qfac_planned``.
-
-    It holds the moduli ``absq``, the period ``q`` of smallest modulus that the shift
-    identity moves x by, ``log_a`` = log |q|, its ``_log_shift_target`` ``log_target``
-    and ``target`` = e^{log_target}.  The plan of the reduced set (qs without q), which
-    every row of a shift loop evaluates, is built by ``rows`` on the first shift loop.
-    """
-
-    __slots__ = ("qs", "absq", "jmin", "q", "log_a", "log_target", "target", "reduced")
-
-    def __init__(self, qs: tuple[complex, ...], absq: tuple[float, ...]):
-        jmin = absq.index(min(absq))
-        log_a = math.log(absq[jmin])
-        log_target = _log_shift_target(log_a, len(qs))
-        self.qs, self.absq, self.jmin, self.q, self.log_a = qs, absq, jmin, qs[jmin], log_a
-        self.log_target, self.target, self.reduced = log_target, math.exp(log_target), None
-
-    def rows(self) -> _ShiftPlan:
-        """The plan of the reduced set, for a plan of two or more periods."""
-        if self.reduced is None:
-            j, qs, absq = self.jmin, self.qs, self.absq
-            self.reduced = _ShiftPlan(qs[:j] + qs[j + 1 :], absq[:j] + absq[j + 1 :])
-        return self.reduced
-
-
-def _qfac_planned(x: complex, plan: _ShiftPlan, cfg: EvalConfig, budget: _Budget) -> complex:
+def _qfac_planned(x: complex, plan: _QPlan, cfg: EvalConfig, budget: _Budget) -> complex:
     """(x | plan.qs) with every |q| < 1 and x finite, via the shift identity and a log series.
 
     The shift identity (x | qs) = (x | qs without q) (x q | qs) on the smallest |q| moves
@@ -212,9 +186,8 @@ def _qfac_planned(x: complex, plan: _ShiftPlan, cfg: EvalConfig, budget: _Budget
         return prefactor
     # log form: -sum_{n>=1} x^n / (n prod_j (1 - q_j^n)).  After term n the tail is at most
     # |x|^{n+1} / ((n+1)(1-|x|) prod_j (1 - |q_j|^{n+1})); the loop stops once that is below
-    # tail_tol.  The running products hold q_j^n and |q_j|^{n+1}.  The loops for one, two
-    # and three periods unroll the general one; the three-period loop keeps the general
-    # loop's order of operations, its factor 1 + 0j included, so it gives the same bits.
+    # tail_tol.  The running products hold q_j^n and |q_j|^{n+1}.  The loops for one and
+    # two periods, which run most of the terms, unroll the general one.
     qs, absq = plan.qs, plan.absq
     c, tol = ax / (1.0 - ax), cfg.tail_tol
     acc, xn, axn, n = 0j, x, ax, 1
@@ -237,16 +210,6 @@ def _qfac_planned(x: complex, plan: _ShiftPlan, cfg: EvalConfig, budget: _Budget
             xn, axn, n = xn * x, axn * ax, n + 1
             q0n, q1n = q0n * q0, q1n * q1
             a0n, a1n = a0n * a0, a1n * a1
-    elif len(qs) == 3:
-        (q0, q1, q2), (a0, a1, a2) = qs, absq
-        q0n, q1n, q2n, a0n, a1n, a2n = q0, q1, q2, a0 * a0, a1 * a1, a2 * a2
-        while True:
-            acc += xn / (n * ((1.0 + 0j) * (1.0 - q0n) * (1.0 - q1n) * (1.0 - q2n)))
-            if axn * c < tol * (n + 1) * (1.0 - a0n) * (1.0 - a1n) * (1.0 - a2n):
-                break
-            xn, axn, n = xn * x, axn * ax, n + 1
-            q0n, q1n, q2n = q0n * q0, q1n * q1, q2n * q2
-            a0n, a1n, a2n = a0n * a0, a1n * a1, a2n * a2
     else:
         qn, an = list(qs), [a * a for a in absq]
         while True:
@@ -267,14 +230,6 @@ def _qfac_planned(x: complex, plan: _ShiftPlan, cfg: EvalConfig, budget: _Budget
     return prefactor * cmath.exp(-acc)
 
 
-def _qfac_small(x: complex, qs: tuple[complex, ...], cfg: EvalConfig, budget: _Budget) -> complex:
-    """(x | qs) with every |q| < 1 and x finite, charged to a budget the caller holds
-    (``_qfac_planned`` on a plan of ``qs``)."""
-    if not qs:
-        return 1.0 - x
-    return _qfac_planned(x, _ShiftPlan(qs, tuple(abs(q) for q in qs)), cfg, budget)
-
-
 def _argument_modulus(x: complex, qs: tuple[complex, ...]) -> float:
     """|x|, after checking that x and the periods are finite and |x| is below double range."""
     if not (cmath.isfinite(x) and all(map(cmath.isfinite, qs))):
@@ -285,17 +240,17 @@ def _argument_modulus(x: complex, qs: tuple[complex, ...]) -> float:
         raise DomainError(f"the q-factorial argument x = {x:.6g} has a modulus above double precision") from None
 
 
-class _QPlan(_ShiftPlan):
-    """The period-only work of a q-factorial with finite periods ``qs``, done once per period set.
+class _QPlan:
+    """The period-only work of a q-factorial with finite periods, done once per period set.
 
     Building it refuses a period on (or within the resonance floor of) the unit circle or
     with a modulus above double range, drops each q that is exactly zero, keeps the
     periods with |q| > 1 (``inverted``) and plans the shift recursion over the others and
-    the reciprocals of the inverted ones (empty ``qs`` where there are none); a
-    reciprocal that underflows to zero is the limit q = 0 as well, and is dropped.
+    the reciprocals of the inverted ones (``_plan_shifts``; empty ``qs`` where there are
+    none); a reciprocal that underflows to zero is the limit q = 0 as well, and is dropped.
     """
 
-    __slots__ = ("inverted", "moduli")
+    __slots__ = ("inverted", "moduli", "qs", "absq", "jmin", "q", "log_a", "log_target", "target", "reduced")
 
     def __init__(self, qs: tuple[complex, ...]):
         invert: list[complex] = []
@@ -327,10 +282,27 @@ class _QPlan(_ShiftPlan):
                 small.append(u)
                 absq.append(abs(u))
         self.inverted, self.moduli = invert, moduli
-        if small:
-            _ShiftPlan.__init__(self, tuple(small), tuple(absq))
-        else:
-            self.qs = ()
+        self._plan_shifts(tuple(small), tuple(absq))
+
+    def _plan_shifts(self, qs: tuple[complex, ...], absq: tuple[float, ...]) -> None:
+        """Plan (x | qs) with every |q| < 1 and moduli ``absq`` for ``_qfac_planned``: the shift
+        identity moves x by the period ``q`` of least modulus, ``log_a`` = log |q|, down to
+        ``target`` = e^{log_target} (``_log_shift_target``); ``rows`` plans qs without q."""
+        self.qs, self.absq, self.reduced = qs, absq, None
+        if qs:
+            self.jmin = jmin = absq.index(min(absq))
+            self.q, self.log_a = qs[jmin], math.log(absq[jmin])
+            self.log_target = _log_shift_target(self.log_a, len(qs))
+            self.target = math.exp(self.log_target)
+
+    def rows(self) -> _QPlan:
+        """The plan of the reduced set, for a plan of two or more periods: the periods and
+        moduli of this one, less the shift period, with no check repeated."""
+        if self.reduced is None:
+            j, qs, absq = self.jmin, self.qs, self.absq
+            self.reduced = _QPlan.__new__(_QPlan)
+            self.reduced._plan_shifts(qs[:j] + qs[j + 1 :], absq[:j] + absq[j + 1 :])
+        return self.reduced
 
     def evaluate(self, x: complex, ax: float, cfg: EvalConfig) -> complex:
         """(x | qs) at the argument x of modulus ``ax`` (``_argument_modulus``), with its own budget."""

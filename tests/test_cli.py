@@ -12,11 +12,13 @@ import math
 import os
 import subprocess
 import sys
-from contextlib import nullcontext
+from contextlib import nullcontext, redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import conesine
@@ -51,6 +53,7 @@ from conesine.generalized import THEOREMS, verify_theorem
 from conesine.lattice_cones import Cone
 
 from params import GAMMA_OMEGAS, OVERFLOWING_PRODUCTS, SINE_OMEGAS, Z_GENERIC, forced_form
+from test_contract import values
 
 
 def run(capsys, *argv):
@@ -559,6 +562,63 @@ def test_eval_exp_overflow_is_domain_error(capsys, argv):
     rc, out, err = run(capsys, *argv.split())
     assert (rc, out) == (EXIT_DOMAIN, "")
     assert "exp overflows double precision at exponent real part 1256.64" in err
+
+
+# every spelling parse_complex takes: an i, I or j unit, Python's repr, parentheses and spaces
+def _spell(c: complex, spelling: int) -> str:
+    sign = "+" if c.imag >= 0 or c.imag != c.imag else "-"
+    re, im = repr(c.real), repr(abs(c.imag))
+    return (format_complex(c), f"{re}{sign}{im}j", f"{re}{sign}{im}I", f"({re}{sign}{im}j)", repr(c),
+            f" {re} {sign} {im} i ")[spelling]
+
+
+@st.composite
+def eval_argvs(draw):
+    """(target, argv) of one ``eval`` call: a route of any target, a bundled cone of its
+    dimension, and z and the periods from the contract's ``values`` pools, each spelled in
+    one of ``_spell``'s ways, as ``--flag value`` or ``--flag=value``."""
+    target, route = draw(st.sampled_from(ALL_ROUTES))
+    count, dim, _ = _TARGETS[target]
+    flags = [("--z", draw(values))] + [("--omega", draw(values)) for _ in range(count or draw(st.integers(1, 3)))]
+    argv = ["eval", target]
+    if dim is not None:
+        cone = draw(st.sampled_from([n for n in FIXTURE_NAMES if fixture_cone(n).dim == dim]))
+        argv += [f"--cone={cone}", f"--route={route}"]
+    for flag, c in flags:
+        text = _spell(c, draw(st.integers(0, 5)))
+        argv += [f"{flag}={text}"] if draw(st.booleans()) else [flag, text]
+    return target, argv
+
+
+@pytest.fixture(scope="module")
+def contract_config(tmp_path_factory):
+    # the contract's budget: a call whose moduli sit near the unit circle ends in a BudgetError
+    path = tmp_path_factory.mktemp("contract") / "config.json"
+    path.write_text(json.dumps({"max_terms": 200_000}))
+    return str(path)
+
+
+@settings(max_examples=100, deadline=None)
+@given(call=eval_argvs())
+def test_eval_argv_prints_one_finite_record_or_exits_with_an_error_line(contract_config, call):
+    target, argv = call
+    out, err = StringIO(), StringIO()
+    with mock.patch.dict(os.environ, {"CONESINE_CONFIG": contract_config}), redirect_stdout(out), redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse refuses the argument itself
+            rc = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    event(f"exit {rc}")
+    if rc == EXIT_OK:
+        lines = out.splitlines()
+        assert err == "" and len(lines) == 2 and lines[0].startswith(f"{target} = "), (argv, out, err)
+        record = json.loads(lines[1])
+        assert record["config"]["max_terms"] == 200_000
+        assert cmath.isfinite(complex(*record["value"])), (argv, record)
+    else:
+        assert rc in (EXIT_USAGE, EXIT_DOMAIN) and out == "", (argv, rc, out, err)
+        assert err.splitlines()[-1].startswith(("conesine: error: ", "conesine eval: error: ")), (argv, err)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from conesine import (
 )
 from conesine import qseries
 from conesine.errors import ConesineError
-from conesine.qseries import DEFAULT_CONFIG, _Budget, _cheaper_form, _log_shift_target, _qfac_small, _row_steps
+from conesine.qseries import DEFAULT_CONFIG, _Budget, _QPlan, _cheaper_form, _log_shift_target, _qfac_planned, _row_steps
 
 import qseries_reference
 from identities import (
@@ -194,6 +194,27 @@ def test_truncation_policy_is_self_consistent():
 
 # ---------------------------------------------------------------------------
 # the scalar q-factorial core
+
+
+def _qfac_small(x: complex, qs: tuple[complex, ...], cfg: EvalConfig, budget: _Budget) -> complex:
+    """(x | qs) with every |q| < 1 and x finite, charged to a budget the caller holds
+    (``_qfac_planned`` on a plan of ``qs``)."""
+    return _qfac_planned(x, _QPlan(qs), cfg, budget) if qs else 1.0 - x
+
+
+# the second period of each set has |q| > 1 and is inverted
+@pytest.mark.parametrize("qs", [
+    (0.3 + 0.4j, 2.0 - 1.0j),  # the reciprocal of the inverted period is the shift period
+    (0.6j, -1.5 + 0.5j, 0.2 - 0.1j),  # the shift period sits between the two row periods
+])
+def test_row_plan_holds_the_parent_periods_less_the_shift_period(qs):
+    plan = _QPlan(qs)
+    assert plan.inverted == [qs[1]] and 1 / qs[1] in plan.qs
+    rows, j = plan.rows(), plan.jmin
+    assert plan.absq[j] == min(plan.absq)
+    assert rows.qs == plan.qs[:j] + plan.qs[j + 1 :]
+    assert rows.absq == plan.absq[:j] + plan.absq[j + 1 :]
+    assert plan.rows() is rows
 
 
 def _qfac_reference(x: complex, qs: tuple[complex, ...], cfg: EvalConfig, budget: _Budget) -> complex:

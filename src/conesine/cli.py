@@ -95,15 +95,6 @@ def format_complex(value: complex) -> str:
     return f"{value.real!r}{sign}{abs(value.imag)!r}i"
 
 
-def parse_int_vector(text: str) -> tuple[int, ...]:
-    """Parse an integer vector such as ``0,1`` or ``(-2, 1)``; an empty component is refused."""
-    cleaned = text.strip().strip("()[]")
-    try:
-        return tuple(int(p) for p in cleaned.replace(" ", "").split(","))
-    except ValueError as exc:
-        raise ParseError(f"cannot parse integer vector from {text!r}") from exc
-
-
 def _complex_arg(text: str) -> complex:
     try:
         return parse_complex(text)
@@ -112,10 +103,12 @@ def _complex_arg(text: str) -> complex:
 
 
 def _ivec_arg(text: str) -> tuple[int, ...]:
+    """Parse an integer vector such as ``0,1`` or ``(-2, 1)``; an empty component is refused."""
+    cleaned = text.strip().strip("()[]")
     try:
-        return parse_int_vector(text)
-    except ParseError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+        return tuple(int(p) for p in cleaned.replace(" ", "").split(","))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"cannot parse integer vector from {text!r}") from exc
 
 
 def _vec_str(v: Sequence[int]) -> str:
@@ -178,13 +171,6 @@ def _json_write(container, newline: str, out: list[str]) -> None:
         elif isinstance(value, (dict, list, tuple)):
             append(head)
             _json_write(value, inner, out)
-        elif isinstance(value, str):
-            append(head + _json_str(value))
-        elif isinstance(value, int):
-            append(head + int.__repr__(value))
-        elif isinstance(value, float):
-            text = float.__repr__(value)
-            append(head + _JSON_NONFINITE.get(text, text))
         else:
             raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
         head = sep

@@ -396,14 +396,14 @@ def verify_theorem(
 ) -> VerificationReport:
     """Sample one identity at seeded random generic points and report.
 
-    A cone that fails the identity's hypotheses yields a SKIP report (with
-    the reason) rather than a failure.  Sampling is deterministic in the
-    seed; parameter draws that hit degenerate configurations (resonant
-    ratios, poles) are rejected and redrawn, which is also deterministic.
-    ``samples`` must be an integer >= 1, not a bool.  ``tolerance``, if
-    given, overrides the identity's own (a finite positive real).  A cone
-    that meets the hypotheses but has a normal or edge-ray entry of
-    magnitude 2**53 or more raises DomainError before any sample is drawn.
+    A cone that fails the identity's hypotheses yields a SKIP report (with the
+    reason) rather than a failure.  Sampling is deterministic in the integer
+    seed; parameter draws that hit degenerate configurations (resonant ratios,
+    poles) are rejected and redrawn, which is also deterministic.  ``samples``
+    must be an integer >= 1; neither may be a bool.  ``tolerance``, if given,
+    overrides the identity's own (a finite positive real).  A cone that meets
+    the hypotheses but has a normal or edge-ray entry of magnitude 2**53 or
+    more raises DomainError before any sample is drawn.
 
     Consecutive calls on the same cone, seed and config share each side's
     value, or refusal, at each drawn point: on a 3d cone the primary
@@ -417,6 +417,9 @@ def verify_theorem(
         )
     thm = THEOREMS[theorem_id]
     samples = require_count(samples, "the sample count", 1)
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise DomainError(f"the seed must be an integer, got {seed!r}")
+    seed = int(seed)
     tol = thm.tolerance if tolerance is None else tolerance
     if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < math.inf:
         raise DomainError(f"the tolerance must be a finite positive number, got {tolerance!r}")

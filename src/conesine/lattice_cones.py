@@ -161,37 +161,32 @@ def unimodular_inverse(m: IntMatrix) -> IntMatrix:
 
 
 def unimodular_with_first_column(xi: Sequence[int]) -> IntMatrix:
-    """A determinant +1 integer matrix whose first column is the primitive xi."""
+    """A determinant +1 integer matrix whose first column is the primitive xi.
+
+    Column operations on the identity keep column 0 equal to the entries of
+    xi read so far over their gcd g.  At a nonzero entry c_i, with (h, s, t)
+    = xgcd(g, c_i), columns 0 and i become (g/h) col_0 + (c_i/h) col_i and
+    s col_i - t col_0, a block of determinant (s g + t c_i)/h = 1.  Only
+    xi = -e_1 ends with g = -1, and negating the first and last columns fixes it.
+    """
     col = _as_ivec(xi, "xi")
     if vec_gcd(col) != 1:
         raise DomainError(f"{col} is not primitive, cannot extend to a unimodular basis")
     n = len(col)
-    # reduce col to e1 by row operations, accumulating them in u
-    work = list(col)
-    u = [[int(i == j) for j in range(n)] for i in range(n)]
-    for i in range(1, n):
-        if work[i] == 0:
-            continue
-        g, s, t = xgcd(work[0], work[i])
-        # rows 0 and i are replaced by the Bezout combination and the
-        # complementary one; the 2x2 block [[s, t], [-work[i]/g, work[0]/g]]
-        # has determinant +1
-        a0, ai = work[0], work[i]
-        r0 = [s * u[0][k] + t * u[i][k] for k in range(n)]
-        ri = [(-ai // g) * u[0][k] + (a0 // g) * u[i][k] for k in range(n)]
-        u[0], u[i] = r0, ri
-        work[0], work[i] = g, 0
-    if work[0] == -1:
-        u[0] = [-e for e in u[0]]
-        work[0] = 1
-    assert work[0] == 1
-    a = unimodular_inverse(tuple(tuple(r) for r in u))
-    # first column of a is xi by construction; fix the determinant sign
-    if int_det(a) == -1:
-        a = tuple(tuple(-row[j] if j == n - 1 else row[j] for j in range(n)) for row in a)
-    assert tuple(row[0] for row in a) == col
-    assert int_det(a) == 1
-    return a
+    if n not in (2, 3):
+        raise DomainError(f"only 2x2 and 3x3 determinants are supported, got {n} rows")
+    cols = [[int(i == j) for j in range(n)] for i in range(n)]
+    g = col[0]
+    for i, c in enumerate(col[1:], 1):
+        if c:
+            h, s, t = xgcd(g, c)
+            c0, ci = cols[0], cols[i]
+            cols[0] = [g // h * a + c // h * b for a, b in zip(c0, ci)]
+            cols[i] = [s * b - t * a for a, b in zip(c0, ci)]
+            g = h
+    if g == -1:
+        cols[0], cols[-1] = [-e for e in cols[0]], [-e for e in cols[-1]]
+    return mat_transpose(cols)
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +569,6 @@ def face_matrices(cone: Cone) -> list[FaceTransform]:
         n = tuple(eps * e for e in _bezout(w))
         cols = (n, *adjacent)
         kt = unimodular_inverse(tuple(tuple(col[r] for col in cols) for r in range(dim)))
-        assert sum(a * b for a, b in zip(n, x)) > 0
         out.append(
             FaceTransform(
                 face_id=f"edge({','.join(map(str, x))})",
@@ -602,17 +596,14 @@ class GorensteinFrame:
     if it wound clockwise), and ``chains[i]`` subdivides the half-open
     dominance wedge of facet i, spanned between the successive difference
     vectors t_{i-1} = ell_i - ell_{i-1} and t_i = ell_{i+1} - ell_i.
-    ``basis_t``, the transpose of ``basis``, is formed on first read and kept.
+    ``basis_t`` is the transpose of ``basis``.
     """
 
     xi: IntVector
     basis: IntMatrix
+    basis_t: IntMatrix
     ell: tuple[IntVector, ...]
     chains: tuple[WedgeSubdivision, ...]
-
-    @cached_property
-    def basis_t(self) -> IntMatrix:
-        return mat_transpose(self.basis)
 
     def transformed_omegas(self, omegas: Sequence[complex]) -> tuple[complex, ...]:
         return mat_vec(self.basis_t, omegas)
@@ -644,7 +635,7 @@ def gorenstein_frame(cone: Cone) -> GorensteinFrame:
         if det2(t[-1], t[0]) > 0:
             break
     chains = tuple(subdivide_wedge(t[i - 1], t[i]) for i in range(n))
-    return GorensteinFrame(xi=xi, basis=a, ell=ell, chains=chains)
+    return GorensteinFrame(xi=xi, basis=a, basis_t=at, ell=ell, chains=chains)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,18 @@
-"""Shared cone fixtures for the test suite."""
+"""Shared cone fixtures and Hypothesis settings for the test suite."""
 from __future__ import annotations
 
 import pytest
+from hypothesis import Phase, settings
 
 from conesine import fixture_cone
+
+# A failing property reports its first shrunk example and stops: the explain
+# phase and the search for further distinct bugs each cost minutes there.
+# Neither changes which examples a passing run draws.
+settings.register_profile(
+    "conesine", phases=[p for p in Phase if p is not Phase.explain], report_multiple_bugs=False
+)
+settings.load_profile("conesine")
 
 
 @pytest.fixture(scope="session")

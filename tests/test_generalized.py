@@ -703,6 +703,29 @@ def test_verify_theorem_refuses_a_sample_count_that_is_not_an_integer(std2, samp
         verify_theorem("s2c-factorization", std2, samples=samples)
 
 
+@pytest.mark.parametrize("seed", [None, True, False, 1.5, 2.0, "3", [1]])
+def test_verify_theorem_refuses_a_seed_that_is_not_an_integer(w21, seed):
+    # None drew from OS entropy yet recorded null, [1] escaped as a TypeError and True ran seed 1
+    with pytest.raises(DomainError, match="the seed must be an integer"):
+        verify_theorem("s2c-factorization", w21, samples=1, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [-3, 2**100])
+def test_verify_theorem_takes_negative_and_large_seeds(monkeypatch, w21, seed):
+    a = verify_theorem("s2c-factorization", w21, samples=2, seed=seed)
+    monkeypatch.setattr(generalized, "_side_values", generalized._SideValues())
+    b = verify_theorem("s2c-factorization", w21, samples=2, seed=seed)
+    assert a.seed == seed and a.to_json_dict() == b.to_json_dict()
+
+
+def test_verify_theorem_records_an_integral_seed_as_an_int(w21):
+    import numpy as np
+
+    report = verify_theorem("s2c-factorization", w21, samples=1, seed=np.int64(3))
+    assert type(report.seed) is int
+    assert report.to_json_dict() == verify_theorem("s2c-factorization", w21, samples=1, seed=3).to_json_dict()
+
+
 @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1.0, 0.0, True, "1e-8"])
 def test_verify_theorem_refuses_a_tolerance_that_is_not_a_finite_positive_real(w21, tolerance):
     # nan failed every identity and inf passed every one; True was recorded as 1.0

@@ -58,7 +58,7 @@ from conesine.lattice_cones import (
 )
 
 from cone_strategies import planar_cones, polygon_cones
-from lattice_reference import cube_scan_lattice_points
+from lattice_reference import cube_scan_lattice_points, row_reduction_unimodular_with_first_column
 from params import SINE_OMEGAS, Z_GENERIC, face_factors
 
 
@@ -889,6 +889,33 @@ def test_unimodular_completion_of_a_column():
     m = unimodular_with_first_column((2, 1))
     assert (m[0][0], m[1][0]) == (2, 1)
     assert abs(int_det(m)) == 1
+
+
+@pytest.mark.parametrize("dim, count", [(2, 144), (3, 2882)])
+def test_unimodular_completion_matches_the_row_reduction_reference(dim, count):
+    cols = [c for c in itertools.product(range(-7, 8), repeat=dim) if math.gcd(*c) == 1]
+    assert len(cols) == count
+    for c in cols:
+        m = unimodular_with_first_column(c)
+        assert m == row_reduction_unimodular_with_first_column(c), c
+        assert tuple(row[0] for row in m) == c and int_det(m) == 1
+
+
+def test_frame_of_the_cone_with_gorenstein_vector_minus_e1():
+    # the one completion that ends on the sign step: xi = -e_1 gives diag(-1, 1, -1)
+    frame = gorenstein_frame(Cone(3, ((-1, 0, 0), (-1, 1, 0), (-1, 1, 1), (-1, 0, 1))))
+    assert frame.xi == (-1, 0, 0)
+    assert frame.basis == ((-1, 0, 0), (0, 1, 0), (0, 0, -1))
+    assert frame.basis == row_reduction_unimodular_with_first_column(frame.xi)
+
+
+@pytest.mark.parametrize("xi", [(1,), (1, 0, 0, 0), (0, 0), (2, 4), (True, 1), (1.5, 1), (), "ab"])
+def test_unimodular_completion_refuses_as_the_reference_does(xi):
+    with pytest.raises(DomainError) as expected:
+        row_reduction_unimodular_with_first_column(xi)
+    with pytest.raises(DomainError) as got:
+        unimodular_with_first_column(xi)
+    assert str(got.value) == str(expected.value)
 
 
 # ---------------------------------------------------------------------------

@@ -178,9 +178,9 @@ def _json_write(container, newline: str, out: list[str]) -> None:
 
 
 def check_output(path: str | None) -> None:
-    """Refuse an ``--output`` path that is a directory, or whose directory is missing, as
+    """Refuse an ``--output`` path that is empty, a directory, or in a missing directory, as
     ``write_output`` would, but before a verb evaluates anything and creating no file."""
-    if path is not None and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")):
+    if path is not None and (not path or os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")):
         code = errno.EISDIR if os.path.isdir(path) else errno.ENOENT
         raise ParseError(f"--output {path!r}: cannot write file ({os.strerror(code)})")
 
@@ -321,7 +321,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     )
     _print_report_summary(args.cone, report)
     doc = _json_document(report.to_json_dict())
-    if args.output:
+    if args.output is not None:
         write_output(args.output, doc + "\n")
         print(f"report written   {_escaped(args.output)}")
     else:
@@ -398,7 +398,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         text = _report_csv(doc)
     else:
         text = _json_document(doc) + "\n"
-    if args.output:
+    if args.output is not None:
         write_output(args.output, text)
         for item in doc["items"]:
             residual = "" if item["status"] == "SKIP" else f"  max residual {item['max_residual']:.3e}"

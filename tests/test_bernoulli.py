@@ -3,20 +3,17 @@ from __future__ import annotations
 
 import cmath
 import inspect
-import itertools
 import math
 import warnings
 from fractions import Fraction
 from operator import mul
 from random import Random
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conesine import (
-    FIXTURE_NAMES,
     Cone,
     DomainError,
     bernoulli_cone,
@@ -41,7 +38,6 @@ from conesine.generalized import _sample_gamma_params
 from conesine.lattice_cones import det3
 
 from cone_strategies import planar_cones, polygon_cones
-from fiber_sums import fiber_exponents, fiber_runs, fiber_sum
 from params import (
     BERNOULLI_OMEGAS,
     GAMMA_OMEGAS,
@@ -625,281 +621,10 @@ def test_damping_phase_answers_as_the_arc_scan(case):
 # ---------------------------------------------------------------------------
 # lattice oracle
 
-# The fiber sums of ``fiber_sums`` are the truncated lattice sums over the open
-# cone that the oracle's pieces must reproduce in closed form.  First they are
-# checked against a plain fiber-by-fiber sum in exact rationals.
-
-
-def _reference_fibers(cone: Cone, radius: int):
-    """(base, lo, hi) for every nonempty fiber of the open cone along the last
-    axis whose leading coordinates lie within sup-norm ``radius``, one fiber
-    at a time in exact rationals; ``lo`` or ``hi`` is None where the fiber is
-    unbounded."""
-    for base in itertools.product(range(-radius, radius + 1), repeat=cone.dim - 1):
-        lows, highs = [], []  # bounds on the last coordinate s
-        feasible = True
-        for normal in cone.normals:
-            # normal . (base, s) >= 1
-            need = 1 - sum(x * y for x, y in zip(normal, base))
-            a = normal[-1]
-            if a > 0:
-                lows.append(math.ceil(Fraction(need, a)))
-            elif a < 0:
-                highs.append(math.floor(Fraction(need, a)))
-            elif need > 0:
-                feasible = False
-        lo = max(lows) if lows else None
-        hi = min(highs) if highs else None
-        if feasible and not (lows and highs and lo > hi):
-            yield base, lo, hi
-
-
-def _reference_lattice_sum(cone: Cone, omegas: tuple, t: complex, radius: int, exp=cmath.exp):
-    """sum of e^{-(omega . m) t} over the interior lattice points m of the
-    cone whose leading coordinates lie within sup-norm ``radius``, one fiber
-    along the last axis at a time, each summed as a closed geometric series
-    (in mpmath when ``exp`` is ``mpmath.exp`` and the numbers are mpmath's)."""
-    w = omegas[-1]
-    total = 0
-    for base, lo, hi in _reference_fibers(cone, radius):
-        pairing = sum(x * o for x, o in zip(base, omegas))
-        if hi is None:
-            total += exp(-(pairing + lo * w) * t) / (1 - exp(-w * t))
-        elif lo is None:
-            total += exp(-(pairing + hi * w) * t) / (1 - exp(w * t))
-        else:
-            count = hi - lo + 1
-            total += exp(-(pairing + lo * w) * t) * (1 - exp(-count * w * t)) / (1 - exp(-w * t))
-    return total
-
-
-TWO_SIDED_2D = Cone(2, ((0, 1), (1, -1)))
-TWO_SIDED_3D = Cone(3, ((1, 0, 1), (0, 1, 1), (1, 1, -1)))
-TWO_SIDED_OMEGAS_2D = (0.3 + 0.02j, 0.15 - 0.01j)
-# last coordinates 2, 3, -2, -3: the fiber ends move with stride lcm = 6
-STRIDE_6_3D = Cone(3, ((4, 1, 2), (4, -1, 3), (4, -1, -2), (4, 1, -3)))
-# two prime last coordinates: a stride of about 1e12, far longer than a row
-HUGE_STRIDE_2D = Cone(2, ((1, 1000003), (-1, 999983)))
-
-
-def _expand_runs(runs, dim: int) -> list:
-    """The lattice points of ``fiber_runs`` runs, sorted."""
-    points = []
-    for line in runs.tolist():
-        head, step, count = line[:dim], line[dim:-1], line[-1]
-        points += [tuple(h + i * s for h, s in zip(head, step)) for i in range(count)]
-    return sorted(points)
-
-
-@pytest.mark.parametrize(
-    "cone", [*FIXTURE_NAMES, TWO_SIDED_2D, TWO_SIDED_3D, STRIDE_6_3D, HUGE_STRIDE_2D],
-    ids=[*FIXTURE_NAMES, "two-sided-2d", "two-sided-3d", "stride-6", "huge-stride"],
-)
-@pytest.mark.parametrize("radius", [2, 5, 40])
-def test_oracle_runs_expand_to_the_fiber_ends(cone, radius):
-    cone = fixture_cone(cone) if isinstance(cone, str) else cone
-    bounded, starts, stops = fiber_runs(cone, radius)
-    kinds, want_starts, want_stops = set(), [], []
-    for base, lo, hi in _reference_fibers(cone, radius):
-        kinds.add("upper" if lo is None else "lower" if hi is None else "both")
-        want_starts.append(base + (hi if lo is None else lo,))
-        if kinds == {"both"}:
-            want_stops.append(base + (hi + 1,))
-    assert kinds == {bounded}
-    assert _expand_runs(starts, cone.dim) == sorted(want_starts)
-    assert (stops is None) == (bounded != "both")
-    if stops is not None:
-        assert _expand_runs(stops, cone.dim) == sorted(want_stops)
-    # the runs do merge points: a fiber end per run would pass the checks above
-    assert len(starts) < len(want_starts) or radius == 2
-
-
-def test_oracle_runs_follow_the_stride():
-    # along one residue class mod 6 every normal's bound on the fiber end
-    # moves by a constant integer; taken in plain y order the ends break into
-    # about 11 times as many runs here
-    radius = 200
-    bounded, starts, stops = fiber_runs(STRIDE_6_3D, radius)
-    assert bounded == "both"
-    for runs in (starts, stops):
-        assert len(runs) <= (2 * radius + 1) * 6 * len(STRIDE_6_3D.normals)
-        assert runs[:, -1].sum() > 20 * len(runs)  # points per run
-
-
-def _greedy_split(points: list) -> list:
-    """The lines ``(head, step, length)`` of the runs of one row's fiber
-    ends, taken greedily: a run grows while the step between neighbours
-    stays the same, so it ends at the first point past its head whose
-    in-step and out-step differ, and the next run starts just after it."""
-    runs, head, m = [], 0, len(points)
-
-    def step(k):
-        return tuple(b - a for a, b in zip(points[k], points[k + 1]))
-
-    while head < m:
-        last = head + 1
-        while last < m - 1 and step(last - 1) == step(last):
-            last += 1
-        last = min(last, m - 1)
-        spread = max(last - head, 1)
-        runs.append((*points[head], *((b - a) // spread for a, b in zip(points[head], points[last])), last - head + 1))
-        head = last + 1
-    return runs
-
-
-def _reference_runs(cone: Cone, radius: int) -> tuple:
-    """``(starts, stops)`` of ``fiber_runs`` from ``_reference_fibers``: the
-    fiber ends taken in its order (rows of the first coordinate in
-    3d; within a row the residue classes of the last transverse coordinate y
-    mod the stride, y ascending within each), each row split greedily.
-    ``stops`` is None unless the fibers are two-sided."""
-    stride = math.lcm(*(abs(normal[-1]) for normal in cone.normals if normal[-1]))
-    rows = {}
-    for base, lo, hi in _reference_fibers(cone, radius):
-        rows.setdefault(base[:-1], []).append(((base[-1] + radius) % stride, base[-1], base, lo, hi))
-    starts, stops = [], []
-    for key in sorted(rows):
-        fibers = [fiber[2:] for fiber in sorted(rows[key])]
-        starts += _greedy_split([base + (hi if lo is None else lo,) for base, lo, hi in fibers])
-        if fibers[0][1] is not None and fibers[0][2] is not None:
-            stops += _greedy_split([base + (hi + 1,) for base, lo, hi in fibers])
-    return tuple(np.array(runs, dtype=np.int64).reshape(-1, 2 * cone.dim + 1) for runs in (starts, stops))
-
-
-def _assert_runs_match_the_greedy_split(cone: Cone, radius: int) -> None:
-    bounded, starts, stops = fiber_runs(cone, radius)
-    want_starts, want_stops = _reference_runs(cone, radius)
-    assert starts.dtype == np.int64 and np.array_equal(starts, want_starts)
-    if stops is None:
-        assert bounded != "both" and len(want_stops) == 0
-    else:
-        assert bounded == "both" and stops.dtype == np.int64 and np.array_equal(stops, want_stops)
-
-
-# strides longer than a row at radius 40: lines of one point each
-STRIDE_1517_3D = Cone(3, ((1, 0, 37), (0, 1, 41), (-1, -1, 1)))
-STRIDE_105_3D = Cone(3, ((1, 0, 3), (0, 1, 5), (-1, -1, 7)))
-# two-sided with stride 2: some bend of a single-bend chain is followed,
-# more than one point on, by another bend, which then opens a chain of its own
-BEND_AFTER_LONE_BEND_3D = Cone(3, ((1, -2, -2), (1, 0, -2), (-3, 4, 2)))
-# two primes above 2^32: a stride past the int64 range
-GIANT_STRIDE_2D = Cone(2, ((1, 4294967311), (-1, 4294967357)))
-
-
-@pytest.mark.parametrize(
-    "cone",
-    [*FIXTURE_NAMES, TWO_SIDED_2D, TWO_SIDED_3D, STRIDE_6_3D, HUGE_STRIDE_2D, STRIDE_1517_3D, STRIDE_105_3D,
-     BEND_AFTER_LONE_BEND_3D, GIANT_STRIDE_2D],
-    ids=[*FIXTURE_NAMES, "two-sided-2d", "two-sided-3d", "stride-6", "huge-stride", "stride-1517", "stride-105",
-         "lone-bend", "giant-stride"],
-)
-@pytest.mark.parametrize("radius", [2, 5, 40])
-def test_oracle_runs_match_the_greedy_split_in_oracle_order(cone, radius):
-    # the runs are built from the end's values at a few knots per line; the
-    # reference visits every fiber and splits each row point by point
-    cone = fixture_cone(cone) if isinstance(cone, str) else cone
-    _assert_runs_match_the_greedy_split(cone, radius)
-
-
-_ENTRIES = st.integers(-6, 6)
-# three independent primitive normals always make a valid simplicial cone
-simplicial_cones = (
-    st.tuples(*[st.tuples(_ENTRIES, _ENTRIES, _ENTRIES).filter(lambda v: math.gcd(*v) == 1)] * 3)
-    .filter(lambda normals: det3(*normals) != 0)
-    .map(lambda normals: Cone(3, normals))
-)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.one_of(planar_cones, polygon_cones(), simplicial_cones), st.integers(1, 12))
-def test_property_oracle_runs_match_the_greedy_split(cone, radius):
-    _assert_runs_match_the_greedy_split(cone, radius)
-
-
-# sample points: positive real, slightly complex, turned so that runs along
-# y grow on standard-3, and the two complex rays of the lifted oracle
-ORACLE_TS = (0.3, 0.9 - 0.05j, 0.3 * cmath.exp(-1.5j), 0.5 * LIFT_RAY[1.0], 0.5 * LIFT_RAY[-1.0])
-
-
-@pytest.mark.parametrize(
-    "cone, omegas, bounded",
-    [
-        ("wedge21", BERNOULLI_OMEGAS["wedge21"], "lower"),
-        ("standard-3", (0.9 + 0.08j, 0.75 - 0.11j, 1.05 + 0.05j), "lower"),
-        ("cone-over-square", BERNOULLI_OMEGAS["cone-over-square"], "upper"),
-        (TWO_SIDED_2D, TWO_SIDED_OMEGAS_2D, "both"),
-        (TWO_SIDED_3D, (0.5 + 0.01j, 0.4 - 0.02j, 0.1 + 0.015j), "both"),
-        ("wedge21", GAMMA_OMEGAS["wedge21"], "lower"),  # the gamma periods
-        (STRIDE_6_3D, (0.5 + 0.01j, 0.4 - 0.02j, 0.1 + 0.015j), "both"),
-    ],
-)
-@pytest.mark.parametrize("radius", [2, 5, 12])
-def test_oracle_lattice_sum_matches_reference(cone, omegas, bounded, radius):
-    cone = fixture_cone(cone) if isinstance(cone, str) else cone
-    fibers = fiber_exponents(cone, omegas, radius)
-    assert fibers[1] == bounded
-    orientations = set()
-    for t in ORACLE_TS:
-        damping = (omegas[-1] * t).real
-        if (bounded == "lower" and damping <= 0) or (bounded == "upper" and damping >= 0):
-            with pytest.raises(DomainError, match="fiber sums diverge"):
-                fiber_sum(fibers, t)
-            continue
-        for runs in fibers[2:]:
-            if runs is not None:
-                orientations.update((runs[2][runs[3] > 1] * t).real < 0)
-        ref = _reference_lattice_sum(cone, omegas, t, radius)
-        assert ref != 0
-        assert abs(fiber_sum(fibers, t) - ref) < 1e-12 * abs(ref)
-    # some summed run was started at its head and some at its tail (at
-    # radius 2 some cones have no run of two points)
-    assert orientations == {False, True} or radius == 2
-
-
-def test_oracle_run_sum_starts_at_the_larger_end():
-    # for y < 0 the run's terms grow from e^{-1801} at its head to e^{-1.8}
-    # at its tail: summed from the head, e^{-1801} underflows to 0 and the
-    # ratio's power to e^{1800} overflows
-    omegas = BERNOULLI_OMEGAS["wedge21"]
-    fibers = fiber_exponents(fixture_cone("wedge21"), omegas, 2400)
-    ref = _reference_lattice_sum(fixture_cone("wedge21"), omegas, 3.0, 2400)
-    assert abs(fiber_sum(fibers, 3.0) - ref) < 1e-12 * abs(ref)
-
-
-@pytest.mark.parametrize(
-    "cone, omegas",
-    [("wedge21", BERNOULLI_OMEGAS["wedge21"]), ("cone-over-square", BERNOULLI_OMEGAS["cone-over-square"])],
-)
-@pytest.mark.parametrize("t", [1e-4, 1e-4 - 2e-5j])
-def test_oracle_fiber_sum_keeps_its_digits_at_small_t(cone, omegas, t):
-    # 1 - e^{-wt} loses log10(1 / |wt|) digits, about 4.5 here; expm1 keeps
-    # them
-    mp = pytest.importorskip("mpmath")
-    cone = fixture_cone(cone)
-    with mp.workdps(40):
-        ref = _reference_lattice_sum(cone, tuple(map(mp.mpc, omegas)), mp.mpc(t), 5, exp=mp.exp)
-        err = abs(mp.mpc(fiber_sum(fiber_exponents(cone, omegas, 5), t)) - ref) / abs(ref)
-    assert err < 1e-14
-
-
-ONE_AND_TWO_SIDED_3D = [
-    ("cone-over-square", BERNOULLI_OMEGAS["cone-over-square"]),
-    (TWO_SIDED_3D, (0.5 + 0.01j, 0.4 - 0.02j, 0.1 + 0.015j)),
-]
-
-
-@pytest.mark.parametrize("cone, omegas", ONE_AND_TWO_SIDED_3D, ids=["one-sided", "two-sided"])
-def test_oracle_fiber_sum_leaves_exponents_intact(cone, omegas):
-    cone = fixture_cone(cone) if isinstance(cone, str) else cone
-    fibers = fiber_exponents(cone, omegas, 12)
-    kept = [None if runs is None else [arr.copy() for arr in runs] for runs in fibers[2:]]
-    first = fiber_sum(fibers, 0.3)
-    fiber_sum(fibers, 0.9 - 0.05j)
-    fiber_sum(fibers, 0.5 * LIFT_RAY[1.0])  # reverses some runs
-    assert fiber_sum(fibers, 0.3) == first
-    for runs, copies in zip(fibers[2:], kept):
-        assert (runs is None and copies is None) or all(map(np.array_equal, runs, copies))
-
+# The oracle sums the parallelepiped pieces of ``Cone.pieces`` in closed form.
+# That the pieces partition the open cone is checked in integers in
+# ``test_lattice_cones``; here their sum is checked against the wedge chain in
+# exact rationals, and the oracle against the closed forms.
 
 # B_k / k! in rationals: with it the plain polynomials are exact on Fractions
 EXACT_TABLE = [bk / math.factorial(k) for k, bk in enumerate(_bernoulli_numbers(MAX_ORDER + 1))]
@@ -959,30 +684,8 @@ def test_oracle_refuses_a_cone_with_too_many_parallelepiped_points():
         bernoulli_cone_oracle(giant, *_damped_point(giant, Random(1)), 2)
 
 
-def _pieces_generating_function(cone: Cone, omegas: tuple, t: complex) -> complex:
-    """sum_q e^{-(omega . q) t} / prod_v (1 - e^{-(omega . v) t}) over the
-    pieces' rays v and points q: the lattice sum over the open cone."""
-    total = 0
-    for piece in cone.pieces:
-        denom = math.prod(1 - cmath.exp(-sum(map(mul, v, omegas)) * t) for v in piece.rays)
-        total += sum(cmath.exp(-sum(map(mul, q, omegas)) * t) for q in piece.points) / denom
-    return total
-
-
-@pytest.mark.parametrize(
-    "cone",
-    [*FIXTURE_NAMES, TWO_SIDED_2D, TWO_SIDED_3D, STRIDE_6_3D],
-    ids=[*FIXTURE_NAMES, "two-sided-2d", "two-sided-3d", "stride-6"],
-)
-@pytest.mark.parametrize("t", [0.3, 0.9 - 0.05j])
-def test_pieces_sum_to_the_fiber_sum_of_the_open_cone(cone, t):
-    # the sum of the normals pairs positively with every edge ray, so the
-    # lattice sum converges and past the radius its tail is far below the
-    # tolerance
-    cone = fixture_cone(cone) if isinstance(cone, str) else cone
-    omegas = tuple(complex(sum(col), im) for col, im in zip(zip(*cone.normals), (0.01, -0.02, 0.015)))
-    ref = fiber_sum(fiber_exponents(cone, omegas, 200), t)
-    assert abs(_pieces_generating_function(cone, omegas, t) - ref) < 1e-12 * abs(ref)
+TWO_SIDED_2D = Cone(2, ((0, 1), (1, -1)))
+TWO_SIDED_OMEGAS_2D = (0.3 + 0.02j, 0.15 - 0.01j)
 
 
 def test_oracle_matches_cone_polynomial_on_two_sided_cone():

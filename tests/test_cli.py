@@ -901,7 +901,7 @@ def test_report_csv_quotes_a_cone_name_that_would_break_its_row(capsys, monkeypa
         assert (rc, err) == (EXIT_OK, "") and "\\udcffw.json" in out
 
 
-@pytest.mark.parametrize("kind", ["missing", "directory"])
+@pytest.mark.parametrize("kind", ["missing", "directory", "empty"])
 @pytest.mark.parametrize("verb", ["verify", "report"])
 def test_unwritable_output_is_refused_before_any_evaluation(capsys, monkeypatch, tmp_path, verb, kind):
     # report --samples 100 --output /nonexistent/x.json computed the whole report before it exited 1
@@ -909,7 +909,8 @@ def test_unwritable_output_is_refused_before_any_evaluation(capsys, monkeypatch,
         raise AssertionError("evaluated before the --output check")
 
     monkeypatch.setattr("conesine.cli.verify_theorem", evaluated)
-    path = tmp_path / "absent" / "x.json" if kind == "missing" else tmp_path
+    # an empty path printed the report to stdout and exited 0
+    path = {"missing": tmp_path / "absent" / "x.json", "directory": tmp_path, "empty": ""}[kind]
     rc, out, err = run(capsys, *_VALID_CALLS[verb], "--output", str(path))
     assert (rc, out) == (EXIT_USAGE, "")
     assert err.startswith(f"conesine: error: --output {str(path)!r}: cannot write file (")

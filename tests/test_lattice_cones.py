@@ -1063,12 +1063,42 @@ def test_polygon_pieces_partition_the_interior(cone):
     _assert_pieces_partition_the_interior(cone, 5)
 
 
+def _past_every_piece_point(cone: Cone) -> int:
+    """A radius of at least 6 that reaches past every piece point, so that
+    each point is itself one of the interior points hit-checked."""
+    return max(6, 1 + max(abs(c) for piece in cone.pieces for q in piece.points for c in q))
+
+
+# its piece points reach entries of 11, past radius 6
+FOUR_FACETS_3D = ((4, 1, 2), (4, -1, 3), (4, -1, -2), (4, 1, -3))
+
+
 @pytest.mark.parametrize("cone", [
     *FIXTURE_NAMES,
+    Cone(2, ((0, 1), (1, -1))),  # fibers along the last axis bounded on both sides
+    Cone(3, ((1, 0, 1), (0, 1, 1), (1, 1, -1))),  # the same in 3d
     Cone(3, ((1, 0, 0), (0, 1, 0), (-1, -1, 2))),  # no Gorenstein vector
     Cone(3, ((2, 0, -1), (0, 2, -1), (0, 0, 1))),  # not good
-    Cone(3, ((4, 1, 2), (4, -1, 3), (4, -1, -2), (4, 1, -3))),  # neither
-], ids=[*FIXTURE_NAMES, "no-gorenstein", "not-good", "four-facets"])
+    Cone(3, FOUR_FACETS_3D),  # neither
+], ids=[*FIXTURE_NAMES, "two-sided-2d", "two-sided-3d", "no-gorenstein", "not-good", "four-facets"])
 def test_pieces_partition_the_interior_of_any_cone(cone):
     cone = fixture_cone(cone) if isinstance(cone, str) else cone
-    _assert_pieces_partition_the_interior(cone, 6)
+    _assert_pieces_partition_the_interior(cone, _past_every_piece_point(cone))
+
+
+def test_partition_check_refuses_a_piece_point_moved_by_a_ray(monkeypatch):
+    # (11, 4, 0) moved by its piece's first ray v: the piece loses the points
+    # (11, 4, 0) + n_2 v_2 + n_3 v_3, none of which lies within radius 6, but
+    # four-facets runs at the radius past its piece points
+    radius = _past_every_piece_point(Cone(3, FOUR_FACETS_3D))
+    pieces = lattice_cones.parallelepiped_pieces
+
+    def moved(cone):
+        first, *rest = pieces(cone)
+        assert first.points[0] == (11, 4, 0)
+        point = tuple(map(sum, zip(first.points[0], first.rays[0])))
+        return (lattice_cones.Piece(first.rays, (point, *first.points[1:])), *rest)
+
+    monkeypatch.setattr(lattice_cones, "parallelepiped_pieces", moved)
+    with pytest.raises(AssertionError, match=r"\[11, +4, +0\]"):
+        _assert_pieces_partition_the_interior(Cone(3, FOUR_FACETS_3D), radius)

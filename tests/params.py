@@ -14,7 +14,7 @@ import math
 from contextlib import contextmanager
 from unittest import mock
 
-from conesine import elliptic_gamma, generalized, qfactorial_xq, qseries
+from conesine import Cone, elliptic_gamma, generalized, qfactorial_xq, qseries
 from conesine.bernoulli import _as_period_tuple
 
 # A generic evaluation point used by most identity checks.
@@ -56,6 +56,20 @@ LIFT_RAY = {
     1.0: cmath.exp(-0.35j),
 }
 Z_LIFTED = 0.21 - 0.13j
+
+# cones whose fibers along the last axis are awkward to bound: bounded on both
+# sides, with ends that move by a long stride (the lcm of the normals' last
+# coordinates), or with normal entries near 1e6 and past 2^32
+STRESS_CONES = {
+    "two-sided-2d": Cone(2, ((0, 1), (1, -1))),
+    "two-sided-3d": Cone(3, ((1, 0, 1), (0, 1, 1), (1, 1, -1))),
+    "stride-6": Cone(3, ((4, 1, 2), (4, -1, 3), (4, -1, -2), (4, 1, -3))),
+    "huge-stride": Cone(2, ((1, 1000003), (-1, 999983))),
+    "stride-1517": Cone(3, ((1, 0, 37), (0, 1, 41), (-1, -1, 1))),
+    "stride-105": Cone(3, ((1, 0, 3), (0, 1, 5), (-1, -1, 7))),
+    "lone-bend": Cone(3, ((1, -2, -2), (1, 0, -2), (-3, 4, 2))),
+    "giant-stride": Cone(2, ((1, 4294967311), (-1, 4294967357))),
+}
 
 
 def chain_wedges(lines, z: complex, omegas) -> list[tuple[complex, tuple[complex, complex]]]:

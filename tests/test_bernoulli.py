@@ -14,6 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conesine import (
+    FIXTURE_NAMES,
     Cone,
     DomainError,
     bernoulli_cone,
@@ -42,6 +43,7 @@ from params import (
     BERNOULLI_OMEGAS,
     GAMMA_OMEGAS,
     LIFT_RAY,
+    STRESS_CONES,
     Z_BERNOULLI_2D,
     Z_BERNOULLI_3D,
     Z_LIFTED,
@@ -682,6 +684,32 @@ def test_oracle_refuses_a_cone_with_too_many_parallelepiped_points():
     giant = Cone(2, ((1, 4294967311), (-1, 4294967357)))
     with pytest.raises(DomainError, match="parallelepiped points, more than"):
         bernoulli_cone_oracle(giant, *_damped_point(giant, Random(1)), 2)
+
+
+# positive weights of the normals: real periods that damp every edge ray
+DYADIC_WEIGHTS = (Fraction(3, 4), Fraction(5, 8), Fraction(1, 2), Fraction(7, 8))
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 4, "lifted"])
+@pytest.mark.parametrize(
+    "cone",
+    [*FIXTURE_NAMES, *(STRESS_CONES[name] for name in ("two-sided-2d", "two-sided-3d", "stride-6", "stride-105",
+                                                        "lone-bend"))],
+    ids=[*FIXTURE_NAMES, "two-sided-2d", "two-sided-3d", "stride-6", "stride-105", "lone-bend"],
+)
+def test_oracle_keeps_its_digits_against_the_exact_piece_sum(cone, order):
+    # at dyadic z and periods the floats are exact, so the oracle differs from
+    # the same pieces summed in rationals by its rounding alone, over up to
+    # 680 points; most of these cones have no closed form to compare with
+    cone = fixture_cone(cone) if isinstance(cone, str) else cone
+    assert len(cone.normals) <= len(DYADIC_WEIGHTS)
+    om = tuple(sum(w * v[k] for w, v in zip(DYADIC_WEIGHTS, cone.normals)) for k in range(cone.dim))
+    z, eta = Fraction(-3, 8), Fraction(9, 8)
+    n, lift = (cone.dim + 1, (eta,)) if order == "lifted" else (order, ())
+    exact = _piece_sum(cone.pieces, z, om, lift, n, _exact_upto)
+    oracle = bernoulli_cone_oracle(cone, float(z), tuple(map(float, om)), n, eta=float(eta) if lift else None)
+    assert oracle.imag == 0
+    assert abs(Fraction(oracle.real) - exact) <= Fraction(1e-12) * max(1, abs(exact)), (oracle, float(exact))
 
 
 TWO_SIDED_2D = Cone(2, ((0, 1), (1, -1)))

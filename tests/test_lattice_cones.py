@@ -59,7 +59,7 @@ from conesine.lattice_cones import (
 
 from cone_strategies import planar_cones, polygon_cones
 from lattice_reference import cube_scan_lattice_points, row_reduction_unimodular_with_first_column
-from params import SINE_OMEGAS, Z_GENERIC, face_factors
+from params import SINE_OMEGAS, STRESS_CONES, Z_GENERIC, face_factors
 
 
 # ---------------------------------------------------------------------------
@@ -987,6 +987,19 @@ def test_lattice_points_match_the_cube_scan(name):
         assert pts.dtype == ref.dtype and pts.shape == ref.shape and np.array_equal(pts, ref), (radius, interior)
 
 
+@pytest.mark.parametrize("interior", [False, True], ids=["closed", "open"])
+@pytest.mark.parametrize("radius", [2, 5, 40])
+@pytest.mark.parametrize("name", STRESS_CONES)
+def test_lattice_points_match_the_cube_scan_on_the_stress_cones(name, radius, interior):
+    # fibers bounded on both sides, ends that move by a stride longer than a
+    # row, and bounds from normal entries near 1e6 and past 2^32
+    cone = STRESS_CONES[name]
+    pts = lattice_points(cone, radius, interior=interior)
+    ref = cube_scan_lattice_points(cone, radius, interior=interior)
+    assert len(ref) > 0
+    assert pts.dtype == ref.dtype and pts.shape == ref.shape and np.array_equal(pts, ref)
+
+
 @pytest.mark.parametrize("radius, message", [
     (-1, "radius must be at least 0, got -1"),
     (2.5, "radius must be an integer, got 2.5"),
@@ -1075,12 +1088,15 @@ FOUR_FACETS_3D = ((4, 1, 2), (4, -1, 3), (4, -1, -2), (4, 1, -3))
 
 @pytest.mark.parametrize("cone", [
     *FIXTURE_NAMES,
-    Cone(2, ((0, 1), (1, -1))),  # fibers along the last axis bounded on both sides
-    Cone(3, ((1, 0, 1), (0, 1, 1), (1, 1, -1))),  # the same in 3d
+    STRESS_CONES["two-sided-2d"],  # fibers along the last axis bounded on both sides
+    STRESS_CONES["two-sided-3d"],  # the same in 3d
     Cone(3, ((1, 0, 0), (0, 1, 0), (-1, -1, 2))),  # no Gorenstein vector
     Cone(3, ((2, 0, -1), (0, 2, -1), (0, 0, 1))),  # not good
     Cone(3, FOUR_FACETS_3D),  # neither
-], ids=[*FIXTURE_NAMES, "two-sided-2d", "two-sided-3d", "no-gorenstein", "not-good", "four-facets"])
+    STRESS_CONES["stride-105"],  # 225 points in one piece, reaching entries of 10
+    STRESS_CONES["lone-bend"],  # two-sided, and not good
+], ids=[*FIXTURE_NAMES, "two-sided-2d", "two-sided-3d", "no-gorenstein", "not-good", "four-facets", "stride-105",
+        "lone-bend"])
 def test_pieces_partition_the_interior_of_any_cone(cone):
     cone = fixture_cone(cone) if isinstance(cone, str) else cone
     _assert_pieces_partition_the_interior(cone, _past_every_piece_point(cone))

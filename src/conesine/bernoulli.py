@@ -7,19 +7,20 @@ Bernoulli numbers ``B_k``, so its vanishing odd terms stay exact zeros; ``z``
 and the other periods through ``exp(G(t))`` with ``G(t) = z t + sum_k c_k p_k
 t^k``, ``c_k`` the coefficients of ``log(t / (e^t - 1))`` and ``p_k`` the
 power sums of those periods, every degree up to ``n`` from one recursion for
-the coefficients of ``exp(G)``, in field operations alone.  The
-cone-restricted variants sum such polynomials, every degree from one walk,
-over a unimodular wedge decomposition of the cone so that the total is the
-degree-``n`` coefficient of the lattice generating function over the open
-cone interior.  An independent oracle sums the same plain polynomials over
-a partition of the open cone into simplicial pieces, read off its lattice
-points alone.
+the coefficients of ``exp(G)``, in field operations alone, and once more on
+inputs scaled by a power of 2 where that leaves double range.  The cone
+sums add such polynomials, every degree from one walk, over a unimodular
+wedge decomposition of the cone so that the total is the degree-``n``
+coefficient of the lattice generating function over the open cone interior.
+An independent oracle sums the same plain polynomials over a partition of the
+open cone into simplicial pieces, read off its lattice points alone.
 """
 
 from __future__ import annotations
 
 import cmath
-from math import comb, factorial, hypot, perm
+import sys
+from math import comb, factorial, frexp, hypot, ldexp, perm
 from operator import mul
 from typing import Sequence
 
@@ -34,25 +35,6 @@ MAX_ORDER = 8
 
 # B_k / k! for k = 0..MAX_ORDER: the coefficients of t / (e^t - 1)
 _BERNOULLI_OVER_FACTORIAL = (1.0, -1 / 2, 1 / 12, 0.0, -1 / 720, 0.0, 1 / 30240, 0.0, -1 / 1209600)
-
-
-def _barnes_product(z, omegas, n: int, table=_BERNOULLI_OVER_FACTORIAL) -> list:
-    """[B_{r,k}(z | omegas) for k = 0..n] as n! [t^n] of e^{zt} times each
-    period's Barnes series sum_k B_k omega^{k-1} t^k / k!, by field
-    operations alone; ``table`` holds B_k / k!.  The inputs are not checked."""
-    acc = [1]
-    for k in range(1, n + 1):
-        acc.append(acc[-1] * z / k)
-    for w in omegas:
-        # acc times sum_k (B_k / k!) omega^{k-1} t^k, skipping B_k = 0
-        new, power = [a / w for a in acc], 1
-        for k in range(1, n + 1):
-            if table[k]:
-                c = table[k] * power
-                new[k:] = [x + c * a for x, a in zip(new[k:], acc)]
-            power *= w
-        acc = new
-    return [c * factorial(k) for k, c in enumerate(acc)]
 
 
 def _barnes_series(z, big, others, n: int, table=_BERNOULLI_OVER_FACTORIAL) -> list:
@@ -70,8 +52,6 @@ def _barnes_series(z, big, others, n: int, table=_BERNOULLI_OVER_FACTORIAL) -> l
     The recursion cancels terms of size max |omega|^m at odd degrees m, where
     a Barnes series has exact zeros, so ``big`` should be the period of
     largest modulus: the loss is then relative to terms at least as large.
-    Its power sums reach |omega|^n, where ``_barnes_product`` stays below
-    |omega|^(n-1).
     """
     # k G_k and B_k big^{k-1} / k! at k = 1, and (k, k G_k, B_k big^{k-1} / k!)
     # at the even k <= n, where B_k is nonzero; even power sums from the squares
@@ -105,11 +85,20 @@ def _barnes_series(z, big, others, n: int, table=_BERNOULLI_OVER_FACTORIAL) -> l
     return out
 
 
+def _ldexp(w: complex, e: int) -> complex:
+    """w times 2^e, part by part; OverflowError where a part leaves double range."""
+    return complex(ldexp(w.real, e), ldexp(w.imag, e))
+
+
 def _bernoulli_upto(z: complex, omegas: tuple[complex, ...], n: int) -> list[complex]:
-    """[B_{r,k}(z | omegas) for k = 0..n], with r = len(omegas), from
-    ``_barnes_series`` with the period of largest modulus as ``big``, or from
-    ``_barnes_product`` where that overflows; z, the periods and the result
-    must be finite."""
+    """[B_{r,k}(z | omegas) for k = 0..n], r = len(omegas), from ``_barnes_series``
+    with the period of largest modulus as ``big``; z, the periods and the
+    result must be finite.  Where a value is not finite or B_{r,0} = 1 /
+    prod(omegas) is below the normal range, it runs once more on z and the
+    periods times 2^-e, e the binary exponent of their largest part, and
+    multiplies each B_{r,k} back by 2^{e(k-r)}: the recursion is homogeneous in
+    (z, omegas), so the retry is exact while its values stay normal.  A period
+    that scales to 0 and a value above double range are refused."""
     if not omegas:
         raise DomainError("at least one period is required")
     n = require_count(n, "order", 0)
@@ -119,12 +108,22 @@ def _bernoulli_upto(z: complex, omegas: tuple[complex, ...], n: int) -> list[com
     if 0 in omegas:
         raise DomainError("periods must be nonzero")
     if cmath.isfinite(z) and all(map(cmath.isfinite, omegas)):
-        others = sorted(omegas, key=abs)
-        out = _barnes_series(z, others.pop(), others, n)
-        if not all(map(cmath.isfinite, out)) and others:
-            out = _barnes_product(z, omegas, n)
-        if all(map(cmath.isfinite, out)):
-            return out
+        try:
+            others = sorted(omegas, key=abs)
+            out = _barnes_series(z, others.pop(), others, n)
+            if all(map(cmath.isfinite, out)) and abs(out[0]) >= sys.float_info.min:
+                return out
+        except OverflowError:  # abs() of finite parts above double range
+            pass
+        e = frexp(max(max(abs(w.real), abs(w.imag)) for w in omegas))[1]
+        try:
+            others = sorted((_ldexp(w, -e) for w in omegas), key=abs)
+            scaled = _barnes_series(_ldexp(z, -e), others.pop(), others, n)
+            out = [_ldexp(b, e * (k - len(omegas))) for k, b in enumerate(scaled)]
+            if all(map(cmath.isfinite, out)):
+                return out
+        except (OverflowError, ZeroDivisionError):  # a value above double range; a period scaled to 0
+            pass
     # not abs(): on a complex with a nan part it raises OverflowError where errno is left at ERANGE
     biggest = max(hypot(w.real, w.imag) for w in omegas)
     raise DomainError(f"order-{n} Bernoulli polynomial is not finite at z = {z:.6g}, largest |omega| = {biggest:.3g}")

@@ -13,7 +13,8 @@ routes; ``--cone`` and ``--route`` are refused for a target without a cone.
 
 Exit codes: 0 success (including PASS and SKIP), 1 usage or parse error
 (including a flag the target does not take), 2 domain or precondition error
-(including a value that overflows double precision), 3 verification failure.
+(including a value that overflows double precision), 3 verification failure,
+141 a reader that closed stdout before the output was written.
 
 Complex parameters are written ``re+imi`` (for example ``0.5-0.25i`` or
 ``1.3i``); complex values inside JSON documents are ``[re, im]`` pairs.
@@ -67,6 +68,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 EXIT_FAIL = 3
+EXIT_CLOSED_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer that the signal ended
 
 CONFIG_ENV_VAR = "CONESINE_CONFIG"
 
@@ -575,13 +577,21 @@ def main(argv: Sequence[str] | None = None) -> int:
             parser.error(f"argument {flag}: expected a value, got '--'")
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that closed the pipe shows here, not in the flush at exit
+        return code
     except ParseError as exc:
         print(f"conesine: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (DomainError, BudgetError) as exc:
         print(f"conesine: error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except BrokenPipeError:
+        # what is left in the buffer goes to os.devnull when it is flushed at exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CLOSED_PIPE
 
 
 if __name__ == "__main__":

@@ -19,6 +19,8 @@ import math
 import numbers
 import sys
 from dataclasses import asdict, dataclass
+from itertools import accumulate, repeat
+from operator import mul
 from typing import Iterable
 
 from .bernoulli import bernoulli_multiple
@@ -28,6 +30,8 @@ from .lattice_cones import require_count
 TWO_PI_I = 2j * math.pi
 RESONANCE_FLOOR = 1e-6
 SERIES_TERMS = 100.0
+_LOG_NORMAL_MIN = math.log(sys.float_info.min)
+_UNDERFLOW = "the q-factorial underflows: its value falls below the normal double range"
 
 
 @dataclass(frozen=True)
@@ -162,8 +166,11 @@ def _qfac_planned(x: complex, plan: _QPlan, cfg: EvalConfig, budget: _Budget) ->
     loop charges its closed-form step or term count to ``budget``; a shift loop over two
     or more periods first checks the shift steps its rows will charge (``_row_steps``),
     so a call whose nested loops cannot fit raises BudgetError before any step is taken.
+    A value of 0, or one whose log series gives e^{-acc} below the normal double range,
+    raises DomainError unless a factor vanishes exactly: its digits are lost, and a 0
+    would read as a pole of an inverted product.
     """
-    prefactor = 1.0 + 0j
+    prefactor, vanishes = 1.0 + 0j, False
     ax = abs(x)
     target = plan.target
     if ax >= target:
@@ -172,17 +179,24 @@ def _qfac_planned(x: complex, plan: _QPlan, cfg: EvalConfig, budget: _Budget) ->
         steps = math.ceil((math.log(ratio) if ratio else plan.log_target - math.log(ax)) / log_a)
         if len(plan.qs) == 1:
             budget.spend(steps)
+            x0 = x
             for _ in range(steps):
                 prefactor *= 1.0 - x
                 x *= q
+            # a factor 1 - x0 q^k vanishes where x0 q^k is exactly 1: replayed only at a zero product
+            vanishes = prefactor == 0 and 1 in accumulate(repeat(q, steps - 1), mul, initial=x0)
         else:
             reduced = plan.rows()
             budget.spend(steps, _row_steps(ax, log_a, steps, reduced.log_a, reduced.log_target))
             for _ in range(steps):
-                prefactor *= _qfac_planned(x, reduced, cfg, budget)
+                row = _qfac_planned(x, reduced, cfg, budget)
+                vanishes = vanishes or row == 0  # a row is 0 only where one of its factors vanishes
+                prefactor *= row
                 x *= q
         ax = abs(x)
     if ax == 0:
+        if prefactor == 0 and not vanishes:
+            raise DomainError(_UNDERFLOW)
         return prefactor
     # log form: -sum_{n>=1} x^n / (n prod_j (1 - q_j^n)).  After term n the tail is at most
     # |x|^{n+1} / ((n+1)(1-|x|) prod_j (1 - |q_j|^{n+1})); the loop stops once that is below
@@ -227,7 +241,11 @@ def _qfac_planned(x: complex, plan: _QPlan, cfg: EvalConfig, budget: _Budget) ->
                 qn[j] *= qs[j]
                 an[j] *= absq[j]
     budget.spend(n)
-    return prefactor * cmath.exp(-acc)
+    value = prefactor * cmath.exp(-acc)
+    # a value that is not finite is left to the caller's overflow check
+    if (value == 0 or -acc.real < _LOG_NORMAL_MIN) and not vanishes and cmath.isfinite(value):
+        raise DomainError(_UNDERFLOW)
+    return value
 
 
 def _argument_modulus(x: complex, qs: tuple[complex, ...]) -> float:

@@ -2,8 +2,10 @@
 from __future__ import annotations
 
 import cmath
+import functools
 import inspect
 import math
+import sys
 import warnings
 from fractions import Fraction
 from operator import mul
@@ -29,7 +31,6 @@ from conesine import (
 from conesine.bernoulli import (
     _BERNOULLI_OVER_FACTORIAL,
     MAX_ORDER,
-    _barnes_product,
     _barnes_series,
     _cone_sum,
     _exists_damping_phase,
@@ -199,6 +200,7 @@ def _bernoulli_numbers(count: int) -> list[Fraction]:
     return b
 
 
+@functools.cache
 def _exact_bernoulli(z: Fraction, omegas: tuple, n: int) -> tuple[Fraction, Fraction]:
     """B_{r,n}(z | omegas) in rationals, n! [t^n] of
     e^{zt} prod_i sum_k B_k omega_i^{k-1} t^k / k!, and the same with every
@@ -237,7 +239,7 @@ def test_log_series_table_is_exact():
 
 def test_log_series_recursion_is_exact_on_rationals():
     # in Fractions, with the exact table, the recursion with any period as
-    # ``big`` is Barnes' product of Bernoulli-number series term for term
+    # ``big`` is the product of Bernoulli-number series term for term
     rng = Random(3)
     table = [bk / math.factorial(k) for k, bk in enumerate(_bernoulli_numbers(MAX_ORDER + 1))]
     for r in range(1, 5):
@@ -245,7 +247,6 @@ def test_log_series_recursion_is_exact_on_rationals():
             z = Fraction(rng.randint(-40, 40), rng.randint(1, 9))
             om = tuple(Fraction(rng.choice((-1, 1)) * rng.randint(1, 30), rng.randint(1, 9)) for _ in range(r))
             exact = [_exact_bernoulli(z, om, n)[0] for n in range(MAX_ORDER + 1)]
-            assert _barnes_product(z, om, MAX_ORDER, table) == exact, (z, om)
             for i in range(r):
                 values = _barnes_series(z, om[i], om[:i] + om[i + 1:], MAX_ORDER, table)
                 assert values == exact, (z, om, i)
@@ -266,14 +267,28 @@ def test_log_series_recursion_is_exact_on_rationals():
 )
 def test_far_larger_period_keeps_its_digits(z, omegas, n):
     # the largest period's odd Barnes terms stay exact zeros, and power sums
-    # that overflow fall back to Barnes' product: no digits lost to terms of
-    # size max |omega|^n, and no refusal of a finite value
+    # that overflow are summed again at a power-of-two scale: no digits lost
+    # to terms of size max |omega|^n, and no refusal of a finite value
     exact = float(_exact_bernoulli(Fraction(z), tuple(map(Fraction, omegas)), n)[0])
     value = bernoulli_multiple(z, omegas, n)
     assert abs(value - exact) <= 1e-12 * abs(exact), (value, exact)
 
 
-def test_plain_polynomial_matches_exact_rationals():
+@pytest.mark.parametrize(
+    "z, omegas, n",
+    [
+        (0.3, (1e50, 1.1e50, 0.9e50), 8),  # the power sums overflow
+        (0.3 * 2**600, (2**600, 1.1 * 2**600, 0.9 * 2**600, 0.7 * 2**600), 4),  # so does 1 / prod(omegas)
+    ],
+)
+def test_periods_far_above_one_keep_their_digits(z, omegas, n):
+    exact = float(_exact_bernoulli(Fraction(z), tuple(map(Fraction, omegas)), n)[0])
+    value = bernoulli_multiple(z, omegas, n)
+    assert abs(value - exact) <= 1e-12 * abs(exact), (value, exact)
+
+
+def _rational_draws():
+    """(z, omegas, n) in small rationals: 3 draws for each r in 1..4 and n in 0..MAX_ORDER."""
     rng = Random(7)
     for r in range(1, 5):
         for n in range(MAX_ORDER + 1):
@@ -283,11 +298,37 @@ def test_plain_polynomial_matches_exact_rationals():
                     Fraction(rng.choice((-1, 1)) * rng.randint(1, 30), rng.randint(1, 9))
                     for _ in range(r)
                 )
-                exact, size = _exact_bernoulli(z, om, n)
-                value = bernoulli_multiple(float(z), tuple(map(float, om)), n)
-                # relative to the cancelling terms, not to the value, which
-                # vanishes at the polynomial's zeros
-                assert abs(value - float(exact)) <= 1e-13 * float(size), (z, om, n)
+                yield z, om, n
+
+
+def test_plain_polynomial_matches_exact_rationals():
+    for z, om, n in _rational_draws():
+        exact, size = _exact_bernoulli(z, om, n)
+        value = bernoulli_multiple(float(z), tuple(map(float, om)), n)
+        # relative to the cancelling terms, not to the value, which
+        # vanishes at the polynomial's zeros
+        assert abs(value - float(exact)) <= 1e-13 * float(size), (z, om, n)
+
+
+@pytest.mark.parametrize("k", range(0, 601, 20))
+def test_plain_polynomial_matches_exact_rationals_at_every_scale(k):
+    # the draws above with z and omegas times 2^k, where B_{r,j} is 2^{k(j-r)} times its
+    # unscaled value: a value may be refused only where an entry of degree j <= n leaves
+    # double range
+    tiny, huge, scale = Fraction(sys.float_info.min), Fraction(sys.float_info.max), Fraction(2) ** k
+    for z, om, n in _rational_draws():
+        r = len(om)
+        try:
+            value = bernoulli_multiple(float(z * scale), tuple(float(w * scale) for w in om), n)
+        except DomainError:
+            entries = [_exact_bernoulli(z, om, j)[0] * scale ** (j - r) for j in range(n + 1)]
+            assert any(e and not tiny <= abs(e) <= huge for e in entries), (z, om, n)
+            continue
+        exact, size = (x * scale ** (n - r) for x in _exact_bernoulli(z, om, n))
+        # an exact value below the normal range may round to a subnormal or to 0
+        slack = Fraction(2.0**-1074) if abs(exact) < tiny else 0
+        error = abs(Fraction(value.real) - exact) + abs(Fraction(value.imag))
+        assert error <= Fraction(1e-13) * size + slack, (z, om, n, value)
 
 
 def _mp_bernoulli(mp, z: complex, omegas: tuple, n: int):

@@ -5,7 +5,9 @@ import cmath
 import csv
 import dataclasses
 import enum
+import errno
 import functools
+import io
 import json
 import math
 import os
@@ -35,6 +37,7 @@ from conesine import (
     sine_cone_factorized,
 )
 from conesine.cli import (
+    EXIT_CLOSED_PIPE,
     EXIT_DOMAIN,
     EXIT_FAIL,
     EXIT_OK,
@@ -255,6 +258,18 @@ def test_eval_value_out_of_double_range_is_domain_error(capsys, argv, message):
     rc, out, err = run(capsys, "eval", *argv)
     assert (rc, out) == (EXIT_DOMAIN, "")
     assert err.startswith("conesine: error: ") and message in err
+
+
+@pytest.mark.parametrize("argv", [
+    # qfactorial_xq(0.5, (0.999999,)): every factor is positive, and qfac printed 0.0+0.0i
+    ("qfac", "--z", "0.11031780007632579i", "--omega", "1.5915502409454e-07i"),
+    # nothing vanishes: the q-factorials underflowed, and s2 was refused as a pole
+    ("s2", "--z", "0.3+0.01i", "--omega", "1", "--omega", "0.3+2e-7i"),
+], ids=["qfac", "s2"])
+def test_eval_q_factorial_that_underflows_is_domain_error(capsys, argv):
+    rc, out, err = run(capsys, "eval", *argv)
+    assert (rc, out) == (EXIT_DOMAIN, "")
+    assert err == "conesine: error: the q-factorial underflows: its value falls below the normal double range\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -1250,3 +1265,46 @@ def test_eval_tol_flag_is_gone(capsys):
         main(["eval", "s2", "--z", "0.3", "--omega", "1+0.1i", "--omega", "0.5+0.3i", "--tol", "1e-9"])
     assert exc.value.code == EXIT_USAGE
     assert "unrecognized arguments: --tol 1e-9" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# a reader that closes the pipe
+
+
+class _ClosedPipe(io.TextIOWrapper):
+    """A stdout whose reader has closed the pipe: every write raises BrokenPipeError."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "s1", "--z", "0.3", "--omega", "1"),
+    ("verify", "s2c-factorization", "--cone", "wedge21", "--samples", "1"),
+    ("report", "--cone", "wedge21", "--theorem", "s2c-factorization", "--samples", "1"),
+    ("report", "--cone", "wedge21", "--theorem", "s2c-factorization", "--samples", "1", "--format", "csv"),
+    ("subdivide", "0,1", "-5,3"),
+    ("check-cone", "wedge21"),
+], ids=["eval", "verify", "report", "report-csv", "subdivide", "check-cone"])
+def test_a_closed_reader_ends_every_verb_with_the_closed_pipe_code(tmp_path, capsys, argv):
+    # verify died with a BrokenPipeError traceback and exit 1
+    with open(tmp_path / "stdout", "wb") as raw, _ClosedPipe(raw) as stdout, mock.patch.object(sys, "stdout", stdout):
+        rc = main(list(argv))
+    assert (rc, capsys.readouterr().err) == (EXIT_CLOSED_PIPE, "")
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_a_closed_pipe_ends_the_process_without_a_traceback(buffered):
+    # buffered, the first write to the pipe is the flush at exit, after main has returned
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(conesine.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("PYTHONUNBUFFERED", None)
+    argv = ["-c", "import sys; from conesine.cli import main; sys.exit(main())", "subdivide", "0,1", "-5,3"]
+    try:
+        proc = subprocess.run([sys.executable, *([] if buffered else ["-u"]), *argv], env=env, stdout=write_end,
+                              stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (EXIT_CLOSED_PIPE, "")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 import time
 from contextlib import nullcontext
 from random import Random
@@ -109,6 +110,29 @@ def test_budget_cap_is_enforced():
 def test_non_finite_qfactorial_raises_domain_error(z, omegas):
     with pytest.raises(DomainError, match=r"\|x\| = .* min \|1 - \|q\|\| = 0\.0062"):
         qfactorial(z, omegas)
+
+
+@pytest.mark.parametrize("fn, args", [
+    # every factor 1 - 0.5 * 0.999999^k is positive; the log series reaches about -5.8e5
+    (qfactorial_xq, (0.5, (0.999999,))),
+    # the two q-factorials' log series reach -5007 and -10223; nothing vanishes
+    (multiple_sine, (0.3 + 0.01j, (1, 0.3 + 2e-7j))),
+    # the row (x q^k | 0.999) of the shift loop on q = 0.5 underflows
+    (qfactorial_xq, (0.7, (0.5, 0.999))),
+], ids=["qfac", "s2", "row"])
+def test_q_factorial_that_underflows_is_domain_error(fn, args):
+    # qfactorial_xq returned 0j, and s2 was refused as a pole of the inverted product
+    with pytest.raises(DomainError, match="the q-factorial underflows"):
+        fn(*args)
+
+
+@pytest.mark.parametrize("qs", [(0.5,), (0.3, 0.5), (0.5, 0.3 + 0.1j, 0.2)])
+def test_vanishing_factor_gives_exact_zero(qs):
+    # the factor 1 - x is exactly 0, in the shift loop or in a row of it
+    assert qfactorial_xq(1.0, qs) == 0
+    # inverted, the zero is a pole
+    with pytest.raises(DomainError, match="pole of the inverted product"):
+        qfactorial_xq(2.0, (2.0, *qs[1:]))
 
 
 def test_vanishing_x_gives_empty_product():
@@ -427,17 +451,46 @@ def _outcome(fn, *args):
     return value, [budget.left for budget in budgets]
 
 
+_UNDERFLOW = (DomainError, qseries._UNDERFLOW)
+
+
+def _reference_underflows(run) -> bool:
+    """True where ``run()``, a call of the reference core, forms a q-factorial, or a row
+    of one, of 0 or below the normal double range: there the library refuses the call as
+    an underflow, where the reference returns what is left, or reports a pole."""
+    values = []
+    core = qseries_reference._qfac_small
+
+    def recorded(*args, **kwargs):
+        values.append(core(*args, **kwargs))
+        return values[-1]
+
+    with mock.patch.object(qseries_reference, "_qfac_small", recorded):
+        try:
+            run()
+        except (ConesineError, OverflowError):
+            pass
+    # not abs(): on a complex with a nan part it can raise OverflowError
+    return any(math.hypot(v.real, v.imag) < sys.float_info.min for v in values)
+
+
 @settings(max_examples=300, deadline=None)
 @given(_qfac_calls())
+# the log series reaches -940: the reference returns 0j
+@example(call=(complex(0.7288357610721542), (complex(0.999),)))
 def test_qfactorial_xq_matches_the_reference_core(call):
     x, qs = call
     got = _outcome(qfactorial_xq, x, qs, _REF_CONFIG)
     event("refused" if isinstance(got[0], tuple) else "value")
-    assert got == _outcome(qseries_reference.qfactorial_xq, x, qs, _REF_CONFIG)
+    if got[0] == _UNDERFLOW:
+        assert _reference_underflows(lambda: qseries_reference.qfactorial_xq(x, qs, _REF_CONFIG))
+    else:
+        assert got == _outcome(qseries_reference.qfactorial_xq, x, qs, _REF_CONFIG)
 
 
 @settings(max_examples=200, deadline=None)
 @given(_qfac_calls(inside=True))
+@example(call=(complex(0.7288357610721542), (complex(0.999),)))
 def test_qfac_small_matches_the_reference_core(call):
     x, qs = call
     outcomes = []
@@ -445,22 +498,30 @@ def test_qfac_small_matches_the_reference_core(call):
         budget = _Budget(_REF_CONFIG.max_terms)
         try:
             value = repr(fn(x, qs, _REF_CONFIG, budget))
-        except (BudgetError, OverflowError) as exc:  # OverflowError: exp of the log series
+        except (BudgetError, DomainError, OverflowError) as exc:  # OverflowError: exp of the log series
             value = (type(exc), str(exc))
         outcomes.append((value, budget.left))
-    assert outcomes[0] == outcomes[1]
+    if outcomes[0][0] == _UNDERFLOW:
+        budget = _Budget(_REF_CONFIG.max_terms)
+        assert _reference_underflows(lambda: qseries_reference._qfac_small(x, qs, _REF_CONFIG, budget))
+    else:
+        assert outcomes[0] == outcomes[1]
 
 
 @settings(max_examples=200, deadline=None)
 @given(_gamma_calls())
 # both q-factorials are finite, their product is not: the reference returns 70.33-inf*j
 @example(call=(complex(1.1125369292536007e-308, 0.0), (complex(0.0, -0.08906561888218836),)))
+# the numerator's log series reaches -939 and the denominator vanishes: the reference returns 0j
+@example(call=(0j, (0.00015923457365490972j,)))
 def test_elliptic_gamma_matches_the_reference_core(call):
     z, omegas = call
     got = _outcome(elliptic_gamma, z, omegas, _REF_CONFIG)
     event("refused" if isinstance(got[0], tuple) else "value")
     want = _outcome(qseries_reference.elliptic_gamma, z, omegas, _REF_CONFIG)
-    if isinstance(want[0], str) and not cmath.isfinite(complex(want[0])):
+    if got[0] == _UNDERFLOW:
+        assert _reference_underflows(lambda: qseries_reference.elliptic_gamma(z, omegas, _REF_CONFIG))
+    elif isinstance(want[0], str) and not cmath.isfinite(complex(want[0])):
         # the reference core does not check the combined value; elliptic_gamma refuses it
         assert got[0][0] is DomainError and "elliptic gamma is not finite" in got[0][1]
     else:

@@ -28,6 +28,7 @@ from .errors import DomainError
 from .lattice_cones import Cone, edge_rays, require_count, require_float_exact
 
 MAX_ORDER = 8
+_TINY = [0.0] + [sys.float_info.min ** (1 / n) for n in range(1, MAX_ORDER + 1)]  # |w| below _TINY[n]: w^n is not normal
 
 
 # ---------------------------------------------------------------------------
@@ -93,12 +94,13 @@ def _ldexp(w: complex, e: int) -> complex:
 def _bernoulli_upto(z: complex, omegas: tuple[complex, ...], n: int) -> list[complex]:
     """[B_{r,k}(z | omegas) for k = 0..n], r = len(omegas), from ``_barnes_series``
     with the period of largest modulus as ``big``; z, the periods and the
-    result must be finite.  Where a value is not finite or B_{r,0} = 1 /
-    prod(omegas) is below the normal range, it runs once more on z and the
-    periods times 2^-e, e the binary exponent of their largest part, and
-    multiplies each B_{r,k} back by 2^{e(k-r)}: the recursion is homogeneous in
-    (z, omegas), so the retry is exact while its values stay normal.  A period
-    that scales to 0 and a value above double range are refused."""
+    result must be finite.  Where a value is not finite, or B_{r,0} = 1 /
+    prod(omegas) or big^n (the size of the degree-n terms) is below the normal
+    range, it runs once more on z and the periods times 2^-e, e the binary
+    exponent of their largest part, and multiplies each B_{r,k} back by
+    2^{e(k-r)}: the recursion is homogeneous in (z, omegas), so the retry is
+    exact while its values stay normal.  A period that scales to 0 and a value
+    above double range are refused."""
     if not omegas:
         raise DomainError("at least one period is required")
     n = require_count(n, "order", 0)
@@ -110,12 +112,13 @@ def _bernoulli_upto(z: complex, omegas: tuple[complex, ...], n: int) -> list[com
     if cmath.isfinite(z) and all(map(cmath.isfinite, omegas)):
         try:
             others = sorted(omegas, key=abs)
-            out = _barnes_series(z, others.pop(), others, n)
-            if all(map(cmath.isfinite, out)) and abs(out[0]) >= sys.float_info.min:
+            big = others.pop()
+            out = _barnes_series(z, big, others, n)
+            if all(map(cmath.isfinite, out)) and abs(out[0]) >= sys.float_info.min and abs(big) >= _TINY[n]:
                 return out
         except OverflowError:  # abs() of finite parts above double range
             pass
-        e = frexp(max(max(abs(w.real), abs(w.imag)) for w in omegas))[1]
+        e = frexp(max(max(abs(w.real), abs(w.imag)) for w in (z, *omegas)))[1]
         try:
             others = sorted((_ldexp(w, -e) for w in omegas), key=abs)
             scaled = _barnes_series(_ldexp(z, -e), others.pop(), others, n)

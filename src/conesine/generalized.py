@@ -30,16 +30,8 @@ from .bernoulli import (
     bernoulli_cone_lifted,
 )
 from .lattice_cones import Cone, dual_contains, lattice_points, require_count, require_float_exact
-from .qseries import (
-    DEFAULT_CONFIG,
-    EvalConfig,
-    _checked_product,
-    _prefactor,
-    _rel_residual,
-    _sine_factorization,
-    elliptic_gamma,
-    multiple_sine,
-)
+from .qseries import DEFAULT_CONFIG, EvalConfig, _prefactor, _product, _rel_residual, _sine_factorization
+from .qseries import elliptic_gamma, multiple_sine
 
 
 def _route_periods(cone: Cone, omegas: Sequence[complex], gamma: bool) -> tuple[complex, ...]:
@@ -63,8 +55,9 @@ def _wedge_product(
     """Product of ``fn`` over the wedges of the cone's decomposition, after
     the factor of the straightened axis in 3d, checked finite."""
     axis, wedges = cone.wedges(z, omegas)
-    axis_factor = [] if axis is None else [fn(z, (axis,), cfg)]
-    return _checked_product("wedge", axis_factor + [fn(arg, periods, cfg) for arg, periods in wedges], z)
+    if axis is not None:
+        wedges = [(z, (axis,)), *wedges]
+    return _product("wedge", z, (fn(arg, periods, cfg) for arg, periods in wedges))
 
 
 def sine_cone_decomposed(
@@ -124,18 +117,6 @@ def sine_cone_factorized(
     return _sine_factorization("face", b, cone.dim, pairs, z, cfg)
 
 
-def _gamma_faces(cone: Cone, z: complex, omegas: tuple[complex, ...], variant: str):
-    """The faces of ``variant``: ``Cone.faces`` (the face matrices composed with S) for
-    ``"primary"``; for ``"alternative"`` (with S^-1, dividing by -p_0 in place of p_0)
-    each face (u, (tau_0, tau_1, ...)) of that walk becomes (-u, (tau_0, -tau_1, ...))."""
-    if variant not in ("primary", "alternative"):
-        raise DomainError(f"unknown variant {variant!r}: use 'primary' or 'alternative'")
-    faces = cone.faces(z, omegas)
-    if variant == "primary":
-        return faces
-    return ((face_id, -u, (taus[0], *(-t for t in taus[1:]))) for face_id, u, taus in faces)
-
-
 def gamma_cone_factorized(
     cone: Cone,
     z: complex,
@@ -147,16 +128,22 @@ def gamma_cone_factorized(
     face-transformed ordinary elliptic gammas.
 
     With r the cone's dimension, the primary variant lifts with parameter -1
-    and composes faces with the S matrix, under e^{2 pi i B^lift / (r+1)!};
-    the alternative lifts with +1, uses the inverse S matrix and the
-    opposite sign in the exponent.  Both evaluate the same function.
+    and composes faces with the S matrix (``Cone.faces``), under
+    e^{2 pi i B^lift / (r+1)!}; the alternative lifts with +1, uses the
+    inverse S matrix (each face (u, (tau_0, tau_1, ...)) becomes
+    (-u, (tau_0, -tau_1, ...))) and the opposite sign in the exponent.
     """
     omegas = _route_periods(cone, omegas, gamma=True)
-    faces = _gamma_faces(cone, z, omegas, variant)
-    eta, sign = (-1.0, 1.0) if variant == "primary" else (1.0, -1.0)
+    if variant not in ("primary", "alternative"):
+        raise DomainError(f"unknown variant {variant!r}: use 'primary' or 'alternative'")
+    faces = cone.faces(z, omegas)
+    eta, sign = -1.0, 1.0
+    if variant == "alternative":
+        eta, sign = 1.0, -1.0
+        faces = ((face_id, -u, (taus[0], *(-t for t in taus[1:]))) for face_id, u, taus in faces)
     b = bernoulli_cone_lifted(cone, z, omegas, eta)
-    factors = (elliptic_gamma(u, scaled, cfg) for _, u, scaled in faces)
-    return _checked_product("face", [_prefactor(sign * 2j * math.pi / math.factorial(cone.dim + 1), b), *factors], z)
+    factors = (elliptic_gamma(u, taus, cfg) for _, u, taus in faces)
+    return _product("face", z, factors, (sign * 2j * math.pi / math.factorial(cone.dim + 1), b))
 
 
 # ---------------------------------------------------------------------------
@@ -291,13 +278,6 @@ class _Theorem:
     rhs: _Side
 
 
-def _face_product_reduced(cone: Cone, z, omegas, cfg) -> complex:
-    """Product of face-transformed two-period elliptic gammas, dropping the
-    first transformed component (the reduced action)."""
-    faces = cone.faces(z, omegas)
-    return _checked_product("face", (elliptic_gamma(z_scaled, scaled[1:], cfg) for _, z_scaled, scaled in faces), z)
-
-
 THEOREMS: dict[str, _Theorem] = {
     "s2c-factorization": _Theorem(
         dim=2,
@@ -339,7 +319,8 @@ THEOREMS: dict[str, _Theorem] = {
         tolerance=1e-7,
         sampler=_sample_gamma_params,
         lhs=lambda cone, z, om, cfg: _prefactor(-1j * math.pi / 3.0, bernoulli_cone(cone, z, om, 3)),
-        rhs=_face_product_reduced,
+        # the reduced action: the face-transformed elliptic gammas with the first transformed period dropped
+        rhs=lambda cone, z, om, cfg: _product("face", z, (elliptic_gamma(u, p[1:], cfg) for _, u, p in cone.faces(z, om))),
     ),
 }
 

@@ -383,6 +383,8 @@ def elliptic_gamma(z: complex, omegas: tuple[complex, ...], cfg: EvalConfig = DE
     (the base case of the period-shift recursion) is -e^{-2 pi i z}.  The two
     q-factorials share one prepared period set (``_QPlan``), and each is
     refused as ``qfactorial_xq`` refuses it; so is a value that is not finite.
+    A numerator that underflows is refused unless the denominator is exactly
+    0: the value is then 0 for even r and a pole for odd r.
     """
     omegas = tuple(map(complex, omegas))
     r = len(omegas) - 1
@@ -397,9 +399,19 @@ def elliptic_gamma(z: complex, omegas: tuple[complex, ...], cfg: EvalConfig = DE
     x = e2(-z + sum(omegas))
     ax = _argument_modulus(x, qs)
     plan = _QPlan(qs)  # the numerator and denominator share their periods
-    num = plan.evaluate(x, ax, cfg)
-    x = e2(z)
-    den = plan.evaluate(x, _argument_modulus(x, ()), cfg)
+    try:
+        num, underflow = plan.evaluate(x, ax, cfg), None
+    except DomainError as refusal:
+        if str(refusal) != _UNDERFLOW:
+            raise
+        num, underflow = 0j, refusal  # it stands unless the denominator vanishes exactly
+    try:
+        x = e2(z)
+        den = plan.evaluate(x, _argument_modulus(x, ()), cfg)
+    except (DomainError, BudgetError) as exc:
+        raise underflow or exc
+    if underflow and den != 0:
+        raise underflow
     if r % 2 and den == 0:
         raise DomainError("evaluation point is a pole (the denominator product vanishes)")
     val = num / den if r % 2 else num * den
@@ -412,13 +424,16 @@ def elliptic_gamma(z: complex, omegas: tuple[complex, ...], cfg: EvalConfig = DE
 # multiple sine hierarchy
 
 
-def _checked_product(kind: str, factors: Iterable[complex], z: complex) -> complex:
-    """The product of a route's ``kind`` (wedge, face or multiple sine) factors, refused
-    when a partial product overflows, or underflows below the normal double
-    range, where it loses digits or reaches 0 (a g2c face product of about
-    1e-306, 1e-38, 1e43 and 1e298 returned 0 for a value of order 1)."""
+def _product(kind: str, z: complex, factors: Iterable[complex], exponent: tuple | None = None) -> complex:
+    """The one evaluator of a route's product: the Bernoulli exponential ``_prefactor(*exponent)``,
+    if given, then each of ``factors`` in order, then their product in that order, refused as a
+    ``kind`` (wedge, face or multiple sine) product when a partial product overflows, or
+    underflows below the normal double range, where it loses digits or reaches 0 (a g2c face
+    product of about 1e-306, 1e-38, 1e43 and 1e298 returned 0 for a value of order 1)."""
+    values = [] if exponent is None else [_prefactor(*exponent)]
+    values.extend(factors)
     total = 1.0 + 0j
-    for factor in factors:
+    for factor in values:
         product = total * factor
         if not cmath.isfinite(product):
             raise DomainError(f"the {kind} product is not finite at z = {z:.6g}: its factors overflow double precision")
@@ -462,12 +477,11 @@ def _sine_factorization(kind: str, b: complex, r: int, pairs: list, z: complex, 
     every exponent.  It evaluates first the form with fewer predicted shift steps
     (``_cheaper_form``) and, where that form raises DomainError, the other; where the other
     raises DomainError or BudgetError too, it raises the first form's refusal.  The product is
-    checked as a ``kind`` product (``_checked_product``)."""
+    evaluated as a ``kind`` product (``_product``)."""
 
     def evaluate(form: int) -> complex:
-        prefactor = _prefactor((-1) ** (r + form - 1) * 1j * math.pi / math.factorial(r), b)
-        factors = [qfactorial_xq(*_form_arguments(u, taus, form, k), cfg) for k, (u, taus) in enumerate(pairs)]
-        return _checked_product(kind, [prefactor, *factors], z)
+        factors = (qfactorial_xq(*_form_arguments(u, taus, form, k), cfg) for k, (u, taus) in enumerate(pairs))
+        return _product(kind, z, factors, ((-1) ** (r + form - 1) * 1j * math.pi / math.factorial(r), b))
 
     first = _cheaper_form(pairs)
     try:

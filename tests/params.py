@@ -14,8 +14,7 @@ import math
 from contextlib import contextmanager
 from unittest import mock
 
-from conesine import Cone, elliptic_gamma, generalized, qfactorial_xq, qseries
-from conesine.bernoulli import _as_period_tuple
+from conesine import Cone, generalized, qseries
 
 # A generic evaluation point used by most identity checks.
 Z_GENERIC = 0.31 - 0.17j
@@ -101,20 +100,42 @@ def forced_form(form: int):
         yield
 
 
+@contextmanager
+def recorded_products():
+    """Within the block, each product a route hands to ``qseries._product``, in the order the
+    calls begin, as (exponent, factors): the (c, b) of its Bernoulli exponential e^{c b}, or
+    None, and the factors, in the order the evaluator consumes them."""
+    products, evaluate = [], qseries._product
+
+    def recording(kind, z, factors, exponent=None):
+        consumed = []
+        products.append((exponent, consumed))
+
+        def consume():
+            for factor in factors:
+                consumed.append(factor)
+                yield factor
+
+        return evaluate(kind, z, consume(), exponent)
+
+    with mock.patch.object(qseries, "_product", recording), mock.patch.object(generalized, "_product", recording):
+        yield products
+
+
 def face_factors(cone, z: complex, omegas, variant: str | None = None) -> list[tuple[str, complex]]:
-    """[(face id, factor), ...]: one factor per codimension-1 face of a factorized cone route,
-    built from the route's pieces.  For the sine (``variant`` None) each face's q-factorial
-    in the form ``qseries._cheaper_form`` picks, the one ``sine_cone_factorized`` tries first
-    (``forced_form`` picks another); for the gamma each face's elliptic gamma in ``variant``,
-    ``"primary"`` or ``"alternative"``.  The periods are checked as the routes check them."""
-    omegas = _as_period_tuple(omegas, cone)
-    if variant is not None:
-        faces = generalized._gamma_faces(cone, z, omegas, variant)
-        return [(face_id, elliptic_gamma(u, taus)) for face_id, u, taus in faces]
-    faces = [(face_id, u, scaled[1:]) for face_id, u, scaled in cone.faces(z, omegas)]
-    form = qseries._cheaper_form([(u, taus) for _, u, taus in faces])
-    return [(face_id, qfactorial_xq(*qseries._form_arguments(u, taus, form, k)))
-            for k, (face_id, u, taus) in enumerate(faces)]
+    """[(face id, factor), ...]: the factors, one per codimension-1 face, that a factorized cone
+    route multiplies into the value it returns, read from its own product.  For the sine
+    (``variant`` None) ``sine_cone_factorized``'s q-factorials, in the form whose value it
+    returns: the form it tries first (``forced_form`` picks it) unless that one refuses; for
+    the gamma ``gamma_cone_factorized``'s elliptic gammas in ``variant``, ``"primary"`` or
+    ``"alternative"``.  A refusal of the route is raised."""
+    with recorded_products() as products:
+        if variant is None:
+            generalized.sine_cone_factorized(cone, z, omegas)
+        else:
+            generalized.gamma_cone_factorized(cone, z, omegas, variant=variant)
+    _, factors = products[-1]  # a form that refuses is followed by the other
+    return list(zip([ft.face_id for ft in cone.face_transforms], factors))
 
 
 # (eval target, cone fixture, route, z, periods) where every factor of the

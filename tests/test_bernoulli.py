@@ -287,6 +287,20 @@ def test_periods_far_above_one_keep_their_digits(z, omegas, n):
     assert abs(value - exact) <= 1e-12 * abs(exact), (value, exact)
 
 
+@pytest.mark.parametrize(
+    "z, omegas, n",
+    [
+        # z^n and omega^n underflow while B_{1,0} = 1 / omega stays normal: -2.30e-180 and -2.03e-268
+        (31 / 3 * 2**-600, (14 / 3 * 2**-600,), 2),
+        (31 / 3 * 2**-300, (14 / 3 * 2**-300,), 4),
+    ],
+)
+def test_periods_far_below_one_keep_their_digits(z, omegas, n):
+    exact = float(_exact_bernoulli(Fraction(z), tuple(map(Fraction, omegas)), n)[0])
+    value = bernoulli_multiple(z, omegas, n)
+    assert abs(value - exact) <= 1e-12 * abs(exact), (value, exact)
+
+
 def _rational_draws():
     """(z, omegas, n) in small rationals: 3 draws for each r in 1..4 and n in 0..MAX_ORDER."""
     rng = Random(7)
@@ -310,7 +324,7 @@ def test_plain_polynomial_matches_exact_rationals():
         assert abs(value - float(exact)) <= 1e-13 * float(size), (z, om, n)
 
 
-@pytest.mark.parametrize("k", range(0, 601, 20))
+@pytest.mark.parametrize("k", range(-600, 601, 20))
 def test_plain_polynomial_matches_exact_rationals_at_every_scale(k):
     # the draws above with z and omegas times 2^k, where B_{r,j} is 2^{k(j-r)} times its
     # unscaled value: a value may be refused only where an entry of degree j <= n leaves

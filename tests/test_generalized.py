@@ -42,7 +42,8 @@ from cone_strategies import planar_cones, polygon_cones
 from identities import wedge_product_check
 from lattice_reference import cube_scan_gamma_oracle
 from params import (
-    GAMMA_OMEGAS, OVERFLOWING_PRODUCTS, SINE_OMEGAS, Z_GENERIC, chain_wedges, face_factors, forced_form, rel,
+    GAMMA_OMEGAS, OVERFLOWING_PRODUCTS, SINE_OMEGAS, Z_GENERIC, chain_wedges, face_factors, forced_form,
+    recorded_products, rel,
 )
 
 
@@ -333,33 +334,28 @@ def test_face_factor_ids_name_the_edge_rays(w21):
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_face_factors_are_the_factorized_routes_factors(name):
-    # the prefactor and the helper's factors, multiplied as the routes multiply them,
-    # give each factorized route's value to the bit
+    # each factorized route's value is its recorded Bernoulli exponential times its recorded
+    # factors, one per face, multiplied in order; face_factors lists those factors by face id
     cone = fixture_cone(name)
-    z, r = Z_GENERIC, cone.dim
-    om = SINE_OMEGAS[name]
-    form = qseries._cheaper_form([(u, scaled[1:]) for _, u, scaled in cone.faces(z, om)])
-    prefactor = qseries._prefactor((-1) ** (r + form - 1) * 1j * math.pi / math.factorial(r),
-                                   bernoulli.bernoulli_cone(cone, z, om, r))
-    values = [value for _, value in face_factors(cone, z, om)]
-    assert qseries._checked_product("face", [prefactor, *values], z) == sine_cone_factorized(cone, z, om)
-    om = GAMMA_OMEGAS[name]
-    for variant, eta, sign in (("primary", -1.0, 1.0), ("alternative", 1.0, -1.0)):
-        prefactor = qseries._prefactor(sign * 2j * math.pi / math.factorial(r + 1),
-                                       bernoulli_cone_lifted(cone, z, om, eta))
-        values = [value for _, value in face_factors(cone, z, om, variant)]
-        route = gamma_cone_factorized(cone, z, om, variant=variant)
-        assert qseries._checked_product("face", [prefactor, *values], z) == route
+    z, ids = Z_GENERIC, [ft.face_id for ft in cone.face_transforms]
+    for variant, om in ((None, SINE_OMEGAS[name]), ("primary", GAMMA_OMEGAS[name]), ("alternative", GAMMA_OMEGAS[name])):
+        with recorded_products() as products:
+            if variant is None:
+                value = sine_cone_factorized(cone, z, om)
+            else:
+                value = gamma_cone_factorized(cone, z, om, variant=variant)
+        [(exponent, factors)] = products
+        assert len(factors) == len(ids)
+        assert math.prod([qseries._prefactor(*exponent), *factors]) == value
+        assert face_factors(cone, z, om, variant) == list(zip(ids, factors))
 
 
-@pytest.mark.parametrize("factors", [
-    face_factors,
-    lambda cone, z, om: face_factors(cone, z, om, "alternative"),
-], ids=["sine", "gamma-alternative"])
-def test_vanishing_face_scale_is_rejected(w21, factors):
-    # the edge ray (-1, 0) pairs to 0 with a first period of 0
+@pytest.mark.parametrize("omegas", [(0, 1 + 0.3j), (0, -0.04 + 0.65j)], ids=["sine", "gamma-alternative"])
+def test_vanishing_face_scale_is_rejected(w21, omegas):
+    # the edge ray (-1, 0) pairs to 0 with a first period of 0: the face walk that both
+    # factorized routes read refuses it (the routes refuse such periods before their walk)
     with pytest.raises(DomainError, match=r"^face edge\(-1,0\): transformed scale vanishes$"):
-        factors(w21, 0.3, (0, 1 + 0.3j))
+        list(w21.faces(0.3, omegas))
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +438,20 @@ def test_bernoulli_prefactor_that_underflows_is_domain_error(route, name, z, ome
     # refuses a value below the normal double range as the sine prefactor does
     with pytest.raises(DomainError, match=r"prefactor .* underflows at B_rr"):
         route(fixture_cone(name), z, omegas)
+
+
+def test_gamma_prefactor_refusal_comes_before_any_face_factor():
+    # the route's product evaluates its Bernoulli exponential before any factor: where both
+    # refuse, the exponential's refusal is the one raised
+    def refused(*args):
+        raise DomainError("a face factor refuses")
+
+    with mock.patch.object(generalized, "elliptic_gamma", refused):
+        with pytest.raises(DomainError, match=r"prefactor .* underflows at B_rr"):
+            gamma_cone_factorized(fixture_cone("wedge21"), 0.1 - 5j, (0.09 - 0.6j, -0.04 + 0.65j))
+        # a route whose exponential is finite reaches its factors
+        with pytest.raises(DomainError, match="a face factor refuses"):
+            gamma_cone_factorized(fixture_cone("wedge21"), Z_GENERIC, GAMMA_OMEGAS["wedge21"])
 
 
 def test_sine_form_is_chosen_in_qseries_for_both_sine_factorizations():

@@ -8,6 +8,7 @@ import math
 import weakref
 from fractions import Fraction
 from random import Random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,9 +34,9 @@ from conesine import (
 )
 from conesine import lattice_cones
 from conesine.fixtures import FIXTURE_NAMES, fixture_cone
+from conesine import generalized
 from conesine.generalized import (
-    _face_product_reduced,
-    _gamma_faces,
+    THEOREMS,
     _sample_gamma_params,
     _sample_sine_params,
     gamma_cone_direct,
@@ -729,7 +730,7 @@ RELISTED_ROUTES = [
     (gamma_cone_direct, {}, _sample_gamma_params),
     (gamma_cone_factorized, {"variant": "primary"}, _sample_gamma_params),
     (gamma_cone_factorized, {"variant": "alternative"}, _sample_gamma_params),
-    (_face_product_reduced, {}, _sample_gamma_params),
+    (THEOREMS["face-modularity"].rhs, {}, _sample_gamma_params),
 ]
 RELISTED_ROUTE_IDS = ["sine-decomposed", "sine-factorized", "gamma-direct", "gamma-factorized",
                       "gamma-factorized-alternative", "face-product-reduced"]
@@ -828,9 +829,15 @@ def test_faces_are_the_s_composed_face_action(variant):
         g = s if variant == "primary" else s.T  # S is a signed permutation: S^-1 = S^T
         z = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         omegas = tuple(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(cone.dim))
-        got = list(_gamma_faces(cone, z, omegas, variant))
-        assert [face_id for face_id, *_ in got] == [ft.face_id for ft in face_matrices(cone)]
-        for ft, (_, z_scaled, scaled) in zip(face_matrices(cone), got):
+        # the (u, taus) the route hands to each face's elliptic gamma, in walk order; its period
+        # check and Bernoulli exponent are stubbed, so the walk sees any periods on any good cone
+        handed = []
+        with mock.patch.multiple(generalized, _route_periods=lambda cone, omegas, gamma: omegas,
+                                 bernoulli_cone_lifted=lambda *args: 0j,
+                                 elliptic_gamma=lambda u, taus, cfg: handed.append((u, taus)) or 1):
+            gamma_cone_factorized(cone, z, omegas, variant=variant)
+        assert len(handed) == len(face_matrices(cone))
+        for ft, (z_scaled, scaled) in zip(face_matrices(cone), handed):
             k_plus_1 = np.eye(size, dtype=int)
             k_plus_1[:-1, :-1] = ft.matrix
             image = (g @ k_plus_1) @ np.array([*omegas, 1], dtype=complex)

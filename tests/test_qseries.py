@@ -539,6 +539,22 @@ def test_elliptic_gamma_that_is_not_finite_is_domain_error(z, tau):
         elliptic_gamma(z, (tau,))
 
 
+@pytest.mark.parametrize("z, want", [
+    (0j, 0j),  # the denominator (1 | q) vanishes exactly: g0 is 0, as in the reference core
+    (0.001 + 0j, None),  # (e^{2 pi i z} | q) is not 0, and refuses as well: the numerator's refusal
+    (0.25j, None),  # the denominator is finite and not 0
+], ids=["exact-zero", "both-underflow", "denominator-finite"])
+def test_elliptic_gamma_whose_numerator_underflows(z, want):
+    # q = 0.999: the numerator (q e^{-2 pi i z} | q) underflows; it was refused even where the
+    # denominator vanishes exactly and the value is exactly 0
+    tau = 0.00015923457365490972j
+    if want is None:
+        with pytest.raises(DomainError, match="the q-factorial underflows"):
+            elliptic_gamma(z, (tau,))
+    else:
+        assert elliptic_gamma(z, (tau,)) == want
+
+
 def test_shift_steps_past_the_underflow_of_target_over_x_are_domain_error():
     # |x| = e^697 against a shift target of about e^-56: target / |x| underflows
     # to 0 and math.log raised ValueError ("math domain error"); the step count

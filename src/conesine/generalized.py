@@ -30,8 +30,16 @@ from .bernoulli import (
     bernoulli_cone_lifted,
 )
 from .lattice_cones import Cone, dual_contains, lattice_points, require_count, require_float_exact
-from .qseries import DEFAULT_CONFIG, EvalConfig, _prefactor, _product, _rel_residual, _sine_factorization
-from .qseries import elliptic_gamma, multiple_sine
+from .qseries import (
+    DEFAULT_CONFIG,
+    EvalConfig,
+    _prefactor,
+    _product,
+    _rel_residual,
+    _sine_factorization,
+    elliptic_gamma,
+    multiple_sine,
+)
 
 
 def _route_periods(cone: Cone, omegas: Sequence[complex], gamma: bool) -> tuple[complex, ...]:

@@ -25,7 +25,7 @@ from operator import mul
 from typing import Sequence
 
 from .errors import DomainError
-from .lattice_cones import Cone, edge_rays, require_count, require_float_exact
+from .lattice_cones import Cone, _per_draw, edge_rays, require_count, require_float_exact
 
 MAX_ORDER = 8
 _TINY = [0.0] + [sys.float_info.min ** (1 / n) for n in range(1, MAX_ORDER + 1)]  # |w| below _TINY[n]: w^n is not normal
@@ -92,6 +92,11 @@ def _ldexp(w: complex, e: int) -> complex:
 
 
 def _bernoulli_upto(z: complex, omegas: tuple[complex, ...], n: int) -> list[complex]:
+    """``_bernoulli_table(z, omegas, n)``, kept per draw for its own order n (``_per_draw``)."""
+    return _per_draw((z, omegas, n), _bernoulli_table, z, omegas, n)
+
+
+def _bernoulli_table(z: complex, omegas: tuple[complex, ...], n: int) -> list[complex]:
     """[B_{r,k}(z | omegas) for k = 0..n], r = len(omegas), from ``_barnes_series``
     with the period of largest modulus as ``big``; z, the periods and the
     result must be finite.  Where a value is not finite, or B_{r,0} = 1 /
@@ -245,7 +250,7 @@ def bernoulli_cone_lifted(cone: Cone, z: complex, omegas: tuple[complex, ...], e
 # independent oracle: plain polynomials over the parallelepiped pieces
 
 
-def _piece_sum(pieces, z, omegas: tuple, lift: tuple, n: int, upto=_bernoulli_upto):
+def _piece_sum(pieces, z, omegas: tuple, lift: tuple, n: int, upto=_bernoulli_table):
     """The degree-n coefficient of t^r e^{zt} sum_m e^{-(omega . m) t} over
     the lattice points m of ``pieces``, times n!, r = len(omegas) +
     len(lift); the periods ``lift`` are appended to every piece.

@@ -29,7 +29,7 @@ from .bernoulli import (
     bernoulli_cone,
     bernoulli_cone_lifted,
 )
-from .lattice_cones import Cone, dual_contains, lattice_points, require_count, require_float_exact
+from .lattice_cones import Cone, _draw_store, dual_contains, lattice_points, require_count, require_float_exact
 from .qseries import (
     DEFAULT_CONFIG,
     EvalConfig,
@@ -347,17 +347,19 @@ class _SideValues(threading.local):
     point.  Values are keyed by (side, z, omegas) and kept only while the
     (cone, seed, config) stays the same, so the store holds one cone's draws;
     each thread has its own.  The sampler never draws a negative zero, so
-    points equal under ``==`` are the same bits.
+    points equal under ``==`` are the same bits.  ``draws`` keeps their walks and tables (``_draw_store``).
     """
 
     def __init__(self):
         self.context = None
         self.values: dict = {}
+        self.draws: dict = {}
 
     def enter(self, context: tuple) -> None:
         if context != self.context:
             self.context = context
             self.values.clear()
+            self.draws.clear()
 
     def value(self, side: _Side, cone: Cone, z: complex, omegas: tuple, cfg: EvalConfig) -> complex | None:
         """``side(cone, z, omegas, cfg)``, or None where it raises DomainError."""
@@ -397,8 +399,9 @@ def verify_theorem(
     Consecutive calls on the same cone, seed and config share each side's
     value, or refusal, at each drawn point: on a 3d cone the primary
     factorized gamma, the rhs of g2c-factorization and the lhs of
-    g2c-alternative, is evaluated once per point for both.  The values are
-    dropped when a call comes with another cone, seed or config.
+    g2c-alternative, is evaluated once per point for both.  So is each drawn
+    point's wedge walk, face walk and Bernoulli table of each order.  These
+    are dropped when a call comes with another cone, seed or config.
     """
     if theorem_id not in THEOREMS:
         raise DomainError(
@@ -431,32 +434,27 @@ def verify_theorem(
     _side_values.enter((cone, seed, cfg))
     value = _side_values.value
     rng = Random(seed)
-    points, lhs_vals, rhs_vals, residuals = [], [], [], []
-    for _ in range(samples):
-        for attempt in range(_MAX_SAMPLE_ATTEMPTS):
-            z, omegas = thm.sampler(cone, rng)
-            a = value(thm.lhs, cone, z, omegas, cfg)
-            b = None if a is None else value(thm.rhs, cone, z, omegas, cfg)
-            if b is not None:
-                break
-        else:
-            raise DomainError(
-                f"could not draw a generic sample for {theorem_id} after "
-                f"{_MAX_SAMPLE_ATTEMPTS} attempts"
-            )
-        points.append((z, omegas))
-        lhs_vals.append(a)
-        rhs_vals.append(b)
-        residuals.append(_rel_residual(a, b))
+    drawn = []
+    token = _draw_store.set(_side_values.draws)
+    try:
+        for _ in range(samples):
+            for attempt in range(_MAX_SAMPLE_ATTEMPTS):
+                z, omegas = thm.sampler(cone, rng)
+                a = value(thm.lhs, cone, z, omegas, cfg)
+                b = None if a is None else value(thm.rhs, cone, z, omegas, cfg)
+                if b is not None:
+                    break
+            else:
+                raise DomainError(f"could not draw a generic sample for {theorem_id} after {_MAX_SAMPLE_ATTEMPTS} attempts")
+            drawn.append(((z, omegas), a, b))
+    finally:
+        _draw_store.reset(token)
+    points, lhs, rhs = zip(*drawn)
+    residuals = tuple(map(_rel_residual, lhs, rhs))
     # max() skips a nan that is not first, so look for one explicitly
     worst = math.nan if any(math.isnan(r) for r in residuals) else max(residuals)
     return VerificationReport(
-        **base,
-        points=tuple(points),
-        lhs=tuple(lhs_vals),
-        rhs=tuple(rhs_vals),
-        residuals=tuple(residuals),
-        max_residual=worst,
-        passed=math.isfinite(worst) and worst < tol,
+        **base, points=points, lhs=lhs, rhs=rhs, residuals=residuals,
+        max_residual=worst, passed=math.isfinite(worst) and worst < tol,
     )
 

@@ -20,6 +20,7 @@ package:
 from __future__ import annotations
 
 import numbers
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -31,6 +32,21 @@ from .errors import DomainError, ParseError
 
 IntVector = tuple[int, ...]
 IntMatrix = tuple[IntVector, ...]
+
+
+_draw_store: ContextVar[dict | None] = ContextVar("conesine_draw_store", default=None)
+
+
+def _per_draw(key: tuple, build, *args):
+    """``build(*args)``, kept under ``key`` unless it raises, in the ``_draw_store`` that
+    ``verify_theorem`` sets while it samples (elsewhere nothing is kept): the identities on
+    one cone share each draw's wedge walk, face walk and Bernoulli tables, unchanged."""
+    store = _draw_store.get()
+    if store is None:
+        return build(*args)
+    if key not in store:
+        store[key] = build(*args)
+    return store[key]
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +313,11 @@ class Cone:
         argument and periods in chain order.  In 2d ``axis`` is None and
         every wedge but the last is shifted by its opening period.  In 3d
         ``axis`` is the period w1 of the straightened axis, and every facet
-        wedge is shifted and has periods (w1, a, b).
+        wedge is shifted and has periods (w1, a, b).  Kept per draw (``_per_draw``).
         """
+        return _per_draw(("wedges", z, omegas), self._walk_wedges, z, omegas)
+
+    def _walk_wedges(self, z: complex, omegas: Sequence[complex]):
         if self.dim == 2:
             axis = None
             walks = [(omegas, self.chain)]
@@ -318,7 +337,7 @@ class Cone:
         return axis, wedges
 
     def faces(self, z: complex, omegas: Sequence[complex]):
-        """Yield ``(face_id, z / p_0, face periods)`` per face.
+        """``(face_id, z / p_0, face periods)`` per face, as a list.
 
         With ``p = K omegas`` for the face matrix K, ``p_0`` pairs the periods
         with the edge ray, and the face periods are ``(-1 / p_0, p_1 / p_0, ...)``.
@@ -327,8 +346,15 @@ class Cone:
         right, +1 bottom left and an identity block between: p_j pairs the
         periods with row j of K less the multiple of the edge ray that brings
         |Re(p_j / p_0)| to at most 1/2, so its rounding error does not grow
-        with K.  A vanishing p_0 raises DomainError.
+        with K.  A vanishing p_0 makes it a generator that raises DomainError at
+        that face, so that the refusals come in face order (``_per_draw``).
         """
+        try:
+            return _per_draw(("faces", z, omegas), lambda: list(self._walk_faces(z, omegas)))
+        except DomainError:
+            return self._walk_faces(z, omegas)
+
+    def _walk_faces(self, z: complex, omegas: Sequence[complex]):
         for ft in self.face_transforms:
             p0, *ps = mat_vec(ft.matrix, omegas)
             if abs(p0) < 1e-12:

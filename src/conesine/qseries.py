@@ -158,19 +158,20 @@ def _cheaper_form(factors) -> int:
     return 2 if steps2 < steps1 else 1
 
 
-def _qfac_planned(x: complex, plan: _QPlan, cfg: EvalConfig, budget: _Budget) -> complex:
-    """(x | plan.qs) with every |q| < 1 and x finite, via the shift identity and a log series.
+def _qfac_planned(x: complex, plan: _QPlan, cfg: EvalConfig, budget: _Budget) -> tuple[complex, bool]:
+    """(x | plan.qs) with every |q| < 1 and x finite, via the shift identity and a log series,
+    and whether its digits are lost.
 
     The shift identity (x | qs) = (x | qs without q) (x q | qs) on the smallest |q| moves
     x down to the cost-balanced ``_log_shift_target``, where the log series takes over.  Each
     loop charges its closed-form step or term count to ``budget``; a shift loop over two
     or more periods first checks the shift steps its rows will charge (``_row_steps``),
     so a call whose nested loops cannot fit raises BudgetError before any step is taken.
-    A value of 0, or one whose log series gives e^{-acc} below the normal double range,
-    raises DomainError unless a factor vanishes exactly: its digits are lost, and a 0
-    would read as a pole of an inverted product.
+    They are lost where the value, or a row of a shift loop, is 0 or has a log series that
+    gives e^{-acc} below the normal double range, unless a factor vanishes exactly (a 0
+    would read as a pole of an inverted product).  Every row is evaluated and charged.
     """
-    prefactor, vanishes = 1.0 + 0j, False
+    prefactor, vanishes, lost = 1.0 + 0j, False, False
     ax = abs(x)
     target = plan.target
     if ax >= target:
@@ -189,15 +190,14 @@ def _qfac_planned(x: complex, plan: _QPlan, cfg: EvalConfig, budget: _Budget) ->
             reduced = plan.rows()
             budget.spend(steps, _row_steps(ax, log_a, steps, reduced.log_a, reduced.log_target))
             for _ in range(steps):
-                row = _qfac_planned(x, reduced, cfg, budget)
-                vanishes = vanishes or row == 0  # a row is 0 only where one of its factors vanishes
+                row, row_lost = _qfac_planned(x, reduced, cfg, budget)
+                lost = lost or row_lost
+                vanishes = vanishes or row == 0 and not row_lost  # then one of its factors vanishes
                 prefactor *= row
                 x *= q
         ax = abs(x)
     if ax == 0:
-        if prefactor == 0 and not vanishes:
-            raise DomainError(_UNDERFLOW)
-        return prefactor
+        return prefactor, (lost or prefactor == 0) and not vanishes
     # log form: -sum_{n>=1} x^n / (n prod_j (1 - q_j^n)).  After term n the tail is at most
     # |x|^{n+1} / ((n+1)(1-|x|) prod_j (1 - |q_j|^{n+1})); the loop stops once that is below
     # tail_tol.  The running products hold q_j^n and |q_j|^{n+1}.  The loops for one and
@@ -243,9 +243,8 @@ def _qfac_planned(x: complex, plan: _QPlan, cfg: EvalConfig, budget: _Budget) ->
     budget.spend(n)
     value = prefactor * cmath.exp(-acc)
     # a value that is not finite is left to the caller's overflow check
-    if (value == 0 or -acc.real < _LOG_NORMAL_MIN) and not vanishes and cmath.isfinite(value):
-        raise DomainError(_UNDERFLOW)
-    return value
+    lost = lost or (value == 0 or -acc.real < _LOG_NORMAL_MIN) and cmath.isfinite(value)
+    return value, lost and not vanishes
 
 
 def _argument_modulus(x: complex, qs: tuple[complex, ...]) -> float:
@@ -328,9 +327,11 @@ class _QPlan:
             x = x / q
         budget = _Budget(cfg.max_terms)
         try:
-            val = _qfac_planned(x, self, cfg, budget) if self.qs else 1.0 - x
+            val, lost = _qfac_planned(x, self, cfg, budget) if self.qs else (1.0 - x, False)
         except OverflowError:  # cmath.exp of the log series
-            val = complex(math.nan)
+            val, lost = complex(math.nan), False
+        if lost:
+            raise DomainError(_UNDERFLOW)
         if len(self.inverted) % 2 == 1:
             if val == 0:
                 raise DomainError("evaluation point is a pole of the inverted product")

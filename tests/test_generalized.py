@@ -937,6 +937,111 @@ def test_primary_factorized_gamma_is_evaluated_once_per_point(monkeypatch, squar
     assert set(calls.values()) == {1}
 
 
+def _count_draw_work(monkeypatch):
+    """Counters of the face walks and wedge walks by (z, omegas), and of the ``_barnes_series``
+    runs by (z, periods, n)."""
+    faces, wedges, tables = Counter(), Counter(), Counter()
+    walk_faces, walk_wedges, barnes = Cone._walk_faces, Cone._walk_wedges, bernoulli._barnes_series
+
+    def counted_faces(self, z, omegas):
+        faces[z, omegas] += 1
+        return walk_faces(self, z, omegas)
+
+    def counted_wedges(self, z, omegas):
+        wedges[z, omegas] += 1
+        return walk_wedges(self, z, omegas)
+
+    def counted_barnes(z, big, others, n, *args):
+        tables[z, (big, *others), n] += 1
+        return barnes(z, big, others, n, *args)
+
+    monkeypatch.setattr(Cone, "_walk_faces", counted_faces)
+    monkeypatch.setattr(Cone, "_walk_wedges", counted_wedges)
+    monkeypatch.setattr(bernoulli, "_barnes_series", counted_barnes)
+    return faces, wedges, tables
+
+
+@pytest.mark.parametrize("name", ["cone-over-square", "wedge21"])
+def test_each_draw_walks_its_faces_and_wedges_once(monkeypatch, name):
+    # the identities of one dimension draw the same points: on a 3d gamma draw the faces were
+    # walked 3 times and the wedges 4 times, and each wedge's Bernoulli table built 2 or 3 times
+    monkeypatch.setattr(generalized, "_side_values", generalized._SideValues())
+    faces, wedges, tables = _count_draw_work(monkeypatch)
+    cone = fixture_cone(name)
+    reports = [verify_theorem(tid, cone, samples=5, seed=0) for tid in THEOREM_IDS]
+    accepted = {point for report in reports for point in report.points}
+    assert len(accepted) >= 10
+    assert accepted <= set(wedges) and set(faces) <= set(wedges)
+    assert set(faces.values()) == set(wedges.values()) == set(tables.values()) == {1}
+    if cone.dim == 3:
+        assert accepted <= set(faces)
+
+
+def test_routes_called_directly_keep_nothing(monkeypatch, square):
+    faces, wedges, tables = _count_draw_work(monkeypatch)
+    z, omegas = Z_GENERIC, GAMMA_OMEGAS["cone-over-square"]
+    assert gamma_cone_factorized(square, z, omegas) == gamma_cone_factorized(square, z, omegas)
+    assert faces[z, omegas] == wedges[z, omegas] == 2
+    assert set(tables.values()) == {2}
+
+
+def _refusing(exc):
+    def side(cone, z, omegas, cfg):
+        raise exc
+
+    return side
+
+
+@pytest.mark.parametrize("side, message", [
+    (_refusing(DomainError("refused")), "could not draw a generic sample"),
+    (_refusing(BudgetError("over budget")), "over budget"),
+    (lambda cone, z, omegas, cfg: 1.0, None),
+], ids=["no-generic-sample", "budget-error", "returns"])
+def test_draw_store_is_unset_after_verify_theorem(monkeypatch, w21, side, message):
+    monkeypatch.setattr(generalized, "_side_values", generalized._SideValues())
+    seen = []
+
+    def lhs(cone, z, omegas, cfg):
+        seen.append(lattice_cones._draw_store.get())
+        return side(cone, z, omegas, cfg)
+
+    monkeypatch.setitem(THEOREMS, "s2c-factorization", replace(THEOREMS["s2c-factorization"], lhs=lhs))
+    if message is None:
+        verify_theorem("s2c-factorization", w21, samples=2)
+    else:
+        with pytest.raises((DomainError, BudgetError), match=message):
+            verify_theorem("s2c-factorization", w21, samples=2)
+    assert seen and all(store is generalized._side_values.draws for store in seen)
+    assert lattice_cones._draw_store.get() is None
+
+
+@pytest.mark.parametrize("variant", ["primary", "alternative"])
+def test_face_walk_refusal_keeps_its_place_inside_verify_theorem(monkeypatch, w21, variant):
+    # |p_0| = 1e-13 on the first face: outside verify_theorem the walk is lazy, and the
+    # Bernoulli prefactor refuses before the walk reaches that face; a face list built
+    # eagerly for the draw store would raise the face's refusal first
+    z, omegas = 0.1 + 0.05j, (-1e-13j, 0.1 + 0.5j)
+    with pytest.raises(DomainError) as outside:
+        gamma_cone_factorized(w21, z, omegas, variant=variant)
+    assert str(outside.value).startswith("prefactor")
+    monkeypatch.setattr(generalized, "_side_values", generalized._SideValues())
+    inside = []
+
+    def lhs(cone, z, omegas, cfg):
+        try:
+            return gamma_cone_factorized(cone, z, omegas, cfg, variant=variant)
+        except DomainError as exc:
+            inside.append(str(exc))
+            raise
+
+    theorem = replace(THEOREMS["g1c-factorization"], sampler=lambda cone, rng: (z, omegas), lhs=lhs)
+    monkeypatch.setitem(THEOREMS, "g1c-factorization", theorem)
+    with pytest.raises(DomainError, match="could not draw a generic sample"):
+        verify_theorem("g1c-factorization", w21, samples=1)
+    assert set(inside) == {str(outside.value)}
+    assert not any(key[0] == "faces" for key in generalized._side_values.draws)
+
+
 def test_report_json_shape(w21):
     doc = verify_theorem("s2c-factorization", w21, samples=2, seed=5).to_json_dict()
     assert doc["schema"] == 1

@@ -222,8 +222,12 @@ def test_truncation_policy_is_self_consistent():
 
 def _qfac_small(x: complex, qs: tuple[complex, ...], cfg: EvalConfig, budget: _Budget) -> complex:
     """(x | qs) with every |q| < 1 and x finite, charged to a budget the caller holds
-    (``_qfac_planned`` on a plan of ``qs``)."""
-    return _qfac_planned(x, _QPlan(qs), cfg, budget) if qs else 1.0 - x
+    (``_qfac_planned`` on a plan of ``qs``), refused where its digits are lost, as
+    ``_QPlan.evaluate`` refuses it."""
+    value, lost = _qfac_planned(x, _QPlan(qs), cfg, budget) if qs else (1.0 - x, False)
+    if lost:
+        raise DomainError(qseries._UNDERFLOW)
+    return value
 
 
 # the second period of each set has |q| > 1 and is inverted
@@ -478,6 +482,8 @@ def _reference_underflows(run) -> bool:
 @given(_qfac_calls())
 # the log series reaches -940: the reference returns 0j
 @example(call=(complex(0.7288357610721542), (complex(0.999),)))
+# row 0, (1 | q), is exactly 0 and row 1 underflows: the reference returns 0j
+@example(call=(1 + 0j, (e2(0.00015923457365490972j), e2(0.05j))))
 def test_qfactorial_xq_matches_the_reference_core(call):
     x, qs = call
     got = _outcome(qfactorial_xq, x, qs, _REF_CONFIG)
@@ -514,6 +520,8 @@ def test_qfac_small_matches_the_reference_core(call):
 @example(call=(complex(1.1125369292536007e-308, 0.0), (complex(0.0, -0.08906561888218836),)))
 # the numerator's log series reaches -939 and the denominator vanishes: the reference returns 0j
 @example(call=(0j, (0.00015923457365490972j,)))
+# g1 at an exact zero of its denominator, whose row 1 underflows: the reference reports the pole
+@example(call=(0j, (0.00015923457365490972j, 0.05j)))
 def test_elliptic_gamma_matches_the_reference_core(call):
     z, omegas = call
     got = _outcome(elliptic_gamma, z, omegas, _REF_CONFIG)
@@ -553,6 +561,26 @@ def test_elliptic_gamma_whose_numerator_underflows(z, want):
             elliptic_gamma(z, (tau,))
     else:
         assert elliptic_gamma(z, (tau,)) == want
+
+
+_Q999, _Q05 = e2(0.00015923457365490972j), e2(0.05j)
+
+
+@pytest.mark.parametrize("fn, args, want", [
+    (qfactorial_xq, (1 + 0j, (_Q999, _Q05)), "0j"),
+    (qfactorial_xq, (1 / _Q05, (_Q05, _Q999)), "0j"),
+    (elliptic_gamma, (0j, (0.00015923457365490972j, 0.05j)),
+     (DomainError, "evaluation point is a pole (the denominator product vanishes)")),
+], ids=["later-row-underflows", "earlier-row-underflows", "g1-pole"])
+def test_a_row_that_vanishes_excuses_the_underflow_of_another(fn, args, want):
+    # one row of the shift loop on q = e^{-0.1 pi}, (1 | 0.999), is exactly 0 and another underflows:
+    # the q-factorial was refused as an underflow where it is 0, and g1 at the first point, a pole,
+    # was refused as an underflow too.  The value or refusal and every charge are the reference
+    # core's; the properties above let an underflow refusal pass wherever a row of the reference
+    # core underflows, so they do not see this
+    got = _outcome(fn, *args, _REF_CONFIG)
+    assert got[0] == want
+    assert got == _outcome(getattr(qseries_reference, fn.__name__), *args, _REF_CONFIG)
 
 
 def test_shift_steps_past_the_underflow_of_target_over_x_are_domain_error():

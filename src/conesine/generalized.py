@@ -17,7 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
-import threading
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import partial
 from random import Random
@@ -29,7 +29,7 @@ from .bernoulli import (
     bernoulli_cone,
     bernoulli_cone_lifted,
 )
-from .lattice_cones import Cone, _draw_store, dual_contains, lattice_points, require_count, require_float_exact
+from .lattice_cones import Cone, _draw_store, _per_draw, dual_contains, lattice_points, require_count, require_float_exact
 from .qseries import (
     DEFAULT_CONFIG,
     EvalConfig,
@@ -337,44 +337,19 @@ THEOREM_IDS = tuple(sorted(THEOREMS))
 _MAX_SAMPLE_ATTEMPTS = 24
 
 
-class _SideValues(threading.local):
-    """The side values of the identities verified on one (cone, seed, config).
-
-    Identities of one dimension share a sampler and a seed, and every attempt
-    consumes exactly one draw, so they draw the same points; a side that two
-    identities have in common (``gamma_cone_factorized`` is the rhs of
-    g2c-factorization and the lhs of g2c-alternative) is evaluated once per
-    point.  Values are keyed by (side, z, omegas) and kept only while the
-    (cone, seed, config) stays the same, so the store holds one cone's draws;
-    each thread has its own.  The sampler never draws a negative zero, so
-    points equal under ``==`` are the same bits.  ``draws`` keeps their walks and tables (``_draw_store``).
-    """
-
-    def __init__(self):
-        self.context = None
-        self.values: dict = {}
-        self.draws: dict = {}
-
-    def enter(self, context: tuple) -> None:
-        if context != self.context:
-            self.context = context
-            self.values.clear()
-            self.draws.clear()
-
-    def value(self, side: _Side, cone: Cone, z: complex, omegas: tuple, cfg: EvalConfig) -> complex | None:
-        """``side(cone, z, omegas, cfg)``, or None where it raises DomainError."""
-        key = (side, z, omegas)
-        if key in self.values:
-            return self.values[key]
-        try:
-            value = side(cone, z, omegas, cfg)
-        except DomainError:
-            value = None
-        self.values[key] = value
-        return value
+# The (cone, seed, config) that ``verify_theorem`` last sampled, and the one store of its
+# draws (``_per_draw``): each side's value or refusal (None) keyed by (side, z, omegas), and
+# the walks and Bernoulli tables.  The sampler never draws a negative zero, so points equal
+# under ``==`` are the same bits.
+_shared: ContextVar[tuple] = ContextVar("conesine_shared_draws", default=(None, None))
 
 
-_side_values = _SideValues()
+def _side_value(side: _Side, cone: Cone, z: complex, omegas: tuple, cfg: EvalConfig) -> complex | None:
+    """``side(cone, z, omegas, cfg)``, or None where it raises DomainError."""
+    try:
+        return side(cone, z, omegas, cfg)
+    except DomainError:
+        return None
 
 
 def verify_theorem(
@@ -401,7 +376,8 @@ def verify_theorem(
     factorized gamma, the rhs of g2c-factorization and the lhs of
     g2c-alternative, is evaluated once per point for both.  So is each drawn
     point's wedge walk, face walk and Bernoulli table of each order.  These
-    are dropped when a call comes with another cone, seed or config.
+    are dropped when a call comes with another cone, seed or config.  Each
+    thread and each asyncio task keeps its own.
     """
     if theorem_id not in THEOREMS:
         raise DomainError(
@@ -431,17 +407,19 @@ def verify_theorem(
             return VerificationReport(**base, skipped=str(exc))
     require_float_exact(cone)  # the sampler pairs the normals with doubles
 
-    _side_values.enter((cone, seed, cfg))
-    value = _side_values.value
+    context, draws = _shared.get()
+    if context != (cone, seed, cfg):
+        draws = {}
+        _shared.set(((cone, seed, cfg), draws))
     rng = Random(seed)
     drawn = []
-    token = _draw_store.set(_side_values.draws)
+    token = _draw_store.set(draws)
     try:
         for _ in range(samples):
             for attempt in range(_MAX_SAMPLE_ATTEMPTS):
                 z, omegas = thm.sampler(cone, rng)
-                a = value(thm.lhs, cone, z, omegas, cfg)
-                b = None if a is None else value(thm.rhs, cone, z, omegas, cfg)
+                a = _per_draw((thm.lhs, z, omegas), _side_value, thm.lhs, cone, z, omegas, cfg)
+                b = None if a is None else _per_draw((thm.rhs, z, omegas), _side_value, thm.rhs, cone, z, omegas, cfg)
                 if b is not None:
                     break
             else:

@@ -40,7 +40,7 @@ _draw_store: ContextVar[dict | None] = ContextVar("conesine_draw_store", default
 def _per_draw(key: tuple, build, *args):
     """``build(*args)``, kept under ``key`` unless it raises, in the ``_draw_store`` that
     ``verify_theorem`` sets while it samples (elsewhere nothing is kept): the identities on
-    one cone share each draw's wedge walk, face walk and Bernoulli tables, unchanged."""
+    one cone share each draw's side values, wedge walk, face walk and Bernoulli tables, unchanged."""
     store = _draw_store.get()
     if store is None:
         return build(*args)
@@ -337,7 +337,7 @@ class Cone:
         return axis, wedges
 
     def faces(self, z: complex, omegas: Sequence[complex]):
-        """``(face_id, z / p_0, face periods)`` per face, as a list.
+        """``(face_id, z / p_0, face periods)`` per face, as a generator.
 
         With ``p = K omegas`` for the face matrix K, ``p_0`` pairs the periods
         with the edge ray, and the face periods are ``(-1 / p_0, p_1 / p_0, ...)``.
@@ -346,26 +346,29 @@ class Cone:
         right, +1 bottom left and an identity block between: p_j pairs the
         periods with row j of K less the multiple of the edge ray that brings
         |Re(p_j / p_0)| to at most 1/2, so its rounding error does not grow
-        with K.  A vanishing p_0 makes it a generator that raises DomainError at
-        that face, so that the refusals come in face order (``_per_draw``).
+        with K.  A vanishing p_0 raises DomainError at that face, so that the
+        refusals come in face order.  The walk is kept per draw (``_per_draw``).
         """
-        try:
-            return _per_draw(("faces", z, omegas), lambda: list(self._walk_faces(z, omegas)))
-        except DomainError:
-            return self._walk_faces(z, omegas)
+        faces, refusal = _per_draw(("faces", z, omegas), self._walk_faces, z, omegas)
+        yield from faces
+        if refusal is not None:
+            raise DomainError(refusal)
 
     def _walk_faces(self, z: complex, omegas: Sequence[complex]):
+        """The faces in order up to the first whose p_0 vanishes, and that face's refusal, or None."""
+        faces = []
         for ft in self.face_transforms:
             p0, *ps = mat_vec(ft.matrix, omegas)
             if abs(p0) < 1e-12:
-                raise DomainError(f"face {ft.face_id}: transformed scale vanishes")
+                return faces, f"face {ft.face_id}: transformed scale vanishes"
             periods = []
             for row, pk in zip(ft.matrix[1:], ps):
                 ratio = (pk / p0).real
                 # past 2**52 a double has no fraction left to reduce, nor has nan or inf
                 m = round(ratio) if abs(ratio) < 2**52 else 0
                 periods.append(sum(map(mul, [r - m * e for r, e in zip(row, ft.edge_ray)], omegas)) / p0)
-            yield ft.face_id, z / p0, (-1 / p0, *periods)
+            faces.append((ft.face_id, z / p0, (-1 / p0, *periods)))
+        return faces, None
 
     # -- serialization ----------------------------------------------------
 

@@ -2,6 +2,7 @@
 to the classical functions, face locality, and the verification reports."""
 from __future__ import annotations
 
+import asyncio
 import cmath
 import math
 import sys
@@ -720,10 +721,18 @@ def test_verify_theorem_refuses_a_seed_that_is_not_an_integer(w21, seed):
         verify_theorem("s2c-factorization", w21, samples=1, seed=seed)
 
 
+@pytest.fixture
+def fresh_store():
+    """An empty store of the draws ``verify_theorem`` shares, for one test."""
+    token = generalized._shared.set((None, None))
+    yield
+    generalized._shared.reset(token)
+
+
 @pytest.mark.parametrize("seed", [-3, 2**100])
-def test_verify_theorem_takes_negative_and_large_seeds(monkeypatch, w21, seed):
+def test_verify_theorem_takes_negative_and_large_seeds(fresh_store, w21, seed):
     a = verify_theorem("s2c-factorization", w21, samples=2, seed=seed)
-    monkeypatch.setattr(generalized, "_side_values", generalized._SideValues())
+    generalized._shared.set((None, None))
     b = verify_theorem("s2c-factorization", w21, samples=2, seed=seed)
     assert a.seed == seed and a.to_json_dict() == b.to_json_dict()
 
@@ -833,10 +842,10 @@ def test_cone_geometry_is_built_once_per_cone(monkeypatch):
         assert len(scans) == 1
 
 
-def test_verify_theorem_is_deterministic(monkeypatch, square):
+def test_verify_theorem_is_deterministic(fresh_store, square):
     a = verify_theorem("g2c-factorization", square, samples=3, seed=42)
     # a new store, so that the second call evaluates every side again
-    monkeypatch.setattr(generalized, "_side_values", generalized._SideValues())
+    generalized._shared.set((None, None))
     b = verify_theorem("g2c-factorization", square, samples=3, seed=42)
     assert a.to_json_dict() == b.to_json_dict()
     c = verify_theorem("g2c-factorization", square, samples=3, seed=43)
@@ -849,7 +858,7 @@ def _reports(cone, theorem_ids, samples, seed, fresh_store):
     out = {}
     for tid in theorem_ids:
         if fresh_store:
-            generalized._side_values = generalized._SideValues()
+            generalized._shared.set((None, None))
         try:
             out[tid] = verify_theorem(tid, cone, samples=samples, seed=seed).to_json_dict()
         except DomainError as exc:
@@ -860,32 +869,42 @@ def _reports(cone, theorem_ids, samples, seed, fresh_store):
 def _check_shared_side_values_change_no_report(cone, samples, seed):
     alone = _reports(cone, THEOREM_IDS, samples, seed, fresh_store=True)
     for order in (THEOREM_IDS, THEOREM_IDS[::-1]):
-        generalized._side_values = generalized._SideValues()
+        generalized._shared.set((None, None))
         assert _reports(cone, order, samples, seed, fresh_store=False) == alone
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
-def test_shared_side_values_change_no_report(monkeypatch, name):
-    monkeypatch.setattr(generalized, "_side_values", generalized._side_values)
+def test_shared_side_values_change_no_report(fresh_store, name):
     _check_shared_side_values_change_no_report(fixture_cone(name), samples=4, seed=11)
 
 
 @settings(max_examples=10, deadline=None)
 @given(cone=polygon_cones(), seed=st.integers(0, 2**32 - 1))
 def test_shared_side_values_change_no_report_on_polygon_cones(cone, seed):
-    saved = generalized._side_values
-    try:
-        _check_shared_side_values_change_no_report(cone, samples=2, seed=seed)
-    finally:
-        generalized._side_values = saved
+    _check_shared_side_values_change_no_report(cone, samples=2, seed=seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cone=st.one_of(planar_cones, polygon_cones(), st.sampled_from(FIXTURE_NAMES).map(fixture_cone)),
+    sampler=st.sampled_from([_sample_sine_params, _sample_gamma_params]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_samplers_draw_no_negative_zero(cone, sampler, seed):
+    # the store keys points with ==, which does not tell 0.0 from -0.0
+    rng = Random(seed)
+    for _ in range(3):
+        z, omegas = sampler(cone, rng)
+        parts = [part for w in (z, *omegas) for part in (w.real, w.imag)]
+        assert not any(part == 0 and math.copysign(1.0, part) < 0 for part in parts)
 
 
 def test_side_values_are_dropped_for_the_next_cone(square, std3):
     first = verify_theorem("g2c-factorization", square, samples=5, seed=0)
     verify_theorem("g2c-factorization", std3, samples=5, seed=0)
-    store = generalized._side_values
-    assert store.context[0] == std3
-    stored_points = {(z, omegas) for _, z, omegas in store.values}
+    context, draws = generalized._shared.get()
+    assert context[0] == std3
+    stored_points = {(z, omegas) for side, z, omegas in draws if callable(side)}
     assert stored_points and not stored_points & set(first.points)
 
 
@@ -916,8 +935,40 @@ def test_threads_keep_their_own_side_values(square):
     assert results == alone
 
 
-def test_primary_factorized_gamma_is_evaluated_once_per_point(monkeypatch, square):
-    monkeypatch.setattr(generalized, "_side_values", generalized._SideValues())
+def test_asyncio_tasks_keep_their_own_side_values(monkeypatch, fresh_store, square):
+    # two tasks on one thread, each verifying both g2c identities under its own config: a store
+    # held per thread was dropped by the other task between the calls, so each task evaluated the
+    # primary factorized gamma twice per point
+    calls = Counter()
+
+    def counted(cone, z, omegas, cfg, **kwargs):
+        calls[cfg, z, omegas] += 1
+        return gamma_cone_factorized(cone, z, omegas, cfg, **kwargs)
+
+    monkeypatch.setitem(THEOREMS, "g2c-factorization", replace(THEOREMS["g2c-factorization"], rhs=counted))
+    monkeypatch.setitem(THEOREMS, "g2c-alternative", replace(THEOREMS["g2c-alternative"], lhs=counted))
+    configs = (DEFAULT_CONFIG, EvalConfig(tail_tol=1e-6))
+    tids = ("g2c-factorization", "g2c-alternative")
+    alone = [[verify_theorem(tid, square, samples=4, seed=5, cfg=cfg).to_json_dict() for tid in tids] for cfg in configs]
+    assert alone[0] != alone[1]
+
+    async def task(cfg):
+        reports = []
+        for tid in tids:
+            reports.append(verify_theorem(tid, square, samples=4, seed=5, cfg=cfg).to_json_dict())
+            await asyncio.sleep(0)
+        return reports
+
+    async def both():
+        return await asyncio.gather(*map(task, configs))
+
+    generalized._shared.set((None, None))
+    calls.clear()
+    assert asyncio.run(both()) == alone
+    assert {cfg for cfg, *_ in calls} == set(configs) and set(calls.values()) == {1}
+
+
+def test_primary_factorized_gamma_is_evaluated_once_per_point(monkeypatch, fresh_store, square):
     calls = Counter()
 
     def counted(cone, z, omegas, cfg, **kwargs):
@@ -962,10 +1013,9 @@ def _count_draw_work(monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["cone-over-square", "wedge21"])
-def test_each_draw_walks_its_faces_and_wedges_once(monkeypatch, name):
+def test_each_draw_walks_its_faces_and_wedges_once(monkeypatch, fresh_store, name):
     # the identities of one dimension draw the same points: on a 3d gamma draw the faces were
     # walked 3 times and the wedges 4 times, and each wedge's Bernoulli table built 2 or 3 times
-    monkeypatch.setattr(generalized, "_side_values", generalized._SideValues())
     faces, wedges, tables = _count_draw_work(monkeypatch)
     cone = fixture_cone(name)
     reports = [verify_theorem(tid, cone, samples=5, seed=0) for tid in THEOREM_IDS]
@@ -975,6 +1025,28 @@ def test_each_draw_walks_its_faces_and_wedges_once(monkeypatch, name):
     assert set(faces.values()) == set(wedges.values()) == set(tables.values()) == {1}
     if cone.dim == 3:
         assert accepted <= set(faces)
+
+
+def test_face_walk_and_its_refusal_are_kept_per_draw(monkeypatch, w21):
+    # the second face's edge ray (1, 2) pairs to 0 with these periods: the refusing walk was not
+    # kept, and each call walked the faces twice, once eagerly and once lazily
+    walks = []
+    walk_faces = Cone._walk_faces
+    monkeypatch.setattr(Cone, "_walk_faces", lambda self, z, omegas: walks.append(z) or walk_faces(self, z, omegas))
+    z, omegas = 0.3, (2 - 0.6j, -1 + 0.3j)
+    seen = []
+    token = lattice_cones._draw_store.set({})
+    try:
+        for _ in range(2):
+            faces = []
+            with pytest.raises(DomainError) as refusal:
+                faces.extend(w21.faces(z, omegas))
+            seen.append((faces, str(refusal.value)))
+    finally:
+        lattice_cones._draw_store.reset(token)
+    faces, refusal = seen[0]
+    assert walks == [z] and seen[1] == seen[0]
+    assert [face[0] for face in faces] == ["edge(-1,0)"] and refusal == "face edge(1,2): transformed scale vanishes"
 
 
 def test_routes_called_directly_keep_nothing(monkeypatch, square):
@@ -997,8 +1069,7 @@ def _refusing(exc):
     (_refusing(BudgetError("over budget")), "over budget"),
     (lambda cone, z, omegas, cfg: 1.0, None),
 ], ids=["no-generic-sample", "budget-error", "returns"])
-def test_draw_store_is_unset_after_verify_theorem(monkeypatch, w21, side, message):
-    monkeypatch.setattr(generalized, "_side_values", generalized._SideValues())
+def test_draw_store_is_unset_after_verify_theorem(monkeypatch, fresh_store, w21, side, message):
     seen = []
 
     def lhs(cone, z, omegas, cfg):
@@ -1011,12 +1082,12 @@ def test_draw_store_is_unset_after_verify_theorem(monkeypatch, w21, side, messag
     else:
         with pytest.raises((DomainError, BudgetError), match=message):
             verify_theorem("s2c-factorization", w21, samples=2)
-    assert seen and all(store is generalized._side_values.draws for store in seen)
+    assert seen and all(store is generalized._shared.get()[1] for store in seen)
     assert lattice_cones._draw_store.get() is None
 
 
 @pytest.mark.parametrize("variant", ["primary", "alternative"])
-def test_face_walk_refusal_keeps_its_place_inside_verify_theorem(monkeypatch, w21, variant):
+def test_face_walk_refusal_keeps_its_place_inside_verify_theorem(monkeypatch, fresh_store, w21, variant):
     # |p_0| = 1e-13 on the first face: outside verify_theorem the walk is lazy, and the
     # Bernoulli prefactor refuses before the walk reaches that face; a face list built
     # eagerly for the draw store would raise the face's refusal first
@@ -1024,7 +1095,6 @@ def test_face_walk_refusal_keeps_its_place_inside_verify_theorem(monkeypatch, w2
     with pytest.raises(DomainError) as outside:
         gamma_cone_factorized(w21, z, omegas, variant=variant)
     assert str(outside.value).startswith("prefactor")
-    monkeypatch.setattr(generalized, "_side_values", generalized._SideValues())
     inside = []
 
     def lhs(cone, z, omegas, cfg):
@@ -1039,7 +1109,7 @@ def test_face_walk_refusal_keeps_its_place_inside_verify_theorem(monkeypatch, w2
     with pytest.raises(DomainError, match="could not draw a generic sample"):
         verify_theorem("g1c-factorization", w21, samples=1)
     assert set(inside) == {str(outside.value)}
-    assert not any(key[0] == "faces" for key in generalized._side_values.draws)
+    assert not any(key[0] == "faces" for key in generalized._shared.get()[1])
 
 
 def test_report_json_shape(w21):

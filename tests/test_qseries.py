@@ -7,6 +7,8 @@ import math
 import sys
 import time
 from contextlib import nullcontext
+from itertools import accumulate, repeat
+from operator import mul
 from random import Random
 from unittest import mock
 
@@ -458,24 +460,51 @@ def _outcome(fn, *args):
 _UNDERFLOW = (DomainError, qseries._UNDERFLOW)
 
 
+def _zero_factor(x: complex, q: complex) -> bool:
+    """Whether the reference core's shift loop on the one period q has a factor 1 - x q^k that
+    is exactly 0: its steps replayed as ``_qfac_planned`` replays its own."""
+    ax, log_a = abs(x), math.log(abs(q))
+    target = math.exp(_log_shift_target(log_a, 1))
+    if ax < target:
+        return False
+    steps = math.ceil(math.log(target / ax) / log_a)
+    return 1 in accumulate(repeat(q, steps - 1), mul, initial=x)
+
+
 def _reference_underflows(run) -> bool:
     """True where ``run()``, a call of the reference core, forms a q-factorial, or a row
     of one, of 0 or below the normal double range: there the library refuses the call as
-    an underflow, where the reference returns what is left, or reports a pole."""
-    values = []
+    an underflow, where the reference returns what is left, or reports a pole.  Not where
+    the last q-factorial it forms (the q-factorial itself, or an elliptic gamma's
+    denominator) returns and has a one-period row with a factor 1 - x q^k that is exactly 0:
+    the value is then an exact 0 or a pole, which the library returns or reports too.  A
+    numerator's exact zero is not counted: where the denominator underflows, the library
+    refuses the call and the reference reports a pole for odd r, although the value is 0."""
+    calls, depth = [], 0
     core = qseries_reference._qfac_small
 
-    def recorded(*args, **kwargs):
-        values.append(core(*args, **kwargs))
-        return values[-1]
+    def recorded(x, qs, *args, **kwargs):
+        nonlocal depth
+        depth += 1
+        try:
+            value = core(x, qs, *args, **kwargs)
+        finally:
+            depth -= 1
+        calls.append((depth, x, qs, value))
+        return value
 
     with mock.patch.object(qseries_reference, "_qfac_small", recorded):
         try:
             run()
         except (ConesineError, OverflowError):
             pass
+    # the rows of the last q-factorial, where it returns: the calls after the top-level one before it
+    tops = [k for k, (level, *_) in enumerate(calls) if level == 0]
+    last = calls[tops[-2] + 1 if len(tops) > 1 else 0 :] if tops and tops[-1] == len(calls) - 1 else []
     # not abs(): on a complex with a nan part it can raise OverflowError
-    return any(math.hypot(v.real, v.imag) < sys.float_info.min for v in values)
+    return any(math.hypot(v.real, v.imag) < sys.float_info.min for *_, v in calls) and not any(
+        _zero_factor(x, qs[0]) for _, x, qs, _ in last if len(qs) == 1
+    )
 
 
 @settings(max_examples=300, deadline=None)

@@ -19,7 +19,7 @@ import math
 import numbers
 from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from random import Random
 from typing import Callable, Sequence
 
@@ -158,6 +158,30 @@ def gamma_cone_factorized(
 # independent lattice oracle for the gamma functions
 
 
+@lru_cache(maxsize=8)  # at least the five shipped cones
+def _kept_points(cone: Cone, radius: int):
+    """The oracle's closed and interior points, read-only, in the smallest
+    signed integer type that holds +-radius (int8 up to radius 127)."""
+    import numpy as np
+
+    kept = tuple(lattice_points(cone, radius, interior).astype(np.min_scalar_type(-radius - 1)) for interior in (False, True))
+    for points in kept:
+        points.flags.writeable = False
+    return kept
+
+
+def _lattice_product(points, om, w: complex):
+    """prod over the points m of 1 - e^{2 pi i (w + m.om)}, built in the one array points @ om."""
+    import numpy as np
+
+    factors = points @ om
+    factors += w
+    factors *= 2j * np.pi
+    np.exp(factors, out=factors)
+    np.subtract(1, factors, out=factors)
+    return np.prod(factors)
+
+
 def gamma_cone_lattice_oracle(
     cone: Cone,
     z: complex,
@@ -171,8 +195,10 @@ def gamma_cone_lattice_oracle(
     2d and +1 in 3d, truncated at sup-norm ``radius`` (by default 60 in 2d
     and 40 in 3d).  Convergence needs Im(periods) strictly inside the dual
     cone; the discarded tail decays geometrically in the dual pairing.
-    ``radius`` must be an integer >= 1, not a bool.  A non-finite z or
-    period, and a product that overflows double precision, raise DomainError.
+    ``radius`` must be an integer >= 1, not a bool; a box of more than
+    MAX_LATTICE_BOX points, a non-finite z or period, and a product that
+    overflows double precision raise DomainError.  The point sets of the
+    last 8 (cone, radius) pairs are kept, at dim bytes a point to radius 127.
     """
     import numpy as np
 
@@ -181,14 +207,11 @@ def gamma_cone_lattice_oracle(
         raise DomainError(f"the lattice oracle needs a finite z and finite periods, got z = {z}, periods {omegas}")
     if radius is None:
         radius = 60 if cone.dim == 2 else 40
-    radius = require_count(radius, "radius", 1)
+    closed, interior = _kept_points(cone, require_count(radius, "radius", 1))
     om = np.asarray(omegas)
-    two_pi_i = 2j * np.pi
     with np.errstate(all="ignore"):  # huge finite periods overflow a phase; the product is checked below
-        phase_closed = lattice_points(cone, radius, interior=False) @ om
-        phase_open = lattice_points(cone, radius, interior=True) @ om
-        plus = np.prod(1 - np.exp(two_pi_i * (complex(z) + phase_closed)))
-        minus = np.prod(1 - np.exp(two_pi_i * (-complex(z) + phase_open)))
+        plus = _lattice_product(closed, om, complex(z))
+        minus = _lattice_product(interior, om, -complex(z))
         value = complex(minus / plus if cone.dim == 2 else minus * plus)
     if not cmath.isfinite(value):
         raise DomainError(f"the lattice product is not finite at z = {z:.6g}: its factors overflow double precision")

@@ -672,6 +672,7 @@ def gorenstein_frame(cone: Cone) -> GorensteinFrame:
 
 # a cone whose pieces hold more parallelepiped points than this is refused
 MAX_PIECE_POINTS = 100_000
+MAX_LATTICE_BOX = 2**24  # likewise a sup-norm box of (2 radius + 1)^dim points
 
 
 @dataclass(frozen=True)
@@ -753,16 +754,19 @@ def require_count(value, name: str, least: int) -> int:
 def lattice_points(cone: Cone, radius: int, interior: bool = False):
     """Integer points of the cone (or its interior) with sup-norm <= radius.
 
-    Returns a numpy int64 array of shape (count, dim), in lexicographic
-    order; ``radius`` must be an integer >= 0, not a bool.  The points are
-    built fiber by fiber along the last axis.  A normal (b, a), with a its
+    Returns a fresh, writeable numpy int64 array of shape (count, dim), in
+    lexicographic order; ``radius`` must be an integer >= 0, not a bool.
+    The gamma lattice oracle keeps read-only copies of the last 8 (cone,
+    radius) pairs, at dim bytes per point for radii up to 127.  The points
+    are built fiber by fiber along the last axis.  A normal (b, a), with a its
     last coordinate, asks a s >= c - b . u of the coordinate s over the
     transverse point u (c = 1 for the interior, else 0).  It bounds s from
     below by ceil((c - b . u) / a) when a > 0 and from above by
     floor((c - b . u) / a) when a < 0; with a = 0 it keeps the whole fiber
     or empties it.  Each fiber is the interval between its bounds cut to
     [-radius, radius], so no point outside the cone is ever built.  Normals
-    whose pairings with such points could leave int64 raise DomainError.
+    whose pairings with such points could leave int64, and a box of more
+    than MAX_LATTICE_BOX points, raise DomainError before any allocation.
     """
     import numpy as np
 
@@ -770,6 +774,9 @@ def lattice_points(cone: Cone, radius: int, interior: bool = False):
     largest = max(abs(c) for v in cone.normals for c in v)
     if largest * cone.dim * radius >= 2**63:
         raise DomainError(f"a normal entry of {largest} at radius {radius} overflows int64 pairings")
+    box = (2 * radius + 1) ** cone.dim
+    if box > MAX_LATTICE_BOX:
+        raise DomainError(f"the box at radius {radius} holds {box} points, more than {MAX_LATTICE_BOX}")
     normals = np.asarray(cone.normals, dtype=np.int64)
     rng = np.arange(-radius, radius + 1, dtype=np.int64)
     rest = np.stack(np.meshgrid(*[rng] * (cone.dim - 1), indexing="ij"), axis=-1).reshape(-1, cone.dim - 1)

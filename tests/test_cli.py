@@ -82,9 +82,12 @@ def _fresh_python(*args: str) -> subprocess.CompletedProcess:
 
 def test_import_leaves_numpy_unloaded():
     # numpy is imported lazily, by the lattice oracles and enumeration only,
-    # so importing the package or starting the CLI does not pay for it
-    done = _fresh_python("-c", "import sys, conesine, conesine.cli; print('numpy' in sys.modules)")
-    assert (done.returncode, done.stdout.strip()) == (0, "False")
+    # so importing the package, starting the CLI or running a report over a
+    # 2d and a 3d cone does not pay for it
+    report = "conesine.cli.main(['report', '--cone', 'wedge21', '--cone', 'cone-over-square', '--samples', '1']); "
+    for run in ("", report):
+        done = _fresh_python("-c", f"import sys, conesine, conesine.cli; {run}print('numpy' in sys.modules)")
+        assert (done.returncode, done.stdout.strip().splitlines()[-1]) == (0, "False"), done.stderr
 
 
 def test_parse_complex_forms():

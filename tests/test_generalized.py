@@ -13,6 +13,7 @@ from collections import Counter
 from dataclasses import replace
 from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
 from unittest import mock
@@ -30,6 +31,7 @@ from conesine import (
     gamma_cone_direct,
     gamma_cone_factorized,
     gamma_cone_lattice_oracle,
+    lattice_points,
     multiple_sine,
     sine_cone_decomposed,
     sine_cone_factorized,
@@ -287,12 +289,117 @@ def test_lattice_oracle_needs_damped_periods(w21):
     (2.5, "radius must be an integer, got 2.5"),
     (2.0, "radius must be an integer, got 2.0"),
     (True, "radius must be an integer, got True"),
+    (10**6, "the box at radius 1000000 holds 4000004000001 points, more than 16777216"),
+    (2048, "the box at radius 2048 holds 16785409 points, more than 16777216"),
 ])
 def test_lattice_oracle_refuses_a_radius_that_is_not_a_positive_integer(std2, radius, message):
     # -3 returned the empty product 1, 0 the origin's factor alone, 2.5
-    # raised a raw TypeError and True was taken as 1
+    # raised a raw TypeError and True was taken as 1; 10**6 raised numpy's
+    # raw memory error for a 29 TiB array
     with pytest.raises(DomainError, match=message):
         gamma_cone_lattice_oracle(std2, Z_GENERIC, GAMMA_OMEGAS["standard-2"], radius=radius)
+
+
+def test_lattice_oracle_refuses_a_3d_box_too_large_to_build(std3):
+    # 257^3 points at radius 128 exceed MAX_LATTICE_BOX = 2^24; 255^3 at radius 127 do not
+    message = "the box at radius 128 holds 16974593 points, more than 16777216"
+    with pytest.raises(DomainError, match=message):
+        lattice_points(std3, 128)
+    with pytest.raises(DomainError, match=message):
+        gamma_cone_lattice_oracle(std3, Z_GENERIC, GAMMA_OMEGAS["standard-3"], radius=128)
+
+
+@pytest.fixture
+def point_builds():
+    """The oracle's kept point sets emptied, and every lattice_points call
+    it makes recorded as (interior, returned array)."""
+    generalized._kept_points.cache_clear()
+    builds = []
+
+    def build(cone, radius, interior=False):
+        points = lattice_points(cone, radius, interior)
+        builds.append((interior, points))
+        return points
+
+    with mock.patch.object(generalized, "lattice_points", build):
+        yield builds
+    generalized._kept_points.cache_clear()
+
+
+def test_lattice_oracle_builds_each_point_set_once_per_cone_and_radius(w21, point_builds):
+    om = GAMMA_OMEGAS["wedge21"]
+    first = gamma_cone_lattice_oracle(w21, Z_GENERIC, om, radius=9)
+    # an equal cone built anew shares the kept sets
+    second = gamma_cone_lattice_oracle(Cone(2, w21.normals), 0.2 + 0.1j, om, radius=9)
+    assert [interior for interior, _ in point_builds] == [False, True]
+    assert first == cube_scan_gamma_oracle(w21, Z_GENERIC, om, 9)
+    assert second == cube_scan_gamma_oracle(w21, 0.2 + 0.1j, om, 9)
+    # another radius builds its own sets and still gives the cube-scan product
+    assert gamma_cone_lattice_oracle(w21, Z_GENERIC, om, radius=11) == cube_scan_gamma_oracle(w21, Z_GENERIC, om, 11)
+    assert [interior for interior, _ in point_builds] == [False, True, False, True]
+
+
+@pytest.mark.parametrize("radius, message", [
+    (0, "radius must be at least 1, got 0"),
+    (True, "radius must be an integer, got True"),
+    (2.5, "radius must be an integer, got 2.5"),
+])
+def test_lattice_oracle_refuses_a_bad_radius_after_a_kept_call(std2, point_builds, radius, message):
+    om = GAMMA_OMEGAS["standard-2"]
+    gamma_cone_lattice_oracle(std2, Z_GENERIC, om, radius=1)
+    with pytest.raises(DomainError, match=message):
+        gamma_cone_lattice_oracle(std2, Z_GENERIC, om, radius=radius)
+    assert len(point_builds) == 2
+
+
+def test_lattice_oracle_keeps_its_points_read_only_and_compact(square, point_builds):
+    gamma_cone_lattice_oracle(square, Z_GENERIC, GAMMA_OMEGAS["cone-over-square"], radius=40)
+    for points, (_, built) in zip(generalized._kept_points(square, 40), point_builds):
+        assert points.dtype == np.int8 and not points.flags.writeable
+        assert np.array_equal(points, built)
+        with pytest.raises(ValueError, match="read-only"):
+            points[0, 0] = 1
+
+
+def test_threads_share_the_kept_point_sets(point_builds):
+    # ten (cone, radius) pairs, more than the 8 kept, twice over from more
+    # threads than cores: every value is the cube-scan product however
+    # entries are evicted, and every pair's two sets were built
+    jobs = [(name, radius) for name in FIXTURE_NAMES for radius in (2, 3)]
+    expected = [cube_scan_gamma_oracle(fixture_cone(n), Z_GENERIC, GAMMA_OMEGAS[n], r) for n, r in jobs]
+    results = [None] * 4
+
+    def work(k):
+        order = [(i + k) % len(jobs) for i in range(2 * len(jobs))]
+        results[k] = [(i, gamma_cone_lattice_oracle(fixture_cone(jobs[i][0]), Z_GENERIC, GAMMA_OMEGAS[jobs[i][0]],
+                                                    radius=jobs[i][1])) for i in order]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(results))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(value == expected[i] for values in results for i, value in values)
+    assert sum(len(values) for values in results) == 4 * 2 * len(jobs)
+    assert len(point_builds) >= 2 * len(jobs)
+
+
+def test_lattice_oracle_is_unchanged_by_writes_into_built_points(std3, point_builds):
+    om = GAMMA_OMEGAS["standard-3"]
+    before = gamma_cone_lattice_oracle(std3, Z_GENERIC, om, radius=6)
+    for _, built in point_builds:
+        assert built.dtype == np.int64 and built.flags.writeable
+        built += 1
+    fresh = lattice_points(std3, 6)
+    fresh[:] = 0
+    assert gamma_cone_lattice_oracle(std3, Z_GENERIC, om, radius=6) == before
+    assert before == cube_scan_gamma_oracle(std3, Z_GENERIC, om, 6)
 
 
 @pytest.mark.parametrize("z", [0.3 - 40j, 0.3 + 40j])

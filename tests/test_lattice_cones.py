@@ -1019,6 +1019,7 @@ def test_lattice_points_match_the_cube_scan_on_the_stress_cones(name, radius, in
     (2.0, "radius must be an integer, got 2.0"),
     (True, "radius must be an integer, got True"),
     ("3", "radius must be an integer, got '3'"),
+    (2048, "the box at radius 2048 holds 16785409 points, more than 16777216"),
 ])
 def test_lattice_points_refuse_a_radius_that_is_not_a_natural_number(std2, radius, message):
     # -1 returned an empty array, 2.5 raised a raw TypeError and True was taken as 1

@@ -157,29 +157,34 @@ def gamma_cone_factorized(
 # ---------------------------------------------------------------------------
 # independent lattice oracle for the gamma functions
 
+_LATTICE_BLOCK = 8192  # closed points per block of the oracle's pass: a few hundred kB of temporaries
+
 
 @lru_cache(maxsize=8)  # at least the five shipped cones
 def _kept_points(cone: Cone, radius: int):
-    """The oracle's closed and interior points, read-only, in the smallest
-    signed integer type that holds +-radius (int8 up to radius 127)."""
+    """The oracle's closed points, read-only, in the smallest signed integer type that
+    holds +-radius (int8 up to radius 127), and a read-only bool mask of the interior
+    ones among them, matched to the interior build by one integer key per point."""
     import numpy as np
 
-    kept = tuple(lattice_points(cone, radius, interior).astype(np.min_scalar_type(-radius - 1)) for interior in (False, True))
-    for points in kept:
-        points.flags.writeable = False
-    return kept
+    closed, interior = (lattice_points(cone, radius, inner) for inner in (False, True))
+    place = (2 * radius + 1) ** np.arange(cone.dim - 1, -1, -1)  # distinct keys in the box
+    inner = np.isin(closed @ place, interior @ place)
+    closed = closed.astype(np.min_scalar_type(-radius - 1))
+    closed.flags.writeable = inner.flags.writeable = False
+    return closed, inner
 
 
-def _lattice_product(points, om, w: complex):
-    """prod over the points m of 1 - e^{2 pi i (w + m.om)}, built in the one array points @ om."""
+def _lattice_product(phases, w: complex, running):
+    """running times the product of 1 - e^{2 pi i (w + p)} over the phases p, built in
+    place in ``phases`` and multiplied in sequence, as ``np.prod`` multiplies."""
     import numpy as np
 
-    factors = points @ om
-    factors += w
-    factors *= 2j * np.pi
-    np.exp(factors, out=factors)
-    np.subtract(1, factors, out=factors)
-    return np.prod(factors)
+    phases += w
+    phases *= 2j * np.pi
+    np.exp(phases, out=phases)
+    np.subtract(1, phases, out=phases)
+    return np.multiply.reduce(phases, initial=running)
 
 
 def gamma_cone_lattice_oracle(
@@ -197,8 +202,10 @@ def gamma_cone_lattice_oracle(
     cone; the discarded tail decays geometrically in the dual pairing.
     ``radius`` must be an integer >= 1, not a bool; a box of more than
     MAX_LATTICE_BOX points, a non-finite z or period, and a product that
-    overflows double precision raise DomainError.  The point sets of the
-    last 8 (cone, radius) pairs are kept, at dim bytes a point to radius 127.
+    overflows double precision raise DomainError.  The closed points of the
+    last 8 (cone, radius) pairs are kept with an interior mask, about dim + 1
+    bytes a point to radius 127; a call forms each m.omega once, in blocks of
+    _LATTICE_BLOCK points, so its working memory is one block at any radius.
     """
     import numpy as np
 
@@ -207,11 +214,19 @@ def gamma_cone_lattice_oracle(
         raise DomainError(f"the lattice oracle needs a finite z and finite periods, got z = {z}, periods {omegas}")
     if radius is None:
         radius = 60 if cone.dim == 2 else 40
-    closed, interior = _kept_points(cone, require_count(radius, "radius", 1))
-    om = np.asarray(omegas)
+    closed, inner = _kept_points(cone, require_count(radius, "radius", 1))
+    om, w, plus = np.asarray(omegas), complex(z), 1 + 0j
+    # numpy forms a one-row @ by a dot whose last bit can differ from that row of a longer
+    # product: no block is one row unless the whole set is, and a lone interior point gets its own
+    lone = np.count_nonzero(inner) == 1
+    stops = (*range(_LATTICE_BLOCK, len(closed) - 1, _LATTICE_BLOCK), len(closed))
     with np.errstate(all="ignore"):  # huge finite periods overflow a phase; the product is checked below
-        plus = _lattice_product(closed, om, complex(z))
-        minus = _lattice_product(interior, om, -complex(z))
+        minus = _lattice_product(closed[inner] @ om, -w, 1 + 0j) if lone else 1 + 0j
+        for start, stop in zip((0, *stops), stops):
+            phases = closed[start:stop] @ om
+            if not lone:
+                minus = _lattice_product(phases[inner[start:stop]], -w, minus)
+            plus = _lattice_product(phases, w, plus)
         value = complex(minus / plus if cone.dim == 2 else minus * plus)
     if not cmath.isfinite(value):
         raise DomainError(f"the lattice product is not finite at z = {z:.6g}: its factors overflow double precision")

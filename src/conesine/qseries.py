@@ -200,8 +200,8 @@ def _qfac_planned(x: complex, plan: _QPlan, cfg: EvalConfig, budget: _Budget) ->
         return prefactor, (lost or prefactor == 0) and not vanishes
     # log form: -sum_{n>=1} x^n / (n prod_j (1 - q_j^n)).  After term n the tail is at most
     # |x|^{n+1} / ((n+1)(1-|x|) prod_j (1 - |q_j|^{n+1})); the loop stops once that is below
-    # tail_tol.  The running products hold q_j^n and |q_j|^{n+1}.  The loops for one and
-    # two periods, which run most of the terms, unroll the general one.
+    # tail_tol.  The running products hold q_j^n and |q_j|^{n+1}.  The loops for one, two
+    # and three periods, which run most of the terms, unroll the general one.
     qs, absq = plan.qs, plan.absq
     c, tol = ax / (1.0 - ax), cfg.tail_tol
     acc, xn, axn, n = 0j, x, ax, 1
@@ -224,6 +224,15 @@ def _qfac_planned(x: complex, plan: _QPlan, cfg: EvalConfig, budget: _Budget) ->
             xn, axn, n = xn * x, axn * ax, n + 1
             q0n, q1n = q0n * q0, q1n * q1
             a0n, a1n = a0n * a0, a1n * a1
+    elif len(qs) == 3:  # the general loop's operations, in its order
+        (q0, q1, q2), (a0, a1, a2) = qs, absq
+        q0n, q1n, q2n, a0n, a1n, a2n = q0, q1, q2, a0 * a0, a1 * a1, a2 * a2
+        while True:
+            acc += xn / (n * ((1.0 + 0j) * (1.0 - q0n) * (1.0 - q1n) * (1.0 - q2n)))
+            if axn * c < tol * (n + 1) * (1.0 - a0n) * (1.0 - a1n) * (1.0 - a2n):
+                break
+            xn, axn, n = xn * x, axn * ax, n + 1
+            q0n, q1n, q2n, a0n, a1n, a2n = q0n * q0, q1n * q1, q2n * q2, a0n * a0, a1n * a1, a2n * a2
     else:
         qn, an = list(qs), [a * a for a in absq]
         while True:

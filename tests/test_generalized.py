@@ -8,6 +8,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 from collections import Counter
 from dataclasses import replace
@@ -354,11 +355,61 @@ def test_lattice_oracle_refuses_a_bad_radius_after_a_kept_call(std2, point_build
 
 def test_lattice_oracle_keeps_its_points_read_only_and_compact(square, point_builds):
     gamma_cone_lattice_oracle(square, Z_GENERIC, GAMMA_OMEGAS["cone-over-square"], radius=40)
-    for points, (_, built) in zip(generalized._kept_points(square, 40), point_builds):
-        assert points.dtype == np.int8 and not points.flags.writeable
-        assert np.array_equal(points, built)
+    closed, inner = generalized._kept_points(square, 40)
+    (_, built), (_, interior) = point_builds
+    assert closed.dtype == np.int8 and inner.dtype == bool
+    assert np.array_equal(closed, built) and np.array_equal(closed[inner], interior)
+    for array, index in ((closed, (0, 0)), (inner, 0)):
+        assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
-            points[0, 0] = 1
+            array[index] = 1
+
+
+def test_lattice_oracle_keeps_the_five_fixtures_in_under_a_megabyte(point_builds):
+    # dim + 1 bytes a closed point: 902,379 bytes (0.86 MiB) at the default
+    # radii, where the closed points with a copy of the interior ones took 1,314,444
+    kept = [generalized._kept_points(cone, 60 if cone.dim == 2 else 40) for cone in map(fixture_cone, FIXTURE_NAMES)]
+    assert sum(array.nbytes for arrays in kept for array in arrays) <= 0.9 * 2**20
+
+
+def test_a_warm_lattice_oracle_call_works_in_one_block(square):
+    # 146,821 closed points at radius 40: arrays the size of the point set
+    # peaked at 8.96 MiB, blocks of 8192 points stay near 0.6 MiB
+    om = GAMMA_OMEGAS["cone-over-square"]
+    gamma_cone_lattice_oracle(square, Z_GENERIC, om, radius=40)
+    tracemalloc.start()
+    try:
+        gamma_cone_lattice_oracle(square, Z_GENERIC, om, radius=40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize("block", [2, 3, 7])
+def test_lattice_oracle_is_the_cube_scan_product_across_block_boundaries(monkeypatch, block):
+    monkeypatch.setattr(generalized, "_LATTICE_BLOCK", block)
+    for name in FIXTURE_NAMES:
+        cone = fixture_cone(name)
+        for radius in range(1, 10):
+            for z, om in [(Z_GENERIC, GAMMA_OMEGAS[name]), _jittered_points(name, radius)]:
+                expected = cube_scan_gamma_oracle(cone, z, om, radius)
+                assert gamma_cone_lattice_oracle(cone, z, om, radius=radius) == expected, (name, radius, z)
+    # the lone interior point of the random-cone example, which numpy pairs by a BLAS dot
+    cone, z, om = Cone(2, ((-1, -1), (4, 3))), 0.164 + 0.275j, (0.445 + 0.711j, -0.5 + 0.407j)
+    assert gamma_cone_lattice_oracle(cone, z, om, radius=5) == cube_scan_gamma_oracle(cone, z, om, 5)
+
+
+@pytest.mark.parametrize("block", [2, 3, 7])
+def test_lattice_oracle_never_pairs_a_last_block_of_one_row_alone(monkeypatch, block):
+    # wedge53 holds 43 closed points at radius 5, one past a multiple of each
+    # block size, so the last block takes the last row; paired alone, by the
+    # one-row dot, its last point (3, 5) changes the product at these points
+    cone = fixture_cone("wedge53")
+    assert len(lattice_points(cone, 5)) % block == 1
+    monkeypatch.setattr(generalized, "_LATTICE_BLOCK", block)
+    for z, om in [(Z_GENERIC, GAMMA_OMEGAS["wedge53"])] + [_jittered_points("wedge53", seed) for seed in range(5)]:
+        assert gamma_cone_lattice_oracle(cone, z, om, radius=5) == cube_scan_gamma_oracle(cone, z, om, 5), (z, om)
 
 
 def test_threads_share_the_kept_point_sets(point_builds):

@@ -10,6 +10,9 @@ report      run identities over cones and emit a JSON or CSV report
 
 The table ``_TARGETS`` gives each eval target's periods, cone dimension and
 routes; ``--cone`` and ``--route`` are refused for a target without a cone.
+Its cone routes come from ``generalized.CONE_ROUTES``, the one route table,
+whose names also key the side values that ``verify`` and ``report`` share (a
+side replaced through ``dataclasses.replace`` keeps its name and those values).
 
 Exit codes: 0 success (including PASS and SKIP), 1 usage or parse error
 (including a flag the target does not take), 2 domain or precondition error
@@ -40,14 +43,7 @@ from typing import Sequence
 from . import __version__
 from .errors import BudgetError, DomainError, ParseError
 from .fixtures import FIXTURE_NAMES, load_cone, read_json
-from .generalized import (
-    THEOREM_IDS,
-    gamma_cone_direct,
-    gamma_cone_factorized,
-    sine_cone_decomposed,
-    sine_cone_factorized,
-    verify_theorem,
-)
+from .generalized import CONE_ROUTES, THEOREM_IDS, verify_theorem
 from .lattice_cones import (
     Cone,
     det2,
@@ -222,16 +218,18 @@ def build_config(args: argparse.Namespace) -> EvalConfig:
 
 # target -> (period count, None for one or more; cone dimension, None for no
 # cone; {route: function}) with the default route first.  Every function is
-# called as function(z, omegas, cfg), cone targets' as function(cone, z, omegas, cfg).
+# called as function(z, omegas, cfg), cone targets' as function(cone, z, omegas, cfg):
+# route R of the sine targets is generalized.CONE_ROUTES["sine_cone_R"], of the gamma ones "gamma_cone_R".
 _TARGETS = {
     **{f"s{r}": (r, None, {None: multiple_sine}) for r in (1, 2, 3)},
     **{f"g{r}": (r + 1, None, {None: elliptic_gamma}) for r in (0, 1, 2)},
     "qfac": (None, None, {None: qfactorial}),
-    "s2c": (2, 2, {"decomposed": sine_cone_decomposed, "factorized": sine_cone_factorized}),
-    "s3c": (3, 3, {"decomposed": sine_cone_decomposed, "factorized": sine_cone_factorized}),
-    "g1c": (2, 2, {"direct": gamma_cone_direct, "factorized": gamma_cone_factorized}),
-    "g2c": (3, 3, {"direct": gamma_cone_direct, "factorized": gamma_cone_factorized,
-                   "alternative": functools.partial(gamma_cone_factorized, variant="alternative")}),
+    **{target: (dim, dim, {route: CONE_ROUTES[f"{family}_{route}"] for route in routes}) for target, dim, family, routes in (
+        ("s2c", 2, "sine_cone", ("decomposed", "factorized")),
+        ("s3c", 3, "sine_cone", ("decomposed", "factorized")),
+        ("g1c", 2, "gamma_cone", ("direct", "factorized")),
+        ("g2c", 3, "gamma_cone", ("direct", "factorized", "alternative")),
+    )},
 }
 
 

@@ -315,59 +315,58 @@ _Sampler = Callable[[Cone, Random], tuple[complex, tuple[complex, ...]]]
 _Side = Callable[[Cone, complex, tuple[complex, ...], EvalConfig], complex]
 
 
+def _gamma_cone_alternative(cone: Cone, z: complex, omegas: tuple, cfg: EvalConfig) -> complex:
+    """The alternative factorization, ``gamma_cone_factorized(..., variant="alternative")``."""
+    return gamma_cone_factorized(cone, z, omegas, cfg, variant="alternative")
+
+
+def _bernoulli_exponential(cone: Cone, z: complex, omegas: tuple, cfg: EvalConfig) -> complex:
+    """e^{-pi i B^C_{3,3}(z | omegas) / 3}, the lhs of face-modularity."""
+    return _prefactor(-1j * math.pi / 3.0, bernoulli_cone(cone, z, omegas, 3))
+
+
+def _face_product_reduced(cone: Cone, z: complex, omegas: tuple, cfg: EvalConfig) -> complex:
+    """The rhs of face-modularity: the face-transformed elliptic gammas, first transformed period dropped."""
+    return _product("face", z, (elliptic_gamma(u, p[1:], cfg) for _, u, p in cone.faces(z, omegas)))
+
+
+# The one route table: route name -> function(cone, z, omegas, cfg), one entry per function; the
+# identities name their sides from it, and ``cli`` its eval routes.  The private sides call the
+# public routes through module globals, so a rebound global reaches them.
+CONE_ROUTES: dict[str, _Side] = {
+    "sine_cone_decomposed": sine_cone_decomposed,
+    "sine_cone_factorized": sine_cone_factorized,
+    "gamma_cone_direct": gamma_cone_direct,
+    "gamma_cone_factorized": gamma_cone_factorized,
+    "gamma_cone_alternative": _gamma_cone_alternative,
+    "bernoulli_exponential": _bernoulli_exponential,
+    "face_product_reduced": _face_product_reduced,
+}
+
+
 @dataclass(frozen=True)
 class _Theorem:
+    """One identity, whose sides ``lhs`` and ``rhs`` start as ``CONE_ROUTES[lhs_name]`` and ``[rhs_name]``."""
+
     dim: int
     tolerance: float
     sampler: _Sampler
+    lhs_name: str
+    rhs_name: str
     lhs: _Side
     rhs: _Side
 
 
 THEOREMS: dict[str, _Theorem] = {
-    "s2c-factorization": _Theorem(
-        dim=2,
-        tolerance=1e-8,
-        sampler=_sample_sine_params,
-        lhs=sine_cone_decomposed,
-        rhs=sine_cone_factorized,
-    ),
-    "s3c-factorization": _Theorem(
-        dim=3,
-        tolerance=1e-7,
-        sampler=_sample_sine_params,
-        lhs=sine_cone_decomposed,
-        rhs=sine_cone_factorized,
-    ),
-    "g1c-factorization": _Theorem(
-        dim=2,
-        tolerance=1e-8,
-        sampler=_sample_gamma_params,
-        lhs=gamma_cone_direct,
-        rhs=gamma_cone_factorized,
-    ),
-    "g2c-factorization": _Theorem(
-        dim=3,
-        tolerance=1e-7,
-        sampler=_sample_gamma_params,
-        lhs=gamma_cone_direct,
-        rhs=gamma_cone_factorized,
-    ),
-    "g2c-alternative": _Theorem(
-        dim=3,
-        tolerance=1e-7,
-        sampler=_sample_gamma_params,
-        lhs=gamma_cone_factorized,
-        rhs=lambda cone, z, om, cfg: gamma_cone_factorized(cone, z, om, cfg, variant="alternative"),
-    ),
-    "face-modularity": _Theorem(
-        dim=3,
-        tolerance=1e-7,
-        sampler=_sample_gamma_params,
-        lhs=lambda cone, z, om, cfg: _prefactor(-1j * math.pi / 3.0, bernoulli_cone(cone, z, om, 3)),
-        # the reduced action: the face-transformed elliptic gammas with the first transformed period dropped
-        rhs=lambda cone, z, om, cfg: _product("face", z, (elliptic_gamma(u, p[1:], cfg) for _, u, p in cone.faces(z, om))),
-    ),
+    tid: _Theorem(dim, tolerance, sampler, lhs, rhs, CONE_ROUTES[lhs], CONE_ROUTES[rhs])
+    for tid, dim, tolerance, sampler, lhs, rhs in (
+        ("s2c-factorization", 2, 1e-8, _sample_sine_params, "sine_cone_decomposed", "sine_cone_factorized"),
+        ("s3c-factorization", 3, 1e-7, _sample_sine_params, "sine_cone_decomposed", "sine_cone_factorized"),
+        ("g1c-factorization", 2, 1e-8, _sample_gamma_params, "gamma_cone_direct", "gamma_cone_factorized"),
+        ("g2c-factorization", 3, 1e-7, _sample_gamma_params, "gamma_cone_direct", "gamma_cone_factorized"),
+        ("g2c-alternative", 3, 1e-7, _sample_gamma_params, "gamma_cone_factorized", "gamma_cone_alternative"),
+        ("face-modularity", 3, 1e-7, _sample_gamma_params, "bernoulli_exponential", "face_product_reduced"),
+    )
 }
 
 THEOREM_IDS = tuple(sorted(THEOREMS))
@@ -376,7 +375,7 @@ _MAX_SAMPLE_ATTEMPTS = 24
 
 
 # The (cone, seed, config) that ``verify_theorem`` last sampled, and the one store of its
-# draws (``_per_draw``): each side's value or refusal (None) keyed by (side, z, omegas), and
+# draws (``_per_draw``): each side's value or refusal (None) keyed by (route name, z, omegas), and
 # the walks and Bernoulli tables.  The sampler never draws a negative zero, so points equal
 # under ``==`` are the same bits.
 _shared: ContextVar[tuple] = ContextVar("conesine_shared_draws", default=(None, None))
@@ -410,12 +409,15 @@ def verify_theorem(
     more raises DomainError before any sample is drawn.
 
     Consecutive calls on the same cone, seed and config share each side's
-    value, or refusal, at each drawn point: on a 3d cone the primary
+    value, or refusal, at each drawn point under the side's route name, its
+    key in the one route table ``CONE_ROUTES``: on a 3d cone the primary
     factorized gamma, the rhs of g2c-factorization and the lhs of
-    g2c-alternative, is evaluated once per point for both.  So is each drawn
-    point's wedge walk, face walk and Bernoulli table of each order.  These
-    are dropped when a call comes with another cone, seed or config.  Each
-    thread and each asyncio task keeps its own.
+    g2c-alternative, is evaluated once per point for both.  A side replaced
+    through ``dataclasses.replace`` keeps its name, and with it the values
+    shared under the name.  Each drawn point's wedge walk, face walk and
+    Bernoulli table of each order are shared too.  All of these are dropped
+    when a call comes with another cone, seed or config.  Each thread and
+    each asyncio task keeps its own.
     """
     if theorem_id not in THEOREMS:
         raise DomainError(
@@ -456,8 +458,8 @@ def verify_theorem(
         for _ in range(samples):
             for attempt in range(_MAX_SAMPLE_ATTEMPTS):
                 z, omegas = thm.sampler(cone, rng)
-                a = _per_draw((thm.lhs, z, omegas), _side_value, thm.lhs, cone, z, omegas, cfg)
-                b = None if a is None else _per_draw((thm.rhs, z, omegas), _side_value, thm.rhs, cone, z, omegas, cfg)
+                a = _per_draw((thm.lhs_name, z, omegas), _side_value, thm.lhs, cone, z, omegas, cfg)
+                b = None if a is None else _per_draw((thm.rhs_name, z, omegas), _side_value, thm.rhs, cone, z, omegas, cfg)
                 if b is not None:
                     break
             else:

@@ -51,7 +51,7 @@ from conesine.cli import (
     parse_complex,
 )
 from conesine import lattice_cones
-from conesine.generalized import THEOREMS, verify_theorem
+from conesine.generalized import CONE_ROUTES, THEOREMS, verify_theorem
 from conesine.lattice_cones import Cone
 
 from params import GAMMA_OMEGAS, OVERFLOWING_PRODUCTS, SINE_OMEGAS, Z_GENERIC, forced_form
@@ -492,6 +492,17 @@ def test_eval_takes_no_form_or_variant(capsys, flag):
     assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
+def test_every_side_and_cone_route_is_an_entry_of_the_route_table():
+    # the identities, eval and the route table named the routes apart, three of the sides
+    # lambdas, and the alternative route was defined twice, in THEOREMS and in _TARGETS
+    sides = {name: fn for thm in THEOREMS.values() for name, fn in ((thm.lhs_name, thm.lhs), (thm.rhs_name, thm.rhs))}
+    assert all(CONE_ROUTES[name] is fn and fn.__name__ != "<lambda>" for name, fn in sides.items())
+    routes = [fn for _, dim, target_routes in _TARGETS.values() if dim for fn in target_routes.values()]
+    assert all(any(fn is entry for entry in CONE_ROUTES.values()) for fn in routes)
+    assert set(sides) | {name for name, fn in CONE_ROUTES.items() if fn in routes} == set(CONE_ROUTES)
+    assert _TARGETS["g2c"][2]["alternative"] is THEOREMS["g2c-alternative"].rhs
+
+
 ALL_ROUTES = [(target, route) for target, (_, _, routes) in _TARGETS.items() for route in routes]
 
 
@@ -700,7 +711,7 @@ def test_negative_tolerance_is_a_domain_error_in_every_spelling(capsys, argv, me
     assert err.startswith(f"conesine: error: {message}")
 
 
-def test_verify_nan_residual_is_failure(capsys, monkeypatch):
+def test_verify_nan_residual_is_failure(capsys, monkeypatch, fresh_store):
     # a nan right-hand side at sample 2 only: max() alone would skip it and
     # report PASS
     thm = THEOREMS["s2c-factorization"]

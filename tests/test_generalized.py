@@ -879,14 +879,6 @@ def test_verify_theorem_refuses_a_seed_that_is_not_an_integer(w21, seed):
         verify_theorem("s2c-factorization", w21, samples=1, seed=seed)
 
 
-@pytest.fixture
-def fresh_store():
-    """An empty store of the draws ``verify_theorem`` shares, for one test."""
-    token = generalized._shared.set((None, None))
-    yield
-    generalized._shared.reset(token)
-
-
 @pytest.mark.parametrize("seed", [-3, 2**100])
 def test_verify_theorem_takes_negative_and_large_seeds(fresh_store, w21, seed):
     a = verify_theorem("s2c-factorization", w21, samples=2, seed=seed)
@@ -1062,7 +1054,7 @@ def test_side_values_are_dropped_for_the_next_cone(square, std3):
     verify_theorem("g2c-factorization", std3, samples=5, seed=0)
     context, draws = generalized._shared.get()
     assert context[0] == std3
-    stored_points = {(z, omegas) for side, z, omegas in draws if callable(side)}
+    stored_points = {(z, omegas) for side, z, omegas in draws if side in generalized.CONE_ROUTES}
     assert stored_points and not stored_points & set(first.points)
 
 
@@ -1144,6 +1136,58 @@ def test_primary_factorized_gamma_is_evaluated_once_per_point(monkeypatch, fresh
     # second, which draws the same points
     assert first_calls >= 100 and sum(calls.values()) == first_calls
     assert set(calls.values()) == {1}
+
+
+def test_a_wrapped_side_keeps_sharing_its_values(monkeypatch, fresh_store, square):
+    # a benchmark tracer replaces every side through dataclasses.replace, each lhs under a
+    # closure of its own: keyed by the function object, the g2c-alternative lhs missed the
+    # values of the g2c-factorization rhs, and the primary factorized gamma, one lift with
+    # eta = -1 per evaluation, ran 10 times, not 5
+    calls = Counter()
+    lifted = generalized.bernoulli_cone_lifted
+
+    def counted(cone, z, omegas, eta):
+        calls[eta] += 1
+        return lifted(cone, z, omegas, eta)
+
+    monkeypatch.setattr(generalized, "bernoulli_cone_lifted", counted)
+    tids = ("g2c-factorization", "g2c-alternative")
+    untraced = [verify_theorem(tid, square, samples=5, seed=0) for tid in tids]
+    assert calls[-1.0] == 5
+    for tid in tids:
+        thm = THEOREMS[tid]
+
+        def tried(*args, _inner=thm.lhs, **kwargs):
+            return _inner(*args, **kwargs)
+
+        def wrapped(*args, _inner=thm.rhs, **kwargs):
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setitem(THEOREMS, tid, replace(thm, lhs=tried, rhs=wrapped))
+    generalized._shared.set((None, None))
+    calls.clear()
+    traced = [verify_theorem(tid, square, samples=5, seed=0) for tid in tids]
+    assert calls[-1.0] == 5
+    assert traced == untraced
+
+
+def test_a_substituted_side_under_a_fresh_store_is_called_at_every_draw(monkeypatch, fresh_store, w21):
+    # a substitute keeps the side's name: under the store of the same cone, seed and config
+    # it reads the values stored for the name, and under a fresh store it is called
+    original = verify_theorem("s2c-factorization", w21, samples=4, seed=0)
+    thm = THEOREMS["s2c-factorization"]
+    calls = []
+
+    def rhs(cone, z, omegas, cfg):
+        calls.append((z, omegas))
+        return thm.rhs(cone, z, omegas, cfg)
+
+    monkeypatch.setitem(THEOREMS, "s2c-factorization", replace(thm, rhs=rhs))
+    assert verify_theorem("s2c-factorization", w21, samples=4, seed=0) == original and calls == []
+    generalized._shared.set((None, None))
+    report = verify_theorem("s2c-factorization", w21, samples=4, seed=0)
+    assert report == original
+    assert len(calls) == len(set(calls)) >= 4 and set(report.points) <= set(calls)
 
 
 def _count_draw_work(monkeypatch):

@@ -19,8 +19,6 @@ import math
 import numbers
 import sys
 from dataclasses import asdict, dataclass
-from itertools import accumulate, repeat
-from operator import mul
 from typing import Iterable
 
 from .bernoulli import bernoulli_multiple
@@ -158,20 +156,20 @@ def _cheaper_form(factors) -> int:
     return 2 if steps2 < steps1 else 1
 
 
-def _qfac_planned(x: complex, plan: _QPlan, cfg: EvalConfig, budget: _Budget) -> tuple[complex, bool]:
-    """(x | plan.qs) with every |q| < 1 and x finite, via the shift identity and a log series,
-    and whether its digits are lost.
+def _qfac_planned(x: complex, plan: _QPlan, cfg: EvalConfig, budget: _Budget) -> tuple[complex, int, bool]:
+    """(x | plan.qs) with every |q| < 1 and x finite, via the shift identity and a log series, as
+    the product of its factors 1 - x q^k that are not exactly 0, their count, and whether digits are lost.
 
     The shift identity (x | qs) = (x | qs without q) (x q | qs) on the smallest |q| moves
     x down to the cost-balanced ``_log_shift_target``, where the log series takes over.  Each
     loop charges its closed-form step or term count to ``budget``; a shift loop over two
     or more periods first checks the shift steps its rows will charge (``_row_steps``),
     so a call whose nested loops cannot fit raises BudgetError before any step is taken.
-    They are lost where the value, or a row of a shift loop, is 0 or has a log series that
-    gives e^{-acc} below the normal double range, unless a factor vanishes exactly (a 0
-    would read as a pole of an inverted product).  Every row is evaluated and charged.
+    Only a shift loop forms factors (the series runs at |x| < 1); they are lost where the
+    product, or that of a row, is 0 or has a log series that gives e^{-acc} below the normal
+    double range.  Every row is evaluated and charged.
     """
-    prefactor, vanishes, lost = 1.0 + 0j, False, False
+    prefactor, zeros, lost = 1.0 + 0j, 0, False
     ax = abs(x)
     target = plan.target
     if ax >= target:
@@ -180,24 +178,25 @@ def _qfac_planned(x: complex, plan: _QPlan, cfg: EvalConfig, budget: _Budget) ->
         steps = math.ceil((math.log(ratio) if ratio else plan.log_target - math.log(ax)) / log_a)
         if len(plan.qs) == 1:
             budget.spend(steps)
-            x0 = x
             for _ in range(steps):
-                prefactor *= 1.0 - x
+                factor = 1.0 - x
+                if factor:
+                    prefactor *= factor
+                else:
+                    zeros += 1
                 x *= q
-            # a factor 1 - x0 q^k vanishes where x0 q^k is exactly 1: replayed only at a zero product
-            vanishes = prefactor == 0 and 1 in accumulate(repeat(q, steps - 1), mul, initial=x0)
         else:
             reduced = plan.rows()
             budget.spend(steps, _row_steps(ax, log_a, steps, reduced.log_a, reduced.log_target))
             for _ in range(steps):
-                row, row_lost = _qfac_planned(x, reduced, cfg, budget)
-                lost = lost or row_lost
-                vanishes = vanishes or row == 0 and not row_lost  # then one of its factors vanishes
+                row, row_zeros, row_lost = _qfac_planned(x, reduced, cfg, budget)
                 prefactor *= row
+                zeros += row_zeros
+                lost = lost or row_lost
                 x *= q
         ax = abs(x)
     if ax == 0:
-        return prefactor, (lost or prefactor == 0) and not vanishes
+        return prefactor, zeros, lost or prefactor == 0
     # log form: -sum_{n>=1} x^n / (n prod_j (1 - q_j^n)).  After term n the tail is at most
     # |x|^{n+1} / ((n+1)(1-|x|) prod_j (1 - |q_j|^{n+1})); the loop stops once that is below
     # tail_tol.  The running products hold q_j^n and |q_j|^{n+1}.  The loops for one, two
@@ -253,7 +252,7 @@ def _qfac_planned(x: complex, plan: _QPlan, cfg: EvalConfig, budget: _Budget) ->
     value = prefactor * cmath.exp(-acc)
     # a value that is not finite is left to the caller's overflow check
     lost = lost or (value == 0 or -acc.real < _LOG_NORMAL_MIN) and cmath.isfinite(value)
-    return value, lost and not vanishes
+    return value, zeros, lost
 
 
 def _argument_modulus(x: complex, qs: tuple[complex, ...]) -> float:
@@ -279,10 +278,7 @@ class _QPlan:
     __slots__ = ("inverted", "moduli", "qs", "absq", "jmin", "q", "log_a", "log_target", "target", "reduced")
 
     def __init__(self, qs: tuple[complex, ...]):
-        invert: list[complex] = []
-        moduli: list[float] = []
-        small: list[complex] = []
-        absq: list[float] = []
+        invert, moduli, small, absq = [], [], [], []  # |q| > 1, every |q|, the periods |q| < 1 and their moduli
         for q in qs:
             q = complex(q)
             if q == 0:
@@ -330,20 +326,22 @@ class _QPlan:
             self.reduced._plan_shifts(qs[:j] + qs[j + 1 :], absq[:j] + absq[j + 1 :])
         return self.reduced
 
-    def evaluate(self, x: complex, ax: float, cfg: EvalConfig) -> complex:
-        """(x | qs) at the argument x of modulus ``ax`` (``_argument_modulus``), with its own budget."""
+    def evaluate(self, x: complex, ax: float, cfg: EvalConfig) -> tuple[complex, int, bool]:
+        """(x | qs) at the argument x of modulus ``ax`` (``_argument_modulus``), with its own budget, as
+        (value, count of its factors that are exactly 0, digits lost).  The value is 0j where the count
+        or lost is set, lost only at a count of 0 and a finite value; an inverted count is a pole, refused."""
         for q in self.inverted:
             x = x / q
         budget = _Budget(cfg.max_terms)
         try:
-            val, lost = _qfac_planned(x, self, cfg, budget) if self.qs else (1.0 - x, False)
+            val, zeros, lost = _qfac_planned(x, self, cfg, budget) if self.qs else (1.0 - x, int(x == 1), False)
         except OverflowError:  # cmath.exp of the log series
-            val, lost = complex(math.nan), False
-        if lost:
-            raise DomainError(_UNDERFLOW)
+            val, zeros, lost = complex(math.nan), 0, False
+        if zeros and len(self.inverted) % 2 == 1:
+            raise DomainError("evaluation point is a pole of the inverted product")
+        if zeros or (lost and cmath.isfinite(val)):  # a lost value that is not finite is refused below
+            return 0j, zeros, not zeros
         if len(self.inverted) % 2 == 1:
-            if val == 0:
-                raise DomainError("evaluation point is a pole of the inverted product")
             val = 1.0 / val
         if not cmath.isfinite(val):
             gap = min((abs(1.0 - m) for m in self.moduli), default=math.inf)
@@ -351,7 +349,7 @@ class _QPlan:
                 f"q-factorial is not finite at |x| = {ax:.6g} with min |1 - |q|| = {gap:.6g}: "
                 "the product overflows double precision"
             )
-        return val
+        return val, 0, False
 
 
 def qfactorial_xq(x: complex, qs: tuple[complex, ...], cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
@@ -361,13 +359,16 @@ def qfactorial_xq(x: complex, qs: tuple[complex, ...], cfg: EvalConfig = DEFAULT
     the resonance floor of) the unit circle.  Factors whose q underflowed to
     exactly zero contribute their exact limit and are dropped.  An argument
     or period that is not finite, or whose modulus is above double range, and
-    a value that overflows or is not finite raise DomainError.  The periods'
-    checks, inversions and shift levels are prepared once (``_QPlan``) and
-    reused by every row of the shift loops.
+    a value that overflows, is not finite, is a pole or, with no factor that is
+    exactly 0, underflows raise DomainError.  The periods' checks, inversions
+    and shift levels are prepared once (``_QPlan``) for every shift loop row.
     """
     x = complex(x)
     ax = _argument_modulus(x, qs)
-    return _QPlan(qs).evaluate(x, ax, cfg)
+    val, _, lost = _QPlan(qs).evaluate(x, ax, cfg)
+    if lost:
+        raise DomainError(_UNDERFLOW)
+    return val
 
 
 def qfactorial(z: complex, omegas: tuple[complex, ...], cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
@@ -391,10 +392,11 @@ def elliptic_gamma(z: complex, omegas: tuple[complex, ...], cfg: EvalConfig = DE
     (e^{2 pi i (-z + sum omegas)} | q) times (e^{2 pi i z} | q)^{(-1)^r}.
     Depends on z and each omega only modulo 1.  The empty-period level
     (the base case of the period-shift recursion) is -e^{-2 pi i z}.  The two
-    q-factorials share one prepared period set (``_QPlan``), and each is
-    refused as ``qfactorial_xq`` refuses it; so is a value that is not finite.
-    A numerator that underflows is refused unless the denominator is exactly
-    0: the value is then 0 for even r and a pole for odd r.
+    q-factorials share one prepared period set (``_QPlan``).  A factor that is
+    exactly 0 decides, even where the other q-factorial underflows: it is a
+    pole, refused, where inverted or in the denominator for odd r, else 0j.
+    Otherwise each is refused as ``qfactorial_xq`` refuses it (a numerator
+    that underflows first), and so is a value that is not finite.
     """
     omegas = tuple(map(complex, omegas))
     r = len(omegas) - 1
@@ -409,21 +411,18 @@ def elliptic_gamma(z: complex, omegas: tuple[complex, ...], cfg: EvalConfig = DE
     x = e2(-z + sum(omegas))
     ax = _argument_modulus(x, qs)
     plan = _QPlan(qs)  # the numerator and denominator share their periods
-    try:
-        num, underflow = plan.evaluate(x, ax, cfg), None
-    except DomainError as refusal:
-        if str(refusal) != _UNDERFLOW:
-            raise
-        num, underflow = 0j, refusal  # it stands unless the denominator vanishes exactly
+    num, num_zeros, num_lost = plan.evaluate(x, ax, cfg)
     try:
         x = e2(z)
-        den = plan.evaluate(x, _argument_modulus(x, ()), cfg)
+        den, den_zeros, den_lost = plan.evaluate(x, _argument_modulus(x, ()), cfg)
     except (DomainError, BudgetError) as exc:
-        raise underflow or exc
-    if underflow and den != 0:
-        raise underflow
-    if r % 2 and den == 0:
+        raise DomainError(_UNDERFLOW) if num_lost else exc
+    if r % 2 and den_zeros:
         raise DomainError("evaluation point is a pole (the denominator product vanishes)")
+    if num_zeros or den_zeros:
+        return 0j
+    if num_lost or den_lost:
+        raise DomainError(_UNDERFLOW)
     val = num / den if r % 2 else num * den
     if not cmath.isfinite(val):
         raise DomainError(f"elliptic gamma is not finite at z = {z:.6g}: its q-factorials overflow double precision")

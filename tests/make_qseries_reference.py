@@ -9,8 +9,9 @@ the arguments, the value computed in mpmath at 40 digits, and the relative
 error of the ``qfactorial_xq`` imported from ``--src``, rounded up to three
 significant digits.  With ``--src`` a checkout's ``src`` directory, that
 checkout is the one recorded and checked; it must evaluate its q-factorials
-through ``qseries._QPlan``, and an older checkout is recorded with the script
-of its own commit::
+through ``qseries._QPlan``, whose ``evaluate`` returns the value, the count of
+factors that vanish and whether digits were lost, and an older checkout is
+recorded with the script of its own commit::
 
     python3 tests/make_qseries_reference.py --seed 301 --count 8 --src <checkout>/src
 
@@ -366,9 +367,10 @@ def record_calls(seed: int):
 
         def evaluate(self, x, ax, cfg):
             budgets.clear()
-            value = super().evaluate(x, ax, cfg)  # a call that raises has no reference value and is not kept
-            calls.append((complex(x), tuple(complex(q) for q in self.periods), cfg.max_terms - budgets[0].left))
-            return value
+            parts = super().evaluate(x, ax, cfg)  # (value, count of vanishing factors, digits lost)
+            if not parts[2]:  # a call that raises or loses its digits has no reference value and is not kept
+                calls.append((complex(x), tuple(complex(q) for q in self.periods), cfg.max_terms - budgets[0].left))
+            return parts
 
     qseries._Budget, qseries._QPlan = Recorded, RecordedPlan
     try:

@@ -7,7 +7,10 @@ q-factorials.  These are the earlier versions, which redo that work on every
 call and every row of a shift loop.  The library must return ``==`` values,
 raise the same errors with the same messages and charge the same number of
 terms to each ``_Budget``.  ``_row_steps`` is the earlier form too, taking
-the reduced moduli.
+the reduced moduli.  Like the library, ``_qfac_small`` leaves each factor
+1 - x q^k that is exactly 0 out of its product and counts it, so a q-factorial
+with such a factor is 0j (a pole where it is inverted); every other value is
+the earlier one.
 """
 from __future__ import annotations
 
@@ -36,8 +39,9 @@ def _row_steps(ax: float, log_a: float, steps: int, reduced_abs: tuple[float, ..
     return max(0, math.floor((rows * span + log_a * rows * (rows - 1) / 2) / -log_a1) - rows)
 
 
-def _qfac_small(x: complex, qs: tuple[complex, ...], cfg: EvalConfig, budget: _Budget, absq=None) -> complex:
-    """(x | qs) with every |q| < 1 and x finite, via the shift identity and a log series.
+def _qfac_small(x: complex, qs: tuple[complex, ...], cfg: EvalConfig, budget: _Budget, absq=None) -> tuple[complex, int]:
+    """(x | qs) with every |q| < 1 and x finite, via the shift identity and a log series, as
+    the product of its factors 1 - x q^k that are not exactly 0 and the count of those that are.
 
     The shift identity (x | qs) = (x | qs without q) (x q | qs) on the smallest |q| moves
     x down to the cost-balanced ``_log_shift_target``, where the log series takes over.  Each
@@ -48,10 +52,10 @@ def _qfac_small(x: complex, qs: tuple[complex, ...], cfg: EvalConfig, budget: _B
     recursive call its share.
     """
     if not qs:
-        return 1.0 - x
+        return (1.0 + 0j, 1) if x == 1 else (1.0 - x, 0)
     if absq is None:
         absq = tuple(abs(q) for q in qs)
-    prefactor = 1.0 + 0j
+    prefactor, zeros = 1.0 + 0j, 0
     ax = abs(x)
     jmin = absq.index(min(absq))
     log_a = math.log(absq[jmin])
@@ -62,11 +66,18 @@ def _qfac_small(x: complex, qs: tuple[complex, ...], cfg: EvalConfig, budget: _B
         reduced, reduced_abs = qs[:jmin] + qs[jmin + 1 :], absq[:jmin] + absq[jmin + 1 :]
         budget.spend(steps, _row_steps(ax, log_a, steps, reduced_abs))
         for _ in range(steps):
-            prefactor *= _qfac_small(x, reduced, cfg, budget, reduced_abs) if reduced else 1.0 - x
+            if reduced:
+                row, row_zeros = _qfac_small(x, reduced, cfg, budget, reduced_abs)
+                prefactor *= row
+                zeros += row_zeros
+            elif x == 1:
+                zeros += 1
+            else:
+                prefactor *= 1.0 - x
             x *= q
         ax = abs(x)
     if ax == 0:
-        return prefactor
+        return prefactor, zeros
     # log form: -sum_{n>=1} x^n / (n prod_j (1 - q_j^n)).  After term n the tail is at most
     # |x|^{n+1} / ((n+1)(1-|x|) prod_j (1 - |q_j|^{n+1})); the loop stops once that is below
     # tail_tol.  The running products hold q_j^n and |q_j|^{n+1}.
@@ -108,17 +119,11 @@ def _qfac_small(x: complex, qs: tuple[complex, ...], cfg: EvalConfig, budget: _B
                 qn[j] *= qs[j]
                 an[j] *= absq[j]
     budget.spend(n)
-    return prefactor * cmath.exp(-acc)
+    return prefactor * cmath.exp(-acc), zeros
 
 
-def qfactorial_xq(x: complex, qs: tuple[complex, ...], cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
-    """The q-shifted factorial on raw multiplicative arguments.
-
-    ``qs`` may mix moduli above and below 1 but none may sit on (or within
-    the resonance floor of) the unit circle.  Factors whose q underflowed to
-    exactly zero contribute their exact limit and are dropped.  A value that
-    overflows or is not finite raises DomainError.
-    """
+def _qfactorial(x: complex, qs: tuple[complex, ...], cfg: EvalConfig) -> tuple[complex, bool]:
+    """``qfactorial_xq(x, qs, cfg)``, and whether a factor 1 - x q^k is exactly 0."""
     x = complex(x)
     if not (cmath.isfinite(x) and all(cmath.isfinite(q) for q in qs)):
         raise DomainError("the q-factorial needs a finite argument and finite periods")
@@ -148,20 +153,34 @@ def qfactorial_xq(x: complex, qs: tuple[complex, ...], cfg: EvalConfig = DEFAULT
     try:
         # a reciprocal that underflows to zero is the limit q = 0 as well, and is dropped
         small = tuple(clean) + tuple(u for u in (1.0 / q for q in invert) if u != 0)
-        val = _qfac_small(x, small, cfg, budget)
+        val, zeros = _qfac_small(x, small, cfg, budget)
     except OverflowError:  # cmath.exp of the log series
-        val = complex(math.nan)
+        val, zeros = complex(math.nan), 0
     if len(invert) % 2 == 1:
-        if val == 0:
+        if val == 0 or zeros:
             raise DomainError("evaluation point is a pole of the inverted product")
         val = 1.0 / val
+    elif zeros:
+        return 0j, True
     if not cmath.isfinite(val):
         gap = min((abs(1.0 - abs(q)) for q in clean + invert), default=math.inf)
         raise DomainError(
             f"q-factorial is not finite at |x| = {ax:.6g} with min |1 - |q|| = {gap:.6g}: "
             "the product overflows double precision"
         )
-    return val
+    return val, False
+
+
+def qfactorial_xq(x: complex, qs: tuple[complex, ...], cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
+    """The q-shifted factorial on raw multiplicative arguments.
+
+    ``qs`` may mix moduli above and below 1 but none may sit on (or within
+    the resonance floor of) the unit circle.  Factors whose q underflowed to
+    exactly zero contribute their exact limit and are dropped.  A value that
+    overflows or is not finite raises DomainError.  Where a factor 1 - x q^k
+    is exactly 0, the value is 0j, or a pole where the product is inverted.
+    """
+    return _qfactorial(x, qs, cfg)[0]
 
 
 def elliptic_gamma(z: complex, omegas: tuple[complex, ...], cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
@@ -170,7 +189,9 @@ def elliptic_gamma(z: complex, omegas: tuple[complex, ...], cfg: EvalConfig = DE
     g_0 is the theta-like product; each level is
     (e^{2 pi i (-z + sum omegas)} | q) times (e^{2 pi i z} | q)^{(-1)^r}.
     Depends on z and each omega only modulo 1.  The empty-period level
-    (the base case of the period-shift recursion) is -e^{-2 pi i z}.
+    (the base case of the period-shift recursion) is -e^{-2 pi i z}.  Where a
+    factor of the denominator is exactly 0, the value is a pole for odd r;
+    else, where a factor of either q-factorial is exactly 0, it is 0j.
     """
     omegas = tuple(complex(w) for w in omegas)
     r = len(omegas) - 1
@@ -182,8 +203,12 @@ def elliptic_gamma(z: complex, omegas: tuple[complex, ...], cfg: EvalConfig = DE
             raise DomainError(f"the empty-period elliptic gamma -e^(-2 pi i z) overflows at z = {z:.6g}")
         return val
     qs = tuple(e2(w) for w in omegas)
-    num = qfactorial_xq(e2(-z + sum(omegas)), qs, cfg)
-    den = qfactorial_xq(e2(z), qs, cfg)
+    num, num_vanishes = _qfactorial(e2(-z + sum(omegas)), qs, cfg)
+    den, den_vanishes = _qfactorial(e2(z), qs, cfg)
+    if r % 2 and den_vanishes:
+        raise DomainError("evaluation point is a pole (the denominator product vanishes)")
+    if num_vanishes or den_vanishes:
+        return 0j
     if r % 2 == 0:
         return num * den
     if den == 0:

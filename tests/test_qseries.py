@@ -7,8 +7,6 @@ import math
 import sys
 import time
 from contextlib import nullcontext
-from itertools import accumulate, repeat
-from operator import mul
 from random import Random
 from unittest import mock
 
@@ -222,14 +220,21 @@ def test_truncation_policy_is_self_consistent():
 # the scalar q-factorial core
 
 
-def _qfac_small(x: complex, qs: tuple[complex, ...], cfg: EvalConfig, budget: _Budget) -> complex:
+def _qfac_counted(x: complex, qs: tuple[complex, ...], cfg: EvalConfig, budget: _Budget) -> tuple[complex, int]:
     """(x | qs) with every |q| < 1 and x finite, charged to a budget the caller holds
-    (``_qfac_planned`` on a plan of ``qs``), refused where its digits are lost, as
-    ``_QPlan.evaluate`` refuses it."""
-    value, lost = _qfac_planned(x, _QPlan(qs), cfg, budget) if qs else (1.0 - x, False)
-    if lost:
+    (``_qfac_planned`` on a plan of ``qs``), as the product of its factors that are not
+    exactly 0 and their count, refused where its digits are lost, no factor vanishes and the
+    value is finite, as ``qfactorial_xq`` refuses it."""
+    value, zeros, lost = _qfac_planned(x, _QPlan(qs), cfg, budget)
+    if lost and not zeros and cmath.isfinite(value):
         raise DomainError(qseries._UNDERFLOW)
-    return value
+    return value, zeros
+
+
+def _qfac_small(x: complex, qs: tuple[complex, ...], cfg: EvalConfig, budget: _Budget) -> complex:
+    """The value of ``_qfac_counted``: 0j where a factor vanishes."""
+    value, zeros = _qfac_counted(x, qs, cfg, budget)
+    return 0j if zeros else value
 
 
 # the second period of each set has |q| > 1 and is inverted
@@ -460,51 +465,25 @@ def _outcome(fn, *args):
 _UNDERFLOW = (DomainError, qseries._UNDERFLOW)
 
 
-def _zero_factor(x: complex, q: complex) -> bool:
-    """Whether the reference core's shift loop on the one period q has a factor 1 - x q^k that
-    is exactly 0: its steps replayed as ``_qfac_planned`` replays its own."""
-    ax, log_a = abs(x), math.log(abs(q))
-    target = math.exp(_log_shift_target(log_a, 1))
-    if ax < target:
-        return False
-    steps = math.ceil(math.log(target / ax) / log_a)
-    return 1 in accumulate(repeat(q, steps - 1), mul, initial=x)
-
-
 def _reference_underflows(run) -> bool:
     """True where ``run()``, a call of the reference core, forms a q-factorial, or a row
-    of one, of 0 or below the normal double range: there the library refuses the call as
-    an underflow, where the reference returns what is left, or reports a pole.  Not where
-    the last q-factorial it forms (the q-factorial itself, or an elliptic gamma's
-    denominator) returns and has a one-period row with a factor 1 - x q^k that is exactly 0:
-    the value is then an exact 0 or a pole, which the library returns or reports too.  A
-    numerator's exact zero is not counted: where the denominator underflows, the library
-    refuses the call and the reference reports a pole for odd r, although the value is 0."""
-    calls, depth = [], 0
+    of one, of 0 or below the normal double range with no factor that is exactly 0: there
+    the library refuses the call as an underflow, where the reference returns what is
+    left, or reports a pole."""
+    formed = []
     core = qseries_reference._qfac_small
 
-    def recorded(x, qs, *args, **kwargs):
-        nonlocal depth
-        depth += 1
-        try:
-            value = core(x, qs, *args, **kwargs)
-        finally:
-            depth -= 1
-        calls.append((depth, x, qs, value))
-        return value
+    def recorded(*args, **kwargs):
+        formed.append(core(*args, **kwargs))
+        return formed[-1]
 
     with mock.patch.object(qseries_reference, "_qfac_small", recorded):
         try:
             run()
         except (ConesineError, OverflowError):
             pass
-    # the rows of the last q-factorial, where it returns: the calls after the top-level one before it
-    tops = [k for k, (level, *_) in enumerate(calls) if level == 0]
-    last = calls[tops[-2] + 1 if len(tops) > 1 else 0 :] if tops and tops[-1] == len(calls) - 1 else []
     # not abs(): on a complex with a nan part it can raise OverflowError
-    return any(math.hypot(v.real, v.imag) < sys.float_info.min for *_, v in calls) and not any(
-        _zero_factor(x, qs[0]) for _, x, qs, _ in last if len(qs) == 1
-    )
+    return any(not zeros and math.hypot(v.real, v.imag) < sys.float_info.min for v, zeros in formed)
 
 
 @settings(max_examples=300, deadline=None)
@@ -529,7 +508,7 @@ def test_qfactorial_xq_matches_the_reference_core(call):
 def test_qfac_small_matches_the_reference_core(call):
     x, qs = call
     outcomes = []
-    for fn in (_qfac_small, qseries_reference._qfac_small):
+    for fn in (_qfac_counted, qseries_reference._qfac_small):
         budget = _Budget(_REF_CONFIG.max_terms)
         try:
             value = repr(fn(x, qs, _REF_CONFIG, budget))
@@ -547,10 +526,19 @@ def test_qfac_small_matches_the_reference_core(call):
 @given(_gamma_calls())
 # both q-factorials are finite, their product is not: the reference returns 70.33-inf*j
 @example(call=(complex(1.1125369292536007e-308, 0.0), (complex(0.0, -0.08906561888218836),)))
-# the numerator's log series reaches -939 and the denominator vanishes: the reference returns 0j
+# the numerator's log series reaches -939 and a factor of the denominator is exactly 0: both return 0j
 @example(call=(0j, (0.00015923457365490972j,)))
-# g1 at an exact zero of its denominator, whose row 1 underflows: the reference reports the pole
+# the mirror: a factor of the numerator is exactly 0 and the denominator underflows: both return 0j
+@example(call=(0.00015923457365490972j, (0.00015923457365490972j,)))
+# g1 at an exact zero of its denominator, whose row 1 underflows: both report the pole
 @example(call=(0j, (0.00015923457365490972j, 0.05j)))
+# g1 with both periods inverted, at an exact zero of its numerator; the denominator underflows: both return 0j
+@example(call=(0j, (-0.016768646873654102j, -0.0015995606308184676j)))
+# a row of the numerator underflows and its value overflows, and a factor of the denominator is exactly 0: both
+# refuse the overflow (the library reported the pole)
+@example(call=(complex(-0.0, -0.0002226260117868518), (0.0002226260117868518j, -0.42941199450012624+0.001181642922032289j)))
+# the mirror, a factor of the numerator exactly 0: both refuse the overflow
+@example(call=(0.3966881738718733+0.002314870869968754j, (0.3966881738718733+0.0020361195033882762j, 0.00027875136658047755j)))
 def test_elliptic_gamma_matches_the_reference_core(call):
     z, omegas = call
     got = _outcome(elliptic_gamma, z, omegas, _REF_CONFIG)
@@ -580,33 +568,40 @@ def test_elliptic_gamma_that_is_not_finite_is_domain_error(z, tau):
     (0j, 0j),  # the denominator (1 | q) vanishes exactly: g0 is 0, as in the reference core
     (0.001 + 0j, None),  # (e^{2 pi i z} | q) is not 0, and refuses as well: the numerator's refusal
     (0.25j, None),  # the denominator is finite and not 0
-], ids=["exact-zero", "both-underflow", "denominator-finite"])
+    # the mirror: the numerator (1 | q) vanishes exactly and the denominator (q | q) underflows
+    (0.00015923457365490972j, 0j),
+], ids=["exact-zero", "both-underflow", "denominator-finite", "numerator-vanishes"])
 def test_elliptic_gamma_whose_numerator_underflows(z, want):
     # q = 0.999: the numerator (q e^{-2 pi i z} | q) underflows; it was refused even where the
-    # denominator vanishes exactly and the value is exactly 0
+    # denominator vanishes exactly and the value is exactly 0, and so was the mirror case
     tau = 0.00015923457365490972j
     if want is None:
         with pytest.raises(DomainError, match="the q-factorial underflows"):
             elliptic_gamma(z, (tau,))
     else:
         assert elliptic_gamma(z, (tau,)) == want
+        assert repr(elliptic_gamma(z, (tau,))) == repr(qseries_reference.elliptic_gamma(z, (tau,)))
 
 
 _Q999, _Q05 = e2(0.00015923457365490972j), e2(0.05j)
+_G1_PERIODS = (-0.016768646873654102j, -0.0015995606308184676j)
 
 
-@pytest.mark.parametrize("fn, args, want", [
-    (qfactorial_xq, (1 + 0j, (_Q999, _Q05)), "0j"),
-    (qfactorial_xq, (1 / _Q05, (_Q05, _Q999)), "0j"),
+@pytest.mark.parametrize("fn, args, want, one", [
+    (qfactorial_xq, (1 + 0j, (_Q999, _Q05)), "0j", 1 + 0j),
+    (qfactorial_xq, (1 / _Q05, (_Q05, _Q999)), "0j", 1 / _Q05 * _Q05),
     (elliptic_gamma, (0j, (0.00015923457365490972j, 0.05j)),
-     (DomainError, "evaluation point is a pole (the denominator product vanishes)")),
-], ids=["later-row-underflows", "earlier-row-underflows", "g1-pole"])
-def test_a_row_that_vanishes_excuses_the_underflow_of_another(fn, args, want):
-    # one row of the shift loop on q = e^{-0.1 pi}, (1 | 0.999), is exactly 0 and another underflows:
-    # the q-factorial was refused as an underflow where it is 0, and g1 at the first point, a pole,
-    # was refused as an underflow too.  The value or refusal and every charge are the reference
-    # core's; the properties above let an underflow refusal pass wherever a row of the reference
-    # core underflows, so they do not see this
+     (DomainError, "evaluation point is a pole (the denominator product vanishes)"), e2(0j)),
+    # both periods inverted: the numerator's argument, divided by both, is exactly 1
+    (elliptic_gamma, (0j, _G1_PERIODS), "0j", e2(-0j + sum(_G1_PERIODS)) / e2(_G1_PERIODS[0]) / e2(_G1_PERIODS[1])),
+], ids=["later-row-underflows", "earlier-row-underflows", "g1-pole", "g1-numerator-vanishes"])
+def test_a_row_that_vanishes_excuses_the_underflow_of_another(fn, args, want, one):
+    # one row of a shift loop, (1 | 0.999) or (1 | 0.99) after the inversions, is exactly 0 and
+    # another underflows: the q-factorial was refused as an underflow where it is 0, g1 at the
+    # first point, a pole, was refused as an underflow too, and so was g1 at the last, where it
+    # is 0.  ``one`` is the argument x q^k of the factor that vanishes, as the library forms it.
+    # The value or refusal and every charge are the reference core's
+    assert one == 1
     got = _outcome(fn, *args, _REF_CONFIG)
     assert got[0] == want
     assert got == _outcome(getattr(qseries_reference, fn.__name__), *args, _REF_CONFIG)

@@ -164,12 +164,12 @@ _LATTICE_BLOCK = 8192  # closed points per block of the oracle's pass: a few hun
 def _kept_points(cone: Cone, radius: int):
     """The oracle's closed points, read-only, in the smallest signed integer type that
     holds +-radius (int8 up to radius 127), and a read-only bool mask of the interior
-    ones among them, matched to the interior build by one integer key per point."""
+    ones among them: those whose pairing with every normal is at least 1."""
     import numpy as np
 
-    closed, interior = (lattice_points(cone, radius, inner) for inner in (False, True))
-    place = (2 * radius + 1) ** np.arange(cone.dim - 1, -1, -1)  # distinct keys in the box
-    inner = np.isin(closed @ place, interior @ place)
+    closed, inner = lattice_points(cone, radius), True
+    for normal in cone.normals:  # one int64 column of pairings at a time
+        inner = inner & (closed @ np.asarray(normal, dtype=np.int64) >= 1)
     closed = closed.astype(np.min_scalar_type(-radius - 1))
     closed.flags.writeable = inner.flags.writeable = False
     return closed, inner

@@ -756,18 +756,15 @@ def lattice_points(cone: Cone, radius: int, interior: bool = False):
 
     Returns a fresh, writeable numpy int64 array of shape (count, dim), in
     lexicographic order; ``radius`` must be an integer >= 0, not a bool.
-    The gamma lattice oracle keeps the closed points of the last 8 (cone, radius)
-    pairs read-only with an interior mask, about dim + 1 bytes a point to radius
-    127, and a call works in one block of them at any radius.  The points are
-    built fiber by fiber along the last axis.  A normal (b, a), with a its last
-    coordinate, asks a s >= c - b . u of the coordinate s over the transverse
-    point u (c = 1 for the interior, else 0).  It bounds s from below by
-    ceil((c - b . u) / a) when a > 0 and from above by floor((c - b . u) / a)
-    when a < 0; with a = 0 it keeps the whole fiber or empties it.  Each fiber
-    is the interval between its bounds cut to [-radius, radius], so no point
-    outside the cone is ever built.  Normals whose pairings with such points
-    could leave int64, and a box of more than MAX_LATTICE_BOX points, raise
-    DomainError before any allocation.
+    The points are built fiber by fiber along the last axis.  A normal (b, a),
+    with a its last coordinate, asks a s >= c - b . u of the coordinate s over
+    the transverse point u (c = 1 for the interior, else 0).  It bounds s from
+    below by ceil((c - b . u) / a) when a > 0 and from above by
+    floor((c - b . u) / a) when a < 0; with a = 0 it keeps the whole fiber or
+    empties it.  Each fiber is the interval between its bounds cut to
+    [-radius, radius], so no point outside the cone is ever built.  Normals
+    whose pairings with such points could leave int64, and a box of more than
+    MAX_LATTICE_BOX points, raise DomainError before any allocation.
     """
     import numpy as np
 

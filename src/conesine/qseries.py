@@ -328,8 +328,9 @@ class _QPlan:
 
     def evaluate(self, x: complex, ax: float, cfg: EvalConfig) -> tuple[complex, int, bool]:
         """(x | qs) at the argument x of modulus ``ax`` (``_argument_modulus``), with its own budget, as
-        (value, count of its factors that are exactly 0, digits lost).  The value is 0j where the count
-        or lost is set, lost only at a count of 0 and a finite value; an inverted count is a pole, refused."""
+        (value, count of its factors that are exactly 0, digits lost).  Lost, set only at a count of 0 and a
+        finite value, includes an inverted product whose reciprocal is below the normal double range (0 where
+        the product overflows).  The value is 0j where the count or lost is set; an inverted count is a pole."""
         for q in self.inverted:
             x = x / q
         budget = _Budget(cfg.max_terms)
@@ -343,6 +344,8 @@ class _QPlan:
             return 0j, zeros, not zeros
         if len(self.inverted) % 2 == 1:
             val = 1.0 / val
+            if cmath.isfinite(val) and math.hypot(val.real, val.imag) < sys.float_info.min:
+                return 0j, 0, True
         if not cmath.isfinite(val):
             gap = min((abs(1.0 - m) for m in self.moduli), default=math.inf)
             raise DomainError(
@@ -355,13 +358,13 @@ class _QPlan:
 def qfactorial_xq(x: complex, qs: tuple[complex, ...], cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
     """The q-shifted factorial on raw multiplicative arguments.
 
-    ``qs`` may mix moduli above and below 1 but none may sit on (or within
-    the resonance floor of) the unit circle.  Factors whose q underflowed to
-    exactly zero contribute their exact limit and are dropped.  An argument
-    or period that is not finite, or whose modulus is above double range, and
-    a value that overflows, is not finite, is a pole or, with no factor that is
-    exactly 0, underflows raise DomainError.  The periods' checks, inversions
-    and shift levels are prepared once (``_QPlan``) for every shift loop row.
+    ``qs`` may mix moduli above and below 1 but none may sit on (or within the resonance
+    floor of) the unit circle.  Factors whose q underflowed to exactly zero contribute their
+    exact limit and are dropped.  An argument or period that is not finite, or whose modulus
+    is above double range, and a value that overflows, is not finite, is a pole or, with no
+    factor that is exactly 0, underflows (the reciprocal of an inverted product that overflows
+    included) raise DomainError.  The periods' checks, inversions and shift levels are
+    prepared once (``_QPlan``) for every shift loop row.
     """
     x = complex(x)
     ax = _argument_modulus(x, qs)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 import time
 from contextlib import nullcontext
 from random import Random
@@ -119,9 +118,18 @@ def test_non_finite_qfactorial_raises_domain_error(z, omegas):
     (multiple_sine, (0.3 + 0.01j, (1, 0.3 + 2e-7j))),
     # the row (x q^k | 0.999) of the shift loop on q = 0.5 underflows
     (qfactorial_xq, (0.7, (0.5, 0.999))),
-], ids=["qfac", "s2", "row"])
+    # an odd number of periods inverted: the small product is -4.08e307 - inf*i, its reciprocal -0j,
+    # where the value is 4.40e-309 - 5.20e-309i
+    (qfactorial_xq, (94.51833108288103+68.41715593005159j, (-14.115268830307159-8.894522091789712j,
+                                                            -0.9953181001234993+0.045674632147120316j,
+                                                            -0.013001608368228373-0.4419644914849584j))),
+    # g2 = 4.41e-309 - 5.20e-309i, whose denominator's inverted product overflows in the same way
+    (elliptic_gamma, (0.099719233230985-0.7574899661447996j, (-0.4105098434231169-0.44793293761699965j,
+                                                              0.49270158232394246+0.000579495738065244j,
+                                                              -0.2546806331065433+0.12988527010751644j))),
+], ids=["qfac", "s2", "row", "inverted", "g2-inverted"])
 def test_q_factorial_that_underflows_is_domain_error(fn, args):
-    # qfactorial_xq returned 0j, and s2 was refused as a pole of the inverted product
+    # qfactorial_xq returned 0j (-0j where inverted), g2 0j, and s2 was refused as a pole of the inverted product
     with pytest.raises(DomainError, match="the q-factorial underflows"):
         fn(*args)
 
@@ -220,20 +228,13 @@ def test_truncation_policy_is_self_consistent():
 # the scalar q-factorial core
 
 
-def _qfac_counted(x: complex, qs: tuple[complex, ...], cfg: EvalConfig, budget: _Budget) -> tuple[complex, int]:
+def _qfac_small(x: complex, qs: tuple[complex, ...], cfg: EvalConfig, budget: _Budget) -> complex:
     """(x | qs) with every |q| < 1 and x finite, charged to a budget the caller holds
-    (``_qfac_planned`` on a plan of ``qs``), as the product of its factors that are not
-    exactly 0 and their count, refused where its digits are lost, no factor vanishes and the
-    value is finite, as ``qfactorial_xq`` refuses it."""
+    (``_qfac_planned`` on a plan of ``qs``): 0j where a factor vanishes, and refused where
+    its digits are lost at a finite value, as ``qfactorial_xq`` refuses it."""
     value, zeros, lost = _qfac_planned(x, _QPlan(qs), cfg, budget)
     if lost and not zeros and cmath.isfinite(value):
         raise DomainError(qseries._UNDERFLOW)
-    return value, zeros
-
-
-def _qfac_small(x: complex, qs: tuple[complex, ...], cfg: EvalConfig, budget: _Budget) -> complex:
-    """The value of ``_qfac_counted``: 0j where a factor vanishes."""
-    value, zeros = _qfac_counted(x, qs, cfg, budget)
     return 0j if zeros else value
 
 
@@ -462,44 +463,17 @@ def _outcome(fn, *args):
     return value, [budget.left for budget in budgets]
 
 
-_UNDERFLOW = (DomainError, qseries._UNDERFLOW)
-
-
-def _reference_underflows(run) -> bool:
-    """True where ``run()``, a call of the reference core, forms a q-factorial, or a row
-    of one, of 0 or below the normal double range with no factor that is exactly 0: there
-    the library refuses the call as an underflow, where the reference returns what is
-    left, or reports a pole."""
-    formed = []
-    core = qseries_reference._qfac_small
-
-    def recorded(*args, **kwargs):
-        formed.append(core(*args, **kwargs))
-        return formed[-1]
-
-    with mock.patch.object(qseries_reference, "_qfac_small", recorded):
-        try:
-            run()
-        except (ConesineError, OverflowError):
-            pass
-    # not abs(): on a complex with a nan part it can raise OverflowError
-    return any(not zeros and math.hypot(v.real, v.imag) < sys.float_info.min for v, zeros in formed)
-
-
 @settings(max_examples=300, deadline=None)
 @given(_qfac_calls())
-# the log series reaches -940: the reference returns 0j
+# the log series reaches -940: both refuse the underflow
 @example(call=(complex(0.7288357610721542), (complex(0.999),)))
-# row 0, (1 | q), is exactly 0 and row 1 underflows: the reference returns 0j
+# row 0, (1 | q), is exactly 0 and row 1 underflows: both return 0j
 @example(call=(1 + 0j, (e2(0.00015923457365490972j), e2(0.05j))))
 def test_qfactorial_xq_matches_the_reference_core(call):
     x, qs = call
     got = _outcome(qfactorial_xq, x, qs, _REF_CONFIG)
     event("refused" if isinstance(got[0], tuple) else "value")
-    if got[0] == _UNDERFLOW:
-        assert _reference_underflows(lambda: qseries_reference.qfactorial_xq(x, qs, _REF_CONFIG))
-    else:
-        assert got == _outcome(qseries_reference.qfactorial_xq, x, qs, _REF_CONFIG)
+    assert got == _outcome(qseries_reference.qfactorial_xq, x, qs, _REF_CONFIG)
 
 
 @settings(max_examples=200, deadline=None)
@@ -508,23 +482,20 @@ def test_qfactorial_xq_matches_the_reference_core(call):
 def test_qfac_small_matches_the_reference_core(call):
     x, qs = call
     outcomes = []
-    for fn in (_qfac_counted, qseries_reference._qfac_small):
+    # the (product, count, lost) triples
+    for fn, periods in ((_qfac_planned, _QPlan(qs)), (qseries_reference._qfac_small, qs)):
         budget = _Budget(_REF_CONFIG.max_terms)
         try:
-            value = repr(fn(x, qs, _REF_CONFIG, budget))
-        except (BudgetError, DomainError, OverflowError) as exc:  # OverflowError: exp of the log series
+            value = repr(fn(x, periods, _REF_CONFIG, budget))
+        except (BudgetError, OverflowError) as exc:  # OverflowError: exp of the log series
             value = (type(exc), str(exc))
         outcomes.append((value, budget.left))
-    if outcomes[0][0] == _UNDERFLOW:
-        budget = _Budget(_REF_CONFIG.max_terms)
-        assert _reference_underflows(lambda: qseries_reference._qfac_small(x, qs, _REF_CONFIG, budget))
-    else:
-        assert outcomes[0] == outcomes[1]
+    assert outcomes[0] == outcomes[1]
 
 
 @settings(max_examples=200, deadline=None)
 @given(_gamma_calls())
-# both q-factorials are finite, their product is not: the reference returns 70.33-inf*j
+# both q-factorials are finite, their product is not (70.33-inf*j): both refuse it
 @example(call=(complex(1.1125369292536007e-308, 0.0), (complex(0.0, -0.08906561888218836),)))
 # the numerator's log series reaches -939 and a factor of the denominator is exactly 0: both return 0j
 @example(call=(0j, (0.00015923457365490972j,)))
@@ -539,18 +510,18 @@ def test_qfac_small_matches_the_reference_core(call):
 @example(call=(complex(-0.0, -0.0002226260117868518), (0.0002226260117868518j, -0.42941199450012624+0.001181642922032289j)))
 # the mirror, a factor of the numerator exactly 0: both refuse the overflow
 @example(call=(0.3966881738718733+0.002314870869968754j, (0.3966881738718733+0.0020361195033882762j, 0.00027875136658047755j)))
+# the numerator's log series gives e^{-acc} below the normal range, and its prefactor lifts the product to
+# 5.41e-117-1.67e-115i: both refuse the underflow (the reference returned a value)
+@example(call=(0.12890625+0.1875j, (0.00010338586869478787j,)))
+# g3 = -8.54e203-1.92e203i: the denominator's inverted product overflows and its reciprocal is -0+0j; both
+# refuse the underflow (the library raised ZeroDivisionError)
+@example(call=(0.0859375-0.07005746545423952j, (-0.4453125+0.0005040895773897044j, 0.00019348693989950237j,
+                                                 0.052054766057594626+0.007114021617539375j, -0.1171875-0.1775210583214211j)))
 def test_elliptic_gamma_matches_the_reference_core(call):
     z, omegas = call
     got = _outcome(elliptic_gamma, z, omegas, _REF_CONFIG)
     event("refused" if isinstance(got[0], tuple) else "value")
-    want = _outcome(qseries_reference.elliptic_gamma, z, omegas, _REF_CONFIG)
-    if got[0] == _UNDERFLOW:
-        assert _reference_underflows(lambda: qseries_reference.elliptic_gamma(z, omegas, _REF_CONFIG))
-    elif isinstance(want[0], str) and not cmath.isfinite(complex(want[0])):
-        # the reference core does not check the combined value; elliptic_gamma refuses it
-        assert got[0][0] is DomainError and "elliptic gamma is not finite" in got[0][1]
-    else:
-        assert got == want
+    assert got == _outcome(qseries_reference.elliptic_gamma, z, omegas, _REF_CONFIG)
 
 
 @pytest.mark.parametrize("z, tau", [
@@ -580,7 +551,8 @@ def test_elliptic_gamma_whose_numerator_underflows(z, want):
             elliptic_gamma(z, (tau,))
     else:
         assert elliptic_gamma(z, (tau,)) == want
-        assert repr(elliptic_gamma(z, (tau,))) == repr(qseries_reference.elliptic_gamma(z, (tau,)))
+    # the value or refusal and every charge are the reference core's
+    assert _outcome(elliptic_gamma, z, (tau,)) == _outcome(qseries_reference.elliptic_gamma, z, (tau,))
 
 
 _Q999, _Q05 = e2(0.00015923457365490972j), e2(0.05j)

@@ -17,7 +17,6 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
-from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from random import Random
@@ -29,7 +28,7 @@ from .bernoulli import (
     bernoulli_cone,
     bernoulli_cone_lifted,
 )
-from .lattice_cones import Cone, _draw_store, _per_draw, dual_contains, lattice_points, require_count, require_float_exact
+from .lattice_cones import Cone, _draws, _per_draw, dual_contains, lattice_points, require_count, require_float_exact
 from .qseries import (
     DEFAULT_CONFIG,
     EvalConfig,
@@ -374,21 +373,6 @@ THEOREM_IDS = tuple(sorted(THEOREMS))
 _MAX_SAMPLE_ATTEMPTS = 24
 
 
-# The (cone, seed, config) that ``verify_theorem`` last sampled, and the one store of its
-# draws (``_per_draw``): each side's value or refusal (None) keyed by (route name, z, omegas), and
-# the walks and Bernoulli tables.  The sampler never draws a negative zero, so points equal
-# under ``==`` are the same bits.
-_shared: ContextVar[tuple] = ContextVar("conesine_shared_draws", default=(None, None))
-
-
-def _side_value(side: _Side, cone: Cone, z: complex, omegas: tuple, cfg: EvalConfig) -> complex | None:
-    """``side(cone, z, omegas, cfg)``, or None where it raises DomainError."""
-    try:
-        return side(cone, z, omegas, cfg)
-    except DomainError:
-        return None
-
-
 def verify_theorem(
     theorem_id: str,
     cone: Cone,
@@ -416,8 +400,9 @@ def verify_theorem(
     through ``dataclasses.replace`` keeps its name, and with it the values
     shared under the name.  Each drawn point's wedge walk, face walk and
     Bernoulli table of each order are shared too.  All of these are dropped
-    when a call comes with another cone, seed or config.  Each thread and
-    each asyncio task keeps its own.
+    when a call comes with another cone, seed or config, and read only while
+    a call samples (``_per_draw``).  Each thread and each asyncio task keeps
+    its own.
     """
     if theorem_id not in THEOREMS:
         raise DomainError(
@@ -447,26 +432,27 @@ def verify_theorem(
             return VerificationReport(**base, skipped=str(exc))
     require_float_exact(cone)  # the sampler pairs the normals with doubles
 
-    context, draws = _shared.get()
+    context, draws, _ = _draws.get()
     if context != (cone, seed, cfg):
-        draws = {}
-        _shared.set(((cone, seed, cfg), draws))
+        context, draws = (cone, seed, cfg), {}
     rng = Random(seed)
     drawn = []
-    token = _draw_store.set(draws)
+    _draws.set((context, draws, True))
     try:
         for _ in range(samples):
             for attempt in range(_MAX_SAMPLE_ATTEMPTS):
                 z, omegas = thm.sampler(cone, rng)
-                a = _per_draw((thm.lhs_name, z, omegas), _side_value, thm.lhs, cone, z, omegas, cfg)
-                b = None if a is None else _per_draw((thm.rhs_name, z, omegas), _side_value, thm.rhs, cone, z, omegas, cfg)
-                if b is not None:
-                    break
+                try:
+                    a = _per_draw((thm.lhs_name, z, omegas), thm.lhs, cone, z, omegas, cfg)
+                    b = _per_draw((thm.rhs_name, z, omegas), thm.rhs, cone, z, omegas, cfg)
+                except DomainError:
+                    continue
+                break
             else:
                 raise DomainError(f"could not draw a generic sample for {theorem_id} after {_MAX_SAMPLE_ATTEMPTS} attempts")
             drawn.append(((z, omegas), a, b))
     finally:
-        _draw_store.reset(token)
+        _draws.set((context, draws, False))
     points, lhs, rhs = zip(*drawn)
     residuals = tuple(map(_rel_residual, lhs, rhs))
     # max() skips a nan that is not first, so look for one explicitly

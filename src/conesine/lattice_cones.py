@@ -34,18 +34,27 @@ IntVector = tuple[int, ...]
 IntMatrix = tuple[IntVector, ...]
 
 
-_draw_store: ContextVar[dict | None] = ContextVar("conesine_draw_store", default=None)
+# (the (cone, seed, config) that ``verify_theorem`` last sampled, the one store of its draws,
+# whether it samples now); the sampler draws no negative zero, so points == are the same bits
+_draws: ContextVar[tuple] = ContextVar("conesine_draws", default=(None, None, False))
 
 
 def _per_draw(key: tuple, build, *args):
-    """``build(*args)``, kept under ``key`` unless it raises, in the ``_draw_store`` that
-    ``verify_theorem`` sets while it samples (elsewhere nothing is kept): the identities on
-    one cone share each draw's side values, wedge walk, face walk and Bernoulli tables, unchanged."""
-    store = _draw_store.get()
-    if store is None:
+    """``build(*args)``, kept under ``key`` in the store of ``_draws`` while ``verify_theorem``
+    samples (elsewhere nothing is kept): the identities on one cone share each draw's side values,
+    wedge walk, face walk and Bernoulli tables, unchanged.  A DomainError is kept like a value, by
+    its message alone (no traceback), and raised anew at each read; other exceptions are not kept."""
+    _, store, sampling = _draws.get()
+    if not sampling:
         return build(*args)
     if key not in store:
-        store[key] = build(*args)
+        try:
+            store[key] = build(*args)
+        except DomainError as exc:
+            store[key] = DomainError(str(exc))
+            raise
+    if isinstance(store[key], DomainError):
+        raise DomainError(str(store[key]))
     return store[key]
 
 

@@ -28,7 +28,8 @@ from .lattice_cones import require_count
 TWO_PI_I = 2j * math.pi
 RESONANCE_FLOOR = 1e-6
 SERIES_TERMS = 100.0
-_LOG_NORMAL_MIN = math.log(sys.float_info.min)
+_NORMAL_MIN = sys.float_info.min
+_LOG_NORMAL_MIN = math.log(_NORMAL_MIN)
 _UNDERFLOW = "the q-factorial underflows: its value falls below the normal double range"
 
 
@@ -165,9 +166,10 @@ def _qfac_planned(x: complex, plan: _QPlan, cfg: EvalConfig, budget: _Budget) ->
     loop charges its closed-form step or term count to ``budget``; a shift loop over two
     or more periods first checks the shift steps its rows will charge (``_row_steps``),
     so a call whose nested loops cannot fit raises BudgetError before any step is taken.
-    Only a shift loop forms factors (the series runs at |x| < 1); they are lost where the
-    product, or that of a row, is 0 or has a log series that gives e^{-acc} below the normal
-    double range.  Every row is evaluated and charged.
+    Only a shift loop forms factors (the series runs at |x| < 1); digits are lost where the
+    log series of the product, or of a row, gives e^{-acc} below the normal double range and
+    the value is finite (a final value below that range is ``_QPlan.evaluate``'s to judge).
+    Every row is evaluated and charged.
     """
     prefactor, zeros, lost = 1.0 + 0j, 0, False
     ax = abs(x)
@@ -196,7 +198,7 @@ def _qfac_planned(x: complex, plan: _QPlan, cfg: EvalConfig, budget: _Budget) ->
                 x *= q
         ax = abs(x)
     if ax == 0:
-        return prefactor, zeros, lost or prefactor == 0
+        return prefactor, zeros, lost
     # log form: -sum_{n>=1} x^n / (n prod_j (1 - q_j^n)).  After term n the tail is at most
     # |x|^{n+1} / ((n+1)(1-|x|) prod_j (1 - |q_j|^{n+1})); the loop stops once that is below
     # tail_tol.  The running products hold q_j^n and |q_j|^{n+1}.  The loops for one, two
@@ -251,7 +253,7 @@ def _qfac_planned(x: complex, plan: _QPlan, cfg: EvalConfig, budget: _Budget) ->
     budget.spend(n)
     value = prefactor * cmath.exp(-acc)
     # a value that is not finite is left to the caller's overflow check
-    lost = lost or (value == 0 or -acc.real < _LOG_NORMAL_MIN) and cmath.isfinite(value)
+    lost = lost or -acc.real < _LOG_NORMAL_MIN and cmath.isfinite(value)
     return value, zeros, lost
 
 
@@ -329,8 +331,9 @@ class _QPlan:
     def evaluate(self, x: complex, ax: float, cfg: EvalConfig) -> tuple[complex, int, bool]:
         """(x | qs) at the argument x of modulus ``ax`` (``_argument_modulus``), with its own budget, as
         (value, count of its factors that are exactly 0, digits lost).  Lost, set only at a count of 0 and a
-        finite value, includes an inverted product whose reciprocal is below the normal double range (0 where
-        the product overflows).  The value is 0j where the count or lost is set; an inverted count is a pole."""
+        finite value, includes every final value below the normal double range, 0 among them: the reciprocal
+        of an inverted product that overflows, and a product whose factors underflow.  The value is 0j where
+        the count or lost is set; an inverted count is a pole."""
         for q in self.inverted:
             x = x / q
         budget = _Budget(cfg.max_terms)
@@ -342,16 +345,16 @@ class _QPlan:
             raise DomainError("evaluation point is a pole of the inverted product")
         if zeros or (lost and cmath.isfinite(val)):  # a lost value that is not finite is refused below
             return 0j, zeros, not zeros
-        if len(self.inverted) % 2 == 1:
+        if len(self.inverted) % 2 == 1 and val:
             val = 1.0 / val
-            if cmath.isfinite(val) and math.hypot(val.real, val.imag) < sys.float_info.min:
-                return 0j, 0, True
         if not cmath.isfinite(val):
             gap = min((abs(1.0 - m) for m in self.moduli), default=math.inf)
             raise DomainError(
                 f"q-factorial is not finite at |x| = {ax:.6g} with min |1 - |q|| = {gap:.6g}: "
                 "the product overflows double precision"
             )
+        if math.hypot(val.real, val.imag) < _NORMAL_MIN:
+            return 0j, 0, True
         return val, 0, False
 
 
@@ -362,9 +365,10 @@ def qfactorial_xq(x: complex, qs: tuple[complex, ...], cfg: EvalConfig = DEFAULT
     floor of) the unit circle.  Factors whose q underflowed to exactly zero contribute their
     exact limit and are dropped.  An argument or period that is not finite, or whose modulus
     is above double range, and a value that overflows, is not finite, is a pole or, with no
-    factor that is exactly 0, underflows (the reciprocal of an inverted product that overflows
-    included) raise DomainError.  The periods' checks, inversions and shift levels are
-    prepared once (``_QPlan``) for every shift loop row.
+    factor that is exactly 0, underflows raise DomainError: 0j is returned only for a factor
+    that is exactly 0, and no value below the normal double range is returned (the reciprocal
+    of an inverted product that overflows is 0, refused too).  The periods' checks, inversions
+    and shift levels are prepared once (``_QPlan``) for every shift loop row.
     """
     x = complex(x)
     ax = _argument_modulus(x, qs)
@@ -399,7 +403,8 @@ def elliptic_gamma(z: complex, omegas: tuple[complex, ...], cfg: EvalConfig = DE
     exactly 0 decides, even where the other q-factorial underflows: it is a
     pole, refused, where inverted or in the denominator for odd r, else 0j.
     Otherwise each is refused as ``qfactorial_xq`` refuses it (a numerator
-    that underflows first), and so is a value that is not finite.
+    that underflows first), and so is a value, r = -1 included, that is not
+    finite or is below the normal double range.
     """
     omegas = tuple(map(complex, omegas))
     r = len(omegas) - 1
@@ -409,7 +414,7 @@ def elliptic_gamma(z: complex, omegas: tuple[complex, ...], cfg: EvalConfig = DE
         val = -e2(-z)
         if not cmath.isfinite(val):
             raise DomainError(f"the empty-period elliptic gamma -e^(-2 pi i z) overflows at z = {z:.6g}")
-        return val
+        return _normal_gamma(val, z)
     qs = tuple(map(e2, omegas))
     x = e2(-z + sum(omegas))
     ax = _argument_modulus(x, qs)
@@ -429,6 +434,13 @@ def elliptic_gamma(z: complex, omegas: tuple[complex, ...], cfg: EvalConfig = DE
     val = num / den if r % 2 else num * den
     if not cmath.isfinite(val):
         raise DomainError(f"elliptic gamma is not finite at z = {z:.6g}: its q-factorials overflow double precision")
+    return _normal_gamma(val, z)
+
+
+def _normal_gamma(val: complex, z: complex) -> complex:
+    """A finite elliptic gamma value ``val`` at z, refused where it is below the normal double range."""
+    if math.hypot(val.real, val.imag) < _NORMAL_MIN:
+        raise DomainError(f"elliptic gamma underflows at z = {z:.6g}: its value falls below the normal double range")
     return val
 
 
@@ -439,17 +451,22 @@ def elliptic_gamma(z: complex, omegas: tuple[complex, ...], cfg: EvalConfig = DE
 def _product(kind: str, z: complex, factors: Iterable[complex], exponent: tuple | None = None) -> complex:
     """The one evaluator of a route's product: the Bernoulli exponential ``_prefactor(*exponent)``,
     if given, then each of ``factors`` in order, then their product in that order, refused as a
-    ``kind`` (wedge, face or multiple sine) product when a partial product overflows, or
-    underflows below the normal double range, where it loses digits or reaches 0 (a g2c face
-    product of about 1e-306, 1e-38, 1e43 and 1e298 returned 0 for a value of order 1)."""
+    ``kind`` (wedge, face or multiple sine) product when a partial product overflows, finite
+    parts with a modulus above double range included, or underflows below the normal double
+    range, where it loses digits or reaches 0 (a g2c face product of about 1e-306, 1e-38, 1e43
+    and 1e298 returned 0 for a value of order 1)."""
     values = [] if exponent is None else [_prefactor(*exponent)]
     values.extend(factors)
     total = 1.0 + 0j
     for factor in values:
         product = total * factor
+        try:
+            tiny = total and factor and abs(product) < _NORMAL_MIN
+        except OverflowError:  # finite parts, modulus above double range
+            tiny, product = False, complex(math.inf)
         if not cmath.isfinite(product):
             raise DomainError(f"the {kind} product is not finite at z = {z:.6g}: its factors overflow double precision")
-        if total and factor and abs(product) < sys.float_info.min:
+        if tiny:
             raise DomainError(f"the {kind} product underflows at z = {z:.6g}: its factors span more than double precision")
         total = product
     return total
@@ -472,13 +489,17 @@ def _form_arguments(u: complex, taus: tuple[complex, ...], form: int, k: int) ->
 
 def _prefactor(c: complex, b: complex) -> complex:
     """The Bernoulli exponential e^{c b} of a boundary factorization or a modularity, b a
-    Bernoulli value B_{r,r}.  It has no zero, so a value that overflows, or underflows below
-    the normal double range, raises DomainError (it would turn a finite value into infinity or 0)."""
+    Bernoulli value B_{r,r}.  It has no zero, so a value that overflows (finite parts with a
+    modulus above double range included), or underflows below the normal double range, raises
+    DomainError (it would turn a finite value into infinity or 0)."""
     try:
         prefactor = _exp(c * b)
     except DomainError:
-        raise DomainError(f"prefactor e^(c B_rr) with c = {c:.6g} overflows at B_rr = {b:.6g}") from None
-    if abs(prefactor) < sys.float_info.min:
+        prefactor = complex(math.inf)  # refused as the overflow below
+    modulus = math.hypot(prefactor.real, prefactor.imag)
+    if modulus == math.inf:
+        raise DomainError(f"prefactor e^(c B_rr) with c = {c:.6g} overflows at B_rr = {b:.6g}")
+    if modulus < _NORMAL_MIN:
         raise DomainError(f"prefactor e^(c B_rr) with c = {c:.6g} underflows at B_rr = {b:.6g}")
     return prefactor
 

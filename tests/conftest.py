@@ -4,7 +4,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import Phase, settings
 
-from conesine import fixture_cone, generalized
+from conesine import fixture_cone, lattice_cones
 
 # A failing property reports its first shrunk example and stops: the explain
 # phase and the search for further distinct bugs each cost minutes there.
@@ -48,6 +48,6 @@ def fresh_store():
     substitutes a side with values of its own starts from this fixture: a store
     kept from an earlier test would answer for the substitute under its name.
     """
-    token = generalized._shared.set((None, None))
+    token = lattice_cones._draws.set((None, None, False))
     yield
-    generalized._shared.reset(token)
+    lattice_cones._draws.reset(token)

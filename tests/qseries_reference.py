@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 
 from conesine.errors import BudgetError, DomainError
-from conesine.qseries import DEFAULT_CONFIG, RESONANCE_FLOOR, _LOG_NORMAL_MIN, _UNDERFLOW, EvalConfig, _Budget, _log_shift_target, e2
+from conesine.qseries import DEFAULT_CONFIG, RESONANCE_FLOOR, _LOG_NORMAL_MIN, _NORMAL_MIN, _UNDERFLOW, EvalConfig, _Budget, _log_shift_target, e2
 
 
 def _row_steps(ax: float, log_a: float, steps: int, reduced_abs: tuple[float, ...]) -> int:
@@ -44,8 +43,8 @@ def _row_steps(ax: float, log_a: float, steps: int, reduced_abs: tuple[float, ..
 def _qfac_small(x: complex, qs: tuple[complex, ...], cfg: EvalConfig, budget: _Budget, absq=None) -> tuple[complex, int, bool]:
     """(x | qs) with every |q| < 1 and x finite, via the shift identity and a log series, as
     the product of its factors 1 - x q^k that are not exactly 0, the count of those that are,
-    and whether digits are lost: a row lost them, or the value is finite and 0 or has a log
-    series whose e^{-acc} is below the normal double range.
+    and whether digits are lost: a row lost them, or the value is finite and has a log series
+    whose e^{-acc} is below the normal double range.
 
     The shift identity (x | qs) = (x | qs without q) (x q | qs) on the smallest |q| moves
     x down to the cost-balanced ``_log_shift_target``, where the log series takes over.  Each
@@ -82,7 +81,7 @@ def _qfac_small(x: complex, qs: tuple[complex, ...], cfg: EvalConfig, budget: _B
             x *= q
         ax = abs(x)
     if ax == 0:
-        return prefactor, zeros, lost or prefactor == 0
+        return prefactor, zeros, lost
     # log form: -sum_{n>=1} x^n / (n prod_j (1 - q_j^n)).  After term n the tail is at most
     # |x|^{n+1} / ((n+1)(1-|x|) prod_j (1 - |q_j|^{n+1})); the loop stops once that is below
     # tail_tol.  The running products hold q_j^n and |q_j|^{n+1}.
@@ -125,14 +124,14 @@ def _qfac_small(x: complex, qs: tuple[complex, ...], cfg: EvalConfig, budget: _B
                 an[j] *= absq[j]
     budget.spend(n)
     value = prefactor * cmath.exp(-acc)
-    return value, zeros, lost or (value == 0 or -acc.real < _LOG_NORMAL_MIN) and cmath.isfinite(value)
+    return value, zeros, lost or -acc.real < _LOG_NORMAL_MIN and cmath.isfinite(value)
 
 
 def _qfactorial(x: complex, qs: tuple[complex, ...], cfg: EvalConfig) -> tuple[complex, int, bool]:
     """(x | qs) as (value, count of its factors that are exactly 0, digits lost), decided in the
     order of the library's ``_QPlan.evaluate``: an inverted count is a pole; else the value is 0j
-    where the count or lost is set, lost only at a count of 0 and a finite value; an inverted
-    product whose reciprocal is finite but below the normal double range is lost too."""
+    where the count or lost is set, lost only at a count of 0 and a finite value; a final value
+    below the normal double range, 0 and the reciprocal of an inverted product among them, is lost too."""
     x = complex(x)
     if not (cmath.isfinite(x) and all(cmath.isfinite(q) for q in qs)):
         raise DomainError("the q-factorial needs a finite argument and finite periods")
@@ -169,16 +168,16 @@ def _qfactorial(x: complex, qs: tuple[complex, ...], cfg: EvalConfig) -> tuple[c
         raise DomainError("evaluation point is a pole of the inverted product")
     if zeros or (lost and cmath.isfinite(val)):
         return 0j, zeros, not zeros
-    if len(invert) % 2 == 1:
+    if len(invert) % 2 == 1 and val != 0:
         val = 1.0 / val
-        if cmath.isfinite(val) and math.hypot(val.real, val.imag) < sys.float_info.min:
-            return 0j, 0, True
     if not cmath.isfinite(val):
         gap = min((abs(1.0 - abs(q)) for q in clean + invert), default=math.inf)
         raise DomainError(
             f"q-factorial is not finite at |x| = {ax:.6g} with min |1 - |q|| = {gap:.6g}: "
             "the product overflows double precision"
         )
+    if math.hypot(val.real, val.imag) < _NORMAL_MIN:
+        return 0j, 0, True
     return val, 0, False
 
 
@@ -190,7 +189,8 @@ def qfactorial_xq(x: complex, qs: tuple[complex, ...], cfg: EvalConfig = DEFAULT
     exactly zero contribute their exact limit and are dropped.  A value that
     overflows or is not finite raises DomainError.  Where a factor 1 - x q^k
     is exactly 0, the value is 0j, or a pole where the product is inverted;
-    otherwise a value that lost its digits is refused as an underflow.
+    otherwise a value that lost its digits, or is below the normal double
+    range, is refused as an underflow.
     """
     val, _, lost = _qfactorial(x, qs, cfg)
     if lost:
@@ -208,7 +208,8 @@ def elliptic_gamma(z: complex, omegas: tuple[complex, ...], cfg: EvalConfig = DE
     library's rule: a factor of the denominator that is exactly 0 is a pole for
     odd r; else a factor of either q-factorial that is exactly 0 gives 0j;
     else lost digits are refused as an underflow, the numerator's first, also
-    where the denominator is refused; and a value that is not finite is refused.
+    where the denominator is refused; and a value, r = -1 included, that is not
+    finite or is below the normal double range is refused.
     """
     omegas = tuple(complex(w) for w in omegas)
     r = len(omegas) - 1
@@ -218,7 +219,7 @@ def elliptic_gamma(z: complex, omegas: tuple[complex, ...], cfg: EvalConfig = DE
         val = -e2(-z)
         if not cmath.isfinite(val):
             raise DomainError(f"the empty-period elliptic gamma -e^(-2 pi i z) overflows at z = {z:.6g}")
-        return val
+        return _normal_gamma(val, z)
     qs = tuple(e2(w) for w in omegas)
     num, num_zeros, num_lost = _qfactorial(e2(-z + sum(omegas)), qs, cfg)
     try:
@@ -234,4 +235,11 @@ def elliptic_gamma(z: complex, omegas: tuple[complex, ...], cfg: EvalConfig = DE
     val = num / den if r % 2 else num * den
     if not cmath.isfinite(val):
         raise DomainError(f"elliptic gamma is not finite at z = {z:.6g}: its q-factorials overflow double precision")
+    return _normal_gamma(val, z)
+
+
+def _normal_gamma(val: complex, z: complex) -> complex:
+    """A finite elliptic gamma value ``val`` at z, refused where it is below the normal double range."""
+    if math.hypot(val.real, val.imag) < _NORMAL_MIN:
+        raise DomainError(f"elliptic gamma underflows at z = {z:.6g}: its value falls below the normal double range")
     return val

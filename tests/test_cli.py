@@ -256,7 +256,15 @@ def test_eval_argument_modulus_beyond_double_range_is_domain_error(capsys, argv)
      "elliptic gamma is not finite"),
     # target / |x| underflowed to 0 in the shift-step count: "math domain error", a traceback and exit 1
     (("qfac", "--z", "0.1-111i", "--omega", "0.2+5i"), "q-factorial is not finite"),
-], ids=["g1c-prefactor-zero", "g0-minus-inf-imag", "g0-inf-nan", "qfac-shift-steps"])
+    # the cheaper form's prefactor underflows, and the other's, e^(709.95+0.785i), has finite parts whose modulus
+    # is above double range: abs() raised an OverflowError, a traceback and exit 1; the value, 3.33e-309-3.33e-309i,
+    # is below the normal range, so the first form's refusal stands
+    (("s2", "--z", "21.09171759318438-2.854405819852846i", "--omega", "1", "--omega", "0.3+0.9i"),
+     "prefactor e^(c B_rr) with c = 0-1.5708j underflows at B_rr = "),
+    # g0's q-factorials are both 5.31e-163, their product 2.81e-325: g0 printed 0.0+0.0i and exit 0
+    (("g0", "--z", "0.00035i", "--tau", "0.0007i"), "elliptic gamma underflows at z = 0+0.00035j"),
+], ids=["g1c-prefactor-zero", "g0-minus-inf-imag", "g0-inf-nan", "qfac-shift-steps", "s2-prefactor-modulus",
+        "g0-underflow"])
 def test_eval_value_out_of_double_range_is_domain_error(capsys, argv, message):
     rc, out, err = run(capsys, "eval", *argv)
     assert (rc, out) == (EXIT_DOMAIN, "")

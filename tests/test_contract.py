@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 import warnings
 from random import Random
 
@@ -105,6 +106,10 @@ def test_every_eval_call_returns_a_finite_value_or_refuses(family, data):
         return
     event(f"{target} {route}: value")
     assert isinstance(value, complex) and cmath.isfinite(value), (target, route, z, omegas, value)
+    # 0 only for a factor that is exactly 0, and nothing below the normal range; the one sine is
+    # 2 sin(pi z / omega), with no such rule
+    if target != "s1":
+        assert value == 0 or math.hypot(value.real, value.imag) >= sys.float_info.min, (target, route, z, omegas, value)
 
 
 @settings(max_examples=300, deadline=None)

@@ -883,7 +883,7 @@ def test_verify_theorem_refuses_a_seed_that_is_not_an_integer(w21, seed):
 @pytest.mark.parametrize("seed", [-3, 2**100])
 def test_verify_theorem_takes_negative_and_large_seeds(fresh_store, w21, seed):
     a = verify_theorem("s2c-factorization", w21, samples=2, seed=seed)
-    generalized._shared.set((None, None))
+    lattice_cones._draws.set((None, None, False))
     b = verify_theorem("s2c-factorization", w21, samples=2, seed=seed)
     assert a.seed == seed and a.to_json_dict() == b.to_json_dict()
 
@@ -996,7 +996,7 @@ def test_cone_geometry_is_built_once_per_cone(monkeypatch):
 def test_verify_theorem_is_deterministic(fresh_store, square):
     a = verify_theorem("g2c-factorization", square, samples=3, seed=42)
     # a new store, so that the second call evaluates every side again
-    generalized._shared.set((None, None))
+    lattice_cones._draws.set((None, None, False))
     b = verify_theorem("g2c-factorization", square, samples=3, seed=42)
     assert a.to_json_dict() == b.to_json_dict()
     c = verify_theorem("g2c-factorization", square, samples=3, seed=43)
@@ -1009,7 +1009,7 @@ def _reports(cone, theorem_ids, samples, seed, fresh_store):
     out = {}
     for tid in theorem_ids:
         if fresh_store:
-            generalized._shared.set((None, None))
+            lattice_cones._draws.set((None, None, False))
         try:
             out[tid] = verify_theorem(tid, cone, samples=samples, seed=seed).to_json_dict()
         except DomainError as exc:
@@ -1020,7 +1020,7 @@ def _reports(cone, theorem_ids, samples, seed, fresh_store):
 def _check_shared_side_values_change_no_report(cone, samples, seed):
     alone = _reports(cone, THEOREM_IDS, samples, seed, fresh_store=True)
     for order in (THEOREM_IDS, THEOREM_IDS[::-1]):
-        generalized._shared.set((None, None))
+        lattice_cones._draws.set((None, None, False))
         assert _reports(cone, order, samples, seed, fresh_store=False) == alone
 
 
@@ -1053,7 +1053,7 @@ def test_samplers_draw_no_negative_zero(cone, sampler, seed):
 def test_side_values_are_dropped_for_the_next_cone(square, std3):
     first = verify_theorem("g2c-factorization", square, samples=5, seed=0)
     verify_theorem("g2c-factorization", std3, samples=5, seed=0)
-    context, draws = generalized._shared.get()
+    context, draws, _ = lattice_cones._draws.get()
     assert context[0] == std3
     stored_points = {(z, omegas) for side, z, omegas in draws if side in generalized.CONE_ROUTES}
     assert stored_points and not stored_points & set(first.points)
@@ -1113,7 +1113,7 @@ def test_asyncio_tasks_keep_their_own_side_values(monkeypatch, fresh_store, squa
     async def both():
         return await asyncio.gather(*map(task, configs))
 
-    generalized._shared.set((None, None))
+    lattice_cones._draws.set((None, None, False))
     calls.clear()
     assert asyncio.run(both()) == alone
     assert {cfg for cfg, *_ in calls} == set(configs) and set(calls.values()) == {1}
@@ -1165,7 +1165,7 @@ def test_a_wrapped_side_keeps_sharing_its_values(monkeypatch, fresh_store, squar
             return _inner(*args, **kwargs)
 
         monkeypatch.setitem(THEOREMS, tid, replace(thm, lhs=tried, rhs=wrapped))
-    generalized._shared.set((None, None))
+    lattice_cones._draws.set((None, None, False))
     calls.clear()
     traced = [verify_theorem(tid, square, samples=5, seed=0) for tid in tids]
     assert calls[-1.0] == 5
@@ -1185,7 +1185,7 @@ def test_a_substituted_side_under_a_fresh_store_is_called_at_every_draw(monkeypa
 
     monkeypatch.setitem(THEOREMS, "s2c-factorization", replace(thm, rhs=rhs))
     assert verify_theorem("s2c-factorization", w21, samples=4, seed=0) == original and calls == []
-    generalized._shared.set((None, None))
+    lattice_cones._draws.set((None, None, False))
     report = verify_theorem("s2c-factorization", w21, samples=4, seed=0)
     assert report == original
     assert len(calls) == len(set(calls)) >= 4 and set(report.points) <= set(calls)
@@ -1238,7 +1238,7 @@ def test_face_walk_and_its_refusal_are_kept_per_draw(monkeypatch, w21):
     monkeypatch.setattr(Cone, "_walk_faces", lambda self, z, omegas: walks.append(z) or walk_faces(self, z, omegas))
     z, omegas = 0.3, (2 - 0.6j, -1 + 0.3j)
     seen = []
-    token = lattice_cones._draw_store.set({})
+    token = lattice_cones._draws.set((None, {}, True))
     try:
         for _ in range(2):
             faces = []
@@ -1246,10 +1246,38 @@ def test_face_walk_and_its_refusal_are_kept_per_draw(monkeypatch, w21):
                 faces.extend(w21.faces(z, omegas))
             seen.append((faces, str(refusal.value)))
     finally:
-        lattice_cones._draw_store.reset(token)
+        lattice_cones._draws.reset(token)
     faces, refusal = seen[0]
     assert walks == [z] and seen[1] == seen[0]
     assert [face[0] for face in faces] == ["edge(-1,0)"] and refusal == "face edge(1,2): transformed scale vanishes"
+
+
+def test_a_kept_refusal_raises_its_message_at_each_read():
+    # a refusal is kept by its message alone: a kept traceback holds the frames of the failed
+    # evaluation, and kept for every refused draw it raised the report's peak memory
+    builds = []
+
+    def refuse():
+        builds.append(1)
+        try:
+            {}["missing"]
+        except KeyError:
+            raise DomainError("refused")
+
+    store = {}
+    token = lattice_cones._draws.set((None, store, True))
+    try:
+        messages = []
+        for _ in range(2):
+            with pytest.raises(DomainError) as refusal:
+                lattice_cones._per_draw(("key",), refuse)
+            messages.append(str(refusal.value))
+    finally:
+        lattice_cones._draws.reset(token)
+    kept = store["key",]
+    assert messages == ["refused", "refused"] and len(builds) == 1
+    assert type(kept) is DomainError and str(kept) == "refused"
+    assert kept.__traceback__ is None and kept.__context__ is None
 
 
 def test_routes_called_directly_keep_nothing(monkeypatch, square):
@@ -1276,7 +1304,7 @@ def test_draw_store_is_unset_after_verify_theorem(monkeypatch, fresh_store, w21,
     seen = []
 
     def lhs(cone, z, omegas, cfg):
-        seen.append(lattice_cones._draw_store.get())
+        seen.append(lattice_cones._draws.get())
         return side(cone, z, omegas, cfg)
 
     monkeypatch.setitem(THEOREMS, "s2c-factorization", replace(THEOREMS["s2c-factorization"], lhs=lhs))
@@ -1285,8 +1313,9 @@ def test_draw_store_is_unset_after_verify_theorem(monkeypatch, fresh_store, w21,
     else:
         with pytest.raises((DomainError, BudgetError), match=message):
             verify_theorem("s2c-factorization", w21, samples=2)
-    assert seen and all(store is generalized._shared.get()[1] for store in seen)
-    assert lattice_cones._draw_store.get() is None
+    _, store, sampling = lattice_cones._draws.get()
+    assert seen and all(draws[1] is store and draws[2] for draws in seen)
+    assert not sampling
 
 
 @pytest.mark.parametrize("variant", ["primary", "alternative"])
@@ -1312,7 +1341,7 @@ def test_face_walk_refusal_keeps_its_place_inside_verify_theorem(monkeypatch, fr
     with pytest.raises(DomainError, match="could not draw a generic sample"):
         verify_theorem("g1c-factorization", w21, samples=1)
     assert set(inside) == {str(outside.value)}
-    assert not any(key[0] == "faces" for key in generalized._shared.get()[1])
+    assert not any(key[0] == "faces" for key in lattice_cones._draws.get()[1])
 
 
 def test_report_json_shape(w21):

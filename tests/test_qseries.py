@@ -25,7 +25,9 @@ from conesine import (
 )
 from conesine import qseries
 from conesine.errors import ConesineError
-from conesine.qseries import DEFAULT_CONFIG, _Budget, _QPlan, _cheaper_form, _log_shift_target, _qfac_planned, _row_steps
+from conesine.qseries import (
+    DEFAULT_CONFIG, _Budget, _QPlan, _cheaper_form, _log_shift_target, _prefactor, _product, _qfac_planned, _row_steps,
+)
 
 import qseries_reference
 from identities import (
@@ -127,9 +129,14 @@ def test_non_finite_qfactorial_raises_domain_error(z, omegas):
     (elliptic_gamma, (0.099719233230985-0.7574899661447996j, (-0.4105098434231169-0.44793293761699965j,
                                                               0.49270158232394246+0.000579495738065244j,
                                                               -0.2546806331065433+0.12988527010751644j))),
-], ids=["qfac", "s2", "row", "inverted", "g2-inverted"])
+    # a factor 1 - x q^k below the normal range: -2.887880950867e-311j, 2.7e-13 off the value
+    (qfactorial_xq, (1 + 1e-310j, (0.5,))),
+    # the value, -6.283e-320j, is below the normal range
+    (qfactorial, (1e-320, (50j,))),
+], ids=["qfac", "s2", "row", "inverted", "g2-inverted", "subnormal-factor", "subnormal-value"])
 def test_q_factorial_that_underflows_is_domain_error(fn, args):
-    # qfactorial_xq returned 0j (-0j where inverted), g2 0j, and s2 was refused as a pole of the inverted product
+    # qfactorial_xq returned 0j (-0j where inverted) or a subnormal value, g2 0j, and s2 was refused as a pole of
+    # the inverted product
     with pytest.raises(DomainError, match="the q-factorial underflows"):
         fn(*args)
 
@@ -469,6 +476,9 @@ def _outcome(fn, *args):
 @example(call=(complex(0.7288357610721542), (complex(0.999),)))
 # row 0, (1 | q), is exactly 0 and row 1 underflows: both return 0j
 @example(call=(1 + 0j, (e2(0.00015923457365490972j), e2(0.05j))))
+# a factor 1 - x q^k below the normal range, and a value below it: both refuse the underflow
+@example(call=(1 + 1e-310j, (0.5 + 0j,)))
+@example(call=(e2(1e-320), (e2(50j),)))
 def test_qfactorial_xq_matches_the_reference_core(call):
     x, qs = call
     got = _outcome(qfactorial_xq, x, qs, _REF_CONFIG)
@@ -517,6 +527,14 @@ def test_qfac_small_matches_the_reference_core(call):
 # refuse the underflow (the library raised ZeroDivisionError)
 @example(call=(0.0859375-0.07005746545423952j, (-0.4453125+0.0005040895773897044j, 0.00019348693989950237j,
                                                  0.052054766057594626+0.007114021617539375j, -0.1171875-0.1775210583214211j)))
+# g0's q-factorials are both 5.31e-163 and their product, 2.81e-325, is 0 in doubles: both refuse the underflow
+# (the library returned 0j)
+@example(call=(0.00035j, (0.0007j,)))
+# g0 = 6.302260453275415e-312, below the normal range: both refuse it (the library returned it, 4.7e-12 off)
+@example(call=(0.000365j, (0.00073j,)))
+# the empty-period gamma -e^(-2 pi i z) is -0j and -8.39e-309: both refuse the underflow
+@example(call=(-200j, ()))
+@example(call=(-112.9j, ()))
 def test_elliptic_gamma_matches_the_reference_core(call):
     z, omegas = call
     got = _outcome(elliptic_gamma, z, omegas, _REF_CONFIG)
@@ -553,6 +571,23 @@ def test_elliptic_gamma_whose_numerator_underflows(z, want):
         assert elliptic_gamma(z, (tau,)) == want
     # the value or refusal and every charge are the reference core's
     assert _outcome(elliptic_gamma, z, (tau,)) == _outcome(qseries_reference.elliptic_gamma, z, (tau,))
+
+
+@pytest.mark.parametrize("fn, args, message", [
+    # g0 = 2.81e-325 from two q-factorials of 5.31e-163 each: it returned 0j
+    (elliptic_gamma, (0.00035j, (0.0007j,)), r"elliptic gamma underflows at z = 0\+0\.00035j"),
+    # g0 = 6.302260453275415e-312: it returned 6.302260453243e-312
+    (elliptic_gamma, (0.000365j, (0.00073j,)), r"elliptic gamma underflows at z = 0\+0\.000365j"),
+    # -e^(-2 pi i z) returned -0j and -8.39e-309
+    (elliptic_gamma, (-200j, ()), r"elliptic gamma underflows at z = -0-200j"),
+    (elliptic_gamma, (-112.9j, ()), r"elliptic gamma underflows at z = -0-112\.9j"),
+    # finite parts, 1.5e308 each, with a modulus above double range: abs() raised a raw OverflowError
+    (_product, ("face", 0.1, [1.5e308 + 0j, 1 + 1j]), r"face product is not finite at z = 0\.1"),
+    (_prefactor, (1, 709.95 + 0.785j), r"prefactor e\^\(c B_rr\) with c = 1 overflows at B_rr = 709\.95\+0\.785j"),
+], ids=["g0-zero", "g0-subnormal", "empty-zero", "empty-subnormal", "product-modulus", "prefactor-modulus"])
+def test_value_outside_the_normal_double_range_is_domain_error(fn, args, message):
+    with pytest.raises(DomainError, match=message):
+        fn(*args)
 
 
 _Q999, _Q05 = e2(0.00015923457365490972j), e2(0.05j)

@@ -32,6 +32,7 @@ from .lattice_cones import Cone, _draws, _per_draw, dual_contains, lattice_point
 from .qseries import (
     DEFAULT_CONFIG,
     EvalConfig,
+    _out_of_range,
     _prefactor,
     _product,
     _rel_residual,
@@ -200,8 +201,8 @@ def gamma_cone_lattice_oracle(
     and 40 in 3d).  Convergence needs Im(periods) strictly inside the dual
     cone; the discarded tail decays geometrically in the dual pairing.
     ``radius`` must be an integer >= 1, not a bool; a box of more than
-    MAX_LATTICE_BOX points, a non-finite z or period, and a product that
-    overflows double precision raise DomainError.  The closed points of the
+    MAX_LATTICE_BOX points, a non-finite z or period, and a nonzero product
+    out of range (``_out_of_range``) raise DomainError.  The closed points of the
     last 8 (cone, radius) pairs are kept with an interior mask, about dim + 1
     bytes a point to radius 127; a call forms each m.omega once, in blocks of
     _LATTICE_BLOCK points, so its working memory is one block at any radius.
@@ -227,8 +228,9 @@ def gamma_cone_lattice_oracle(
                 minus = _lattice_product(phases[inner[start:stop]], -w, minus)
             plus = _lattice_product(phases, w, plus)
         value = complex(minus / plus if cone.dim == 2 else minus * plus)
-    if not cmath.isfinite(value):
-        raise DomainError(f"the lattice product is not finite at z = {z:.6g}: its factors overflow double precision")
+    rule = _out_of_range(value) if value else None  # an apex factor 1 - e(0) makes it exactly 0 at z = 0
+    if rule:
+        raise DomainError(f"the lattice product {rule} at z = {z:.6g}")
     return value
 
 

@@ -69,6 +69,15 @@ class EvalConfig:
 DEFAULT_CONFIG = EvalConfig()
 
 
+def _out_of_range(value: complex) -> str | None:
+    """The one range rule for every value returned: "overflows" where ``value`` is not finite or its
+    finite parts have a modulus above double range, "underflows" where its modulus is below the normal
+    double range, 0 included, else None.  Exact zeros are decided before it is asked, and an exit
+    refuses as "<subject> overflows at <where>" or "<subject> underflows at <where>"."""
+    modulus = math.hypot(value.real, value.imag)
+    return "underflows" if modulus < _NORMAL_MIN else None if modulus < math.inf else "overflows"
+
+
 def _exp(w: complex) -> complex:
     """cmath.exp(w), raising DomainError where the value overflows double precision.
 
@@ -331,9 +340,9 @@ class _QPlan:
     def evaluate(self, x: complex, ax: float, cfg: EvalConfig) -> tuple[complex, int, bool]:
         """(x | qs) at the argument x of modulus ``ax`` (``_argument_modulus``), with its own budget, as
         (value, count of its factors that are exactly 0, digits lost).  Lost, set only at a count of 0 and a
-        finite value, includes every final value below the normal double range, 0 among them: the reciprocal
-        of an inverted product that overflows, and a product whose factors underflow.  The value is 0j where
-        the count or lost is set; an inverted count is a pole."""
+        finite value, includes every final value that underflows (``_out_of_range``), 0 among them: the
+        reciprocal of an inverted product that overflows, and a product whose factors underflow.  The value is
+        0j where the count or lost is set; an inverted count is a pole, and a value that overflows is refused."""
         for q in self.inverted:
             x = x / q
         budget = _Budget(cfg.max_terms)
@@ -347,15 +356,14 @@ class _QPlan:
             return 0j, zeros, not zeros
         if len(self.inverted) % 2 == 1 and val:
             val = 1.0 / val
-        if not cmath.isfinite(val):
+        rule = _out_of_range(val)
+        if rule == "overflows":
             gap = min((abs(1.0 - m) for m in self.moduli), default=math.inf)
             raise DomainError(
                 f"q-factorial is not finite at |x| = {ax:.6g} with min |1 - |q|| = {gap:.6g}: "
                 "the product overflows double precision"
             )
-        if math.hypot(val.real, val.imag) < _NORMAL_MIN:
-            return 0j, 0, True
-        return val, 0, False
+        return (0j, 0, True) if rule else (val, 0, False)
 
 
 def qfactorial_xq(x: complex, qs: tuple[complex, ...], cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
@@ -364,11 +372,11 @@ def qfactorial_xq(x: complex, qs: tuple[complex, ...], cfg: EvalConfig = DEFAULT
     ``qs`` may mix moduli above and below 1 but none may sit on (or within the resonance
     floor of) the unit circle.  Factors whose q underflowed to exactly zero contribute their
     exact limit and are dropped.  An argument or period that is not finite, or whose modulus
-    is above double range, and a value that overflows, is not finite, is a pole or, with no
-    factor that is exactly 0, underflows raise DomainError: 0j is returned only for a factor
-    that is exactly 0, and no value below the normal double range is returned (the reciprocal
-    of an inverted product that overflows is 0, refused too).  The periods' checks, inversions
-    and shift levels are prepared once (``_QPlan``) for every shift loop row.
+    is above double range, a pole, and a value out of range (``_out_of_range``; below the
+    normal range only with no factor that is exactly 0) raise DomainError: 0j is returned
+    only for a factor that is exactly 0 (the reciprocal of an inverted product that
+    overflows is 0, refused as an underflow).  The periods' checks, inversions and shift
+    levels are prepared once (``_QPlan``) for every shift loop row.
     """
     x = complex(x)
     ax = _argument_modulus(x, qs)
@@ -403,8 +411,8 @@ def elliptic_gamma(z: complex, omegas: tuple[complex, ...], cfg: EvalConfig = DE
     exactly 0 decides, even where the other q-factorial underflows: it is a
     pole, refused, where inverted or in the denominator for odd r, else 0j.
     Otherwise each is refused as ``qfactorial_xq`` refuses it (a numerator
-    that underflows first), and so is a value, r = -1 included, that is not
-    finite or is below the normal double range.
+    that underflows first), and the value, r = -1 included, is held to the
+    range rule at one exit (``_out_of_range``).
     """
     omegas = tuple(map(complex, omegas))
     r = len(omegas) - 1
@@ -412,35 +420,27 @@ def elliptic_gamma(z: complex, omegas: tuple[complex, ...], cfg: EvalConfig = DE
         if not cmath.isfinite(z):
             raise DomainError(f"the elliptic gamma needs a finite argument, got z = {z}")
         val = -e2(-z)
-        if not cmath.isfinite(val):
-            raise DomainError(f"the empty-period elliptic gamma -e^(-2 pi i z) overflows at z = {z:.6g}")
-        return _normal_gamma(val, z)
-    qs = tuple(map(e2, omegas))
-    x = e2(-z + sum(omegas))
-    ax = _argument_modulus(x, qs)
-    plan = _QPlan(qs)  # the numerator and denominator share their periods
-    num, num_zeros, num_lost = plan.evaluate(x, ax, cfg)
-    try:
-        x = e2(z)
-        den, den_zeros, den_lost = plan.evaluate(x, _argument_modulus(x, ()), cfg)
-    except (DomainError, BudgetError) as exc:
-        raise DomainError(_UNDERFLOW) if num_lost else exc
-    if r % 2 and den_zeros:
-        raise DomainError("evaluation point is a pole (the denominator product vanishes)")
-    if num_zeros or den_zeros:
-        return 0j
-    if num_lost or den_lost:
-        raise DomainError(_UNDERFLOW)
-    val = num / den if r % 2 else num * den
-    if not cmath.isfinite(val):
-        raise DomainError(f"elliptic gamma is not finite at z = {z:.6g}: its q-factorials overflow double precision")
-    return _normal_gamma(val, z)
-
-
-def _normal_gamma(val: complex, z: complex) -> complex:
-    """A finite elliptic gamma value ``val`` at z, refused where it is below the normal double range."""
-    if math.hypot(val.real, val.imag) < _NORMAL_MIN:
-        raise DomainError(f"elliptic gamma underflows at z = {z:.6g}: its value falls below the normal double range")
+    else:
+        qs = tuple(map(e2, omegas))
+        x = e2(-z + sum(omegas))
+        ax = _argument_modulus(x, qs)
+        plan = _QPlan(qs)  # the numerator and denominator share their periods
+        num, num_zeros, num_lost = plan.evaluate(x, ax, cfg)
+        try:
+            x = e2(z)
+            den, den_zeros, den_lost = plan.evaluate(x, _argument_modulus(x, ()), cfg)
+        except (DomainError, BudgetError) as exc:
+            raise DomainError(_UNDERFLOW) if num_lost else exc
+        if r % 2 and den_zeros:
+            raise DomainError("evaluation point is a pole (the denominator product vanishes)")
+        if num_zeros or den_zeros:
+            return 0j
+        if num_lost or den_lost:
+            raise DomainError(_UNDERFLOW)
+        val = num / den if r % 2 else num * den
+    rule = _out_of_range(val)
+    if rule:
+        raise DomainError(f"elliptic gamma {rule} at z = {z:.6g}")
     return val
 
 
@@ -451,23 +451,17 @@ def _normal_gamma(val: complex, z: complex) -> complex:
 def _product(kind: str, z: complex, factors: Iterable[complex], exponent: tuple | None = None) -> complex:
     """The one evaluator of a route's product: the Bernoulli exponential ``_prefactor(*exponent)``,
     if given, then each of ``factors`` in order, then their product in that order, refused as a
-    ``kind`` (wedge, face or multiple sine) product when a partial product overflows, finite
-    parts with a modulus above double range included, or underflows below the normal double
-    range, where it loses digits or reaches 0 (a g2c face product of about 1e-306, 1e-38, 1e43
-    and 1e298 returned 0 for a value of order 1)."""
+    ``kind`` (wedge, face or multiple sine) product where a partial product of two nonzero values
+    is out of range (``_out_of_range``): one that underflows has lost digits or reached 0 (a g2c
+    face product of about 1e-306, 1e-38, 1e43 and 1e298 returned 0 for a value of order 1)."""
     values = [] if exponent is None else [_prefactor(*exponent)]
     values.extend(factors)
     total = 1.0 + 0j
     for factor in values:
         product = total * factor
-        try:
-            tiny = total and factor and abs(product) < _NORMAL_MIN
-        except OverflowError:  # finite parts, modulus above double range
-            tiny, product = False, complex(math.inf)
-        if not cmath.isfinite(product):
-            raise DomainError(f"the {kind} product is not finite at z = {z:.6g}: its factors overflow double precision")
-        if tiny:
-            raise DomainError(f"the {kind} product underflows at z = {z:.6g}: its factors span more than double precision")
+        rule = _out_of_range(product) if total and factor else None
+        if rule:
+            raise DomainError(f"the {kind} product {rule} at z = {z:.6g}")
         total = product
     return total
 
@@ -489,18 +483,16 @@ def _form_arguments(u: complex, taus: tuple[complex, ...], form: int, k: int) ->
 
 def _prefactor(c: complex, b: complex) -> complex:
     """The Bernoulli exponential e^{c b} of a boundary factorization or a modularity, b a
-    Bernoulli value B_{r,r}.  It has no zero, so a value that overflows (finite parts with a
-    modulus above double range included), or underflows below the normal double range, raises
-    DomainError (it would turn a finite value into infinity or 0)."""
+    Bernoulli value B_{r,r}.  It has no zero, so a value out of range (``_out_of_range``), an
+    exponential that overflows included, raises DomainError (it would turn a finite value into
+    infinity or 0)."""
     try:
         prefactor = _exp(c * b)
     except DomainError:
         prefactor = complex(math.inf)  # refused as the overflow below
-    modulus = math.hypot(prefactor.real, prefactor.imag)
-    if modulus == math.inf:
-        raise DomainError(f"prefactor e^(c B_rr) with c = {c:.6g} overflows at B_rr = {b:.6g}")
-    if modulus < _NORMAL_MIN:
-        raise DomainError(f"prefactor e^(c B_rr) with c = {c:.6g} underflows at B_rr = {b:.6g}")
+    rule = _out_of_range(prefactor)
+    if rule:
+        raise DomainError(f"prefactor e^(c B_rr) with c = {c:.6g} {rule} at B_rr = {b:.6g}")
     return prefactor
 
 
@@ -535,8 +527,9 @@ def multiple_sine(z: complex, omegas: tuple[complex, ...], cfg: EvalConfig = DEF
     real axis for r >= 2; near resonance one can take many times the terms of
     the other and lose more digits.  The form with fewer predicted shift steps
     (``_cheaper_form``) is evaluated, and the other where it raises
-    DomainError (``_sine_factorization``).  r = 1 is 2 sin(pi z / omega).
-    A partial product that overflows or underflows raises DomainError.
+    DomainError (``_sine_factorization``).  r = 1 is 2 sin(pi z / omega),
+    0j only at z = 0.  A partial product or a single sine out of range
+    (``_out_of_range``) raises DomainError.
     """
     omegas = tuple(map(complex, omegas))
     r = len(omegas)
@@ -551,8 +544,9 @@ def multiple_sine(z: complex, omegas: tuple[complex, ...], cfg: EvalConfig = DEF
             val = 2.0 * cmath.sin(math.pi * z / omegas[0])
         except (OverflowError, ValueError):  # ValueError: z / omega is infinite
             val = complex(math.nan)
-        if not cmath.isfinite(val):
-            raise DomainError(f"single sine overflows at z / omega = {z / omegas[0]:.6g}")
+        rule = _out_of_range(val) if val or z else None  # 0 at z = 0; elsewhere z / omega underflowed
+        if rule:
+            raise DomainError(f"single sine {rule} at z / omega = {z / omegas[0]:.6g}")
         return val
     # the form-1 q-factorial of omega_k in additive form: (z / omega_k, (omega_j / omega_k)_{j != k})
     ratios = [(z / wk, tuple(w / wk for j, w in enumerate(omegas) if j != k)) for k, wk in enumerate(omegas)]

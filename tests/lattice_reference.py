@@ -15,12 +15,11 @@ raise the same DomainError messages.
 """
 from __future__ import annotations
 
-import cmath
-
 import numpy as np
 
 from conesine import Cone, DomainError
 from conesine.lattice_cones import _as_ivec, int_det, unimodular_inverse, vec_gcd, xgcd
+from conesine.qseries import _out_of_range
 
 
 def cube_scan_lattice_points(cone: Cone, radius: int, interior: bool = False) -> np.ndarray:
@@ -49,7 +48,8 @@ def cube_scan_lattice_points(cone: Cone, radius: int, interior: bool = False) ->
 def cube_scan_gamma_oracle(cone: Cone, z: complex, omegas, radius: int) -> complex:
     """The truncated lattice product of ``gamma_cone_lattice_oracle`` over the
     cube-scan points, the interior taken by masking the closed points.  The
-    periods are used as given: the damping check is the library's."""
+    periods are used as given: the damping check is the library's, and so is
+    the range rule a nonzero value is held to."""
     om = np.asarray(tuple(complex(w) for w in omegas))
     closed = cube_scan_lattice_points(cone, radius, interior=False)
     opened = closed[(closed @ np.asarray(cone.normals).T >= 1).all(axis=1)]
@@ -60,8 +60,9 @@ def cube_scan_gamma_oracle(cone: Cone, z: complex, omegas, radius: int) -> compl
         plus = np.prod(1 - np.exp(two_pi_i * (complex(z) + phase_closed)))
         minus = np.prod(1 - np.exp(two_pi_i * (-complex(z) + phase_open)))
         value = complex(minus / plus if cone.dim == 2 else minus * plus)
-    if not cmath.isfinite(value):
-        raise DomainError("the lattice product is not finite")
+    rule = _out_of_range(value) if value else None
+    if rule:
+        raise DomainError(f"the lattice product {rule} at z = {z:.6g}")
     return value
 
 

@@ -10,8 +10,9 @@ terms to each ``_Budget``.  ``_row_steps`` is the earlier form too, taking
 the reduced moduli.  Like the library, ``_qfac_small`` leaves each factor
 1 - x q^k that is exactly 0 out of its product and counts it, so a q-factorial
 with such a factor is 0j (a pole where it is inverted).  It decides lost
-digits by the library's rule too, and both entry points refuse them as the
-library does; every value and every charge is the earlier one.
+digits by the library's rule too, holds every final value to the library's
+range rule (``_out_of_range``, imported, not copied), and both entry points
+refuse as the library does; every value and every charge is the earlier one.
 """
 from __future__ import annotations
 
@@ -19,7 +20,10 @@ import cmath
 import math
 
 from conesine.errors import BudgetError, DomainError
-from conesine.qseries import DEFAULT_CONFIG, RESONANCE_FLOOR, _LOG_NORMAL_MIN, _NORMAL_MIN, _UNDERFLOW, EvalConfig, _Budget, _log_shift_target, e2
+from conesine.qseries import (
+    DEFAULT_CONFIG, RESONANCE_FLOOR, _LOG_NORMAL_MIN, _UNDERFLOW, EvalConfig, _Budget, _log_shift_target, _out_of_range,
+    e2,
+)
 
 
 def _row_steps(ax: float, log_a: float, steps: int, reduced_abs: tuple[float, ...]) -> int:
@@ -130,8 +134,8 @@ def _qfac_small(x: complex, qs: tuple[complex, ...], cfg: EvalConfig, budget: _B
 def _qfactorial(x: complex, qs: tuple[complex, ...], cfg: EvalConfig) -> tuple[complex, int, bool]:
     """(x | qs) as (value, count of its factors that are exactly 0, digits lost), decided in the
     order of the library's ``_QPlan.evaluate``: an inverted count is a pole; else the value is 0j
-    where the count or lost is set, lost only at a count of 0 and a finite value; a final value
-    below the normal double range, 0 and the reciprocal of an inverted product among them, is lost too."""
+    where the count or lost is set, lost only at a count of 0 and a finite value; a final value that
+    underflows (``_out_of_range``), 0 and the reciprocal of an inverted product among them, is lost too."""
     x = complex(x)
     if not (cmath.isfinite(x) and all(cmath.isfinite(q) for q in qs)):
         raise DomainError("the q-factorial needs a finite argument and finite periods")
@@ -170,15 +174,14 @@ def _qfactorial(x: complex, qs: tuple[complex, ...], cfg: EvalConfig) -> tuple[c
         return 0j, zeros, not zeros
     if len(invert) % 2 == 1 and val != 0:
         val = 1.0 / val
-    if not cmath.isfinite(val):
+    rule = _out_of_range(val)
+    if rule == "overflows":
         gap = min((abs(1.0 - abs(q)) for q in clean + invert), default=math.inf)
         raise DomainError(
             f"q-factorial is not finite at |x| = {ax:.6g} with min |1 - |q|| = {gap:.6g}: "
             "the product overflows double precision"
         )
-    if math.hypot(val.real, val.imag) < _NORMAL_MIN:
-        return 0j, 0, True
-    return val, 0, False
+    return (0j, 0, True) if rule else (val, 0, False)
 
 
 def qfactorial_xq(x: complex, qs: tuple[complex, ...], cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
@@ -187,10 +190,10 @@ def qfactorial_xq(x: complex, qs: tuple[complex, ...], cfg: EvalConfig = DEFAULT
     ``qs`` may mix moduli above and below 1 but none may sit on (or within
     the resonance floor of) the unit circle.  Factors whose q underflowed to
     exactly zero contribute their exact limit and are dropped.  A value that
-    overflows or is not finite raises DomainError.  Where a factor 1 - x q^k
+    overflows (``_out_of_range``) raises DomainError.  Where a factor 1 - x q^k
     is exactly 0, the value is 0j, or a pole where the product is inverted;
-    otherwise a value that lost its digits, or is below the normal double
-    range, is refused as an underflow.
+    otherwise a value that lost its digits, or underflows, is refused as an
+    underflow.
     """
     val, _, lost = _qfactorial(x, qs, cfg)
     if lost:
@@ -208,8 +211,8 @@ def elliptic_gamma(z: complex, omegas: tuple[complex, ...], cfg: EvalConfig = DE
     library's rule: a factor of the denominator that is exactly 0 is a pole for
     odd r; else a factor of either q-factorial that is exactly 0 gives 0j;
     else lost digits are refused as an underflow, the numerator's first, also
-    where the denominator is refused; and a value, r = -1 included, that is not
-    finite or is below the normal double range is refused.
+    where the denominator is refused; and a value, r = -1 included, out of
+    range (``_out_of_range``) is refused.
     """
     omegas = tuple(complex(w) for w in omegas)
     r = len(omegas) - 1
@@ -217,29 +220,21 @@ def elliptic_gamma(z: complex, omegas: tuple[complex, ...], cfg: EvalConfig = DE
         if not cmath.isfinite(z):
             raise DomainError(f"the elliptic gamma needs a finite argument, got z = {z}")
         val = -e2(-z)
-        if not cmath.isfinite(val):
-            raise DomainError(f"the empty-period elliptic gamma -e^(-2 pi i z) overflows at z = {z:.6g}")
-        return _normal_gamma(val, z)
-    qs = tuple(e2(w) for w in omegas)
-    num, num_zeros, num_lost = _qfactorial(e2(-z + sum(omegas)), qs, cfg)
-    try:
-        den, den_zeros, den_lost = _qfactorial(e2(z), qs, cfg)
-    except (DomainError, BudgetError) as exc:
-        raise DomainError(_UNDERFLOW) if num_lost else exc
-    if r % 2 and den_zeros:
-        raise DomainError("evaluation point is a pole (the denominator product vanishes)")
-    if num_zeros or den_zeros:
-        return 0j
-    if num_lost or den_lost:
-        raise DomainError(_UNDERFLOW)
-    val = num / den if r % 2 else num * den
-    if not cmath.isfinite(val):
-        raise DomainError(f"elliptic gamma is not finite at z = {z:.6g}: its q-factorials overflow double precision")
-    return _normal_gamma(val, z)
-
-
-def _normal_gamma(val: complex, z: complex) -> complex:
-    """A finite elliptic gamma value ``val`` at z, refused where it is below the normal double range."""
-    if math.hypot(val.real, val.imag) < _NORMAL_MIN:
-        raise DomainError(f"elliptic gamma underflows at z = {z:.6g}: its value falls below the normal double range")
+    else:
+        qs = tuple(e2(w) for w in omegas)
+        num, num_zeros, num_lost = _qfactorial(e2(-z + sum(omegas)), qs, cfg)
+        try:
+            den, den_zeros, den_lost = _qfactorial(e2(z), qs, cfg)
+        except (DomainError, BudgetError) as exc:
+            raise DomainError(_UNDERFLOW) if num_lost else exc
+        if r % 2 and den_zeros:
+            raise DomainError("evaluation point is a pole (the denominator product vanishes)")
+        if num_zeros or den_zeros:
+            return 0j
+        if num_lost or den_lost:
+            raise DomainError(_UNDERFLOW)
+        val = num / den if r % 2 else num * den
+    rule = _out_of_range(val)
+    if rule:
+        raise DomainError(f"elliptic gamma {rule} at z = {z:.6g}")
     return val

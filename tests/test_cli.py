@@ -251,9 +251,9 @@ def test_eval_argument_modulus_beyond_double_range_is_domain_error(capsys, argv)
     (("g1c", "--cone", "wedge21", "--z", "0.1-5i", "--omega", "0.09-0.6i", "--omega", "-0.04+0.65i",
       "--route", "factorized"), "prefactor e^(c B_rr) with c = 0+1.0472j underflows at B_rr = "),
     # finite q-factorials whose product is not: g0 = 70.33-infi and g0 = inf+nani, exit 0
-    (("g0", "--z", "1.1125369292536007e-308", "--tau", "-0.08906561888218836i"), "elliptic gamma is not finite"),
+    (("g0", "--z", "1.1125369292536007e-308", "--tau", "-0.08906561888218836i"), "elliptic gamma overflows at z = "),
     (("g0", "--z", "-0.4977920813097638+0.001i", "--tau", "0.00011648242185494838+0.00012032765163390222i"),
-     "elliptic gamma is not finite"),
+     "elliptic gamma overflows at z = "),
     # target / |x| underflowed to 0 in the shift-step count: "math domain error", a traceback and exit 1
     (("qfac", "--z", "0.1-111i", "--omega", "0.2+5i"), "q-factorial is not finite"),
     # the cheaper form's prefactor underflows, and the other's, e^(709.95+0.785i), has finite parts whose modulus
@@ -587,7 +587,7 @@ def test_eval_overflowing_cone_product_exits_2(capsys, target, cone, route, z, o
     rc, out, err = run(capsys, *argv)
     assert (rc, out) == (EXIT_DOMAIN, "")
     assert "NaN" not in out and "Infinity" not in out
-    assert err.startswith("conesine: error: ") and "is not finite" in err
+    assert err.startswith("conesine: error: ") and "product overflows at z = " in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -106,10 +106,8 @@ def test_every_eval_call_returns_a_finite_value_or_refuses(family, data):
         return
     event(f"{target} {route}: value")
     assert isinstance(value, complex) and cmath.isfinite(value), (target, route, z, omegas, value)
-    # 0 only for a factor that is exactly 0, and nothing below the normal range; the one sine is
-    # 2 sin(pi z / omega), with no such rule
-    if target != "s1":
-        assert value == 0 or math.hypot(value.real, value.imag) >= sys.float_info.min, (target, route, z, omegas, value)
+    # 0 only for a factor that is exactly 0, and nothing below the normal range, the one sine included
+    assert value == 0 or math.hypot(value.real, value.imag) >= sys.float_info.min, (target, route, z, omegas, value)
 
 
 @settings(max_examples=300, deadline=None)
@@ -142,3 +140,6 @@ def test_oracles_return_a_finite_value_or_refuse(oracle, name, z, omegas, n, eta
             return
     event(f"{oracle}: value")
     assert isinstance(value, complex) and cmath.isfinite(value), (oracle, name, z, omegas, n, eta, radius, value)
+    # the lattice product is exactly 0 (an apex factor 1 - e(0) at z = 0) or in the normal range
+    if oracle == "gamma":
+        assert value == 0 or math.hypot(value.real, value.imag) >= sys.float_info.min, (name, z, omegas, radius, value)

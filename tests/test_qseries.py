@@ -19,6 +19,8 @@ from conesine import (
     EvalConfig,
     e2,
     elliptic_gamma,
+    fixture_cone,
+    gamma_cone_lattice_oracle,
     multiple_sine,
     qfactorial,
     qfactorial_xq,
@@ -549,7 +551,7 @@ def test_elliptic_gamma_matches_the_reference_core(call):
 def test_elliptic_gamma_that_is_not_finite_is_domain_error(z, tau):
     # each q-factorial is finite but their product is not: g0 returned
     # 70.33-inf*i and inf+nan*i, and `eval g0` wrote Infinity and NaN into its record
-    with pytest.raises(DomainError, match=r"elliptic gamma is not finite at z = "):
+    with pytest.raises(DomainError, match=r"elliptic gamma overflows at z = "):
         elliptic_gamma(z, (tau,))
 
 
@@ -581,10 +583,21 @@ def test_elliptic_gamma_whose_numerator_underflows(z, want):
     # -e^(-2 pi i z) returned -0j and -8.39e-309
     (elliptic_gamma, (-200j, ()), r"elliptic gamma underflows at z = -0-200j"),
     (elliptic_gamma, (-112.9j, ()), r"elliptic gamma underflows at z = -0-112\.9j"),
+    # -e^(-2 pi i z) has finite parts, -1.48e308 each, with a modulus above double range: it was returned
+    (elliptic_gamma, (-0.125 + 112.99j, ()), r"elliptic gamma overflows at z = -0\.125\+112\.99j"),
     # finite parts, 1.5e308 each, with a modulus above double range: abs() raised a raw OverflowError
-    (_product, ("face", 0.1, [1.5e308 + 0j, 1 + 1j]), r"face product is not finite at z = 0\.1"),
+    (_product, ("face", 0.1, [1.5e308 + 0j, 1 + 1j]), r"face product overflows at z = 0\.1"),
     (_prefactor, (1, 709.95 + 0.785j), r"prefactor e\^\(c B_rr\) with c = 1 overflows at B_rr = 709\.95\+0\.785j"),
-], ids=["g0-zero", "g0-subnormal", "empty-zero", "empty-subnormal", "product-modulus", "prefactor-modulus"])
+    # 2 sin(pi z / omega) = 6.2835e-320: it was returned, 6.5e-5 off
+    (multiple_sine, (1e-320, (1.0,)), r"single sine underflows at z / omega = 9\.99989e-321\+0j"),
+    # z / omega underflows to 0, so the sine was returned as 0j, not an exact zero
+    (multiple_sine, (1e-320, (1e10,)), r"single sine underflows at z / omega = 0\+0j"),
+    # the lattice product is 5.38e-310+1.51e-308j: it was returned, where gamma_cone_direct and
+    # gamma_cone_factorized both refuse the underflow
+    (gamma_cone_lattice_oracle, (fixture_cone("standard-2"), 0.1 - 7.8j, (0.1 + 1j, 0.2 + 1j)),
+     r"the lattice product underflows at z = 0\.1-7\.8j"),
+], ids=["g0-zero", "g0-subnormal", "empty-zero", "empty-subnormal", "empty-modulus", "product-modulus",
+        "prefactor-modulus", "single-sine-subnormal", "single-sine-zero-ratio", "lattice-subnormal"])
 def test_value_outside_the_normal_double_range_is_domain_error(fn, args, message):
     with pytest.raises(DomainError, match=message):
         fn(*args)
@@ -767,6 +780,8 @@ def test_sine_single_period_closed_form():
         w = complex(rng.uniform(0.6, 1.4), rng.uniform(-0.4, 0.4))
         expect = 2 * cmath.sin(math.pi * z / w)
         assert rel(multiple_sine(z, (w,)), expect) < 1e-12
+    # z = 0 is an exact zero of the sine: 0j, not refused as an underflow
+    assert multiple_sine(0, (1.0,)) == 0j
 
 
 def _draw_sine_omegas(rng: Random, count: int) -> tuple:
@@ -918,7 +933,7 @@ def test_sine_rejects_real_period_ratio():
     # every factor is finite but their product is nan
     (-1.3183025410484737 - 0.8324830209262348j,
      (-0.0551227672295207 + 0.001482701347745538j, 0.38110594175219337 + 0.035433311886875284j),
-     r"not finite at z = -1\.3183"),
+     r"product overflows at z = -1\.3183"),
     (0.5 + 300j, (1.0,), r"single sine overflows at z / omega = 0\.5\+300j"),
     # z / omega overflows to infinity: cmath.sin raises ValueError, or returns nan
     (1e300, (1e-300,), r"single sine overflows at z / omega = inf\+0j"),
@@ -967,7 +982,7 @@ def test_period_modulus_beyond_double_range_raises_domain_error(fn, omegas):
     # e^{-2 pi i z} would be a finite 0 here, but z itself is not finite
     (complex(0.0, -math.inf), r"needs a finite argument, got z = -infj"),
     # 2 pi i z overflows to an infinite exponent before cmath.exp sees it
-    (0.3 + 1e308j, r"empty-period elliptic gamma -e\^\(-2 pi i z\) overflows at z = 0\.3\+1e\+308j"),
+    (0.3 + 1e308j, r"elliptic gamma overflows at z = 0\.3\+1e\+308j"),
 ], ids=["nan", "inf", "minus-inf-imag", "inf-exponent"])
 def test_empty_period_gamma_refuses_non_finite(z, match):
     with pytest.raises(DomainError, match=match):
